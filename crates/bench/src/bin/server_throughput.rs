@@ -1,8 +1,9 @@
 //! Serial vs pipelined serving throughput over the real TCP path.
 //!
-//! Sweeps client-connection counts against one readiness-driven
-//! [`TcpStorageServer`]. Every connection issues the same number of raw
-//! fetches two ways:
+//! Sweeps client-connection counts, beside a swept number of configured
+//! but idle connections, against one readiness-driven
+//! [`TcpStorageServer`]. Every active connection issues the same number of
+//! raw fetches two ways:
 //!
 //! * **serial** — one request in flight per connection (`fetch_request`
 //!   round trips, the pre-multiplexing protocol's behavior);
@@ -10,16 +11,23 @@
 //!   (`fetch_many_requests`), multiplexed on the connection by request id.
 //!
 //! Reports aggregate requests/second plus per-request p50/p99 latency for
-//! each mode, prints a table, and optionally writes a JSON artifact.
+//! each mode and each (connections, idle) cell, prints a table, and
+//! optionally writes a JSON artifact.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin server_throughput
 //! cargo run --release -p bench --bin server_throughput -- \
-//!     --conns 1,8,64 --per-conn 32 --json target/server_throughput.json --assert
+//!     --conns 1,8,64 --idle 0,1000 --per-conn 32 \
+//!     --json target/server_throughput.json --assert
 //! ```
 //!
+//! `--idle 1000` holds both ends of 1 000 connections in this process:
+//! raise `ulimit -n` above 2 100 first.
+//!
 //! `--assert` exits nonzero unless pipelined beats serial on req/s at
-//! every swept connection count >= 64 (the CI smoke gate).
+//! every swept connection count >= 64, and, for every swept idle count,
+//! the serial p50 of one active connection beside them is at most 1.5x its
+//! p50 beside none (the CI smoke gates).
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -38,6 +46,7 @@ struct ModeResult {
 
 struct Row {
     connections: usize,
+    idle: usize,
     serial: ModeResult,
     pipelined: ModeResult,
 }
@@ -133,8 +142,9 @@ fn render_json(per_conn: usize, rows: &[Row]) -> String {
             )
         };
         out.push_str(&format!(
-            "    {{\"connections\": {}, \"serial\": {}, \"pipelined\": {}}}{}\n",
+            "    {{\"connections\": {}, \"idle\": {}, \"serial\": {}, \"pipelined\": {}}}{}\n",
             row.connections,
+            row.idle,
             mode(&row.serial),
             mode(&row.pipelined),
             if i + 1 < rows.len() { "," } else { "" }
@@ -144,9 +154,34 @@ fn render_json(per_conn: usize, rows: &[Row]) -> String {
     out
 }
 
+/// A depth-1 fetch beside idle connections may cost at most this many
+/// times what it costs beside none (ROADMAP item 2's gate).
+const IDLE_P50_FACTOR: f64 = 1.5;
+
+fn parse_counts(flag: &str, list: &str) -> Vec<usize> {
+    list.split(',')
+        .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("{flag} takes integers, got '{s}'")))
+        .collect()
+}
+
+/// Connects and configures `n` clients that then send nothing.
+fn open_idle(server: &TcpStorageServer, seed: u64, n: usize) -> Vec<TcpStorageClient> {
+    (0..n)
+        .map(|_| {
+            let mut client = TcpStorageClient::connect(server.local_addr()).unwrap_or_else(|e| {
+                eprintln!("idle connection failed ({e}); {n} need `ulimit -n` above {}", 2 * n);
+                std::process::exit(2);
+            });
+            client.configure(seed, PipelineSpec::standard_train()).expect("configure idle");
+            client
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut conns: Vec<usize> = vec![1, 8, 64];
+    let mut idles: Vec<usize> = vec![0];
     let mut per_conn = 32usize;
     let mut repeat = 3usize;
     let mut json_path: Option<String> = None;
@@ -155,11 +190,14 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--conns" => {
-                let v = it.next().expect("--conns needs a comma-separated list");
-                conns = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("connection counts are integers"))
-                    .collect();
+                conns = parse_counts(
+                    "--conns",
+                    it.next().expect("--conns needs a comma-separated list"),
+                );
+            }
+            "--idle" => {
+                idles =
+                    parse_counts("--idle", it.next().expect("--idle needs a comma-separated list"));
             }
             "--per-conn" => {
                 per_conn = it
@@ -180,7 +218,7 @@ fn main() {
             "--assert" => assert_gate = true,
             other => {
                 eprintln!(
-                    "unknown flag '{other}'; flags: --conns --per-conn --repeat --json --assert"
+                    "unknown flag '{other}'; flags: --conns --idle --per-conn --repeat --json --assert"
                 );
                 std::process::exit(2);
             }
@@ -205,8 +243,9 @@ fn main() {
         "server_throughput: {per_conn} raw fetches per connection, 4 server cores, best of {repeat}"
     );
     println!(
-        "{:>11}  {:>13} {:>9} {:>9}   {:>13} {:>9} {:>9}  {:>8}",
+        "{:>11} {:>6}  {:>13} {:>9} {:>9}   {:>13} {:>9} {:>9}  {:>8}",
         "connections",
+        "idle",
         "serial rps",
         "p50 us",
         "p99 us",
@@ -224,21 +263,26 @@ fn main() {
             .max_by(|a, b| a.rps.total_cmp(&b.rps))
             .expect("repeat >= 1")
     };
-    for &connections in &conns {
-        let serial = best(&server, connections, false);
-        let pipelined = best(&server, connections, true);
-        println!(
-            "{:>11}  {:>13.0} {:>9} {:>9}   {:>13.0} {:>9} {:>9}  {:>7.2}x",
-            connections,
-            serial.rps,
-            serial.p50.as_micros(),
-            serial.p99.as_micros(),
-            pipelined.rps,
-            pipelined.p50.as_micros(),
-            pipelined.p99.as_micros(),
-            pipelined.rps / serial.rps.max(f64::EPSILON)
-        );
-        rows.push(Row { connections, serial, pipelined });
+    for &idle in &idles {
+        let parked = open_idle(&server, ds.seed, idle);
+        for &connections in &conns {
+            let serial = best(&server, connections, false);
+            let pipelined = best(&server, connections, true);
+            println!(
+                "{:>11} {:>6}  {:>13.0} {:>9} {:>9}   {:>13.0} {:>9} {:>9}  {:>7.2}x",
+                connections,
+                idle,
+                serial.rps,
+                serial.p50.as_micros(),
+                serial.p99.as_micros(),
+                pipelined.rps,
+                pipelined.p50.as_micros(),
+                pipelined.p99.as_micros(),
+                pipelined.rps / serial.rps.max(f64::EPSILON)
+            );
+            rows.push(Row { connections, idle, serial, pipelined });
+        }
+        drop(parked);
     }
 
     if let Some(path) = json_path {
@@ -260,6 +304,31 @@ fn main() {
         if rows.iter().all(|r| r.connections < 64) {
             eprintln!("FAIL: --assert needs at least one swept point with >= 64 connections");
             failed = true;
+        }
+        let alone = rows.iter().find(|r| r.connections == 1 && r.idle == 0);
+        for row in rows.iter().filter(|r| r.connections == 1 && r.idle > 0) {
+            let Some(alone) = alone else {
+                eprintln!("FAIL: the idle gate needs the 1 connection, 0 idle point swept too");
+                failed = true;
+                break;
+            };
+            let limit = alone.serial.p50.mul_f64(IDLE_P50_FACTOR);
+            if row.serial.p50 > limit {
+                eprintln!(
+                    "FAIL: serial p50 of 1 connection is {} us beside {} idle, over {IDLE_P50_FACTOR}x its {} us beside none",
+                    row.serial.p50.as_micros(),
+                    row.idle,
+                    alone.serial.p50.as_micros()
+                );
+                failed = true;
+            } else {
+                println!(
+                    "assert ok: serial p50 of 1 connection is {} us beside {} idle, within {IDLE_P50_FACTOR}x its {} us beside none",
+                    row.serial.p50.as_micros(),
+                    row.idle,
+                    alone.serial.p50.as_micros()
+                );
+            }
         }
         if failed {
             std::process::exit(1);

@@ -25,11 +25,6 @@ impl Deadline {
     /// No deadline: block until the transport fails outright.
     pub const NONE: Deadline = Deadline { budget: None };
 
-    /// The default socket poll interval servers use between liveness
-    /// checks (the constant that used to be buried in the TCP accept
-    /// path).
-    pub const DEFAULT_POLL: Duration = Duration::from_millis(50);
-
     /// A budget of `d` from the moment a request is issued.
     pub fn after(d: Duration) -> Deadline {
         Deadline { budget: Some(d) }

@@ -21,9 +21,6 @@ pub struct ServerConfig {
     pub bandwidth: Bandwidth,
     /// Response queue depth in messages.
     pub queue_depth: usize,
-    /// How often blocking waits wake to check for shutdown — the idle
-    /// poll granularity (formerly a hardcoded 50 ms constant).
-    pub read_poll: Duration,
     /// Backpressure bound for the pipelined TCP server: how many decoded
     /// requests one connection may have in flight before the event loop
     /// stops reading its socket (TCP backpressure then propagates to the
@@ -33,14 +30,13 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Two cores behind a 1 Gbps link, depth-16 queue, default poll,
-    /// 64 in-flight requests per connection.
+    /// Two cores behind a 1 Gbps link, depth-16 queue, 64 in-flight
+    /// requests per connection.
     fn default() -> Self {
         ServerConfig {
             cores: 2,
             bandwidth: Bandwidth::from_gbps(1.0),
             queue_depth: 16,
-            read_poll: crate::Deadline::DEFAULT_POLL,
             max_in_flight: 64,
         }
     }

@@ -3,14 +3,37 @@
 //!
 //! [`StorageServer`](crate::StorageServer) demonstrates the data path with
 //! in-process pipes; this module runs the same protocol over actual
-//! sockets. Since the serving-path rebuild the server is
-//! **readiness-driven**: one event-loop thread owns every connection as a
-//! nonblocking `TcpStream`, demultiplexes incoming frames by their
-//! [`wire`] `request_id` into the shared worker pool, and muxes completed
-//! responses back out of order onto the right connection. A single
-//! connection therefore carries many in-flight exchanges at once, bounded
-//! by [`ServerConfig::max_in_flight`] — past that depth the loop stops
-//! reading the socket and TCP backpressure propagates to the client.
+//! sockets. The server is **readiness-driven**: one event-loop thread owns
+//! every connection as a nonblocking `TcpStream`, demultiplexes incoming
+//! frames by their [`wire`] `request_id` into the shared worker pool, and
+//! muxes completed responses back out of order onto the right connection.
+//! A single connection therefore carries many in-flight exchanges at once,
+//! bounded by [`ServerConfig::max_in_flight`] — past that depth the loop
+//! stops reading the socket and TCP backpressure propagates to the client.
+//!
+//! # The readiness set
+//!
+//! The loop blocks in one [`poller::Poller::wait`] (epoll, level-triggered)
+//! per turn and does work only for what woke it, so a turn costs O(ready
+//! sockets + connections with queued output) however many connections are
+//! open, and an idle server uses no CPU. Three things end a wait:
+//!
+//! * **a socket**: the listener has a connection to accept, a client sent
+//!   bytes or closed, or a socket whose last write would have blocked
+//!   drained;
+//! * **the waker**: an `eventfd` the workers write after queueing each
+//!   reply, and the server handle writes after raising the stop flag;
+//! * **the timer**: the wait's timeout is the earliest release time among
+//!   queued frames (token bucket, tenant quota, injected delay), to the
+//!   precision of the kernel's high-resolution timers.
+//!
+//! Each connection's interest follows its state: readable iff the peer
+//! has not closed and the connection is under its in-flight bound;
+//! writable iff the last write returned `WouldBlock`. A connection parked
+//! at its bound with unread requests, or half-closed with a job in
+//! flight, is therefore watched for nothing and cannot spin the loop.
+//! Connections are reaped where their state changes: peer-closed with
+//! nothing left to compute or flush, failed, or unwatchable.
 //!
 //! The hot path is allocation-conscious end to end: frames decode in
 //! place out of per-connection scratch buffers that persist across frames,
@@ -36,10 +59,10 @@
 //! per-tenant quota buckets are charged where pacing already happens —
 //! at encode, when response bytes reach the wire.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,6 +71,7 @@ use crossbeam::channel;
 use netsim::{TokenBucket, TrafficMeter};
 use parking_lot::RwLock;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
+use poller::{Events, Interest, Poller, Waker};
 use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantPolicy, TenantStats};
 
 use crate::chaos::{FaultDirective, FaultKind, ServerFaultInjector};
@@ -238,25 +262,31 @@ impl FrameReader {
     }
 }
 
-/// One response frame queued on a connection, with a release time from
-/// injected delays and the shared bandwidth model.
+/// One response queued on a connection, with a release time from
+/// injected delays.
 ///
-/// The body starts [`OutBody::Pending`] and is encoded only when it
-/// reaches the socket: a deep pipelined queue then holds cheap
-/// refcounted responses rather than one fully-encoded frame per entry,
-/// so queued memory stays O(connections x sample), not O(in-flight x
-/// sample), and the encode-buffer pool covers every write.
+/// It stays unencoded until it reaches the socket: a deep pipelined queue
+/// then holds cheap refcounted responses rather than one fully-encoded
+/// frame per entry, so queued memory stays O(connections x sample), not
+/// O(in-flight x sample), and the encode-buffer pool covers every write.
 struct OutFrame {
     tenant: TenantId,
-    body: OutBody,
+    request_id: u32,
+    response: Response,
+    /// Wire-level chaos mutation to apply at encode.
+    fault: Option<FaultDirective>,
     not_before: Instant,
 }
 
-enum OutBody {
-    /// Awaiting wire encoding (and any wire-level chaos mutation).
-    Pending { request_id: u32, response: Response, fault: Option<FaultDirective> },
-    /// On the wire, with resumable progress across `WouldBlock`s.
-    Encoded { header: [u8; 4], payload: Vec<u8>, written: usize },
+/// The one frame a connection has on the wire: encoded, charged to the
+/// bandwidth model, with resumable progress across `WouldBlock`s.
+struct WireFrame {
+    tenant: TenantId,
+    header: [u8; 4],
+    payload: Vec<u8>,
+    written: usize,
+    /// Release time from the shared token bucket and the tenant's quota.
+    not_before: Instant,
 }
 
 /// Per-connection state owned by the event loop.
@@ -265,10 +295,42 @@ struct Conn {
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
     reader: FrameReader,
     outq: VecDeque<OutFrame>,
+    writing: Option<WireFrame>,
     in_flight: usize,
     peer_closed: bool,
-    dead: bool,
+    /// The last write returned `WouldBlock` and the socket has not
+    /// reported writable since.
+    write_blocked: bool,
+    /// What the poller currently watches this socket for.
+    interest: Interest,
 }
+
+impl Conn {
+    fn has_output(&self) -> bool {
+        self.writing.is_some() || !self.outq.is_empty()
+    }
+}
+
+/// What a connection's write queue is waiting for after a flush.
+enum Flush {
+    /// Nothing left to write.
+    Drained,
+    /// The front frame's release time.
+    Until(Instant),
+    /// The socket to report writable.
+    Blocked,
+    /// Nothing: the socket failed and the connection must go.
+    Dead,
+}
+
+/// Poller tokens of the two descriptors that are not connections;
+/// connection ids count up from zero and never reach them.
+const LISTENER: u64 = u64::MAX;
+const WAKER: u64 = u64::MAX - 1;
+
+/// Readiness events taken per turn; sockets beyond it stay ready (the
+/// registration is level-triggered) and are served on the next turn.
+const EVENT_BATCH: usize = 256;
 
 /// Upper bound on pooled response-encode buffers the event loop retains.
 const SPARE_BUFFER_POOL: usize = 64;
@@ -362,6 +424,8 @@ impl Admission {
 pub struct TcpStorageServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Waker,
+    turns: Arc<AtomicU64>,
     meter: TrafficMeter,
     stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
     event_thread: Option<JoinHandle<()>>,
@@ -410,8 +474,9 @@ impl TcpStorageServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures; a zero-core or zero-in-flight config
-    /// surfaces as `InvalidInput`.
+    /// Propagates bind failures and the operating system's refusal to
+    /// create the readiness set or its waker; a zero-core or
+    /// zero-in-flight config surfaces as `InvalidInput`.
     pub fn bind_with_policy(
         store: ObjectStore,
         config: ServerConfig,
@@ -419,6 +484,30 @@ impl TcpStorageServer {
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<Self> {
+        let (mut server, work_rx, reply_tx) = Self::start_loop(config, policy, addr)?;
+        server.workers = (0..config.cores)
+            .map(|_| {
+                let rx = work_rx.clone();
+                let tx = reply_tx.clone();
+                let waker = server.waker.clone();
+                let store = store.clone();
+                let injector = injector.clone();
+                std::thread::spawn(move || {
+                    worker_loop(&rx, &tx, &waker, &store, injector.as_deref());
+                })
+            })
+            .collect();
+        Ok(server)
+    }
+
+    /// Binds the listener and starts the event loop, handing back the
+    /// worker pool's ends of the two channels. A reply sent on the second
+    /// must be followed by a wake of the server's waker.
+    fn start_loop(
+        config: ServerConfig,
+        policy: TenantPolicy,
+        addr: &str,
+    ) -> io::Result<(Self, channel::Receiver<Job>, channel::Sender<Reply>)> {
         if config.cores == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -434,64 +523,60 @@ impl TcpStorageServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.add(&listener, LISTENER, Interest::READABLE)?;
+        poller.add(&waker, WAKER, Interest::READABLE)?;
         let stop = Arc::new(AtomicBool::new(false));
+        let turns = Arc::new(AtomicU64::new(0));
         let meter = TrafficMeter::new();
         let stats: Arc<RwLock<BTreeMap<u16, TenantStats>>> = Arc::new(RwLock::new(BTreeMap::new()));
 
         let (work_tx, work_rx) = channel::unbounded::<Job>();
         let (reply_tx, reply_rx) = channel::unbounded::<Reply>();
-        let workers = (0..config.cores)
-            .map(|_| {
-                let rx = work_rx.clone();
-                let tx = reply_tx.clone();
-                let store = store.clone();
-                let injector = injector.clone();
-                std::thread::spawn(move || worker_loop(&rx, &tx, &store, injector.as_deref()))
-            })
-            .collect();
+        let mut el = EventLoop {
+            poller,
+            waker: waker.clone(),
+            listener,
+            conns: HashMap::new(),
+            pending_out: BTreeSet::new(),
+            next_conn: 0,
+            work_tx,
+            reply_rx,
+            bucket: TokenBucket::new(
+                config.bandwidth,
+                (config.bandwidth.bytes_per_second() * 0.02).max(1500.0) as usize,
+            ),
+            meter: meter.clone(),
+            stop: Arc::clone(&stop),
+            turns: Arc::clone(&turns),
+            max_in_flight: config.max_in_flight,
+            spare: Vec::new(),
+            admission: Admission::new(policy),
+            // Count-fair DWRR: requests cost 1 unit each (responses
+            // are roughly sample-sized; byte fairness is enforced by
+            // the per-tenant quota buckets at encode).
+            sched: DwrrScheduler::new(1),
+            dispatched: 0,
+            // Small enough that the scheduler — not the FIFO worker
+            // channel — decides inter-tenant order under backlog,
+            // large enough to keep every core fed.
+            dispatch_cap: config.cores.saturating_mul(2).max(2),
+            stats: Arc::clone(&stats),
+        };
+        let event_thread = std::thread::spawn(move || el.run());
 
-        let loop_stop = Arc::clone(&stop);
-        let loop_meter = meter.clone();
-        let loop_stats = Arc::clone(&stats);
-        let event_thread = std::thread::spawn(move || {
-            let mut el = EventLoop {
-                listener,
-                conns: HashMap::new(),
-                next_conn: 0,
-                work_tx,
-                reply_rx,
-                bucket: TokenBucket::new(
-                    config.bandwidth,
-                    (config.bandwidth.bytes_per_second() * 0.02).max(1500.0) as usize,
-                ),
-                meter: loop_meter,
-                stop: loop_stop,
-                max_in_flight: config.max_in_flight,
-                idle_sleep: config.read_poll.min(Duration::from_millis(1)),
-                spare: Vec::new(),
-                admission: Admission::new(policy),
-                // Count-fair DWRR: requests cost 1 unit each (responses
-                // are roughly sample-sized; byte fairness is enforced by
-                // the per-tenant quota buckets at encode).
-                sched: DwrrScheduler::new(1),
-                dispatched: 0,
-                // Small enough that the scheduler — not the FIFO worker
-                // channel — decides inter-tenant order under backlog,
-                // large enough to keep every core fed.
-                dispatch_cap: config.cores.saturating_mul(2).max(2),
-                stats: loop_stats,
-            };
-            el.run();
-        });
-
-        Ok(TcpStorageServer {
+        let server = TcpStorageServer {
             addr: local,
             stop,
+            waker,
+            turns,
             meter,
             stats,
             event_thread: Some(event_thread),
-            workers,
-        })
+            workers: Vec::new(),
+        };
+        Ok((server, work_rx, reply_tx))
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -508,6 +593,14 @@ impl TcpStorageServer {
     /// server is consumed by `shutdown`).
     pub fn meter(&self) -> TrafficMeter {
         self.meter.clone()
+    }
+
+    /// How many times the event loop has woken from its readiness wait.
+    /// An idle server's count stands still; tests pin that, and that a
+    /// turn's cost does not grow with the number of open connections.
+    #[doc(hidden)]
+    pub fn loop_turns(&self) -> u64 {
+        self.turns.load(Ordering::Relaxed)
     }
 
     /// A snapshot of per-tenant serving counters, keyed by tenant id.
@@ -543,7 +636,7 @@ impl TcpStorageServer {
 
     /// Stops accepting, drains workers, and joins all threads.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.signal_stop();
         if let Some(t) = self.event_thread.take() {
             let _ = t.join();
         }
@@ -551,28 +644,45 @@ impl TcpStorageServer {
             let _ = w.join();
         }
     }
+
+    /// Raises the stop flag, then wakes the loop so it sees the flag now
+    /// rather than at its next event.
+    fn signal_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
 }
 
 impl Drop for TcpStorageServer {
     fn drop(&mut self) {
         // Signal-only teardown (non-blocking); `shutdown()` joins.
-        self.stop.store(true, Ordering::SeqCst);
+        self.signal_stop();
     }
 }
 
-/// The readiness-driven connection layer: one thread, every connection
-/// nonblocking, frames demuxed in and muxed out by `request_id`.
+/// The readiness-driven connection layer: one thread blocked in
+/// [`Poller::wait`], every connection nonblocking, frames demuxed in and
+/// muxed out by `request_id`. A turn costs O(ready sockets + connections
+/// with queued output), whatever the number of open connections.
 struct EventLoop {
+    poller: Poller,
+    /// Written by the workers after each reply, and by the server handle
+    /// after raising `stop`.
+    waker: Waker,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
+    /// Connections with queued output: the only ones a turn flushes, and
+    /// the source of the next wait's timeout.
+    pending_out: BTreeSet<u64>,
     next_conn: u64,
     work_tx: channel::Sender<Job>,
     reply_rx: channel::Receiver<Reply>,
     bucket: TokenBucket,
     meter: TrafficMeter,
     stop: Arc<AtomicBool>,
+    /// Wakes from the readiness wait so far (`loop_turns`).
+    turns: Arc<AtomicU64>,
     max_in_flight: usize,
-    idle_sleep: Duration,
     /// Recycled response-encode buffers (capped at [`SPARE_BUFFER_POOL`]).
     spare: Vec<Vec<u8>>,
     /// Tenant policy plus live admission state (in-flight, quotas).
@@ -590,35 +700,57 @@ struct EventLoop {
 
 impl EventLoop {
     fn run(&mut self) {
+        let mut events = Events::with_capacity(EVENT_BATCH);
+        // Earliest release time among queued frames; `None` sleeps until
+        // a socket or the waker is ready.
+        let mut timer: Option<Instant> = None;
         while !self.stop.load(Ordering::SeqCst) {
-            let mut progressed = false;
-            progressed |= self.accept_new();
-            progressed |= self.drain_replies();
-            progressed |= self.dispatch_jobs();
-            let ids: Vec<u64> = self.conns.keys().copied().collect();
-            for id in ids {
-                progressed |= self.flush_writes(id);
-                progressed |= self.read_requests(id);
+            let timeout = timer.map(|at| at.saturating_duration_since(Instant::now()));
+            if self.poller.wait(&mut events, timeout).is_err() {
+                // The readiness set itself failed: nothing can be served.
+                self.stop.store(true, Ordering::SeqCst);
+                break;
             }
-            progressed |= self.dispatch_jobs();
-            self.reap();
-            if !progressed {
-                std::thread::sleep(self.idle_sleep);
+            self.turns.fetch_add(1, Ordering::Relaxed);
+            for event in events.iter() {
+                match event.token {
+                    LISTENER => self.accept_new(),
+                    // Drained before the reply channel is, so a reply sent
+                    // after that look raises a fresh wake-up.
+                    WAKER => self.waker.drain(),
+                    id if event.error => self.close(id),
+                    id => {
+                        if event.writable {
+                            if let Some(conn) = self.conns.get_mut(&id) {
+                                conn.write_blocked = false;
+                            }
+                        }
+                        if event.readable {
+                            self.read_requests(id);
+                        }
+                        self.settle(id);
+                    }
+                }
             }
+            self.drain_replies();
+            self.dispatch_jobs();
+            timer = self.flush_pending();
         }
         // Dropping `work_tx` (with the loop) disconnects the worker pool.
     }
 
     /// Accepts every connection currently pending on the listener.
-    fn accept_new(&mut self) -> bool {
-        let mut progressed = false;
+    fn accept_new(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue; // misconfigured socket: drop it, keep serving
-                    }
                     let id = self.next_conn;
+                    if stream.set_nonblocking(true).is_err()
+                        || stream.set_nodelay(true).is_err()
+                        || self.poller.add(&stream, id, Interest::READABLE).is_err()
+                    {
+                        continue; // unusable socket: drop it, keep serving
+                    }
                     self.next_conn += 1;
                     self.conns.insert(
                         id,
@@ -627,12 +759,13 @@ impl EventLoop {
                             session: Arc::new(RwLock::new(None)),
                             reader: FrameReader::default(),
                             outq: VecDeque::new(),
+                            writing: None,
                             in_flight: 0,
                             peer_closed: false,
-                            dead: false,
+                            write_blocked: false,
+                            interest: Interest::READABLE,
                         },
                     );
-                    progressed = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -642,15 +775,50 @@ impl EventLoop {
                 }
             }
         }
-        progressed
+    }
+
+    /// Brings `id`'s registration in step with its state, or reaps it when
+    /// it is finished (peer-closed with nothing left to compute or flush).
+    /// Called wherever that state changes.
+    ///
+    /// Readable is watched iff the peer may still send and the connection
+    /// is under its in-flight bound; writable iff the last write would
+    /// have blocked. The registration is level-triggered, so a connection
+    /// parked at its bound with unread requests, or half-closed with a job
+    /// in flight, would otherwise wake the loop on every wait.
+    fn settle(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        let finished = conn.peer_closed && conn.in_flight == 0 && !conn.has_output();
+        if !finished {
+            let want = Interest {
+                readable: !conn.peer_closed && conn.in_flight < self.max_in_flight,
+                writable: conn.write_blocked,
+            };
+            if want == conn.interest {
+                return;
+            }
+            if self.poller.modify(&conn.stream, id, want).is_ok() {
+                conn.interest = want;
+                return;
+            }
+            // A socket the poller cannot watch can never be served again.
+        }
+        self.close(id);
+    }
+
+    /// Drops connection `id`. Replies for its in-flight jobs still release
+    /// their worker slot and tenant credit in `drain_replies`.
+    fn close(&mut self, id: u64) {
+        if let Some(conn) = self.conns.remove(&id) {
+            let _ = self.poller.delete(&conn.stream);
+        }
+        self.pending_out.remove(&id);
     }
 
     /// Moves every completed response from the workers onto its
     /// connection's write queue, applying wire-level chaos faults.
-    fn drain_replies(&mut self) -> bool {
-        let mut progressed = false;
+    fn drain_replies(&mut self) {
         while let Ok(reply) = self.reply_rx.try_recv() {
-            progressed = true;
             // Tenant accounting happens whether or not the connection is
             // still alive — the worker slot and in-flight credit are
             // released either way.
@@ -661,150 +829,180 @@ impl EventLoop {
                 continue; // connection died while the job was in flight
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            let mut delay = Duration::ZERO;
-            match reply.fault {
-                Some(FaultDirective { kind: FaultKind::Drop, .. }) => continue,
-                Some(FaultDirective { kind: FaultKind::Delay(d), .. }) => delay = d,
+            let delay = match reply.fault {
+                Some(FaultDirective { kind: FaultKind::Drop, .. }) => None,
+                Some(FaultDirective { kind: FaultKind::Delay(d), .. }) => Some(d),
                 // Truncate/BitFlip mutate the encoded bytes at write time;
                 // Error faults were applied at the worker.
-                _ => {}
-            }
-            conn.outq.push_back(OutFrame {
-                tenant: reply.tenant,
-                body: OutBody::Pending {
+                _ => Some(Duration::ZERO),
+            };
+            if let Some(delay) = delay {
+                conn.outq.push_back(OutFrame {
+                    tenant: reply.tenant,
                     request_id: reply.request_id,
                     response: reply.response,
                     fault: reply.fault,
-                },
-                not_before: Instant::now() + delay,
-            });
+                    not_before: Instant::now() + delay,
+                });
+                self.pending_out.insert(reply.conn);
+            }
+            self.settle(reply.conn);
         }
-        progressed
     }
 
     /// Moves admitted jobs from the scheduler into the worker pool, in
     /// DWRR order, keeping at most `dispatch_cap` jobs inside the pool's
     /// FIFO channel at once — so under backlog it is the weighted
     /// scheduler, not arrival order, that decides which tenant runs next.
-    fn dispatch_jobs(&mut self) -> bool {
-        let mut progressed = false;
+    fn dispatch_jobs(&mut self) {
         while self.dispatched < self.dispatch_cap {
             let Some((_, job)) = self.sched.pop() else { break };
             self.dispatched += 1;
-            progressed = true;
             if self.work_tx.send(job).is_err() {
                 // Worker pool gone: the loop is shutting down.
                 self.stop.store(true, Ordering::SeqCst);
                 break;
             }
         }
-        progressed
+    }
+
+    /// Flushes every connection with queued output and returns the
+    /// earliest release time any of them is waiting for — the next wait's
+    /// timeout.
+    fn flush_pending(&mut self) -> Option<Instant> {
+        let ids: Vec<u64> = self.pending_out.iter().copied().collect();
+        let mut timer: Option<Instant> = None;
+        for id in ids {
+            match self.flush_writes(id) {
+                Flush::Drained => {
+                    self.pending_out.remove(&id);
+                }
+                Flush::Until(at) => timer = Some(timer.map_or(at, |t| t.min(at))),
+                Flush::Blocked => {}
+                Flush::Dead => {
+                    self.close(id);
+                    continue;
+                }
+            }
+            self.settle(id);
+        }
+        timer
     }
 
     /// Flushes as much of `id`'s write queue as the socket accepts, in
-    /// vectored `header+payload` writes. Frames are encoded here, just
-    /// before their bytes hit the wire — one pooled buffer per in-flight
-    /// write, however deep the queue behind it.
-    fn flush_writes(&mut self, id: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else { return false };
-        let mut progressed = false;
-        while let Some(frame) = conn.outq.front_mut() {
+    /// vectored `header+payload` writes, and reports what the rest is
+    /// waiting for. Frames are encoded here, just before their bytes hit
+    /// the wire — one pooled buffer per in-flight write, however deep the
+    /// queue behind it.
+    fn flush_writes(&mut self, id: u64) -> Flush {
+        let Some(conn) = self.conns.get_mut(&id) else { return Flush::Drained };
+        if conn.write_blocked {
+            return Flush::Blocked;
+        }
+        loop {
             let now = Instant::now();
-            if frame.not_before > now {
-                break; // token bucket / injected delay: not released yet
-            }
-            if let OutBody::Pending { request_id, response, fault } = &frame.body {
-                let mut payload = self.spare.pop().unwrap_or_default();
-                wire::encode_response_into(*request_id, response, &mut payload);
-                match *fault {
-                    Some(FaultDirective { kind: FaultKind::Truncate, salt }) => {
-                        chaos::truncate_payload(&mut payload, salt);
+            let mut wire = match conn.writing.take() {
+                Some(wire) => wire,
+                None => {
+                    let Some(next) = conn.outq.pop_front() else { return Flush::Drained };
+                    if next.not_before > now {
+                        // Injected delay: not released yet.
+                        let at = next.not_before;
+                        conn.outq.push_front(next);
+                        return Flush::Until(at);
                     }
-                    Some(FaultDirective { kind: FaultKind::BitFlip, salt }) => {
-                        chaos::flip_bit(&mut payload, salt);
-                    }
-                    _ => {}
-                }
-                // The shared-bandwidth and per-tenant quota charges land
-                // when bytes reach the wire, not when the worker finished
-                // computing; the frame is held to the later release time.
-                let delay = self
-                    .bucket
-                    .delay_for(payload.len())
-                    .max(self.admission.charge(frame.tenant, payload.len() as u64));
-                frame.body = OutBody::Encoded {
-                    header: (payload.len() as u32).to_le_bytes(),
-                    payload,
-                    written: 0,
-                };
-                progressed = true;
-                if delay > Duration::ZERO {
-                    frame.not_before = now + delay;
-                    break;
-                }
-            }
-            let OutBody::Encoded { header, payload, written } = &mut frame.body else {
-                unreachable!("front frame was encoded above")
-            };
-            let total = header.len() + payload.len();
-            let result = if *written < header.len() {
-                let bufs = [IoSlice::new(&header[*written..]), IoSlice::new(payload)];
-                conn.stream.write_vectored(&bufs)
-            } else {
-                conn.stream.write(&payload[*written - header.len()..])
-            };
-            match result {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    *written += n;
-                    if *written == total {
-                        let sent = payload.len() as u64;
-                        self.meter.record(sent);
-                        let done = conn.outq.pop_front().expect("front frame exists");
-                        self.stats.write().entry(done.tenant.0).or_default().bytes_sent += sent;
-                        if self.spare.len() < SPARE_BUFFER_POOL {
-                            if let OutBody::Encoded { mut payload, .. } = done.body {
-                                payload.clear();
-                                self.spare.push(payload);
-                            }
+                    let mut payload = self.spare.pop().unwrap_or_default();
+                    wire::encode_response_into(next.request_id, &next.response, &mut payload);
+                    match next.fault {
+                        Some(FaultDirective { kind: FaultKind::Truncate, salt }) => {
+                            chaos::truncate_payload(&mut payload, salt);
                         }
+                        Some(FaultDirective { kind: FaultKind::BitFlip, salt }) => {
+                            chaos::flip_bit(&mut payload, salt);
+                        }
+                        _ => {}
+                    }
+                    // The shared-bandwidth and per-tenant quota charges land
+                    // when bytes reach the wire, not when the worker finished
+                    // computing; the frame is held to the later release time.
+                    let delay = self
+                        .bucket
+                        .delay_for(payload.len())
+                        .max(self.admission.charge(next.tenant, payload.len() as u64));
+                    WireFrame {
+                        tenant: next.tenant,
+                        header: (payload.len() as u32).to_le_bytes(),
+                        payload,
+                        written: 0,
+                        not_before: now + delay,
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    break;
+            };
+            if wire.not_before > now {
+                let at = wire.not_before;
+                conn.writing = Some(wire);
+                return Flush::Until(at);
+            }
+            let total = wire.header.len() + wire.payload.len();
+            while wire.written < total {
+                let result = if wire.written < wire.header.len() {
+                    let bufs =
+                        [IoSlice::new(&wire.header[wire.written..]), IoSlice::new(&wire.payload)];
+                    conn.stream.write_vectored(&bufs)
+                } else {
+                    conn.stream.write(&wire.payload[wire.written - wire.header.len()..])
+                };
+                match result {
+                    Ok(0) => return Flush::Dead,
+                    Ok(n) => wire.written += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        conn.writing = Some(wire);
+                        conn.write_blocked = true;
+                        return Flush::Blocked;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => return Flush::Dead,
                 }
+            }
+            let sent = wire.payload.len() as u64;
+            self.meter.record(sent);
+            self.stats.write().entry(wire.tenant.0).or_default().bytes_sent += sent;
+            if self.spare.len() < SPARE_BUFFER_POOL {
+                wire.payload.clear();
+                self.spare.push(wire.payload);
             }
         }
-        progressed
     }
 
     /// Reads and dispatches frames from `id` until the socket runs dry or
     /// the connection reaches its in-flight bound (backpressure: the
     /// unread bytes stay in the kernel buffer and TCP flow control pushes
     /// back on the client).
-    fn read_requests(&mut self, id: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else { return false };
-        if conn.dead || conn.peer_closed {
-            return false;
+    fn read_requests(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.peer_closed {
+            return;
         }
-        let mut progressed = false;
         while conn.in_flight < self.max_in_flight {
             match conn.reader.poll(&mut conn.stream) {
                 ReadStatus::Frame => {
-                    progressed = true;
                     let require = self.admission.policy.require_tenant_id;
+                    // A reply the loop writes itself, without a worker.
+                    let mut reply_now = |tenant, request_id, message| {
+                        conn.outq.push_back(OutFrame {
+                            tenant,
+                            request_id,
+                            response: Response::Error { sample_id: None, message },
+                            fault: None,
+                            not_before: Instant::now(),
+                        });
+                        self.pending_out.insert(id);
+                    };
                     match wire::decode_request_tenant(conn.reader.frame(), require) {
                         Ok((_, _, Request::Shutdown)) => {
                             self.stop.store(true, Ordering::SeqCst);
                             conn.reader.reset();
-                            return true;
+                            return;
                         }
                         Ok((request_id, tenant_raw, request)) => {
                             let tenant = TenantId(tenant_raw);
@@ -814,15 +1012,7 @@ impl EventLoop {
                                 // the throttle marker so the client sees
                                 // a typed, retryable error.
                                 self.stats.write().entry(tenant.0).or_default().throttled += 1;
-                                conn.outq.push_back(OutFrame {
-                                    tenant,
-                                    body: OutBody::Pending {
-                                        request_id,
-                                        response: Response::Error { sample_id: None, message },
-                                        fault: None,
-                                    },
-                                    not_before: Instant::now(),
-                                });
+                                reply_now(tenant, request_id, message);
                             } else {
                                 conn.in_flight += 1;
                                 self.admission.admitted(tenant);
@@ -844,15 +1034,7 @@ impl EventLoop {
                             // back to the caller that sent the bad frame.
                             let request_id =
                                 wire::peek_request_id(conn.reader.frame()).unwrap_or(0);
-                            let response = Response::Error {
-                                sample_id: None,
-                                message: format!("bad request: {e}"),
-                            };
-                            conn.outq.push_back(OutFrame {
-                                tenant: TenantId::DEFAULT,
-                                body: OutBody::Pending { request_id, response, fault: None },
-                                not_before: Instant::now(),
-                            });
+                            reply_now(TenantId::DEFAULT, request_id, format!("bad request: {e}"));
                         }
                     }
                     conn.reader.reset();
@@ -864,24 +1046,13 @@ impl EventLoop {
                 }
             }
         }
-        progressed
-    }
-
-    /// Drops connections that are finished: hard-errored, or peer-closed
-    /// with nothing left to compute or flush.
-    fn reap(&mut self) {
-        self.conns.retain(|_, c| {
-            if c.dead {
-                return false;
-            }
-            !(c.peer_closed && c.in_flight == 0 && c.outq.is_empty())
-        });
     }
 }
 
 fn worker_loop(
     rx: &channel::Receiver<Job>,
     reply_tx: &channel::Sender<Reply>,
+    waker: &Waker,
     store: &ObjectStore,
     injector: Option<&ServerFaultInjector>,
 ) {
@@ -932,6 +1103,7 @@ fn worker_loop(
         if reply_tx.send(reply).is_err() {
             return;
         }
+        waker.wake();
     }
 }
 
@@ -990,6 +1162,11 @@ pub struct TcpStorageClient {
     /// Reusable request-encode buffer: steady-state sends are
     /// allocation-free.
     send_buf: Vec<u8>,
+    /// Reusable buffer `submit_all` glues a batch's frames into.
+    batch_buf: Vec<u8>,
+    /// The read timeout the socket currently has (a new socket has none),
+    /// so it is set again only when it changes.
+    read_timeout: Option<Duration>,
     /// Ids submitted and not yet claimed, with each request's own expiry
     /// (deadlines are per-request: the budget starts at submit).
     outstanding: HashMap<u32, Option<Instant>>,
@@ -1017,6 +1194,8 @@ impl TcpStorageClient {
             next_id: 1,
             frame: FrameState::default(),
             send_buf: Vec::new(),
+            batch_buf: Vec::new(),
+            read_timeout: None,
             outstanding: HashMap::new(),
             completed: HashMap::new(),
             abandoned: HashSet::new(),
@@ -1100,7 +1279,7 @@ impl TcpStorageClient {
     /// are registered if the batch write fails.
     pub fn submit_all(&mut self, requests: &[FetchRequest]) -> Result<Vec<u32>, ClientError> {
         let mut ids = Vec::with_capacity(requests.len());
-        let mut batch: Vec<u8> = Vec::new();
+        self.batch_buf.clear();
         for req in requests {
             let id = self.alloc_id();
             match self.tenant {
@@ -1112,11 +1291,11 @@ impl TcpStorageClient {
                 ),
                 None => wire::encode_request_into(id, &Request::Fetch(*req), &mut self.send_buf),
             }
-            batch.extend_from_slice(&(self.send_buf.len() as u32).to_le_bytes());
-            batch.extend_from_slice(&self.send_buf);
+            self.batch_buf.extend_from_slice(&(self.send_buf.len() as u32).to_le_bytes());
+            self.batch_buf.extend_from_slice(&self.send_buf);
             ids.push(id);
         }
-        self.stream.write_all(&batch).map_err(|_| ClientError::Disconnected)?;
+        self.stream.write_all(&self.batch_buf).map_err(|_| ClientError::Disconnected)?;
         for &id in &ids {
             self.outstanding.insert(id, self.deadline.expiry_from_now());
         }
@@ -1142,7 +1321,10 @@ impl TcpStorageClient {
                     Some(at - now)
                 }
             };
-            self.stream.set_read_timeout(timeout).map_err(|_| ClientError::Disconnected)?;
+            if timeout != self.read_timeout {
+                self.stream.set_read_timeout(timeout).map_err(|_| ClientError::Disconnected)?;
+                self.read_timeout = timeout;
+            }
             let st = &mut self.frame;
             if let Some(want) = st.expect {
                 if st.payload_got == want {
@@ -1487,7 +1669,6 @@ mod tests {
                 bandwidth: Bandwidth::from_gbps(10.0),
                 queue_depth: 32,
                 max_in_flight: 4,
-                ..ServerConfig::default()
             },
             "127.0.0.1:0",
         )
@@ -1497,6 +1678,208 @@ mod tests {
         let reqs: Vec<_> = (0..16u64).map(|i| (i % 2, i / 2, SplitPoint::NONE)).collect();
         let out = client.fetch_many(&reqs).unwrap();
         assert_eq!(out.len(), 16);
+        server.shutdown();
+    }
+
+    // -- The event loop, observed through its turn counter ------------------
+    //
+    // `loop_turns` counts wakes from the readiness wait. No assertion below
+    // compares clock readings: a sleep only gives a loop that spins, or
+    // ticks, the time to show it on the counter.
+
+    /// A server whose worker pool is the test itself: jobs arrive on the
+    /// receiver and [`answer`] replies the way a worker does.
+    fn hand_worked_server(
+        max_in_flight: usize,
+    ) -> (TcpStorageServer, channel::Receiver<Job>, channel::Sender<Reply>) {
+        let config = ServerConfig {
+            cores: 1,
+            bandwidth: Bandwidth::from_gbps(10.0),
+            max_in_flight,
+            ..ServerConfig::default()
+        };
+        TcpStorageServer::start_loop(config, TenantPolicy::default(), "127.0.0.1:0").unwrap()
+    }
+
+    const ANSWER_BYTES: usize = 64;
+
+    fn answer(server: &TcpStorageServer, reply_tx: &channel::Sender<Reply>, job: &Job) {
+        let Request::Fetch(req) = &job.request else { panic!("these tests only fetch") };
+        let response = Response::Data(FetchResponse {
+            sample_id: req.sample_id,
+            ops_applied: 0,
+            data: StageData::Encoded(vec![7u8; ANSWER_BYTES].into()),
+            tier: None,
+        });
+        let reply = Reply {
+            conn: job.conn,
+            request_id: job.request_id,
+            tenant: job.tenant,
+            response,
+            fault: None,
+        };
+        reply_tx.send(reply).unwrap();
+        server.waker.wake();
+    }
+
+    fn configured_clients(
+        server: &TcpStorageServer,
+        ds: &datasets::DatasetSpec,
+        n: usize,
+    ) -> Vec<TcpStorageClient> {
+        (0..n)
+            .map(|_| {
+                let mut c = TcpStorageClient::connect(server.local_addr()).unwrap();
+                c.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_connections_do_not_turn_the_loop() {
+        let (server, ds) = spawn_server(1, 1);
+        let idle = configured_clients(&server, &ds, 256);
+        let before = server.loop_turns();
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(server.loop_turns(), before, "an idle server woke up");
+        drop(idle);
+        server.shutdown();
+    }
+
+    #[test]
+    fn turns_per_fetch_do_not_grow_with_idle_connections() {
+        const FETCHES: u64 = 40;
+        // Two when all goes well (request readable, worker's wake), plus
+        // writable rounds if a response outgrows the socket buffer.
+        const TURNS_PER_FETCH: u64 = 8;
+        let (server, ds) = spawn_server(2, 1);
+        let mut active = configured_clients(&server, &ds, 1).remove(0);
+        let mut turns_for_fetches = || {
+            let before = server.loop_turns();
+            for i in 0..FETCHES {
+                active.fetch(i % 2, i, SplitPoint::NONE).unwrap();
+            }
+            server.loop_turns() - before
+        };
+        let alone = turns_for_fetches();
+        let idle = configured_clients(&server, &ds, 128);
+        let crowded = turns_for_fetches();
+        assert!(alone <= TURNS_PER_FETCH * FETCHES, "{alone} turns for {FETCHES} fetches");
+        assert!(crowded <= TURNS_PER_FETCH * FETCHES, "{crowded} turns beside 128 idle");
+        drop(idle);
+        server.shutdown();
+    }
+
+    #[test]
+    fn connection_parked_at_its_in_flight_bound_does_not_spin() {
+        let (server, jobs, replies) = hand_worked_server(2);
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
+        let reqs: Vec<_> = (0..6u64).map(|i| FetchRequest::new(i, 0, SplitPoint::NONE)).collect();
+        let ids = client.submit_all(&reqs).unwrap();
+        // Two jobs out is the bound: four requests stay unread in the
+        // kernel buffer, where a level-triggered set keeps reporting them.
+        let mut in_hand = VecDeque::from([jobs.recv().unwrap(), jobs.recv().unwrap()]);
+        let parked = server.loop_turns();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(server.loop_turns(), parked, "the loop spun on a socket it may not read");
+        assert!(jobs.try_recv().is_err(), "read past the in-flight bound");
+        // Each answer frees a slot, and reading resumes where it stopped.
+        for _ in 0..reqs.len() {
+            let job = in_hand.pop_front().unwrap_or_else(|| jobs.recv().unwrap());
+            answer(&server, &replies, &job);
+        }
+        for (id, req) in ids.into_iter().zip(&reqs) {
+            assert_eq!(client.await_response(id).unwrap().sample_id, req.sample_id);
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn delayed_frame_is_released_by_the_timer() {
+        use crate::chaos::{FaultKind, FaultPlan, ServerFaultInjector};
+
+        let ds = datasets::DatasetSpec::mini(1, 61);
+        let store = ObjectStore::materialize_dataset(&ds, 0..1);
+        let plan = FaultPlan::quiet(1).script(0, 0, 0, FaultKind::Delay(Duration::from_millis(30)));
+        let injector = Arc::new(ServerFaultInjector::new(0, plan));
+        let server = TcpStorageServer::bind_with_injector(
+            store,
+            ServerConfig {
+                cores: 1,
+                bandwidth: Bandwidth::from_gbps(10.0),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+            Some(Arc::clone(&injector)),
+        )
+        .unwrap();
+        let mut client = configured_clients(&server, &ds, 1).remove(0);
+        let before = server.loop_turns();
+        // No deadline and no other traffic: once the worker's wake is
+        // handled, only the wait's timeout can end the frame's hold.
+        client.fetch(0, 0, SplitPoint::NONE).unwrap();
+        let turns = server.loop_turns() - before;
+        assert_eq!(injector.injected(), 1);
+        assert!(turns <= 16, "held by a spin, not a timer: {turns} turns");
+        server.shutdown();
+    }
+
+    #[test]
+    fn half_closed_client_gets_its_response_and_is_reaped() {
+        let (server, jobs, replies) = hand_worked_server(4);
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
+        let id = client.submit(FetchRequest::new(3, 0, SplitPoint::NONE)).unwrap();
+        let job = jobs.recv().unwrap();
+        let before = server.loop_turns();
+        client.stream.shutdown(std::net::Shutdown::Write).unwrap();
+        while server.loop_turns() == before {
+            std::thread::yield_now(); // until the loop has seen the end of stream
+        }
+        let parked = server.loop_turns();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(server.loop_turns(), parked, "the loop spun on an end of stream");
+        answer(&server, &replies, &job);
+        let resp = client.await_response(id).unwrap();
+        assert_eq!((resp.sample_id, resp.data.byte_len()), (3, ANSWER_BYTES as u64));
+        // Nothing left to compute or flush: the server drops its end.
+        assert!(matches!(client.read_frame_within(None), Err(ClientError::Disconnected)));
+        server.shutdown();
+    }
+
+    #[test]
+    fn teardown_wakes_an_idle_loop() {
+        // A loop blocked with no timeout leaves `shutdown` hanging in its
+        // join, and a dropped server's connections open, unless woken.
+        let (server, _ds) = spawn_server(1, 2);
+        let _idle = TcpStorageClient::connect(server.local_addr()).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done_rx.recv_timeout(Duration::from_secs(30)).expect("shutdown of an idle server hung");
+
+        let (server, _ds) = spawn_server(1, 1);
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
+        drop(server);
+        assert!(matches!(client.read_frame_within(None), Err(ClientError::Disconnected)));
+    }
+
+    #[test]
+    fn client_sets_the_read_timeout_only_when_it_changes() {
+        let (server, ds) = spawn_server(1, 1);
+        let mut client = configured_clients(&server, &ds, 1).remove(0);
+        client.fetch(0, 0, SplitPoint::NONE).unwrap();
+        assert_eq!(client.read_timeout, None, "no deadline, so never set");
+        assert_eq!(client.stream.read_timeout().unwrap(), None);
+        client.set_deadline(Deadline::after(Duration::from_secs(5)));
+        client.fetch(0, 1, SplitPoint::NONE).unwrap();
+        assert!(client.read_timeout.is_some() && client.stream.read_timeout().unwrap().is_some());
+        // Back to blocking reads: the remembered value tracks the socket.
+        client.set_deadline(Deadline::NONE);
+        client.fetch(0, 2, SplitPoint::NONE).unwrap();
+        assert_eq!(client.stream.read_timeout().unwrap(), None);
         server.shutdown();
     }
 
