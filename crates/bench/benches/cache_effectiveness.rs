@@ -6,7 +6,9 @@ use cache::{CachingTransport, SampleCache};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::Bandwidth;
 use pipeline::{PipelineSpec, SplitPoint};
-use storage::{FetchRequest, FetchTransport, ObjectStore, ServerConfig, StorageServer};
+use storage::{
+    FetchRequest, FetchTransport, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer,
+};
 
 const SAMPLES: u64 = 4_096;
 const EPOCHS: u64 = 10;
@@ -26,17 +28,16 @@ fn live_transport(c: &mut Criterion) {
     let n = 64u64;
     let ds = datasets::DatasetSpec::mini(n, 7);
     let store = ObjectStore::materialize_dataset(&ds, 0..n);
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 3,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 3, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut transport = CachingTransport::new(
+        TcpStorageClient::connect(server.local_addr()).unwrap(),
+        SampleCache::efficiency_aware(1 << 30),
     );
-    let mut transport =
-        CachingTransport::new(server.client(), SampleCache::efficiency_aware(1 << 30));
     transport.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
     let requests: Vec<FetchRequest> =
         (0..n).map(|id| FetchRequest::new(id, 0, SplitPoint::NONE)).collect();

@@ -34,12 +34,7 @@ fn live_scatter_gather(c: &mut Criterion) {
     let harness = MultiServerHarness::spawn(
         &store,
         4,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
         |id| map.owners(id),
     )
     .unwrap();

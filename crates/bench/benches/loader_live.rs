@@ -6,7 +6,7 @@ use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const N: u64 = 16;
 
@@ -25,16 +25,17 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("epoch_{N}samples/{name}"), |b| {
             b.iter_batched(
                 || {
-                    let mut server = StorageServer::spawn(
+                    let server = TcpStorageServer::bind(
                         store.clone(),
                         ServerConfig {
                             cores: 4,
                             bandwidth: Bandwidth::from_gbps(10.0),
-                            queue_depth: 32,
                             ..ServerConfig::default()
                         },
-                    );
-                    let client = server.client();
+                        "127.0.0.1:0",
+                    )
+                    .unwrap();
+                    let client = TcpStorageClient::connect(server.local_addr()).unwrap();
                     let mut config = LoaderConfig::new(ds.seed, 8);
                     config.reencode_quality = reencode;
                     config.workers = 4;

@@ -1,8 +1,9 @@
 //! Wire hot-path micro-bench: per-exchange allocation churn.
 //!
-//! Compares the fresh-buffer encoders (`encode_*_framed`, one allocation
-//! per exchange) against the reusable-buffer path (`encode_*_into`, zero
-//! steady-state allocations) and the in-place framed decoders. A counting
+//! Compares encoding into a fresh buffer (one allocation per exchange)
+//! against the reusable-buffer path the serving stack takes
+//! (`encode_*_into`, zero steady-state allocations) and the in-place
+//! framed decoder. A counting
 //! global allocator measures allocations directly, so the "fewer
 //! allocations" claim is printed as hard numbers before the timings run.
 
@@ -11,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pipeline::SplitPoint;
-use storage::wire::{decode_request_framed, encode_request_framed, encode_request_into};
+use storage::wire::{decode_request_framed, encode_request_into};
 use storage::{FetchRequest, Request};
 
 /// System allocator wrapped with an allocation counter.
@@ -41,11 +42,18 @@ fn allocations_during<R>(body: impl FnOnce() -> R) -> (u64, R) {
 
 const ROUNDS: u32 = 10_000;
 
+/// What a caller without a buffer to reuse pays.
+fn encode_request_fresh(id: u32, req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_request_into(id, req, &mut out);
+    out
+}
+
 fn alloc_proof() {
     let req = Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)));
     let (fresh, _) = allocations_during(|| {
         for id in 0..ROUNDS {
-            black_box(encode_request_framed(id, &req));
+            black_box(encode_request_fresh(id, &req));
         }
     });
     let mut buf = Vec::new();
@@ -57,7 +65,7 @@ fn alloc_proof() {
         }
     });
     println!("\nwire alloc churn over {ROUNDS} encodes:");
-    println!("  encode_request_framed (fresh buffer): {fresh} allocations");
+    println!("  encode_request_into  (fresh buffer):  {fresh} allocations");
     println!("  encode_request_into  (reused buffer): {reused} allocations");
     assert!(fresh >= u64::from(ROUNDS), "fresh path must allocate per exchange");
     assert_eq!(reused, 0, "reused path must be allocation-free at steady state");
@@ -72,7 +80,7 @@ fn hotpath(c: &mut Criterion) {
         let mut id = 0u32;
         b.iter(|| {
             id = id.wrapping_add(1);
-            black_box(encode_request_framed(id, &req))
+            black_box(encode_request_fresh(id, &req))
         })
     });
     group.bench_function("encode_into_reused", |b| {
@@ -84,7 +92,7 @@ fn hotpath(c: &mut Criterion) {
             black_box(buf.len())
         })
     });
-    let frame = encode_request_framed(9, &req);
+    let frame = encode_request_fresh(9, &req);
     group.bench_function("decode_framed_in_place", |b| {
         b.iter(|| black_box(decode_request_framed(black_box(&frame)).unwrap()))
     });

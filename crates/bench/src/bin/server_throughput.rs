@@ -232,7 +232,6 @@ fn main() {
         ServerConfig {
             cores: 4,
             bandwidth: Bandwidth::from_gbps(100.0),
-            queue_depth: 64,
             ..ServerConfig::default()
         },
         "127.0.0.1:0",

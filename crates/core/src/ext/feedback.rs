@@ -1048,7 +1048,7 @@ mod tests {
         // `scheduled_replans`: tensors must match a never-replanned run.
         use crate::loader::{LoaderConfig, OffloadingLoader};
         use netsim::Bandwidth;
-        use storage::{ObjectStore, ServerConfig, StorageServer};
+        use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
         const N: u64 = 10;
         let ds = DatasetSpec::mini(N, 55);
@@ -1057,21 +1057,19 @@ mod tests {
         let plan = crate::OffloadPlan::from_splits(
             ds.records().map(|r| r.analytic_profile(&pipeline, &model).best_split()).collect(),
         );
-        let spawn = || {
-            StorageServer::spawn(
-                ObjectStore::materialize_dataset(&ds, 0..N),
-                ServerConfig {
-                    cores: 3,
-                    bandwidth: Bandwidth::from_gbps(10.0),
-                    queue_depth: 32,
-                    ..ServerConfig::default()
-                },
-            )
-        };
-        let run = |mut server: StorageServer,
-                   replan: &mut dyn FnMut(usize) -> Option<crate::OffloadPlan>| {
+        let server = TcpStorageServer::bind(
+            ObjectStore::materialize_dataset(&ds, 0..N),
+            ServerConfig {
+                cores: 3,
+                bandwidth: Bandwidth::from_gbps(10.0),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let run = |replan: &mut dyn FnMut(usize) -> Option<crate::OffloadPlan>| {
             let mut loader = OffloadingLoader::new(
-                server.client(),
+                TcpStorageClient::connect(server.local_addr()).unwrap(),
                 PipelineSpec::standard_train(),
                 plan.clone(),
                 LoaderConfig::new(ds.seed, 4),
@@ -1079,17 +1077,17 @@ mod tests {
             .unwrap();
             let mut out: Vec<Vec<f32>> = Vec::new();
             loader.run_epoch_with_replan(1, |b| out.push(b.as_slice().to_vec()), replan).unwrap();
-            server.shutdown();
             out
         };
-        let steady = run(spawn(), &mut |_| None);
+        let steady = run(&mut |_| None);
         let mut schedule = BTreeMap::new();
         schedule.insert(1usize, crate::OffloadPlan::none(N as usize));
         schedule.insert(2usize, plan.clone());
         let mut scheduled = scheduled_replans(schedule);
-        let replanned = run(spawn(), &mut scheduled);
+        let replanned = run(&mut scheduled);
         assert_eq!(steady, replanned, "scheduled replans changed batch contents");
         assert!(scheduled(1).is_none(), "each scheduled plan fires exactly once");
+        server.shutdown();
     }
 
     #[test]
@@ -1159,7 +1157,6 @@ mod tests {
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             "127.0.0.1:0",

@@ -23,8 +23,6 @@
 //!
 //! * [`provisioning`] — the smallest storage-core grant meeting a target
 //!   epoch time (the inverse of the paper's Figure 4).
-//! * [`adaptive`] — replanning under dataset drift: the cost of a stale
-//!   plan and the payoff of re-profiling mid-run.
 //! * [`degraded`] — replanning under node degradation: when a storage
 //!   node's circuit breaker opens mid-run, its samples re-plan against
 //!   their replica shards (or fall back to raw fetches).
@@ -36,7 +34,6 @@
 //!   cooldown-gated controller swaps in plans recomputed against the
 //!   estimated node parameters without disturbing batch identity.
 
-pub mod adaptive;
 pub mod caching;
 pub mod compression;
 pub mod degraded;

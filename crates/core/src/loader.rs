@@ -356,23 +356,28 @@ mod tests {
     use super::*;
     use netsim::Bandwidth;
     use pipeline::StageData;
-    use storage::{ObjectStore, ServerConfig, StorageServer};
+    use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
     const N: u64 = 10;
 
-    fn live_parts() -> (datasets::DatasetSpec, ObjectStore, StorageServer) {
+    fn live_parts() -> (datasets::DatasetSpec, ObjectStore, TcpStorageServer) {
         let ds = datasets::DatasetSpec::mini(N, 55);
         let store = ObjectStore::materialize_dataset(&ds, 0..N);
-        let server = StorageServer::spawn(
+        let server = TcpStorageServer::bind(
             store.clone(),
             ServerConfig {
                 cores: 3,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
-        );
+            "127.0.0.1:0",
+        )
+        .unwrap();
         (ds, store, server)
+    }
+
+    fn connect(server: &TcpStorageServer) -> TcpStorageClient {
+        TcpStorageClient::connect(server.local_addr()).unwrap()
     }
 
     fn make_plan(ds: &datasets::DatasetSpec) -> OffloadPlan {
@@ -385,10 +390,10 @@ mod tests {
 
     #[test]
     fn epoch_yields_all_batches_shuffled() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            connect(&server),
             PipelineSpec::standard_train(),
             plan,
             LoaderConfig::new(ds.seed, 4),
@@ -412,12 +417,12 @@ mod tests {
     fn loader_batches_match_local_preprocessing() {
         // The decisive property: the loader's tensors are identical to pure
         // local preprocessing of the same samples in the same epoch.
-        let (ds, store, mut server) = live_parts();
+        let (ds, store, server) = live_parts();
         let plan = make_plan(&ds);
         let pipeline = PipelineSpec::standard_train();
         let epoch = 3u64;
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            connect(&server),
             pipeline.clone(),
             plan,
             LoaderConfig::new(ds.seed, 5),
@@ -452,9 +457,9 @@ mod tests {
     fn mid_epoch_replan_keeps_batches_bit_identical() {
         // Swapping the plan between batches changes only *where* prefixes
         // run; the tensors must not move by a single bit.
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
-        let run = |client: storage::StorageClient,
+        let run = |client: TcpStorageClient,
                    replan: &mut dyn FnMut(usize) -> Option<OffloadPlan>| {
             let mut loader = OffloadingLoader::new(
                 client,
@@ -467,32 +472,20 @@ mod tests {
             loader.run_epoch_with_replan(2, |b| out.push(b.as_slice().to_vec()), replan).unwrap();
             out
         };
-        let steady = run(server.client(), &mut |_| None);
-        // Second server for a second client (single-consumer pipes).
-        let store2 = ObjectStore::materialize_dataset(&ds, 0..N);
-        let mut server2 = StorageServer::spawn(
-            store2,
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
-                ..ServerConfig::default()
-            },
-        );
+        let steady = run(connect(&server), &mut |_| None);
         // Degraded-mode analogue: from batch 1 on, stop offloading.
         let raw_from_batch_1 =
-            run(server2.client(), &mut |batch| (batch == 1).then(|| OffloadPlan::none(N as usize)));
+            run(connect(&server), &mut |batch| (batch == 1).then(|| OffloadPlan::none(N as usize)));
         assert_eq!(steady, raw_from_batch_1, "replan changed batch contents");
         server.shutdown();
-        server2.shutdown();
     }
 
     #[test]
     fn replan_of_the_wrong_length_is_rejected() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            connect(&server),
             PipelineSpec::standard_train(),
             plan,
             LoaderConfig::new(ds.seed, 4),
@@ -507,9 +500,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_batches() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
-        let run_with = |workers: usize, client: storage::StorageClient| {
+        let run_with = |workers: usize, client: TcpStorageClient| {
             let mut config = LoaderConfig::new(ds.seed, 5);
             config.workers = workers;
             let mut loader =
@@ -519,23 +512,10 @@ mod tests {
             loader.run_epoch(1, |b| out.push(b.as_slice().to_vec())).unwrap();
             out
         };
-        let serial = run_with(1, server.client());
-        // Second server for a second client (single-consumer pipes).
-        let ds2 = ds.clone();
-        let store2 = ObjectStore::materialize_dataset(&ds2, 0..N);
-        let mut server2 = StorageServer::spawn(
-            store2,
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
-                ..ServerConfig::default()
-            },
-        );
-        let parallel = run_with(4, server2.client());
+        let serial = run_with(1, connect(&server));
+        let parallel = run_with(4, connect(&server));
         assert_eq!(serial, parallel, "worker count changed batch contents");
         server.shutdown();
-        server2.shutdown();
     }
 
     #[test]
@@ -545,22 +525,23 @@ mod tests {
         // reached the decoder), and reproduce exactly across reruns.
         let ds = datasets::DatasetSpec::mini(N, 55);
         let spawn = || {
-            StorageServer::spawn(
+            TcpStorageServer::bind(
                 ObjectStore::materialize_dataset_tiered(&ds, 0..N, &codec::TierSpec::default()),
                 ServerConfig {
                     cores: 3,
                     bandwidth: Bandwidth::from_gbps(10.0),
-                    queue_depth: 32,
                     ..ServerConfig::default()
                 },
+                "127.0.0.1:0",
             )
+            .unwrap()
         };
         let run = |cap: Option<u8>| {
-            let mut server = spawn();
+            let server = spawn();
             let mut config = LoaderConfig::new(ds.seed, 4);
             config.max_tier = cap;
             let mut loader = OffloadingLoader::new(
-                server.client(),
+                connect(&server),
                 PipelineSpec::standard_train(),
                 OffloadPlan::none(N as usize),
                 config,
@@ -586,12 +567,12 @@ mod tests {
 
     #[test]
     fn compression_directive_preserves_shapes() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut config = LoaderConfig::new(ds.seed, 4);
         config.reencode_quality = Some(85);
         let mut loader =
-            OffloadingLoader::new(server.client(), PipelineSpec::standard_train(), plan, config)
+            OffloadingLoader::new(connect(&server), PipelineSpec::standard_train(), plan, config)
                 .unwrap();
         let mut total = 0usize;
         loader

@@ -6,9 +6,9 @@
 //! * [`VirtualLink`] — a virtual-time FIFO link for the discrete-event
 //!   cluster simulator: transfers serialize, each taking
 //!   `bytes / bandwidth + latency` seconds, with exact byte accounting.
-//! * [`ThrottledPipe`] — a wall-clock, token-bucket-throttled in-process
-//!   channel for the live storage server demo: real bytes move between
-//!   threads at the configured rate.
+//! * [`TokenBucket`] — a wall-clock token bucket the live storage server
+//!   paces its responses with: real bytes leave the socket at the
+//!   configured rate.
 //!
 //! Plus the shared vocabulary types [`Bandwidth`] and [`TrafficMeter`].
 //!
@@ -29,11 +29,9 @@
 mod bandwidth;
 mod link;
 mod meter;
-mod pipe;
 mod token_bucket;
 
 pub use bandwidth::Bandwidth;
 pub use link::VirtualLink;
 pub use meter::{MeterInterval, MeterSnapshot, MeterWindow, TrafficMeter};
-pub use pipe::{PipeReceiver, PipeSender, RecvError, SendError, ThrottledPipe};
 pub use token_bucket::TokenBucket;

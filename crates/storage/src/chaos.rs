@@ -387,12 +387,13 @@ impl<T: FetchTransport> FaultInjectingTransport<T> {
         kind: FaultKind,
         salt: u64,
     ) -> Result<Vec<FetchResponse>, ClientError> {
-        let mut bytes = wire::encode_response(&Response::Data(resp.clone())).to_vec();
+        let mut bytes = Vec::new();
+        wire::encode_response_into(0, &Response::Data(resp.clone()), &mut bytes);
         match kind {
             FaultKind::Truncate => truncate_payload(&mut bytes, salt),
             _ => flip_bit(&mut bytes, salt),
         }
-        match wire::decode_response(&bytes) {
+        match wire::decode_response_framed(&bytes) {
             Err(e) => Err(ClientError::from(e)),
             // CRC32 catches every ≤32-bit burst, so this arm is
             // unreachable for single flips; stay total anyway.

@@ -1,5 +1,5 @@
 //! The remote storage node: object store, fetch protocol, near-storage
-//! execution, and a live threaded server.
+//! execution, and the live server.
 //!
 //! This crate is the paper's storage server (Figure 2, steps d–e): the
 //! compute node sends **fetch requests carrying offload directives** — which
@@ -14,10 +14,12 @@
 //! * [`NearStorageExecutor`] — applies an offloaded pipeline prefix to a
 //!   stored object, reproducing exactly what the compute node would have
 //!   computed (deterministic per-(sample, epoch, op) augmentation streams).
-//! * [`StorageServer`] / [`StorageClient`] — a real multi-threaded server
-//!   and its client, connected by bandwidth-throttled in-process pipes
-//!   ([`netsim::ThrottledPipe`]), so end-to-end examples move real bytes
-//!   through a real 500 Mbps bottleneck.
+//! * [`TcpStorageServer`] / [`TcpStorageClient`] — the storage node as a
+//!   network service and its pipelined client. Responses are paced by a
+//!   token bucket at [`ServerConfig::bandwidth`], so end-to-end examples
+//!   move real bytes through a real 500 Mbps bottleneck.
+//! * [`FetchTransport`] — the two calls every client and every decorator
+//!   around one expose, with [`ClientError`] as their error.
 //!
 //! The failure-handling layer (this crate's chaos era):
 //!
@@ -34,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use storage::{ObjectStore, StorageServer, ServerConfig};
+//! use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 //! use pipeline::{PipelineSpec, SplitPoint};
 //! use netsim::Bandwidth;
 //!
@@ -42,13 +44,13 @@
 //! let ds = datasets::DatasetSpec::mini(3, 9);
 //! let store = ObjectStore::materialize_dataset(&ds, 0..3);
 //!
-//! let mut server = StorageServer::spawn(store, ServerConfig {
+//! let config = ServerConfig {
 //!     cores: 2,
 //!     bandwidth: Bandwidth::from_gbps(10.0),
-//!     queue_depth: 16,
 //!     ..ServerConfig::default()
-//! });
-//! let mut client = server.client();
+//! };
+//! let server = TcpStorageServer::bind(store, config, "127.0.0.1:0").unwrap();
+//! let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
 //! client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
 //! // Offload Decode + RandomResizedCrop for sample 1, epoch 0.
 //! let data = client.fetch(1, 0, SplitPoint::new(2)).unwrap();
@@ -60,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-mod client;
 mod deadline;
 mod executor;
 pub mod health;
@@ -68,13 +69,11 @@ pub mod multi;
 mod object_store;
 pub mod protocol;
 mod retry;
-mod server;
 pub mod tcp;
 mod transport;
 pub mod wire;
 
 pub use chaos::{FaultInjectingTransport, FaultKind, FaultPlan, FaultRecord, ServerFaultInjector};
-pub use client::{ClientError, StorageClient};
 pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
 pub use health::{
@@ -84,6 +83,5 @@ pub use multi::{HarnessError, MultiServerHarness};
 pub use object_store::ObjectStore;
 pub use protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
 pub use retry::{BackoffConfig, RetryingTransport};
-pub use server::{ServerConfig, StorageServer};
-pub use tcp::{TcpStorageClient, TcpStorageServer};
-pub use transport::FetchTransport;
+pub use tcp::{ServerConfig, TcpStorageClient, TcpStorageServer};
+pub use transport::{ClientError, FetchTransport};

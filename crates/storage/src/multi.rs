@@ -15,6 +15,7 @@ use std::sync::Arc;
 use netsim::MeterSnapshot;
 
 use netsim::TrafficMeter;
+use tenant::TenantPolicy;
 
 use crate::chaos::{FaultPlan, FaultRecord, ServerFaultInjector};
 use crate::tcp::{TcpStorageClient, TcpStorageServer};
@@ -190,9 +191,10 @@ impl MultiServerHarness {
                     });
                     s.spawn(move || {
                         let stored = shard.len();
-                        let server = TcpStorageServer::bind_with_injector(
+                        let server = TcpStorageServer::bind_with_policy(
                             shard,
                             config,
+                            TenantPolicy::default(),
                             "127.0.0.1:0",
                             injector.clone(),
                         )
@@ -342,12 +344,7 @@ mod tests {
     use pipeline::{PipelineSpec, SplitPoint};
 
     fn config() -> ServerConfig {
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        }
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
     }
 
     #[test]

@@ -334,7 +334,6 @@ mod tests {
     fn works_under_the_loader_trait_bound() {
         // Compile-time check: RetryingTransport<T> is itself a transport.
         fn assert_transport<X: FetchTransport>() {}
-        assert_transport::<RetryingTransport<crate::StorageClient>>();
         assert_transport::<RetryingTransport<crate::TcpStorageClient>>();
     }
 }

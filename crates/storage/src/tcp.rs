@@ -1,15 +1,14 @@
 //! A real TCP transport for the fetch protocol — pipelined and
 //! multiplexed.
 //!
-//! [`StorageServer`](crate::StorageServer) demonstrates the data path with
-//! in-process pipes; this module runs the same protocol over actual
-//! sockets. The server is **readiness-driven**: one event-loop thread owns
-//! every connection as a nonblocking `TcpStream`, demultiplexes incoming
-//! frames by their [`wire`] `request_id` into the shared worker pool, and
-//! muxes completed responses back out of order onto the right connection.
-//! A single connection therefore carries many in-flight exchanges at once,
-//! bounded by [`ServerConfig::max_in_flight`] — past that depth the loop
-//! stops reading the socket and TCP backpressure propagates to the client.
+//! The storage node as a network service, and its client. The server is
+//! **readiness-driven**: one event-loop thread owns every connection as a
+//! nonblocking `TcpStream`, demultiplexes incoming frames by their [`wire`]
+//! `request_id` into the shared worker pool, and muxes completed responses
+//! back out of order onto the right connection. A single connection
+//! therefore carries many in-flight exchanges at once, bounded by
+//! [`ServerConfig::max_in_flight`] — past that depth the loop stops reading
+//! the socket and TCP backpressure propagates to the client.
 //!
 //! # The readiness set
 //!
@@ -68,17 +67,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use netsim::{TokenBucket, TrafficMeter};
+use netsim::{Bandwidth, TokenBucket, TrafficMeter};
 use parking_lot::RwLock;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use poller::{Events, Interest, Poller, Waker};
 use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantPolicy, TenantStats};
 
 use crate::chaos::{FaultDirective, FaultKind, ServerFaultInjector};
-use crate::client::{server_error, TENANT_THROTTLED_PREFIX};
 use crate::protocol::{FetchRequest, FetchResponse, Request, Response};
+use crate::transport::{server_error, TENANT_THROTTLED_PREFIX};
 use crate::wire::{self, WireError};
-use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore, ServerConfig};
+use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore};
 
 /// Writes one length-prefixed frame.
 ///
@@ -161,6 +160,38 @@ pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
+
+/// Configuration of a live storage server.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerConfig {
+    /// Worker threads for near-storage preprocessing (the storage node's
+    /// preprocessing core count in the paper's Figure 4 sweep).
+    pub cores: usize,
+    /// Bandwidth cap on the response path (the 500 Mbps link).
+    pub bandwidth: Bandwidth,
+    /// Nothing reads this field; it stays until the benchmark stops
+    /// writing it.
+    pub queue_depth: usize,
+    /// Backpressure bound for the pipelined TCP server: how many decoded
+    /// requests one connection may have in flight before the event loop
+    /// stops reading its socket (TCP backpressure then propagates to the
+    /// client). Connections beyond this depth are never starved — reading
+    /// resumes as soon as responses drain.
+    pub max_in_flight: usize,
+}
+
+impl Default for ServerConfig {
+    /// Two cores behind a 1 Gbps link, 64 in-flight requests per
+    /// connection.
+    fn default() -> Self {
+        ServerConfig {
+            cores: 2,
+            bandwidth: Bandwidth::from_gbps(1.0),
+            queue_depth: 16,
+            max_in_flight: 64,
+        }
+    }
+}
 
 /// A request handed to the worker pool, tagged with its origin so the
 /// event loop can mux the response back to the right connection.
@@ -441,36 +472,25 @@ impl TcpStorageServer {
     /// Propagates bind failures; a zero-core config surfaces as
     /// `InvalidInput`.
     pub fn bind(store: ObjectStore, config: ServerConfig, addr: &str) -> io::Result<Self> {
-        Self::bind_with_injector(store, config, addr, None)
+        Self::bind_with_policy(store, config, TenantPolicy::default(), addr, None)
     }
 
-    /// Like [`TcpStorageServer::bind`], but every fetch response first
-    /// consults `injector` — the server-side half of the chaos layer.
-    /// Faults are applied to the encoded frame on the wire itself: drops
-    /// skip the write, delays hold the frame past its release time,
-    /// truncations shorten the frame, bit-flips corrupt it. Configure
-    /// responses are never faulted.
+    /// Like [`TcpStorageServer::bind`], but serving under a
+    /// [`TenantPolicy`] and, when `injector` is set, with server-side
+    /// chaos.
     ///
-    /// # Errors
+    /// Requests are attributed to the tenant id in their (v3) frame,
+    /// dispatched in deficit-weighted round-robin order across tenants,
+    /// paced against per-tenant byte quotas, and rejected with a retryable
+    /// throttle error past a tenant's in-flight bound or quota debt. The
+    /// default policy reproduces the pre-tenancy behaviour exactly (one
+    /// implicit tenant, unmetered, weight 1).
     ///
-    /// Propagates bind failures; a zero-core or zero-in-flight config
-    /// surfaces as `InvalidInput`.
-    pub fn bind_with_injector(
-        store: ObjectStore,
-        config: ServerConfig,
-        addr: &str,
-        injector: Option<Arc<ServerFaultInjector>>,
-    ) -> io::Result<Self> {
-        Self::bind_with_policy(store, config, TenantPolicy::default(), addr, injector)
-    }
-
-    /// Like [`TcpStorageServer::bind_with_injector`], but serving under a
-    /// [`TenantPolicy`]: requests are attributed to the tenant id in
-    /// their (v3) frame, dispatched in deficit-weighted round-robin order
-    /// across tenants, paced against per-tenant byte quotas, and rejected
-    /// with a retryable throttle error past a tenant's in-flight bound or
-    /// quota debt. The default policy reproduces the pre-tenancy
-    /// behaviour exactly (one implicit tenant, unmetered, weight 1).
+    /// Every fetch response first consults `injector` — the server-side
+    /// half of the chaos layer. Faults are applied to the encoded frame on
+    /// the wire itself: drops skip the write, delays hold the frame past
+    /// its release time, truncations shorten the frame, bit-flips corrupt
+    /// it. Configure responses are never faulted.
     ///
     /// # Errors
     ///
@@ -998,14 +1018,23 @@ impl EventLoop {
                         });
                         self.pending_out.insert(id);
                     };
-                    match wire::decode_request_tenant(conn.reader.frame(), require) {
+                    let decoded = wire::decode_request_framed(conn.reader.frame()).and_then(
+                        |(request_id, tenant, request)| match tenant {
+                            Some(t) => Ok((request_id, TenantId(t), request)),
+                            // A tenant-less (v2) frame is the default
+                            // tenant's, unless the policy wants every
+                            // frame to name one.
+                            None if require => Err(WireError::TenantMissing),
+                            None => Ok((request_id, TenantId::DEFAULT, request)),
+                        },
+                    );
+                    match decoded {
                         Ok((_, _, Request::Shutdown)) => {
                             self.stop.store(true, Ordering::SeqCst);
                             conn.reader.reset();
                             return;
                         }
-                        Ok((request_id, tenant_raw, request)) => {
-                            let tenant = TenantId(tenant_raw);
+                        Ok((request_id, tenant, request)) => {
                             if let Some(message) = self.admission.check(tenant) {
                                 // Over quota or in-flight bound: reject
                                 // instead of queueing. The reply carries
@@ -1549,7 +1578,6 @@ mod tests {
             ServerConfig {
                 cores,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             "127.0.0.1:0",
@@ -1656,6 +1684,40 @@ mod tests {
     }
 
     #[test]
+    fn unparsable_fidelity_request_is_answered_under_its_own_id() {
+        let (server, ds) = spawn_server(1, 1);
+        // The deadline only bounds the failure: an error reply sent under
+        // another id is a stray to this client, which would wait it out.
+        let mut client = TcpStorageClient::connect(server.local_addr())
+            .unwrap()
+            .with_deadline(Deadline::after(Duration::from_secs(5)));
+        client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        let tier = codec::MAX_TIERS as u8; // one past the last valid tier
+        let err = client
+            .fetch_request(FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(tier))
+            .unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Server { message, .. }
+                if message.contains("fidelity tier out of range")),
+            "{err:?}"
+        );
+        assert!(client.fetch(0, 0, SplitPoint::NONE).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn zero_cores_or_zero_in_flight_is_invalid_input() {
+        for config in [
+            ServerConfig { cores: 0, ..ServerConfig::default() },
+            ServerConfig { max_in_flight: 0, ..ServerConfig::default() },
+        ] {
+            let err =
+                TcpStorageServer::bind(ObjectStore::new(), config, "127.0.0.1:0").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}");
+        }
+    }
+
+    #[test]
     fn in_flight_bound_applies_backpressure_without_loss() {
         // 4x the per-connection bound submitted at once: the server
         // stops reading past the bound, TCP pushes back, and every
@@ -1667,8 +1729,8 @@ mod tests {
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 max_in_flight: 4,
+                ..ServerConfig::default()
             },
             "127.0.0.1:0",
         )
@@ -1803,13 +1865,14 @@ mod tests {
         let store = ObjectStore::materialize_dataset(&ds, 0..1);
         let plan = FaultPlan::quiet(1).script(0, 0, 0, FaultKind::Delay(Duration::from_millis(30)));
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_injector(
+        let server = TcpStorageServer::bind_with_policy(
             store,
             ServerConfig {
                 cores: 1,
                 bandwidth: Bandwidth::from_gbps(10.0),
                 ..ServerConfig::default()
             },
+            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(Arc::clone(&injector)),
         )
@@ -1932,14 +1995,14 @@ mod tests {
         // Drop sample 0's first response; everything else is clean.
         let plan = FaultPlan::quiet(1).script(0, 0, 0, FaultKind::Drop);
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_injector(
+        let server = TcpStorageServer::bind_with_policy(
             store,
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
+            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(Arc::clone(&injector)),
         )
@@ -1966,14 +2029,14 @@ mod tests {
         let store = ObjectStore::materialize_dataset(&ds, 0..1);
         let plan = FaultPlan::quiet(2).script(0, 0, 0, FaultKind::BitFlip);
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_injector(
+        let server = TcpStorageServer::bind_with_policy(
             store,
             ServerConfig {
                 cores: 1,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 8,
                 ..ServerConfig::default()
             },
+            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(injector),
         )
@@ -2002,7 +2065,6 @@ mod tests {
             ServerConfig {
                 cores,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             policy,

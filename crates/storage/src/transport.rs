@@ -1,13 +1,96 @@
-//! Transport abstraction over the two client implementations.
+//! The transport abstraction and its error type.
 //!
-//! [`StorageClient`] (in-process throttled pipes) and [`TcpStorageClient`]
-//! (real sockets) expose the same protocol surface; `FetchTransport` lets
-//! higher layers — notably the `sophon` data loader — run over either
-//! without caring which.
+//! [`TcpStorageClient`] speaks the protocol over a socket; the decorators
+//! around it (retry, chaos, health, cache, fleet) expose the same two
+//! calls. `FetchTransport` lets higher layers — notably the `sophon` data
+//! loader — run over any stack of them without caring which.
 
 use pipeline::PipelineSpec;
 
-use crate::{ClientError, FetchRequest, FetchResponse, StorageClient, TcpStorageClient};
+use crate::wire::WireError;
+use crate::{FetchRequest, FetchResponse, TcpStorageClient};
+
+/// Errors surfaced to users of a [`FetchTransport`].
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum ClientError {
+    /// The server hung up.
+    Disconnected,
+    /// A response failed to decode.
+    Wire(WireError),
+    /// The server reported a failure.
+    Server {
+        /// The failing sample, when per-sample.
+        sample_id: Option<u64>,
+        /// Server-provided description.
+        message: String,
+    },
+    /// The server sent a response that does not fit the protocol state.
+    UnexpectedResponse,
+    /// A frame arrived bit-corrupted (CRC32 mismatch). Retryable: the
+    /// payload on the server is intact, only the transfer was damaged.
+    Corrupted,
+    /// The per-request [`Deadline`](crate::Deadline) expired before the
+    /// response arrived. Retryable with a fresh budget.
+    DeadlineExceeded,
+    /// The node's circuit breaker is open: requests fail fast without
+    /// touching the wire until the cooldown elapses and a probe succeeds.
+    CircuitOpen,
+    /// The server's admission control rejected the request because this
+    /// tenant is over its byte quota or in-flight bound. Retryable: the
+    /// request was never queued, so backing off and resubmitting is safe
+    /// and cheap.
+    TenantThrottled {
+        /// Server-provided detail (which limit tripped).
+        message: String,
+    },
+}
+
+/// Message prefix a tenant-aware server puts on error replies produced by
+/// admission control. Clients recognise it and surface the typed,
+/// retryable [`ClientError::TenantThrottled`] instead of a generic server
+/// error.
+pub const TENANT_THROTTLED_PREFIX: &str = "tenant-throttled: ";
+
+/// Maps a server error reply to the client-side error type, recognising
+/// the admission-control marker.
+pub(crate) fn server_error(sample_id: Option<u64>, message: String) -> ClientError {
+    match message.strip_prefix(TENANT_THROTTLED_PREFIX) {
+        Some(detail) => ClientError::TenantThrottled { message: detail.to_string() },
+        None => ClientError::Server { sample_id, message },
+    }
+}
+
+impl std::fmt::Display for ClientError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClientError::Disconnected => write!(f, "storage server disconnected"),
+            ClientError::Wire(e) => write!(f, "wire decode failed: {e}"),
+            ClientError::Server { sample_id, message } => match sample_id {
+                Some(id) => write!(f, "server error for sample {id}: {message}"),
+                None => write!(f, "server error: {message}"),
+            },
+            ClientError::UnexpectedResponse => write!(f, "unexpected response kind"),
+            ClientError::Corrupted => write!(f, "frame corrupted in transit (checksum mismatch)"),
+            ClientError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            ClientError::CircuitOpen => write!(f, "node circuit breaker is open"),
+            ClientError::TenantThrottled { message } => {
+                write!(f, "tenant throttled by admission control (retryable): {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ClientError {}
+
+impl From<WireError> for ClientError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::ChecksumMismatch => ClientError::Corrupted,
+            other => ClientError::Wire(other),
+        }
+    }
+}
 
 /// A connection capable of configuring a session and fetching samples.
 pub trait FetchTransport {
@@ -28,19 +111,6 @@ pub trait FetchTransport {
         &mut self,
         requests: &[FetchRequest],
     ) -> Result<Vec<FetchResponse>, ClientError>;
-}
-
-impl FetchTransport for StorageClient {
-    fn configure(&mut self, dataset_seed: u64, pipeline: PipelineSpec) -> Result<(), ClientError> {
-        StorageClient::configure(self, dataset_seed, pipeline)
-    }
-
-    fn fetch_many_requests(
-        &mut self,
-        requests: &[FetchRequest],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        StorageClient::fetch_many_requests(self, requests)
-    }
 }
 
 impl FetchTransport for TcpStorageClient {
@@ -70,29 +140,14 @@ mod tests {
     }
 
     #[test]
-    fn both_transports_satisfy_the_trait() {
+    fn tcp_client_satisfies_the_trait() {
         let ds = datasets::DatasetSpec::mini(3, 81);
         let store = crate::ObjectStore::materialize_dataset(&ds, 0..3);
-
-        let mut server = crate::StorageServer::spawn(
-            store.clone(),
-            crate::ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
-                ..crate::ServerConfig::default()
-            },
-        );
-        let mut pipe_client = server.client();
-        assert_eq!(fetch_over(&mut pipe_client, ds.seed), 3);
-        server.shutdown();
-
         let tcp_server = crate::TcpStorageServer::bind(
             store,
             crate::ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
                 ..crate::ServerConfig::default()
             },
             "127.0.0.1:0",

@@ -25,11 +25,12 @@
 //! Wire format **version 3** ([`WIRE_VERSION_TENANT`]) extends the request
 //! header with a `tenant_id: u16` so a multi-tenant server can attribute,
 //! schedule, and meter every request. The field sits under the CRC like the
-//! request id. Version negotiation is per-frame: [`decode_request_tenant`]
-//! accepts v3 frames *and* v2 frames (attributing the latter to tenant 0),
-//! unless the caller requires an explicit tenant id, in which case a v2
-//! frame is the typed rejection [`WireError::TenantMissing`]. Responses
-//! stay v2 — the server already knows whom it is answering.
+//! request id. Version negotiation is per-frame: [`decode_request_framed`]
+//! reports a v3 frame's tenant as `Some(id)` and a v2 frame's as `None`;
+//! whether a tenant-less frame is served (as tenant 0) or refused with
+//! [`WireError::TenantMissing`] is the endpoint's policy, not the
+//! format's. Responses stay v2 — the server already knows whom it is
+//! answering.
 //!
 //! Wire format **version 4** ([`WIRE_VERSION_FIDELITY`]) adds the brownout
 //! fidelity axis, on *both* directions. A v4 request carries the v3 tenant
@@ -39,8 +40,7 @@
 //! trailer, so a flipped fidelity marker can never be mistaken for a
 //! full-quality sample. Negotiation is per-frame, exactly like the v2→v3
 //! tenant bump: encoders emit v4 only when a fidelity field is actually
-//! set, so full-fidelity traffic stays bit-identical to v2/v3, and every
-//! decoder accepts both generations.
+//! set, so full-fidelity traffic stays bit-identical to v2/v3.
 //!
 //! Layout summary (all integers little-endian):
 //!
@@ -58,10 +58,14 @@
 //!            | 0x02 w:u32 h:u32 bytes      (tensor, len = w*h*12)
 //! ```
 //!
-//! The hot-path entry points are the `*_into` encoders, which write into a
-//! caller-provided reusable buffer (clearing it first) so a steady-state
-//! connection re-encodes frames with **zero allocations**; the `Bytes`
-//! returning forms are convenience wrappers.
+//! There is one function per direction and message kind, and each accepts
+//! or emits every version: [`encode_request_into`] (no tenant) and
+//! [`encode_request_tenant_into`] share one body, [`decode_request_framed`]
+//! reads what either wrote, and [`encode_response_into`] pairs with
+//! [`decode_response_framed`]. The encoders write into a caller-provided
+//! reusable buffer (clearing it first), so a steady-state connection
+//! re-encodes frames with **zero allocations**. [`peek_request_id`] reads
+//! the id of a frame that failed to decode, and [`crc32`] is the checksum.
 
 use bytes::Bytes;
 use imagery::{RasterImage, Tensor};
@@ -210,13 +214,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// Writes the `ver request_id` header that opens every message body.
-fn begin_frame(request_id: u32, out: &mut Vec<u8>) {
-    out.clear();
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&request_id.to_le_bytes());
-}
-
 /// Appends the CRC32 trailer over everything written so far.
 fn seal_in_place(out: &mut Vec<u8>) {
     let crc = crc32(out);
@@ -226,11 +223,10 @@ fn seal_in_place(out: &mut Vec<u8>) {
 /// Best-effort read of a frame's `request_id` without decoding (or
 /// checksum-verifying) the rest — used by servers to echo an id on error
 /// replies for frames whose body failed to parse. Returns `None` for
-/// frames too short to carry the header or of a foreign version. Both
-/// known versions carry the id at the same offset, so the peek works on
-/// v2 and v3 frames alike.
+/// frames too short to carry the header or of a foreign version. Every
+/// known version carries the id at the same offset.
 pub fn peek_request_id(data: &[u8]) -> Option<u32> {
-    if data.len() < 5 || (data[0] != WIRE_VERSION && data[0] != WIRE_VERSION_TENANT) {
+    if !(WIRE_VERSION..=WIRE_VERSION_FIDELITY).contains(data.first()?) {
         return None;
     }
     data.get(1..5).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes)
@@ -371,7 +367,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<OpKind, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a [`StageData`] payload.
-pub fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
+fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
     match data {
         StageData::Encoded(b) => {
             out.push(0x00);
@@ -486,25 +482,32 @@ fn decode_request_body(r: &mut Reader<'_>, fidelity: bool) -> Result<Request, Wi
     })
 }
 
-/// Whether a request carries a fidelity field that forces the v4 frame
-/// format; anything else stays on the older, bit-stable encodings.
-fn request_wants_fidelity(req: &Request) -> bool {
-    matches!(req, Request::Fetch(f) if f.max_tier.is_some())
+/// The body both request encoders share. The version byte follows from
+/// which optional fields are present, so a frame without them stays on its
+/// older, bit-stable encoding: a fidelity cap makes it v4 (with the
+/// tenant, or tenant 0), a tenant alone v3, neither v2.
+fn encode_request_frame(request_id: u32, tenant_id: Option<u16>, req: &Request, out: &mut Vec<u8>) {
+    let fidelity = matches!(req, Request::Fetch(f) if f.max_tier.is_some());
+    out.clear();
+    out.push(match (fidelity, tenant_id) {
+        (true, _) => WIRE_VERSION_FIDELITY,
+        (false, Some(_)) => WIRE_VERSION_TENANT,
+        (false, None) => WIRE_VERSION,
+    });
+    out.extend_from_slice(&request_id.to_le_bytes());
+    if fidelity || tenant_id.is_some() {
+        out.extend_from_slice(&tenant_id.unwrap_or(0).to_le_bytes());
+    }
+    encode_request_body(req, fidelity, out);
+    seal_in_place(out);
 }
 
 /// Serializes a [`Request`] under `request_id` into a caller-provided
-/// buffer (cleared first). The hot-path form: a reused buffer makes
-/// steady-state encoding allocation-free. Requests carrying a fidelity
-/// cap upgrade the frame to v4 (tenant 0); everything else stays on the
-/// bit-stable v2 encoding.
+/// buffer (cleared first); a reused buffer makes steady-state encoding
+/// allocation-free. Requests carrying a fidelity cap upgrade the frame to
+/// v4 (tenant 0); everything else stays on the bit-stable v2 encoding.
 pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
-    if request_wants_fidelity(req) {
-        encode_request_fidelity_into(request_id, 0, req, out);
-        return;
-    }
-    begin_frame(request_id, out);
-    encode_request_body(req, false, out);
-    seal_in_place(out);
+    encode_request_frame(request_id, None, req, out);
 }
 
 /// Serializes a [`Request`] as a v3 frame carrying `tenant_id` into a
@@ -518,129 +521,30 @@ pub fn encode_request_tenant_into(
     req: &Request,
     out: &mut Vec<u8>,
 ) {
-    if request_wants_fidelity(req) {
-        encode_request_fidelity_into(request_id, tenant_id, req, out);
-        return;
-    }
-    out.clear();
-    out.push(WIRE_VERSION_TENANT);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&tenant_id.to_le_bytes());
-    encode_request_body(req, false, out);
-    seal_in_place(out);
+    encode_request_frame(request_id, Some(tenant_id), req, out);
 }
 
-/// Serializes a [`Request`] as a v4 frame carrying `tenant_id` and the
-/// fidelity cap into a caller-provided buffer (cleared first);
-/// allocation-free at steady state like its older siblings.
-pub fn encode_request_fidelity_into(
-    request_id: u32,
-    tenant_id: u16,
-    req: &Request,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    out.push(WIRE_VERSION_FIDELITY);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&tenant_id.to_le_bytes());
-    encode_request_body(req, true, out);
-    seal_in_place(out);
-}
-
-/// Serializes a [`Request`] as a v3 frame carrying `tenant_id` into
-/// fresh bytes.
-pub fn encode_request_tenant_framed(request_id: u32, tenant_id: u16, req: &Request) -> Bytes {
-    let mut out = Vec::new();
-    encode_request_tenant_into(request_id, tenant_id, req, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Request`] under `request_id` into fresh bytes.
-pub fn encode_request_framed(request_id: u32, req: &Request) -> Bytes {
-    let mut out = Vec::new();
-    encode_request_into(request_id, req, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Request`] under request id 0 (single-exchange callers).
-pub fn encode_request(req: &Request) -> Bytes {
-    encode_request_framed(0, req)
-}
-
-/// Deserializes a [`Request`] together with its multiplexing id.
+/// Deserializes a [`Request`] of any version together with its
+/// multiplexing id and the tenant id its header carries: `Some` for v3 and
+/// v4 frames, `None` for v2 frames, which have no such field.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for any malformed input, including trailing
 /// bytes, checksum mismatches, and foreign wire versions.
-pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Request), WireError> {
+pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Option<u16>, Request), WireError> {
     let mut r = Reader::new(verify_checksum(data)?);
-    let version = r.u8()?;
-    let fidelity = match version {
-        WIRE_VERSION => false,
-        WIRE_VERSION_FIDELITY => true,
+    let (tenant, fidelity) = match r.u8()? {
+        WIRE_VERSION => (false, false),
+        WIRE_VERSION_TENANT => (true, false),
+        WIRE_VERSION_FIDELITY => (true, true),
         v => return Err(WireError::Version(v)),
     };
     let request_id = r.u32()?;
-    if fidelity {
-        let _tenant = r.u16()?; // endpoint without tenant metering
-    }
-    let req = decode_request_body(&mut r, fidelity)?;
-    r.finish()?;
-    Ok((request_id, req))
-}
-
-/// Deserializes a [`Request`] together with its multiplexing id and
-/// tenant id, negotiating the version per frame: v3 frames yield their
-/// explicit tenant, v2 frames are attributed to tenant 0 — unless
-/// `require_tenant` is set, in which case a v2 frame is rejected as
-/// [`WireError::TenantMissing`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] for any malformed input, including trailing
-/// bytes, checksum mismatches, foreign wire versions, and (when
-/// required) missing tenant ids.
-pub fn decode_request_tenant(
-    data: &[u8],
-    require_tenant: bool,
-) -> Result<(u32, u16, Request), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
-    let version = r.u8()?;
-    let request_id;
-    let tenant_id;
-    let mut fidelity = false;
-    match version {
-        WIRE_VERSION_TENANT => {
-            request_id = r.u32()?;
-            tenant_id = r.u16()?;
-        }
-        WIRE_VERSION_FIDELITY => {
-            request_id = r.u32()?;
-            tenant_id = r.u16()?;
-            fidelity = true;
-        }
-        WIRE_VERSION => {
-            if require_tenant {
-                return Err(WireError::TenantMissing);
-            }
-            request_id = r.u32()?;
-            tenant_id = 0;
-        }
-        v => return Err(WireError::Version(v)),
-    }
+    let tenant_id = if tenant { Some(r.u16()?) } else { None };
     let req = decode_request_body(&mut r, fidelity)?;
     r.finish()?;
     Ok((request_id, tenant_id, req))
-}
-
-/// Deserializes a [`Request`], discarding the multiplexing id.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_request_framed`].
-pub fn decode_request(data: &[u8]) -> Result<Request, WireError> {
-    decode_request_framed(data).map(|(_, req)| req)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,8 +552,8 @@ pub fn decode_request(data: &[u8]) -> Result<Request, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a [`Response`] under `request_id` into a caller-provided
-/// buffer (cleared first). The hot-path form: a reused buffer makes
-/// steady-state encoding allocation-free.
+/// buffer (cleared first); a reused buffer makes steady-state encoding
+/// allocation-free.
 ///
 /// A data response carrying a served fidelity tier is emitted as a v4
 /// frame with the tier byte directly under the CRC trailer; every other
@@ -688,18 +592,6 @@ pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>)
         }
     }
     seal_in_place(out);
-}
-
-/// Serializes a [`Response`] under `request_id` into fresh bytes.
-pub fn encode_response_framed(request_id: u32, resp: &Response) -> Bytes {
-    let mut out = Vec::new();
-    encode_response_into(request_id, resp, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Response`] under request id 0 (single-exchange callers).
-pub fn encode_response(resp: &Response) -> Bytes {
-    encode_response_framed(0, resp)
 }
 
 /// Deserializes a [`Response`] together with its multiplexing id.
@@ -745,19 +637,31 @@ pub fn decode_response_framed(data: &[u8]) -> Result<(u32, Response), WireError>
     Ok((request_id, resp))
 }
 
-/// Deserializes a [`Response`], discarding the multiplexing id.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_response_framed`].
-pub fn decode_response(data: &[u8]) -> Result<Response, WireError> {
-    decode_response_framed(data).map(|(_, resp)| resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use imagery::Rgb;
+
+    // The encoders write into a caller's buffer; the tests want the frame.
+    fn request_frame(id: u32, tenant: Option<u16>, req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_request_frame(id, tenant, req, &mut out);
+        out
+    }
+
+    fn response_frame(id: u32, resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_response_into(id, resp, &mut out);
+        out
+    }
+
+    fn decode_request(data: &[u8]) -> Result<Request, WireError> {
+        decode_request_framed(data).map(|(_, _, req)| req)
+    }
+
+    fn decode_response(data: &[u8]) -> Result<Response, WireError> {
+        decode_response_framed(data).map(|(_, resp)| resp)
+    }
 
     #[test]
     fn request_roundtrips() {
@@ -776,7 +680,7 @@ mod tests {
             Request::Shutdown,
         ];
         for req in &reqs {
-            let bytes = encode_request(req);
+            let bytes = request_frame(0, None, req);
             assert_eq!(&decode_request(&bytes).unwrap(), req, "roundtrip {req:?}");
         }
     }
@@ -795,7 +699,8 @@ mod tests {
 
     #[test]
     fn fetch_request_is_compact() {
-        let bytes = encode_request(&Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2))));
+        let bytes =
+            request_frame(0, None, &Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2))));
         assert!(bytes.len() <= 28, "fetch request is {} bytes", bytes.len());
     }
 
@@ -803,12 +708,12 @@ mod tests {
     fn request_ids_roundtrip_on_both_message_kinds() {
         for id in [0u32, 1, 0xdead_beef, u32::MAX] {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = encode_request_framed(id, &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, req));
+            let bytes = request_frame(id, None, &req);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, None, req));
             assert_eq!(peek_request_id(&bytes), Some(id));
 
             let resp = Response::Configured;
-            let bytes = encode_response_framed(id, &resp);
+            let bytes = response_frame(id, &resp);
             assert_eq!(decode_response_framed(&bytes).unwrap(), (id, resp));
             assert_eq!(peek_request_id(&bytes), Some(id));
         }
@@ -818,42 +723,44 @@ mod tests {
     fn tenant_frames_roundtrip_with_id_and_tenant() {
         for (id, t) in [(0u32, 0u16), (7, 1), (0xdead_beef, 41), (u32::MAX, u16::MAX)] {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = encode_request_tenant_framed(id, t, &req);
-            assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (id, t, req.clone()));
-            assert_eq!(decode_request_tenant(&bytes, false).unwrap(), (id, t, req));
+            let bytes = request_frame(id, Some(t), &req);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, Some(t), req));
             assert_eq!(peek_request_id(&bytes), Some(id));
         }
     }
 
     #[test]
-    fn v2_frames_negotiate_to_the_default_tenant() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
-        let bytes = encode_request_framed(9, &req);
-        assert_eq!(decode_request_tenant(&bytes, false).unwrap(), (9, 0, req));
-    }
-
-    #[test]
-    fn v2_frames_are_rejected_when_a_tenant_is_required() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
-        let bytes = encode_request_framed(9, &req);
-        assert_eq!(decode_request_tenant(&bytes, true), Err(WireError::TenantMissing));
-    }
-
-    #[test]
-    fn v3_frames_are_foreign_to_the_legacy_request_decoder() {
-        // An old (v2-only) server sees a v3 frame as an unsupported
-        // version, never as a misparsed v2 message.
-        let req = Request::Shutdown;
-        let bytes = encode_request_tenant_framed(1, 5, &req);
-        assert_eq!(decode_request_framed(&bytes), Err(WireError::Version(WIRE_VERSION_TENANT)));
+    fn every_request_version_decodes_through_the_one_decoder() {
+        let fetch = FetchRequest::new(3, 1, SplitPoint::new(2));
+        let rows = [
+            (WIRE_VERSION, None, fetch),
+            (WIRE_VERSION_TENANT, Some(7), fetch),
+            (WIRE_VERSION_FIDELITY, Some(7), fetch.with_max_tier(1)),
+        ];
+        for (version, tenant, fetch) in rows {
+            let req = Request::Fetch(fetch);
+            let bytes = request_frame(9, tenant, &req);
+            assert_eq!(bytes[0], version);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (9, tenant, req), "{version:#04x}");
+            assert_eq!(peek_request_id(&bytes), Some(9), "{version:#04x}");
+        }
+        // Any other opening byte is a foreign version, under a valid CRC.
+        let known = [WIRE_VERSION, WIRE_VERSION_TENANT, WIRE_VERSION_FIDELITY];
+        for version in (0..=u8::MAX).filter(|v| !known.contains(v)) {
+            let mut bytes = request_frame(9, None, &Request::Fetch(fetch));
+            bytes.truncate(bytes.len() - 4);
+            bytes[0] = version;
+            seal_in_place(&mut bytes);
+            assert_eq!(decode_request_framed(&bytes), Err(WireError::Version(version)));
+        }
     }
 
     #[test]
     fn tenant_id_is_protected_by_the_checksum() {
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let mut bytes = encode_request_tenant_framed(11, 6, &req).to_vec();
+        let mut bytes = request_frame(11, Some(6), &req);
         bytes[5] ^= 0x01; // inside the little-endian tenant id
-        assert_eq!(decode_request_tenant(&bytes, false), Err(WireError::ChecksumMismatch));
+        assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
@@ -864,32 +771,30 @@ mod tests {
         let (ptr, cap) = (buf.as_ptr(), buf.capacity());
         for id in 0..1000u32 {
             encode_request_tenant_into(id, (id % 7) as u16, &req, &mut buf);
-            let (got_id, got_tenant, _) = decode_request_tenant(&buf, true).unwrap();
-            assert_eq!((got_id, got_tenant), (id, (id % 7) as u16));
+            let (got_id, got_tenant, _) = decode_request_framed(&buf).unwrap();
+            assert_eq!((got_id, got_tenant), (id, Some((id % 7) as u16)));
         }
         assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
         assert_eq!(buf.capacity(), cap);
     }
 
     #[test]
-    fn fidelity_requests_roundtrip_on_every_decoder() {
+    fn fidelity_requests_roundtrip() {
         for tier in 0..codec::MAX_TIERS as u8 {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(tier));
-            let bytes = encode_request_framed(5, &req);
+            let bytes = request_frame(5, None, &req);
             assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "cap forces a v4 frame");
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (5, req.clone()));
-            // The tenant-aware decoder sees tenant 0 and the same request,
-            // even when it requires an explicit tenant (v4 carries one).
-            assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (5, 0, req));
+            // A v4 frame always carries a tenant field: 0 when none was set.
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (5, Some(0), req));
         }
     }
 
     #[test]
     fn fidelity_requests_keep_their_tenant() {
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(2));
-        let bytes = encode_request_tenant_framed(9, 41, &req);
+        let bytes = request_frame(9, Some(41), &req);
         assert_eq!(bytes[0], WIRE_VERSION_FIDELITY);
-        assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (9, 41, req));
+        assert_eq!(decode_request_framed(&bytes).unwrap(), (9, Some(41), req));
     }
 
     #[test]
@@ -897,8 +802,8 @@ mod tests {
         // The digest-pinning guarantee: a request without a fidelity cap
         // must encode exactly as it did before the v4 bump.
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        assert_eq!(encode_request_framed(5, &req)[0], WIRE_VERSION);
-        assert_eq!(encode_request_tenant_framed(5, 7, &req)[0], WIRE_VERSION_TENANT);
+        assert_eq!(request_frame(5, None, &req)[0], WIRE_VERSION);
+        assert_eq!(request_frame(5, Some(7), &req)[0], WIRE_VERSION_TENANT);
     }
 
     #[test]
@@ -909,12 +814,12 @@ mod tests {
             data: StageData::Encoded(Bytes::from_static(b"tiered prefix")),
             tier: Some(1),
         });
-        let bytes = encode_response_framed(4, &resp);
+        let bytes = response_frame(4, &resp);
         assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "served tier forces a v4 frame");
         assert_eq!(decode_response_framed(&bytes).unwrap(), (4, resp));
         // The tier byte sits directly under the CRC trailer: flipping it
         // must fail the checksum, never downgrade silently.
-        let mut corrupt = bytes.to_vec();
+        let mut corrupt = bytes.clone();
         let at = corrupt.len() - 5;
         corrupt[at] ^= 0x01;
         assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
@@ -928,7 +833,7 @@ mod tests {
             data: StageData::Encoded(Bytes::from_static(b"payload")),
             tier: None,
         });
-        assert_eq!(encode_response_framed(4, &resp)[0], WIRE_VERSION);
+        assert_eq!(response_frame(4, &resp)[0], WIRE_VERSION);
     }
 
     #[test]
@@ -941,7 +846,7 @@ mod tests {
             data: StageData::Encoded(Bytes::from_static(b"x")),
             tier: Some(0),
         });
-        let mut bytes = encode_response_framed(0, &resp).to_vec();
+        let mut bytes = response_frame(0, &resp);
         let at = bytes.len() - 5;
         bytes[at] = codec::MAX_TIERS as u8;
         let crc_at = bytes.len() - 4;
@@ -963,7 +868,7 @@ mod tests {
             data: StageData::Encoded(Bytes::from_static(b"payload")),
             tier: None,
         });
-        let mut bytes = encode_response_framed(41, &resp).to_vec();
+        let mut bytes = response_frame(41, &resp);
         bytes[3] ^= 0x04; // inside the little-endian request id
         assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
@@ -1028,14 +933,14 @@ mod tests {
         // Flip a bit inside the sample id: structurally still a perfectly
         // valid fetch request, but the checksum catches it.
         let mut bytes =
-            encode_request(&Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)))).to_vec();
+            request_frame(0, None, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
         bytes[1] ^= 0x01;
         assert_eq!(decode_request(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
     fn corrupted_trailer_detected() {
-        let mut bytes = encode_response(&Response::Configured).to_vec();
+        let mut bytes = response_frame(0, &Response::Configured);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80;
         assert_eq!(decode_response(&bytes), Err(WireError::ChecksumMismatch));
@@ -1057,7 +962,7 @@ mod tests {
                 data: p.clone(),
                 tier: None,
             });
-            let bytes = encode_response(&resp);
+            let bytes = response_frame(0, &resp);
             // Responses are `PartialEq`, so the roundtrip asserts every
             // field (payload bytes included) in one exhaustive comparison.
             assert_eq!(decode_response(&bytes).unwrap(), resp, "roundtrip {:?}", p.kind());
@@ -1068,7 +973,7 @@ mod tests {
     fn error_response_roundtrips() {
         for sample_id in [None, Some(5u64)] {
             let resp = Response::Error { sample_id, message: "object not found".into() };
-            let bytes = encode_response(&resp);
+            let bytes = response_frame(0, &resp);
             assert_eq!(decode_response(&bytes).unwrap(), resp, "roundtrip {sample_id:?}");
         }
     }
@@ -1081,7 +986,7 @@ mod tests {
             data: StageData::Image(RasterImage::filled(8, 8, Rgb::gray(7))),
             tier: None,
         });
-        let bytes = encode_response(&resp);
+        let bytes = response_frame(0, &resp);
         for len in 0..bytes.len() {
             assert!(
                 decode_response(&bytes[..len]).is_err(),

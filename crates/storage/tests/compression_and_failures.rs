@@ -6,7 +6,8 @@ use datasets::DatasetSpec;
 use netsim::Bandwidth;
 use pipeline::{PipelineSpec, SampleKey, SplitPoint, StageData};
 use storage::{
-    FetchRequest, NearStorageExecutor, ObjectStore, ServerConfig, SessionConfig, StorageServer,
+    FetchRequest, NearStorageExecutor, ObjectStore, ServerConfig, SessionConfig, TcpStorageClient,
+    TcpStorageServer,
 };
 
 fn setup(n: u64) -> (DatasetSpec, ObjectStore) {
@@ -81,16 +82,13 @@ fn corrupt_object_degrades_to_per_sample_error() {
     let (ds, mut store) = setup(3);
     // Sample 1's bytes are garbage; 0 and 2 stay valid.
     store.insert(1, bytes::Bytes::from_static(b"definitely not SJPG"));
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
     // Healthy samples still work after the failure.
     assert!(client.fetch(0, 0, SplitPoint::new(2)).is_ok());
@@ -106,16 +104,13 @@ fn corrupt_object_with_split_zero_passes_bytes_through() {
     // on the compute node instead — exactly as in a raw object store.
     let (ds, mut store) = setup(2);
     store.insert(0, bytes::Bytes::from_static(b"junk"));
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 1,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 8,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
     let data = client.fetch(0, 0, SplitPoint::NONE).unwrap();
     let key = SampleKey::new(ds.seed, 0, 0);
@@ -126,16 +121,13 @@ fn corrupt_object_with_split_zero_passes_bytes_through() {
 #[test]
 fn missing_objects_and_bad_splits_dont_poison_the_session() {
     let (ds, store) = setup(2);
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
     assert!(client.fetch(99, 0, SplitPoint::NONE).is_err());
     assert!(client.fetch(0, 0, SplitPoint::new(9)).is_err());
@@ -149,16 +141,17 @@ fn missing_objects_and_bad_splits_dont_poison_the_session() {
 fn reencode_over_live_server_reduces_wire_bytes() {
     let (ds, store) = setup(4);
     let run = |reencode: bool| -> u64 {
-        let mut server = StorageServer::spawn(
+        let server = TcpStorageServer::bind(
             store.clone(),
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
                 ..ServerConfig::default()
             },
-        );
-        let mut client = server.client();
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
         for id in 0..4u64 {
             let mut req = FetchRequest::new(id, 0, SplitPoint::new(2));
@@ -169,9 +162,9 @@ fn reencode_over_live_server_reduces_wire_bytes() {
             let unpacked = resp.unpack().unwrap();
             assert_eq!(unpacked.byte_len(), 150_528, "reconstructed crop size");
         }
-        let bytes = server.response_bytes();
+        let meter = server.meter();
         server.shutdown();
-        bytes
+        meter.bytes()
     };
     let plain = run(false);
     let compressed = run(true);

@@ -42,12 +42,7 @@ fn concurrent_pipelined_clients_get_bit_identical_batches() {
     let harness = MultiServerHarness::spawn(
         &store,
         NODES,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
         |id| vec![(id % 3) as usize, ((id + 1) % 3) as usize],
     )
     .unwrap();

@@ -4,8 +4,33 @@
 use imagery::{RasterImage, Rgb, Tensor};
 use pipeline::{OpKind, PipelineSpec, SplitPoint, StageData};
 use proptest::prelude::*;
-use storage::wire::{decode_request, decode_response, encode_request, encode_response};
+use storage::wire::{
+    decode_request_framed, decode_response_framed, encode_request_into, encode_response_into,
+    WireError,
+};
 use storage::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
+
+// The module encodes into a caller's buffer and decodes to (id, .., message);
+// these properties are about the message alone.
+fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_request_into(0, req, &mut out);
+    out
+}
+
+fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_response_into(0, resp, &mut out);
+    out
+}
+
+fn decode_request(data: &[u8]) -> Result<Request, WireError> {
+    decode_request_framed(data).map(|(_, _, req)| req)
+}
+
+fn decode_response(data: &[u8]) -> Result<Response, WireError> {
+    decode_response_framed(data).map(|(_, resp)| resp)
+}
 
 fn arb_pipeline() -> impl Strategy<Value = PipelineSpec> {
     prop_oneof![
@@ -121,7 +146,7 @@ proptest! {
         pos in any::<u16>(),
         mask in 1u8..=255,
     ) {
-        let mut bytes = encode_request(&req).to_vec();
+        let mut bytes = encode_request(&req);
         let idx = pos as usize % bytes.len();
         bytes[idx] ^= mask;
         prop_assert!(decode_request(&bytes).is_err(), "byte {} ^ {:#04x} slipped past", idx, mask);
@@ -135,7 +160,7 @@ proptest! {
         pos in any::<u16>(),
         mask in 1u8..=255,
     ) {
-        let mut bytes = encode_response(&resp).to_vec();
+        let mut bytes = encode_response(&resp);
         let idx = pos as usize % bytes.len();
         bytes[idx] ^= mask;
         prop_assert!(decode_response(&bytes).is_err(), "byte {} ^ {:#04x} slipped past", idx, mask);
@@ -170,7 +195,7 @@ fn every_byte_of_a_data_frame_is_flip_protected() {
         data: StageData::Encoded((0u8..=255).collect::<Vec<u8>>().into()),
         tier: None,
     });
-    let bytes = encode_response(&resp).to_vec();
+    let bytes = encode_response(&resp);
     for idx in 0..bytes.len() {
         for bit in 0..8 {
             let mut corrupt = bytes.clone();

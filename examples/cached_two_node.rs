@@ -29,7 +29,7 @@ use sophon::engine::PlanningContext;
 use sophon::ext::caching::{self, CacheSelection};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const SAMPLES: u64 = 48;
 const BATCH: usize = 8;
@@ -53,18 +53,14 @@ fn run_with_cache(
 ) -> Result<CacheRun, Box<dyn std::error::Error>> {
     let pipeline = PipelineSpec::standard_train();
     let store = ObjectStore::materialize_dataset(ds, 0..SAMPLES);
-    let server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 4,
-            bandwidth: Bandwidth::from_mbps(40.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    );
-    let mut server = server;
+        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(40.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )?;
 
-    let mut transport = CachingTransport::new(server.client(), cache);
+    let mut transport =
+        CachingTransport::new(TcpStorageClient::connect(server.local_addr())?, cache);
     if hints {
         transport.set_hints(profiles.iter().enumerate().map(|(i, p)| {
             let shipped = p.size_at(plan.split(i).offloaded_ops());

@@ -55,12 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chaos = FaultPlan::aggressive(seed).script(0, 0, 0, FaultKind::BitFlip);
     println!("chaos: aggressive fault plan, seed {seed}\n");
 
-    let server_config = ServerConfig {
-        cores: 2,
-        bandwidth: Bandwidth::from_gbps(10.0),
-        queue_depth: 16,
-        ..ServerConfig::default()
-    };
+    let server_config =
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
     let run = |plan: Option<&FaultPlan>| -> Result<_, Box<dyn std::error::Error>> {
         let harness = match plan {
             Some(p) => MultiServerHarness::spawn_with_chaos(

@@ -18,7 +18,7 @@ use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
 use sophon::ext::sharding;
 use sophon::loader::{LoaderConfig, OffloadingLoader};
-use storage::{MultiServerHarness, ObjectStore, ServerConfig, StorageServer};
+use storage::{MultiServerHarness, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const SAMPLES: u64 = 32;
 const NODES: usize = 4;
@@ -55,12 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Four live TCP servers, each storing its primaries plus replicas.
-    let server_config = ServerConfig {
-        cores: 2,
-        bandwidth: Bandwidth::from_gbps(10.0),
-        queue_depth: 16,
-        ..ServerConfig::default()
-    };
+    let server_config =
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
     let mut harness = MultiServerHarness::spawn(&store, NODES, server_config, |id| map.owners(id))?;
     let transports = harness.clients()?;
     let fleet = FleetTransport::new(transports, map.clone(), None);
@@ -90,9 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     harness.shutdown();
 
     // Reference: the same plan through one storage server.
-    let mut server = StorageServer::spawn(store, server_config);
+    let server = TcpStorageServer::bind(store, server_config, "127.0.0.1:0")?;
     let mut single = OffloadingLoader::new(
-        server.client(),
+        TcpStorageClient::connect(server.local_addr())?,
         pipeline,
         sharded.plan,
         LoaderConfig::new(ds.seed, BATCH),

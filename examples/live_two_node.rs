@@ -1,10 +1,11 @@
 //! Live two-node demo: real bytes through a real bandwidth-throttled link.
 //!
-//! A storage server thread pool executes offloaded preprocessing prefixes
-//! over a materialized corpus and streams results through a 40 Mbps
-//! [`netsim::ThrottledPipe`]; the "compute node" (this thread) finishes the
-//! pipeline. Compares No-Off against the SOPHON plan on wall-clock time and
-//! measured wire bytes — the end-to-end path of the paper's Figure 2.
+//! A storage server bound to 127.0.0.1 executes offloaded preprocessing
+//! prefixes over a materialized corpus and paces its responses at 40 Mbps
+//! (a token bucket in front of the socket); the "compute node" (this
+//! thread) fetches over the loopback and finishes the pipeline. Compares
+//! No-Off against the SOPHON plan on wall-clock time and measured wire
+//! bytes — the end-to-end path of the paper's Figure 2.
 //!
 //! ```sh
 //! cargo run --release --example live_two_node
@@ -18,7 +19,7 @@ use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SplitPoint};
 use sophon::engine::PlanningContext;
 use sophon::prelude::*;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const SAMPLES: u64 = 48;
 const EPOCH: u64 = 0;
@@ -30,16 +31,12 @@ fn run_epoch(
     label: &str,
 ) -> Result<(f64, u64), Box<dyn std::error::Error>> {
     let pipeline = PipelineSpec::standard_train();
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 4,
-            bandwidth: Bandwidth::from_mbps(40.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(40.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )?;
+    let mut client = TcpStorageClient::connect(server.local_addr())?;
     client.configure(ds.seed, pipeline.clone())?;
 
     let start = Instant::now();

@@ -27,12 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = ObjectStore::materialize_dataset(&ds, 0..SAMPLES);
     let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 4,
-            bandwidth: Bandwidth::from_mbps(80.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(80.0), ..ServerConfig::default() },
         "127.0.0.1:0",
     )?;
 

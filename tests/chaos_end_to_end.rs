@@ -34,12 +34,7 @@ fn chaos_seed() -> u64 {
 }
 
 fn server_config() -> ServerConfig {
-    ServerConfig {
-        cores: 2,
-        bandwidth: Bandwidth::from_gbps(10.0),
-        queue_depth: 16,
-        ..ServerConfig::default()
-    }
+    ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
 }
 
 /// Runs one epoch over a live fleet, optionally under chaos, and returns

@@ -9,7 +9,7 @@ use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SplitPoint, StageData};
 use sophon::engine::PlanningContext;
 use sophon::prelude::*;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const N: u64 = 12;
 
@@ -32,16 +32,13 @@ fn sophon_offloaded_tensors_equal_local_tensors() {
     let plan = SophonPolicy::without_stage1_gate().plan(&ctx).unwrap();
     assert!(plan.offloaded_samples() > 0, "mini corpus should offer offload candidates");
 
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store.clone(),
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline.clone()).unwrap();
 
     let epoch = 1u64;
@@ -77,25 +74,24 @@ fn wire_traffic_matches_plan_prediction() {
     let expected_payload: u64 =
         profiles.iter().zip(plan.iter()).map(|(p, s)| p.size_at(s.offloaded_ops())).sum();
 
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 3,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 3, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline).unwrap();
     let reqs: Vec<_> = (0..N).map(|id| (id, 0u64, plan.split(id as usize))).collect();
     let responses = client.fetch_many(&reqs).unwrap();
     assert_eq!(responses.len(), N as usize);
 
-    let measured = server.response_bytes();
-    let framing = measured - expected_payload;
-    assert!(framing < N * 32, "framing overhead {framing} bytes is too large for {N} responses");
+    // Read after the join: the loop thread counts a frame once its write
+    // returns, which can be after the client has already read it.
+    let meter = server.meter();
     server.shutdown();
+    let framing = meter.bytes() - expected_payload;
+    assert!(framing < N * 32, "framing overhead {framing} bytes is too large for {N} responses");
 }
 
 #[test]
@@ -132,16 +128,13 @@ fn augmentations_vary_across_epochs_through_the_server() {
     // §3.3: offloading must not freeze augmentations. Fetch the same sample
     // in two epochs with the same split; the crops must differ.
     let (ds, store, pipeline) = live_setup();
-    let mut server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 1,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 8,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+        ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline).unwrap();
     let a = client.fetch(3, 0, SplitPoint::new(2)).unwrap();
     let b = client.fetch(3, 1, SplitPoint::new(2)).unwrap();
@@ -160,7 +153,7 @@ fn loader_over_tcp_with_retry_and_compression() {
     // transport → offloading loader with wire re-compression → collated
     // NCHW batches identical in shape to local preprocessing.
     use sophon::loader::{LoaderConfig, OffloadingLoader};
-    use storage::{RetryingTransport, TcpStorageClient, TcpStorageServer};
+    use storage::RetryingTransport;
 
     let ds = DatasetSpec::mini(8, 123);
     let store = ObjectStore::materialize_dataset(&ds, 0..8);
@@ -172,12 +165,7 @@ fn loader_over_tcp_with_retry_and_compression() {
 
     let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
         "127.0.0.1:0",
     )
     .unwrap();
@@ -223,19 +211,24 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     let (plan, _) = caching::plan_with_cache(&ctx, &assign);
 
     let run_epochs = |cache: Option<SampleCache>, epochs: &[u64]| {
-        let mut server = StorageServer::spawn(
+        let server = TcpStorageServer::bind(
             store.clone(),
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
                 ..ServerConfig::default()
             },
-        );
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let meter = server.meter();
         let mut batches: Vec<Vec<pipeline::TensorBatch>> = Vec::new();
-        let wire = match cache {
+        match cache {
             Some(cache) => {
-                let transport = CachingTransport::new(server.client(), cache);
+                let transport = CachingTransport::new(
+                    TcpStorageClient::connect(server.local_addr()).unwrap(),
+                    cache,
+                );
                 let mut loader = OffloadingLoader::new(
                     transport,
                     pipeline.clone(),
@@ -248,11 +241,10 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
                     loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
                     batches.push(got);
                 }
-                server.response_bytes()
             }
             None => {
                 let mut loader = OffloadingLoader::new(
-                    server.client(),
+                    TcpStorageClient::connect(server.local_addr()).unwrap(),
                     pipeline.clone(),
                     plan.clone(),
                     LoaderConfig::new(ds.seed, 4),
@@ -263,11 +255,10 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
                     loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
                     batches.push(got);
                 }
-                server.response_bytes()
             }
-        };
+        }
         server.shutdown();
-        (batches, wire)
+        (batches, meter.bytes())
     };
 
     // Cached run: epoch 0 cold (fills the cache), epochs 3 and 4 warm.
@@ -291,10 +282,10 @@ fn caching_and_retrying_transports_compose_either_way() {
     // Compile-time check: the decorators stack in either order under the
     // loader's `FetchTransport` bound.
     use cache::CachingTransport;
-    use storage::{FetchTransport, RetryingTransport, StorageClient, TcpStorageClient};
+    use storage::{FetchTransport, RetryingTransport};
 
     fn assert_transport<X: FetchTransport>() {}
-    assert_transport::<CachingTransport<RetryingTransport<StorageClient>>>();
+    assert_transport::<CachingTransport<RetryingTransport<TcpStorageClient>>>();
     assert_transport::<RetryingTransport<CachingTransport<TcpStorageClient>>>();
 }
 

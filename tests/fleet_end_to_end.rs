@@ -15,19 +15,14 @@ use sophon::ext::sharding;
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use storage::{
     ClientError, FetchRequest, FetchResponse, FetchTransport, MultiServerHarness, ObjectStore,
-    ServerConfig, StorageServer,
+    ServerConfig, TcpStorageClient, TcpStorageServer,
 };
 
 const N: u64 = 32;
 const BATCH: usize = 4;
 
 fn server_config() -> ServerConfig {
-    ServerConfig {
-        cores: 2,
-        bandwidth: Bandwidth::from_gbps(10.0),
-        queue_depth: 16,
-        ..ServerConfig::default()
-    }
+    ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
 }
 
 #[test]
@@ -74,9 +69,9 @@ fn killed_node_mid_epoch_loses_nothing_and_tensors_match_single_node() {
     harness.shutdown();
 
     // Single-node baseline with the identical plan.
-    let mut server = StorageServer::spawn(store, server_config());
+    let server = TcpStorageServer::bind(store, server_config(), "127.0.0.1:0").unwrap();
     let mut single = OffloadingLoader::new(
-        server.client(),
+        TcpStorageClient::connect(server.local_addr()).unwrap(),
         pipeline,
         sharded.plan,
         LoaderConfig::new(ds.seed, BATCH),
