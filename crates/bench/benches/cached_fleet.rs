@@ -24,8 +24,8 @@ fn plan_only(c: &mut Criterion) {
     use cluster::{ClusterConfig, GpuModel};
     use fleet::ShardMap;
     use sophon::engine::PlanningContext;
-    use sophon::ext::caching::CacheSelection;
-    use sophon::ext::{fleet_caching, sharding};
+    use sophon::ext::caching::{choose_cache_contents, CacheSelection};
+    use sophon::ext::sharding::{self, FleetPlanRequest};
 
     let ds = bench::openimages(SAMPLES);
     let pipeline = pipeline::PipelineSpec::standard_train();
@@ -41,14 +41,13 @@ fn plan_only(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("plan_30pct_4shards", |b| {
         b.iter(|| {
-            fleet_caching::plan_for_fleet_with_cache(
-                &ctx,
-                &map,
-                &nodes,
-                budget,
-                CacheSelection::EfficiencyAware,
-            )
-            .expect("planning succeeds")
+            // Selection and planning together, as a warm-epoch replan pays.
+            let assignment = choose_cache_contents(&ctx, budget, CacheSelection::EfficiencyAware);
+            let request = FleetPlanRequest {
+                cache: Some(&assignment),
+                ..FleetPlanRequest::new(&map, &nodes)
+            };
+            sharding::plan_fleet(&ctx, &request).expect("planning succeeds")
         })
     });
     group.finish();

@@ -3,14 +3,14 @@
 //! scheduling, and provisioning — then times the planners.
 
 use bench::openimages;
-use cluster::{ClusterConfig, GpuModel};
+use cluster::{ClusterConfig, FleetNodeConfig, GpuModel};
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipeline::{CostModel, PipelineSpec};
 use sophon::engine::{DecisionEngine, PlanningContext};
 use sophon::ext::compression::CompressionExt;
-use sophon::ext::hetero;
 use sophon::ext::multitenant::{allocate_storage_cores, TenantJob};
 use sophon::ext::provisioning::{min_storage_cores_for, Provisioning};
+use sophon::ext::sharding::{plan_fleet, FleetPlanRequest};
 
 fn bench(c: &mut Criterion) {
     let ds = openimages(4_096);
@@ -33,8 +33,11 @@ fn bench(c: &mut Criterion) {
     );
 
     print!("heterogeneous CPUs (offloaded samples by storage speed): ");
+    let one_shard = fleet::ShardMap::new(1, 1, 0);
     for factor in [0.25, 0.5, 1.0, 2.0] {
-        let p = hetero::plan_heterogeneous(&ctx, factor);
+        // A storage core at `factor`x a compute core is a node at that speed.
+        let node = [FleetNodeConfig::nominal(&config).with_speed(factor)];
+        let p = plan_fleet(&ctx, &FleetPlanRequest::new(&one_shard, &node)).unwrap().plan;
         print!("{factor}x -> {}  ", p.offloaded_samples());
     }
     println!();

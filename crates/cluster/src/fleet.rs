@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::stagegraph::{kill_thresholds, run_stage_graph_observed, FaultEvent, SampleRouting};
+use crate::stagegraph::{kill_thresholds, run_stage_graph, SampleRouting, StageHooks};
 use crate::training::{drive_training, EpochOutcome, TrainingPhase};
 use crate::{ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, SimError};
 
@@ -152,30 +152,12 @@ pub fn simulate_fleet_epoch(
     owners: &[Vec<usize>],
     kills: &[KillEvent],
 ) -> Result<FleetEpochStats, SimError> {
-    simulate_fleet_epoch_observed(base, nodes, spec, owners, kills, &mut |_| {})
-}
-
-/// [`simulate_fleet_epoch`] with a fault observer: `hook` fires once per
-/// [`FaultEvent`] as the router encounters it (in sample-issue order), so a
-/// degraded-mode replanner can react while the epoch is still in flight.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_fleet_epoch`].
-pub fn simulate_fleet_epoch_observed(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    spec: &EpochSpec,
-    owners: &[Vec<usize>],
-    kills: &[KillEvent],
-    hook: &mut dyn FnMut(FaultEvent),
-) -> Result<FleetEpochStats, SimError> {
     if nodes.is_empty() {
         return Err(SimError::EmptyFleet);
     }
     let dead_from = kill_thresholds(kills, nodes.len(), spec.samples.len())?;
     let routing = SampleRouting::ReplicaFailover { owners, dead_from: &dead_from };
-    let run = run_stage_graph_observed(base, nodes, spec, routing, None, Some(hook))?;
+    let run = run_stage_graph(base, nodes, spec, routing, StageHooks::default())?;
     Ok(FleetEpochStats {
         total: run.total_stats(),
         per_node: run.per_node,
@@ -347,36 +329,6 @@ mod tests {
                 .unwrap();
         assert_eq!(healthy.failovers, 0);
         assert!(stats.total.epoch_seconds >= healthy.total.epoch_seconds);
-    }
-
-    #[test]
-    fn observed_epoch_reports_each_failover_to_the_hook() {
-        let spec = io_bound_spec(1024);
-        let mut events = Vec::new();
-        let stats = simulate_fleet_epoch_observed(
-            &base(),
-            &nominal_nodes(4),
-            &spec,
-            &owners(1024, 4, 2),
-            &[KillEvent::new(1, 0.5)],
-            &mut |e| events.push(e),
-        )
-        .unwrap();
-        assert_eq!(events.len() as u64, stats.failovers);
-        assert!(!events.is_empty());
-        assert!(events
-            .iter()
-            .all(|e| matches!(e, crate::FaultEvent::Failover { dead_node: 1, .. })));
-        // The plain entry point is the observed one with a no-op hook.
-        let plain = simulate_fleet_epoch(
-            &base(),
-            &nominal_nodes(4),
-            &spec,
-            &owners(1024, 4, 2),
-            &[KillEvent::new(1, 0.5)],
-        )
-        .unwrap();
-        assert_eq!(plain, stats);
     }
 
     #[test]

@@ -57,16 +57,16 @@ mod workload;
 pub use cache::{simulate_cached_training, CachedTrainingStats};
 pub use config::ClusterConfig;
 pub use fleet::{
-    simulate_fleet_cached_training, simulate_fleet_epoch, simulate_fleet_epoch_observed,
-    simulate_fleet_training, FleetCachedTrainingStats, FleetEpochStats, FleetTrainingStats,
+    simulate_fleet_cached_training, simulate_fleet_epoch, simulate_fleet_training,
+    FleetCachedTrainingStats, FleetEpochStats, FleetTrainingStats,
 };
 pub use gpu::GpuModel;
 pub use multitenant::{simulate_multi_tenant, MultiTenantRun, TenantRunStats, TenantWorkload};
 pub use resources::{CpuPool, FifoServer};
 pub use sim::{simulate_epoch, simulate_epoch_traced, SimError};
 pub use stagegraph::{
-    run_stage_graph_adaptive, EpochDirective, FaultEvent, FleetNodeConfig, KillEvent,
-    NodeEpochStats, NodeUpdate, StageKind, StageSample,
+    run_stage_graph, EpochDirective, FaultEvent, FleetNodeConfig, KillEvent, NodeEpochStats,
+    NodeUpdate, StageHooks, StageKind, StageSample,
 };
 pub use stats::EpochStats;
 pub use trace::TraceError;

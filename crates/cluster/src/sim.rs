@@ -2,7 +2,7 @@
 //! the unified [`crate::stagegraph`] core: one nominal storage node, every
 //! sample routed to it.
 
-use crate::stagegraph::{run_stage_graph, FleetNodeConfig, SampleRouting};
+use crate::stagegraph::{run_stage_graph, FleetNodeConfig, SampleRouting, StageHooks};
 use crate::{ClusterConfig, EpochSpec, EpochStats};
 
 /// Errors from epoch simulation.
@@ -135,7 +135,8 @@ impl std::error::Error for SimError {}
 /// [`SimError::NoComputeCores`] when work is routed to an empty pool.
 pub fn simulate_epoch(config: &ClusterConfig, spec: &EpochSpec) -> Result<EpochStats, SimError> {
     let nodes = [FleetNodeConfig::nominal(config)];
-    let run = run_stage_graph(config, &nodes, spec, SampleRouting::SingleNode, None)?;
+    let run =
+        run_stage_graph(config, &nodes, spec, SampleRouting::SingleNode, StageHooks::default())?;
     Ok(run.total_stats())
 }
 
@@ -152,7 +153,8 @@ pub fn simulate_epoch_traced(
 ) -> Result<crate::trace::EpochTrace, SimError> {
     let nodes = [FleetNodeConfig::nominal(config)];
     let mut samples = Vec::with_capacity(spec.samples.len());
-    let run = run_stage_graph(config, &nodes, spec, SampleRouting::SingleNode, Some(&mut samples))?;
+    let hooks = StageHooks { trace: Some(&mut samples), ..StageHooks::default() };
+    let run = run_stage_graph(config, &nodes, spec, SampleRouting::SingleNode, hooks)?;
     Ok(crate::trace::EpochTrace::new(samples, run.total_stats()))
 }
 

@@ -122,7 +122,7 @@ pub fn kill_thresholds(
 
 /// A fault observed while routing samples through the stage graph.
 ///
-/// Emitted through the observer hook of [`run_stage_graph_observed`] the
+/// Emitted through [`StageHooks::fault`] the
 /// moment the router works around a failure, so callers (degraded-mode
 /// replanners, chaos harnesses) can react mid-epoch instead of reading
 /// aggregate counters after the fact.
@@ -150,8 +150,7 @@ pub enum StageKind {
     ComputeCpu,
 }
 
-/// One stage completion, as seen by the observer hook of
-/// [`run_stage_graph_adaptive`].
+/// One stage completion, as seen by [`StageHooks::stage`].
 ///
 /// `service_seconds` is the time the stage actively worked on the sample;
 /// `wait_seconds` is the queueing delay in front of the stage
@@ -191,8 +190,8 @@ pub struct NodeUpdate {
     pub link_bps: Option<f64>,
 }
 
-/// What the per-batch controller hook of [`run_stage_graph_adaptive`] wants
-/// changed before the next batch is issued.
+/// What the per-batch controller hook ([`StageHooks::batch`]) wants changed
+/// before the next batch is issued.
 #[derive(Debug, Clone, Default)]
 pub struct EpochDirective {
     /// Replacement per-sample works (a revised offloading plan lowered to
@@ -322,6 +321,33 @@ impl StageGraphRun {
     }
 }
 
+/// The optional instruments of one [`run_stage_graph`] call. Every field
+/// defaults to `None`, so a plain run passes `StageHooks::default()` and an
+/// instrumented one names only what it wants with struct-update syntax.
+#[derive(Default)]
+pub struct StageHooks<'a> {
+    /// Receives one [`SampleTrace`] per sample, appended in loading order
+    /// (`batch_done` is filled as each batch leaves the GPU).
+    pub trace: Option<&'a mut Vec<SampleTrace>>,
+    /// Invoked once per [`FaultEvent`], in sample-issue order, the moment
+    /// the router works around a failure — *before* the run returns, which
+    /// is what a degraded-mode replanner needs.
+    pub fault: Option<&'a mut dyn FnMut(FaultEvent)>,
+    /// Invoked once per stage completion (read, offloaded CPU, link, local
+    /// CPU) with that stage's service and queueing time — the raw material
+    /// for telemetry rate/drift channels.
+    pub stage: Option<&'a mut dyn FnMut(StageSample)>,
+    /// Invoked before each batch is issued with `(batch, now)` (`now` = the
+    /// previous batch's GPU completion, `0.0` for batch 0); returns an
+    /// [`EpochDirective`]: optional replacement sample works (a revised
+    /// offloading plan lowered to works — only not-yet-issued samples are
+    /// affected) and node resource updates (chaos events or controller
+    /// estimates). This is the simulator analogue of
+    /// `OffloadingLoader::run_epoch_with_replan`'s replan callback, with
+    /// the same batch-boundary granularity.
+    pub batch: Option<&'a mut dyn FnMut(u64, f64) -> EpochDirective>,
+}
+
 /// Simulates one epoch of `spec` over the stage graph defined by `nodes`
 /// and `routing`, with `base` supplying the shared compute side (cores,
 /// GPUs, prefetch window), the nominal storage read rate, and the link
@@ -334,8 +360,10 @@ impl StageGraphRun {
 /// (skipped when fully offloaded), then one GPU step per batch once every
 /// sample of the batch is ready.
 ///
-/// When `trace` is supplied, one [`SampleTrace`] per sample is appended in
-/// loading order (`batch_done` is filled as each batch leaves the GPU).
+/// `hooks` instruments the run (see [`StageHooks`]). Routing is untouched
+/// by batch directives: which node serves a sample never changes
+/// mid-epoch, so sample order — and hence any order-derived batch digest —
+/// is identical under any directive sequence.
 ///
 /// # Errors
 ///
@@ -346,86 +374,16 @@ impl StageGraphRun {
 /// * [`SimError::NoStorageCores`] / [`SimError::NoComputeCores`] — work
 ///   routed to an [`CpuStage::Unused`] stage.
 /// * [`SimError::NoGpus`] — the configuration has zero GPUs.
+/// * [`SimError::WorksMismatch`] — a directive's replacement works are not
+///   parallel to the epoch's samples.
+/// * [`SimError::UpdateOutOfRange`] — a node update names a node outside
+///   the fleet.
 pub fn run_stage_graph(
     base: &ClusterConfig,
     nodes: &[FleetNodeConfig],
     spec: &EpochSpec,
     routing: SampleRouting<'_>,
-    trace: Option<&mut Vec<SampleTrace>>,
-) -> Result<StageGraphRun, SimError> {
-    run_stage_graph_observed(base, nodes, spec, routing, trace, None)
-}
-
-/// [`run_stage_graph`] with a fault observer: `hook` is invoked once per
-/// [`FaultEvent`], in sample-issue order, as the router encounters each
-/// fault. The hook sees events *before* the run returns, which is what a
-/// degraded-mode replanner needs — by the time aggregate counters exist the
-/// epoch is already over.
-///
-/// # Errors
-///
-/// Same conditions as [`run_stage_graph`].
-pub fn run_stage_graph_observed(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    spec: &EpochSpec,
-    routing: SampleRouting<'_>,
-    trace: Option<&mut Vec<SampleTrace>>,
-    hook: Option<&mut dyn FnMut(FaultEvent)>,
-) -> Result<StageGraphRun, SimError> {
-    run_stage_graph_inner(base, nodes, spec, routing, trace, hook, None, None)
-}
-
-/// The fully instrumented, mid-epoch-adaptive stage graph.
-///
-/// Two hooks extend [`run_stage_graph_observed`]:
-///
-/// * `stage_hook` fires once per stage completion (read, offloaded CPU,
-///   link, local CPU) with that stage's service and queueing time — the raw
-///   material for telemetry rate/drift channels.
-/// * `batch_hook` fires before each batch is issued with `(batch, now)`
-///   (`now` = the previous batch's GPU completion, `0.0` for batch 0) and
-///   returns an [`EpochDirective`]: optional replacement sample works (a
-///   revised offloading plan lowered to works — only not-yet-issued samples
-///   are affected) and node resource updates (chaos events or controller
-///   estimates). This is the simulator analogue of
-///   `OffloadingLoader::run_epoch_with_replan`'s replan callback, with the
-///   same batch-boundary granularity.
-///
-/// Routing is untouched by directives: which node serves a sample never
-/// changes mid-epoch, so sample order — and hence any order-derived batch
-/// digest — is identical under any directive sequence.
-///
-/// # Errors
-///
-/// Same conditions as [`run_stage_graph`], plus
-/// [`SimError::WorksMismatch`] when a directive's replacement works are not
-/// parallel to the epoch's samples and [`SimError::UpdateOutOfRange`] when
-/// a node update names a node outside the fleet.
-#[allow(clippy::too_many_arguments)]
-pub fn run_stage_graph_adaptive(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    spec: &EpochSpec,
-    routing: SampleRouting<'_>,
-    trace: Option<&mut Vec<SampleTrace>>,
-    fault_hook: Option<&mut dyn FnMut(FaultEvent)>,
-    stage_hook: Option<&mut dyn FnMut(StageSample)>,
-    batch_hook: Option<&mut dyn FnMut(u64, f64) -> EpochDirective>,
-) -> Result<StageGraphRun, SimError> {
-    run_stage_graph_inner(base, nodes, spec, routing, trace, fault_hook, stage_hook, batch_hook)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_stage_graph_inner(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    spec: &EpochSpec,
-    routing: SampleRouting<'_>,
-    mut trace: Option<&mut Vec<SampleTrace>>,
-    mut hook: Option<&mut dyn FnMut(FaultEvent)>,
-    mut stage_hook: Option<&mut dyn FnMut(StageSample)>,
-    mut batch_hook: Option<&mut dyn FnMut(u64, f64) -> EpochDirective>,
+    mut hooks: StageHooks<'_>,
 ) -> Result<StageGraphRun, SimError> {
     if nodes.is_empty() {
         return Err(SimError::EmptyFleet);
@@ -488,7 +446,7 @@ fn run_stage_graph_inner(
 
     let mut sample_idx = 0usize;
     for batch in 0..batch_count {
-        if let Some(control) = batch_hook.as_deref_mut() {
+        if let Some(control) = hooks.batch.as_deref_mut() {
             let now = if batch > 0 { batch_done[batch - 1] } else { 0.0 };
             let directive = control(batch as u64, now);
             if let Some(works) = directive.works {
@@ -540,7 +498,7 @@ fn run_stage_graph_inner(
                             break;
                         }
                         failovers += 1;
-                        if let Some(observe) = hook.as_deref_mut() {
+                        if let Some(observe) = hooks.fault.as_deref_mut() {
                             observe(FaultEvent::Failover {
                                 sample: sample_idx as u64,
                                 dead_node: owner,
@@ -577,13 +535,13 @@ fn run_stage_graph_inner(
             // 1. storage read on the serving node (scaled by its speed).
             let read_s = w.transfer_bytes as f64 / (base.storage_read_bytes_per_sec * speed);
             let read_done = reads[node].run(gate, read_s);
-            observe_stage(&mut stage_hook, StageKind::Read, gate, read_done, read_s);
+            observe_stage(&mut hooks.stage, StageKind::Read, gate, read_done, read_s);
             // 2. offloaded preprocessing on the serving node's CPU stage.
             let offload_done = if w.storage_cpu_seconds > 0.0 {
                 let service = w.storage_cpu_seconds / speed;
                 let done =
                     storage_cpus[node].run(read_done, service).ok_or(SimError::NoStorageCores)?;
-                observe_stage(&mut stage_hook, StageKind::StorageCpu, read_done, done, service);
+                observe_stage(&mut hooks.stage, StageKind::StorageCpu, read_done, done, service);
                 done
             } else {
                 read_done
@@ -597,7 +555,7 @@ fn run_stage_graph_inner(
                 links[node].bandwidth().transfer_seconds(w.transfer_bytes) + base.link_latency;
             let transfer_done = links[node].transfer(offload_done, w.transfer_bytes);
             observe_stage(
-                &mut stage_hook,
+                &mut hooks.stage,
                 StageKind::Link,
                 offload_done,
                 transfer_done,
@@ -609,7 +567,7 @@ fn run_stage_graph_inner(
                     .run(transfer_done, w.compute_cpu_seconds)
                     .ok_or(SimError::NoComputeCores)?;
                 observe_stage(
-                    &mut stage_hook,
+                    &mut hooks.stage,
                     StageKind::ComputeCpu,
                     transfer_done,
                     done,
@@ -620,7 +578,7 @@ fn run_stage_graph_inner(
                 transfer_done
             };
             batch_ready = batch_ready.max(local_done);
-            if let Some(t) = trace.as_deref_mut() {
+            if let Some(t) = hooks.trace.as_deref_mut() {
                 t.push(SampleTrace {
                     sample: sample_idx as u64,
                     batch: batch as u64,
@@ -637,7 +595,7 @@ fn run_stage_graph_inner(
         // 5. GPU step for the batch.
         let gpu_s = gpu_seconds_per_image * in_batch as f64;
         batch_done[batch] = gpu.run(batch_ready, gpu_s);
-        if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = hooks.trace.as_deref_mut() {
             for entry in t.iter_mut().rev() {
                 if entry.batch != batch as u64 {
                     break;
@@ -693,8 +651,14 @@ mod tests {
 
     #[test]
     fn empty_fleet_is_a_typed_error() {
-        let err =
-            run_stage_graph(&base(), &[], &spec(4), SampleRouting::SingleNode, None).unwrap_err();
+        let err = run_stage_graph(
+            &base(),
+            &[],
+            &spec(4),
+            SampleRouting::SingleNode,
+            StageHooks::default(),
+        )
+        .unwrap_err();
         assert_eq!(err, SimError::EmptyFleet);
     }
 
@@ -708,7 +672,7 @@ mod tests {
             &nodes,
             &spec(4),
             SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-            None,
+            StageHooks::default(),
         )
         .unwrap_err();
         assert_eq!(err, SimError::OwnersMismatch { owners: 3, samples: 4 });
@@ -724,7 +688,7 @@ mod tests {
             &nodes,
             &spec(4),
             SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-            None,
+            StageHooks::default(),
         )
         .unwrap_err();
         assert_eq!(err, SimError::OwnerOutOfRange { sample: 1, owner: 7, nodes: 1 });
@@ -746,13 +710,12 @@ mod tests {
         let dead = [usize::MAX, 2];
         let mut events = Vec::new();
         let mut hook = |e: FaultEvent| events.push(e);
-        let run = run_stage_graph_observed(
+        let run = run_stage_graph(
             &base(),
             &nodes,
             &spec(4),
             SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-            None,
-            Some(&mut hook),
+            StageHooks { fault: Some(&mut hook), ..StageHooks::default() },
         )
         .unwrap();
         assert_eq!(run.failovers, 2);
@@ -775,29 +738,10 @@ mod tests {
             &nodes,
             &spec(4),
             SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-            None,
+            StageHooks::default(),
         )
         .unwrap_err();
         assert_eq!(err, SimError::ThresholdsMismatch { thresholds: 1, nodes: 2 });
-    }
-
-    #[test]
-    fn adaptive_without_hooks_matches_plain_run() {
-        let nodes = [FleetNodeConfig::nominal(&base())];
-        let s = spec(64);
-        let plain = run_stage_graph(&base(), &nodes, &s, SampleRouting::SingleNode, None).unwrap();
-        let adaptive = run_stage_graph_adaptive(
-            &base(),
-            &nodes,
-            &s,
-            SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain, adaptive);
     }
 
     #[test]
@@ -806,15 +750,12 @@ mod tests {
         let s = spec(8);
         let mut samples = Vec::new();
         let mut hook = |e: StageSample| samples.push(e);
-        run_stage_graph_adaptive(
+        run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            Some(&mut hook),
-            None,
+            StageHooks { stage: Some(&mut hook), ..StageHooks::default() },
         )
         .unwrap();
         // Every sample offloads and preprocesses locally: 4 stages each.
@@ -841,15 +782,12 @@ mod tests {
                 EpochDirective::default()
             }
         };
-        let run = run_stage_graph_adaptive(
+        let run = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            Some(&mut hook),
+            StageHooks { batch: Some(&mut hook), ..StageHooks::default() },
         )
         .unwrap();
         // Batches 0-1 moved 100 KB per sample, batches 2-3 moved 10 KB.
@@ -862,7 +800,8 @@ mod tests {
         let nodes = [FleetNodeConfig::nominal(&base())];
         let s = spec(128);
         let baseline =
-            run_stage_graph(&base(), &nodes, &s, SampleRouting::SingleNode, None).unwrap();
+            run_stage_graph(&base(), &nodes, &s, SampleRouting::SingleNode, StageHooks::default())
+                .unwrap();
         let mut hook = |batch: u64, _now: f64| -> EpochDirective {
             let mut d = EpochDirective::default();
             if batch == 2 {
@@ -875,15 +814,12 @@ mod tests {
             }
             d
         };
-        let squeezed = run_stage_graph_adaptive(
+        let squeezed = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            Some(&mut hook),
+            StageHooks { batch: Some(&mut hook), ..StageHooks::default() },
         )
         .unwrap();
         assert!(
@@ -903,15 +839,12 @@ mod tests {
                 }],
             }
         };
-        let unchanged = run_stage_graph_adaptive(
+        let unchanged = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            Some(&mut bad),
+            StageHooks { batch: Some(&mut bad), ..StageHooks::default() },
         )
         .unwrap();
         assert_eq!(unchanged, baseline);
@@ -927,15 +860,12 @@ mod tests {
                 node_updates: Vec::new(),
             }
         };
-        let err = run_stage_graph_adaptive(
+        let err = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            Some(&mut short),
+            StageHooks { batch: Some(&mut short), ..StageHooks::default() },
         )
         .unwrap_err();
         assert_eq!(err, SimError::WorksMismatch { got: 3, samples: 8 });
@@ -946,15 +876,12 @@ mod tests {
                 node_updates: vec![NodeUpdate { node: 5, speed: Some(1.0), link_bps: None }],
             }
         };
-        let err = run_stage_graph_adaptive(
+        let err = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            None,
-            None,
-            None,
-            Some(&mut oob),
+            StageHooks { batch: Some(&mut oob), ..StageHooks::default() },
         )
         .unwrap_err();
         assert_eq!(err, SimError::UpdateOutOfRange { node: 5, nodes: 1 });
@@ -966,13 +893,15 @@ mod tests {
         let owners = vec![vec![0usize]; 64];
         let dead = [usize::MAX];
         let s = spec(64);
-        let single = run_stage_graph(&base(), &nodes, &s, SampleRouting::SingleNode, None).unwrap();
+        let single =
+            run_stage_graph(&base(), &nodes, &s, SampleRouting::SingleNode, StageHooks::default())
+                .unwrap();
         let routed = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-            None,
+            StageHooks::default(),
         )
         .unwrap();
         assert_eq!(single, routed);

@@ -227,12 +227,12 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
                 for s in &r.per_shard {
                     println!(
                         "{:<8} {:>9} {:>8} {:>11} {:>18.2} {:>16.1}",
-                        format!("node{}", s.residual.shard),
-                        s.residual.samples,
+                        format!("node{}", s.shard),
+                        s.samples,
                         s.cached_samples,
-                        s.residual.offloaded_samples,
-                        s.residual.transfer_bytes as f64 / 1e9,
-                        s.residual.storage_cpu_seconds,
+                        s.offloaded_samples,
+                        s.transfer_bytes as f64 / 1e9,
+                        s.storage_cpu_seconds,
                     );
                 }
                 println!(

@@ -9,13 +9,13 @@
 //!   single storage node of the paper testbed, or one fleet node's own
 //!   cores and link).
 //!
-//! [`DecisionEngine::plan_scoped_with_trace`] is the general entry point;
-//! [`DecisionEngine::plan_with_trace`] (full universe, config budget) and
-//! [`DecisionEngine::plan_residual_with_trace`] (filtered universe, config
-//! budget) are the historical configurations of it, and the `ext` planners
-//! compose universes with budgets: `ext::sharding` runs one pass per shard
-//! slice against that node's budget, `ext::caching` one pass over the
-//! uncached residual, and `ext::fleet_caching` both at once.
+//! [`DecisionEngine::plan_scoped_with_trace`] is the general entry point. It
+//! has two callers: [`DecisionEngine::plan_with_trace`] (full universe,
+//! config budget — the paper's two-node testbed) and
+//! `ext::sharding::plan_fleet`, which runs one pass per shard over that
+//! shard's uncached residual against that node's budget. Fleet size, cache
+//! contents, node health, node speed and the fidelity floor are all inputs
+//! of that one fleet planner, not planners of their own.
 
 use cluster::{ClusterConfig, FleetNodeConfig, GpuModel};
 use pipeline::{Modality, SampleProfile};
@@ -37,8 +37,7 @@ pub const INFEASIBLE_SECONDS: f64 = 1e18;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceBudget {
     /// Effective storage cores available to offloaded work — physical
-    /// cores scaled by node speed and the context's
-    /// `storage_speed_factor`. Zero disables offloading.
+    /// cores scaled by node speed. Zero disables offloading.
     pub storage_cores: f64,
     /// Compute-node cores the residual preprocessing shares (already
     /// clamped to at least 1).
@@ -53,18 +52,19 @@ impl ResourceBudget {
     /// testbed).
     pub fn of_context(ctx: &PlanningContext<'_>) -> ResourceBudget {
         ResourceBudget {
-            storage_cores: ctx.config.storage_cores as f64 * ctx.storage_speed_factor,
+            storage_cores: ctx.config.storage_cores as f64,
             compute_cores: ctx.config.compute_cores.max(1) as f64,
             link_bps: ctx.config.link_bps,
         }
     }
 
-    /// The budget of one fleet node: its own cores (scaled by its speed
-    /// and the context's `storage_speed_factor`) and its own link; the
-    /// compute side stays the job-wide one, since all shards share it.
+    /// The budget of one fleet node: its own cores scaled by its speed (a
+    /// storage core running at `speed`× a compute core — `1.0` is the
+    /// paper's identical-CPU assumption) and its own link; the compute
+    /// side stays the job-wide one, since all shards share it.
     pub fn of_node(node: &FleetNodeConfig, ctx: &PlanningContext<'_>) -> ResourceBudget {
         ResourceBudget {
-            storage_cores: node.storage_cores as f64 * node.speed * ctx.storage_speed_factor,
+            storage_cores: node.storage_cores as f64 * node.speed,
             compute_cores: ctx.config.compute_cores.max(1) as f64,
             link_bps: node.link_bps,
         }
@@ -75,14 +75,13 @@ impl ResourceBudget {
 ///
 /// Index-based variants must be ascending for the engine's tie-breaking to
 /// stay deterministic (equal-efficiency samples are taken in index order).
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub enum SampleUniverse<'a> {
     /// Every sample of the context.
     All,
-    /// An explicit ascending index set — e.g. one shard's primaries.
+    /// An explicit ascending index set — e.g. one shard's uncached
+    /// residual.
     Indices(&'a [usize]),
-    /// Samples for which the predicate holds — e.g. the uncached residual.
-    Filtered(&'a dyn Fn(usize) -> bool),
 }
 
 impl SampleUniverse<'_> {
@@ -92,19 +91,6 @@ impl SampleUniverse<'_> {
         match self {
             SampleUniverse::All => (0..n).collect(),
             SampleUniverse::Indices(ix) => ix.to_vec(),
-            SampleUniverse::Filtered(f) => (0..n).filter(|&i| f(i)).collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for SampleUniverse<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SampleUniverse::All => write!(f, "SampleUniverse::All"),
-            SampleUniverse::Indices(ix) => {
-                write!(f, "SampleUniverse::Indices({} samples)", ix.len())
-            }
-            SampleUniverse::Filtered(_) => write!(f, "SampleUniverse::Filtered(..)"),
         }
     }
 }
@@ -124,10 +110,6 @@ pub struct PlanningContext<'a> {
     pub gpu: GpuModel,
     /// Training batch size.
     pub batch_size: usize,
-    /// Storage-node core speed relative to compute-node cores
-    /// (1.0 = identical CPUs, the paper's assumption; the heterogeneous-CPU
-    /// extension sets other values).
-    pub storage_speed_factor: f64,
 }
 
 impl<'a> PlanningContext<'a> {
@@ -142,7 +124,7 @@ impl<'a> PlanningContext<'a> {
         gpu: GpuModel,
         batch_size: usize,
     ) -> PlanningContext<'a> {
-        PlanningContext { profiles, modality, config, gpu, batch_size, storage_speed_factor: 1.0 }
+        PlanningContext { profiles, modality, config, gpu, batch_size }
     }
 
     /// GPU seconds for one epoch (`T_G`), accounting for data-parallel
@@ -159,7 +141,7 @@ impl<'a> PlanningContext<'a> {
     pub fn costs_for_plan(&self, plan: &OffloadPlan) -> Result<CostVector, SophonError> {
         let summary = plan.summarize(self.profiles)?;
         let t_cc = summary.compute_cpu_seconds / self.config.compute_cores.max(1) as f64;
-        let storage_capacity = self.config.storage_cores as f64 * self.storage_speed_factor;
+        let storage_capacity = self.config.storage_cores as f64;
         let t_cs = if summary.storage_cpu_seconds == 0.0 {
             0.0
         } else if storage_capacity <= 0.0 {
@@ -178,34 +160,6 @@ impl<'a> PlanningContext<'a> {
     pub fn baseline_costs(&self) -> CostVector {
         self.costs_for_plan(&OffloadPlan::none(self.profiles.len()))
             .expect("none-plan always matches profiles")
-    }
-
-    /// The `No-Off` baseline over an arbitrary universe and budget: only
-    /// the universe's samples contribute GPU, compute-CPU, and network
-    /// time, and the network time is priced against the budget's link.
-    ///
-    /// `baseline_costs` is the `All`-universe, context-budget case.
-    pub fn baseline_costs_scoped(
-        &self,
-        universe: SampleUniverse<'_>,
-        budget: &ResourceBudget,
-    ) -> CostVector {
-        let members = universe.members(self.profiles.len());
-        let t_g =
-            members.len() as f64 * self.gpu.seconds_per_image() / self.config.gpus.max(1) as f64;
-        let mut compute_seconds = 0.0;
-        let mut net_bytes = 0u64;
-        for &i in &members {
-            let p = &self.profiles[i];
-            compute_seconds += p.total_seconds();
-            net_bytes += p.size_at(0);
-        }
-        CostVector::new(
-            t_g,
-            compute_seconds / budget.compute_cores,
-            0.0,
-            net_bytes as f64 * 8.0 / budget.link_bps,
-        )
     }
 }
 
@@ -238,29 +192,10 @@ impl DecisionEngine {
     /// Computes the offload plan and the cost-vector trajectory (one entry
     /// per applied sample, starting with the baseline).
     pub fn plan_with_trace(&self, ctx: &PlanningContext<'_>) -> (OffloadPlan, Vec<CostVector>) {
-        self.plan_residual_with_trace(ctx, ctx.baseline_costs(), &|_| true)
-    }
-
-    /// The greedy pass over an arbitrary starting point: begins from
-    /// `baseline` (rather than the all-local cost vector) and considers
-    /// only samples for which `eligible` returns true.
-    ///
-    /// This is the hook for planners that have already disposed of part of
-    /// the sample set by other means — notably `ext::caching`, where
-    /// cached samples contribute zero network time to the baseline and the
-    /// greedy runs over the residual (uncached) set only. `plan_with_trace`
-    /// is the degenerate case: every sample eligible, baseline =
-    /// [`PlanningContext::baseline_costs`].
-    pub fn plan_residual_with_trace(
-        &self,
-        ctx: &PlanningContext<'_>,
-        baseline: CostVector,
-        eligible: &dyn Fn(usize) -> bool,
-    ) -> (OffloadPlan, Vec<CostVector>) {
         self.plan_scoped_with_trace(
             ctx,
-            SampleUniverse::Filtered(eligible),
-            baseline,
+            SampleUniverse::All,
+            ctx.baseline_costs(),
             &ResourceBudget::of_context(ctx),
         )
     }
@@ -268,10 +203,9 @@ impl DecisionEngine {
     /// The fully general greedy pass: decides only `universe`'s samples,
     /// prices offloads against `budget`, and starts from `baseline`.
     ///
-    /// All other planning entry points are configurations of this one —
-    /// the universe and the budget vary independently, which is what lets
+    /// The universe and the budget vary independently, which is what lets
     /// caching (residual universe) and sharding (per-shard universe,
-    /// per-node budget) compose.
+    /// per-node budget) compose inside `ext::sharding::plan_fleet`.
     pub fn plan_scoped_with_trace(
         &self,
         ctx: &PlanningContext<'_>,

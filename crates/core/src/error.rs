@@ -15,6 +15,16 @@ pub enum SophonError {
         /// Number of plan entries.
         plan: usize,
     },
+    /// An input of the fleet planner is not parallel to what it describes
+    /// (the shard map's nodes, or the corpus).
+    FleetMismatch {
+        /// Which input disagreed, and with what.
+        what: &'static str,
+        /// Entries it needed.
+        expected: usize,
+        /// Entries it had.
+        got: usize,
+    },
     /// A policy produced a split outside the pipeline.
     BadSplit {
         /// Offending sample.
@@ -34,6 +44,9 @@ impl std::fmt::Display for SophonError {
             SophonError::Audio(e) => write!(f, "audio profiling failed: {e}"),
             SophonError::PlanMismatch { profiles, plan } => {
                 write!(f, "plan has {plan} entries for {profiles} profiles")
+            }
+            SophonError::FleetMismatch { what, expected, got } => {
+                write!(f, "{what} has {got} entries, expected {expected}")
             }
             SophonError::BadSplit { sample_id, split, len } => {
                 write!(f, "sample {sample_id}: split {split} exceeds pipeline length {len}")

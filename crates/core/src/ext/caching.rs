@@ -9,12 +9,13 @@
 //!    epoch-stable* representation (encoded bytes for the standard
 //!    training pipeline — rasters are bigger) and, in every warm epoch,
 //!    saves the wire bytes the no-cache plan would have shipped for it.
-//! 2. **Re-plan the residual** — [`plan_with_cache`] rebuilds the baseline
-//!    cost vector with cached samples contributing **zero `T_Net`** and
-//!    only suffix compute, then re-runs the greedy engine over the
-//!    uncached residual via
-//!    [`DecisionEngine::plan_residual_with_trace`]. Offload capacity the
-//!    cache frees up flows to samples the cache couldn't afford.
+//! 2. **Re-plan the residual** — hand the assignment to
+//!    [`crate::ext::sharding::plan_fleet`] as its `cache` input: each
+//!    shard's baseline ([`warm_baseline_costs_scoped`]) has cached samples
+//!    contributing **zero `T_Net`** and only suffix compute, and the greedy
+//!    engine runs over the uncached residual. Offload capacity the cache
+//!    frees up flows to samples the cache couldn't afford. A single
+//!    storage node is the one-shard fleet.
 //! 3. **Simulate** — [`warm_sample_works`] translates the combined plan
 //!    into per-sample demands for the cluster simulator: cached samples
 //!    have no storage time and no transfer; only their local suffix
@@ -30,7 +31,6 @@
 //! expensive-to-ship samples win the budget.
 
 use cluster::SampleWork;
-use pipeline::SplitPoint;
 
 use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};
 use crate::{CostVector, OffloadPlan, SophonError};
@@ -75,6 +75,17 @@ pub struct CacheAssignment {
 }
 
 impl CacheAssignment {
+    /// The assignment that caches nothing, for any corpus size (lookups
+    /// past the end read as "not cached").
+    pub(crate) fn none() -> CacheAssignment {
+        CacheAssignment {
+            cached_stage: Vec::new(),
+            cached_bytes: 0,
+            budget_bytes: 0,
+            warm_bytes_saved: 0,
+        }
+    }
+
     /// Whether sample `i` is cached.
     pub fn is_cached(&self, i: usize) -> bool {
         self.cached_stage.get(i).is_some_and(|s| s.is_some())
@@ -156,21 +167,12 @@ pub fn choose_cache_contents(
     CacheAssignment { cached_stage, cached_bytes, budget_bytes, warm_bytes_saved }
 }
 
-/// The warm-epoch baseline: cached samples contribute suffix compute only
-/// (zero transfer, zero storage time); uncached samples ship raw.
-pub fn warm_baseline_costs(ctx: &PlanningContext<'_>, assignment: &CacheAssignment) -> CostVector {
-    warm_baseline_costs_scoped(
-        ctx,
-        assignment,
-        SampleUniverse::All,
-        &ResourceBudget::of_context(ctx),
-    )
-}
-
-/// [`warm_baseline_costs`] over an arbitrary universe and budget — e.g.
-/// one shard's primaries against that node's own link, the building block
-/// of `ext::fleet_caching`. Only the universe's samples contribute GPU,
-/// compute, and network time.
+/// The warm-epoch baseline over a universe and a budget — e.g. one shard's
+/// primaries against that node's own link: cached samples contribute
+/// suffix compute only (zero transfer, zero storage time), uncached
+/// samples ship raw, and only the universe's samples contribute GPU,
+/// compute, and network time. With nothing cached this is the `No-Off`
+/// baseline of that universe.
 pub fn warm_baseline_costs_scoped(
     ctx: &PlanningContext<'_>,
     assignment: &CacheAssignment,
@@ -199,27 +201,6 @@ pub fn warm_baseline_costs_scoped(
     )
 }
 
-/// Plans a warm epoch around the cache: greedy offloading over the
-/// uncached residual, cached samples pinned to their cached stage.
-///
-/// The returned plan is directly loadable — a loader driving a
-/// `CachingTransport` will request each cached sample at exactly the split
-/// whose payload the cache holds, so every such fetch is a local hit.
-pub fn plan_with_cache(
-    ctx: &PlanningContext<'_>,
-    assignment: &CacheAssignment,
-) -> (OffloadPlan, Vec<CostVector>) {
-    let baseline = warm_baseline_costs(ctx, assignment);
-    let (mut plan, trace) = DecisionEngine::new()
-        .plan_residual_with_trace(ctx, baseline, &|i| !assignment.is_cached(i));
-    for i in 0..ctx.profiles.len() {
-        if let Some(stage) = assignment.cached_stage(i) {
-            plan.set_split(i, SplitPoint::new(stage));
-        }
-    }
-    (plan, trace)
-}
-
 /// Translates a cache-aware plan into warm-epoch demands for the cluster
 /// simulator: cached samples cost only their local suffix; the residual
 /// follows the plan as usual.
@@ -246,9 +227,9 @@ pub fn warm_sample_works(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{simulate_epoch, ClusterConfig, EpochSpec, GpuModel};
+    use cluster::{ClusterConfig, GpuModel};
     use datasets::DatasetSpec;
-    use pipeline::{CostModel, PipelineSpec, SampleProfile};
+    use pipeline::{CostModel, PipelineSpec, SampleProfile, SplitPoint};
 
     fn setup() -> (Vec<SampleProfile>, PipelineSpec, ClusterConfig) {
         let ds = DatasetSpec::openimages_like(1200, 9);
@@ -283,18 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn full_budget_caches_everything_and_zeroes_warm_traffic() {
-        let (ps, pipeline, config) = setup();
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let a = choose_cache_contents(&ctx, corpus_bytes(&ps), CacheSelection::EfficiencyAware);
-        assert_eq!(a.cached_samples(), ps.len());
-        let (plan, _) = plan_with_cache(&ctx, &a);
-        let works = warm_sample_works(&ctx, &plan, &a).unwrap();
-        let traffic: u64 = works.iter().map(|w| w.transfer_bytes).sum();
-        assert_eq!(traffic, 0, "a fully-cached corpus must need zero warm wire bytes");
-    }
-
-    #[test]
     fn cached_stages_are_epoch_stable() {
         let (ps, pipeline, config) = setup();
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
@@ -310,82 +279,18 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_aware_beats_arrival_on_residual_traffic() {
-        let (ps, pipeline, config) = setup();
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        for pct in [10u64, 30, 60] {
-            let budget = corpus_bytes(&ps) * pct / 100;
-            let traffic = |sel| {
-                let a = choose_cache_contents(&ctx, budget, sel);
-                let (plan, _) = plan_with_cache(&ctx, &a);
-                let works = warm_sample_works(&ctx, &plan, &a).unwrap();
-                works.iter().map(|w| w.transfer_bytes).sum::<u64>()
-            };
-            let eff = traffic(CacheSelection::EfficiencyAware);
-            let lru = traffic(CacheSelection::Arrival);
-            assert!(eff <= lru, "at {pct}% budget efficiency-aware shipped {eff} vs arrival {lru}");
-        }
-    }
-
-    #[test]
-    fn warm_epoch_is_never_slower_than_no_cache() {
-        let (ps, pipeline, config) = setup();
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let (no_cache_plan, _) = DecisionEngine::new().plan_with_trace(&ctx);
-        let base_works = no_cache_plan.to_sample_works(&ps).unwrap();
-        let base =
-            simulate_epoch(&config, &EpochSpec::new(base_works, 256, GpuModel::AlexNet)).unwrap();
-
-        let a = choose_cache_contents(
-            &ctx,
-            corpus_bytes(&ps) * 30 / 100,
-            CacheSelection::EfficiencyAware,
-        );
-        let (plan, _) = plan_with_cache(&ctx, &a);
-        let works = warm_sample_works(&ctx, &plan, &a).unwrap();
-        let warm = simulate_epoch(&config, &EpochSpec::new(works, 256, GpuModel::AlexNet)).unwrap();
-        assert!(
-            warm.epoch_seconds <= base.epoch_seconds * 1.0001,
-            "warm {} vs no-cache {}",
-            warm.epoch_seconds,
-            base.epoch_seconds
-        );
-        assert!(warm.traffic_bytes < base.traffic_bytes);
-    }
-
-    #[test]
-    fn residual_plan_never_offloads_cached_samples() {
-        let (ps, pipeline, config) = setup();
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let a = choose_cache_contents(
-            &ctx,
-            corpus_bytes(&ps) * 30 / 100,
-            CacheSelection::EfficiencyAware,
-        );
-        let (plan, trace) = plan_with_cache(&ctx, &a);
-        assert!(!trace.is_empty());
-        for i in 0..ps.len() {
-            if let Some(stage) = a.cached_stage(i) {
-                assert_eq!(plan.split(i).offloaded_ops(), stage);
-            }
-        }
-    }
-
-    #[test]
     fn warm_baseline_reflects_only_uncached_transfers() {
         let (ps, pipeline, config) = setup();
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let none = CacheAssignment {
-            cached_stage: vec![None; ps.len()],
-            cached_bytes: 0,
-            budget_bytes: 0,
-            warm_bytes_saved: 0,
+        let whole_testbed = |a: &CacheAssignment| {
+            let budget = ResourceBudget::of_context(&ctx);
+            warm_baseline_costs_scoped(&ctx, a, SampleUniverse::All, &budget)
         };
-        let cold = warm_baseline_costs(&ctx, &none);
+        let cold = whole_testbed(&CacheAssignment::none());
         let no_cache = ctx.baseline_costs();
         assert!((cold.t_net - no_cache.t_net).abs() < 1e-9);
         let all = choose_cache_contents(&ctx, corpus_bytes(&ps), CacheSelection::Arrival);
-        let warm = warm_baseline_costs(&ctx, &all);
+        let warm = whole_testbed(&all);
         assert_eq!(warm.t_net, 0.0);
     }
 }

@@ -88,8 +88,7 @@ impl CompressionExt {
         let bytes_before: u64 = works.iter().map(|w| w.transfer_bytes).sum();
         let mut costs = ctx.costs_for_plan(plan)?;
 
-        let storage_cores =
-            (ctx.config.storage_cores as f64 * ctx.storage_speed_factor).max(f64::MIN_POSITIVE);
+        let storage_cores = (ctx.config.storage_cores as f64).max(f64::MIN_POSITIVE);
         let compute_cores = ctx.config.compute_cores.max(1) as f64;
         let bw = ctx.config.link_bps;
 

@@ -14,7 +14,7 @@
 //! revised FleetNodeConfigs ◀── FeedbackController ◀── CusumDetector trip
 //!      │  (cooldown-gated)
 //!      ▼
-//! plan_for_fleet_with_nodes ──▶ EpochDirective.works (next batch on)
+//! sharding::plan_fleet      ──▶ EpochDirective.works (next batch on)
 //! ```
 //!
 //! Every channel is a *ratio*: observed stage service time divided by the
@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 
 use cluster::stagegraph::SampleRouting;
 use cluster::{
-    run_stage_graph_adaptive, EpochDirective, EpochSpec, FleetNodeConfig, NodeUpdate, StageKind,
+    run_stage_graph, EpochDirective, EpochSpec, FleetNodeConfig, NodeUpdate, StageHooks, StageKind,
     StageSample,
 };
 use fleet::ShardMap;
@@ -54,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use telemetry::{CusumDetector, DriftConfig, TelemetryHub};
 
 use crate::engine::PlanningContext;
-use crate::ext::sharding::{owner_lists, plan_for_fleet_with_nodes};
+use crate::ext::sharding::{owner_lists, plan_fleet, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
 /// Tuning of the [`FeedbackController`].
@@ -491,7 +491,7 @@ fn fnv_fold(digest: &mut u64, value: u64) {
 /// under the `chaos` disturbance schedule — statically when `feedback` is
 /// `None`, feedback-controlled when `Some`.
 ///
-/// The initial plan is always [`plan_for_fleet_with_nodes`] against the
+/// The initial plan is always [`plan_fleet`] against the
 /// *nominal* nodes — neither run knows the chaos schedule. The adaptive
 /// run additionally instruments every stage, detects drift, and swaps in
 /// plans recomputed against the estimated (post-disturbance) node
@@ -499,8 +499,9 @@ fn fnv_fold(digest: &mut u64, value: u64) {
 ///
 /// # Errors
 ///
-/// Propagates planning errors ([`SophonError::PlanMismatch`] /
-/// [`SophonError::BadSplit`]) and simulation errors ([`SophonError::Sim`]).
+/// Propagates planning errors ([`SophonError::FleetMismatch`] /
+/// [`SophonError::PlanMismatch`]) and simulation errors
+/// ([`SophonError::Sim`]).
 pub fn run_fleet_epoch_adaptive(
     ctx: &PlanningContext<'_>,
     map: &ShardMap,
@@ -509,7 +510,7 @@ pub fn run_fleet_epoch_adaptive(
     feedback: Option<&FeedbackConfig>,
 ) -> Result<AdaptiveEpochReport, SophonError> {
     let n = ctx.profiles.len();
-    let sharded = plan_for_fleet_with_nodes(ctx, map, nodes)?;
+    let sharded = plan_fleet(ctx, &FleetPlanRequest::new(map, nodes))?;
     let works = sharded.plan.to_sample_works(ctx.profiles)?;
     let spec = EpochSpec::new(works.clone(), ctx.batch_size, ctx.gpu);
     let owners = owner_lists(map, n);
@@ -615,7 +616,7 @@ pub fn run_fleet_epoch_adaptive(
                 }
             })
             .collect();
-        let replanned = plan_for_fleet_with_nodes(ctx, map, &revised).and_then(|p| {
+        let replanned = plan_fleet(ctx, &FleetPlanRequest::new(map, &revised)).and_then(|p| {
             let mut new_works = p.plan.to_sample_works(ctx.profiles)?;
             let mut fidelity = vec![1.0; new_works.len()];
             for (s, w) in new_works.iter_mut().enumerate() {
@@ -656,15 +657,16 @@ pub fn run_fleet_epoch_adaptive(
         directive
     };
 
-    let run = run_stage_graph_adaptive(
+    let run = run_stage_graph(
         base,
         nodes,
         &spec,
         SampleRouting::ReplicaFailover { owners: &owners, dead_from: &dead },
-        None,
-        None,
-        Some(&mut stage_hook),
-        Some(&mut batch_hook),
+        StageHooks {
+            stage: Some(&mut stage_hook),
+            batch: Some(&mut batch_hook),
+            ..StageHooks::default()
+        },
     )?;
     let st = state.into_inner();
     if let Some(e) = st.error {

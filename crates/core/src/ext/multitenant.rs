@@ -221,66 +221,9 @@ pub fn allocate_cores_and_bandwidth(
         .collect())
 }
 
-/// Splits one shared [`ResourceBudget`](crate::engine::ResourceBudget) —
-/// the storage node every tenant's
-/// offloaded work lands on — across jobs, returning each tenant's grant
-/// *and* the offload plan it should run under that grant.
-///
-/// This is the planning-side counterpart of
-/// `cluster::simulate_multi_tenant`: the same greedy water-filling as
-/// [`allocate_cores_and_bandwidth`], but taking the budget in the planner's
-/// own currency (the `ResourceBudget` the scoped engine passes around) and
-/// finishing the job by materializing per-tenant plans, so callers get a
-/// deployable `(grant, plan)` pair per tenant instead of bare numbers.
-///
-/// Fractional budget cores are floored (a shared core cannot be granted
-/// twice); bandwidth is dealt in `bandwidth_unit_bps` slices with one
-/// seed slice per job.
-///
-/// # Errors
-///
-/// Propagates planning failures.
-///
-/// # Panics
-///
-/// Panics when the bandwidth budget cannot give every job one unit, or the
-/// unit is not positive.
-pub fn plan_shared_budget(
-    jobs: &[TenantJob],
-    budget: &crate::engine::ResourceBudget,
-    bandwidth_unit_bps: f64,
-) -> Result<Vec<(ResourceAllocation, OffloadPlan)>, SophonError> {
-    let allocs = allocate_cores_and_bandwidth(
-        jobs,
-        budget.storage_cores.floor().max(0.0) as usize,
-        budget.link_bps,
-        bandwidth_unit_bps,
-    )?;
-    allocs
-        .into_iter()
-        .zip(jobs)
-        .map(|(alloc, job)| {
-            let config = job
-                .config
-                .with_storage_cores(alloc.cores)
-                .with_bandwidth(netsim::Bandwidth::from_bps(alloc.bandwidth_bps));
-            let ctx = PlanningContext::new(
-                &job.profiles,
-                &job.pipeline,
-                &config,
-                job.gpu,
-                job.batch_size,
-            );
-            let plan = DecisionEngine::new().plan(&ctx);
-            Ok((alloc, plan))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ResourceBudget;
     use cluster::ClusterConfig;
     use datasets::DatasetSpec;
     use pipeline::CostModel;
@@ -375,29 +318,6 @@ mod tests {
             job("b", DatasetSpec::mini(10, 2), GpuModel::AlexNet),
         ];
         let _ = allocate_cores_and_bandwidth(&jobs, 1, 100e6, 100e6);
-    }
-
-    #[test]
-    fn shared_budget_plans_stay_within_the_budget() {
-        let jobs = vec![
-            job("io-bound", DatasetSpec::openimages_like(800, 6), GpuModel::AlexNet),
-            job("gpu-bound", DatasetSpec::imagenet_like(800, 7), GpuModel::ResNet50),
-        ];
-        let budget = ResourceBudget { storage_cores: 8.9, compute_cores: 48.0, link_bps: 1_000e6 };
-        let planned = plan_shared_budget(&jobs, &budget, 100e6).unwrap();
-        assert_eq!(planned.len(), jobs.len());
-        let cores: usize = planned.iter().map(|(a, _)| a.cores).sum();
-        let bw: f64 = planned.iter().map(|(a, _)| a.bandwidth_bps).sum();
-        assert!(cores <= 8, "fractional budget cores must floor: granted {cores}");
-        assert!(bw <= budget.link_bps + 1.0);
-        // Each plan is deployable: decided for every one of the job's samples.
-        for ((_, plan), job) in planned.iter().zip(&jobs) {
-            assert_eq!(plan.len(), job.profiles.len());
-        }
-        // The IO-bound job's grant actually offloads something.
-        let (io_alloc, io_plan) = &planned[0];
-        assert!(io_alloc.cores > 0);
-        assert!(io_plan.offloaded_samples() > 0);
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! * [`runner`] — end-to-end experiment driver: corpus → profiles → plan →
 //!   simulated epoch, producing the numbers in Figures 3 and 4.
 //! * [`ext`] — the paper's future-work extensions, implemented: selective
-//!   re-compression of offloaded samples, heterogeneous CPU speeds, and a
-//!   multi-tenant storage-CPU scheduler.
+//!   re-compression of offloaded samples, a multi-tenant storage-CPU
+//!   scheduler, and the one fleet planner ([`ext::sharding::plan_fleet`])
+//!   whose inputs cover sharding, heterogeneous CPU speeds, the
+//!   near-compute cache, degraded nodes and the fidelity floor.
 //!
 //! # Quickstart
 //!

@@ -199,8 +199,9 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     /// [`OffloadPlan`] that takes effect from that batch on (and stays the
     /// loader's plan afterwards). This is the degraded-mode hook — when a
     /// node's breaker opens partway through an epoch, the runtime swaps in
-    /// a [`crate::ext::degraded::plan_degraded`] plan and the remaining
-    /// batches route their offloads around the sick node.
+    /// a [`crate::ext::sharding::plan_fleet`] plan computed with that node
+    /// flagged `degraded`, and the remaining batches route their offloads
+    /// around the sick node.
     ///
     /// Splits only choose *where* preprocessing runs, never *what* it
     /// computes, so a mid-epoch swap keeps batches bit-identical to an

@@ -201,8 +201,8 @@ impl CachedTrainingReport {
 impl Scenario {
     /// Simulates a cache-aware training run: epoch 0 fetches every sample
     /// raw (profiling + cache fill), then `ext::caching` picks cache
-    /// contents under `budget_bytes` with `selection`, re-plans the
-    /// residual, and the remaining epochs run warm.
+    /// contents under `budget_bytes` with `selection`, the one-shard fleet
+    /// plan re-plans the residual, and the remaining epochs run warm.
     ///
     /// # Errors
     ///
@@ -217,7 +217,7 @@ impl Scenario {
         budget_bytes: u64,
         selection: crate::ext::caching::CacheSelection,
     ) -> Result<CachedTrainingReport, SophonError> {
-        use crate::ext::caching;
+        use crate::ext::{caching, sharding};
 
         let profiles = self.profiles();
         let ctx = PlanningContext::new(
@@ -228,7 +228,13 @@ impl Scenario {
             self.batch_size,
         );
         let assignment = caching::choose_cache_contents(&ctx, budget_bytes, selection);
-        let (plan, _) = caching::plan_with_cache(&ctx, &assignment);
+        let map = fleet::ShardMap::new(1, 1, 0);
+        let nodes = sharding::fleet_nodes(&self.config, 1);
+        let request = sharding::FleetPlanRequest {
+            cache: Some(&assignment),
+            ..sharding::FleetPlanRequest::new(&map, &nodes)
+        };
+        let plan = sharding::plan_fleet(&ctx, &request)?.plan;
         let warm_works = caching::warm_sample_works(&ctx, &plan, &assignment)?;
         let cold_works = crate::OffloadPlan::none(profiles.len()).to_sample_works(&profiles)?;
         let stats = cluster::simulate_cached_training(
@@ -304,11 +310,12 @@ impl Scenario {
             self.batch_size,
         );
         let map = fleet::ShardMap::new(shards, replication, placement_seed);
-        let sharded = sharding::plan_for_fleet(&ctx, &map)?;
+        let nodes = sharding::fleet_nodes(&self.config, shards);
+        let sharded = sharding::plan_fleet(&ctx, &sharding::FleetPlanRequest::new(&map, &nodes))?;
         let works = sharded.plan.to_sample_works(&profiles)?;
         let stats = cluster::simulate_fleet_training(
             &self.config,
-            &sharding::fleet_nodes(&self.config, shards),
+            &nodes,
             &EpochSpec::new(works, self.batch_size, self.gpu),
             &sharding::owner_lists(&map, profiles.len()),
             kills,
@@ -319,7 +326,7 @@ impl Scenario {
 }
 
 /// The outcome of a training run composing the near-compute cache with a
-/// sharded storage fleet (`ext::fleet_caching`).
+/// sharded storage fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetCachedTrainingReport {
     /// Storage nodes in the fleet.
@@ -337,7 +344,7 @@ pub struct FleetCachedTrainingReport {
     /// Total samples in the corpus.
     pub total_samples: u64,
     /// Warm-epoch per-shard aggregates.
-    pub per_shard: Vec<crate::ext::fleet_caching::ShardCacheStats>,
+    pub per_shard: Vec<crate::ext::sharding::ShardPlanStats>,
     /// The simulated run (cold fleet epoch, then warm fleet epochs).
     pub stats: cluster::FleetCachedTrainingStats,
 }
@@ -358,8 +365,9 @@ impl Scenario {
     /// Simulates a training run over a fleet of `shards` storage nodes
     /// fronted by a near-compute cache of `budget_bytes`: epoch 0 fetches
     /// every sample raw through the fleet (profiling + cache fill), then
-    /// `ext::fleet_caching` plans each shard's uncached residual against
-    /// that node's own cores and link, and the remaining epochs run warm.
+    /// `ext::sharding::plan_fleet` plans each shard's uncached residual
+    /// against that node's own cores and link, and the remaining epochs
+    /// run warm.
     /// `kills` inject node deaths into the first epoch (dead nodes stay
     /// dead afterwards).
     ///
@@ -384,7 +392,7 @@ impl Scenario {
         selection: crate::ext::caching::CacheSelection,
         kills: &[cluster::KillEvent],
     ) -> Result<FleetCachedTrainingReport, SophonError> {
-        use crate::ext::{caching, fleet_caching, sharding};
+        use crate::ext::{caching, sharding};
 
         let profiles = self.profiles();
         let ctx = PlanningContext::new(
@@ -396,9 +404,13 @@ impl Scenario {
         );
         let map = fleet::ShardMap::new(shards, replication, placement_seed);
         let nodes = sharding::fleet_nodes(&self.config, shards);
-        let fc =
-            fleet_caching::plan_for_fleet_with_cache(&ctx, &map, &nodes, budget_bytes, selection)?;
-        let warm_works = caching::warm_sample_works(&ctx, &fc.plan, &fc.assignment)?;
+        let assignment = caching::choose_cache_contents(&ctx, budget_bytes, selection);
+        let request = sharding::FleetPlanRequest {
+            cache: Some(&assignment),
+            ..sharding::FleetPlanRequest::new(&map, &nodes)
+        };
+        let fc = sharding::plan_fleet(&ctx, &request)?;
+        let warm_works = caching::warm_sample_works(&ctx, &fc.plan, &assignment)?;
         let cold_works = crate::OffloadPlan::none(profiles.len()).to_sample_works(&profiles)?;
         let stats = cluster::simulate_fleet_cached_training(
             &self.config,
@@ -414,8 +426,8 @@ impl Scenario {
             replication,
             selection: selection.name().to_string(),
             budget_bytes,
-            cached_bytes: fc.assignment.cached_bytes,
-            cached_samples: fc.assignment.cached_samples() as u64,
+            cached_bytes: assignment.cached_bytes,
+            cached_samples: assignment.cached_samples() as u64,
             total_samples: profiles.len() as u64,
             per_shard: fc.per_shard,
             stats,
@@ -436,13 +448,6 @@ pub struct RunReport {
     pub summary: PlanSummary,
     /// Simulated epoch statistics.
     pub epoch: EpochStats,
-}
-
-impl RunReport {
-    /// Traffic relative to `No-Off` (1.0 = unchanged, <1 = reduced).
-    pub fn relative_traffic(&self) -> f64 {
-        self.epoch.traffic_bytes as f64 / self.summary.raw_bytes.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -555,7 +560,7 @@ mod tests {
         assert!(report.warm_traffic_bytes() < report.stats.cold().total.traffic_bytes);
         assert!(report.warm_traffic_reduction() > 0.0);
         // Per-shard warm aggregates match the simulated warm epoch.
-        let planned: u64 = report.per_shard.iter().map(|p| p.residual.transfer_bytes).sum();
+        let planned: u64 = report.per_shard.iter().map(|p| p.transfer_bytes).sum();
         assert_eq!(planned, report.warm_traffic_bytes());
         // The cache survives a replicated node kill: warm epochs still run.
         let kills = [cluster::KillEvent::new(2, 0.25)];

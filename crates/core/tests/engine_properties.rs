@@ -124,9 +124,12 @@ proptest! {
         let pipeline = PipelineSpec::standard_train();
         let config = ClusterConfig::paper_testbed(2);
         let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, 256);
+        let one_shard = fleet::ShardMap::new(1, 1, 0);
         let mut last = 0usize;
         for factor in [0.25, 0.5, 1.0, 2.0] {
-            let plan = sophon::ext::hetero::plan_heterogeneous(&ctx, factor);
+            let node = [cluster::FleetNodeConfig::nominal(&config).with_speed(factor)];
+            let request = sophon::ext::sharding::FleetPlanRequest::new(&one_shard, &node);
+            let plan = sophon::ext::sharding::plan_fleet(&ctx, &request).unwrap().plan;
             let n = plan.offloaded_samples();
             prop_assert!(n >= last, "factor {factor}: {n} < {last}");
             last = n;

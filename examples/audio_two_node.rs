@@ -30,6 +30,7 @@ use cluster::{ClusterConfig, GpuModel};
 use netsim::Bandwidth;
 use pipeline::{SplitPoint, StageData};
 use sophon::engine::{DecisionEngine, PlanningContext};
+use sophon::ext::sharding;
 use sophon::prelude::*;
 
 const CLIPS: u64 = 192;
@@ -147,7 +148,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The same plan over a two-node storage fleet. ------------------
     let map = fleet::ShardMap::new(2, 2, SEED);
-    let sharded = sophon::ext::sharding::plan_for_fleet(&ctx, &map)?;
+    let nodes = sharding::fleet_nodes(&config, 2);
+    let sharded = sharding::plan_fleet(&ctx, &sharding::FleetPlanRequest::new(&map, &nodes))?;
     println!("\nfleet: 2 storage nodes, 2-way replication");
     println!("{:<8} {:>8} {:>11} {:>13}", "shard", "clips", "offloaded", "ships (MB)");
     for s in &sharded.per_shard {

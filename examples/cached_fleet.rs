@@ -21,7 +21,7 @@ use fleet::ShardMap;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use sophon::engine::PlanningContext;
 use sophon::ext::caching::{self, CacheSelection};
-use sophon::ext::{fleet_caching, sharding};
+use sophon::ext::sharding::{self, FleetPlanRequest};
 use sophon::OffloadPlan;
 
 const SAMPLES: u64 = 1_600;
@@ -61,24 +61,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Baseline 1 — cache-only: one storage node, same cache budget.
     let assignment = caching::choose_cache_contents(&ctx, budget, CacheSelection::EfficiencyAware);
-    let (cache_plan, _) = caching::plan_with_cache(&ctx, &assignment);
+    let one_map = ShardMap::new(1, 1, 0);
+    let one_node = sharding::fleet_nodes(&config, 1);
+    let cache_plan = sharding::plan_fleet(
+        &ctx,
+        &FleetPlanRequest {
+            cache: Some(&assignment),
+            ..FleetPlanRequest::new(&one_map, &one_node)
+        },
+    )?
+    .plan;
     let cache_works = caching::warm_sample_works(&ctx, &cache_plan, &assignment)?;
     let cache_only: u64 = cache_works.iter().map(|w| w.transfer_bytes).sum();
 
     // Baseline 2 — fleet-only: the same fleet hardware, no cache.
-    let fleet_only =
-        sharding::plan_for_fleet_with_nodes(&ctx, &map, &nodes)?.total_transfer_bytes();
+    let fleet = FleetPlanRequest::new(&map, &nodes);
+    let fleet_only = sharding::plan_fleet(&ctx, &fleet)?.total_transfer_bytes();
 
-    // The composition: global cache selection, then per-shard residual
-    // planning against each node's own cores and link.
-    let fc = fleet_caching::plan_for_fleet_with_cache(
-        &ctx,
-        &map,
-        &nodes,
-        budget,
-        CacheSelection::EfficiencyAware,
-    )?;
-    let composed = fc.warm_transfer_bytes();
+    // The composition: the same global cache selection, then per-shard
+    // residual planning against each node's own cores and link.
+    let fc = sharding::plan_fleet(&ctx, &FleetPlanRequest { cache: Some(&assignment), ..fleet })?;
+    let composed = fc.total_transfer_bytes();
 
     println!("warm-epoch traffic on the same seeded corpus:");
     println!("  {:<28} {:>10.2} MB", "cache-only (1 node)", cache_only as f64 / 1e6);
@@ -94,11 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for s in &fc.per_shard {
         println!(
             "  node{}: {} residual ({} offloaded) + {} cached, {:.2} MB warm",
-            s.residual.shard,
-            s.residual.samples,
-            s.residual.offloaded_samples,
+            s.shard,
+            s.samples,
+            s.offloaded_samples,
             s.cached_samples,
-            s.residual.transfer_bytes as f64 / 1e6,
+            s.transfer_bytes as f64 / 1e6,
         );
     }
 
@@ -106,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // fleet and fills the cache, warm epochs ship only each shard's
     // residual.
     let cold_works = OffloadPlan::none(profiles.len()).to_sample_works(&profiles)?;
-    let warm_works = caching::warm_sample_works(&ctx, &fc.plan, &fc.assignment)?;
+    let warm_works = caching::warm_sample_works(&ctx, &fc.plan, &assignment)?;
     let stats = simulate_fleet_cached_training(
         &config,
         &nodes,

@@ -26,7 +26,8 @@ use datasets::DatasetSpec;
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use sophon::engine::PlanningContext;
-use sophon::ext::caching::{self, CacheSelection};
+use sophon::ext::caching::{self, CacheAssignment, CacheSelection};
+use sophon::ext::sharding::{self, FleetPlanRequest};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
 use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
@@ -117,9 +118,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Plan once per selection policy; the plan pins cached samples at
     // their cached (epoch-stable) split so every warm fetch is a hit.
     let lru_assign = caching::choose_cache_contents(&ctx, budget, CacheSelection::Arrival);
-    let (lru_plan, _) = caching::plan_with_cache(&ctx, &lru_assign);
+    // The two-node testbed is the one-shard fleet.
+    let map = fleet::ShardMap::new(1, 1, 0);
+    let nodes = sharding::fleet_nodes(&config, 1);
+    let plan_around = |assignment: &CacheAssignment| {
+        let request =
+            FleetPlanRequest { cache: Some(assignment), ..FleetPlanRequest::new(&map, &nodes) };
+        sharding::plan_fleet(&ctx, &request).map(|p| p.plan)
+    };
+    let lru_plan = plan_around(&lru_assign)?;
     let eff_assign = caching::choose_cache_contents(&ctx, budget, CacheSelection::EfficiencyAware);
-    let (eff_plan, _) = caching::plan_with_cache(&ctx, &eff_assign);
+    let eff_plan = plan_around(&eff_assign)?;
     println!(
         "planner pinned {} (lru) vs {} (efficiency-aware) of {SAMPLES} samples\n",
         lru_assign.cached_samples(),

@@ -19,7 +19,7 @@ use fleet::{FleetTransport, ShardMap};
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
-use sophon::ext::sharding;
+use sophon::ext::sharding::{self, FleetPlanRequest};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use storage::{
     BackoffConfig, Deadline, FaultKind, FaultPlan, MultiServerHarness, ObjectStore,
@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(NODES, REPLICATION, 7);
-    let sharded = sharding::plan_for_fleet(&ctx, &map)?;
+    let nodes = sharding::fleet_nodes(&config, NODES);
+    let sharded = sharding::plan_fleet(&ctx, &FleetPlanRequest::new(&map, &nodes))?;
     println!(
         "fleet plan: {} of {SAMPLES} samples offloaded across {NODES} replicated shards",
         sharded.plan.offloaded_samples()

@@ -15,7 +15,7 @@ use fleet::{FleetTransport, ShardMap};
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
-use sophon::ext::sharding;
+use sophon::ext::sharding::{self, FleetPlanRequest};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
 use storage::{
@@ -103,7 +103,8 @@ fn aggressive_chaos_loses_nothing_and_reproduces_per_seed() {
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(NODES, REPLICATION, 17);
-    let sharded = sharding::plan_for_fleet(&ctx, &map).unwrap();
+    let nodes = sharding::fleet_nodes(&config, NODES);
+    let sharded = sharding::plan_fleet(&ctx, &FleetPlanRequest::new(&map, &nodes)).unwrap();
     assert!(
         sharded.plan.offloaded_samples() > 0,
         "the chaos run must exercise offloaded fetches, not just raw reads"

@@ -196,6 +196,7 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     use cache::{CachingTransport, SampleCache};
     use sophon::engine::PlanningContext;
     use sophon::ext::caching::{self, CacheSelection};
+    use sophon::ext::sharding::{self, FleetPlanRequest};
     use sophon::loader::{LoaderConfig, OffloadingLoader};
 
     let (ds, store, pipeline) = live_setup();
@@ -208,7 +209,11 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     let assign =
         caching::choose_cache_contents(&ctx, u64::MAX / 2, CacheSelection::EfficiencyAware);
     assert_eq!(assign.cached_samples(), N as usize);
-    let (plan, _) = caching::plan_with_cache(&ctx, &assign);
+    // The two-node testbed is the one-shard fleet.
+    let map = fleet::ShardMap::new(1, 1, 0);
+    let nodes = sharding::fleet_nodes(&config, 1);
+    let request = FleetPlanRequest { cache: Some(&assign), ..FleetPlanRequest::new(&map, &nodes) };
+    let plan = sharding::plan_fleet(&ctx, &request).unwrap().plan;
 
     let run_epochs = |cache: Option<SampleCache>, epochs: &[u64]| {
         let server = TcpStorageServer::bind(

@@ -11,7 +11,7 @@ use fleet::{FleetTransport, ShardMap};
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SplitPoint, TensorBatch};
 use sophon::engine::PlanningContext;
-use sophon::ext::sharding;
+use sophon::ext::sharding::{self, FleetPlanRequest};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use storage::{
     ClientError, FetchRequest, FetchResponse, FetchTransport, MultiServerHarness, ObjectStore,
@@ -40,7 +40,8 @@ fn killed_node_mid_epoch_loses_nothing_and_tensors_match_single_node() {
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(4, 2, 17);
-    let sharded = sharding::plan_for_fleet(&ctx, &map).unwrap();
+    let nodes = sharding::fleet_nodes(&config, 4);
+    let sharded = sharding::plan_fleet(&ctx, &FleetPlanRequest::new(&map, &nodes)).unwrap();
     assert!(sharded.plan.offloaded_samples() > 0);
 
     let mut harness =
