@@ -71,20 +71,26 @@ impl Plane {
         out
     }
 
+    /// Borrows row `y` of the plane.
+    #[inline]
+    pub fn row(&self, y: u32) -> &[f32] {
+        let start = y as usize * self.width as usize;
+        &self.data[start..start + self.width as usize]
+    }
+
     /// Writes a reconstructed block back (adding the 128 offset), clipping at
     /// the plane border.
     pub fn place_block(&mut self, bx: u32, by: u32, block: &[f32; BLOCK_AREA]) {
-        for dy in 0..BLOCK as u32 {
-            let y = by * BLOCK as u32 + dy;
-            if y >= self.height {
-                break;
-            }
-            for dx in 0..BLOCK as u32 {
-                let x = bx * BLOCK as u32 + dx;
-                if x >= self.width {
-                    break;
-                }
-                self.set(x, y, block[dy as usize * BLOCK + dx as usize] + 128.0);
+        let (x, y) = (bx as usize * BLOCK, by as usize * BLOCK);
+        let (width, height) = (self.width as usize, self.height as usize);
+        let cols = BLOCK.min(width.saturating_sub(x));
+        if cols == 0 {
+            return;
+        }
+        for (src, dy) in block.chunks_exact(BLOCK).zip(y..height) {
+            let dst = &mut self.data[dy * width + x..][..cols];
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = s + 128.0;
             }
         }
     }

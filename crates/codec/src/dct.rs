@@ -1,10 +1,20 @@
 //! Forward and inverse 8×8 type-II discrete cosine transform.
 //!
-//! The implementation is the separable row/column formulation with
-//! precomputed cosine tables — clear, allocation-free, and exactly invertible
-//! up to floating-point rounding. Speed is adequate for the workloads in this
-//! repository; the entropy coder, not the DCT, dominates encode time.
+//! Both directions are the separable row/column formulation with
+//! precomputed cosine tables, allocation-free and exactly invertible up to
+//! floating-point rounding.
+//!
+//! The inverse, [`inverse_quantized`], is what every decoded block goes
+//! through, so it is written for the blocks a quantizer actually produces:
+//! it takes the zigzag-ordered quantized block as stored, folds unscan and
+//! dequantization into its first pass, and does no work for coefficient rows
+//! and columns that are entirely zero (at quality 85 four blocks in ten are
+//! DC-only and half have a single non-zero column). Every `f32` it returns
+//! is bit-identical to the dense textbook loop kept as the test oracle
+//! below: only loops are reordered and exact no-ops dropped, never an
+//! operation re-associated. The argument is in DESIGN.md ("Exact kernels").
 
+use crate::zigzag::ZIGZAG;
 use crate::{BLOCK, BLOCK_AREA};
 
 /// Precomputed `cos((2x+1) u π / 16)` table, indexed `[u][x]`.
@@ -60,8 +70,100 @@ pub fn forward(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     out
 }
 
-/// Inverse 8×8 DCT (type III), reconstructing the spatial block.
-pub fn inverse(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+/// For each zigzag position, bit `row` in the low byte and bit `8 + column`
+/// in the high byte of where it sits in the row-major block.
+const ZIGZAG_ROW_COL_BITS: [u16; BLOCK_AREA] = {
+    let mut bits = [0u16; BLOCK_AREA];
+    let mut i = 0;
+    while i < BLOCK_AREA {
+        bits[i] = (1 << (ZIGZAG[i] / BLOCK)) | (1 << (BLOCK + ZIGZAG[i] % BLOCK));
+        i += 1;
+    }
+    bits
+};
+
+/// Inverse 8×8 DCT (type III) of a quantized block in zigzag order,
+/// reconstructing the spatial block. `steps` are the quantization steps in
+/// the same zigzag order ([`crate::quant::dequant_steps`]).
+///
+/// Equals `inverse(dequantize(unscan(zz)))` bit for bit. What makes the
+/// shortcuts exact:
+///
+/// * every accumulator starts at `+0.0`, and a sum that starts at `+0.0` is
+///   never `-0.0`, so adding the `±0.0` a zero coefficient contributes never
+///   changes it: coefficient rows past the last non-zero one can be left out
+///   of the column pass, and a column that is all zero leaves
+///   `tmp[*][u] == +0.0` and can be left out of both passes;
+/// * `cos[0][*]` is `cos(0.0) == 1.0` exactly, so a block with no AC
+///   coefficient is one value, computed by the same operations in the same
+///   order and stored 64 times.
+pub fn inverse_quantized(zz: &[i16; BLOCK_AREA], steps: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+    let cos = cos_table();
+    // Which rows and columns hold a non-zero coefficient (branch-free).
+    let mut touched = 0u16;
+    for (&c, &bits) in zz.iter().zip(&ZIGZAG_ROW_COL_BITS) {
+        touched |= if c != 0 { bits } else { 0 };
+    }
+    let [rows, cols] = touched.to_le_bytes();
+    if rows | cols <= 1 {
+        // DC only (or all zero).
+        let dc = alpha(0) * (f32::from(zz[0]) * steps[0]);
+        let column = (0.0 + dc * cos[0][0]) * 0.5;
+        return [(0.0 + alpha(0) * column * cos[0][0]) * 0.5; BLOCK_AREA];
+    }
+    // How much of the zigzag sequence holds one, in eighths.
+    let mut live = 0;
+    for (k, chunk) in zz.chunks_exact(BLOCK).enumerate() {
+        if chunk.iter().fold(0, |any, &c| any | c) != 0 {
+            live = (k + 1) * BLOCK;
+        }
+    }
+    // Unscan, dequantize and scale by alpha(v) in one pass.
+    let mut scaled = [0f32; BLOCK_AREA];
+    for ((&c, &step), &at) in zz.iter().zip(steps).zip(&ZIGZAG).take(live) {
+        scaled[at] = alpha(at / BLOCK) * (f32::from(c) * step);
+    }
+    let row_end = BLOCK - rows.leading_zeros() as usize;
+    let col_end = BLOCK - cols.leading_zeros() as usize;
+
+    // Inverse transform the columns that are not all zero, each with its
+    // eight outputs side by side; `tmp` is column-major.
+    let mut tmp = [0f32; BLOCK_AREA];
+    for (u, tmp_col) in tmp.chunks_exact_mut(BLOCK).enumerate().take(col_end) {
+        let mut acc = [0f32; BLOCK];
+        for (scaled_row, cos_v) in scaled.chunks_exact(BLOCK).zip(cos).take(row_end) {
+            let s = scaled_row[u];
+            for (a, &c) in acc.iter_mut().zip(cos_v) {
+                *a += s * c;
+            }
+        }
+        for (t, a) in tmp_col.iter_mut().zip(acc) {
+            *t = a * 0.5;
+        }
+    }
+    // Inverse transform rows, the eight outputs of a row side by side.
+    let mut out = [0f32; BLOCK_AREA];
+    for (y, out_row) in out.chunks_exact_mut(BLOCK).enumerate() {
+        let mut acc = [0f32; BLOCK];
+        for (u, (cos_u, tmp_col)) in
+            cos.iter().zip(tmp.chunks_exact(BLOCK)).enumerate().take(col_end)
+        {
+            let t = alpha(u) * tmp_col[y];
+            for (a, &c) in acc.iter_mut().zip(cos_u) {
+                *a += t * c;
+            }
+        }
+        for (o, a) in out_row.iter_mut().zip(acc) {
+            *o = a * 0.5;
+        }
+    }
+    out
+}
+
+/// Dense inverse 8×8 DCT of dequantized row-major coefficients: the
+/// textbook loop [`inverse_quantized`] is checked against.
+#[cfg(test)]
+pub(crate) fn inverse(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     let cos = cos_table();
     let mut tmp = [0f32; BLOCK_AREA];
     // Inverse transform columns.
@@ -145,5 +247,87 @@ mod tests {
             coeffs.iter().enumerate().filter(|&(i, _)| i != 3).map(|(_, c)| c.abs()).sum();
         assert!(target > 100.0, "target coefficient too small: {target}");
         assert!(rest < target * 0.01, "energy leaked: {rest} vs {target}");
+    }
+
+    /// The dense reference chain a decoded block went through before the
+    /// folded kernel: unscan, dequantize, textbook inverse.
+    fn reference(zz: &[i16; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [u32; BLOCK_AREA] {
+        inverse(&crate::quant::dequantize(&crate::zigzag::unscan(zz), table)).map(f32::to_bits)
+    }
+
+    fn folded(zz: &[i16; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [u32; BLOCK_AREA] {
+        inverse_quantized(zz, &crate::quant::dequant_steps(table)).map(f32::to_bits)
+    }
+
+    fn tables() -> Vec<[u16; BLOCK_AREA]> {
+        [10u8, 50, 85, 100]
+            .into_iter()
+            .flat_map(|q| {
+                let q = crate::Quality::new(q).unwrap();
+                [q.luma_table(), q.chroma_table()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn folded_inverse_is_bit_identical_on_structured_blocks() {
+        let at = |row: usize, col: usize| ZIGZAG.iter().position(|&n| n == row * BLOCK + col);
+        let mut blocks = vec![[0i16; BLOCK_AREA], [-7; BLOCK_AREA], [i16::MAX; BLOCK_AREA]];
+        for dc in [1i16, -1, 64, -1024, i16::MAX, i16::MIN] {
+            let mut zz = [0i16; BLOCK_AREA];
+            zz[0] = dc;
+            blocks.push(zz);
+        }
+        for line in 0..BLOCK {
+            // One column, one row, and both with the DC cleared.
+            for with_dc in [true, false] {
+                let (mut column, mut row) = ([0i16; BLOCK_AREA], [0i16; BLOCK_AREA]);
+                for k in 0..BLOCK {
+                    column[at(k, line).unwrap()] = 40 - 13 * k as i16;
+                    row[at(line, k).unwrap()] = -25 + 9 * k as i16;
+                }
+                if !with_dc {
+                    column[0] = 0;
+                    row[0] = 0;
+                }
+                blocks.extend([column, row]);
+            }
+        }
+        for i in 0..BLOCK_AREA {
+            let mut zz = [0i16; BLOCK_AREA];
+            zz[i] = if i % 2 == 0 { 3 } else { -300 };
+            blocks.push(zz);
+        }
+        for table in tables() {
+            for zz in &blocks {
+                assert_eq!(folded(zz, &table), reference(zz, &table), "block {zz:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn folded_inverse_is_bit_identical_on_random_blocks() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for table in tables() {
+            for nonzero in [1usize, 2, 3, 5, 8, 16, 32, 64] {
+                for _ in 0..60 {
+                    let mut zz = [0i16; BLOCK_AREA];
+                    for _ in 0..nonzero {
+                        // Mostly low frequencies and small values, as a
+                        // quantizer leaves them, with the odd extreme.
+                        let i = (next() % BLOCK_AREA as u64).min(next() % BLOCK_AREA as u64);
+                        zz[i as usize] = match next() % 8 {
+                            0 => next() as i16,
+                            _ => (next() % 41) as i16 - 20,
+                        };
+                    }
+                    assert_eq!(folded(&zz, &table), reference(&zz, &table), "block {zz:?}");
+                }
+            }
+        }
     }
 }

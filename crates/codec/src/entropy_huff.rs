@@ -146,63 +146,71 @@ pub fn encode_plane(blocks: &[[i16; BLOCK_AREA]], tables: &TablePair, w: &mut Bi
     }
 }
 
-/// Reads `count` blocks of one plane from the bitstream.
+/// Reads the next block of a plane from the bitstream. `pred` is the DC
+/// prediction carried from the previous block of the same plane (zero at
+/// the start of a plane) and is updated to this block's DC.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] on truncation, invalid codes, or run overflow.
-pub fn decode_plane(
+pub fn decode_block(
     r: &mut BitReader<'_>,
     tables: &TablePair,
-    count: usize,
-) -> Result<Vec<[i16; BLOCK_AREA]>, CodecError> {
-    let mut out = Vec::with_capacity(count);
-    let mut pred = 0i32;
-    for _ in 0..count {
-        let mut zz = [0i16; BLOCK_AREA];
-        // DC.
-        let dc_size = u32::from(tables.dc.read_symbol(r)?);
-        if dc_size > 16 {
-            return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
-        }
-        let bits = if dc_size > 0 { r.bits(dc_size)? } else { 0 };
-        pred += decode_magnitude(bits, dc_size);
-        zz[0] = pred as i16;
-        // AC.
-        let mut idx = 1usize;
-        while idx < BLOCK_AREA {
-            let sym = tables.ac.read_symbol(r)?;
-            if sym == EOB {
-                break;
-            }
-            if sym == ZRL {
-                idx += 16;
-                continue;
-            }
-            let run = usize::from(sym >> 4);
-            let size = u32::from(sym & 0x0F);
-            if size == 0 {
-                return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
-            }
-            idx += run;
-            if idx >= BLOCK_AREA {
-                return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
-            }
-            let bits = r.bits(size)?;
-            zz[idx] = decode_magnitude(bits, size) as i16;
-            idx += 1;
-        }
-        if idx > BLOCK_AREA {
-            return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
-        }
-        out.push(zz);
+    pred: &mut i32,
+) -> Result<[i16; BLOCK_AREA], CodecError> {
+    let mut zz = [0i16; BLOCK_AREA];
+    // DC.
+    let dc_size = u32::from(tables.dc.read_symbol(r)?);
+    if dc_size > 16 {
+        return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
     }
-    Ok(out)
+    let bits = if dc_size > 0 { r.bits(dc_size)? } else { 0 };
+    // Wrapping: a hostile stream of maximal differences must produce garbage
+    // coefficients, not a debug-build overflow panic.
+    *pred = pred.wrapping_add(decode_magnitude(bits, dc_size));
+    zz[0] = *pred as i16;
+    // AC.
+    let mut idx = 1usize;
+    while idx < BLOCK_AREA {
+        let sym = tables.ac.read_symbol(r)?;
+        if sym == EOB {
+            break;
+        }
+        if sym == ZRL {
+            idx += 16;
+            continue;
+        }
+        let run = usize::from(sym >> 4);
+        let size = u32::from(sym & 0x0F);
+        if size == 0 {
+            return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
+        }
+        idx += run;
+        if idx >= BLOCK_AREA {
+            return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
+        }
+        let bits = r.bits(size)?;
+        zz[idx] = decode_magnitude(bits, size) as i16;
+        idx += 1;
+    }
+    if idx > BLOCK_AREA {
+        return Err(CodecError::RunOverflow { offset: r.bytes_consumed() });
+    }
+    Ok(zz)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_plane(
+        r: &mut BitReader<'_>,
+        tables: &TablePair,
+        count: usize,
+    ) -> Result<Vec<[i16; BLOCK_AREA]>, CodecError> {
+        let mut pred = 0i32;
+        (0..count).map(|_| decode_block(r, tables, &mut pred)).collect()
+    }
 
     fn sample_blocks(n: usize, seed: u64) -> Vec<[i16; BLOCK_AREA]> {
         let mut state = seed | 1;

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use imagery::Rect;
+
 /// Errors produced while decoding an SJPG byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -35,6 +37,16 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A region decode asked for a rectangle that is empty or does not fit
+    /// the dimensions the header declares.
+    RegionOutOfBounds {
+        /// The requested rectangle.
+        rect: Rect,
+        /// Declared width.
+        width: u32,
+        /// Declared height.
+        height: u32,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -56,6 +68,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::TrailingData { remaining } => {
                 write!(f, "{remaining} unconsumed bytes after final block")
+            }
+            CodecError::RegionOutOfBounds { rect, width, height } => {
+                write!(f, "region {rect:?} does not fit the encoded {width}x{height} image")
             }
         }
     }

@@ -50,15 +50,15 @@ pub mod rate;
 pub mod tiered;
 pub mod zigzag;
 
-pub use decoder::decode;
+pub use decoder::{decode, decode_region};
 pub use encoder::{encode, encode_with, worst_case_len};
 pub use error::CodecError;
 pub use header::{Header, FORMAT_MAGIC, FORMAT_VERSION, FORMAT_VERSION_TIERED};
 pub use options::{EncodeOptions, EntropyMode, Subsampling};
 pub use quant::Quality;
 pub use tiered::{
-    decode_tiered, encode_tiered, encode_tiered_with, is_tiered, truncate_to_tier, DecodeError,
-    TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
+    decode_tiered, decode_tiered_region, encode_tiered, encode_tiered_with, is_tiered,
+    truncate_to_tier, DecodeError, TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
 };
 
 /// Side length of the transform blocks (8, as in JPEG).

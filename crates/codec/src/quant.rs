@@ -86,13 +86,24 @@ pub fn quantize(coeffs: &[f32; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [i16; 
     out
 }
 
-/// Dequantizes one block (`c * q`).
-pub fn dequantize(quantized: &[i16; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+/// Dequantizes one row-major block (`c * q`): the reference the folded
+/// [`crate::dct::inverse_quantized`] is checked against.
+#[cfg(test)]
+pub(crate) fn dequantize(
+    quantized: &[i16; BLOCK_AREA],
+    table: &[u16; BLOCK_AREA],
+) -> [f32; BLOCK_AREA] {
     let mut out = [0f32; BLOCK_AREA];
     for i in 0..BLOCK_AREA {
         out[i] = f32::from(quantized[i]) * f32::from(table[i]);
     }
     out
+}
+
+/// The quantization steps of `table` as `f32`, in zigzag order: what
+/// [`crate::dct::inverse_quantized`] multiplies a stored block by.
+pub fn dequant_steps(table: &[u16; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+    crate::zigzag::ZIGZAG.map(|at| f32::from(table[at]))
 }
 
 #[cfg(test)]

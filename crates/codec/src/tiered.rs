@@ -35,9 +35,9 @@
 
 use std::fmt;
 
-use imagery::{metrics, RasterImage};
+use imagery::{metrics, RasterImage, Rect};
 
-use crate::decoder::reconstruct;
+use crate::decoder::{reconstruct_region, Region};
 use crate::encoder::{quantize_planes, split_planes};
 use crate::header::{Header, FORMAT_VERSION_TIERED, HEADER_LEN};
 use crate::{entropy, CodecError, Quality, Subsampling, BLOCK_AREA};
@@ -404,6 +404,7 @@ pub fn encode_tiered_with(
     }
 
     // Measure each tier's reconstruction PSNR and patch the directory.
+    let whole = Region::new(w, h, subsampling, None).expect("the full rectangle always fits");
     let mut partial: [Vec<[i16; BLOCK_AREA]>; 3] = [
         vec![[0i16; BLOCK_AREA]; quantized[0].len()],
         vec![[0i16; BLOCK_AREA]; quantized[1].len()],
@@ -417,7 +418,7 @@ pub fn encode_tiered_with(
                 dst[lo..hi].copy_from_slice(&src[lo..hi]);
             }
         }
-        let back = reconstruct(w, h, quality, subsampling, &partial);
+        let back = reconstruct_region(quality, &whole, &partial);
         let psnr = metrics::psnr(img, &back);
         let psnr_cdb = if psnr.is_finite() {
             (psnr * 100.0).round().clamp(0.0, f64::from(u32::MAX - 1)) as u32
@@ -460,9 +461,27 @@ pub fn is_tiered(data: &[u8]) -> bool {
 ///
 /// Returns [`DecodeError::OffTierBoundary`] for prefixes cut anywhere
 /// else, [`DecodeError::NotTiered`] for classic streams, and the shared
-/// [`DecodeError::Codec`] variants for structural defects — never panics
-/// on arbitrary input.
+/// [`DecodeError::Codec`] variants for structural defects. Never panics
+/// and never allocates from header dimensions the stream's length does not
+/// bear out, whatever the input.
 pub fn decode_tiered(data: &[u8]) -> Result<TieredImage, DecodeError> {
+    decode_tiered_in(data, None)
+}
+
+/// [`decode_tiered`] for the pixels of `rect` only: `image` equals
+/// `decode_tiered(data)?.image.crop(rect)` at the cost of the blocks
+/// `rect` overlaps. Every scan is still parsed in full.
+///
+/// # Errors
+///
+/// As [`decode_tiered`], plus [`CodecError::RegionOutOfBounds`] (wrapped in
+/// [`DecodeError::Codec`]) when `rect` is empty or does not fit the
+/// header's dimensions.
+pub fn decode_tiered_region(data: &[u8], rect: Rect) -> Result<TieredImage, DecodeError> {
+    decode_tiered_in(data, Some(rect))
+}
+
+fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, DecodeError> {
     let index = TierIndex::parse(data)?;
     let quality = Quality::new(index.quality).expect("validated by header parse");
     let Some(reached) = index.tiers.iter().rfind(|b| b.end_offset as usize == data.len()) else {
@@ -471,29 +490,23 @@ pub fn decode_tiered(data: &[u8]) -> Result<TieredImage, DecodeError> {
         return Err(DecodeError::OffTierBoundary { len: data.len(), boundary });
     };
     let reached_tier = reached.tier;
+    let region = Region::new(index.width, index.height, index.subsampling, rect)?;
 
-    let (w, h) = (index.width, index.height);
-    let (cw, ch) = crate::encoder::chroma_dims(w, h, index.subsampling);
-    let dims = [(w, h), (cw, ch), (cw, ch)];
-    let block_counts: Vec<usize> = dims
-        .iter()
-        .map(|&(pw, ph)| (pw.div_ceil(8) as usize) * (ph.div_ceil(8) as usize))
-        .collect();
-
-    let mut quantized: [Vec<[i16; BLOCK_AREA]>; 3] = [
-        vec![[0i16; BLOCK_AREA]; block_counts[0]],
-        vec![[0i16; BLOCK_AREA]; block_counts[1]],
-        vec![[0i16; BLOCK_AREA]; block_counts[2]],
-    ];
     let mut pos = HEADER_LEN + 1 + index.tiers.len() * TIER_ENTRY_LEN;
+    // In the first scan a block is at least a DC varint and an
+    // end-of-block byte.
+    let first_end = index.tiers[0].end_offset as usize;
+    let mut quantized = region.block_storage((first_end - pos) / 2, first_end)?;
+    let mut outside = [0i16; BLOCK_AREA];
     let mut lo = 0usize;
     for bound in index.tiers.iter().take(reached_tier as usize + 1) {
         let hi = bound.band_end as usize;
-        for plane in quantized.iter_mut() {
+        for (plane, window) in quantized.iter_mut().zip(&region.windows) {
             let mut dc_pred = 0i16;
-            for zz in plane.iter_mut() {
-                decode_band(data, &mut pos, lo, hi, &mut dc_pred, zz)?;
-            }
+            window.for_each_block(|slot| {
+                let zz = slot.map_or(&mut outside, |slot| &mut plane[slot]);
+                decode_band(data, &mut pos, lo, hi, &mut dc_pred, zz)
+            })?;
         }
         if pos != bound.end_offset as usize {
             return Err(DecodeError::TierMisaligned {
@@ -505,7 +518,7 @@ pub fn decode_tiered(data: &[u8]) -> Result<TieredImage, DecodeError> {
         lo = hi;
     }
     Ok(TieredImage {
-        image: reconstruct(w, h, quality, index.subsampling, &quantized),
+        image: reconstruct_region(quality, &region, &quantized),
         tier: reached_tier,
         index,
     })
@@ -736,5 +749,36 @@ mod tests {
             TierIndex::parse(&bytes[..HEADER_LEN + 3]),
             Err(DecodeError::Codec(CodecError::Truncated { .. }))
         ));
+    }
+
+    #[test]
+    fn hostile_dimensions_are_typed_errors_before_any_allocation() {
+        // `vec![[0i16; 64]; blocks]` from a 2^26 x 2^26 header used to abort
+        // the process; tiered streams are what a browned-out server sends.
+        let mut bytes = encode_tiered(&img(), Quality::default(), &TierSpec::default());
+        bytes[5..9].copy_from_slice(&(1u32 << 26).to_le_bytes());
+        bytes[9..13].copy_from_slice(&(1u32 << 26).to_le_bytes());
+        for tier in 0..3 {
+            let prefix = truncate_to_tier(&bytes, tier).unwrap();
+            assert!(matches!(
+                decode_tiered(prefix),
+                Err(DecodeError::Codec(CodecError::Truncated { .. }))
+            ));
+            let rect = Rect::new(1 << 25, 7, 224, 224);
+            assert!(matches!(
+                decode_tiered_region(prefix, rect),
+                Err(DecodeError::Codec(CodecError::Truncated { .. }))
+            ));
+        }
+    }
+
+    #[test]
+    fn region_outside_the_image_is_a_typed_error() {
+        let bytes = encode_tiered(&img(), Quality::default(), &TierSpec::default());
+        let rect = Rect::new(90, 0, 7, 72);
+        assert_eq!(
+            decode_tiered_region(&bytes, rect).unwrap_err(),
+            DecodeError::Codec(CodecError::RegionOutOfBounds { rect, width: 96, height: 72 })
+        );
     }
 }

@@ -56,8 +56,10 @@ pub fn scan(block: &[i16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
     out
 }
 
-/// Restores a zigzag-ordered block to row-major order.
-pub fn unscan(zz: &[i16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
+/// Restores a zigzag-ordered block to row-major order: the reference the
+/// folded [`crate::dct::inverse_quantized`] is checked against.
+#[cfg(test)]
+pub(crate) fn unscan(zz: &[i16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
     let mut out = [0i16; BLOCK_AREA];
     for (i, &dst) in ZIGZAG.iter().enumerate() {
         out[dst] = zz[i];

@@ -191,34 +191,53 @@ impl RasterImage {
         if new_width == self.width && new_height == self.height {
             return self.clone();
         }
-        let mut data = Vec::with_capacity(new_width as usize * new_height as usize * CHANNELS);
         // Scale factors mapping destination pixel centers into source space.
         let sx = f64::from(self.width) / f64::from(new_width);
         let sy = f64::from(self.height) / f64::from(new_height);
-        for dy in 0..new_height {
-            let fy = ((f64::from(dy) + 0.5) * sy - 0.5).max(0.0);
-            let y0 = (fy.floor() as u32).min(self.height - 1);
-            let y1 = (y0 + 1).min(self.height - 1);
-            let wy = fy - f64::from(y0);
-            for dx in 0..new_width {
-                let fx = ((f64::from(dx) + 0.5) * sx - 0.5).max(0.0);
-                let x0 = (fx.floor() as u32).min(self.width - 1);
-                let x1 = (x0 + 1).min(self.width - 1);
-                let wx = fx - f64::from(x0);
-                let o00 = self.offset(x0, y0);
-                let o10 = self.offset(x1, y0);
-                let o01 = self.offset(x0, y1);
-                let o11 = self.offset(x1, y1);
+        // The two source samples and the weight along one axis: the same
+        // for every row (or column), so the columns' are computed once.
+        let taps = |d: u32, scale: f64, extent: u32| {
+            let f = ((f64::from(d) + 0.5) * scale - 0.5).max(0.0);
+            let i0 = (f.floor() as u32).min(extent - 1);
+            let i1 = (i0 + 1).min(extent - 1);
+            (i0 as usize, i1 as usize, f - f64::from(i0))
+        };
+        let columns: Vec<(usize, usize, f64)> = (0..new_width)
+            .map(|dx| {
+                let (x0, x1, wx) = taps(dx, sx, self.width);
+                (x0 * CHANNELS, x1 * CHANNELS, wx)
+            })
+            .collect();
+        // A source row interpolated horizontally to the new width. Each
+        // output row blends two of them, and consecutive output rows mostly
+        // share one, so the last two are kept.
+        let out_row_len = new_width as usize * CHANNELS;
+        let interpolate = |y: usize, into: &mut Vec<f64>| {
+            let row =
+                &self.data[y * self.width as usize * CHANNELS..][..self.width as usize * CHANNELS];
+            for (out, &(o0, o1, wx)) in into.chunks_exact_mut(CHANNELS).zip(&columns) {
                 for c in 0..CHANNELS {
-                    let p00 = f64::from(self.data[o00 + c]);
-                    let p10 = f64::from(self.data[o10 + c]);
-                    let p01 = f64::from(self.data[o01 + c]);
-                    let p11 = f64::from(self.data[o11 + c]);
-                    let top = p00 + (p10 - p00) * wx;
-                    let bottom = p01 + (p11 - p01) * wx;
-                    let v = top + (bottom - top) * wy;
-                    data.push(v.round().clamp(0.0, 255.0) as u8);
+                    let (left, right) = (f64::from(row[o0 + c]), f64::from(row[o1 + c]));
+                    out[c] = left + (right - left) * wx;
                 }
+            }
+        };
+        let mut upper = (usize::MAX, vec![0f64; out_row_len]);
+        let mut lower = (usize::MAX, vec![0f64; out_row_len]);
+        let mut data = vec![0u8; out_row_len * new_height as usize];
+        for (out_row, dy) in data.chunks_exact_mut(out_row_len).zip(0..) {
+            let (y0, y1, wy) = taps(dy, sy, self.height);
+            if lower.0 == y0 {
+                std::mem::swap(&mut upper, &mut lower);
+            }
+            for (row, y) in [(&mut upper, y0), (&mut lower, y1)] {
+                if row.0 != y {
+                    interpolate(y, &mut row.1);
+                    row.0 = y;
+                }
+            }
+            for ((px, &top), &bottom) in out_row.iter_mut().zip(&upper.1).zip(&lower.1) {
+                *px = round_to_u8(top + (bottom - top) * wy);
             }
         }
         RasterImage { width: new_width, height: new_height, data }
@@ -235,6 +254,29 @@ impl RasterImage {
         let n = self.pixel_count() as f64;
         sums.map(|s| s / n)
     }
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` without the call into libm that
+/// `f64::round` is on targets without SSE4.1, and without a float-to-int
+/// cast (which saturates, and so compiles to scalar code): all of it
+/// vectorizes.
+///
+/// With `v` clamped to `[0, 256]` (NaN to 0, as the cast does), adding
+/// `2^52` rounds it to the nearest integer, ties to even, and leaves that
+/// integer in the low mantissa bits; subtracting `2^52` back is exact, and
+/// so is the remainder `v - nearest`. Rounding half away from zero differs
+/// from ties-to-even only where the tie went down, which is where the
+/// remainder is exactly a half. `floor(v + 0.5)` would not do: the sum
+/// rounds up to 1.0 at `0.5 - 1 ulp`.
+#[inline]
+fn round_to_u8(v: f64) -> u8 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let v = if v > 0.0 { v } else { 0.0 };
+    let v = if v < 256.0 { v } else { 256.0 };
+    let shifted = v + TWO_52;
+    let nearest = shifted.to_bits() - TWO_52.to_bits();
+    let tie_went_down = v - (shifted - TWO_52) == 0.5;
+    (nearest + u64::from(tie_went_down)).min(255) as u8
 }
 
 #[cfg(test)]
@@ -328,5 +370,97 @@ mod tests {
         let img = RasterImage::filled(7, 3, Rgb::new(10, 20, 30));
         let m = img.channel_means();
         assert_eq!(m, [10.0, 20.0, 30.0]);
+    }
+
+    /// The per-pixel bilinear resize `resize_bilinear` is checked against:
+    /// taps and weights recomputed for every destination pixel, `f64::round`.
+    fn resize_reference(img: &RasterImage, new_width: u32, new_height: u32) -> RasterImage {
+        if new_width == img.width && new_height == img.height {
+            return img.clone();
+        }
+        let mut data = Vec::with_capacity(new_width as usize * new_height as usize * CHANNELS);
+        let sx = f64::from(img.width) / f64::from(new_width);
+        let sy = f64::from(img.height) / f64::from(new_height);
+        for dy in 0..new_height {
+            let fy = ((f64::from(dy) + 0.5) * sy - 0.5).max(0.0);
+            let y0 = (fy.floor() as u32).min(img.height - 1);
+            let y1 = (y0 + 1).min(img.height - 1);
+            let wy = fy - f64::from(y0);
+            for dx in 0..new_width {
+                let fx = ((f64::from(dx) + 0.5) * sx - 0.5).max(0.0);
+                let x0 = (fx.floor() as u32).min(img.width - 1);
+                let x1 = (x0 + 1).min(img.width - 1);
+                let wx = fx - f64::from(x0);
+                for c in 0..CHANNELS {
+                    let at = |x, y| f64::from(img.data[img.offset(x, y) + c]);
+                    let top = at(x0, y0) + (at(x1, y0) - at(x0, y0)) * wx;
+                    let bottom = at(x0, y1) + (at(x1, y1) - at(x0, y1)) * wx;
+                    let v = top + (bottom - top) * wy;
+                    data.push(v.round().clamp(0.0, 255.0) as u8);
+                }
+            }
+        }
+        RasterImage { width: new_width, height: new_height, data }
+    }
+
+    /// Every byte value next to every other somewhere, no smooth runs.
+    fn noise(w: u32, h: u32) -> RasterImage {
+        let mut state = u64::from(w) << 32 | u64::from(h);
+        let data = (0..w as usize * h as usize * CHANNELS)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        RasterImage::from_raw(w, h, data).unwrap()
+    }
+
+    #[test]
+    fn resize_matches_the_per_pixel_reference() {
+        let shapes = [(1u32, 1u32), (1, 9), (9, 1), (2, 2), (7, 5), (31, 17), (64, 48), (224, 224)];
+        let targets =
+            [(1u32, 1u32), (2, 3), (7, 5), (16, 16), (31, 17), (50, 200), (224, 224), (300, 40)];
+        for (w, h) in shapes {
+            for img in [noise(w, h), gradient(w, h)] {
+                for (nw, nh) in targets {
+                    assert_eq!(
+                        img.resize_bilinear(nw, nh),
+                        resize_reference(&img, nw, nh),
+                        "{w}x{h} -> {nw}x{nh}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_around_every_tie() {
+        let reference = |v: f64| v.round().clamp(0.0, 255.0) as u8;
+        let mut probes =
+            vec![0.0f64, -0.0, f64::MAX, f64::MIN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for k in -2i32..=257 {
+            for tie in [f64::from(k) - 0.5, f64::from(k) + 0.5, f64::from(k)] {
+                // The tie and its three neighbours on either side.
+                probes.push(tie);
+                let (mut below, mut above) = (tie, tie);
+                for _ in 0..3 {
+                    below = next_toward(below, f64::NEG_INFINITY);
+                    above = next_toward(above, f64::INFINITY);
+                    probes.extend([below, above]);
+                }
+            }
+        }
+        for v in probes {
+            assert_eq!(round_to_u8(v), reference(v), "v = {v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    /// The neighbouring `f64` of a finite `v` in the direction of `toward`.
+    fn next_toward(v: f64, toward: f64) -> f64 {
+        if v == 0.0 {
+            return f64::from_bits(1).copysign(toward);
+        }
+        let away_from_zero = (toward > v) == (v > 0.0);
+        f64::from_bits(if away_from_zero { v.to_bits() + 1 } else { v.to_bits() - 1 })
     }
 }

@@ -1,18 +1,32 @@
 //! `Decode`: encoded SJPG bytes → raster image.
 
+use imagery::{RasterImage, Rect};
+
 use crate::{PipelineError, StageData};
 
 pub(super) fn apply(data: StageData) -> Result<StageData, PipelineError> {
     let StageData::Encoded(bytes) = data else { unreachable!("kind checked by caller") };
-    // Tiered (version-3) streams — including browned-out prefixes served
-    // under link pressure — decode through the progressive path; classic
-    // version-2 streams stay on the bit-exact legacy decoder.
-    let img = if codec::is_tiered(&bytes) {
-        codec::decode_tiered(&bytes)?.image
+    Ok(StageData::Image(decode_rect(&bytes, Rect::full)?))
+}
+
+/// Decodes the rectangle `choose` picks from the stream's dimensions.
+///
+/// Tiered (version-3) streams, including browned-out prefixes served under
+/// link pressure, decode through the progressive path and classic
+/// version-2 streams through the classic one; both reconstruct only the
+/// blocks the rectangle overlaps, and both report a defective stream with
+/// the error a full decode reports.
+pub(super) fn decode_rect(
+    bytes: &[u8],
+    choose: impl FnOnce(u32, u32) -> Rect,
+) -> Result<RasterImage, PipelineError> {
+    if codec::is_tiered(bytes) {
+        let index = codec::TierIndex::parse(bytes)?;
+        Ok(codec::decode_tiered_region(bytes, choose(index.width, index.height))?.image)
     } else {
-        codec::decode(&bytes)?
-    };
-    Ok(StageData::Image(img))
+        let header = codec::Header::parse(bytes)?;
+        Ok(codec::decode_region(bytes, choose(header.width, header.height))?)
+    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ mod random_resized_crop;
 mod resize;
 mod to_tensor;
 
+pub(crate) use random_resized_crop::decode_crop_and_resize;
 pub use random_resized_crop::CropParams;
 
 use serde::{Deserialize, Serialize};

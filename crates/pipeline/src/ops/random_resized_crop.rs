@@ -63,6 +63,23 @@ pub(super) fn apply(
     Ok(StageData::Image(crop_and_resize(&img, size, rng)?))
 }
 
+/// `Decode` and `RandomResizedCrop` as one step: draws the crop from the
+/// stream's dimensions first, then decodes only that rectangle. The image
+/// equals [`crop_and_resize`] of the full decode, bit for bit, when `rng` is
+/// the crop's own substream.
+///
+/// # Errors
+///
+/// The errors `Decode` reports for the same bytes.
+pub(crate) fn decode_crop_and_resize(
+    bytes: &[u8],
+    size: u32,
+    rng: &mut AugmentRng,
+) -> Result<RasterImage, PipelineError> {
+    let cropped = super::decode::decode_rect(bytes, |w, h| sample_params(w, h, rng).rect)?;
+    Ok(cropped.resize_bilinear(size, size))
+}
+
 /// Crops with sampled parameters and resizes to `size × size`.
 ///
 /// # Errors

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SampleKey;
-use crate::{AugmentRng, DataKind, OpKind, PipelineError, StageData, CROP_SIZE};
+use crate::{ops, AugmentRng, DataKind, OpKind, PipelineError, StageData, CROP_SIZE};
 
 /// How many leading operations of a pipeline run on the storage node.
 ///
@@ -158,15 +158,38 @@ impl PipelineSpec {
         Ok(())
     }
 
+    /// Runs ops `range`, op `idx` on its own substream
+    /// `AugmentRng::for_op(key, idx)`.
+    ///
+    /// An adjacent `Decode` → `RandomResizedCrop` pair inside the range runs
+    /// as one step: the crop rectangle is drawn first (it depends only on
+    /// the stream's header dimensions and the crop's substream, and `Decode`
+    /// draws nothing), and the decoder reconstructs only that rectangle. The
+    /// result equals the op-by-op [`OpKind::apply`] chain bit for bit, and a
+    /// corrupt stream fails with the error `Decode` alone reports, because
+    /// the whole stream is still parsed. A range that holds only one of the
+    /// two ops runs it on its own.
     fn run_range(
         &self,
         mut data: StageData,
         range: std::ops::Range<usize>,
         key: SampleKey,
     ) -> Result<StageData, PipelineError> {
-        for idx in range {
-            let mut rng = AugmentRng::for_op(key, idx);
-            data = self.ops[idx].apply(data, &mut rng)?;
+        let mut idx = range.start;
+        while idx < range.end {
+            (data, idx) = match (&self.ops[idx..range.end], data) {
+                (
+                    [OpKind::Decode, OpKind::RandomResizedCrop { size }, ..],
+                    StageData::Encoded(bytes),
+                ) => {
+                    let mut rng = AugmentRng::for_op(key, idx + 1);
+                    let image = ops::decode_crop_and_resize(&bytes, *size, &mut rng)?;
+                    (StageData::Image(image), idx + 2)
+                }
+                (_, data) => {
+                    (self.ops[idx].apply(data, &mut AugmentRng::for_op(key, idx))?, idx + 1)
+                }
+            };
         }
         Ok(data)
     }
@@ -181,6 +204,13 @@ impl PipelineSpec {
     }
 
     /// Runs only the offloaded prefix (what the storage node executes).
+    ///
+    /// When the prefix holds both `Decode` and the `RandomResizedCrop` right
+    /// after it, the two run fused and the node never reconstructs the
+    /// pixels the crop discards (about six in ten with torchvision's scale
+    /// range); the output is bit-identical to running them one by one. A
+    /// split between the two (`SplitPoint::new(1)`) decodes the full image,
+    /// which is what goes on the wire there.
     ///
     /// # Errors
     ///
@@ -198,6 +228,10 @@ impl PipelineSpec {
 
     /// Runs the remaining suffix (what the compute node executes after
     /// receiving partially preprocessed data).
+    ///
+    /// A suffix that starts at the raw bytes (`SplitPoint::NONE`) fuses
+    /// `Decode` → `RandomResizedCrop` exactly as [`PipelineSpec::run_prefix`]
+    /// does; one that starts at the decoded image crops it as before.
     ///
     /// # Errors
     ///
@@ -288,16 +322,100 @@ mod tests {
         assert_eq!((t.width(), t.height()), (224, 224));
     }
 
+    /// The unfused reference: every op applied on its own substream.
+    fn apply_op_by_op(
+        spec: &PipelineSpec,
+        mut data: StageData,
+        key: SampleKey,
+    ) -> Result<StageData, PipelineError> {
+        for (idx, op) in spec.ops().iter().enumerate() {
+            data = op.apply(data, &mut AugmentRng::for_op(key, idx))?;
+        }
+        Ok(data)
+    }
+
     #[test]
     fn every_split_point_reproduces_unsplit_output() {
-        let spec = PipelineSpec::standard_train();
-        let key = SampleKey::new(42, 17, 3);
-        let full = spec.run(encoded_sample(2), key).unwrap();
-        for split in spec.split_points() {
-            let mid = spec.run_prefix(encoded_sample(2), split, key).unwrap();
-            let out = spec.run_suffix(mid, split, key).unwrap();
-            assert!(tensors_equal(&out, &full), "split {split:?} diverged from unsplit execution");
+        // `run`, and `run_prefix` + `run_suffix` at every split (split 1 cuts
+        // the fused pair in two), against the op-by-op chain, for classic and
+        // browned-out tiered inputs across epochs.
+        let img = SynthSpec::new(200, 150).complexity(0.5).render(2);
+        let tiered = codec::encode_tiered(&img, Quality::default(), &codec::TierSpec::default());
+        let inputs = [
+            StageData::Encoded(codec::encode(&img, Quality::default()).into()),
+            StageData::Encoded(tiered.clone().into()),
+            StageData::Encoded(codec::truncate_to_tier(&tiered, 0).unwrap().to_vec().into()),
+        ];
+        for spec in [PipelineSpec::standard_train(), PipelineSpec::augmented_train()] {
+            for input in &inputs {
+                for epoch in [0, 3] {
+                    let key = SampleKey::new(42, 17, epoch);
+                    let reference = apply_op_by_op(&spec, input.clone(), key).unwrap();
+                    let full = spec.run(input.clone(), key).unwrap();
+                    assert!(tensors_equal(&full, &reference), "run diverged at epoch {epoch}");
+                    for split in spec.split_points() {
+                        let mid = spec.run_prefix(input.clone(), split, key).unwrap();
+                        let out = spec.run_suffix(mid, split, key).unwrap();
+                        assert!(
+                            tensors_equal(&out, &reference),
+                            "split {split:?} diverged from op-by-op execution at epoch {epoch}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn fused_prefix_ships_what_the_unfused_ops_produce() {
+        // The intermediate on the wire at split 2, not only the final tensor.
+        let spec = PipelineSpec::standard_train();
+        for epoch in 0..6 {
+            let key = SampleKey::new(5, 9, epoch);
+            let mut by_hand = encoded_sample(6);
+            for idx in 0..2 {
+                by_hand =
+                    spec.ops()[idx].apply(by_hand, &mut AugmentRng::for_op(key, idx)).unwrap();
+            }
+            let fused = spec.run_prefix(encoded_sample(6), SplitPoint::new(2), key).unwrap();
+            assert_eq!(fused, by_hand, "epoch {epoch}");
+        }
+    }
+
+    #[test]
+    fn fused_step_fails_like_the_unfused_chain() {
+        let spec = PipelineSpec::standard_train();
+        let key = SampleKey::new(1, 2, 3);
+        let good =
+            codec::encode(&SynthSpec::new(64, 48).complexity(0.5).render(1), Quality::default());
+        let tiered = codec::encode_tiered(
+            &SynthSpec::new(64, 48).complexity(0.5).render(1),
+            Quality::default(),
+            &codec::TierSpec::default(),
+        );
+        let mut hostile = good.clone();
+        hostile[5..13].copy_from_slice(&[0, 0, 0, 4, 0, 0, 0, 4]); // 2^26 x 2^26
+        let mut flipped = good.clone();
+        flipped[40] ^= 0xFF;
+        let defective: Vec<Vec<u8>> = vec![
+            b"not an image".to_vec(),
+            good[..good.len() - 9].to_vec(),
+            hostile,
+            flipped,
+            tiered[..tiered.len() - 1].to_vec(),
+        ];
+        for bytes in defective {
+            let input = StageData::Encoded(bytes.into());
+            let unfused = apply_op_by_op(&spec, input.clone(), key);
+            assert_eq!(spec.run(input.clone(), key), unfused);
+            assert_eq!(spec.run_prefix(input, SplitPoint::new(2), key).err(), unfused.err());
+        }
+        // Data of the wrong kind is reported by `Decode`, fused or not.
+        let image = StageData::Image(SynthSpec::new(8, 8).render(1));
+        assert!(matches!(
+            spec.run(image, key),
+            Err(PipelineError::KindMismatch { op: OpKind::Decode, .. })
+        ));
     }
 
     #[test]
