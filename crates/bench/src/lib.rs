@@ -357,14 +357,15 @@ pub fn training_amortization(len: u64, epochs: u64) -> String {
         "policy", "epoch 0 (s)", "steady (s)", "total (s)", "profiling overhead"
     );
     for p in standard_policies() {
-        match s.run_training(p.as_ref(), epochs) {
+        let request = TrainingRequest { policy: Some(p.as_ref()), ..TrainingRequest::new(epochs) };
+        match s.run_training(&request) {
             Ok(r) => {
                 let _ = writeln!(
                     out,
                     "{:<12} {:>14.1} {:>14.1} {:>14.1} {:>17.2}%",
                     r.policy,
-                    r.stats.first_epoch.epoch_seconds,
-                    r.stats.steady_epoch.epoch_seconds,
+                    r.stats.first_epoch.total.epoch_seconds,
+                    r.stats.steady_epoch.total.epoch_seconds,
                     r.stats.total_seconds,
                     r.profiling_overhead() * 100.0
                 );
@@ -433,21 +434,48 @@ where
         .epoch_seconds
 }
 
-/// One row of the near-compute cache budget sweep.
+/// One row of a near-compute cache budget sweep, over one storage node or
+/// a fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheSweepRow {
     /// Cache budget as a percentage of corpus raw bytes.
     pub budget_pct: u64,
+    /// Storage nodes behind the cache.
+    pub shards: usize,
     /// Selection policy name.
     pub selection: String,
     /// Samples pinned under the budget.
     pub cached_samples: u64,
-    /// Cold-epoch (cache-filling) wire bytes.
+    /// Cold-epoch (profiling + cache-filling) wire bytes over all links.
     pub cold_traffic_bytes: u64,
-    /// Steady-state warm-epoch wire bytes.
+    /// Steady-state warm-epoch wire bytes over all links.
     pub warm_traffic_bytes: u64,
     /// Steady-state warm-epoch time in virtual seconds.
     pub warm_epoch_seconds: f64,
+    /// Busiest node's share of warm-epoch served samples.
+    pub peak_node_share: f64,
+}
+
+/// Runs `fleet` behind a cache of `budget_pct` percent of `corpus_bytes`.
+fn cache_sweep_row(
+    s: &Scenario,
+    fleet: TrainingRequest<'_>,
+    corpus_bytes: u64,
+    budget_pct: u64,
+    selection: sophon::ext::caching::CacheSelection,
+) -> CacheSweepRow {
+    let cache = Some((corpus_bytes * budget_pct / 100, selection));
+    let r = s.run_training(&TrainingRequest { cache, ..fleet }).expect("cache run simulates");
+    CacheSweepRow {
+        budget_pct,
+        shards: fleet.shards,
+        selection: selection.name().to_string(),
+        cached_samples: r.cache.expect("request had a cache").cached_samples,
+        cold_traffic_bytes: r.stats.cold().total.traffic_bytes,
+        warm_traffic_bytes: r.stats.warm().total.traffic_bytes,
+        warm_epoch_seconds: r.stats.warm().total.epoch_seconds,
+        peak_node_share: r.stats.warm().peak_node_share(),
+    }
 }
 
 /// Sweeps the near-compute cache over `budgets_pct` (percent of corpus
@@ -462,17 +490,7 @@ pub fn cache_sweep(len: u64, epochs: u64, budgets_pct: &[u64]) -> Vec<CacheSweep
         for sel in
             [CacheSelection::Arrival, CacheSelection::SizeAware, CacheSelection::EfficiencyAware]
         {
-            let r = s
-                .run_training_cached(epochs, corpus_bytes * pct / 100, sel)
-                .expect("cache run simulates");
-            rows.push(CacheSweepRow {
-                budget_pct: pct,
-                selection: r.selection.clone(),
-                cached_samples: r.cached_samples,
-                cold_traffic_bytes: r.stats.cold().traffic_bytes,
-                warm_traffic_bytes: r.warm_traffic_bytes(),
-                warm_epoch_seconds: r.stats.warm().epoch_seconds,
-            });
+            rows.push(cache_sweep_row(&s, TrainingRequest::new(epochs), corpus_bytes, pct, sel));
         }
     }
     rows
@@ -532,13 +550,19 @@ pub fn fleet_scaling(len: u64, replication: usize, shard_counts: &[usize]) -> Ve
         .iter()
         .map(|&shards| {
             let rep = replication.min(shards).max(1);
-            let r = s.run_training_fleet(2, shards, rep, SEED, &[]).expect("fleet simulates");
+            let request = TrainingRequest {
+                shards,
+                replication: rep,
+                placement_seed: SEED,
+                ..TrainingRequest::new(2)
+            };
+            let r = s.run_training(&request).expect("fleet simulates");
             FleetScalingRow {
                 shards,
                 replication: rep,
                 epoch_seconds: r.stats.steady_epoch.total.epoch_seconds,
                 traffic_bytes: r.stats.steady_epoch.total.traffic_bytes,
-                peak_node_share: r.peak_node_share(),
+                peak_node_share: r.stats.steady_epoch.peak_node_share(),
                 peak_storage_cpu_seconds: r
                     .per_shard
                     .iter()
@@ -583,25 +607,6 @@ pub fn fleet_scaling_table(len: u64) -> String {
     out
 }
 
-/// One row of the cache × fleet composition sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedFleetRow {
-    /// Cache budget as a percentage of corpus raw bytes.
-    pub budget_pct: u64,
-    /// Storage nodes in the fleet.
-    pub shards: usize,
-    /// Samples pinned in the near-compute cache.
-    pub cached_samples: u64,
-    /// Cold-epoch (profiling + cache-filling) fleet wire bytes.
-    pub cold_traffic_bytes: u64,
-    /// Steady-state warm-epoch fleet wire bytes.
-    pub warm_traffic_bytes: u64,
-    /// Steady-state warm-epoch time in virtual seconds.
-    pub warm_epoch_seconds: f64,
-    /// Busiest node's share of warm-epoch served samples.
-    pub peak_node_share: f64,
-}
-
 /// Sweeps the cache × fleet composition over `budgets_pct` (percent of
 /// corpus bytes) at a fixed shard count, planning each shard's uncached
 /// residual against that node's own cores and link.
@@ -611,34 +616,19 @@ pub fn cached_fleet_sweep(
     shards: usize,
     replication: usize,
     budgets_pct: &[u64],
-) -> Vec<CachedFleetRow> {
+) -> Vec<CacheSweepRow> {
     use sophon::ext::caching::CacheSelection;
     let s = scenario(openimages(len), 8, GpuModel::AlexNet);
     let corpus_bytes: u64 = s.profiles().iter().map(|p| p.raw_bytes).sum();
+    let fleet = TrainingRequest {
+        shards,
+        replication,
+        placement_seed: SEED,
+        ..TrainingRequest::new(epochs)
+    };
     budgets_pct
         .iter()
-        .map(|&pct| {
-            let r = s
-                .run_training_fleet_cached(
-                    epochs,
-                    shards,
-                    replication,
-                    SEED,
-                    corpus_bytes * pct / 100,
-                    CacheSelection::EfficiencyAware,
-                    &[],
-                )
-                .expect("cached fleet simulates");
-            CachedFleetRow {
-                budget_pct: pct,
-                shards,
-                cached_samples: r.cached_samples,
-                cold_traffic_bytes: r.stats.cold().total.traffic_bytes,
-                warm_traffic_bytes: r.warm_traffic_bytes(),
-                warm_epoch_seconds: r.stats.warm().total.epoch_seconds,
-                peak_node_share: r.stats.warm().peak_node_share(),
-            }
-        })
+        .map(|&pct| cache_sweep_row(&s, fleet, corpus_bytes, pct, CacheSelection::EfficiencyAware))
         .collect()
 }
 

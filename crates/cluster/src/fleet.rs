@@ -4,7 +4,7 @@
 //! pool, read path, and storage→compute link — a thin configuration of the
 //! unified [`crate::stagegraph`] core with
 //! [`SampleRouting::ReplicaFailover`] routing. The module is deliberately
-//! mechanism-free, like [`crate::simulate_cached_training`]: callers supply
+//! mechanism-free, like [`crate::simulate_training`]: callers supply
 //! the per-sample **owner lists** (ordered replica sets, primary first —
 //! built e.g. by `fleet::ShardMap::owners`), and this module only schedules
 //! the resulting per-node queues. Placement policy, hashing, and transport
@@ -24,16 +24,14 @@
 //!   preprocessing service rate, so a seeded vector of speeds models a
 //!   straggler distribution without any randomness inside the simulator.
 //!
-//! [`simulate_fleet_cached_training`] composes this model with the warm
-//! near-compute cache of [`crate::simulate_cached_training`]: the cold
-//! epoch fetches everything from the fleet and fills the cache, warm epochs
-//! fetch only the uncached residual — still routed through each sample's
-//! owners, so per-node hotspots and failovers remain visible.
+//! Multi-epoch runs over a fleet — with or without a warm near-compute
+//! cache — are [`crate::simulate_training`] with owner lists set.
 
 use serde::{Deserialize, Serialize};
 
-use crate::stagegraph::{kill_thresholds, run_stage_graph, SampleRouting, StageHooks};
-use crate::training::{drive_training, EpochOutcome, TrainingPhase};
+use crate::stagegraph::{
+    kill_thresholds, run_stage_graph, SampleRouting, StageGraphRun, StageHooks,
+};
 use crate::{ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, SimError};
 
 pub use crate::stagegraph::NodeEpochStats;
@@ -54,6 +52,15 @@ pub struct FleetEpochStats {
 }
 
 impl FleetEpochStats {
+    /// Reshapes a finished stage-graph run.
+    pub(crate) fn from_run(run: StageGraphRun) -> FleetEpochStats {
+        FleetEpochStats {
+            total: run.total_stats(),
+            per_node: run.per_node,
+            failovers: run.failovers,
+        }
+    }
+
     /// The busiest node's share of served samples — `1/n` is perfectly
     /// balanced, `1.0` means one node served everything.
     pub fn peak_node_share(&self) -> f64 {
@@ -62,66 +69,6 @@ impl FleetEpochStats {
         }
         let peak = self.per_node.iter().map(|n| n.samples_served).max().unwrap_or(0);
         peak as f64 / self.total.samples as f64
-    }
-}
-
-impl EpochOutcome for FleetEpochStats {
-    fn epoch_seconds(&self) -> f64 {
-        self.total.epoch_seconds
-    }
-    fn traffic_bytes(&self) -> u64 {
-        self.total.traffic_bytes
-    }
-}
-
-/// Statistics of a multi-epoch training run over a fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetTrainingStats {
-    /// Total epochs executed.
-    pub epochs: u64,
-    /// The first epoch (where mid-epoch kill events land).
-    pub first_epoch: FleetEpochStats,
-    /// Steady-state epochs (killed nodes stay dead throughout).
-    pub steady_epoch: FleetEpochStats,
-    /// Total wall-clock (virtual) seconds.
-    pub total_seconds: f64,
-    /// Total bytes moved over all links.
-    pub total_traffic_bytes: u64,
-}
-
-/// Statistics of a cached training run over a fleet: epoch 0 is the cold
-/// (cache-filling) fleet epoch, every later epoch fetches only the uncached
-/// residual through the same fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetCachedTrainingStats {
-    /// The underlying run (first epoch = cold, steady = warm).
-    pub run: FleetTrainingStats,
-}
-
-impl FleetCachedTrainingStats {
-    /// The cold (cache-filling) fleet epoch's stats.
-    pub fn cold(&self) -> &FleetEpochStats {
-        &self.run.first_epoch
-    }
-
-    /// The steady-state warm fleet epoch's stats.
-    pub fn warm(&self) -> &FleetEpochStats {
-        &self.run.steady_epoch
-    }
-
-    /// Wire bytes a warm epoch avoids relative to the cold epoch.
-    pub fn warm_bytes_saved(&self) -> u64 {
-        self.cold().total.traffic_bytes.saturating_sub(self.warm().total.traffic_bytes)
-    }
-
-    /// Fraction of cold-epoch fleet traffic a warm epoch avoids (0 when
-    /// the cold epoch moved nothing).
-    pub fn warm_traffic_reduction(&self) -> f64 {
-        if self.cold().total.traffic_bytes == 0 {
-            0.0
-        } else {
-            self.warm_bytes_saved() as f64 / self.cold().total.traffic_bytes as f64
-        }
     }
 }
 
@@ -158,95 +105,7 @@ pub fn simulate_fleet_epoch(
     let dead_from = kill_thresholds(kills, nodes.len(), spec.samples.len())?;
     let routing = SampleRouting::ReplicaFailover { owners, dead_from: &dead_from };
     let run = run_stage_graph(base, nodes, spec, routing, StageHooks::default())?;
-    Ok(FleetEpochStats {
-        total: run.total_stats(),
-        per_node: run.per_node,
-        failovers: run.failovers,
-    })
-}
-
-/// Simulates `epochs` of training over a fleet. Kill events land in the
-/// first epoch at their given fraction; every later epoch runs with those
-/// nodes dead from the start (a mid-run death is permanent).
-///
-/// # Errors
-///
-/// Propagates [`simulate_fleet_epoch`] failures.
-///
-/// # Panics
-///
-/// Panics when `epochs == 0`.
-pub fn simulate_fleet_training(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    spec: &EpochSpec,
-    owners: &[Vec<usize>],
-    kills: &[KillEvent],
-    epochs: u64,
-) -> Result<FleetTrainingStats, SimError> {
-    let permanent: Vec<KillEvent> = kills.iter().map(|k| KillEvent::new(k.node, 0.0)).collect();
-    let totals = drive_training(epochs, |phase| {
-        let epoch_kills = match phase {
-            TrainingPhase::First => kills,
-            TrainingPhase::Steady => &permanent,
-        };
-        simulate_fleet_epoch(base, nodes, spec, owners, epoch_kills)
-    })?;
-    Ok(FleetTrainingStats {
-        epochs,
-        first_epoch: totals.first,
-        steady_epoch: totals.steady,
-        total_seconds: totals.total_seconds,
-        total_traffic_bytes: totals.total_traffic_bytes,
-    })
-}
-
-/// Simulates `epochs` of cached training over a fleet: epoch 0 runs `cold`
-/// (fetch everything through the fleet, fill the near-compute cache) and
-/// all later epochs run `warm` (fetch the uncached residual only). Kill
-/// events land in the cold epoch at their given fraction and are permanent
-/// for warm epochs, mirroring [`simulate_fleet_training`].
-///
-/// Cached samples still appear in the warm spec (with zero transfer
-/// bytes) and are still routed through their owner lists, so a warm epoch
-/// keeps per-node accounting honest: a dead fleet cannot serve even a
-/// fully cached corpus in this conservative model.
-///
-/// # Errors
-///
-/// Propagates [`simulate_fleet_epoch`] failures; additionally
-/// [`SimError::OwnersMismatch`] when `cold` and `warm` disagree on sample
-/// count.
-///
-/// # Panics
-///
-/// Panics when `epochs == 0`.
-pub fn simulate_fleet_cached_training(
-    base: &ClusterConfig,
-    nodes: &[FleetNodeConfig],
-    cold: &EpochSpec,
-    warm: &EpochSpec,
-    owners: &[Vec<usize>],
-    kills: &[KillEvent],
-    epochs: u64,
-) -> Result<FleetCachedTrainingStats, SimError> {
-    if warm.samples.len() != cold.samples.len() {
-        return Err(SimError::OwnersMismatch { owners: owners.len(), samples: cold.samples.len() });
-    }
-    let permanent: Vec<KillEvent> = kills.iter().map(|k| KillEvent::new(k.node, 0.0)).collect();
-    let totals = drive_training(epochs, |phase| match phase {
-        TrainingPhase::First => simulate_fleet_epoch(base, nodes, cold, owners, kills),
-        TrainingPhase::Steady => simulate_fleet_epoch(base, nodes, warm, owners, &permanent),
-    })?;
-    Ok(FleetCachedTrainingStats {
-        run: FleetTrainingStats {
-            epochs,
-            first_epoch: totals.first,
-            steady_epoch: totals.steady,
-            total_seconds: totals.total_seconds,
-            total_traffic_bytes: totals.total_traffic_bytes,
-        },
-    })
+    Ok(FleetEpochStats::from_run(run))
 }
 
 #[cfg(test)]
@@ -375,28 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_training_keeps_killed_nodes_dead() {
-        let spec = io_bound_spec(512);
-        let run = simulate_fleet_training(
-            &base(),
-            &nominal_nodes(3),
-            &spec,
-            &owners(512, 3, 2),
-            &[KillEvent::new(0, 0.75)],
-            5,
-        )
-        .unwrap();
-        assert_eq!(run.epochs, 5);
-        // First epoch: node 0 served its pre-kill share. Steady: nothing.
-        assert!(run.first_epoch.per_node[0].samples_served > 0);
-        assert_eq!(run.steady_epoch.per_node[0].samples_served, 0);
-        assert_eq!(
-            run.total_traffic_bytes,
-            run.first_epoch.total.traffic_bytes + run.steady_epoch.total.traffic_bytes * 4
-        );
-    }
-
-    #[test]
     fn deterministic() {
         let spec = io_bound_spec(777);
         let own = owners(777, 3, 2);
@@ -440,71 +277,5 @@ mod tests {
         nodes[1].storage_cores = 0;
         let err = simulate_fleet_epoch(&base(), &nodes, &spec, &owners(16, 2, 1), &[]).unwrap_err();
         assert_eq!(err, SimError::NoStorageCores);
-    }
-
-    #[test]
-    fn cached_fleet_training_composes_cold_and_warm_epochs() {
-        let cold = io_bound_spec(512);
-        // Warm epoch: half the corpus cached (zero transfer bytes).
-        let warm_samples: Vec<SampleWork> = (0..512)
-            .map(|i| {
-                if i % 2 == 0 {
-                    SampleWork::new(0.0, 0, 0.001)
-                } else {
-                    SampleWork::new(0.0, 300_000, 0.001)
-                }
-            })
-            .collect();
-        let warm = EpochSpec::new(warm_samples, 256, GpuModel::AlexNet);
-        let own = owners(512, 4, 2);
-        let run =
-            simulate_fleet_cached_training(&base(), &nominal_nodes(4), &cold, &warm, &own, &[], 6)
-                .unwrap();
-        assert_eq!(run.cold().total.traffic_bytes, 512 * 300_000);
-        assert_eq!(run.warm().total.traffic_bytes, 256 * 300_000);
-        assert!((run.warm_traffic_reduction() - 0.5).abs() < 1e-12);
-        assert_eq!(
-            run.run.total_traffic_bytes,
-            run.cold().total.traffic_bytes + run.warm().total.traffic_bytes * 5
-        );
-        // Warm epochs still route through the fleet: every node serves.
-        assert!(run.warm().per_node.iter().all(|n| n.samples_served > 0));
-    }
-
-    #[test]
-    fn cached_fleet_training_with_a_kill_keeps_the_node_dead_when_warm() {
-        let cold = io_bound_spec(512);
-        let warm =
-            EpochSpec::new(vec![SampleWork::new(0.0, 30_000, 0.001); 512], 256, GpuModel::AlexNet);
-        let run = simulate_fleet_cached_training(
-            &base(),
-            &nominal_nodes(3),
-            &cold,
-            &warm,
-            &owners(512, 3, 2),
-            &[KillEvent::new(1, 0.5)],
-            4,
-        )
-        .unwrap();
-        assert!(run.cold().per_node[1].samples_served > 0);
-        assert_eq!(run.warm().per_node[1].samples_served, 0);
-        assert!(run.warm().failovers > 0);
-    }
-
-    #[test]
-    fn cached_fleet_training_rejects_mismatched_specs() {
-        let cold = io_bound_spec(512);
-        let warm = io_bound_spec(256);
-        let err = simulate_fleet_cached_training(
-            &base(),
-            &nominal_nodes(2),
-            &cold,
-            &warm,
-            &owners(512, 2, 2),
-            &[],
-            3,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::OwnersMismatch { .. }));
     }
 }

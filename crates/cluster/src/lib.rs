@@ -21,7 +21,10 @@
 //! [`SampleWork`] (storage CPU seconds, bytes on the wire, compute CPU
 //! seconds) produced by the `sophon` crate's policies, and returns
 //! [`EpochStats`] (epoch time, traffic, utilizations) — the quantities
-//! plotted in the paper's Figures 1d, 3, and 4.
+//! plotted in the paper's Figures 1d, 3, and 4. [`simulate_fleet_epoch`]
+//! runs the same epoch over N storage nodes, and [`simulate_training`] is
+//! the one multi-epoch run (profiling / cold epoch, then steady epochs) over
+//! either.
 //!
 //! # Example
 //!
@@ -41,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod config;
 mod fleet;
 mod gpu;
@@ -54,12 +56,8 @@ pub mod trace;
 mod training;
 mod workload;
 
-pub use cache::{simulate_cached_training, CachedTrainingStats};
 pub use config::ClusterConfig;
-pub use fleet::{
-    simulate_fleet_cached_training, simulate_fleet_epoch, simulate_fleet_training,
-    FleetCachedTrainingStats, FleetEpochStats, FleetTrainingStats,
-};
+pub use fleet::{simulate_fleet_epoch, FleetEpochStats};
 pub use gpu::GpuModel;
 pub use multitenant::{simulate_multi_tenant, MultiTenantRun, TenantRunStats, TenantWorkload};
 pub use resources::{CpuPool, FifoServer};
@@ -70,5 +68,5 @@ pub use stagegraph::{
 };
 pub use stats::EpochStats;
 pub use trace::TraceError;
-pub use training::{simulate_training, TrainingStats};
+pub use training::{simulate_training, TrainingSpec, TrainingStats};
 pub use workload::{EpochSpec, SampleWork};

@@ -54,9 +54,11 @@ pub enum SimError {
         /// Number of nodes in the fleet.
         nodes: usize,
     },
-    /// A mid-epoch work replacement is not parallel to the epoch's samples.
+    /// A second set of sample works — a mid-epoch directive's replacement,
+    /// or a training run's steady epoch — is not parallel to the epoch's
+    /// samples.
     WorksMismatch {
-        /// Number of sample works supplied by the directive.
+        /// Number of sample works supplied.
         got: usize,
         /// Number of samples in the epoch.
         samples: usize,
@@ -97,7 +99,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "{thresholds} kill thresholds for {nodes} nodes (must be parallel)")
             }
             SimError::WorksMismatch { got, samples } => {
-                write!(f, "directive replaces {got} sample works, epoch has {samples} samples")
+                write!(f, "{got} sample works for an epoch of {samples} samples (must be parallel)")
             }
             SimError::UpdateOutOfRange { node, nodes } => {
                 write!(f, "node update names node {node}, but the fleet has {nodes} nodes")

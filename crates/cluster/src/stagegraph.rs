@@ -1,7 +1,8 @@
 //! The unified stage-graph simulation core.
 //!
 //! Every simulator in this crate — single-node ([`crate::simulate_epoch`]),
-//! traced, cached, and fleet ([`crate::simulate_fleet_epoch`]) — is one
+//! traced, fleet ([`crate::simulate_fleet_epoch`]), and multi-epoch
+//! ([`crate::simulate_training`]) — is one
 //! configuration of the same machine: an epoch is a set of samples routed
 //! through a graph of FIFO resource stages,
 //!
@@ -25,7 +26,7 @@
 //! busy seconds.
 //!
 //! [`run_stage_graph`] is deterministic and purely virtual-time; the public
-//! wrappers in `sim.rs`, `cache.rs`, `training.rs`, and `fleet.rs` are thin
+//! wrappers in `sim.rs`, `training.rs`, and `fleet.rs` are thin
 //! adapters that build a node vector and a routing and reshape the
 //! resulting [`StageGraphRun`].
 

@@ -1,82 +1,53 @@
 //! Multi-epoch training runs.
 //!
-//! Epochs are independent in the cluster model (no cross-epoch caching), so
-//! a training run is one simulation of each *distinct* epoch workload plus
-//! arithmetic. The distinction that matters for SOPHON is the **profiling
-//! epoch**: its stage-2 profiler runs the first epoch without offloading, so
-//! a SOPHON training run pays one `No-Off` epoch up front and reaps the
-//! optimized epochs afterwards. This module quantifies that amortization.
+//! Epochs are independent in the cluster model, so a training run is one
+//! simulation of each *distinct* epoch plus arithmetic: epoch 0, one steady
+//! epoch, and `first + steady × (epochs − 1)` totals. Everything that makes
+//! epoch 0 special lands in that same slot:
 //!
-//! Every multi-epoch entry point in the crate — [`simulate_training`],
-//! [`crate::simulate_cached_training`], [`crate::simulate_fleet_training`],
-//! and [`crate::simulate_fleet_cached_training`] — shares the same
-//! first-then-steady aggregation through [`drive_training`]; only the
-//! per-epoch simulation differs.
+//! * **profiling** — SOPHON's stage-2 profiler runs epoch 0 un-offloaded,
+//!   so its run pays one `No-Off` epoch before the optimized ones;
+//! * **cache fill** — with a near-compute cache, epoch 0 is the **cold**
+//!   epoch that fetches everything and every later one a **warm** epoch
+//!   fetching the uncached residual. Cached samples stay in the warm spec
+//!   with zero transfer bytes and are still routed through their owners: a
+//!   dead fleet cannot serve even a fully cached corpus in this
+//!   conservative model;
+//! * **node deaths** — kill events land in epoch 0 at their given fraction
+//!   and are permanent: later epochs run with those nodes dead throughout.
+//!
+//! So [`simulate_training`] is the only multi-epoch entry point. The
+//! two-node testbed is one nominal node and no owner lists. The module is
+//! mechanism-free: which samples offload, which are cached and where they
+//! are placed is the `sophon` crate's business.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{simulate_epoch, ClusterConfig, EpochSpec, EpochStats, SimError};
+use crate::stagegraph::{run_stage_graph, SampleRouting, StageHooks};
+use crate::{
+    simulate_fleet_epoch, ClusterConfig, EpochSpec, FleetEpochStats, FleetNodeConfig, KillEvent,
+    SimError,
+};
 
-/// One epoch's contribution to a training run's totals.
-pub(crate) trait EpochOutcome: Clone {
-    /// Virtual seconds the epoch took.
-    fn epoch_seconds(&self) -> f64;
-    /// Bytes moved over all links during the epoch.
-    fn traffic_bytes(&self) -> u64;
-}
-
-impl EpochOutcome for EpochStats {
-    fn epoch_seconds(&self) -> f64 {
-        self.epoch_seconds
-    }
-    fn traffic_bytes(&self) -> u64 {
-        self.traffic_bytes
-    }
-}
-
-/// Which epoch of a training run is being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TrainingPhase {
-    /// Epoch 0 (profiling / cold / where mid-epoch kills land).
-    First,
-    /// Every epoch after the first.
-    Steady,
-}
-
-/// Aggregate of a first-then-steady training run.
-pub(crate) struct TrainingTotals<S> {
-    /// The first epoch's outcome.
-    pub first: S,
-    /// The steady-state epochs' outcome (equals `first` for 1-epoch runs).
-    pub steady: S,
-    /// `first + steady * (epochs - 1)` seconds.
-    pub total_seconds: f64,
-    /// `first + steady * (epochs - 1)` bytes.
-    pub total_traffic_bytes: u64,
-}
-
-/// The shared cold/steady aggregation behind every training simulator: run
-/// the first epoch, run one steady epoch when the run has more than one
-/// (otherwise reuse the first), and total seconds and traffic as
-/// `first + steady × (epochs − 1)`.
-///
-/// # Panics
-///
-/// Panics when `epochs == 0`.
-pub(crate) fn drive_training<S: EpochOutcome, E>(
-    epochs: u64,
-    mut run_epoch: impl FnMut(TrainingPhase) -> Result<S, E>,
-) -> Result<TrainingTotals<S>, E> {
-    assert!(epochs > 0, "training needs at least one epoch");
-    let first = run_epoch(TrainingPhase::First)?;
-    let steady = if epochs > 1 { run_epoch(TrainingPhase::Steady)? } else { first.clone() };
-    let steady_count = epochs - 1;
-    Ok(TrainingTotals {
-        total_seconds: first.epoch_seconds() + steady.epoch_seconds() * steady_count as f64,
-        total_traffic_bytes: first.traffic_bytes() + steady.traffic_bytes() * steady_count,
-        first,
-        steady,
-    })
+/// Everything [`simulate_training`] runs, as data.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainingSpec<'a> {
+    /// The storage nodes; the two-node testbed is one
+    /// [`FleetNodeConfig::nominal`] node.
+    pub nodes: &'a [FleetNodeConfig],
+    /// Epoch 0: the profiling / cold epoch, where kill events land.
+    pub first: &'a EpochSpec,
+    /// Every later epoch (the same spec as `first` when epoch 0 is not
+    /// special).
+    pub steady: &'a EpochSpec,
+    /// Per-sample ordered replica sets (primary first), parallel to both
+    /// specs; empty means every sample is served by node 0 and `kills` are
+    /// ignored.
+    pub owners: &'a [Vec<usize>],
+    /// Node deaths during epoch 0, permanent afterwards.
+    pub kills: &'a [KillEvent],
+    /// Total epochs to run.
+    pub epochs: u64,
 }
 
 /// Statistics of a full training run.
@@ -84,56 +55,98 @@ pub(crate) fn drive_training<S: EpochOutcome, E>(
 pub struct TrainingStats {
     /// Total epochs executed.
     pub epochs: u64,
-    /// The first epoch's stats (the profiling epoch, when distinct).
-    pub first_epoch: EpochStats,
-    /// Stats of each steady-state epoch.
-    pub steady_epoch: EpochStats,
+    /// Epoch 0 (profiling / cold; where mid-epoch kill events land).
+    pub first_epoch: FleetEpochStats,
+    /// Each steady-state epoch (warm; killed nodes stay dead throughout).
+    /// Equals `first_epoch` for one-epoch runs.
+    pub steady_epoch: FleetEpochStats,
     /// Total wall-clock (virtual) seconds.
     pub total_seconds: f64,
-    /// Total bytes moved over the link.
+    /// Total bytes moved over all links.
     pub total_traffic_bytes: u64,
 }
 
 impl TrainingStats {
-    /// Mean epoch time across the run.
-    pub fn mean_epoch_seconds(&self) -> f64 {
-        if self.epochs == 0 {
+    /// The cold (cache-filling) epoch: epoch 0 under its cache name.
+    pub fn cold(&self) -> &FleetEpochStats {
+        &self.first_epoch
+    }
+
+    /// The steady-state warm epoch.
+    pub fn warm(&self) -> &FleetEpochStats {
+        &self.steady_epoch
+    }
+
+    /// Wire bytes a warm epoch avoids relative to the cold epoch.
+    pub fn warm_bytes_saved(&self) -> u64 {
+        self.cold().total.traffic_bytes.saturating_sub(self.warm().total.traffic_bytes)
+    }
+
+    /// Fraction of cold-epoch traffic a warm epoch avoids (0 when the cold
+    /// epoch moved nothing).
+    pub fn warm_traffic_reduction(&self) -> f64 {
+        if self.cold().total.traffic_bytes == 0 {
             0.0
         } else {
-            self.total_seconds / self.epochs as f64
+            self.warm_bytes_saved() as f64 / self.cold().total.traffic_bytes as f64
         }
     }
 }
 
-/// Simulates a training run whose first epoch may differ from the rest.
+/// Simulates `spec.epochs` of training: epoch 0 runs `spec.first` with
+/// `spec.kills` landing mid-epoch, every later epoch runs `spec.steady`
+/// with the killed nodes dead from the start.
 ///
 /// # Errors
 ///
-/// Propagates epoch-simulation failures.
+/// [`SimError::WorksMismatch`] when `first` and `steady` disagree on sample
+/// count; otherwise propagates [`simulate_fleet_epoch`] failures.
 ///
 /// # Panics
 ///
-/// Panics when `epochs == 0`.
+/// Panics when `spec.epochs == 0`.
 pub fn simulate_training(
-    config: &ClusterConfig,
-    first_epoch: &EpochSpec,
-    steady_epoch: &EpochSpec,
-    epochs: u64,
+    base: &ClusterConfig,
+    spec: &TrainingSpec<'_>,
 ) -> Result<TrainingStats, SimError> {
-    let totals = drive_training(epochs, |phase| {
-        let spec = match phase {
-            TrainingPhase::First => first_epoch,
-            TrainingPhase::Steady => steady_epoch,
-        };
-        simulate_epoch(config, spec)
-    })?;
+    assert!(spec.epochs > 0, "training needs at least one epoch");
+    let samples = spec.first.samples.len();
+    if spec.steady.samples.len() != samples {
+        return Err(SimError::WorksMismatch { got: spec.steady.samples.len(), samples });
+    }
+    let first_epoch = training_epoch(base, spec, spec.first, spec.kills)?;
+    let steady_epoch = if spec.epochs > 1 {
+        let permanent: Vec<KillEvent> =
+            spec.kills.iter().map(|k| KillEvent::new(k.node, 0.0)).collect();
+        training_epoch(base, spec, spec.steady, &permanent)?
+    } else {
+        first_epoch.clone()
+    };
+    let steady_count = spec.epochs - 1;
     Ok(TrainingStats {
-        epochs,
-        first_epoch: totals.first,
-        steady_epoch: totals.steady,
-        total_seconds: totals.total_seconds,
-        total_traffic_bytes: totals.total_traffic_bytes,
+        epochs: spec.epochs,
+        total_seconds: first_epoch.total.epoch_seconds
+            + steady_epoch.total.epoch_seconds * steady_count as f64,
+        total_traffic_bytes: first_epoch.total.traffic_bytes
+            + steady_epoch.total.traffic_bytes * steady_count,
+        first_epoch,
+        steady_epoch,
     })
+}
+
+/// One epoch of a training run: node 0 serves everything when the run has
+/// no owner lists, replica failover otherwise.
+fn training_epoch(
+    base: &ClusterConfig,
+    spec: &TrainingSpec<'_>,
+    epoch: &EpochSpec,
+    kills: &[KillEvent],
+) -> Result<FleetEpochStats, SimError> {
+    if !spec.owners.is_empty() {
+        return simulate_fleet_epoch(base, spec.nodes, epoch, spec.owners, kills);
+    }
+    run_stage_graph(base, spec.nodes, epoch, SampleRouting::SingleNode, StageHooks::default())
+        .map(FleetEpochStats::from_run)
 }
 
 #[cfg(test)]
@@ -141,58 +154,138 @@ mod tests {
     use super::*;
     use crate::{GpuModel, SampleWork};
 
+    /// 512 samples shipping `bytes` each.
     fn spec(bytes: u64) -> EpochSpec {
-        EpochSpec::new(vec![SampleWork::new(0.0, bytes, 0.001); 1024], 256, GpuModel::AlexNet)
+        EpochSpec::new(vec![SampleWork::new(0.0, bytes, 0.001); 512], 256, GpuModel::AlexNet)
+    }
+
+    /// Runs over `nodes` nominal nodes with round-robin `replication`-deep
+    /// owner lists; `replication == 0` passes no owner lists at all.
+    fn run(
+        nodes: usize,
+        replication: usize,
+        (first, steady): (&EpochSpec, &EpochSpec),
+        kills: &[KillEvent],
+        epochs: u64,
+    ) -> Result<TrainingStats, SimError> {
+        let base = ClusterConfig::paper_testbed(48);
+        let nodes = vec![FleetNodeConfig::nominal(&base); nodes];
+        let routed = if replication == 0 { 0 } else { first.samples.len() };
+        let owners: Vec<Vec<usize>> = (0..routed)
+            .map(|i| (0..replication).map(|r| (i + r) % nodes.len()).collect())
+            .collect();
+        let spec = TrainingSpec { nodes: &nodes, first, steady, owners: &owners, kills, epochs };
+        simulate_training(&base, &spec)
+    }
+
+    /// The paper testbed: one nominal node, no owner lists, no kills.
+    fn two_node(first: &EpochSpec, steady: &EpochSpec, epochs: u64) -> TrainingStats {
+        run(1, 0, (first, steady), &[], epochs).unwrap()
     }
 
     #[test]
     fn uniform_run_is_linear() {
-        let config = ClusterConfig::paper_testbed(48);
         let e = spec(200_000);
-        let run = simulate_training(&config, &e, &e, 10).unwrap();
-        assert!((run.total_seconds - run.first_epoch.epoch_seconds * 10.0).abs() < 1e-6);
-        assert_eq!(run.total_traffic_bytes, run.first_epoch.traffic_bytes * 10);
-        assert!((run.mean_epoch_seconds() - run.first_epoch.epoch_seconds).abs() < 1e-9);
+        let run = two_node(&e, &e, 10);
+        assert_eq!(run.epochs, 10);
+        assert_eq!(run.steady_epoch, run.first_epoch);
+        assert!((run.total_seconds - run.first_epoch.total.epoch_seconds * 10.0).abs() < 1e-6);
+        assert_eq!(run.total_traffic_bytes, run.first_epoch.total.traffic_bytes * 10);
     }
 
     #[test]
     fn expensive_first_epoch_amortizes() {
-        let config = ClusterConfig::paper_testbed(48);
-        let profiling = spec(300_000); // un-offloaded first epoch
-        let steady = spec(140_000); // optimized epochs
-        let run = simulate_training(&config, &profiling, &steady, 50).unwrap();
-        // Mean epoch time approaches the steady time as epochs grow.
-        let steady_time = run.steady_epoch.epoch_seconds;
-        let overhead = run.mean_epoch_seconds() / steady_time - 1.0;
+        // Un-offloaded profiling epoch, then optimized epochs: the run's
+        // mean epoch time approaches the steady time as epochs grow.
+        let run = two_node(&spec(300_000), &spec(140_000), 50);
+        let overhead = run.total_seconds / (run.steady_epoch.total.epoch_seconds * 50.0) - 1.0;
         assert!(overhead > 0.0 && overhead < 0.05, "amortized overhead {overhead}");
     }
 
     #[test]
     fn single_epoch_run_uses_first_spec_only() {
-        let config = ClusterConfig::paper_testbed(48);
-        let run = simulate_training(&config, &spec(100_000), &spec(1), 1).unwrap();
-        assert_eq!(run.total_traffic_bytes, run.first_epoch.traffic_bytes);
+        let run = two_node(&spec(100_000), &spec(1), 1);
+        assert_eq!(run.steady_epoch, run.first_epoch);
+        assert_eq!(run.total_traffic_bytes, 512 * 100_000);
     }
 
     #[test]
     #[should_panic(expected = "at least one epoch")]
     fn zero_epochs_panics() {
-        let config = ClusterConfig::paper_testbed(48);
-        let _ = simulate_training(&config, &spec(1), &spec(1), 0);
+        two_node(&spec(1), &spec(1), 0);
     }
 
     #[test]
-    fn driver_runs_steady_epoch_once() {
-        let mut calls = Vec::new();
-        let totals = drive_training::<EpochStats, SimError>(5, |phase| {
-            calls.push(phase);
-            simulate_epoch(&ClusterConfig::paper_testbed(48), &spec(10_000))
-        })
-        .unwrap();
-        assert_eq!(calls, vec![TrainingPhase::First, TrainingPhase::Steady]);
+    fn warm_epochs_cut_total_traffic() {
+        let run = two_node(&spec(200_000), &spec(50_000), 10);
         assert_eq!(
-            totals.total_traffic_bytes,
-            totals.first.traffic_bytes + totals.steady.traffic_bytes * 4
+            run.total_traffic_bytes,
+            run.cold().total.traffic_bytes + run.warm().total.traffic_bytes * 9
         );
+        assert_eq!(run.warm_bytes_saved(), 512 * 150_000);
+        assert!((run.warm_traffic_reduction() - 0.75).abs() < 1e-12);
+        // A cache that holds nothing saves nothing.
+        let same = spec(100_000);
+        let useless = two_node(&same, &same, 5);
+        assert_eq!(useless.warm_bytes_saved(), 0);
+        assert_eq!(useless.warm_traffic_reduction(), 0.0);
+        // A fully cached corpus moves bytes in the cold epoch only.
+        let full = two_node(&spec(150_000), &spec(0), 4);
+        assert_eq!(full.warm().total.traffic_bytes, 0);
+        assert!((full.warm_traffic_reduction() - 1.0).abs() < 1e-12);
+        assert_eq!(full.total_traffic_bytes, full.cold().total.traffic_bytes);
+    }
+
+    #[test]
+    fn one_node_owner_lists_change_nothing() {
+        let (first, steady) = (spec(300_000), spec(140_000));
+        let routed = run(1, 1, (&first, &steady), &[], 7).unwrap();
+        assert_eq!(routed, two_node(&first, &steady, 7));
+    }
+
+    #[test]
+    fn cached_fleet_training_composes_cold_and_warm_epochs() {
+        let cold = spec(300_000);
+        // Warm epoch: half the corpus cached (zero transfer bytes).
+        let warm_samples: Vec<SampleWork> =
+            (0..512).map(|i| SampleWork::new(0.0, (i % 2) * 300_000, 0.001)).collect();
+        let warm = EpochSpec::new(warm_samples, 256, GpuModel::AlexNet);
+        let run = run(4, 2, (&cold, &warm), &[], 6).unwrap();
+        assert_eq!(run.cold().total.traffic_bytes, 512 * 300_000);
+        assert_eq!(run.warm().total.traffic_bytes, 256 * 300_000);
+        assert!((run.warm_traffic_reduction() - 0.5).abs() < 1e-12);
+        assert_eq!(
+            run.total_traffic_bytes,
+            run.cold().total.traffic_bytes + run.warm().total.traffic_bytes * 5
+        );
+        // Warm epochs still route through the fleet: every node serves.
+        assert!(run.warm().per_node.iter().all(|n| n.samples_served > 0));
+    }
+
+    #[test]
+    fn killed_nodes_stay_dead_in_steady_epochs() {
+        let first = spec(300_000);
+        // Uncached (steady = first) and cached (a cheaper warm spec) alike.
+        for steady in [&first, &spec(30_000)] {
+            let run = run(3, 2, (&first, steady), &[KillEvent::new(1, 0.5)], 5).unwrap();
+            // Epoch 0: node 1 served its pre-kill share. Steady: nothing.
+            assert!(run.first_epoch.per_node[1].samples_served > 0);
+            assert_eq!(run.steady_epoch.per_node[1].samples_served, 0);
+            assert!(run.steady_epoch.failovers > run.first_epoch.failovers);
+            assert_eq!(
+                run.total_traffic_bytes,
+                run.first_epoch.total.traffic_bytes + run.steady_epoch.total.traffic_bytes * 4
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_specs_are_rejected_with_or_without_owners() {
+        let steady =
+            EpochSpec::new(vec![SampleWork::new(0.0, 1, 0.001); 256], 256, GpuModel::AlexNet);
+        for (nodes, replication) in [(2, 2), (1, 0)] {
+            let err = run(nodes, replication, (&spec(300_000), &steady), &[], 3).unwrap_err();
+            assert_eq!(err, SimError::WorksMismatch { got: 256, samples: 512 });
+        }
     }
 }

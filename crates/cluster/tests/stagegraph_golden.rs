@@ -15,9 +15,8 @@
 //! ```
 
 use cluster::{
-    simulate_cached_training, simulate_epoch, simulate_epoch_traced, simulate_fleet_epoch,
-    simulate_fleet_training, simulate_training, ClusterConfig, EpochSpec, FleetEpochStats,
-    FleetNodeConfig, GpuModel, KillEvent, SampleWork,
+    simulate_epoch, simulate_epoch_traced, simulate_fleet_epoch, simulate_training, ClusterConfig,
+    EpochSpec, FleetEpochStats, FleetNodeConfig, GpuModel, KillEvent, SampleWork, TrainingSpec,
 };
 
 /// SplitMix64 — deterministic, dependency-free stream for the grid specs.
@@ -178,18 +177,34 @@ fn render_grid() -> String {
     fmt_epoch(&mut out, "single.trace", traced.stats());
 
     // --- Training & cached cold/warm --------------------------------------
-    let run = simulate_training(&testbed, &spec_a, &spec_b, 7).unwrap();
-    fmt_f64(&mut out, "training.total_seconds", run.total_seconds);
-    out.push_str(&format!("training.total_traffic={}\n", run.total_traffic_bytes));
-    fmt_epoch(&mut out, "training.first", &run.first_epoch);
-    fmt_epoch(&mut out, "training.steady", &run.steady_epoch);
+    // The pre-refactor grid paired a 2048-sample first epoch with a
+    // 999-sample steady one, now a `WorksMismatch`: the two epochs are
+    // simulated on their own and their 7-epoch totals re-derived here. The
+    // cached and fleet blocks pin the training simulator's own arithmetic.
+    let first = simulate_epoch(&testbed, &spec_a).unwrap();
+    let steady = simulate_epoch(&testbed, &spec_b).unwrap();
+    fmt_f64(&mut out, "training.total_seconds", first.epoch_seconds + steady.epoch_seconds * 6.0);
+    out.push_str(&format!(
+        "training.total_traffic={}\n",
+        first.traffic_bytes + steady.traffic_bytes * 6
+    ));
+    fmt_epoch(&mut out, "training.first", &first);
+    fmt_epoch(&mut out, "training.steady", &steady);
 
     let warm = warm_spec(&spec_a, 5, 70);
-    let cached = simulate_cached_training(&testbed, &spec_a, &warm, 12).unwrap();
-    fmt_f64(&mut out, "cached.total_seconds", cached.run.total_seconds);
-    out.push_str(&format!("cached.total_traffic={}\n", cached.run.total_traffic_bytes));
-    fmt_epoch(&mut out, "cached.cold", cached.cold());
-    fmt_epoch(&mut out, "cached.warm", cached.warm());
+    let two_node = TrainingSpec {
+        nodes: &[FleetNodeConfig::nominal(&testbed)],
+        first: &spec_a,
+        steady: &warm,
+        owners: &[],
+        kills: &[],
+        epochs: 12,
+    };
+    let cached = simulate_training(&testbed, &two_node).unwrap();
+    fmt_f64(&mut out, "cached.total_seconds", cached.total_seconds);
+    out.push_str(&format!("cached.total_traffic={}\n", cached.total_traffic_bytes));
+    fmt_epoch(&mut out, "cached.cold", &cached.cold().total);
+    fmt_epoch(&mut out, "cached.warm", &cached.warm().total);
 
     // --- Fleet grid: kills and stragglers ---------------------------------
     let base = ClusterConfig::paper_testbed(8);
@@ -217,7 +232,18 @@ fn render_grid() -> String {
     .unwrap();
     fmt_fleet(&mut out, "fleet.one", &one);
 
-    let training = simulate_fleet_training(&base, &nodes, &spec_f, &own, &kills, 5).unwrap();
+    let training = simulate_training(
+        &base,
+        &TrainingSpec {
+            nodes: &nodes,
+            first: &spec_f,
+            steady: &spec_f,
+            owners: &own,
+            kills: &kills,
+            epochs: 5,
+        },
+    )
+    .unwrap();
     fmt_f64(&mut out, "fleet.training.total_seconds", training.total_seconds);
     out.push_str(&format!("fleet.training.total_traffic={}\n", training.total_traffic_bytes));
     fmt_fleet(&mut out, "fleet.training.first", &training.first_epoch);

@@ -7,6 +7,7 @@
 
 use sophon::cli::{CliOptions, ModalityChoice};
 use sophon::policy::standard_policies;
+use sophon::runner::{TrainingReport, TrainingRequest};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -190,156 +191,25 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
         }
     }
 
-    if opts.cache_budget_pct > 0 && opts.shards > 1 {
-        let profiles = scenario.profiles();
-        let corpus_bytes: u64 = profiles.iter().map(|p| p.raw_bytes).sum();
-        let budget = corpus_bytes * opts.cache_budget_pct / 100;
-        let epochs = opts.epochs.max(2);
-        println!(
-            "\ncache x fleet: {:.2} GB cache ({}%, {} selection) over {} shards, \
-             {}-way replication, {} epochs",
-            budget as f64 / 1e9,
-            opts.cache_budget_pct,
-            opts.cache_policy.name(),
-            opts.shards,
-            opts.replication,
-            epochs,
-        );
-        match scenario.run_training_fleet_cached(
-            epochs,
-            opts.shards,
-            opts.replication,
-            opts.seed,
-            budget,
-            opts.cache_policy,
-            &kills,
-        ) {
-            Ok(r) => {
-                println!(
-                    "{:<8} {:>9} {:>8} {:>11} {:>18} {:>16}",
-                    "shard",
-                    "residual",
-                    "cached",
-                    "offloaded",
-                    "warm traffic (GB)",
-                    "storage CPU (s)"
-                );
-                for s in &r.per_shard {
-                    println!(
-                        "{:<8} {:>9} {:>8} {:>11} {:>18.2} {:>16.1}",
-                        format!("node{}", s.shard),
-                        s.samples,
-                        s.cached_samples,
-                        s.offloaded_samples,
-                        s.transfer_bytes as f64 / 1e9,
-                        s.storage_cpu_seconds,
-                    );
-                }
-                println!(
-                    "cold epoch: {:.1} s, {:.2} GB | warm epoch: {:.1} s, {:.2} GB \
-                     (avoids {:.1}% of cold traffic)",
-                    r.stats.cold().total.epoch_seconds,
-                    r.stats.cold().total.traffic_bytes as f64 / 1e9,
-                    r.stats.warm().total.epoch_seconds,
-                    r.warm_traffic_bytes() as f64 / 1e9,
-                    r.warm_traffic_reduction() * 100.0,
-                );
-                println!(
-                    "cached {}/{} samples in {:.2} GB; peak warm node share {:.0}%",
-                    r.cached_samples,
-                    r.total_samples,
-                    r.cached_bytes as f64 / 1e9,
-                    r.stats.warm().peak_node_share() * 100.0,
-                );
-            }
-            Err(e) => println!("cache x fleet run failed: {e}"),
-        }
-    } else if opts.cache_budget_pct > 0 {
-        let profiles = scenario.profiles();
-        let corpus_bytes: u64 = profiles.iter().map(|p| p.raw_bytes).sum();
-        let budget = corpus_bytes * opts.cache_budget_pct / 100;
-        let epochs = opts.epochs.max(2);
-        println!(
-            "\nnear-compute cache: {:.2} GB budget ({}% of corpus), {} selection, {} epochs",
-            budget as f64 / 1e9,
-            opts.cache_budget_pct,
-            opts.cache_policy.name(),
-            epochs,
-        );
-        match scenario.run_training_cached(epochs, budget, opts.cache_policy) {
-            Ok(r) => {
-                println!("{:<22} {:>14} {:>14}", "", "cold (epoch 0)", "warm (steady)");
-                println!(
-                    "{:<22} {:>14.1} {:>14.1}",
-                    "epoch time (s)",
-                    r.stats.cold().epoch_seconds,
-                    r.stats.warm().epoch_seconds,
-                );
-                println!(
-                    "{:<22} {:>14.2} {:>14.2}",
-                    "traffic (GB)",
-                    r.stats.cold().traffic_bytes as f64 / 1e9,
-                    r.warm_traffic_bytes() as f64 / 1e9,
-                );
-                println!(
-                    "cached {}/{} samples in {:.2} GB; warm epochs avoid {:.1}% of traffic",
-                    r.cached_samples,
-                    r.total_samples,
-                    r.cached_bytes as f64 / 1e9,
-                    r.warm_traffic_reduction() * 100.0,
-                );
-            }
-            Err(e) => println!("cache run failed: {e}"),
-        }
-    } else if opts.shards > 1 {
-        println!(
-            "\nstorage fleet: {} shards, {}-way replication{}",
-            opts.shards,
-            opts.replication,
-            if opts.hedge_after_ms > 0 {
-                format!(", hedging after {} ms (live transport only)", opts.hedge_after_ms)
-            } else {
-                String::new()
-            },
-        );
-        match scenario.run_training_fleet(
-            opts.epochs,
-            opts.shards,
-            opts.replication,
-            opts.seed,
-            &kills,
-        ) {
-            Ok(r) => {
-                println!(
-                    "{:<8} {:>9} {:>11} {:>13} {:>14}",
-                    "shard", "samples", "offloaded", "traffic (GB)", "storage CPU (s)"
-                );
-                for s in &r.per_shard {
-                    println!(
-                        "{:<8} {:>9} {:>11} {:>13.2} {:>14.1}",
-                        format!("node{}", s.shard),
-                        s.samples,
-                        s.offloaded_samples,
-                        s.transfer_bytes as f64 / 1e9,
-                        s.storage_cpu_seconds,
-                    );
-                }
-                println!(
-                    "fleet epoch: {:.1} s, {:.2} GB across {} links; peak node share {:.0}%",
-                    r.stats.steady_epoch.total.epoch_seconds,
-                    r.stats.steady_epoch.total.traffic_bytes as f64 / 1e9,
-                    r.shards,
-                    r.peak_node_share() * 100.0,
-                );
-                if !kills.is_empty() {
-                    println!(
-                        "chaos outcome: {} failovers in the kill epoch, {} steady-state; \
-                         zero samples lost",
-                        r.stats.first_epoch.failovers, r.stats.steady_epoch.failovers,
-                    );
-                }
-            }
-            Err(e) => println!("fleet run failed: {e}"),
+    if opts.cache_budget_pct > 0 || opts.shards > 1 {
+        let cache = (opts.cache_budget_pct > 0).then(|| {
+            let corpus_bytes: u64 = scenario.profiles().iter().map(|p| p.raw_bytes).sum();
+            (corpus_bytes * opts.cache_budget_pct / 100, opts.cache_policy)
+        });
+        let request = TrainingRequest {
+            shards: opts.shards,
+            replication: opts.replication,
+            placement_seed: opts.seed,
+            cache,
+            kills: &kills,
+            // The steady (warm) epoch printed below comes after SOPHON's
+            // profiling (cold) epoch.
+            ..TrainingRequest::new(opts.epochs.max(2))
+        };
+        let what = print_training_intro(&opts, &request);
+        match scenario.run_training(&request) {
+            Ok(r) => print_training_report(&r, !kills.is_empty()),
+            Err(e) => println!("{what} run failed: {e}"),
         }
     }
 
@@ -466,18 +336,123 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
             "policy", "epoch 0 (s)", "steady (s)", "total (s)", "profiling overhead"
         );
         for p in selected {
-            match scenario.run_training(p.as_ref(), opts.epochs) {
+            let request =
+                TrainingRequest { policy: Some(p.as_ref()), ..TrainingRequest::new(opts.epochs) };
+            match scenario.run_training(&request) {
                 Ok(r) => println!(
                     "{:<12} {:>12.1} {:>12.1} {:>12.1} {:>17.2}%",
                     r.policy,
-                    r.stats.first_epoch.epoch_seconds,
-                    r.stats.steady_epoch.epoch_seconds,
+                    r.stats.first_epoch.total.epoch_seconds,
+                    r.stats.steady_epoch.total.epoch_seconds,
                     r.stats.total_seconds,
                     r.profiling_overhead() * 100.0,
                 ),
                 Err(e) => println!("{:<12} failed: {e}", p.name()),
             }
         }
+    }
+}
+
+/// Announces the cache and fleet axes of `request`; returns the name its
+/// failure is reported under.
+fn print_training_intro(opts: &CliOptions, request: &TrainingRequest<'_>) -> &'static str {
+    let TrainingRequest { epochs, shards, replication, .. } = *request;
+    let pct = opts.cache_budget_pct;
+    let Some((budget, selection)) = request.cache else {
+        let hedging = match opts.hedge_after_ms {
+            0 => String::new(),
+            ms => format!(", hedging after {ms} ms (live transport only)"),
+        };
+        println!("\nstorage fleet: {shards} shards, {replication}-way replication{hedging}");
+        return "fleet";
+    };
+    let (gb, selection) = (budget as f64 / 1e9, selection.name());
+    if shards > 1 {
+        println!(
+            "\ncache x fleet: {gb:.2} GB cache ({pct}%, {selection} selection) over {shards} \
+             shards, {replication}-way replication, {epochs} epochs"
+        );
+        return "cache x fleet";
+    }
+    println!(
+        "\nnear-compute cache: {gb:.2} GB budget ({pct}% of corpus), {selection} selection, \
+         {epochs} epochs"
+    );
+    "cache"
+}
+
+/// Prints a SOPHON training run: the per-shard table when the run was
+/// sharded, the cold/warm split when it had a cache, and the failover
+/// counts of an uncached fleet run under `chaos`.
+fn print_training_report(r: &TrainingReport, chaos: bool) {
+    let gb = |bytes: u64| bytes as f64 / 1e9;
+    let (cold, warm) = (r.stats.cold(), r.stats.warm());
+    let (cold_s, cold_gb) = (cold.total.epoch_seconds, gb(cold.total.traffic_bytes));
+    let (warm_s, warm_gb) = (warm.total.epoch_seconds, gb(warm.total.traffic_bytes));
+    let avoided = r.stats.warm_traffic_reduction() * 100.0;
+    let share = warm.peak_node_share() * 100.0;
+    let sharded = r.per_shard.len() > 1;
+    if sharded {
+        // A cache adds the `cached` column and widens the last two.
+        let cached_column = r.cache.is_some();
+        if cached_column {
+            println!(
+                "{:<8} {:>9} {:>8} {:>11} {:>18} {:>16}",
+                "shard", "residual", "cached", "offloaded", "warm traffic (GB)", "storage CPU (s)"
+            );
+        } else {
+            println!(
+                "{:<8} {:>9} {:>11} {:>13} {:>14}",
+                "shard", "samples", "offloaded", "traffic (GB)", "storage CPU (s)"
+            );
+        }
+        for s in &r.per_shard {
+            let (node, traffic, cpu) =
+                (format!("node{}", s.shard), gb(s.transfer_bytes), s.storage_cpu_seconds);
+            let (samples, cached, offloaded) = (s.samples, s.cached_samples, s.offloaded_samples);
+            if cached_column {
+                println!(
+                    "{node:<8} {samples:>9} {cached:>8} {offloaded:>11} {traffic:>18.2} \
+                     {cpu:>16.1}"
+                );
+            } else {
+                println!("{node:<8} {samples:>9} {offloaded:>11} {traffic:>13.2} {cpu:>14.1}");
+            }
+        }
+    }
+    let Some(held) = &r.cache else {
+        let links = warm.per_node.len();
+        println!(
+            "fleet epoch: {warm_s:.1} s, {warm_gb:.2} GB across {links} links; \
+             peak node share {share:.0}%"
+        );
+        if chaos {
+            println!(
+                "chaos outcome: {} failovers in the kill epoch, {} steady-state; \
+                 zero samples lost",
+                cold.failovers, warm.failovers,
+            );
+        }
+        return;
+    };
+    let (cached, total, held_gb) = (held.cached_samples, warm.total.samples, gb(held.cached_bytes));
+    if sharded {
+        println!(
+            "cold epoch: {cold_s:.1} s, {cold_gb:.2} GB | warm epoch: {warm_s:.1} s, \
+             {warm_gb:.2} GB (avoids {avoided:.1}% of cold traffic)"
+        );
+        println!(
+            "cached {cached}/{total} samples in {held_gb:.2} GB; \
+             peak warm node share {share:.0}%"
+        );
+    } else {
+        println!("{:<22} {:>14} {:>14}", "", "cold (epoch 0)", "warm (steady)");
+        println!("{:<22} {cold_s:>14.1} {warm_s:>14.1}", "epoch time (s)");
+        println!("{:<22} {cold_gb:>14.2} {warm_gb:>14.2}", "traffic (GB)");
+        println!(
+            "cached {cached}/{total} samples in {held_gb:.2} GB; \
+             warm epochs avoid {avoided:.1}% of traffic"
+        );
     }
 }
 

@@ -20,8 +20,7 @@
 //!    into per-sample demands for the cluster simulator: cached samples
 //!    have no storage time and no transfer; only their local suffix
 //!    remains. Pairing this with the cold (epoch-0, cache-filling) spec in
-//!    `cluster::simulate_cached_training` yields the cold/warm traffic
-//!    split.
+//!    `cluster::simulate_training` yields the cold/warm traffic split.
 //!
 //! Cache and offload turn out to be complementary: offloading compresses
 //! the transfers of samples whose pipelines shrink data early, while the

@@ -73,7 +73,7 @@ pub mod prelude {
         AllOffPolicy, FastFlowPolicy, NoOffPolicy, Policy, ResizeOffPolicy, SophonPolicy,
     };
     pub use crate::profiler::{Stage1Probe, WorkloadClass};
-    pub use crate::runner::{RunReport, Scenario};
+    pub use crate::runner::{RunReport, Scenario, TrainingRequest};
     pub use crate::workload::ModalWorkload;
     pub use crate::{Bottleneck, CostVector, OffloadPlan, SophonError};
 }

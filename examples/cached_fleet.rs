@@ -15,7 +15,7 @@
 //! cargo run --release --example cached_fleet
 //! ```
 
-use cluster::{simulate_fleet_cached_training, ClusterConfig, EpochSpec, GpuModel};
+use cluster::{simulate_training, ClusterConfig, EpochSpec, GpuModel, TrainingSpec};
 use datasets::DatasetSpec;
 use fleet::ShardMap;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
@@ -110,14 +110,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // residual.
     let cold_works = OffloadPlan::none(profiles.len()).to_sample_works(&profiles)?;
     let warm_works = caching::warm_sample_works(&ctx, &fc.plan, &assignment)?;
-    let stats = simulate_fleet_cached_training(
+    let stats = simulate_training(
         &config,
-        &nodes,
-        &EpochSpec::new(cold_works, BATCH, GpuModel::AlexNet),
-        &EpochSpec::new(warm_works, BATCH, GpuModel::AlexNet),
-        &sharding::owner_lists(&map, profiles.len()),
-        &[],
-        EPOCHS,
+        &TrainingSpec {
+            nodes: &nodes,
+            first: &EpochSpec::new(cold_works, BATCH, GpuModel::AlexNet),
+            steady: &EpochSpec::new(warm_works, BATCH, GpuModel::AlexNet),
+            owners: &sharding::owner_lists(&map, profiles.len()),
+            kills: &[],
+            epochs: EPOCHS,
+        },
     )?;
     assert_eq!(stats.warm().total.traffic_bytes, composed, "simulation must match the plan");
     println!(

@@ -25,12 +25,14 @@ fn main() -> Result<(), SophonError> {
         "policy", "epoch 0 (s)", "steady (s)", "total (s)", "profiling overhead"
     );
     for policy in standard_policies() {
-        let r = scenario.run_training(policy.as_ref(), epochs)?;
+        let request =
+            TrainingRequest { policy: Some(policy.as_ref()), ..TrainingRequest::new(epochs) };
+        let r = scenario.run_training(&request)?;
         println!(
             "{:<12} {:>12.1} {:>12.1} {:>12.1} {:>19.2}%",
             r.policy,
-            r.stats.first_epoch.epoch_seconds,
-            r.stats.steady_epoch.epoch_seconds,
+            r.stats.first_epoch.total.epoch_seconds,
+            r.stats.steady_epoch.total.epoch_seconds,
             r.stats.total_seconds,
             r.profiling_overhead() * 100.0
         );

@@ -1,11 +1,15 @@
-//! Golden digests over everything the planners feed: the cached, fleet and
-//! cache × fleet training runs on a small grid, and the adaptive fleet
-//! epoch static and feedback-controlled.
+//! Golden digests over everything the planners feed: the policy, cached,
+//! fleet and cache × fleet training runs on a small grid, and the adaptive
+//! fleet epoch static and feedback-controlled.
 //!
-//! The file calls only `Scenario::run_training_*` and
-//! `run_fleet_epoch_adaptive`, whose signatures predate the single
-//! `plan_fleet` planner, and its constants were recorded at `2e7d452` (four
-//! separate per-shard loops). A digest that moves means a plan changed.
+//! The file calls only `Scenario::run_training` and
+//! `run_fleet_epoch_adaptive`. The cached, cache × fleet and adaptive
+//! constants were recorded at `2e7d452` (four separate per-shard loops); the
+//! policy and the three fleet constants at `41c073d` (four separate
+//! `run_training*` runners), and since then only the call syntax has
+//! changed. One value moved on purpose: the uncached fleet run's first
+//! epoch, see `fleet_training_digest_is_pinned`. A digest that moves means a
+//! plan changed.
 
 use cluster::{ClusterConfig, FleetEpochStats, GpuModel, KillEvent};
 use datasets::DatasetSpec;
@@ -18,7 +22,8 @@ use sophon::ext::feedback::{
     BrownoutConfig, FeedbackConfig,
 };
 use sophon::ext::sharding::fleet_nodes_sharing_link;
-use sophon::runner::Scenario;
+use sophon::policy::standard_policies;
+use sophon::runner::{Scenario, TrainingRequest};
 
 const SAMPLES: u64 = 2048;
 const EPOCHS: u64 = 3;
@@ -63,6 +68,17 @@ fn corpus_bytes(s: &Scenario) -> u64 {
     s.profiles().iter().map(|p| p.raw_bytes).sum()
 }
 
+/// A SOPHON run over `shards` nodes, placement seed 7.
+fn fleet(shards: usize, replication: usize, kills: &[KillEvent]) -> TrainingRequest<'_> {
+    TrainingRequest {
+        shards,
+        replication,
+        placement_seed: 7,
+        kills,
+        ..TrainingRequest::new(EPOCHS)
+    }
+}
+
 fn kill_rows(replication: usize) -> Vec<Vec<KillEvent>> {
     let mut rows = vec![Vec::new()];
     if replication > 1 {
@@ -78,11 +94,14 @@ fn cached_training_digest_is_pinned() {
     let mut d = Fnv::new();
     for pct in CACHE_PCT {
         for selection in [CacheSelection::Arrival, CacheSelection::EfficiencyAware] {
-            let r = s.run_training_cached(EPOCHS, corpus * pct / 100, selection).unwrap();
-            d.fold(r.cached_samples);
-            d.fold(r.cached_bytes);
-            d.fold(r.stats.run.total_traffic_bytes);
-            for epoch in [r.stats.cold(), r.stats.warm()] {
+            let cache = Some((corpus * pct / 100, selection));
+            let r =
+                s.run_training(&TrainingRequest { cache, ..TrainingRequest::new(EPOCHS) }).unwrap();
+            let held = r.cache.unwrap();
+            d.fold(held.cached_samples);
+            d.fold(held.cached_bytes);
+            d.fold(r.stats.total_traffic_bytes);
+            for epoch in [&r.stats.cold().total, &r.stats.warm().total] {
                 d.fold(epoch.epoch_seconds.to_bits());
                 d.fold(epoch.traffic_bytes);
                 d.fold(epoch.storage_cpu_busy_seconds.to_bits());
@@ -93,24 +112,58 @@ fn cached_training_digest_is_pinned() {
 }
 
 #[test]
-fn fleet_training_digest_is_pinned() {
-    let s = scenario();
+fn policy_training_digest_is_pinned() {
     let mut d = Fnv::new();
-    for (shards, replication) in FLEETS {
-        for kills in kill_rows(replication) {
-            let r = s.run_training_fleet(EPOCHS, shards, replication, 7, &kills).unwrap();
-            d.fold(r.stats.total_traffic_bytes);
-            d.fold_fleet_epoch(&r.stats.first_epoch);
-            d.fold_fleet_epoch(&r.stats.steady_epoch);
-            for shard in &r.per_shard {
-                d.fold(shard.samples);
-                d.fold(shard.offloaded_samples);
-                d.fold(shard.transfer_bytes);
-                d.fold(shard.storage_cpu_seconds.to_bits());
+    for storage_cores in [1, 2, 48] {
+        let s = Scenario { config: ClusterConfig::paper_testbed(storage_cores), ..scenario() };
+        for policy in standard_policies() {
+            let request =
+                TrainingRequest { policy: Some(policy.as_ref()), ..TrainingRequest::new(EPOCHS) };
+            let r = s.run_training(&request).unwrap();
+            for epoch in [&r.stats.first_epoch.total, &r.stats.steady_epoch.total] {
+                d.fold(epoch.epoch_seconds.to_bits());
+                d.fold(epoch.traffic_bytes);
+                d.fold(epoch.storage_cpu_busy_seconds.to_bits());
             }
+            d.fold(r.stats.total_seconds.to_bits());
+            d.fold(r.stats.total_traffic_bytes);
         }
     }
-    assert_eq!(d.0, 0x227f_29ad_3693_2488, "fleet training digest {:#x}", d.0);
+    assert_eq!(d.0, 0xeb18_3121_73c8_2e88, "policy training digest {:#x}", d.0);
+}
+
+#[test]
+fn fleet_training_digest_is_pinned() {
+    let s = scenario();
+    let mut steady = Fnv::new();
+    let mut first = Fnv::new();
+    let mut cold = Fnv::new();
+    for (shards, replication) in FLEETS {
+        for kills in kill_rows(replication) {
+            let request = fleet(shards, replication, &kills);
+            let r = s.run_training(&request).unwrap();
+            steady.fold_fleet_epoch(&r.stats.steady_epoch);
+            for shard in &r.per_shard {
+                steady.fold(shard.samples);
+                steady.fold(shard.offloaded_samples);
+                steady.fold(shard.transfer_bytes);
+                steady.fold(shard.storage_cpu_seconds.to_bits());
+            }
+            first.fold_fleet_epoch(&r.stats.first_epoch);
+            first.fold(r.stats.total_traffic_bytes);
+            // The same fleet behind a zero-byte cache: its cold epoch is the
+            // un-offloaded one.
+            let cache = Some((0, CacheSelection::EfficiencyAware));
+            let zero = s.run_training(&TrainingRequest { cache, ..request }).unwrap();
+            cold.fold_fleet_epoch(zero.stats.cold());
+            cold.fold(zero.stats.total_traffic_bytes);
+        }
+    }
+    assert_eq!(steady.0, 0xe083_055a_80ff_7837, "fleet steady + per-shard digest {:#x}", steady.0);
+    assert_eq!(cold.0, 0xa924_1c41_34a1_98f3, "un-offloaded fleet epoch digest {:#x}", cold.0);
+    // `0xac32_289e_0f52_cbee` at `41c073d`, where an uncached fleet run
+    // skipped SOPHON's profiling epoch; now the un-offloaded digest.
+    assert_eq!(first.0, cold.0, "fleet first-epoch digest {:#x}", first.0);
 }
 
 #[test]
@@ -121,20 +174,13 @@ fn fleet_cached_training_digest_is_pinned() {
     for (shards, replication) in FLEETS {
         for pct in CACHE_PCT {
             for kills in kill_rows(replication) {
-                let r = s
-                    .run_training_fleet_cached(
-                        EPOCHS,
-                        shards,
-                        replication,
-                        7,
-                        corpus * pct / 100,
-                        CacheSelection::EfficiencyAware,
-                        &kills,
-                    )
-                    .unwrap();
-                d.fold(r.cached_samples);
-                d.fold(r.cached_bytes);
-                d.fold(r.stats.run.total_traffic_bytes);
+                let cache = Some((corpus * pct / 100, CacheSelection::EfficiencyAware));
+                let request = TrainingRequest { cache, ..fleet(shards, replication, &kills) };
+                let r = s.run_training(&request).unwrap();
+                let held = r.cache.unwrap();
+                d.fold(held.cached_samples);
+                d.fold(held.cached_bytes);
+                d.fold(r.stats.total_traffic_bytes);
                 d.fold_fleet_epoch(r.stats.cold());
                 d.fold_fleet_epoch(r.stats.warm());
             }
