@@ -1,0 +1,173 @@
+//! CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`): the checksum under
+//! every storage wire frame, std only.
+//!
+//! [`crc32`] picks its path from what the CPU reports; no feature, setting
+//! or flag selects it. On x86_64 with PCLMULQDQ and SSE4.1 (std caches the
+//! detection), an input of 128 bytes or more is folded 64 bytes a step in
+//! four 128-bit lanes with carry-less multiplies and finished with a
+//! Barrett reduction: the scheme of Intel's "Fast CRC Computation for
+//! Generic Polynomials Using PCLMULQDQ Instruction" with the reflected IEEE
+//! constants. Shorter inputs, the last < 16 bytes of a folded input, and
+//! every other CPU and target run a slice-by-16 table loop. Both paths
+//! compute the same function; the tests check each against a bit-at-a-time
+//! loop.
+//!
+//! The crate's one `unsafe` block is the call into the
+//! `#[target_feature]` function, made after detection.
+
+#![deny(unsafe_op_in_unsafe_fn, missing_docs)]
+
+#[cfg(target_arch = "x86_64")]
+mod clmul;
+
+/// CRC32 (IEEE 802.3) of `data`, as zlib, Ethernet and PNG compute it:
+/// `crc32(b"123456789") == 0xcbf4_3926`.
+pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available` has just reported both CPU features that
+        // `clmul::update` is compiled for.
+        return !unsafe { clmul::update(!0, data) };
+    }
+    !update_table(!0, data)
+}
+
+/// Slice-by-16 lookup tables for the reflected IEEE polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table; table
+/// `k` advances a byte through `k` further zero bytes, so the loop folds 16
+/// input bytes per step instead of one. This is the whole CRC on CPUs and
+/// targets without carry-less multiply, and the head and tail of it on
+/// those with one.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            tables[t][i] = (tables[t - 1][i] >> 8) ^ tables[0][(tables[t - 1][i] & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+};
+
+/// Folds one 32-bit word through tables `base+3 ..= base`.
+#[inline(always)]
+fn crc_fold(word: u32, base: usize) -> u32 {
+    CRC_TABLES[base + 3][(word & 0xff) as usize]
+        ^ CRC_TABLES[base + 2][((word >> 8) & 0xff) as usize]
+        ^ CRC_TABLES[base + 1][((word >> 16) & 0xff) as usize]
+        ^ CRC_TABLES[base][(word >> 24) as usize]
+}
+
+/// Advances the CRC register `state` (the running value before the final
+/// inversion) over `data`, 16 bytes per step.
+fn update_table(state: u32, data: &[u8]) -> u32 {
+    let mut c = state;
+    let mut chunks = data.chunks_exact(16);
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    for chunk in &mut chunks {
+        c = crc_fold(c ^ word(&chunk[0..4]), 12)
+            ^ crc_fold(word(&chunk[4..8]), 8)
+            ^ crc_fold(word(&chunk[8..12]), 4)
+            ^ crc_fold(word(&chunk[12..16]), 0);
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The definition: one bit at a time, no tables.
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// The table loop alone, whatever the CPU offers.
+    fn table(data: &[u8]) -> u32 {
+        !update_table(!0, data)
+    }
+
+    /// Deterministic bytes with no short period.
+    fn blob(len: usize) -> Vec<u8> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn assert_paths_agree(data: &[u8], what: &str) {
+        let want = bitwise(data);
+        assert_eq!(table(data), want, "table loop, {what}");
+        assert_eq!(crc32(data), want, "dispatched, {what}");
+    }
+
+    #[test]
+    fn crc32_matches_the_reference_vector() {
+        // The canonical IEEE CRC32 check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(table(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn every_path_agrees_at_every_length_and_alignment() {
+        // Lengths straddle the 16-byte lane, the 64-byte fold step and the
+        // 128-byte switch to folding; offsets move the lanes across every
+        // alignment.
+        let data = blob(1100 + 16);
+        for start in 0..16 {
+            for len in 0..=1100 {
+                assert_paths_agree(&data[start..start + len], &format!("start {start} len {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_path_agrees_on_frame_sized_inputs() {
+        // A raw mini sample's frame, an uneven size near it, and a cropped
+        // 224x224 f32 tensor's.
+        for len in [145_417, 150_541, 602_112] {
+            assert_paths_agree(&blob(len), &format!("len {len}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_path_agrees_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            prop_assert_eq!(table(&data), bitwise(&data));
+            prop_assert_eq!(crc32(&data), bitwise(&data));
+        }
+    }
+}

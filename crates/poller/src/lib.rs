@@ -8,8 +8,9 @@
 //! so the caller states what it is waiting for through [`Interest`] and
 //! drops the interest it cannot act on.
 //!
-//! This crate holds every `unsafe` block of the serving path: four foreign
-//! functions declared by hand (no `libc` crate is available offline), each
+//! This crate holds every `unsafe` block of the serving path's I/O (the
+//! other serving-path `unsafe` is `checksum`'s CPU-feature dispatch): four
+//! foreign functions declared by hand (no `libc` crate is available offline), each
 //! taking only descriptors this crate borrows or owns and buffers it
 //! allocates. `epoll_pwait2` needs Linux 5.11 and glibc 2.35; the constants
 //! below are the generic Linux values (x86, Arm, RISC-V).

@@ -34,11 +34,14 @@
 //! Connections are reaped where their state changes: peer-closed with
 //! nothing left to compute or flush, failed, or unwatchable.
 //!
-//! The hot path is allocation-conscious end to end: frames decode in
-//! place out of per-connection scratch buffers that persist across frames,
-//! responses encode into pooled buffers recycled once flushed, and every
-//! socket write is a vectored `header+payload` pair — no intermediate
-//! copies on either side.
+//! The hot path is allocation-conscious end to end: both ends read frames
+//! with one resumable `FrameReader` into a scratch buffer that persists
+//! across frames and is zero-filled only where it grows, responses encode
+//! into pooled buffers recycled once flushed, and every socket write is a
+//! vectored `header+payload` pair. It is not copy-free: the server copies
+//! each payload into a pooled encode buffer, and the client copies each
+//! decoded payload out of its scratch into `Bytes` (or the image or tensor
+//! it carries).
 //!
 //! Frame format: `u32` little-endian payload length (capped at
 //! [`wire::MAX_PAYLOAD`]) followed by the payload (a [`wire`]-encoded
@@ -79,31 +82,15 @@ use crate::transport::{server_error, TENANT_THROTTLED_PREFIX};
 use crate::wire::{self, WireError};
 use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore};
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a vectored `header+payload` pair:
+/// the 4-byte length header and the payload reach the socket in single
+/// `writev`-style calls without being glued into an intermediate buffer.
 ///
 /// # Errors
 ///
 /// Propagates socket errors; an over-cap payload surfaces as
 /// `InvalidInput` before any bytes hit the wire.
-pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(wire::MAX_PAYLOAD) {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame over cap"));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Writes one length-prefixed frame as a vectored `header+payload` pair —
-/// the zero-copy variant of [`write_frame`]: the 4-byte length header and
-/// the payload reach the socket in single `writev`-style calls without
-/// being glued into an intermediate buffer.
-///
-/// # Errors
-///
-/// Propagates socket errors; an over-cap payload surfaces as
-/// `InvalidInput` before any bytes hit the wire.
-pub fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() as u64 > u64::from(wire::MAX_PAYLOAD) {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame over cap"));
     }
@@ -125,36 +112,84 @@ pub fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<(
     w.flush()
 }
 
-/// Reads one length-prefixed frame into a fresh buffer.
-///
-/// # Errors
-///
-/// Propagates socket errors; oversized declared lengths surface as
-/// `InvalidData` before any allocation.
-pub fn read_frame<R: Read>(mut r: R) -> io::Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    read_frame_into(&mut r, &mut payload)?;
-    Ok(payload)
+/// Resumable reader of length-prefixed frames, the one both ends use: the
+/// server over its nonblocking sockets, the client under its read
+/// deadlines. A frame cut off by `WouldBlock` or a timeout resumes exactly
+/// where it stopped on the next [`FrameReader::poll`], so the stream never
+/// desynchronises. The payload buffer persists across frames: each header
+/// resizes it to the new length, so only growth is zero-filled and a
+/// steady-state connection reads frames with zero allocations.
+#[derive(Debug, Default)]
+struct FrameReader {
+    header: [u8; 4],
+    header_got: usize,
+    payload: Vec<u8>,
+    payload_got: usize,
+    expect: Option<usize>,
 }
 
-/// Reads one length-prefixed frame into `payload` (cleared first), reusing
-/// its capacity — the hot-path variant of [`read_frame`]: a steady-state
-/// connection reads frames with zero per-frame allocations.
-///
-/// # Errors
-///
-/// Propagates socket errors; oversized declared lengths surface as
-/// `InvalidData` before any allocation.
-pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<()> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > wire::MAX_PAYLOAD {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over cap"));
+/// Outcome of one [`FrameReader::poll`].
+#[derive(Debug, PartialEq, Eq)]
+enum ReadStatus {
+    /// A complete frame is buffered; process [`FrameReader::frame`], then
+    /// call `reset`.
+    Frame,
+    /// No more bytes available right now (`WouldBlock`, or a read timeout).
+    WouldBlock,
+    /// Peer closed the read half (or the stream hard-errored).
+    Closed,
+    /// The length prefix exceeds [`wire::MAX_PAYLOAD`]; nothing was
+    /// allocated for it, and the stream cannot be resynchronised.
+    OverCap,
+}
+
+impl FrameReader {
+    /// Reads until a frame is complete or the stream has nothing more to
+    /// give right now.
+    fn poll<R: Read>(&mut self, r: &mut R) -> ReadStatus {
+        loop {
+            let read = match self.expect {
+                Some(want) if self.payload_got == want => return ReadStatus::Frame,
+                Some(_) => r.read(&mut self.payload[self.payload_got..]),
+                None => r.read(&mut self.header[self.header_got..]),
+            };
+            match read {
+                Ok(0) => return ReadStatus::Closed,
+                Ok(n) if self.expect.is_some() => self.payload_got += n,
+                Ok(n) => {
+                    self.header_got += n;
+                    if self.header_got == 4 {
+                        let len = u32::from_le_bytes(self.header);
+                        if len > wire::MAX_PAYLOAD {
+                            return ReadStatus::OverCap;
+                        }
+                        self.payload.resize(len as usize, 0);
+                        self.expect = Some(len as usize);
+                    }
+                }
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return ReadStatus::WouldBlock
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadStatus::Closed,
+            }
+        }
     }
-    payload.clear();
-    payload.resize(len as usize, 0);
-    r.read_exact(payload)
+
+    /// The completed frame's bytes (valid after `poll` returned `Frame`).
+    fn frame(&self) -> &[u8] {
+        &self.payload[..self.payload_got]
+    }
+
+    /// Starts the next frame. The payload buffer keeps its length (and
+    /// capacity) until the next header resizes it.
+    fn reset(&mut self) {
+        self.header_got = 0;
+        self.payload_got = 0;
+        self.expect = None;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,86 +246,6 @@ struct Reply {
     tenant: TenantId,
     response: Response,
     fault: Option<FaultDirective>,
-}
-
-/// Incremental nonblocking frame reader: per-connection scratch that
-/// persists across frames (and across `WouldBlock`s mid-frame), so a
-/// steady-state connection parses frames with zero allocations.
-#[derive(Debug, Default)]
-struct FrameReader {
-    header: [u8; 4],
-    header_got: usize,
-    payload: Vec<u8>,
-    payload_got: usize,
-    expect: Option<usize>,
-}
-
-/// Outcome of one [`FrameReader::poll`] step.
-enum ReadStatus {
-    /// A complete frame is buffered; process it, then call `reset`.
-    Frame,
-    /// No more bytes available right now.
-    WouldBlock,
-    /// Peer closed the read half (or the stream hard-errored).
-    Closed,
-}
-
-impl FrameReader {
-    /// Advances by at most one frame worth of reads on a nonblocking
-    /// stream.
-    fn poll<R: Read>(&mut self, r: &mut R) -> ReadStatus {
-        loop {
-            if let Some(want) = self.expect {
-                if self.payload_got == want {
-                    return ReadStatus::Frame;
-                }
-                match r.read(&mut self.payload[self.payload_got..]) {
-                    Ok(0) => return ReadStatus::Closed,
-                    Ok(n) => self.payload_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return ReadStatus::WouldBlock
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return ReadStatus::Closed,
-                }
-            } else {
-                match r.read(&mut self.header[self.header_got..]) {
-                    Ok(0) => return ReadStatus::Closed,
-                    Ok(n) => {
-                        self.header_got += n;
-                        if self.header_got == 4 {
-                            let len = u32::from_le_bytes(self.header);
-                            if len > wire::MAX_PAYLOAD {
-                                return ReadStatus::Closed;
-                            }
-                            self.expect = Some(len as usize);
-                            self.payload.clear();
-                            self.payload.resize(len as usize, 0);
-                            self.payload_got = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return ReadStatus::WouldBlock
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return ReadStatus::Closed,
-                }
-            }
-        }
-    }
-
-    /// The completed frame's bytes (valid after `poll` returned `Frame`).
-    fn frame(&self) -> &[u8] {
-        &self.payload[..self.payload_got]
-    }
-
-    /// Clears per-frame state while keeping the payload buffer's capacity.
-    fn reset(&mut self) {
-        self.header_got = 0;
-        self.payload_got = 0;
-        self.expect = None;
-        self.payload.clear();
-    }
 }
 
 /// One response queued on a connection, with a release time from
@@ -1069,7 +1024,9 @@ impl EventLoop {
                     conn.reader.reset();
                 }
                 ReadStatus::WouldBlock => break,
-                ReadStatus::Closed => {
+                // An over-cap prefix leaves the stream unparseable: stop
+                // reading, finish what is in flight, then reap.
+                ReadStatus::Closed | ReadStatus::OverCap => {
                     conn.peer_closed = true;
                     break;
                 }
@@ -1140,29 +1097,6 @@ fn worker_loop(
 // Client
 // ---------------------------------------------------------------------------
 
-/// Partially read frame state, persisted across deadline expiries so a
-/// timed-out read never desynchronizes the stream: the next call resumes
-/// the same frame exactly where the budget ran out. The payload buffer is
-/// reused across frames, so steady-state receiving is allocation-free.
-#[derive(Debug, Default)]
-struct FrameState {
-    header: [u8; 4],
-    header_got: usize,
-    payload: Vec<u8>,
-    payload_got: usize,
-    expect: Option<usize>,
-}
-
-impl FrameState {
-    /// Clears per-frame state while keeping the payload buffer's capacity.
-    fn reset(&mut self) {
-        self.header_got = 0;
-        self.payload_got = 0;
-        self.expect = None;
-        self.payload.clear();
-    }
-}
-
 /// Client for a [`TcpStorageServer`], with a pipelined exchange API.
 ///
 /// [`TcpStorageClient::submit`] puts a fetch on the wire and returns its
@@ -1187,7 +1121,9 @@ pub struct TcpStorageClient {
     /// Monotonic multiplexing id; 0 is reserved for server-side replies to
     /// frames whose id could not be recovered.
     next_id: u32,
-    frame: FrameState,
+    /// Persists across deadline expiries, so a timed-out read resumes the
+    /// same frame exactly where the budget ran out.
+    frame: FrameReader,
     /// Reusable request-encode buffer: steady-state sends are
     /// allocation-free.
     send_buf: Vec<u8>,
@@ -1221,7 +1157,7 @@ impl TcpStorageClient {
             deadline: Deadline::NONE,
             tenant: None,
             next_id: 1,
-            frame: FrameState::default(),
+            frame: FrameReader::default(),
             send_buf: Vec::new(),
             batch_buf: Vec::new(),
             read_timeout: None,
@@ -1339,58 +1275,19 @@ impl TcpStorageClient {
     /// Reads one frame into the reusable scratch, resuming any partial
     /// frame from a previous expired call, giving up when `expiry` passes.
     fn read_frame_within(&mut self, expiry: Option<Instant>) -> Result<(), ClientError> {
+        let mut socket =
+            BudgetedRead { stream: &self.stream, read_timeout: &mut self.read_timeout, expiry };
         loop {
-            let timeout = match expiry {
-                None => None,
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        return Err(ClientError::DeadlineExceeded);
-                    }
-                    Some(at - now)
+            match self.frame.poll(&mut socket) {
+                ReadStatus::Frame => return Ok(()),
+                ReadStatus::WouldBlock if expiry.is_some_and(|at| Instant::now() >= at) => {
+                    return Err(ClientError::DeadlineExceeded)
                 }
-            };
-            if timeout != self.read_timeout {
-                self.stream.set_read_timeout(timeout).map_err(|_| ClientError::Disconnected)?;
-                self.read_timeout = timeout;
-            }
-            let st = &mut self.frame;
-            if let Some(want) = st.expect {
-                if st.payload_got == want {
-                    return Ok(());
-                }
-                match self.stream.read(&mut st.payload[st.payload_got..]) {
-                    Ok(0) => return Err(ClientError::Disconnected),
-                    Ok(n) => st.payload_got += n,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut
-                            || e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Err(ClientError::Disconnected),
-                }
-            } else {
-                match self.stream.read(&mut st.header[st.header_got..]) {
-                    Ok(0) => return Err(ClientError::Disconnected),
-                    Ok(n) => {
-                        st.header_got += n;
-                        if st.header_got == 4 {
-                            let len = u32::from_le_bytes(st.header);
-                            if len > wire::MAX_PAYLOAD {
-                                return Err(ClientError::Wire(WireError::Invalid(
-                                    "frame length over cap",
-                                )));
-                            }
-                            st.expect = Some(len as usize);
-                            st.payload.clear();
-                            st.payload.resize(len as usize, 0);
-                            st.payload_got = 0;
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut
-                            || e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Err(ClientError::Disconnected),
+                // The socket timeout ran out a hair before the budget did.
+                ReadStatus::WouldBlock => {}
+                ReadStatus::Closed => return Err(ClientError::Disconnected),
+                ReadStatus::OverCap => {
+                    return Err(ClientError::Wire(WireError::Invalid("frame length over cap")))
                 }
             }
         }
@@ -1402,7 +1299,7 @@ impl TcpStorageClient {
         expiry: Option<Instant>,
     ) -> Result<(u32, Response), ClientError> {
         self.read_frame_within(expiry)?;
-        let result = wire::decode_response_framed(self.frame.frame_bytes());
+        let result = wire::decode_response_framed(self.frame.frame());
         self.frame.reset();
         Ok(result?)
     }
@@ -1557,10 +1454,31 @@ impl TcpStorageClient {
     }
 }
 
-impl FrameState {
-    /// The completed frame's bytes (valid once `expect == payload_got`).
-    fn frame_bytes(&self) -> &[u8] {
-        &self.payload[..self.payload_got]
+/// The client's socket under one request's expiry: every read first
+/// checks the budget and gives the socket what remains of it as its read
+/// timeout, so a response trickling in cannot outlast its deadline.
+struct BudgetedRead<'a> {
+    stream: &'a TcpStream,
+    /// The timeout the socket currently has, so it is set again only when
+    /// it changes.
+    read_timeout: &'a mut Option<Duration>,
+    expiry: Option<Instant>,
+}
+
+impl Read for BudgetedRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = match self.expiry {
+            None => None,
+            Some(at) => match at.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => return Err(io::ErrorKind::TimedOut.into()),
+            },
+        };
+        if timeout != *self.read_timeout {
+            self.stream.set_read_timeout(timeout)?;
+            *self.read_timeout = timeout;
+        }
+        self.stream.read(buf)
     }
 }
 
@@ -1946,44 +1864,196 @@ mod tests {
         server.shutdown();
     }
 
+    // -- The frame reader, alone and at each end of a connection -----------
+
+    /// `payload` behind its length prefix, as it goes on the wire.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame_vectored(&mut out, payload).unwrap();
+        out
+    }
+
     #[test]
     fn frame_roundtrip_and_cap() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello frame").unwrap();
-        let got = read_frame(&buf[..]).unwrap();
-        assert_eq!(got, b"hello frame");
-        // The vectored writer produces bit-identical frames.
-        let mut vbuf = Vec::new();
-        write_frame_vectored(&mut vbuf, b"hello frame").unwrap();
-        assert_eq!(buf, vbuf);
-        // Oversized declared length is rejected before allocation.
-        let mut bogus = Vec::new();
-        bogus.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_frame(&bogus[..]).is_err());
+        let bytes = framed(b"hello frame");
+        assert_eq!(bytes[..4], 11u32.to_le_bytes());
+        let mut reader = FrameReader::default();
+        assert_eq!(reader.poll(&mut &bytes[..]), ReadStatus::Frame);
+        assert_eq!(reader.frame(), b"hello frame");
+        // An over-cap declared length is refused before any allocation.
+        let mut reader = FrameReader::default();
+        let prefix = (wire::MAX_PAYLOAD + 1).to_le_bytes();
+        assert_eq!(reader.poll(&mut &prefix[..]), ReadStatus::OverCap);
+        assert_eq!(reader.payload.capacity(), 0);
         // Oversized outbound payloads error instead of panicking.
         let big = vec![0u8; (wire::MAX_PAYLOAD as usize) + 1];
-        assert!(write_frame(Vec::new(), &big).is_err());
         assert!(write_frame_vectored(&mut Vec::new(), &big).is_err());
     }
 
     #[test]
-    fn read_frame_into_reuses_the_buffer() {
-        let mut wire_bytes = Vec::new();
-        write_frame(&mut wire_bytes, b"abcdefgh").unwrap();
-        let mut stream = Vec::new();
-        for _ in 0..50 {
-            stream.extend_from_slice(&wire_bytes);
+    fn short_frames_after_a_long_one_reuse_the_buffer_and_read_exactly() {
+        let long = vec![0xab; 4096];
+        let mut stream = framed(&long);
+        for i in 0..50u8 {
+            stream.extend(framed(&[i; 8]));
         }
         let mut cursor = &stream[..];
-        let mut buf = Vec::new();
-        read_frame_into(&mut cursor, &mut buf).unwrap();
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        for _ in 0..49 {
-            read_frame_into(&mut cursor, &mut buf).unwrap();
-            assert_eq!(buf, b"abcdefgh");
+        let mut reader = FrameReader::default();
+        assert_eq!(reader.poll(&mut cursor), ReadStatus::Frame);
+        assert_eq!(reader.frame(), &long[..]);
+        reader.reset();
+        let (ptr, cap) = (reader.payload.as_ptr(), reader.payload.capacity());
+        for i in 0..50u8 {
+            assert_eq!(reader.poll(&mut cursor), ReadStatus::Frame);
+            assert_eq!(reader.frame(), [i; 8], "stale bytes past the new length");
+            reader.reset();
         }
-        assert_eq!(buf.as_ptr(), ptr, "read buffer reallocated on the hot path");
-        assert_eq!(buf.capacity(), cap);
+        assert_eq!(reader.poll(&mut cursor), ReadStatus::Closed);
+        assert_eq!(reader.payload.as_ptr(), ptr, "read buffer reallocated on the hot path");
+        assert_eq!(reader.payload.capacity(), cap);
+    }
+
+    /// Hands out one byte per read, each behind a stall that alternates
+    /// between `WouldBlock` (a nonblocking socket) and `TimedOut` (a
+    /// socket read timeout).
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        stalled: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.stalled = !self.stalled;
+            if self.stalled {
+                let kind = if self.at.is_multiple_of(2) {
+                    io::ErrorKind::WouldBlock
+                } else {
+                    io::ErrorKind::TimedOut
+                };
+                return Err(kind.into());
+            }
+            let Some(&b) = self.bytes.get(self.at) else { return Ok(0) };
+            buf[0] = b;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn frame_delivered_one_byte_per_read_resumes_across_stalls() {
+        let mut bytes = framed(b"first frame");
+        bytes.extend(framed(b"2nd"));
+        let mut trickle = Trickle { bytes, at: 0, stalled: false };
+        let mut reader = FrameReader::default();
+        for want in [&b"first frame"[..], b"2nd"] {
+            let mut stalls = 0;
+            let status = loop {
+                match reader.poll(&mut trickle) {
+                    ReadStatus::WouldBlock => stalls += 1,
+                    other => break other,
+                }
+            };
+            assert_eq!(status, ReadStatus::Frame);
+            assert_eq!(reader.frame(), want);
+            assert_eq!(stalls, 4 + want.len(), "one stall before every byte");
+            reader.reset();
+        }
+        assert_eq!(reader.poll(&mut trickle), ReadStatus::WouldBlock);
+        assert_eq!(reader.poll(&mut trickle), ReadStatus::Closed);
+    }
+
+    #[test]
+    fn frame_cut_by_a_client_deadline_resumes_on_the_next_await() {
+        const LEN: usize = 1000;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStorageClient::connect(listener.local_addr().unwrap())
+            .unwrap()
+            .with_deadline(Deadline::after(Duration::from_millis(50)));
+        let (expired_tx, expired_rx) = std::sync::mpsc::channel();
+        // A hand-written server: it answers each fetch with LEN copies of
+        // the sample id's low byte.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::default();
+            let mut answer_next = |stream: &mut TcpStream| {
+                assert_eq!(reader.poll(stream), ReadStatus::Frame);
+                let (id, _, request) = wire::decode_request_framed(reader.frame()).unwrap();
+                reader.reset();
+                let Request::Fetch(req) = request else { panic!("only fetches here") };
+                let data = StageData::Encoded(vec![req.sample_id as u8; LEN].into());
+                let response = Response::Data(FetchResponse {
+                    sample_id: req.sample_id,
+                    ops_applied: 0,
+                    data,
+                    tier: None,
+                });
+                let mut payload = Vec::new();
+                wire::encode_response_into(id, &response, &mut payload);
+                framed(&payload)
+            };
+            let first = answer_next(&mut stream);
+            let cut = first.len() / 2;
+            stream.write_all(&first[..cut]).unwrap();
+            expired_rx.recv().unwrap();
+            let second = answer_next(&mut stream);
+            for b in first[cut..].iter().chain(&second) {
+                stream.write_all(&[*b]).unwrap();
+            }
+        });
+        // Half of sample 1's frame arrives, then nothing until the budget
+        // is gone.
+        assert_eq!(
+            client.fetch(1, 0, SplitPoint::NONE).unwrap_err(),
+            ClientError::DeadlineExceeded
+        );
+        expired_tx.send(()).unwrap();
+        client.set_deadline(Deadline::NONE);
+        // The rest of sample 1's frame comes first, a byte at a time: it is
+        // read from where the deadline cut it, discarded as abandoned, and
+        // sample 2's frame decodes right after it.
+        let data = client.fetch(2, 0, SplitPoint::NONE).unwrap();
+        assert_eq!(data.as_encoded().unwrap()[..], [2u8; LEN][..]);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn short_frame_after_a_long_one_decodes_exactly_at_both_ends() {
+        let (server, ds) = spawn_server(1, 1);
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
+        // Server end: 4 KB of junk, then a configure frame of a few dozen
+        // bytes through the same scratch. The junk's error reply carries id
+        // 0, which this client never issued and so discards.
+        client.stream.write_all(&framed(&[0x5a; 4096])).unwrap();
+        client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        // Client end: a 150 KB tensor, then a short error reply.
+        assert_eq!(client.fetch(0, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
+        let err = client.fetch(9, 0, SplitPoint::NONE).unwrap_err();
+        assert!(matches!(err, ClientError::Server { sample_id: Some(9), .. }), "{err:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_cap_prefix_closes_only_that_server_connection() {
+        let (server, ds) = spawn_server(1, 1);
+        let mut healthy = configured_clients(&server, &ds, 1).remove(0);
+        let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+        hostile.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        hostile.write_all(&(wire::MAX_PAYLOAD + 1).to_le_bytes()).unwrap();
+        // Nothing in flight, so the server stops reading and hangs up.
+        assert_eq!(hostile.read(&mut [0u8; 16]).unwrap(), 0, "connection left open");
+        assert!(healthy.fetch(0, 0, SplitPoint::NONE).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_cap_prefix_is_a_typed_error_at_the_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStorageClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.write_all(&(wire::MAX_PAYLOAD + 1).to_le_bytes()).unwrap();
+        let err = client.fetch(0, 0, SplitPoint::NONE).unwrap_err();
+        assert_eq!(err, ClientError::Wire(WireError::Invalid("frame length over cap")));
     }
 
     #[test]

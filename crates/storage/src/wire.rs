@@ -154,65 +154,10 @@ fn decode_tier_byte(b: u8) -> Result<Option<u8>, WireError> {
     }
 }
 
-/// Slice-by-16 lookup tables for the IEEE CRC32 polynomial (reflected
-/// form 0xEDB88320), built at compile time. `CRC_TABLES[0]` is the
-/// classic byte-at-a-time table; table `k` advances a byte through `k`
-/// further zero bytes, letting the hot loop fold 16 input bytes per
-/// iteration instead of one. Payloads here are whole samples (hundreds
-/// of KiB), so the checksum dominates frame encode/decode cost — the
-/// wide tables keep it off the serving path's critical ~ms budget.
-const CRC_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 16 {
-        let mut i = 0;
-        while i < 256 {
-            tables[t][i] = (tables[t - 1][i] >> 8) ^ tables[0][(tables[t - 1][i] & 0xff) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// Folds one 32-bit word through tables `base+3 ..= base`.
-#[inline(always)]
-fn crc_fold(word: u32, base: usize) -> u32 {
-    CRC_TABLES[base + 3][(word & 0xff) as usize]
-        ^ CRC_TABLES[base + 2][((word >> 8) & 0xff) as usize]
-        ^ CRC_TABLES[base + 1][((word >> 16) & 0xff) as usize]
-        ^ CRC_TABLES[base][(word >> 24) as usize]
-}
-
-/// CRC32 (IEEE 802.3) of `data` — the checksum appended to every encoded
-/// message. Identical output to the byte-at-a-time formulation; the body
-/// runs slice-by-16 for throughput.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    let mut chunks = data.chunks_exact(16);
-    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    for chunk in &mut chunks {
-        c = crc_fold(c ^ word(&chunk[0..4]), 12)
-            ^ crc_fold(word(&chunk[4..8]), 8)
-            ^ crc_fold(word(&chunk[8..12]), 4)
-            ^ crc_fold(word(&chunk[12..16]), 0);
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
+/// CRC32 (IEEE 802.3) of `data`: the checksum appended to every encoded
+/// message. It folds with carry-less multiplies where the CPU has them and
+/// runs a slice-by-16 table loop elsewhere; the output is the same.
+pub use checksum::crc32;
 
 /// Appends the CRC32 trailer over everything written so far.
 fn seal_in_place(out: &mut Vec<u8>) {
@@ -903,29 +848,6 @@ mod tests {
         }
         assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
         assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn crc32_matches_the_reference_vector() {
-        // The canonical IEEE CRC32 check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_slice_by_8_matches_byte_at_a_time_at_every_alignment() {
-        fn reference(data: &[u8]) -> u32 {
-            let mut c = 0xffff_ffffu32;
-            for &b in data {
-                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-            }
-            c ^ 0xffff_ffff
-        }
-        // Lengths straddling every chunk boundary and a payload-sized blob.
-        let blob: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
-        for len in (0..64).chain([255, 1024, 4095, 4096]) {
-            assert_eq!(crc32(&blob[..len]), reference(&blob[..len]), "len {len}");
-        }
     }
 
     #[test]
