@@ -6,13 +6,16 @@
 //! identical on both sides of the wire passes all of them. The constants
 //! here were recorded at `50fc8f1` (dense IDCT, per-pixel colour
 //! conversion, unfused `Decode` → `RandomResizedCrop`) and the file calls
-//! only functions whose signatures predate the crop-aware decoder. A digest
-//! that moves means a pixel or a tensor value changed.
+//! only functions whose signatures predate the crop-aware decoder. The
+//! synthesis, store and tiered stored-byte constants were recorded at
+//! `f0adaa2` (per-pixel value noise, plane-by-plane encoder, one thread). A
+//! digest that moves means a pixel or a tensor value changed.
 
 use codec::{EncodeOptions, EntropyMode, Quality, Subsampling, TierSpec};
 use datasets::DatasetSpec;
-use imagery::synth::SynthSpec;
+use imagery::synth::{Pattern, SynthSpec};
 use pipeline::{PipelineSpec, SampleKey, StageData};
+use storage::ObjectStore;
 
 struct Fnv(u64);
 
@@ -71,6 +74,71 @@ fn materialized_bytes_are_pinned() {
     assert_digests("stored bytes", &got, &[0x92b5_ad02_9abe_42a4, 0x1a8d_cdb3_dd97_067a]);
 }
 
+/// Every stored object of a materialised store, in id order, each checked
+/// against the one-sample path first.
+fn store_digest(
+    store: &ObjectStore,
+    ids: std::ops::Range<u64>,
+    one: impl Fn(u64) -> Vec<u8>,
+) -> u64 {
+    assert_eq!(store.len(), ids.clone().count());
+    let mut d = Fnv::new();
+    for id in ids {
+        let bytes = store.get(id).expect("every id in the range is stored");
+        assert_eq!(bytes.as_ref(), one(id).as_slice(), "object {id} differs from one-sample path");
+        d.fold_bytes(&id.to_le_bytes());
+        d.fold_bytes(&bytes);
+    }
+    d.0
+}
+
+#[test]
+fn materialized_stores_are_pinned() {
+    let ds = mini();
+    let classic = ObjectStore::materialize_dataset(&ds, 0..24);
+    let tiers = TierSpec::default();
+    let tiered = ObjectStore::materialize_dataset_tiered(&ds, 4..12, &tiers);
+    let got = [
+        store_digest(&classic, 0..24, |id| ds.materialize(id)),
+        store_digest(&tiered, 4..12, |id| ds.materialize_tiered(id, &tiers)),
+    ];
+    assert_digests("materialised stores", &got, &[0xf00d_d206_e066_8b2f, 0x88a0_1463_63ac_f817]);
+}
+
+#[test]
+fn synthesized_pixels_are_pinned() {
+    // No noise, then 1, 2, 3 and 4 octaves (1 + round(3c)), twice at 4.
+    let complexities = [0.0, 0.1, 0.2, 0.5, 0.9, 1.0];
+    let patterns = [Pattern::Gradient, Pattern::Stripes, Pattern::Checker, Pattern::Radial];
+    let got: Vec<u64> = complexities
+        .iter()
+        .map(|&c| {
+            let mut d = Fnv::new();
+            for (&pattern, p) in patterns.iter().zip(0u64..) {
+                for blobs in [0, 6] {
+                    for (w, h) in [(37, 61), (203, 131)] {
+                        let spec = SynthSpec::new(w, h).complexity(c).blobs(blobs).pattern(pattern);
+                        d.fold_image(&spec.render(p * 31 + u64::from(blobs) + u64::from(w)));
+                    }
+                }
+            }
+            d.0
+        })
+        .collect();
+    assert_digests(
+        "synthesized pixels",
+        &got,
+        &[
+            0x064e_e969_bdee_16f8,
+            0xcdc5_85d2_f683_a548,
+            0x3003_dcbf_8419_1344,
+            0xa847_fbb4_91b2_ff66,
+            0x6767_a2b2_1fd0_2bc6,
+            0x202b_dd76_bfcf_0c2f,
+        ],
+    );
+}
+
 #[test]
 fn classic_decode_pixels_are_pinned() {
     let q = Quality::default();
@@ -114,9 +182,13 @@ fn classic_decode_pixels_are_pinned() {
 fn tiered_decode_pixels_are_pinned() {
     let img = SynthSpec::new(75, 53).complexity(0.7).render(5);
     let mut got = Vec::new();
+    let mut stored = Vec::new();
     for subsampling in [Subsampling::S444, Subsampling::S420] {
         let bytes =
             codec::encode_tiered_with(&img, Quality::default(), subsampling, &TierSpec::default());
+        let mut d = Fnv::new();
+        d.fold_bytes(&bytes);
+        stored.push(d.0);
         for tier in 0..3 {
             let out = codec::decode_tiered(codec::truncate_to_tier(&bytes, tier).unwrap()).unwrap();
             assert_eq!(out.tier, tier);
@@ -137,6 +209,7 @@ fn tiered_decode_pixels_are_pinned() {
             0xafaf_6f64_2066_e5d3,
         ],
     );
+    assert_digests("tiered stored bytes", &stored, &[0x3507_e2dd_a6a7_9d83, 0x1189_7284_c037_9198]);
 }
 
 /// Two stored samples and a browned-out tiered prefix of the first, each
