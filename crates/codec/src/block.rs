@@ -1,7 +1,8 @@
-//! Extracting and placing 8×8 blocks from planar image data.
+//! Planar image data that decoded 8×8 blocks are placed into.
 //!
-//! Images whose dimensions are not multiples of 8 are handled by edge
-//! replication on extraction; placement simply ignores the padded region.
+//! Placement ignores the part of a block past the plane's border. (The
+//! encoder builds its blocks straight from the RGB raster, replicating edge
+//! samples; see `encoder.rs`.)
 
 use crate::{BLOCK, BLOCK_AREA};
 
@@ -24,16 +25,6 @@ impl Plane {
         Plane { width, height, data: vec![0f32; width as usize * height as usize] }
     }
 
-    /// Plane width in samples.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Plane height in samples.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Reads the sample at `(x, y)`.
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> f32 {
@@ -54,21 +45,6 @@ impl Plane {
     /// Number of 8×8 block rows needed to cover the plane.
     pub fn blocks_y(&self) -> u32 {
         self.height.div_ceil(BLOCK as u32)
-    }
-
-    /// Extracts the block whose top-left corner is at
-    /// `(bx * 8, by * 8)`, replicating edge samples beyond the border, and
-    /// centering values by subtracting 128.
-    pub fn extract_block(&self, bx: u32, by: u32) -> [f32; BLOCK_AREA] {
-        let mut out = [0f32; BLOCK_AREA];
-        for dy in 0..BLOCK as u32 {
-            let y = (by * BLOCK as u32 + dy).min(self.height - 1);
-            for dx in 0..BLOCK as u32 {
-                let x = (bx * BLOCK as u32 + dx).min(self.width - 1);
-                out[dy as usize * BLOCK + dx as usize] = self.get(x, y) - 128.0;
-            }
-        }
-        out
     }
 
     /// Borrows row `y` of the plane.
@@ -110,38 +86,16 @@ mod tests {
     }
 
     #[test]
-    fn extract_place_roundtrip_interior() {
+    fn place_writes_an_interior_block() {
+        let block: [f32; BLOCK_AREA] = std::array::from_fn(|i| i as f32);
         let mut p = Plane::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                p.set(x, y, (x * 16 + y) as f32);
-            }
-        }
-        let block = p.extract_block(1, 0);
-        let mut q = Plane::new(16, 16);
-        q.place_block(1, 0, &block);
+        p.place_block(1, 0, &block);
         for y in 0..8 {
             for x in 8..16 {
-                assert_eq!(q.get(x, y), p.get(x, y));
+                assert_eq!(p.get(x, y), block[(y * 8 + x - 8) as usize] + 128.0);
             }
         }
-    }
-
-    #[test]
-    fn extract_replicates_edges() {
-        let mut p = Plane::new(10, 10);
-        for y in 0..10 {
-            for x in 0..10 {
-                p.set(x, y, f32::from((x + y) as u16));
-            }
-        }
-        // Block (1,1) covers x,y in 8..16 but the plane ends at 10;
-        // samples beyond should replicate row/column 9.
-        let b = p.extract_block(1, 1);
-        let sample = |dx: usize, dy: usize| b[dy * BLOCK + dx] + 128.0;
-        assert_eq!(sample(5, 0), p.get(9, 8)); // x clamped to 9
-        assert_eq!(sample(0, 5), p.get(8, 9)); // y clamped to 9
-        assert_eq!(sample(7, 7), p.get(9, 9));
+        assert_eq!(p.get(7, 0), 0.0);
     }
 
     #[test]

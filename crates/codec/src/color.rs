@@ -4,6 +4,8 @@
 //! aggressively, which is where much of a transform codec's compression comes
 //! from on natural-looking images.
 
+use imagery::round_f32_to_u8;
+
 /// Converts one RGB pixel to YCbCr. All planes are centered in `[0, 255]`.
 pub fn rgb_to_ycbcr(r: u8, g: u8, b: u8) -> [f32; 3] {
     let (r, g, b) = (f32::from(r), f32::from(g), f32::from(b));
@@ -14,7 +16,7 @@ pub fn rgb_to_ycbcr(r: u8, g: u8, b: u8) -> [f32; 3] {
 }
 
 /// Converts a row of YCbCr samples back to interleaved RGB, rounding half
-/// away from zero and clamping to `[0, 255]`.
+/// away from zero and clamping to `[0, 255]` ([`round_f32_to_u8`]).
 ///
 /// # Panics
 ///
@@ -25,33 +27,10 @@ pub fn ycbcr_row_to_rgb(y: &[f32], cb: &[f32], cr: &[f32], rgb: &mut [u8]) {
     for (((px, &y), &cb), &cr) in rgb.chunks_exact_mut(3).zip(y).zip(cb).zip(cr) {
         let cb = cb - 128.0;
         let cr = cr - 128.0;
-        px[0] = round_to_u8(y + 1.402 * cr);
-        px[1] = round_to_u8(y - 0.344_136 * cb - 0.714_136 * cr);
-        px[2] = round_to_u8(y + 1.772 * cb);
+        px[0] = round_f32_to_u8(y + 1.402 * cr);
+        px[1] = round_f32_to_u8(y - 0.344_136 * cb - 0.714_136 * cr);
+        px[2] = round_f32_to_u8(y + 1.772 * cb);
     }
-}
-
-/// `v.round().clamp(0.0, 255.0) as u8` without the call into libm that
-/// `f32::round` is on targets without SSE4.1, and without a float-to-int
-/// cast (which saturates, and so compiles to per-lane scalar code): all of
-/// it vectorizes.
-///
-/// With `v` clamped to `[0, 256]` (NaN to 0, as the cast does), adding
-/// `2^23` rounds it to the nearest integer, ties to even, and leaves that
-/// integer in the low mantissa bits; subtracting `2^23` back is exact, and
-/// so is the remainder `v - nearest`. Rounding half away from zero differs
-/// from ties-to-even only where the tie went down, which is where the
-/// remainder is exactly a half. `floor(v + 0.5)` would not do: the sum
-/// rounds up to 1.0 at `0.5 - 1 ulp`.
-#[inline]
-fn round_to_u8(v: f32) -> u8 {
-    const TWO_23: f32 = 8_388_608.0;
-    let v = if v > 0.0 { v } else { 0.0 };
-    let v = if v < 256.0 { v } else { 256.0 };
-    let shifted = v + TWO_23;
-    let nearest = shifted.to_bits() - TWO_23.to_bits();
-    let tie_went_down = v - (shifted - TWO_23) == 0.5;
-    (nearest + u32::from(tie_went_down)).min(255) as u8
 }
 
 #[cfg(test)]
@@ -98,37 +77,6 @@ mod tests {
             assert!((cb - 128.0).abs() < 0.5);
             assert!((cr - 128.0).abs() < 0.5);
         }
-    }
-
-    #[test]
-    fn rounding_matches_f32_round_around_every_tie() {
-        let reference = |v: f32| v.round().clamp(0.0, 255.0) as u8;
-        let mut probes =
-            vec![0.0f32, -0.0, f32::MAX, f32::MIN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-        for k in -2i16..=257 {
-            for tie in [f32::from(k) - 0.5, f32::from(k) + 0.5, f32::from(k)] {
-                // The tie and its three neighbours on either side.
-                probes.push(tie);
-                let (mut below, mut above) = (tie, tie);
-                for _ in 0..3 {
-                    below = next_toward(below, f32::NEG_INFINITY);
-                    above = next_toward(above, f32::INFINITY);
-                    probes.extend([below, above]);
-                }
-            }
-        }
-        for v in probes {
-            assert_eq!(round_to_u8(v), reference(v), "v = {v:e} ({:#x})", v.to_bits());
-        }
-    }
-
-    /// The neighbouring `f32` of a finite `v` in the direction of `toward`.
-    fn next_toward(v: f32, toward: f32) -> f32 {
-        if v == 0.0 {
-            return f32::from_bits(1).copysign(toward);
-        }
-        let away_from_zero = (toward > v) == (v > 0.0);
-        f32::from_bits(if away_from_zero { v.to_bits() + 1 } else { v.to_bits() - 1 })
     }
 
     #[test]

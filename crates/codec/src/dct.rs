@@ -2,7 +2,8 @@
 //!
 //! Both directions are the separable row/column formulation with
 //! precomputed cosine tables, allocation-free and exactly invertible up to
-//! floating-point rounding.
+//! floating-point rounding. [`forward`] computes eight outputs at a time and
+//! is bit-identical to the dense loop kept as its test oracle.
 //!
 //! The inverse, [`inverse_quantized`], is what every decoded block goes
 //! through, so it is written for the blocks a quantizer actually produces:
@@ -41,9 +42,60 @@ fn alpha(u: usize) -> f32 {
     }
 }
 
+/// [`cos_table`] transposed, indexed `[x][u]`: the row pass of [`forward`]
+/// reads one spatial sample's eight cosines side by side.
+fn cos_table_transposed() -> &'static [[f32; BLOCK]; BLOCK] {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[[f32; BLOCK]; BLOCK]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let cos = cos_table();
+        std::array::from_fn(|x| std::array::from_fn(|u| cos[u][x]))
+    })
+}
+
 /// Forward 8×8 DCT-II of a row-major spatial block (values already centered
 /// around zero), producing row-major frequency coefficients.
+///
+/// Each pass computes eight outputs side by side, and every output is the
+/// dense textbook sum kept as the test oracle below, bit for bit: the same
+/// products, accumulated from `+0.0` in the same order (`x` for a row, `y`
+/// for a column), scaled by `alpha * 0.5` as written. Only the loops are
+/// interchanged.
 pub fn forward(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+    // Transform rows: tmp[y][u] = sum over x of block[y][x] * cos[u][x].
+    let cos_t = cos_table_transposed();
+    let mut tmp = [0f32; BLOCK_AREA];
+    for (row, tmp_row) in block.chunks_exact(BLOCK).zip(tmp.chunks_exact_mut(BLOCK)) {
+        let mut acc = [0f32; BLOCK];
+        for (&s, cos_x) in row.iter().zip(cos_t) {
+            for (a, &c) in acc.iter_mut().zip(cos_x) {
+                *a += s * c;
+            }
+        }
+        for (u, (t, a)) in tmp_row.iter_mut().zip(acc).enumerate() {
+            *t = a * alpha(u) * 0.5;
+        }
+    }
+    // Transform columns: out[v][u] = sum over y of tmp[y][u] * cos[v][y].
+    let cos = cos_table();
+    let mut out = [0f32; BLOCK_AREA];
+    for (v, (cos_v, out_row)) in cos.iter().zip(out.chunks_exact_mut(BLOCK)).enumerate() {
+        let mut acc = [0f32; BLOCK];
+        for (&c, tmp_row) in cos_v.iter().zip(tmp.chunks_exact(BLOCK)) {
+            for (a, &t) in acc.iter_mut().zip(tmp_row) {
+                *a += t * c;
+            }
+        }
+        for (o, a) in out_row.iter_mut().zip(acc) {
+            *o = a * alpha(v) * 0.5;
+        }
+    }
+    out
+}
+
+/// Dense forward 8×8 DCT: the textbook loop [`forward`] is checked against.
+#[cfg(test)]
+pub(crate) fn forward_reference(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     let cos = cos_table();
     let mut tmp = [0f32; BLOCK_AREA];
     // Transform rows.
@@ -247,6 +299,41 @@ mod tests {
             coeffs.iter().enumerate().filter(|&(i, _)| i != 3).map(|(_, c)| c.abs()).sum();
         assert!(target > 100.0, "target coefficient too small: {target}");
         assert!(rest < target * 0.01, "energy leaked: {rest} vs {target}");
+    }
+
+    #[test]
+    fn forward_is_bit_identical_to_the_dense_loop() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 40) as u32
+        };
+        let mut blocks = vec![[0f32; BLOCK_AREA], [-128.0; BLOCK_AREA], [127.0; BLOCK_AREA]];
+        for i in 0..BLOCK_AREA {
+            // One extreme sample on a flat block, then a checkerboard.
+            let mut b = [-0.0f32; BLOCK_AREA];
+            b[i] = if i.is_multiple_of(2) { 127.0 } else { -128.0 };
+            blocks.push(b);
+        }
+        blocks.push(std::array::from_fn(|i| {
+            if (i / BLOCK + i).is_multiple_of(2) {
+                127.0
+            } else {
+                -128.0
+            }
+        }));
+        for _ in 0..2_000 {
+            // Level-shifted samples as the encoder makes them, fractional
+            // (chroma averages and colour conversion leave fractions).
+            blocks.push(std::array::from_fn(|_| (next() % 25_600) as f32 / 100.0 - 128.0));
+        }
+        for block in &blocks {
+            assert_eq!(
+                forward(block).map(f32::to_bits),
+                forward_reference(block).map(f32::to_bits),
+                "block {block:?}"
+            );
+        }
     }
 
     /// The dense reference chain a decoded block went through before the

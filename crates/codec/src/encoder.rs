@@ -1,11 +1,10 @@
 use imagery::RasterImage;
 
 use crate::bits::BitWriter;
-use crate::block::Plane;
 use crate::header::Header;
 use crate::{
-    color, dct, entropy, entropy_huff, quant, zigzag, EncodeOptions, EntropyMode, Quality,
-    Subsampling, BLOCK_AREA,
+    color, dct, entropy, entropy_huff, quant, EncodeOptions, EntropyMode, Quality, Subsampling,
+    BLOCK, BLOCK_AREA,
 };
 
 /// Encodes a raster image to SJPG bytes at the given quality with the
@@ -46,22 +45,25 @@ pub fn encode(img: &RasterImage, quality: Quality) -> Vec<u8> {
 /// ```
 pub fn encode_with(img: &RasterImage, opts: &EncodeOptions) -> Vec<u8> {
     let (w, h) = (img.width(), img.height());
-    let planes = split_planes(img, opts.subsampling);
-    let quantized = quantize_planes(&planes, opts.quality);
-
     let header = Header { width: w, height: h, quality: opts.quality.value(), flags: opts.flags() };
     let mut out = header.to_bytes().to_vec();
 
     match opts.entropy {
         EntropyMode::RleVarint => {
-            for blocks in &quantized {
-                let mut dc_pred = 0i16;
-                for zz in blocks {
-                    entropy::encode_block(zz, &mut dc_pred, &mut out);
-                }
-            }
+            // Each block goes straight into its plane's stream; the planes
+            // are stored one after the other.
+            let mut planes: [Vec<u8>; 3] = Default::default();
+            let mut dc_preds = [0i16; 3];
+            for_each_quantized_block(img, opts.subsampling, opts.quality, |p, zz| {
+                entropy::encode_block(zz, &mut dc_preds[p], &mut planes[p]);
+            });
+            planes.iter().for_each(|plane| out.extend_from_slice(plane));
         }
         EntropyMode::Huffman => {
+            let mut quantized: [Vec<[i16; BLOCK_AREA]>; 3] = Default::default();
+            for_each_quantized_block(img, opts.subsampling, opts.quality, |p, zz| {
+                quantized[p].push(*zz);
+            });
             // Adaptive tables: one pair for luma, one shared by both chroma
             // planes.
             let luma_tables = entropy_huff::count_frequencies(&[&quantized[0]]).build();
@@ -83,45 +85,6 @@ pub fn encode_with(img: &RasterImage, opts: &EncodeOptions) -> Vec<u8> {
     out
 }
 
-/// Converts to YCbCr and applies chroma subsampling; returns `[Y, Cb, Cr]`.
-pub(crate) fn split_planes(img: &RasterImage, subsampling: Subsampling) -> [Plane; 3] {
-    let (w, h) = (img.width(), img.height());
-    let raw = img.as_raw();
-    let mut y_plane = Plane::new(w, h);
-    let (cw, ch) = chroma_dims(w, h, subsampling);
-    let mut cb_plane = Plane::new(cw, ch);
-    let mut cr_plane = Plane::new(cw, ch);
-
-    // Accumulate chroma into (possibly subsampled) bins.
-    let mut cb_acc = vec![0f32; cw as usize * ch as usize];
-    let mut cr_acc = vec![0f32; cw as usize * ch as usize];
-    let mut counts = vec![0u32; cw as usize * ch as usize];
-    for yy in 0..h {
-        for xx in 0..w {
-            let o = (yy as usize * w as usize + xx as usize) * 3;
-            let [y, cb, cr] = color::rgb_to_ycbcr(raw[o], raw[o + 1], raw[o + 2]);
-            y_plane.set(xx, yy, y);
-            let (cx, cy) = match subsampling {
-                Subsampling::S444 => (xx, yy),
-                Subsampling::S420 => (xx / 2, yy / 2),
-            };
-            let ci = cy as usize * cw as usize + cx as usize;
-            cb_acc[ci] += cb;
-            cr_acc[ci] += cr;
-            counts[ci] += 1;
-        }
-    }
-    for cy in 0..ch {
-        for cx in 0..cw {
-            let ci = cy as usize * cw as usize + cx as usize;
-            let n = counts[ci].max(1) as f32;
-            cb_plane.set(cx, cy, cb_acc[ci] / n);
-            cr_plane.set(cx, cy, cr_acc[ci] / n);
-        }
-    }
-    [y_plane, cb_plane, cr_plane]
-}
-
 /// Chroma plane dimensions for an image size and subsampling mode.
 pub(crate) fn chroma_dims(w: u32, h: u32, subsampling: Subsampling) -> (u32, u32) {
     match subsampling {
@@ -130,27 +93,94 @@ pub(crate) fn chroma_dims(w: u32, h: u32, subsampling: Subsampling) -> (u32, u32
     }
 }
 
-/// DCT + quantize every block of every plane, in scan order.
-pub(crate) fn quantize_planes(
-    planes: &[Plane; 3],
+/// [`for_each_block`] through the forward DCT and quantization into zigzag
+/// order (luma table for plane 0, chroma table for planes 1 and 2).
+pub(crate) fn for_each_quantized_block(
+    img: &RasterImage,
+    subsampling: Subsampling,
     quality: Quality,
-) -> [Vec<[i16; BLOCK_AREA]>; 3] {
-    let luma_table = quality.luma_table();
-    let chroma_table = quality.chroma_table();
-    let mut out: [Vec<[i16; BLOCK_AREA]>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (ch, plane) in planes.iter().enumerate() {
-        let table = if ch == 0 { &luma_table } else { &chroma_table };
-        let mut blocks = Vec::with_capacity(plane.blocks_x() as usize * plane.blocks_y() as usize);
-        for by in 0..plane.blocks_y() {
-            for bx in 0..plane.blocks_x() {
-                let spatial = plane.extract_block(bx, by);
-                let coeffs = dct::forward(&spatial);
-                blocks.push(zigzag::scan(&quant::quantize(&coeffs, table)));
+    mut visit: impl FnMut(usize, &[i16; BLOCK_AREA]),
+) {
+    let luma = quality.luma_table().map(f32::from);
+    let chroma = quality.chroma_table().map(f32::from);
+    for_each_block(img, subsampling, |p, block| {
+        let steps = if p == 0 { &luma } else { &chroma };
+        visit(p, &quant::quantize_zigzag(&dct::forward(block), steps));
+    });
+}
+
+/// Visits every 8×8 block of the image's Y, Cb and Cr planes, level-shifted
+/// by -128, as `visit(plane, block)`: in scan order within each plane, the
+/// planes interleaved a row of MCUs (8 pixel rows, 16 with 4:2:0) at a
+/// time. Each block is built straight from the RGB raster; no plane is
+/// materialized.
+///
+/// Every sample equals, bit for bit, converting whole planes first and then
+/// cutting blocks out of them (the oracle in the tests): it is computed by
+/// the same `f32` operations. Past the right and bottom edges a plane's
+/// last column and row are replicated. A chroma sample is the mean of its
+/// 1×1 (4:4:4) or 2×2 (4:2:0) bin of pixels, clipped at the image border:
+/// summed from `0.0` in row-major order, then divided by the pixel count.
+fn for_each_block(
+    img: &RasterImage,
+    subsampling: Subsampling,
+    mut visit: impl FnMut(usize, &[f32; BLOCK_AREA]),
+) {
+    let bin = if subsampling == Subsampling::S420 { 2 } else { 1 };
+    let (w, h) = (img.width() as usize, img.height() as usize);
+    let (cw, ch) = (w.div_ceil(bin), h.div_ceil(bin));
+    let raw = img.as_raw();
+    let pixel = |x: usize, y: usize| {
+        let o = (y * w + x) * 3;
+        color::rgb_to_ycbcr(raw[o], raw[o + 1], raw[o + 2])
+    };
+    // The numbered `(x, y)` samples of block `(bx, by)` of a `w × h` plane.
+    let samples = |by: usize, bx: usize, (w, h): (usize, usize)| {
+        let clamped = |b: usize, extent: usize| {
+            (b * BLOCK..b * BLOCK + BLOCK).map(move |s| s.min(extent - 1))
+        };
+        clamped(by, h).flat_map(move |y| clamped(bx, w).map(move |x| (x, y))).enumerate()
+    };
+    for mcu_row in 0..ch.div_ceil(BLOCK) {
+        for by in mcu_row * bin..((mcu_row + 1) * bin).min(h.div_ceil(BLOCK)) {
+            for bx in 0..w.div_ceil(BLOCK) {
+                // With 4:4:4 a chroma bin is one pixel: its sum `0.0 + cb`
+                // divided by a count of one, which is exact and left out.
+                let mut ycc = [[0f32; BLOCK_AREA]; 3];
+                for (i, (x, y)) in samples(by, bx, (w, h)) {
+                    let [l, cb, cr] = pixel(x, y);
+                    ycc[0][i] = l - 128.0;
+                    ycc[1][i] = 0.0 + cb - 128.0;
+                    ycc[2][i] = 0.0 + cr - 128.0;
+                }
+                visit(0, &ycc[0]);
+                if bin == 1 {
+                    visit(1, &ycc[1]);
+                    visit(2, &ycc[2]);
+                }
             }
         }
-        out[ch] = blocks;
+        // 4:2:0 chroma comes a row of blocks per MCU row, each sample a bin.
+        for bx in (0..cw.div_ceil(BLOCK)).filter(|_| bin == 2) {
+            let mut chroma = [[0f32; BLOCK_AREA]; 2];
+            for (i, (cx, cy)) in samples(mcu_row, bx, (cw, ch)) {
+                let (mut sums, mut count) = ([0f32; 2], 0u32);
+                for y in cy * bin..(cy * bin + bin).min(h) {
+                    for x in cx * bin..(cx * bin + bin).min(w) {
+                        let [_, cb, cr] = pixel(x, y);
+                        sums[0] += cb;
+                        sums[1] += cr;
+                        count += 1;
+                    }
+                }
+                for (plane, sum) in chroma.iter_mut().zip(sums) {
+                    plane[i] = sum / count as f32 - 128.0;
+                }
+            }
+            visit(1, &chroma[0]);
+            visit(2, &chroma[1]);
+        }
     }
-    out
 }
 
 /// Estimated upper bound on encoded size for capacity planning: header plus
@@ -163,6 +193,7 @@ pub fn worst_case_len(width: u32, height: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Plane;
     use crate::decode;
     use imagery::synth::SynthSpec;
     use imagery::Rgb;
@@ -273,6 +304,58 @@ mod tests {
                 let opts = EncodeOptions::new(Quality::default()).subsampling(sub).entropy(ent);
                 let back = decode(&encode_with(&img, &opts)).unwrap();
                 assert_eq!((back.width(), back.height()), (99, 55), "mode {sub:?}/{ent:?}");
+            }
+        }
+    }
+
+    /// The plane-by-plane form [`for_each_block`] is checked against, as
+    /// bits: whole Y, Cb and Cr planes (chroma summed into its bins in
+    /// raster order, then divided), each block cut out with edge
+    /// replication.
+    fn textbook_blocks(img: &RasterImage, sub: Subsampling) -> [Vec<[u32; BLOCK_AREA]>; 3] {
+        let (w, h) = (img.width(), img.height());
+        let (cw, ch) = chroma_dims(w, h, sub);
+        let bin = if sub == Subsampling::S420 { 2 } else { 1 };
+        let mut planes = [Plane::new(w, h), Plane::new(cw, ch), Plane::new(cw, ch)];
+        let mut counts = Plane::new(cw, ch);
+        for (y, x) in (0..h).flat_map(|y| (0..w).map(move |x| (y, x))) {
+            let Rgb { r, g, b } = img.pixel(x, y);
+            let [l, cb, cr] = color::rgb_to_ycbcr(r, g, b);
+            planes[0].set(x, y, l);
+            let (cx, cy) = (x / bin, y / bin);
+            for (plane, v) in [(1, cb), (2, cr)] {
+                planes[plane].set(cx, cy, planes[plane].get(cx, cy) + v);
+            }
+            counts.set(cx, cy, counts.get(cx, cy) + 1.0);
+        }
+        for (cy, cx) in (0..ch).flat_map(|y| (0..cw).map(move |x| (y, x))) {
+            for plane in &mut planes[1..] {
+                plane.set(cx, cy, plane.get(cx, cy) / counts.get(cx, cy));
+            }
+        }
+        let [luma, cb, cr] = planes;
+        [(luma, w, h), (cb, cw, ch), (cr, cw, ch)].map(|(p, pw, ph)| {
+            let sample = |bx: u32, by: u32, i: u32| {
+                let (x, y) = ((bx * 8 + i % 8).min(pw - 1), (by * 8 + i / 8).min(ph - 1));
+                (p.get(x, y) - 128.0).to_bits()
+            };
+            (0..ph.div_ceil(8))
+                .flat_map(|by| (0..pw.div_ceil(8)).map(move |bx| (bx, by)))
+                .map(|(bx, by)| std::array::from_fn(|i| sample(bx, by, i as u32)))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn streamed_blocks_are_bit_identical_to_the_plane_by_plane_form() {
+        let sizes =
+            [(1, 1), (1, 9), (9, 1), (7, 5), (16, 16), (17, 9), (37, 61), (75, 53), (203, 131)];
+        for (w, h) in sizes {
+            let img = SynthSpec::new(w, h).complexity(0.8).render(u64::from(w + h));
+            for sub in [Subsampling::S444, Subsampling::S420] {
+                let mut streamed: [Vec<_>; 3] = Default::default();
+                for_each_block(&img, sub, |p, block| streamed[p].push(block.map(f32::to_bits)));
+                assert!(streamed == textbook_blocks(&img, sub), "{w}x{h} {sub:?}");
             }
         }
     }

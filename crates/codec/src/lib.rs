@@ -5,12 +5,12 @@
 //! later preprocessing stages. To reproduce that faithfully without real
 //! JPEGs, this crate implements a genuine transform codec:
 //!
-//! 1. RGB → YCbCr color transform ([`color`])
-//! 2. 8×8 block split with edge replication ([`block`])
-//! 3. Forward DCT-II per block ([`dct`])
-//! 4. Quality-scaled quantization, heavier on chroma ([`quant`])
-//! 5. Zigzag scan ([`zigzag`])
-//! 6. DC prediction + zero-run-length + signed-varint entropy coding
+//! 1. RGB → YCbCr color transform ([`color`]) of each 8×8 block, built
+//!    straight from the raster with edge replication
+//! 2. Forward DCT-II per block ([`dct`])
+//! 3. Quality-scaled quantization, heavier on chroma ([`quant`]), into
+//!    zigzag order ([`zigzag`])
+//! 4. DC prediction + zero-run-length + signed-varint entropy coding
 //!    ([`entropy`])
 //!
 //! Encoded size is therefore *content-dependent*: smooth gradients collapse

@@ -4,6 +4,7 @@
 //! JPEG standard; [`Quality`] scales them with the libjpeg convention
 //! (quality 50 = base tables, higher quality → finer steps).
 
+use crate::zigzag::ZIGZAG;
 use crate::BLOCK_AREA;
 
 /// JPEG Annex K luminance quantization table (row-major).
@@ -77,8 +78,45 @@ fn scale_table(base: &[u16; BLOCK_AREA], percent: u32) -> [u16; BLOCK_AREA] {
     out
 }
 
-/// Quantizes one coefficient block in place (`c / q`, rounded to nearest).
-pub fn quantize(coeffs: &[f32; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
+/// Quantizes one row-major coefficient block straight into zigzag order:
+/// `zz[i]` is `(coeffs[at] / steps[at]).round() as i16` for
+/// `at = ZIGZAG[i]`, bit for bit, where `steps` is the table as `f32`.
+pub(crate) fn quantize_zigzag(
+    coeffs: &[f32; BLOCK_AREA],
+    steps: &[f32; BLOCK_AREA],
+) -> [i16; BLOCK_AREA] {
+    let mut q = [0i16; BLOCK_AREA];
+    for ((q, &c), &step) in q.iter_mut().zip(coeffs).zip(steps) {
+        *q = round_to_i16(c / step);
+    }
+    ZIGZAG.map(|at| q[at])
+}
+
+/// `v.round() as i16` (half away from zero, saturating, NaN to 0) without
+/// the call into libm that `f32::round` is on targets without SSE4.1.
+///
+/// The magnitude is rounded as `imagery::round_f32_to_u8` rounds a byte:
+/// clamped to `[0, 32 768]` (NaN to 0), `|v| + 2^23` is the nearest integer
+/// with ties to even in the low mantissa bits, the remainder is exact, and
+/// one is added where it is exactly a half. The sign goes back on after, so
+/// ties go away from zero on both sides.
+#[inline]
+fn round_to_i16(v: f32) -> i16 {
+    const TWO_23: f32 = 8_388_608.0;
+    let a = v.abs();
+    let a = if a > 0.0 { a } else { 0.0 };
+    let a = if a < 32_768.0 { a } else { 32_768.0 };
+    let shifted = a + TWO_23;
+    let nearest = (shifted.to_bits() - TWO_23.to_bits()) as i32;
+    let magnitude = nearest + i32::from(a - (shifted - TWO_23) == 0.5);
+    let signed = if v < 0.0 { -magnitude } else { magnitude };
+    signed.min(i32::from(i16::MAX)) as i16
+}
+
+/// Quantizes one row-major block (`c / q`, rounded to nearest): the
+/// textbook form [`quantize_zigzag`] is checked against.
+#[cfg(test)]
+pub(crate) fn quantize(coeffs: &[f32; BLOCK_AREA], table: &[u16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
     let mut out = [0i16; BLOCK_AREA];
     for i in 0..BLOCK_AREA {
         out[i] = (coeffs[i] / f32::from(table[i])).round() as i16;
@@ -103,7 +141,7 @@ pub(crate) fn dequantize(
 /// The quantization steps of `table` as `f32`, in zigzag order: what
 /// [`crate::dct::inverse_quantized`] multiplies a stored block by.
 pub fn dequant_steps(table: &[u16; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
-    crate::zigzag::ZIGZAG.map(|at| f32::from(table[at]))
+    ZIGZAG.map(|at| f32::from(table[at]))
 }
 
 #[cfg(test)]
@@ -154,6 +192,53 @@ mod tests {
         for i in 0..BLOCK_AREA {
             // Error bounded by half the quantization step.
             assert!((dq[i] - coeffs[i]).abs() <= f32::from(table[i]) / 2.0 + 1e-3);
+        }
+    }
+
+    #[test]
+    fn i16_rounding_matches_round_at_every_tie() {
+        let mut probes = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        probes.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45]);
+        for k in -32_769i32..=32_769 {
+            let k = k as f32;
+            for v in [k - 0.5, k, k + 0.5] {
+                // The value and its three neighbours on either side.
+                probes.push(v);
+                let (mut below, mut above) = (v, v);
+                for _ in 0..3 {
+                    below = below.next_down();
+                    above = above.next_up();
+                    probes.extend([below, above]);
+                }
+            }
+        }
+        for v in probes {
+            assert_eq!(round_to_i16(v), v.round() as i16, "v = {v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn zigzag_quantization_matches_quantize_then_scan() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 40) as u32
+        };
+        for q in [1u8, 10, 50, 85, 97, 100] {
+            let q = Quality::new(q).unwrap();
+            for table in [q.luma_table(), q.chroma_table()] {
+                let steps = table.map(f32::from);
+                for _ in 0..500 {
+                    // DCT outputs of level-shifted samples lie within ±1024;
+                    // one in four coefficients sits exactly on a tie.
+                    let coeffs: [f32; BLOCK_AREA] = std::array::from_fn(|i| match next() % 4 {
+                        0 => f32::from(table[i]) * ((next() % 41) as f32 - 20.0 + 0.5),
+                        _ => (next() % 204_800) as f32 / 100.0 - 1024.0,
+                    });
+                    let want = crate::zigzag::scan(&quantize(&coeffs, &table));
+                    assert_eq!(quantize_zigzag(&coeffs, &steps), want, "{coeffs:?}");
+                }
+            }
         }
     }
 

@@ -38,7 +38,7 @@ use std::fmt;
 use imagery::{metrics, RasterImage, Rect};
 
 use crate::decoder::{reconstruct_region, Region};
-use crate::encoder::{quantize_planes, split_planes};
+use crate::encoder::for_each_quantized_block;
 use crate::header::{Header, FORMAT_VERSION_TIERED, HEADER_LEN};
 use crate::{entropy, CodecError, Quality, Subsampling, BLOCK_AREA};
 
@@ -377,8 +377,8 @@ pub fn encode_tiered_with(
     spec: &TierSpec,
 ) -> Vec<u8> {
     let (w, h) = (img.width(), img.height());
-    let planes = split_planes(img, subsampling);
-    let quantized = quantize_planes(&planes, quality);
+    let mut quantized: [Vec<[i16; BLOCK_AREA]>; 3] = Default::default();
+    for_each_quantized_block(img, subsampling, quality, |p, zz| quantized[p].push(*zz));
 
     let flags = if subsampling == Subsampling::S420 { 0b01 } else { 0 };
     let header = Header { width: w, height: h, quality: quality.value(), flags };
@@ -389,45 +389,29 @@ pub fn encode_tiered_with(
     let dir_start = out.len();
     out.resize(out.len() + count * TIER_ENTRY_LEN, 0);
 
-    let mut lo = 0usize;
-    let mut offsets = Vec::with_capacity(count);
-    for &band_end in spec.band_ends() {
-        let hi = band_end as usize;
-        for blocks in &quantized {
-            let mut dc_pred = 0i16;
-            for zz in blocks {
-                encode_band(zz, lo, hi, &mut dc_pred, &mut out);
-            }
-        }
-        offsets.push(out.len() as u32);
-        lo = hi;
-    }
-
-    // Measure each tier's reconstruction PSNR and patch the directory.
+    // One scan per band, then the tier's directory entry: where the scan
+    // ends and the PSNR of the prefix it completes.
     let whole = Region::new(w, h, subsampling, None).expect("the full rectangle always fits");
-    let mut partial: [Vec<[i16; BLOCK_AREA]>; 3] = [
-        vec![[0i16; BLOCK_AREA]; quantized[0].len()],
-        vec![[0i16; BLOCK_AREA]; quantized[1].len()],
-        vec![[0i16; BLOCK_AREA]; quantized[2].len()],
-    ];
+    let mut partial = quantized.each_ref().map(|plane| vec![[0i16; BLOCK_AREA]; plane.len()]);
     let mut lo = 0usize;
     for (t, &band_end) in spec.band_ends().iter().enumerate() {
         let hi = band_end as usize;
-        for (dst_plane, src_plane) in partial.iter_mut().zip(quantized.iter()) {
-            for (dst, src) in dst_plane.iter_mut().zip(src_plane.iter()) {
+        for (dst_plane, src_plane) in partial.iter_mut().zip(&quantized) {
+            let mut dc_pred = 0i16;
+            for (dst, src) in dst_plane.iter_mut().zip(src_plane) {
+                entropy::encode_band(src, lo, hi, &mut dc_pred, &mut out);
                 dst[lo..hi].copy_from_slice(&src[lo..hi]);
             }
         }
-        let back = reconstruct_region(quality, &whole, &partial);
-        let psnr = metrics::psnr(img, &back);
+        let psnr = metrics::psnr(img, &reconstruct_region(quality, &whole, &partial));
         let psnr_cdb = if psnr.is_finite() {
             (psnr * 100.0).round().clamp(0.0, f64::from(u32::MAX - 1)) as u32
         } else {
             u32::MAX
         };
-        let at = dir_start + t * TIER_ENTRY_LEN;
+        let (at, end) = (dir_start + t * TIER_ENTRY_LEN, out.len() as u32);
         out[at] = band_end;
-        out[at + 1..at + 5].copy_from_slice(&offsets[t].to_le_bytes());
+        out[at + 1..at + 5].copy_from_slice(&end.to_le_bytes());
         out[at + 5..at + 9].copy_from_slice(&psnr_cdb.to_le_bytes());
         lo = hi;
     }
@@ -522,29 +506,6 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
         tier: reached_tier,
         index,
     })
-}
-
-/// Encodes one block's coefficients in `[lo, hi)` as a band scan: DC
-/// (predicted) when `lo == 0`, then `(run, value)` pairs over the band's
-/// AC coefficients, terminated by [`entropy::EOB`].
-fn encode_band(zz: &[i16; BLOCK_AREA], lo: usize, hi: usize, dc_pred: &mut i16, out: &mut Vec<u8>) {
-    let mut start = lo;
-    if lo == 0 {
-        entropy::write_varint(out, i64::from(zz[0]) - i64::from(*dc_pred));
-        *dc_pred = zz[0];
-        start = 1;
-    }
-    let mut run = 0u8;
-    for &c in &zz[start..hi] {
-        if c == 0 {
-            run += 1;
-        } else {
-            out.push(run);
-            entropy::write_varint(out, i64::from(c));
-            run = 0;
-        }
-    }
-    out.push(entropy::EOB);
 }
 
 /// Decodes one block's band scan for coefficients `[lo, hi)` into `zz`.

@@ -47,8 +47,10 @@ const fn build_zigzag() -> [usize; BLOCK_AREA] {
     order
 }
 
-/// Reorders a row-major block into zigzag order.
-pub fn scan(block: &[i16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
+/// Reorders a row-major block into zigzag order: the reference the folded
+/// [`crate::quant::quantize_zigzag`] is checked against.
+#[cfg(test)]
+pub(crate) fn scan(block: &[i16; BLOCK_AREA]) -> [i16; BLOCK_AREA] {
     let mut out = [0i16; BLOCK_AREA];
     for (i, &src) in ZIGZAG.iter().enumerate() {
         out[i] = block[src];

@@ -1,3 +1,5 @@
+use crate::round_f32_to_u8;
+
 /// An 8-bit RGB color value.
 ///
 /// `Rgb` is a plain value type used when reading or writing single pixels and
@@ -42,9 +44,7 @@ impl Rgb {
     /// Linear interpolation between `self` and `other`; `t` is clamped to `[0, 1]`.
     pub fn lerp(self, other: Rgb, t: f32) -> Rgb {
         let t = t.clamp(0.0, 1.0);
-        let mix = |a: u8, b: u8| -> u8 {
-            (f32::from(a) + (f32::from(b) - f32::from(a)) * t).round() as u8
-        };
+        let mix = |a: u8, b: u8| round_f32_to_u8(f32::from(a) + (f32::from(b) - f32::from(a)) * t);
         Rgb::new(mix(self.r, other.r), mix(self.g, other.g), mix(self.b, other.b))
     }
 }
@@ -85,6 +85,22 @@ mod tests {
         let b = Rgb::WHITE;
         assert_eq!(a.lerp(b, -3.0), a);
         assert_eq!(a.lerp(b, 7.0), b);
+    }
+
+    #[test]
+    fn lerp_matches_f32_round_on_every_channel_pair() {
+        // Halves land exactly on ties wherever `b - a` is odd; the rest fall
+        // on either side of one.
+        let ts = [0.0f32, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.9, 0.999_999_9, 1.0, f32::NAN];
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                for t in ts {
+                    let tc = t.clamp(0.0, 1.0);
+                    let want = (f32::from(a) + (f32::from(b) - f32::from(a)) * tc).round() as u8;
+                    assert_eq!(Rgb::gray(a).lerp(Rgb::gray(b), t), Rgb::gray(want), "{a} {b} {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::round::round_f64_to_u8;
 use crate::{ImageError, Rect, Rgb, CHANNELS};
 
 /// An 8-bit interleaved RGB raster image.
@@ -105,6 +106,11 @@ impl RasterImage {
     /// Borrows the raw interleaved RGB bytes.
     pub fn as_raw(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Mutably borrows the raw interleaved RGB bytes.
+    pub(crate) fn as_raw_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 
     /// Consumes the image and returns the raw interleaved RGB bytes.
@@ -237,7 +243,7 @@ impl RasterImage {
                 }
             }
             for ((px, &top), &bottom) in out_row.iter_mut().zip(&upper.1).zip(&lower.1) {
-                *px = round_to_u8(top + (bottom - top) * wy);
+                *px = round_f64_to_u8(top + (bottom - top) * wy);
             }
         }
         RasterImage { width: new_width, height: new_height, data }
@@ -254,29 +260,6 @@ impl RasterImage {
         let n = self.pixel_count() as f64;
         sums.map(|s| s / n)
     }
-}
-
-/// `v.round().clamp(0.0, 255.0) as u8` without the call into libm that
-/// `f64::round` is on targets without SSE4.1, and without a float-to-int
-/// cast (which saturates, and so compiles to scalar code): all of it
-/// vectorizes.
-///
-/// With `v` clamped to `[0, 256]` (NaN to 0, as the cast does), adding
-/// `2^52` rounds it to the nearest integer, ties to even, and leaves that
-/// integer in the low mantissa bits; subtracting `2^52` back is exact, and
-/// so is the remainder `v - nearest`. Rounding half away from zero differs
-/// from ties-to-even only where the tie went down, which is where the
-/// remainder is exactly a half. `floor(v + 0.5)` would not do: the sum
-/// rounds up to 1.0 at `0.5 - 1 ulp`.
-#[inline]
-fn round_to_u8(v: f64) -> u8 {
-    const TWO_52: f64 = 4_503_599_627_370_496.0;
-    let v = if v > 0.0 { v } else { 0.0 };
-    let v = if v < 256.0 { v } else { 256.0 };
-    let shifted = v + TWO_52;
-    let nearest = shifted.to_bits() - TWO_52.to_bits();
-    let tie_went_down = v - (shifted - TWO_52) == 0.5;
-    (nearest + u64::from(tie_went_down)).min(255) as u8
 }
 
 #[cfg(test)]
@@ -431,36 +414,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rounding_matches_f64_round_around_every_tie() {
-        let reference = |v: f64| v.round().clamp(0.0, 255.0) as u8;
-        let mut probes =
-            vec![0.0f64, -0.0, f64::MAX, f64::MIN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-        for k in -2i32..=257 {
-            for tie in [f64::from(k) - 0.5, f64::from(k) + 0.5, f64::from(k)] {
-                // The tie and its three neighbours on either side.
-                probes.push(tie);
-                let (mut below, mut above) = (tie, tie);
-                for _ in 0..3 {
-                    below = next_toward(below, f64::NEG_INFINITY);
-                    above = next_toward(above, f64::INFINITY);
-                    probes.extend([below, above]);
-                }
-            }
-        }
-        for v in probes {
-            assert_eq!(round_to_u8(v), reference(v), "v = {v:e} ({:#x})", v.to_bits());
-        }
-    }
-
-    /// The neighbouring `f64` of a finite `v` in the direction of `toward`.
-    fn next_toward(v: f64, toward: f64) -> f64 {
-        if v == 0.0 {
-            return f64::from_bits(1).copysign(toward);
-        }
-        let away_from_zero = (toward > v) == (v > 0.0);
-        f64::from_bits(if away_from_zero { v.to_bits() + 1 } else { v.to_bits() - 1 })
     }
 }

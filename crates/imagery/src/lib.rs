@@ -35,6 +35,7 @@ mod geometry;
 mod image;
 pub mod metrics;
 pub mod ppm;
+mod round;
 pub mod synth;
 mod tensor;
 
@@ -42,6 +43,7 @@ pub use color::Rgb;
 pub use error::ImageError;
 pub use geometry::Rect;
 pub use image::RasterImage;
+pub use round::round_f32_to_u8;
 pub use tensor::{Tensor, IMAGENET_MEAN, IMAGENET_STD};
 
 /// Number of color channels in every image and tensor in this workspace.

@@ -13,7 +13,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{RasterImage, Rgb};
+use crate::round::round_f64_to_u8;
+use crate::{RasterImage, Rgb, CHANNELS};
 
 /// Background structure of a synthetic image.
 ///
@@ -216,36 +217,126 @@ fn composite_blobs(img: &mut RasterImage, blobs: u32, rng: &mut StdRng) {
 /// Adds multi-octave value noise; amplitude and octave count grow with
 /// `complexity`.
 fn apply_noise(img: &mut RasterImage, complexity: f64, rng: &mut StdRng) {
-    let (w, h) = (img.width(), img.height());
+    let width = img.width();
     let octaves = 1 + (complexity * 3.0).round() as u32;
     let amplitude = 10.0 + complexity * 70.0;
     let lattice_seed: u64 = rng.gen();
-    for y in 0..h {
-        for x in 0..w {
-            let mut n = 0.0f64;
-            let mut amp = amplitude;
-            let mut cell = 8.0f64;
-            for o in 0..octaves {
-                n += amp
-                    * value_noise(
-                        lattice_seed.wrapping_add(u64::from(o)),
-                        f64::from(x) / cell,
-                        f64::from(y) / cell,
-                    );
-                amp *= 0.55;
-                cell /= 2.0;
-            }
+    let mut noise = ValueNoise::new(lattice_seed, octaves, amplitude, width);
+    let mut n = vec![0f64; width as usize];
+    let row_len = width as usize * CHANNELS;
+    for (row, y) in img.as_raw_mut().chunks_exact_mut(row_len).zip(0u32..) {
+        noise.row(y, &mut n);
+        for ((px, &n), x) in row.chunks_exact_mut(CHANNELS).zip(&n).zip(0u32..) {
             // Per-pixel white noise floor grows with complexity; this is the
             // high-frequency content that defeats DCT quantization.
             let white = (hash2(lattice_seed ^ 0x77, x, y) - 0.5) * complexity * 60.0;
-            let p = img.pixel(x, y);
-            let adj = |v: u8| -> u8 { (f64::from(v) + n + white).round().clamp(0.0, 255.0) as u8 };
-            img.put_pixel(x, y, Rgb::new(adj(p.r), adj(p.g), adj(p.b)));
+            for v in px {
+                *v = round_f64_to_u8(f64::from(*v) + n + white);
+            }
         }
     }
 }
 
-/// Smooth 2-D value noise in `[-0.5, 0.5]` from a hashed integer lattice.
+/// Multi-octave value noise over an image `width` pixels wide, summed one
+/// pixel row at a time: octave `o` has lattice seed `seed + o`, cells of
+/// `8 / 2^o` pixels and amplitude `amplitude * 0.55^o`.
+///
+/// Each pixel's sum equals, bit for bit, adding up
+/// `amp * value_noise(seed + o, x / cell, y / cell)` over the octaves in
+/// order (the oracle in the tests): every value goes through the same
+/// operations in the same order, and only work shared between pixels is
+/// hoisted. A column's lattice cell and `smoothstep` weight depend on the
+/// column alone and a row's on the row alone, so each is computed once; the
+/// horizontal interpolation `v0 + (v1 - v0) * fx` along a lattice row
+/// depends on the column and that lattice row only, so a lattice row is
+/// hashed and interpolated once and kept while consecutive pixel rows fall
+/// in the same cell.
+struct ValueNoise {
+    octaves: Vec<Octave>,
+}
+
+/// One octave of [`ValueNoise`].
+struct Octave {
+    seed: u64,
+    amp: f64,
+    cell: f64,
+    /// Per pixel column: its lattice column and its `smoothstep` weight.
+    columns: Vec<(usize, f64)>,
+    /// Hashes of one lattice row, one past the last lattice column used.
+    lattice: Vec<f64>,
+    /// The top and bottom edges of the current cell row: a lattice row
+    /// interpolated at every pixel column, tagged with its index.
+    top: (Option<u32>, Vec<f64>),
+    bottom: (Option<u32>, Vec<f64>),
+}
+
+impl ValueNoise {
+    fn new(seed: u64, octaves: u32, amplitude: f64, width: u32) -> ValueNoise {
+        let (mut amp, mut cell) = (amplitude, 8.0f64);
+        let octaves = (0..octaves)
+            .map(|o| {
+                let octave = Octave::new(seed.wrapping_add(u64::from(o)), amp, cell, width);
+                amp *= 0.55;
+                cell /= 2.0;
+                octave
+            })
+            .collect();
+        ValueNoise { octaves }
+    }
+
+    /// Writes row `y`'s noise into `n`, one value per pixel column.
+    fn row(&mut self, y: u32, n: &mut [f64]) {
+        n.fill(0.0);
+        for octave in &mut self.octaves {
+            octave.add_row(y, n);
+        }
+    }
+}
+
+impl Octave {
+    fn new(seed: u64, amp: f64, cell: f64, width: u32) -> Octave {
+        let columns: Vec<(usize, f64)> = (0..width)
+            .map(|x| {
+                let xf = f64::from(x) / cell;
+                let x0 = xf.floor();
+                (x0 as i64 as u32 as usize, smoothstep(xf - x0))
+            })
+            .collect();
+        let lattice = vec![0.0; columns.last().map_or(0, |&(xi, _)| xi) + 2];
+        let edge = (None, vec![0.0; width as usize]);
+        Octave { seed, amp, cell, columns, lattice, top: edge.clone(), bottom: edge }
+    }
+
+    /// Adds this octave's row `y` to `n`.
+    fn add_row(&mut self, y: u32, n: &mut [f64]) {
+        let yf = f64::from(y) / self.cell;
+        let y0 = yf.floor();
+        let fy = smoothstep(yf - y0);
+        let yi = y0 as i64 as u32;
+        if self.bottom.0 == Some(yi) {
+            std::mem::swap(&mut self.top, &mut self.bottom);
+        }
+        for (edge, lattice_row) in [(&mut self.top, yi), (&mut self.bottom, yi.wrapping_add(1))] {
+            if edge.0 != Some(lattice_row) {
+                for (xi, v) in self.lattice.iter_mut().enumerate() {
+                    *v = hash2(self.seed, xi as u32, lattice_row);
+                }
+                for (out, &(xi, fx)) in edge.1.iter_mut().zip(&self.columns) {
+                    let (v0, v1) = (self.lattice[xi], self.lattice[xi + 1]);
+                    *out = v0 + (v1 - v0) * fx;
+                }
+                edge.0 = Some(lattice_row);
+            }
+        }
+        for ((n, &top), &bottom) in n.iter_mut().zip(&self.top.1).zip(&self.bottom.1) {
+            *n += self.amp * (top + (bottom - top) * fy - 0.5);
+        }
+    }
+}
+
+/// Smooth 2-D value noise in `[-0.5, 0.5]` from a hashed integer lattice:
+/// the per-pixel form [`ValueNoise`] is checked against.
+#[cfg(test)]
 fn value_noise(seed: u64, x: f64, y: f64) -> f64 {
     let x0 = x.floor();
     let y0 = y.floor();
@@ -338,6 +429,63 @@ mod tests {
         for i in 0..200 {
             let v = value_noise(9, f64::from(i) * 0.37, f64::from(i) * 0.11);
             assert!((-0.5..=0.5).contains(&v), "noise out of range: {v}");
+        }
+    }
+
+    /// The per-pixel sum [`ValueNoise`] is checked against.
+    fn noise_reference(seed: u64, octaves: u32, amplitude: f64, x: u32, y: u32) -> f64 {
+        let mut n = 0.0f64;
+        let mut amp = amplitude;
+        let mut cell = 8.0f64;
+        for o in 0..octaves {
+            let (xf, yf) = (f64::from(x) / cell, f64::from(y) / cell);
+            n += amp * value_noise(seed.wrapping_add(u64::from(o)), xf, yf);
+            amp *= 0.55;
+            cell /= 2.0;
+        }
+        n
+    }
+
+    #[test]
+    fn noise_rows_match_the_per_pixel_sum() {
+        for width in 1..=40u32 {
+            for octaves in 1..=4 {
+                let (seed, amplitude) = (u64::from(width) * 977 + u64::from(octaves), 35.9);
+                let mut noise = ValueNoise::new(seed, octaves, amplitude, width);
+                let mut n = vec![0f64; width as usize];
+                for y in 0..40 {
+                    noise.row(y, &mut n);
+                    for (x, v) in (0..width).zip(&n) {
+                        let want = noise_reference(seed, octaves, amplitude, x, y);
+                        assert_eq!(v.to_bits(), want.to_bits(), "{width} wide, {octaves} octaves");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noise_pass_matches_the_per_pixel_pass() {
+        // Complexities with 1, 2, 3 and 4 octaves.
+        for (w, h) in [(1, 1), (1, 17), (40, 3), (37, 61)] {
+            for c in [0.02, 0.3, 0.5, 0.98] {
+                let base = SynthSpec::new(w, h).complexity(0.0).render(u64::from(w * h));
+                let (mut got, mut want) = (base.clone(), base);
+                apply_noise(&mut got, c, &mut StdRng::seed_from_u64(3));
+                let lattice_seed: u64 = StdRng::seed_from_u64(3).gen();
+                let octaves = 1 + (c * 3.0).round() as u32;
+                for y in 0..h {
+                    for x in 0..w {
+                        let n = noise_reference(lattice_seed, octaves, 10.0 + c * 70.0, x, y);
+                        let white = (hash2(lattice_seed ^ 0x77, x, y) - 0.5) * c * 60.0;
+                        let adj =
+                            |v: u8| (f64::from(v) + n + white).round().clamp(0.0, 255.0) as u8;
+                        let p = want.pixel(x, y);
+                        want.put_pixel(x, y, Rgb::new(adj(p.r), adj(p.g), adj(p.b)));
+                    }
+                }
+                assert_eq!(got, want, "{w}x{h} complexity {c}");
+            }
         }
     }
 
