@@ -1,9 +1,13 @@
 //! CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`): the checksum under
 //! every storage wire frame, std only.
 //!
-//! [`crc32`] picks its path from what the CPU reports; no feature, setting
-//! or flag selects it. On x86_64 with PCLMULQDQ and SSE4.1 (std caches the
-//! detection), an input of 128 bytes or more is folded 64 bytes a step in
+//! [`crc32`] checksums one slice; [`Crc32`] checksums a message that arrives
+//! in parts (a frame's header, a shared payload and its trailer), with the
+//! same result as [`crc32`] over the parts glued together.
+//!
+//! Each update picks its path from what the CPU reports; no feature,
+//! setting or flag selects it. On x86_64 with PCLMULQDQ and SSE4.1 (std
+//! caches the detection), an input of 128 bytes or more is folded 64 bytes a step in
 //! four 128-bit lanes with carry-less multiplies and finished with a
 //! Barrett reduction: the scheme of Intel's "Fast CRC Computation for
 //! Generic Polynomials Using PCLMULQDQ Instruction" with the reflected IEEE
@@ -23,13 +27,54 @@ mod clmul;
 /// CRC32 (IEEE 802.3) of `data`, as zlib, Ethernet and PNG compute it:
 /// `crc32(b"123456789") == 0xcbf4_3926`.
 pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if data.len() >= clmul::MIN_LEN && clmul::available() {
-        // SAFETY: `available` has just reported both CPU features that
-        // `clmul::update` is compiled for.
-        return !unsafe { clmul::update(!0, data) };
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A running CRC32 over a message fed in parts: `update` with each part in
+/// order, then `finish`. The parts may be split anywhere.
+///
+/// ```
+/// let mut crc = checksum::Crc32::new();
+/// crc.update(b"1234");
+/// crc.update(b"56789");
+/// assert_eq!(crc.finish(), checksum::crc32(b"123456789"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    /// The CRC register before the final inversion.
+    state: u32,
+}
+
+impl Crc32 {
+    /// The CRC of the empty message.
+    pub fn new() -> Crc32 {
+        Crc32 { state: !0 }
     }
-    !update_table(!0, data)
+
+    /// Feeds the next part of the message.
+    pub fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN && clmul::available() {
+            // SAFETY: `available` has just reported both CPU features that
+            // `clmul::update` is compiled for.
+            self.state = unsafe { clmul::update(self.state, data) };
+            return;
+        }
+        self.state = update_table(self.state, data);
+    }
+
+    /// The CRC32 of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
 }
 
 /// Slice-by-16 lookup tables for the reflected IEEE polynomial, built at
@@ -159,6 +204,58 @@ mod tests {
         }
     }
 
+    /// `data` fed to a running CRC in two parts, split at `at`.
+    fn split_at(data: &[u8], at: usize) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(&data[..at]);
+        crc.update(&data[at..]);
+        crc.finish()
+    }
+
+    #[test]
+    fn running_crc_agrees_at_every_split_point() {
+        // Each part may switch path on its own: a short head runs the table
+        // loop and hands its register to a folded body, and the reverse.
+        let data = blob(1100);
+        for len in 0..=1100 {
+            let want = crc32(&data[..len]);
+            for at in 0..=len {
+                assert_eq!(split_at(&data[..len], at), want, "len {len} split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn running_crc_agrees_on_frame_sized_inputs() {
+        // Every split within 300 bytes of either end (a response's head and
+        // tail), and a stride through the middle.
+        for len in [145_417, 150_541, 602_112] {
+            let data = blob(len);
+            let want = crc32(&data);
+            let splits = (0..300).chain((300..len - 300).step_by(997)).chain(len - 300..=len);
+            for at in splits {
+                assert_eq!(split_at(&data, at), want, "len {len} split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn running_crc_takes_any_number_of_parts() {
+        // A wire response: head, shared payload, tier byte, in three parts.
+        let data = blob(150_000);
+        let mut crc = Crc32::default();
+        for part in [&data[..22], &data[22..149_999], &data[149_999..]] {
+            crc.update(part);
+        }
+        assert_eq!(crc.finish(), crc32(&data));
+        assert_eq!(Crc32::new().finish(), crc32(b""));
+        let mut crc = Crc32::new();
+        crc.update(b"");
+        crc.update(b"123456789");
+        crc.update(b"");
+        assert_eq!(crc.finish(), 0xcbf4_3926);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -168,6 +265,15 @@ mod tests {
         ) {
             prop_assert_eq!(table(&data), bitwise(&data));
             prop_assert_eq!(crc32(&data), bitwise(&data));
+        }
+
+        #[test]
+        fn running_crc_agrees_on_arbitrary_splits(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            cut in any::<usize>(),
+        ) {
+            let at = if data.is_empty() { 0 } else { cut % (data.len() + 1) };
+            prop_assert_eq!(split_at(&data, at), bitwise(&data));
         }
     }
 }

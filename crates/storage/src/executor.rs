@@ -181,6 +181,25 @@ mod tests {
     }
 
     #[test]
+    fn served_raw_bytes_and_tier_prefixes_share_the_stored_objects_storage() {
+        let ds = datasets::DatasetSpec::mini(1, 4);
+        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &codec::TierSpec::default());
+        let full = store.get(0).unwrap();
+        let ex = NearStorageExecutor::new(
+            store,
+            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
+        );
+        for req in [
+            FetchRequest::new(0, 0, SplitPoint::NONE),
+            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0),
+        ] {
+            let resp = ex.execute(req).unwrap();
+            let StageData::Encoded(served) = resp.data else { panic!("a raw serve is encoded") };
+            assert_eq!(served.as_ptr(), full.as_ptr(), "{req:?} copied the stored object");
+        }
+    }
+
+    #[test]
     fn fidelity_cap_at_or_above_the_ladder_serves_full_and_unmarked() {
         let ds = datasets::DatasetSpec::mini(1, 4);
         let spec = codec::TierSpec::default();

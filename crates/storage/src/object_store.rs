@@ -76,12 +76,20 @@ impl ObjectStore {
         if let Some(last) = ids.clone().next_back() {
             ds.record(last);
         }
+        // `Bytes` takes an encoder's vector over as it is, spare capacity
+        // included; the store keeps every object for its whole life, so the
+        // spare is given back first.
+        let stored = |id| {
+            let mut object = one(id);
+            object.shrink_to_fit();
+            (id, Bytes::from(object))
+        };
         let count = ids.end.saturating_sub(ids.start);
         let threads = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
             .min(usize::try_from(count).unwrap_or(usize::MAX));
         if threads <= 1 {
-            return Self::from_objects(ids.map(|id| (id, Bytes::from(one(id)))));
+            return Self::from_objects(ids.map(stored));
         }
         // The counter only hands out ids; results come back through `join`.
         let next = AtomicU64::new(ids.start);
@@ -95,7 +103,7 @@ impl ObjectStore {
                             if id >= ids.end {
                                 return done;
                             }
-                            done.push((id, Bytes::from(one(id))));
+                            done.push(stored(id));
                         }
                     })
                 })

@@ -66,6 +66,16 @@
 //! reusable buffer (clearing it first), so a steady-state connection
 //! re-encodes frames with **zero allocations**. [`peek_request_id`] reads
 //! the id of a frame that failed to decode, and [`crc32`] is the checksum.
+//!
+//! Responses have a second, copy-free front on each side for the TCP
+//! transport. `encode_response_parts` writes only the head (`ver` up to an
+//! encoded payload's `len`) and returns the payload's own [`Bytes`] as the
+//! body plus the tail (tier byte, CRC), so a raw serve goes out as
+//! head ‖ stored bytes ‖ tail in one vectored write; [`encode_response_into`]
+//! is the same encoder with the three parts glued. `decode_response_shared`
+//! decodes a frame held in a [`Bytes`] and returns an encoded payload as a
+//! slice of it; [`decode_response_framed`] is the same decoder copying the
+//! payload out of a borrowed frame.
 
 use bytes::Bytes;
 use imagery::{RasterImage, Tensor};
@@ -165,6 +175,27 @@ fn seal_in_place(out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// What follows a response's head and body on the wire: the served tier
+/// byte (v4 data responses only), then the CRC32 trailer over everything
+/// before it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ResponseTail {
+    bytes: [u8; 5],
+    len: usize,
+}
+
+impl ResponseTail {
+    fn push(&mut self, more: &[u8]) {
+        self.bytes[self.len..self.len + more.len()].copy_from_slice(more);
+        self.len += more.len();
+    }
+
+    /// The tail's bytes, as they go on the wire.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Best-effort read of a frame's `request_id` without decoding (or
 /// checksum-verifying) the rest — used by servers to echo an id on error
 /// replies for frames whose body failed to parse. Returns `None` for
@@ -193,11 +224,14 @@ fn verify_checksum(data: &[u8]) -> Result<&[u8], WireError> {
 struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
+    /// The frame `data` opens, when it is held in a [`Bytes`]: encoded
+    /// payloads are then slices of it instead of copies.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
+        Reader { data, pos: 0, shared: None }
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -228,6 +262,17 @@ impl<'a> Reader<'a> {
         let s = self.data.get(self.pos..self.pos + len).ok_or(WireError::Truncated)?;
         self.pos += len;
         Ok(s)
+    }
+
+    /// The next `len` bytes as a [`Bytes`]: a slice of the shared frame,
+    /// or a copy.
+    fn bytes(&mut self, len: usize) -> Result<Bytes, WireError> {
+        let start = self.pos;
+        let s = self.take(len)?;
+        Ok(match self.shared {
+            Some(frame) => frame.slice(start..start + len),
+            None => Bytes::copy_from_slice(s),
+        })
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -311,13 +356,14 @@ fn decode_op(r: &mut Reader<'_>) -> Result<OpKind, WireError> {
 // StageData
 // ---------------------------------------------------------------------------
 
-/// Serializes a [`StageData`] payload.
-fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
+/// Serializes a [`StageData`] payload. An encoded payload's bytes are not
+/// written: they are handed back, to follow `out` on the wire.
+fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) -> Option<Bytes> {
     match data {
         StageData::Encoded(b) => {
             out.push(0x00);
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+            return Some(b.clone());
         }
         StageData::Image(img) => {
             out.push(0x01);
@@ -332,6 +378,7 @@ fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
             out.extend_from_slice(&t.to_le_bytes());
         }
     }
+    None
 }
 
 fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
@@ -339,7 +386,7 @@ fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
     match tag {
         0x00 => {
             let len = checked_len(r)?;
-            Ok(StageData::Encoded(Bytes::copy_from_slice(r.take(len)?)))
+            Ok(StageData::Encoded(r.bytes(len)?))
         }
         0x01 => {
             let (w, h) = (r.u32()?, r.u32()?);
@@ -504,49 +551,86 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Option<u16>, Request),
 /// frame with the tier byte directly under the CRC trailer; every other
 /// response keeps the bit-stable v2 encoding.
 pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>) {
+    let (body, tail) = encode_response_parts(request_id, resp, out);
+    if let Some(body) = body {
+        out.extend_from_slice(&body);
+    }
+    out.extend_from_slice(tail.as_bytes());
+}
+
+/// The one response encoder, in the three parts of the frame
+/// [`encode_response_into`] writes: the head goes into `head` (cleared
+/// first), an encoded payload comes back as the body, sharing the
+/// response's storage, and the tail carries the tier byte and the CRC over
+/// head ‖ body ‖ tier. Every other response is all head, with no body.
+pub(crate) fn encode_response_parts(
+    request_id: u32,
+    resp: &Response,
+    head: &mut Vec<u8>,
+) -> (Option<Bytes>, ResponseTail) {
     let tier = match resp {
         Response::Data(d) => d.tier,
         _ => None,
     };
-    out.clear();
-    out.push(if tier.is_some() { WIRE_VERSION_FIDELITY } else { WIRE_VERSION });
-    out.extend_from_slice(&request_id.to_le_bytes());
+    head.clear();
+    head.push(if tier.is_some() { WIRE_VERSION_FIDELITY } else { WIRE_VERSION });
+    head.extend_from_slice(&request_id.to_le_bytes());
+    let mut body = None;
     match resp {
-        Response::Configured => out.push(0x11),
+        Response::Configured => head.push(0x11),
         Response::Data(d) => {
-            out.push(0x12);
-            out.extend_from_slice(&d.sample_id.to_le_bytes());
-            out.extend_from_slice(&d.ops_applied.to_le_bytes());
-            encode_stage_data(&d.data, out);
-            if let Some(t) = tier {
-                out.push(t);
-            }
+            head.push(0x12);
+            head.extend_from_slice(&d.sample_id.to_le_bytes());
+            head.extend_from_slice(&d.ops_applied.to_le_bytes());
+            body = encode_stage_data(&d.data, head);
         }
         Response::Error { sample_id, message } => {
-            out.push(0x13);
+            head.push(0x13);
             match sample_id {
                 Some(id) => {
-                    out.push(1);
-                    out.extend_from_slice(&id.to_le_bytes());
+                    head.push(1);
+                    head.extend_from_slice(&id.to_le_bytes());
                 }
-                None => out.push(0),
+                None => head.push(0),
             }
             let msg = message.as_bytes();
-            out.extend_from_slice(&(msg.len().min(u16::MAX as usize) as u16).to_le_bytes());
-            out.extend_from_slice(&msg[..msg.len().min(u16::MAX as usize)]);
+            head.extend_from_slice(&(msg.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            head.extend_from_slice(&msg[..msg.len().min(u16::MAX as usize)]);
         }
     }
-    seal_in_place(out);
+    let mut tail = ResponseTail::default();
+    if let Some(t) = tier {
+        tail.push(&[t]);
+    }
+    let mut crc = checksum::Crc32::new();
+    crc.update(head);
+    crc.update(body.as_deref().unwrap_or_default());
+    crc.update(tail.as_bytes());
+    tail.push(&crc.finish().to_le_bytes());
+    (body, tail)
 }
 
-/// Deserializes a [`Response`] together with its multiplexing id.
+/// Deserializes a [`Response`] together with its multiplexing id. An
+/// encoded payload is copied out of `data`.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for any malformed input, including trailing
 /// bytes, checksum mismatches, and foreign wire versions.
 pub fn decode_response_framed(data: &[u8]) -> Result<(u32, Response), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
+    decode_response(Reader::new(verify_checksum(data)?))
+}
+
+/// [`decode_response_framed`] for a frame held in a [`Bytes`]: an encoded
+/// payload is returned as a slice of `frame`, sharing its storage.
+pub(crate) fn decode_response_shared(frame: &Bytes) -> Result<(u32, Response), WireError> {
+    let mut r = Reader::new(verify_checksum(frame)?);
+    r.shared = Some(frame);
+    decode_response(r)
+}
+
+/// The one response decoder, over a checksum-verified frame.
+fn decode_response(mut r: Reader<'_>) -> Result<(u32, Response), WireError> {
     let version = r.u8()?;
     let fidelity = match version {
         WIRE_VERSION => false,
@@ -888,6 +972,98 @@ mod tests {
             // Responses are `PartialEq`, so the roundtrip asserts every
             // field (payload bytes included) in one exhaustive comparison.
             assert_eq!(decode_response(&bytes).unwrap(), resp, "roundtrip {:?}", p.kind());
+        }
+    }
+
+    #[test]
+    fn parts_glue_into_the_frame_and_keep_the_payload_shared() {
+        let stored = Bytes::from(vec![0xc3; 4000]);
+        let img = RasterImage::filled(5, 4, Rgb::new(1, 2, 3));
+        let responses = [
+            (
+                Response::Data(FetchResponse {
+                    sample_id: 9,
+                    ops_applied: 0,
+                    data: StageData::Encoded(stored.clone()),
+                    tier: None,
+                }),
+                true,
+            ),
+            (
+                Response::Data(FetchResponse {
+                    sample_id: 9,
+                    ops_applied: 0,
+                    data: StageData::Encoded(stored.slice(..1000)),
+                    tier: Some(0),
+                }),
+                true,
+            ),
+            (
+                Response::Data(FetchResponse {
+                    sample_id: 9,
+                    ops_applied: 2,
+                    data: StageData::Image(img),
+                    tier: None,
+                }),
+                false,
+            ),
+            (Response::Error { sample_id: None, message: "no".into() }, false),
+            (Response::Configured, false),
+        ];
+        for (resp, has_body) in responses {
+            let mut head = Vec::new();
+            let (body, tail) = encode_response_parts(6, &resp, &mut head);
+            assert_eq!(body.is_some(), has_body, "{resp:?}");
+            if let Some(body) = &body {
+                assert_eq!(body.as_ptr(), stored.as_ptr(), "the body is the response's own bytes");
+            }
+            let mut glued = head.clone();
+            glued.extend_from_slice(body.as_deref().unwrap_or_default());
+            glued.extend_from_slice(tail.as_bytes());
+            assert_eq!(glued, response_frame(6, &resp), "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn shared_decode_slices_the_frame_and_agrees_with_the_copying_decode() {
+        let img = RasterImage::filled(5, 4, Rgb::new(1, 2, 3));
+        let tensor = imagery::Tensor::from_image(&img);
+        let responses = [
+            Response::Data(FetchResponse {
+                sample_id: 9,
+                ops_applied: 0,
+                data: StageData::Encoded(Bytes::from(vec![0x7e; 3000])),
+                tier: Some(1),
+            }),
+            Response::Data(FetchResponse {
+                sample_id: 9,
+                ops_applied: 2,
+                data: StageData::Image(img),
+                tier: None,
+            }),
+            Response::Data(FetchResponse {
+                sample_id: 9,
+                ops_applied: 4,
+                data: StageData::Tensor(tensor),
+                tier: None,
+            }),
+            Response::Error { sample_id: Some(2), message: "gone".into() },
+            Response::Configured,
+        ];
+        for resp in responses {
+            let frame = Bytes::from(response_frame(3, &resp));
+            let shared = decode_response_shared(&frame).unwrap();
+            assert_eq!(shared, decode_response_framed(&frame).unwrap());
+            assert_eq!(shared, (3, resp));
+            if let (_, Response::Data(FetchResponse { data: StageData::Encoded(b), .. })) = shared {
+                let offset = b.as_ptr() as usize - frame.as_ptr() as usize;
+                assert_eq!(offset + b.len() + 5, frame.len(), "payload sits before tier and CRC");
+            }
+        }
+        // Every prefix of a frame is an error on the shared front too.
+        let frame = response_frame(3, &Response::Configured);
+        for len in 0..frame.len() {
+            assert!(decode_response_shared(&Bytes::copy_from_slice(&frame[..len])).is_err());
         }
     }
 
