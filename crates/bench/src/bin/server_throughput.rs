@@ -24,10 +24,12 @@
 //! `--idle 1000` holds both ends of 1 000 connections in this process:
 //! raise `ulimit -n` above 2 100 first.
 //!
-//! `--assert` exits nonzero unless pipelined beats serial on req/s at
-//! every swept connection count >= 64, and, for every swept idle count,
+//! `--assert` exits nonzero unless pipelined reaches 1.5x serial req/s on
+//! one connection beside no idle ones, and, for every swept idle count,
 //! the serial p50 of one active connection beside them is at most 1.5x its
-//! p50 beside none (the CI smoke gates).
+//! p50 beside none (the CI smoke gates). The 8- and 64-connection rows are
+//! printed but not gated: there the one event-loop thread bounds both
+//! modes, so pipelining, which saves client CPU, cannot show.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -157,6 +159,11 @@ fn render_json(per_conn: usize, rows: &[Row]) -> String {
 /// A depth-1 fetch beside idle connections may cost at most this many
 /// times what it costs beside none (ROADMAP item 2's gate).
 const IDLE_P50_FACTOR: f64 = 1.5;
+
+/// Pipelined req/s on one connection must reach this many times serial:
+/// a pipelined batch pays one round trip where serial fetches pay one
+/// each.
+const PIPELINE_SPEEDUP: f64 = 1.5;
 
 fn parse_counts(flag: &str, list: &str) -> Vec<usize> {
     list.split(',')
@@ -290,27 +297,24 @@ fn main() {
     }
 
     if assert_gate {
+        let Some(alone) = rows.iter().find(|r| r.connections == 1 && r.idle == 0) else {
+            eprintln!("FAIL: --assert needs the 1 connection, 0 idle point swept");
+            std::process::exit(1);
+        };
         let mut failed = false;
-        for row in rows.iter().filter(|r| r.connections >= 64) {
-            if row.pipelined.rps <= row.serial.rps {
-                eprintln!(
-                    "FAIL: pipelined ({:.0} rps) did not beat serial ({:.0} rps) at {} connections",
-                    row.pipelined.rps, row.serial.rps, row.connections
-                );
-                failed = true;
-            }
-        }
-        if rows.iter().all(|r| r.connections < 64) {
-            eprintln!("FAIL: --assert needs at least one swept point with >= 64 connections");
+        let speedup = alone.pipelined.rps / alone.serial.rps.max(f64::EPSILON);
+        if speedup < PIPELINE_SPEEDUP {
+            eprintln!(
+                "FAIL: pipelined ({:.0} rps) is {speedup:.2}x serial ({:.0} rps) on 1 connection, under {PIPELINE_SPEEDUP}x",
+                alone.pipelined.rps, alone.serial.rps
+            );
             failed = true;
+        } else {
+            println!(
+                "assert ok: pipelined is {speedup:.2}x serial on 1 connection, at least {PIPELINE_SPEEDUP}x"
+            );
         }
-        let alone = rows.iter().find(|r| r.connections == 1 && r.idle == 0);
         for row in rows.iter().filter(|r| r.connections == 1 && r.idle > 0) {
-            let Some(alone) = alone else {
-                eprintln!("FAIL: the idle gate needs the 1 connection, 0 idle point swept too");
-                failed = true;
-                break;
-            };
             let limit = alone.serial.p50.mul_f64(IDLE_P50_FACTOR);
             if row.serial.p50 > limit {
                 eprintln!(
@@ -332,7 +336,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("assert ok: pipelined beats serial at every swept point >= 64 connections");
     }
 
     server.shutdown();

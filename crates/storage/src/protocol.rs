@@ -84,7 +84,8 @@ pub struct FetchResponse {
     pub data: StageData,
     /// The fidelity tier the payload was truncated to, when the server
     /// browned out this sample; `None` means the full encoding was served.
-    /// Carried on the wire under the CRC trailer since wire version 4.
+    /// Every data frame carries it, ahead of the payload (`0xFF` for
+    /// `None`), and the frame's CRC covers it.
     pub tier: Option<u8>,
 }
 

@@ -36,35 +36,35 @@
 //!
 //! The hot path owns each frame once. A raw serve is copy-free from the
 //! stored object to the response the loader receives. The server encodes
-//! only a frame's head and tail, into a pooled buffer, and sends head, the
-//! stored object's own `Bytes` and tail in one vectored write; a frame that
-//! a chaos truncate or bit-flip fault mutates is glued first. The client
-//! reads each frame into one allocation of exactly its length, filled as
-//! bytes arrive, and that allocation becomes the response's `Bytes`; an
-//! image or tensor payload is copied out of it once. Between frames each
-//! end's `FrameReader` keeps only the 4-byte length header, so an idle
-//! connection holds no receive buffer. A reader reserves nothing for a
-//! frame until its first payload bytes arrive and then grows the
+//! only a frame's head, into a pooled buffer, and its CRC, and sends head,
+//! the stored object's own `Bytes` and the CRC in one vectored write; a
+//! frame that a chaos truncate or bit-flip fault mutates is glued first.
+//! The client reads each frame into one allocation of exactly its length,
+//! filled as bytes arrive, and that allocation becomes the response's
+//! `Bytes`; an image or tensor payload is copied out of it once. Between
+//! frames each end's `FrameReader` keeps only the 4-byte length header, so
+//! an idle connection holds no receive buffer. A reader reserves nothing
+//! for a frame until its first payload bytes arrive and then grows the
 //! allocation with them, so a bare length prefix cannot make either end
 //! reserve the 64 MiB it may declare.
 //!
 //! Frame format: `u32` little-endian payload length (capped at
 //! [`wire::MAX_PAYLOAD`]) followed by the payload (a [`wire`]-encoded
-//! request or response, which itself opens with the
-//! `ver request_id` multiplexing header and ends with the CRC32 trailer).
+//! request or response, which itself opens with the `ver request_id`
+//! multiplexing header, a request's then with its `tenant_id`, and ends
+//! with the CRC32 trailer).
 //!
 //! # Multi-tenancy
 //!
-//! The server is tenant-aware: v3 request frames carry a `tenant_id`
-//! (v2 frames resolve to [`TenantId::DEFAULT`] unless the
-//! [`TenantPolicy`] requires explicit ids), and dispatch to the worker
-//! pool goes through a per-tenant deficit-weighted round-robin scheduler
-//! instead of a FIFO — a backlogged tenant cannot starve others past its
-//! weight share. Admission control runs at decode time: a tenant over
-//! its in-flight bound or byte quota gets a typed, retryable
-//! `tenant-throttled` error reply instead of a queue slot, and
-//! per-tenant quota buckets are charged where pacing already happens —
-//! at encode, when response bytes reach the wire.
+//! The server is tenant-aware: every request frame carries a `tenant_id`
+//! (a client that names none sends [`TenantId::DEFAULT`], 0), and dispatch
+//! to the worker pool goes through a per-tenant deficit-weighted
+//! round-robin scheduler instead of a FIFO — a backlogged tenant cannot
+//! starve others past its weight share. Admission control runs at decode
+//! time: a tenant over its in-flight bound or byte quota gets a typed,
+//! retryable `tenant-throttled` error reply instead of a queue slot, and
+//! per-tenant quota buckets are charged where pacing already happens — at
+//! encode, when response bytes reach the wire.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -321,17 +321,16 @@ struct OutFrame {
 /// The one frame a connection has on the wire: encoded, charged to the
 /// bandwidth model, with resumable progress across `WouldBlock`s.
 ///
-/// It goes out as `len | head | body | tail` in vectored writes. The head
-/// is a pooled buffer, the body is an encoded payload's own `Bytes` (the
-/// stored object, or a slice of it), and the tail carries the tier byte and
-/// the CRC; see [`wire::encode_response_parts`]. Every other response, and
-/// a frame a chaos fault mutates, is all head.
+/// It goes out as `len | head | body | crc` in vectored writes. The head
+/// is a pooled buffer, and the body is an encoded payload's own `Bytes`
+/// (the stored object, or a slice of it) with the CRC that follows it; see
+/// [`wire::encode_response_parts`]. Every other response, and a frame a
+/// chaos fault mutates, is all head.
 struct WireFrame {
     tenant: TenantId,
     len: [u8; 4],
     head: Vec<u8>,
-    body: Option<Bytes>,
-    tail: wire::ResponseTail,
+    body: Option<(Bytes, [u8; 4])>,
     written: usize,
     /// Release time from the shared token bucket and the tenant's quota.
     not_before: Instant,
@@ -342,7 +341,7 @@ impl WireFrame {
     /// bit-flip fault mutates the glued frame; every other frame keeps its
     /// payload in the response's own storage.
     fn encode(out: &OutFrame, mut head: Vec<u8>) -> WireFrame {
-        let (body, tail) = match out.fault {
+        let body = match out.fault {
             Some(FaultDirective {
                 kind: kind @ (FaultKind::Truncate | FaultKind::BitFlip),
                 salt,
@@ -353,17 +352,16 @@ impl WireFrame {
                 } else {
                     chaos::flip_bit(&mut head, salt);
                 }
-                (None, wire::ResponseTail::default())
+                None
             }
             _ => wire::encode_response_parts(out.request_id, &out.response, &mut head),
         };
-        let len = head.len() + body.as_ref().map_or(0, Bytes::len) + tail.as_bytes().len();
+        let len = head.len() + body.as_ref().map_or(0, |(body, crc)| body.len() + crc.len());
         WireFrame {
             tenant: out.tenant,
             len: (len as u32).to_le_bytes(),
             head,
             body,
-            tail,
             written: 0,
             not_before: out.not_before,
         }
@@ -377,8 +375,8 @@ impl WireFrame {
 
     /// Writes what the socket takes of the rest of the frame.
     fn send(&mut self, w: &mut impl Write) -> io::Result<()> {
-        let body = self.body.as_deref().unwrap_or_default();
-        write_parts(w, [&self.len, &self.head, body, self.tail.as_bytes()], &mut self.written)
+        let (body, crc) = self.body.as_ref().map_or((&[][..], &[][..]), |(b, c)| (&b[..], &c[..]));
+        write_parts(w, [&self.len, &self.head, body, crc], &mut self.written)
     }
 }
 
@@ -541,7 +539,7 @@ impl TcpStorageServer {
     /// [`TenantPolicy`] and, when `injector` is set, with server-side
     /// chaos.
     ///
-    /// Requests are attributed to the tenant id in their (v3) frame,
+    /// Requests are attributed to the tenant id in their frame,
     /// dispatched in deficit-weighted round-robin order across tenants,
     /// paced against per-tenant byte quotas, and rejected with a retryable
     /// throttle error past a tenant's in-flight bound or quota debt. The
@@ -982,7 +980,7 @@ impl EventLoop {
     }
 
     /// Flushes as much of `id`'s write queue as the socket accepts, in
-    /// vectored `len | head | body | tail` writes, and reports what the
+    /// vectored `len | head | body | crc` writes, and reports what the
     /// rest is waiting for. Frames are encoded here, just before their
     /// bytes hit the wire — one pooled head buffer per in-flight write,
     /// however deep the queue behind it.
@@ -1053,7 +1051,6 @@ impl EventLoop {
             match conn.reader.poll(&mut conn.stream) {
                 ReadStatus::Frame => {
                     let frame = conn.reader.take_frame();
-                    let require = self.admission.policy.require_tenant_id;
                     // A reply the loop writes itself, without a worker.
                     let mut reply_now = |tenant, request_id, message| {
                         conn.outq.push_back(OutFrame {
@@ -1065,22 +1062,13 @@ impl EventLoop {
                         });
                         self.pending_out.insert(id);
                     };
-                    let decoded = wire::decode_request_framed(&frame).and_then(
-                        |(request_id, tenant, request)| match tenant {
-                            Some(t) => Ok((request_id, TenantId(t), request)),
-                            // A tenant-less (v2) frame is the default
-                            // tenant's, unless the policy wants every
-                            // frame to name one.
-                            None if require => Err(WireError::TenantMissing),
-                            None => Ok((request_id, TenantId::DEFAULT, request)),
-                        },
-                    );
-                    match decoded {
+                    match wire::decode_request_framed(&frame) {
                         Ok((_, _, Request::Shutdown)) => {
                             self.stop.store(true, Ordering::SeqCst);
                             return;
                         }
                         Ok((request_id, tenant, request)) => {
+                            let tenant = TenantId(tenant);
                             if let Some(message) = self.admission.check(tenant) {
                                 // Over quota or in-flight bound: reject
                                 // instead of queueing. The reply carries
@@ -1196,17 +1184,16 @@ fn worker_loop(
 /// timed-out earlier exchange can never satisfy the wrong request — its
 /// id no longer matches anything outstanding, so it is discarded.
 ///
-/// The batch helpers ([`TcpStorageClient::fetch_many_requests`] and
-/// friends) are built on submit/await and return responses in request
-/// order.
+/// The batch helper, [`TcpStorageClient::fetch_many_requests`], is built
+/// on submit/await and returns responses in request order.
 #[derive(Debug)]
 pub struct TcpStorageClient {
     stream: TcpStream,
     deadline: Deadline,
-    /// Tenant identity stamped on every request frame. `None` sends
-    /// legacy v2 (tenant-less) frames, which a tenant-aware server
-    /// attributes to [`TenantId::DEFAULT`].
-    tenant: Option<u16>,
+    /// Tenant identity stamped on every request frame; 0, the server's
+    /// [`TenantId::DEFAULT`], unless [`TcpStorageClient::with_tenant`] set
+    /// another.
+    tenant: u16,
     /// Monotonic multiplexing id; 0 is reserved for server-side replies to
     /// frames whose id could not be recovered.
     next_id: u32,
@@ -1245,7 +1232,7 @@ impl TcpStorageClient {
         Ok(TcpStorageClient {
             stream,
             deadline: Deadline::NONE,
-            tenant: None,
+            tenant: 0,
             next_id: 1,
             frame: FrameReader::default(),
             send_buf: Vec::new(),
@@ -1275,38 +1262,31 @@ impl TcpStorageClient {
         self.deadline
     }
 
-    /// Sets the tenant identity stamped on every subsequent request
-    /// frame (switches the connection to wire v3 framing).
-    pub fn set_tenant(&mut self, tenant: u16) {
-        self.tenant = Some(tenant);
-    }
-
-    /// Builder form of [`TcpStorageClient::set_tenant`].
+    /// Stamps every request frame with `tenant` instead of 0.
     #[must_use]
     pub fn with_tenant(mut self, tenant: u16) -> TcpStorageClient {
-        self.tenant = Some(tenant);
+        self.tenant = tenant;
         self
     }
 
-    /// The tenant identity, when one is set.
-    pub fn tenant(&self) -> Option<u16> {
-        self.tenant
-    }
-
-    fn alloc_id(&mut self) -> u32 {
+    /// Encodes `req` into `send_buf` under a fresh request id, and returns
+    /// the id.
+    fn encode(&mut self, req: &Request) -> u32 {
         let id = self.next_id;
         // Skip the reserved id 0 on wrap.
         self.next_id = self.next_id.checked_add(1).unwrap_or(1);
+        wire::encode_request_tenant_into(id, self.tenant, req, &mut self.send_buf);
         id
     }
 
-    fn send_framed(&mut self, request_id: u32, req: &Request) -> Result<(), ClientError> {
-        match self.tenant {
-            Some(t) => wire::encode_request_tenant_into(request_id, t, req, &mut self.send_buf),
-            None => wire::encode_request_into(request_id, req, &mut self.send_buf),
-        }
+    /// Sends `req` and registers its id as outstanding, its deadline budget
+    /// (if any) starting now.
+    fn send_framed(&mut self, req: &Request) -> Result<u32, ClientError> {
+        let id = self.encode(req);
         write_frame_vectored(&mut self.stream, &self.send_buf)
-            .map_err(|_| ClientError::Disconnected)
+            .map_err(|_| ClientError::Disconnected)?;
+        self.outstanding.insert(id, self.deadline.expiry_from_now());
+        Ok(id)
     }
 
     /// Submits one fetch without waiting, returning the id to await. The
@@ -1316,10 +1296,7 @@ impl TcpStorageClient {
     ///
     /// Returns [`ClientError::Disconnected`] on socket failures.
     pub fn submit(&mut self, req: FetchRequest) -> Result<u32, ClientError> {
-        let id = self.alloc_id();
-        self.send_framed(id, &Request::Fetch(req))?;
-        self.outstanding.insert(id, self.deadline.expiry_from_now());
-        Ok(id)
+        self.send_framed(&Request::Fetch(req))
     }
 
     /// Submits a whole batch of fetches in one write: every frame is
@@ -1336,16 +1313,7 @@ impl TcpStorageClient {
         let mut ids = Vec::with_capacity(requests.len());
         self.batch_buf.clear();
         for req in requests {
-            let id = self.alloc_id();
-            match self.tenant {
-                Some(t) => wire::encode_request_tenant_into(
-                    id,
-                    t,
-                    &Request::Fetch(*req),
-                    &mut self.send_buf,
-                ),
-                None => wire::encode_request_into(id, &Request::Fetch(*req), &mut self.send_buf),
-            }
+            let id = self.encode(&Request::Fetch(*req));
             self.batch_buf.extend_from_slice(&(self.send_buf.len() as u32).to_le_bytes());
             self.batch_buf.extend_from_slice(&self.send_buf);
             ids.push(id);
@@ -1456,9 +1424,8 @@ impl TcpStorageClient {
         dataset_seed: u64,
         pipeline: PipelineSpec,
     ) -> Result<(), ClientError> {
-        let id = self.alloc_id();
-        self.send_framed(id, &Request::Configure(crate::SessionConfig { dataset_seed, pipeline }))?;
-        self.outstanding.insert(id, self.deadline.expiry_from_now());
+        let id =
+            self.send_framed(&Request::Configure(crate::SessionConfig { dataset_seed, pipeline }))?;
         match self.await_any(id)? {
             Response::Configured => Ok(()),
             Response::Error { sample_id, message } => Err(server_error(sample_id, message)),
@@ -1522,22 +1489,6 @@ impl TcpStorageClient {
             }
         }
         Ok(out)
-    }
-
-    /// Issues all requests up front, then collects every response.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure.
-    pub fn fetch_many(
-        &mut self,
-        requests: &[(u64, u64, SplitPoint)],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        let full: Vec<FetchRequest> = requests
-            .iter()
-            .map(|&(sample_id, epoch, split)| FetchRequest::new(sample_id, epoch, split))
-            .collect();
-        self.fetch_many_requests(&full)
     }
 }
 
@@ -1616,8 +1567,9 @@ mod tests {
         let (server, ds) = spawn_server(4, 3);
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        let reqs: Vec<_> = (0..4u64).map(|id| (id, 0u64, SplitPoint::new(2))).collect();
-        let responses = client.fetch_many(&reqs).unwrap();
+        let reqs: Vec<_> =
+            (0..4u64).map(|id| FetchRequest::new(id, 0, SplitPoint::new(2))).collect();
+        let responses = client.fetch_many_requests(&reqs).unwrap();
         assert_eq!(responses.len(), 4);
         // Request order, not arrival order.
         let ids: Vec<_> = responses.iter().map(|r| r.sample_id).collect();
@@ -1749,8 +1701,9 @@ mod tests {
         .unwrap();
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        let reqs: Vec<_> = (0..16u64).map(|i| (i % 2, i / 2, SplitPoint::NONE)).collect();
-        let out = client.fetch_many(&reqs).unwrap();
+        let reqs: Vec<_> =
+            (0..16u64).map(|i| FetchRequest::new(i % 2, i / 2, SplitPoint::NONE)).collect();
+        let out = client.fetch_many_requests(&reqs).unwrap();
         assert_eq!(out.len(), 16);
         server.shutdown();
     }
@@ -2137,7 +2090,7 @@ mod tests {
         let mut frame = Vec::new();
         wire::encode_request_tenant_into(9, 3, &request, &mut frame);
         let want = wire::decode_request_framed(&read_in_chunks(&frame, frame.len() + 4)).unwrap();
-        assert_eq!(want, (9, Some(3), request));
+        assert_eq!(want, (9, 3, request));
         for chunk in 1..=frame.len() + 4 {
             let got = wire::decode_request_framed(&read_in_chunks(&frame, chunk)).unwrap();
             assert_eq!(got, want, "request, chunks of {chunk}");
@@ -2228,7 +2181,7 @@ mod tests {
             not_before: Instant::now(),
         };
         let frame = WireFrame::encode(&out, Vec::new());
-        assert_eq!(frame.body.as_ref().map(|b| b.as_ptr()), Some(stored.as_ptr()));
+        assert_eq!(frame.body.as_ref().map(|(b, _)| b.as_ptr()), Some(stored.as_ptr()));
         let glued = response_frame(3, &out.response);
         assert_eq!(frame.payload_len(), glued.len());
         assert!(frame.head.len() < 32, "the head carries no payload bytes");
@@ -2236,7 +2189,7 @@ mod tests {
         let flipped =
             OutFrame { fault: Some(FaultDirective { kind: FaultKind::BitFlip, salt: 5 }), ..out };
         let frame = WireFrame::encode(&flipped, Vec::new());
-        assert!(frame.body.is_none() && frame.tail.as_bytes().is_empty());
+        assert!(frame.body.is_none());
         assert_eq!(frame.head.len(), glued.len());
         assert_ne!(frame.head, glued);
     }
@@ -2538,16 +2491,16 @@ mod tests {
             TenantPolicy::default().with_tenant(TenantId(7), TenantSpec::default().with_weight(2));
         let (server, ds) = policy_server(3, 2, policy);
         let mut tagged = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(7);
-        let mut legacy = TcpStorageClient::connect(server.local_addr()).unwrap();
+        let mut untagged = TcpStorageClient::connect(server.local_addr()).unwrap();
         tagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        legacy.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        untagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
         for s in 0..3u64 {
             assert_eq!(tagged.fetch(s, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
         }
-        legacy.fetch(0, 0, SplitPoint::new(2)).unwrap();
+        untagged.fetch(0, 0, SplitPoint::new(2)).unwrap();
         let stats = server.tenant_stats();
-        // Configure + 3 fetches under tenant 7; the v2 client lands on
-        // the default tenant 0.
+        // Configure + 3 fetches under tenant 7; the client that names no
+        // tenant lands on the default tenant 0.
         let t7 = stats[&7];
         assert_eq!(t7.admitted, 4);
         assert_eq!(t7.completed, 4);
@@ -2656,8 +2609,9 @@ mod tests {
             "{err:?}"
         );
 
-        let reqs: Vec<_> = (0..6u64).map(|i| (i % 2, i / 2, SplitPoint::new(2))).collect();
-        assert_eq!(victim.fetch_many(&reqs).unwrap().len(), 6);
+        let reqs: Vec<_> =
+            (0..6u64).map(|i| FetchRequest::new(i % 2, i / 2, SplitPoint::new(2))).collect();
+        assert_eq!(victim.fetch_many_requests(&reqs).unwrap().len(), 6);
         // The hog's admitted pair still arrives — paced, never dropped.
         for id in ids {
             hog.await_response(id).unwrap();
@@ -2666,20 +2620,6 @@ mod tests {
         let stats = server.tenant_stats();
         assert!(stats[&1].throttled >= 1, "{stats:?}");
         assert_eq!(stats[&2].throttled, 0, "{stats:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn required_tenant_id_rejects_legacy_frames() {
-        let policy = TenantPolicy { require_tenant_id: true, ..TenantPolicy::default() };
-        let (server, ds) = policy_server(1, 1, policy);
-        let mut legacy = TcpStorageClient::connect(server.local_addr()).unwrap();
-        let err = legacy.configure(ds.seed, PipelineSpec::standard_train()).unwrap_err();
-        assert!(err.to_string().contains("no tenant id"), "{err}");
-        // The same connection succeeds once it identifies itself.
-        let mut tagged = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(9);
-        tagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        tagged.fetch(0, 0, SplitPoint::NONE).unwrap();
         server.shutdown();
     }
 }

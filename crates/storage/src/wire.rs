@@ -6,76 +6,62 @@
 //! serde format crate, so this module plays the role gRPC plays in the
 //! paper's prototype.)
 //!
-//! Every encoded message additionally carries a CRC32 trailer (IEEE
-//! polynomial, little-endian) over the message body. Decoding verifies the
-//! checksum before parsing, so bit corruption anywhere in a frame —
-//! including flips the structural parser would happily accept, like a
-//! changed sample id — surfaces as [`WireError::ChecksumMismatch`] instead
-//! of silently poisoning training data. CRC32 detects every burst error up
-//! to 32 bits, so any single flipped byte is always caught.
+//! There is one frame format, [`WIRE_VERSION`], and every field it defines
+//! is always present. Every message opens with the version byte and a
+//! `request_id: u32`, the multiplexing key that lets one connection carry
+//! many pipelined in-flight exchanges. A request then names its tenant, the
+//! `tenant_id: u16` a multi-tenant server attributes, schedules and meters
+//! it by (0 is the default tenant). A fetch ends with the fidelity cap the
+//! client accepts, `max_tier: u8`, and a data response carries the tier it
+//! was served at; `0xFF` means uncapped, or full fidelity.
 //!
-//! Since wire format **version 2** every message additionally opens with a
-//! version byte and a `request_id: u32` — the multiplexing key that lets
-//! one connection carry many pipelined in-flight exchanges. Both fields sit
-//! *under* the CRC, so a flipped bit in the id can never silently re-route
-//! a response to the wrong caller: it fails the checksum like any other
-//! corruption. Version-1 frames (no header) decode to
-//! [`WireError::Version`], never to a wrong-but-valid message.
+//! Every message ends with a CRC32 trailer (IEEE polynomial, little-endian)
+//! over all the bytes before it. Decoding verifies the checksum before
+//! parsing, so bit corruption anywhere in a frame — including in the id, the
+//! tenant, the tier, or a sample id the structural parser would happily
+//! accept — surfaces as [`WireError::ChecksumMismatch`]: a response is never
+//! re-routed to the wrong caller, a request never billed to the wrong
+//! tenant, and training data is never silently poisoned. CRC32 detects every
+//! burst error up to 32 bits, so any single flipped byte is always caught.
+//! A frame that opens with any other version byte, including the retired
+//! `0xA2`–`0xA4`, decodes to [`WireError::Version`].
 //!
-//! Wire format **version 3** ([`WIRE_VERSION_TENANT`]) extends the request
-//! header with a `tenant_id: u16` so a multi-tenant server can attribute,
-//! schedule, and meter every request. The field sits under the CRC like the
-//! request id. Version negotiation is per-frame: [`decode_request_framed`]
-//! reports a v3 frame's tenant as `Some(id)` and a v2 frame's as `None`;
-//! whether a tenant-less frame is served (as tenant 0) or refused with
-//! [`WireError::TenantMissing`] is the endpoint's policy, not the
-//! format's. Responses stay v2 — the server already knows whom it is
-//! answering.
-//!
-//! Wire format **version 4** ([`WIRE_VERSION_FIDELITY`]) adds the brownout
-//! fidelity axis, on *both* directions. A v4 request carries the v3 tenant
-//! header plus a `max_tier: u8` trailing the fetch body — the fidelity cap
-//! the client will accept (`0xFF` = no cap). A v4 data response appends
-//! the *served* tier byte after the payload, directly under the CRC
-//! trailer, so a flipped fidelity marker can never be mistaken for a
-//! full-quality sample. Negotiation is per-frame, exactly like the v2→v3
-//! tenant bump: encoders emit v4 only when a fidelity field is actually
-//! set, so full-fidelity traffic stays bit-identical to v2/v3.
-//!
-//! Layout summary (all integers little-endian):
+//! Layout (all integers little-endian):
 //!
 //! ```text
-//! Message   := ver:u8 request_id:u32 body crc32:u32   (crc32 over ver..body)
-//! RequestV3 := ver:u8 request_id:u32 tenant_id:u16 body crc32:u32
-//! RequestV4 := ver:u8 request_id:u32 tenant_id:u16 body crc32:u32
-//!              (Fetch body gains a trailing max_tier:u8, 0xFF = no cap)
-//! RespV4    := ver:u8 request_id:u32 body tier:u8 crc32:u32  (Data only)
-//! Request   := 0x01 SessionConfig | 0x02 FetchRequest | 0x03
-//! Response  := 0x11 | 0x12 FetchResponse | 0x13 Error
+//! Request   := ver:u8 request_id:u32 tenant_id:u16 ReqBody crc32:u32
+//! Response  := ver:u8 request_id:u32 RespBody crc32:u32
+//! ReqBody   := 0x01 dataset_seed:u64 n:u8 OpKind*n                  (configure)
+//!            | 0x02 sample_id:u64 epoch:u64 split:u8 quality:u8 max_tier:u8  (fetch)
+//!            | 0x03                                                  (shutdown)
+//! RespBody  := 0x11                                                  (configured)
+//!            | 0x12 sample_id:u64 ops_applied:u8 tier:u8 StageData   (data)
+//!            | 0x13 has_id:u8 [sample_id:u64] len:u16 utf8           (error)
 //! OpKind    := tag:u8 [size:u32]           (sized ops carry their parameter)
 //! StageData := 0x00 len:u32 bytes          (encoded)
 //!            | 0x01 w:u32 h:u32 bytes      (image, len = w*h*3)
 //!            | 0x02 w:u32 h:u32 bytes      (tensor, len = w*h*12)
 //! ```
 //!
-//! There is one function per direction and message kind, and each accepts
-//! or emits every version: [`encode_request_into`] (no tenant) and
-//! [`encode_request_tenant_into`] share one body, [`decode_request_framed`]
-//! reads what either wrote, and [`encode_response_into`] pairs with
+//! A fetch request is 31 bytes, and a raw data response is its payload plus
+//! 25.
+//!
+//! [`encode_request_tenant_into`] is the request encoder and
+//! [`encode_request_into`] its front for tenant 0; [`decode_request_framed`]
+//! reads what they write. [`encode_response_into`] pairs with
 //! [`decode_response_framed`]. The encoders write into a caller-provided
 //! reusable buffer (clearing it first), so a steady-state connection
 //! re-encodes frames with **zero allocations**. [`peek_request_id`] reads
 //! the id of a frame that failed to decode, and [`crc32`] is the checksum.
 //!
 //! Responses have a second, copy-free front on each side for the TCP
-//! transport. `encode_response_parts` writes only the head (`ver` up to an
-//! encoded payload's `len`) and returns the payload's own [`Bytes`] as the
-//! body plus the tail (tier byte, CRC), so a raw serve goes out as
-//! head ‖ stored bytes ‖ tail in one vectored write; [`encode_response_into`]
-//! is the same encoder with the three parts glued. `decode_response_shared`
-//! decodes a frame held in a [`Bytes`] and returns an encoded payload as a
-//! slice of it; [`decode_response_framed`] is the same decoder copying the
-//! payload out of a borrowed frame.
+//! transport. `encode_response_parts` writes a frame's head and returns an
+//! encoded payload's own [`Bytes`] and the CRC that follows it, so a raw
+//! serve goes out as head ‖ stored bytes ‖ CRC in one vectored write;
+//! [`encode_response_into`] is the same encoder with the parts glued.
+//! `decode_response_shared` decodes a frame held in a [`Bytes`] and returns
+//! an encoded payload as a slice of it; [`decode_response_framed`] is the
+//! same decoder copying the payload out of a borrowed frame.
 
 use bytes::Bytes;
 use imagery::{RasterImage, Tensor};
@@ -99,9 +85,6 @@ pub enum WireError {
     ChecksumMismatch,
     /// The frame opens with an unsupported wire-format version.
     Version(u8),
-    /// A tenant-less (v2) frame reached an endpoint that requires an
-    /// explicit tenant id.
-    TenantMissing,
 }
 
 impl std::fmt::Display for WireError {
@@ -115,9 +98,6 @@ impl std::fmt::Display for WireError {
             WireError::Version(v) => {
                 write!(f, "unsupported wire version {v} (this build speaks {WIRE_VERSION})")
             }
-            WireError::TenantMissing => {
-                write!(f, "frame carries no tenant id but this endpoint requires one")
-            }
         }
     }
 }
@@ -128,28 +108,12 @@ impl std::error::Error for WireError {}
 /// adversarial length fields.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Current wire-format version. Version 2 added the
-/// `ver:u8 request_id:u32` multiplexing header in front of every message
-/// body (version 1 opened directly with the tag byte). The low nibble is
-/// the version number; the high nibble is a magic marker chosen so the
-/// byte never collides with a v1 tag (`0x01..=0x03`, `0x11..=0x13`) —
-/// a stray v1 frame always fails the version gate as foreign instead of
-/// accidentally parsing as a v2 header.
-pub const WIRE_VERSION: u8 = 0xA2;
-
-/// Wire-format version 3: the request header grows a `tenant_id: u16`
-/// between the request id and the body, CRC-covered like everything else.
-/// Same high-nibble magic as [`WIRE_VERSION`]; the low nibble is the
-/// version number. Only requests use this version — responses remain v2.
-pub const WIRE_VERSION_TENANT: u8 = 0xA3;
-
-/// Wire-format version 4: the brownout fidelity axis. Requests keep the
-/// v3 tenant header and their fetch body gains a trailing `max_tier: u8`
-/// fidelity cap (`0xFF` = uncapped); data responses append the served
-/// tier byte after the payload, directly under the CRC trailer. Encoders
-/// only emit v4 when a fidelity field is set, so full-fidelity frames
-/// remain bit-identical to the previous generation.
-pub const WIRE_VERSION_FIDELITY: u8 = 0xA4;
+/// The wire-format version, the first byte of every frame. The low nibble
+/// is the version number; the high nibble is a magic marker chosen so the
+/// byte never collides with a version-1 tag (`0x01..=0x03`,
+/// `0x11..=0x13`), so a stray v1 frame fails the version gate as foreign
+/// instead of parsing as a header.
+pub const WIRE_VERSION: u8 = 0xA5;
 
 /// The wire sentinel for "no fidelity cap / full fidelity".
 const TIER_UNCAPPED: u8 = u8::MAX;
@@ -175,34 +139,12 @@ fn seal_in_place(out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// What follows a response's head and body on the wire: the served tier
-/// byte (v4 data responses only), then the CRC32 trailer over everything
-/// before it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ResponseTail {
-    bytes: [u8; 5],
-    len: usize,
-}
-
-impl ResponseTail {
-    fn push(&mut self, more: &[u8]) {
-        self.bytes[self.len..self.len + more.len()].copy_from_slice(more);
-        self.len += more.len();
-    }
-
-    /// The tail's bytes, as they go on the wire.
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        &self.bytes[..self.len]
-    }
-}
-
 /// Best-effort read of a frame's `request_id` without decoding (or
 /// checksum-verifying) the rest — used by servers to echo an id on error
 /// replies for frames whose body failed to parse. Returns `None` for
-/// frames too short to carry the header or of a foreign version. Every
-/// known version carries the id at the same offset.
+/// frames too short to carry the header or of a foreign version.
 pub fn peek_request_id(data: &[u8]) -> Option<u32> {
-    if !(WIRE_VERSION..=WIRE_VERSION_FIDELITY).contains(data.first()?) {
+    if *data.first()? != WIRE_VERSION {
         return None;
     }
     data.get(1..5).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes)
@@ -232,6 +174,15 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0, shared: None }
+    }
+
+    /// The header every frame opens with: the version byte, which must be
+    /// [`WIRE_VERSION`], then the request id.
+    fn header(&mut self) -> Result<u32, WireError> {
+        match self.u8()? {
+            WIRE_VERSION => self.u32(),
+            v => Err(WireError::Version(v)),
+        }
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -420,7 +371,19 @@ fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
 // Requests
 // ---------------------------------------------------------------------------
 
-fn encode_request_body(req: &Request, fidelity: bool, out: &mut Vec<u8>) {
+/// Serializes a [`Request`] from `tenant_id` under `request_id` into a
+/// caller-provided buffer (cleared first); a reused buffer makes
+/// steady-state encoding allocation-free.
+pub fn encode_request_tenant_into(
+    request_id: u32,
+    tenant_id: u16,
+    req: &Request,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.push(WIRE_VERSION);
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&tenant_id.to_le_bytes());
     match req {
         Request::Configure(cfg) => {
             out.push(0x01);
@@ -436,22 +399,36 @@ fn encode_request_body(req: &Request, fidelity: bool, out: &mut Vec<u8>) {
             out.extend_from_slice(&f.epoch.to_le_bytes());
             out.push(f.split.offloaded_ops() as u8);
             out.push(f.reencode_quality.unwrap_or(0));
-            if fidelity {
-                out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
-            }
+            out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
         }
         Request::Shutdown => out.push(0x03),
     }
+    seal_in_place(out);
 }
 
-fn decode_request_body(r: &mut Reader<'_>, fidelity: bool) -> Result<Request, WireError> {
-    Ok(match r.u8()? {
+/// [`encode_request_tenant_into`] for the default tenant, 0.
+pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
+    encode_request_tenant_into(request_id, 0, req, out);
+}
+
+/// Deserializes a [`Request`] together with its multiplexing id and the
+/// tenant id its header carries.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] for any malformed input, including trailing
+/// bytes, checksum mismatches, and foreign wire versions.
+pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireError> {
+    let mut r = Reader::new(verify_checksum(data)?);
+    let request_id = r.header()?;
+    let tenant_id = r.u16()?;
+    let req = match r.u8()? {
         0x01 => {
             let dataset_seed = r.u64()?;
             let n = r.u8()? as usize;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
-                ops.push(decode_op(r)?);
+                ops.push(decode_op(&mut r)?);
             }
             let pipeline =
                 PipelineSpec::new(ops).map_err(|_| WireError::Invalid("ill-typed pipeline"))?;
@@ -466,75 +443,12 @@ fn decode_request_body(r: &mut Reader<'_>, fidelity: bool) -> Result<Request, Wi
                 q if (1..=100).contains(&q) => Some(q),
                 _ => return Err(WireError::Invalid("reencode quality")),
             };
-            let max_tier = if fidelity { decode_tier_byte(r.u8()?)? } else { None };
+            let max_tier = decode_tier_byte(r.u8()?)?;
             Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality, max_tier })
         }
         0x03 => Request::Shutdown,
         t => return Err(WireError::BadTag(t)),
-    })
-}
-
-/// The body both request encoders share. The version byte follows from
-/// which optional fields are present, so a frame without them stays on its
-/// older, bit-stable encoding: a fidelity cap makes it v4 (with the
-/// tenant, or tenant 0), a tenant alone v3, neither v2.
-fn encode_request_frame(request_id: u32, tenant_id: Option<u16>, req: &Request, out: &mut Vec<u8>) {
-    let fidelity = matches!(req, Request::Fetch(f) if f.max_tier.is_some());
-    out.clear();
-    out.push(match (fidelity, tenant_id) {
-        (true, _) => WIRE_VERSION_FIDELITY,
-        (false, Some(_)) => WIRE_VERSION_TENANT,
-        (false, None) => WIRE_VERSION,
-    });
-    out.extend_from_slice(&request_id.to_le_bytes());
-    if fidelity || tenant_id.is_some() {
-        out.extend_from_slice(&tenant_id.unwrap_or(0).to_le_bytes());
-    }
-    encode_request_body(req, fidelity, out);
-    seal_in_place(out);
-}
-
-/// Serializes a [`Request`] under `request_id` into a caller-provided
-/// buffer (cleared first); a reused buffer makes steady-state encoding
-/// allocation-free. Requests carrying a fidelity cap upgrade the frame to
-/// v4 (tenant 0); everything else stays on the bit-stable v2 encoding.
-pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
-    encode_request_frame(request_id, None, req, out);
-}
-
-/// Serializes a [`Request`] as a v3 frame carrying `tenant_id` into a
-/// caller-provided buffer (cleared first); the tenant-aware analogue of
-/// [`encode_request_into`], equally allocation-free at steady state.
-/// Requests carrying a fidelity cap upgrade the frame to v4, keeping the
-/// tenant id.
-pub fn encode_request_tenant_into(
-    request_id: u32,
-    tenant_id: u16,
-    req: &Request,
-    out: &mut Vec<u8>,
-) {
-    encode_request_frame(request_id, Some(tenant_id), req, out);
-}
-
-/// Deserializes a [`Request`] of any version together with its
-/// multiplexing id and the tenant id its header carries: `Some` for v3 and
-/// v4 frames, `None` for v2 frames, which have no such field.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] for any malformed input, including trailing
-/// bytes, checksum mismatches, and foreign wire versions.
-pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Option<u16>, Request), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
-    let (tenant, fidelity) = match r.u8()? {
-        WIRE_VERSION => (false, false),
-        WIRE_VERSION_TENANT => (true, false),
-        WIRE_VERSION_FIDELITY => (true, true),
-        v => return Err(WireError::Version(v)),
     };
-    let request_id = r.u32()?;
-    let tenant_id = if tenant { Some(r.u16()?) } else { None };
-    let req = decode_request_body(&mut r, fidelity)?;
     r.finish()?;
     Ok((request_id, tenant_id, req))
 }
@@ -546,34 +460,24 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Option<u16>, Request),
 /// Serializes a [`Response`] under `request_id` into a caller-provided
 /// buffer (cleared first); a reused buffer makes steady-state encoding
 /// allocation-free.
-///
-/// A data response carrying a served fidelity tier is emitted as a v4
-/// frame with the tier byte directly under the CRC trailer; every other
-/// response keeps the bit-stable v2 encoding.
 pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>) {
-    let (body, tail) = encode_response_parts(request_id, resp, out);
-    if let Some(body) = body {
+    if let Some((body, crc)) = encode_response_parts(request_id, resp, out) {
         out.extend_from_slice(&body);
+        out.extend_from_slice(&crc);
     }
-    out.extend_from_slice(tail.as_bytes());
 }
 
-/// The one response encoder, in the three parts of the frame
-/// [`encode_response_into`] writes: the head goes into `head` (cleared
-/// first), an encoded payload comes back as the body, sharing the
-/// response's storage, and the tail carries the tier byte and the CRC over
-/// head ‖ body ‖ tier. Every other response is all head, with no body.
+/// The one response encoder. It writes the whole frame into `head`
+/// (cleared first), except for an encoded payload: that comes back, sharing
+/// the response's storage, with the CRC over head ‖ payload that follows it
+/// on the wire, and `head` stops where the payload begins.
 pub(crate) fn encode_response_parts(
     request_id: u32,
     resp: &Response,
     head: &mut Vec<u8>,
-) -> (Option<Bytes>, ResponseTail) {
-    let tier = match resp {
-        Response::Data(d) => d.tier,
-        _ => None,
-    };
+) -> Option<(Bytes, [u8; 4])> {
     head.clear();
-    head.push(if tier.is_some() { WIRE_VERSION_FIDELITY } else { WIRE_VERSION });
+    head.push(WIRE_VERSION);
     head.extend_from_slice(&request_id.to_le_bytes());
     let mut body = None;
     match resp {
@@ -581,7 +485,10 @@ pub(crate) fn encode_response_parts(
         Response::Data(d) => {
             head.push(0x12);
             head.extend_from_slice(&d.sample_id.to_le_bytes());
-            head.extend_from_slice(&d.ops_applied.to_le_bytes());
+            // The server applies at most the split its request carried,
+            // which is one byte wide on the wire.
+            head.push(d.ops_applied as u8);
+            head.push(d.tier.unwrap_or(TIER_UNCAPPED));
             body = encode_stage_data(&d.data, head);
         }
         Response::Error { sample_id, message } => {
@@ -593,21 +500,19 @@ pub(crate) fn encode_response_parts(
                 }
                 None => head.push(0),
             }
-            let msg = message.as_bytes();
-            head.extend_from_slice(&(msg.len().min(u16::MAX as usize) as u16).to_le_bytes());
-            head.extend_from_slice(&msg[..msg.len().min(u16::MAX as usize)]);
+            let msg = &message.as_bytes()[..message.len().min(u16::MAX as usize)];
+            head.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+            head.extend_from_slice(msg);
         }
     }
-    let mut tail = ResponseTail::default();
-    if let Some(t) = tier {
-        tail.push(&[t]);
-    }
+    let Some(body) = body else {
+        seal_in_place(head);
+        return None;
+    };
     let mut crc = checksum::Crc32::new();
     crc.update(head);
-    crc.update(body.as_deref().unwrap_or_default());
-    crc.update(tail.as_bytes());
-    tail.push(&crc.finish().to_le_bytes());
-    (body, tail)
+    crc.update(&body);
+    Some((body, crc.finish().to_le_bytes()))
 }
 
 /// Deserializes a [`Response`] together with its multiplexing id. An
@@ -631,20 +536,14 @@ pub(crate) fn decode_response_shared(frame: &Bytes) -> Result<(u32, Response), W
 
 /// The one response decoder, over a checksum-verified frame.
 fn decode_response(mut r: Reader<'_>) -> Result<(u32, Response), WireError> {
-    let version = r.u8()?;
-    let fidelity = match version {
-        WIRE_VERSION => false,
-        WIRE_VERSION_FIDELITY => true,
-        v => return Err(WireError::Version(v)),
-    };
-    let request_id = r.u32()?;
+    let request_id = r.header()?;
     let resp = match r.u8()? {
         0x11 => Response::Configured,
         0x12 => {
             let sample_id = r.u64()?;
-            let ops_applied = r.u32()?;
+            let ops_applied = u32::from(r.u8()?);
+            let tier = decode_tier_byte(r.u8()?)?;
             let data = decode_stage_data(&mut r)?;
-            let tier = if fidelity { decode_tier_byte(r.u8()?)? } else { None };
             Response::Data(FetchResponse { sample_id, ops_applied, data, tier })
         }
         0x13 => {
@@ -653,10 +552,7 @@ fn decode_response(mut r: Reader<'_>) -> Result<(u32, Response), WireError> {
                 1 => Some(r.u64()?),
                 _ => return Err(WireError::Invalid("error sample flag")),
             };
-            let len = {
-                let s = r.take(2)?;
-                u16::from_le_bytes(s.try_into().map_err(|_| WireError::Truncated)?) as usize
-            };
+            let len = r.u16()? as usize;
             let message = String::from_utf8_lossy(r.take(len)?).into_owned();
             Response::Error { sample_id, message }
         }
@@ -672,9 +568,9 @@ mod tests {
     use imagery::Rgb;
 
     // The encoders write into a caller's buffer; the tests want the frame.
-    fn request_frame(id: u32, tenant: Option<u16>, req: &Request) -> Vec<u8> {
+    fn request_frame(id: u32, tenant: u16, req: &Request) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_request_frame(id, tenant, req, &mut out);
+        encode_request_tenant_into(id, tenant, req, &mut out);
         out
     }
 
@@ -690,6 +586,15 @@ mod tests {
 
     fn decode_response(data: &[u8]) -> Result<Response, WireError> {
         decode_response_framed(data).map(|(_, resp)| resp)
+    }
+
+    fn raw_response(payload: &'static [u8], tier: Option<u8>) -> Response {
+        Response::Data(FetchResponse {
+            sample_id: 9,
+            ops_applied: 0,
+            data: StageData::Encoded(Bytes::from_static(payload)),
+            tier,
+        })
     }
 
     #[test]
@@ -709,36 +614,45 @@ mod tests {
             Request::Shutdown,
         ];
         for req in &reqs {
-            let bytes = request_frame(0, None, req);
+            let bytes = request_frame(0, 0, req);
             assert_eq!(&decode_request(&bytes).unwrap(), req, "roundtrip {req:?}");
         }
     }
 
-    /// Prefixes a hand-crafted tag+payload body with the v2 header and
-    /// re-seals it with a valid CRC trailer, so a test exercises the
+    /// A hand-crafted body behind a version-5 header (a request's names
+    /// tenant 0), sealed under a valid CRC, so a test exercises the
     /// structural parser rather than the version or checksum gates.
-    fn sealed(body: Vec<u8>) -> Vec<u8> {
+    fn sealed(request: bool, body: &[u8]) -> Vec<u8> {
         let mut out = vec![WIRE_VERSION];
         out.extend_from_slice(&7u32.to_le_bytes());
-        out.extend_from_slice(&body);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        if request {
+            out.extend_from_slice(&0u16.to_le_bytes());
+        }
+        out.extend_from_slice(body);
+        seal_in_place(&mut out);
         out
     }
 
     #[test]
-    fn fetch_request_is_compact() {
-        let bytes =
-            request_frame(0, None, &Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2))));
-        assert!(bytes.len() <= 28, "fetch request is {} bytes", bytes.len());
+    fn frame_sizes_are_pinned() {
+        // ver id tenant | tag sample epoch split quality max_tier | crc
+        let fetch = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2)));
+        assert_eq!(request_frame(0, 0, &fetch).len(), 31);
+        let capped = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::NONE).with_max_tier(1));
+        assert_eq!(request_frame(0, 7, &capped).len(), 31);
+        // ver id | tag sample ops tier | tag len payload | crc
+        for (payload, tier) in [(&b""[..], None), (b"raw", None), (b"prefix", Some(1))] {
+            let bytes = response_frame(3, &raw_response(payload, tier));
+            assert_eq!(bytes.len(), payload.len() + 25, "{payload:?} at tier {tier:?}");
+        }
     }
 
     #[test]
     fn request_ids_roundtrip_on_both_message_kinds() {
         for id in [0u32, 1, 0xdead_beef, u32::MAX] {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = request_frame(id, None, &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, None, req));
+            let bytes = request_frame(id, 0, &req);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, 0, req));
             assert_eq!(peek_request_id(&bytes), Some(id));
 
             let resp = Response::Configured;
@@ -752,31 +666,72 @@ mod tests {
     fn tenant_frames_roundtrip_with_id_and_tenant() {
         for (id, t) in [(0u32, 0u16), (7, 1), (0xdead_beef, 41), (u32::MAX, u16::MAX)] {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = request_frame(id, Some(t), &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, Some(t), req));
+            let bytes = request_frame(id, t, &req);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, t, req));
             assert_eq!(peek_request_id(&bytes), Some(id));
         }
+        let mut front = Vec::new();
+        let req = Request::Shutdown;
+        encode_request_into(5, &req, &mut front);
+        assert_eq!(front, request_frame(5, 0, &req), "the front names tenant 0");
     }
 
     #[test]
-    fn every_request_version_decodes_through_the_one_decoder() {
-        let fetch = FetchRequest::new(3, 1, SplitPoint::new(2));
-        let rows = [
-            (WIRE_VERSION, None, fetch),
-            (WIRE_VERSION_TENANT, Some(7), fetch),
-            (WIRE_VERSION_FIDELITY, Some(7), fetch.with_max_tier(1)),
+    fn retired_versions_decode_as_foreign() {
+        // Each retired frame as its version laid it out, sealed under a
+        // valid CRC: 0xA2 had no tenant, 0xA3 added one, 0xA4 added the
+        // tier after the fetch body and after a data response's payload.
+        let fetch_body = |tier: bool| {
+            let mut body = vec![0x02];
+            body.extend_from_slice(&3u64.to_le_bytes());
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.extend_from_slice(&[2, 0]);
+            if tier {
+                body.push(TIER_UNCAPPED);
+            }
+            body
+        };
+        let data_body = |tier: bool| {
+            let mut body = vec![0x12];
+            body.extend_from_slice(&3u64.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes());
+            body.push(0x00);
+            body.extend_from_slice(&2u32.to_le_bytes());
+            body.extend_from_slice(b"ok");
+            if tier {
+                body.push(1);
+            }
+            body
+        };
+        let frame = |version: u8, tenant: bool, body: Vec<u8>| {
+            let mut out = vec![version];
+            out.extend_from_slice(&9u32.to_le_bytes());
+            if tenant {
+                out.extend_from_slice(&7u16.to_le_bytes());
+            }
+            out.extend_from_slice(&body);
+            seal_in_place(&mut out);
+            out
+        };
+        let requests = [
+            (0xA2, frame(0xA2, false, fetch_body(false))),
+            (0xA3, frame(0xA3, true, fetch_body(false))),
+            (0xA4, frame(0xA4, true, fetch_body(true))),
         ];
-        for (version, tenant, fetch) in rows {
-            let req = Request::Fetch(fetch);
-            let bytes = request_frame(9, tenant, &req);
-            assert_eq!(bytes[0], version);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (9, tenant, req), "{version:#04x}");
-            assert_eq!(peek_request_id(&bytes), Some(9), "{version:#04x}");
+        for (version, bytes) in requests {
+            assert_eq!(decode_request_framed(&bytes), Err(WireError::Version(version)));
+            assert_eq!(peek_request_id(&bytes), None, "{version:#04x}");
         }
-        // Any other opening byte is a foreign version, under a valid CRC.
-        let known = [WIRE_VERSION, WIRE_VERSION_TENANT, WIRE_VERSION_FIDELITY];
-        for version in (0..=u8::MAX).filter(|v| !known.contains(v)) {
-            let mut bytes = request_frame(9, None, &Request::Fetch(fetch));
+        for (version, bytes) in [
+            (0xA2, frame(0xA2, false, data_body(false))),
+            (0xA4, frame(0xA4, false, data_body(true))),
+        ] {
+            assert_eq!(decode_response_framed(&bytes), Err(WireError::Version(version)));
+        }
+        // Any opening byte but the one version is foreign, under a valid CRC.
+        let fetch = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
+        for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
+            let mut bytes = request_frame(9, 0, &fetch);
             bytes.truncate(bytes.len() - 4);
             bytes[0] = version;
             seal_in_place(&mut bytes);
@@ -787,7 +742,7 @@ mod tests {
     #[test]
     fn tenant_id_is_protected_by_the_checksum() {
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let mut bytes = request_frame(11, Some(6), &req);
+        let mut bytes = request_frame(11, 6, &req);
         bytes[5] ^= 0x01; // inside the little-endian tenant id
         assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
@@ -801,90 +756,54 @@ mod tests {
         for id in 0..1000u32 {
             encode_request_tenant_into(id, (id % 7) as u16, &req, &mut buf);
             let (got_id, got_tenant, _) = decode_request_framed(&buf).unwrap();
-            assert_eq!((got_id, got_tenant), (id, Some((id % 7) as u16)));
+            assert_eq!((got_id, got_tenant), (id, (id % 7) as u16));
         }
         assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
         assert_eq!(buf.capacity(), cap);
     }
 
     #[test]
-    fn fidelity_requests_roundtrip() {
+    fn fidelity_requests_roundtrip_with_their_tenant() {
         for tier in 0..codec::MAX_TIERS as u8 {
-            let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(tier));
-            let bytes = request_frame(5, None, &req);
-            assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "cap forces a v4 frame");
-            // A v4 frame always carries a tenant field: 0 when none was set.
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (5, Some(0), req));
+            let fetch = FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(tier);
+            for tenant in [0, 41] {
+                let bytes = request_frame(5, tenant, &Request::Fetch(fetch));
+                assert_eq!(
+                    decode_request_framed(&bytes).unwrap(),
+                    (5, tenant, Request::Fetch(fetch))
+                );
+            }
         }
     }
 
     #[test]
-    fn fidelity_requests_keep_their_tenant() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(2));
-        let bytes = request_frame(9, Some(41), &req);
-        assert_eq!(bytes[0], WIRE_VERSION_FIDELITY);
-        assert_eq!(decode_request_framed(&bytes).unwrap(), (9, Some(41), req));
-    }
-
-    #[test]
-    fn uncapped_requests_stay_bit_identical_to_v2_and_v3() {
-        // The digest-pinning guarantee: a request without a fidelity cap
-        // must encode exactly as it did before the v4 bump.
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        assert_eq!(request_frame(5, None, &req)[0], WIRE_VERSION);
-        assert_eq!(request_frame(5, Some(7), &req)[0], WIRE_VERSION_TENANT);
-    }
-
-    #[test]
-    fn served_tier_roundtrips_under_the_crc_trailer() {
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 0,
-            data: StageData::Encoded(Bytes::from_static(b"tiered prefix")),
-            tier: Some(1),
-        });
+    fn served_tier_roundtrips_under_the_crc() {
+        let resp = raw_response(b"tiered prefix", Some(1));
         let bytes = response_frame(4, &resp);
-        assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "served tier forces a v4 frame");
         assert_eq!(decode_response_framed(&bytes).unwrap(), (4, resp));
-        // The tier byte sits directly under the CRC trailer: flipping it
-        // must fail the checksum, never downgrade silently.
+        // ver id tag sample ops | tier: flipping it must fail the
+        // checksum, never downgrade silently.
         let mut corrupt = bytes.clone();
-        let at = corrupt.len() - 5;
-        corrupt[at] ^= 0x01;
+        corrupt[15] ^= 0x01;
         assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
-    fn full_fidelity_responses_stay_bit_identical_to_v2() {
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 2,
-            data: StageData::Encoded(Bytes::from_static(b"payload")),
-            tier: None,
-        });
-        assert_eq!(response_frame(4, &resp)[0], WIRE_VERSION);
-    }
-
-    #[test]
     fn out_of_range_wire_tiers_are_rejected() {
-        // Hand-craft a v4 data response whose tier byte is 8 (valid tiers
-        // are 0..8, 0xFF is the sentinel).
-        let resp = Response::Data(FetchResponse {
-            sample_id: 1,
-            ops_applied: 0,
-            data: StageData::Encoded(Bytes::from_static(b"x")),
-            tier: Some(0),
-        });
-        let mut bytes = response_frame(0, &resp);
-        let at = bytes.len() - 5;
-        bytes[at] = codec::MAX_TIERS as u8;
-        let crc_at = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_at]);
-        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            decode_response_framed(&bytes),
-            Err(WireError::Invalid("fidelity tier out of range"))
-        );
+        // Re-seal frames whose tier byte is 8 (valid tiers are 0..8, 0xFF
+        // is the sentinel).
+        let out_of_range = |mut bytes: Vec<u8>, at: usize| {
+            bytes[at] = codec::MAX_TIERS as u8;
+            bytes.truncate(bytes.len() - 4);
+            seal_in_place(&mut bytes);
+            bytes
+        };
+        let resp = out_of_range(response_frame(0, &raw_response(b"x", Some(0))), 15);
+        let req = Request::Fetch(FetchRequest::new(1, 0, SplitPoint::NONE).with_max_tier(0));
+        let req = out_of_range(request_frame(0, 0, &req), 26);
+        let want = WireError::Invalid("fidelity tier out of range");
+        assert_eq!(decode_response_framed(&resp), Err(want.clone()));
+        assert_eq!(decode_request_framed(&req), Err(want));
     }
 
     #[test]
@@ -906,7 +825,7 @@ mod tests {
     fn version_1_frames_are_rejected_as_foreign_not_misparsed() {
         // A v1 frame opened directly with the tag byte; its first byte now
         // reads as a version. Every v1 tag is a typed rejection, never a
-        // wrong-but-valid message (the compatibility gate for the bump).
+        // wrong-but-valid message.
         for tag in [0x01u8, 0x02, 0x03, 0x11, 0x12, 0x13] {
             let mut body = vec![tag];
             body.extend_from_slice(&1u64.to_le_bytes());
@@ -936,10 +855,10 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_detected_even_when_parse_would_succeed() {
-        // Flip a bit inside the sample id: structurally still a perfectly
+        // Flip a bit inside the request id: structurally still a perfectly
         // valid fetch request, but the checksum catches it.
         let mut bytes =
-            request_frame(0, None, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
+            request_frame(0, 0, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
         bytes[1] ^= 0x01;
         assert_eq!(decode_request(&bytes), Err(WireError::ChecksumMismatch));
     }
@@ -1012,14 +931,14 @@ mod tests {
         ];
         for (resp, has_body) in responses {
             let mut head = Vec::new();
-            let (body, tail) = encode_response_parts(6, &resp, &mut head);
-            assert_eq!(body.is_some(), has_body, "{resp:?}");
-            if let Some(body) = &body {
-                assert_eq!(body.as_ptr(), stored.as_ptr(), "the body is the response's own bytes");
-            }
+            let parts = encode_response_parts(6, &resp, &mut head);
+            assert_eq!(parts.is_some(), has_body, "{resp:?}");
             let mut glued = head.clone();
-            glued.extend_from_slice(body.as_deref().unwrap_or_default());
-            glued.extend_from_slice(tail.as_bytes());
+            if let Some((body, crc)) = &parts {
+                assert_eq!(body.as_ptr(), stored.as_ptr(), "the body is the response's own bytes");
+                glued.extend_from_slice(body);
+                glued.extend_from_slice(crc);
+            }
             assert_eq!(glued, response_frame(6, &resp), "{resp:?}");
         }
     }
@@ -1057,7 +976,7 @@ mod tests {
             assert_eq!(shared, (3, resp));
             if let (_, Response::Data(FetchResponse { data: StageData::Encoded(b), .. })) = shared {
                 let offset = b.as_ptr() as usize - frame.as_ptr() as usize;
-                assert_eq!(offset + b.len() + 5, frame.len(), "payload sits before tier and CRC");
+                assert_eq!(offset + b.len() + 4, frame.len(), "payload sits right before the CRC");
             }
         }
         // Every prefix of a frame is an error on the shared front too.
@@ -1097,9 +1016,8 @@ mod tests {
     fn trailing_bytes_rejected() {
         // A body with junk after a complete message, under a valid CRC
         // (appending to a sealed frame would fail the checksum instead).
-        let mut body = vec![0x03]; // Shutdown
-        body.push(0);
-        assert_eq!(decode_request(&sealed(body)), Err(WireError::TrailingBytes(1)));
+        let body = [0x03, 0]; // Shutdown, then junk
+        assert_eq!(decode_request(&sealed(true, &body)), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
@@ -1107,11 +1025,10 @@ mod tests {
         // Encoded payload claiming 4 GiB.
         let mut body = vec![0x12];
         body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&0u32.to_le_bytes());
-        body.push(0x00);
+        body.extend_from_slice(&[0, TIER_UNCAPPED, 0x00]);
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_response(&sealed(body)),
+            decode_response(&sealed(false, &body)),
             Err(WireError::Invalid("payload length over cap"))
         ));
     }
@@ -1123,7 +1040,10 @@ mod tests {
         body.extend_from_slice(&0u64.to_le_bytes());
         body.push(1); // one op
         body.push(3); // ToTensor
-        assert_eq!(decode_request(&sealed(body)), Err(WireError::Invalid("ill-typed pipeline")));
+        assert_eq!(
+            decode_request(&sealed(true, &body)),
+            Err(WireError::Invalid("ill-typed pipeline"))
+        );
     }
 
     #[test]

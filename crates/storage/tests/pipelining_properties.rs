@@ -35,12 +35,9 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
-fn request_frame(request_id: u32, tenant: Option<u16>, req: &Request) -> Vec<u8> {
+fn request_frame(request_id: u32, tenant: u16, req: &Request) -> Vec<u8> {
     let mut frame = Vec::new();
-    match tenant {
-        Some(t) => encode_request_tenant_into(request_id, t, req, &mut frame),
-        None => encode_request_into(request_id, req, &mut frame),
-    }
+    encode_request_tenant_into(request_id, tenant, req, &mut frame);
     frame
 }
 
@@ -111,7 +108,7 @@ proptest! {
         );
     }
 
-    /// A pipelined burst of v3 request frames from many tenants, decoded
+    /// A pipelined burst of request frames from many tenants, decoded
     /// in an arbitrary order, hands back exactly the (request id, tenant
     /// id) pair each frame was sealed with — tenant attribution survives
     /// any interleaving on the shared stream.
@@ -127,7 +124,7 @@ proptest! {
                 let tenant = tenant_base.wrapping_add(i as u16);
                 let sample = i as u64;
                 let req = Request::Fetch(FetchRequest::new(sample, 0, SplitPoint::NONE));
-                (id, tenant, sample, request_frame(id, Some(tenant), &req))
+                (id, tenant, sample, request_frame(id, tenant, &req))
             })
             .collect();
         shuffle(&mut frames, shuffle_seed);
@@ -135,29 +132,31 @@ proptest! {
             prop_assert_eq!(peek_request_id(frame), Some(*id));
             let (decoded_id, decoded_tenant, req) = decode_request_framed(frame).unwrap();
             prop_assert_eq!(decoded_id, *id);
-            prop_assert_eq!(decoded_tenant, Some(*tenant));
+            prop_assert_eq!(decoded_tenant, *tenant);
             let Request::Fetch(f) = req else { panic!("fetch frame") };
             prop_assert_eq!(f.sample_id, *sample);
         }
     }
 
-    /// A legacy v2 frame (no tenant field) decodes as carrying no tenant
-    /// — never a garbled tenant id. What the endpoint makes of that
-    /// (tenant 0, or a typed `TenantMissing` rejection where attribution
-    /// is required) is the server's policy, tested beside the server.
+    /// A frame from the tenant-less front, `encode_request_into`, names
+    /// the default tenant 0 — never a garbled tenant id — and is
+    /// byte-identical to the same request sealed for tenant 0.
     #[test]
-    fn v2_frames_decode_without_a_tenant(
+    fn encode_request_into_frames_decode_as_tenant_0(
         request_id in any::<u32>(),
         sample_id in any::<u64>(),
     ) {
         let req = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::NONE));
-        let frame = request_frame(request_id, None, &req);
-        let (id, tenant, _) = decode_request_framed(&frame).unwrap();
+        let mut frame = Vec::new();
+        encode_request_into(request_id, &req, &mut frame);
+        let (id, tenant, decoded) = decode_request_framed(&frame).unwrap();
         prop_assert_eq!(id, request_id);
-        prop_assert_eq!(tenant, None);
+        prop_assert_eq!(tenant, 0);
+        prop_assert_eq!(decoded, req);
+        prop_assert_eq!(frame, request_frame(request_id, 0, &req));
     }
 
-    /// Flipping any single byte of a v3 tenant frame — version, request
+    /// Flipping any single byte of a request frame — version, request
     /// id, tenant id, body, or the CRC itself — fails the checksum, so a
     /// corrupted tenant id can never bill or throttle the wrong tenant.
     #[test]
@@ -169,7 +168,7 @@ proptest! {
         flip_mask in any::<u8>(),
     ) {
         let req = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::NONE));
-        let mut bytes = request_frame(request_id, Some(tenant_id), &req);
+        let mut bytes = request_frame(request_id, tenant_id, &req);
         let idx = flip_at % bytes.len();
         let mask = if flip_mask == 0 { 1 } else { flip_mask };
         bytes[idx] ^= mask;

@@ -6,15 +6,15 @@ use serde::{Deserialize, Serialize};
 
 /// A tenant's wire-level identity.
 ///
-/// Carried as a `u16` in every tenant-aware request frame (wire v3); the
-/// value `0` is the default tenant that legacy v2 clients resolve to.
+/// Carried as a `u16` in every request frame; `0` is the default tenant,
+/// which a client that names none sends.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
 pub struct TenantId(pub u16);
 
 impl TenantId {
-    /// The tenant legacy (v2, tenant-less) frames are attributed to.
+    /// The tenant a client that names none sends as.
     pub const DEFAULT: TenantId = TenantId(0);
 }
 
@@ -95,7 +95,7 @@ impl TenantSpec {
 /// registration gate — it only changes weights and limits. The
 /// `Default` policy is fully permissive (single implicit tenant, weight
 /// 1, unmetered, no in-flight cap), which keeps single-job deployments
-/// byte-identical to the pre-tenancy behaviour: any number of legacy
+/// byte-identical to the pre-tenancy behaviour: any number of untagged
 /// connections may pile work onto tenant 0, bounded only by the
 /// per-connection flow control. Registering an explicit spec (or
 /// tightening `default_spec`) is what opts a tenant into admission
@@ -106,9 +106,6 @@ pub struct TenantPolicy {
     pub specs: BTreeMap<u16, TenantSpec>,
     /// Contract applied to tenants without an explicit entry.
     pub default_spec: TenantSpec,
-    /// When set, v2 (tenant-less) request frames are rejected instead of
-    /// being attributed to [`TenantId::DEFAULT`].
-    pub require_tenant_id: bool,
 }
 
 impl Default for TenantPolicy {
@@ -116,7 +113,6 @@ impl Default for TenantPolicy {
         TenantPolicy {
             specs: BTreeMap::new(),
             default_spec: TenantSpec::default().with_max_in_flight(usize::MAX),
-            require_tenant_id: false,
         }
     }
 }
@@ -169,7 +165,7 @@ mod tests {
 
     #[test]
     fn default_policy_never_caps_in_flight() {
-        // Legacy single-tenant servers attribute every connection to
+        // Single-tenant deployments attribute every connection to
         // tenant 0; the default policy must not let that aggregate hit an
         // admission bound (per-connection flow control is the only limit).
         let policy = TenantPolicy::default();

@@ -19,7 +19,7 @@ use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SplitPoint};
 use sophon::engine::PlanningContext;
 use sophon::prelude::*;
-use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
+use storage::{FetchRequest, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const SAMPLES: u64 = 48;
 const EPOCH: u64 = 0;
@@ -40,8 +40,9 @@ fn run_epoch(
     client.configure(ds.seed, pipeline.clone())?;
 
     let start = Instant::now();
-    let requests: Vec<_> = (0..SAMPLES).map(|id| (id, EPOCH, plan.split(id as usize))).collect();
-    let responses = client.fetch_many(&requests)?;
+    let requests: Vec<_> =
+        (0..SAMPLES).map(|id| FetchRequest::new(id, EPOCH, plan.split(id as usize))).collect();
+    let responses = client.fetch_many_requests(&requests)?;
     // Finish the remaining pipeline suffix locally and "feed the GPU".
     let mut tensor_bytes = 0u64;
     for resp in responses {

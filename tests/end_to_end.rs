@@ -60,8 +60,9 @@ fn sophon_offloaded_tensors_equal_local_tensors() {
 #[test]
 fn wire_traffic_matches_plan_prediction() {
     // Bytes measured on the live link must match the plan's per-sample
-    // `size_at(split)` prediction exactly (payload part; framing adds a
-    // 17-byte header per response).
+    // `size_at(split)` prediction exactly (payload part; framing adds 29
+    // bytes per raw response: the length prefix, a 21-byte head and the
+    // CRC).
     let (ds, store, pipeline) = live_setup();
     let model = CostModel::realistic();
     let profiles =
@@ -82,8 +83,9 @@ fn wire_traffic_matches_plan_prediction() {
     .unwrap();
     let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline).unwrap();
-    let reqs: Vec<_> = (0..N).map(|id| (id, 0u64, plan.split(id as usize))).collect();
-    let responses = client.fetch_many(&reqs).unwrap();
+    let reqs: Vec<_> =
+        (0..N).map(|id| storage::FetchRequest::new(id, 0, plan.split(id as usize))).collect();
+    let responses = client.fetch_many_requests(&reqs).unwrap();
     assert_eq!(responses.len(), N as usize);
 
     // Read after the join: the loop thread counts a frame once its write
