@@ -1,7 +1,5 @@
 //! Mel filterbank and log-mel spectrogram features.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fft::{power_spectrum, FftError};
 use crate::Waveform;
 
@@ -120,7 +118,7 @@ pub fn filterbank(
 }
 
 /// A log-mel spectrogram: `n_mels × frames` features, stored frame-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Spectrogram {
     n_mels: usize,
     frames: usize,

@@ -1,6 +1,5 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Errors from waveform construction and slicing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ impl std::fmt::Display for WaveformError {
 impl std::error::Error for WaveformError {}
 
 /// A mono PCM waveform with 16-bit samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waveform {
     sample_rate: u32,
     samples: Vec<i16>,

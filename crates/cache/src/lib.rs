@@ -29,11 +29,9 @@
 pub mod key;
 pub mod policy;
 pub mod store;
-pub mod tenancy;
 pub mod transport;
 
 pub use key::{CacheError, CacheKey, StableSplit};
 pub use policy::{CachePolicy, EfficiencyAwarePolicy, EntryMeta, LruPolicy, SizeAwarePolicy};
 pub use store::{AdmissionHint, CacheStats, SampleCache};
-pub use tenancy::{TenantCache, TenantCacheMode, TenantCacheUsage};
 pub use transport::CachingTransport;

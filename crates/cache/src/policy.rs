@@ -29,9 +29,6 @@ pub struct EntryMeta {
 /// Higher priority = more worth keeping. See the module docs for how the
 /// cache applies it.
 pub trait CachePolicy: std::fmt::Debug + Send {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
     /// Retention priority of an entry with metadata `meta`.
     fn priority(&self, meta: &EntryMeta) -> f64;
 }
@@ -44,10 +41,6 @@ pub trait CachePolicy: std::fmt::Debug + Send {
 pub struct LruPolicy;
 
 impl CachePolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn priority(&self, meta: &EntryMeta) -> f64 {
         meta.last_touch as f64
     }
@@ -60,10 +53,6 @@ impl CachePolicy for LruPolicy {
 pub struct SizeAwarePolicy;
 
 impl CachePolicy for SizeAwarePolicy {
-    fn name(&self) -> &'static str {
-        "size-aware"
-    }
-
     fn priority(&self, meta: &EntryMeta) -> f64 {
         meta.saved_bytes as f64
     }
@@ -78,10 +67,6 @@ impl CachePolicy for SizeAwarePolicy {
 pub struct EfficiencyAwarePolicy;
 
 impl CachePolicy for EfficiencyAwarePolicy {
-    fn name(&self) -> &'static str {
-        "efficiency-aware"
-    }
-
     fn priority(&self, meta: &EntryMeta) -> f64 {
         let density = meta.saved_bytes as f64 / meta.bytes.max(1) as f64;
         if meta.efficiency > 0.0 {

@@ -137,11 +137,6 @@ impl SampleCache {
         self.entries.is_empty()
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats

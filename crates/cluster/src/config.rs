@@ -1,8 +1,7 @@
 use netsim::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Static description of the two-node testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// CPU cores available for preprocessing on the compute node.
     pub compute_cores: usize,

@@ -27,8 +27,6 @@
 //! Multi-epoch runs over a fleet — with or without a warm near-compute
 //! cache — are [`crate::simulate_training`] with owner lists set.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stagegraph::{
     kill_thresholds, run_stage_graph, SampleRouting, StageGraphRun, StageHooks,
 };
@@ -37,7 +35,7 @@ use crate::{ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, Si
 pub use crate::stagegraph::NodeEpochStats;
 
 /// Results of simulating one epoch over a storage fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetEpochStats {
     /// Fleet-wide aggregate. `traffic_bytes`, `storage_cpu_busy_seconds`,
     /// and `link_busy_seconds` sum over nodes, so

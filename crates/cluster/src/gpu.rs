@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Per-model GPU compute cost.
 ///
 /// The paper's Figure 1d contrasts three models on the same GPU: ResNet50
@@ -7,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// ResNet18 (moderate; ~65 % of its time data-stalled at 500 Mbps), and the
 /// evaluation's AlexNet (compute-light, easily I/O-bound). Throughputs are
 /// calibrated to published V100-class numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GpuModel {
     /// AlexNet — ~4000 images/s.
     AlexNet,
@@ -24,6 +22,9 @@ pub enum GpuModel {
 
 impl GpuModel {
     /// GPU seconds consumed per image (forward + backward).
+    ///
+    /// The simulator charges this per *sample*, whatever the modality: an
+    /// audio workload uses `Custom` with its measured per-clip step time.
     pub fn seconds_per_image(self) -> f64 {
         match self {
             GpuModel::AlexNet => 1.0 / 4000.0,
@@ -31,26 +32,6 @@ impl GpuModel {
             GpuModel::ResNet50 => 1.0 / 400.0,
             GpuModel::Custom { seconds_per_image } => seconds_per_image,
         }
-    }
-
-    /// GPU seconds consumed per sample, whatever the modality.
-    ///
-    /// Alias of [`seconds_per_image`](GpuModel::seconds_per_image): the
-    /// simulator charges the GPU per *sample*, so an audio workload uses
-    /// `Custom` with its measured per-clip step time and nothing else in
-    /// the cluster model cares which modality the bytes carried.
-    pub fn seconds_per_sample(self) -> f64 {
-        self.seconds_per_image()
-    }
-
-    /// GPU seconds per batch of `batch_size` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch_size` is zero.
-    pub fn seconds_per_batch(self, batch_size: usize) -> f64 {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.seconds_per_sample() * batch_size as f64
     }
 
     /// Display name.
@@ -75,22 +56,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_scaling() {
-        let per_img = GpuModel::AlexNet.seconds_per_image();
-        assert!((GpuModel::AlexNet.seconds_per_batch(256) - per_img * 256.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_rejected() {
-        GpuModel::AlexNet.seconds_per_batch(0);
-    }
-
-    #[test]
     fn custom_model() {
         let m = GpuModel::Custom { seconds_per_image: 0.01 };
-        assert_eq!(m.seconds_per_batch(10), 0.1);
+        assert_eq!(m.seconds_per_image(), 0.01);
         assert_eq!(m.name(), "custom");
-        assert_eq!(m.seconds_per_sample(), m.seconds_per_image());
     }
 }

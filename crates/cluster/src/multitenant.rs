@@ -41,7 +41,6 @@
 use std::collections::BTreeMap;
 
 use netsim::{Bandwidth, VirtualLink};
-use serde::{Deserialize, Serialize};
 use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantSpec};
 
 use crate::resources::FifoServer;
@@ -79,7 +78,7 @@ impl TenantWorkload {
 }
 
 /// Per-tenant outcome of a multi-job run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantRunStats {
     /// Samples delivered.
     pub samples: u64,
@@ -101,7 +100,7 @@ pub struct TenantRunStats {
 }
 
 /// Aggregate outcome of a multi-job run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantRun {
     /// Virtual time the last sample of any tenant was delivered.
     pub epoch_seconds: f64,

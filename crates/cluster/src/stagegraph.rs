@@ -31,14 +31,13 @@
 //! resulting [`StageGraphRun`].
 
 use netsim::{Bandwidth, VirtualLink};
-use serde::{Deserialize, Serialize};
 
 use crate::resources::{CpuPool, FifoServer};
 use crate::trace::SampleTrace;
 use crate::{ClusterConfig, EpochSpec, EpochStats, SimError};
 
 /// One storage node's resources in the stage graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetNodeConfig {
     /// CPU cores available for offloaded preprocessing on this node.
     pub storage_cores: usize,
@@ -73,7 +72,7 @@ impl FleetNodeConfig {
 }
 
 /// A storage node dying partway through an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KillEvent {
     /// The node that dies.
     pub node: usize,
@@ -127,7 +126,7 @@ pub fn kill_thresholds(
 /// moment the router works around a failure, so callers (degraded-mode
 /// replanners, chaos harnesses) can react mid-epoch instead of reading
 /// aggregate counters after the fact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A sample skipped a dead owner and failed over to a later replica.
     Failover {
@@ -139,7 +138,7 @@ pub enum FaultEvent {
 }
 
 /// Which FIFO stage of the graph a [`StageSample`] was measured at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// The serving node's storage read stage.
     Read,
@@ -157,7 +156,7 @@ pub enum StageKind {
 /// `wait_seconds` is the queueing delay in front of the stage
 /// (`done - ready - service`). A telemetry consumer divides observed
 /// service time by the nominal expectation to get the drift-channel ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSample {
     /// The node that served the sample. The compute CPU stage is shared;
     /// its samples carry the serving node for attribution.
@@ -181,7 +180,7 @@ pub struct StageSample {
 ///
 /// Fields left `None` keep their current value; non-finite or non-positive
 /// replacements are ignored rather than corrupting the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeUpdate {
     /// The node to update.
     pub node: usize,
@@ -204,7 +203,7 @@ pub struct EpochDirective {
 }
 
 /// One node's share of an epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeEpochStats {
     /// Samples this node served.
     pub samples_served: u64,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Results of simulating one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochStats {
     /// Wall-clock (virtual) seconds from epoch start to the last batch's GPU
     /// completion.

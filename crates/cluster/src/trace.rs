@@ -4,12 +4,10 @@
 //! the raw material for debugging pipeline stalls, rendering Gantt-style
 //! timelines, and asserting causality invariants in tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::EpochStats;
 
 /// One sample's timeline within a simulated epoch (virtual seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleTrace {
     /// Sample index in loading order.
     pub sample: u64,
@@ -86,7 +84,7 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// The full timeline of one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochTrace {
     samples: Vec<SampleTrace>,
     stats: EpochStats,

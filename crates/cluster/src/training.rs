@@ -21,8 +21,6 @@
 //! mechanism-free: which samples offload, which are cached and where they
 //! are placed is the `sophon` crate's business.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stagegraph::{run_stage_graph, SampleRouting, StageHooks};
 use crate::{
     simulate_fleet_epoch, ClusterConfig, EpochSpec, FleetEpochStats, FleetNodeConfig, KillEvent,
@@ -51,7 +49,7 @@ pub struct TrainingSpec<'a> {
 }
 
 /// Statistics of a full training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingStats {
     /// Total epochs executed.
     pub epochs: u64,

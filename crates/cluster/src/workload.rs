@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::GpuModel;
 
 /// The resource demands of one sample under a chosen offload split.
@@ -7,7 +5,7 @@ use crate::GpuModel;
 /// Policies translate a sample's profile plus a split point into this
 /// resource vector; the simulator does not care which operations produced
 /// the numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleWork {
     /// Single-core seconds of offloaded preprocessing on the storage node.
     pub storage_cpu_seconds: f64,
@@ -37,7 +35,7 @@ impl SampleWork {
 }
 
 /// One epoch's workload: per-sample demands plus batching and the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochSpec {
     /// Per-sample resource demands, in loading order.
     pub samples: Vec<SampleWork>,

@@ -46,7 +46,6 @@ mod header;
 pub mod huffman;
 mod options;
 pub mod quant;
-pub mod rate;
 pub mod tiered;
 pub mod zigzag;
 

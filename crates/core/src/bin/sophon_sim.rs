@@ -10,26 +10,11 @@ use sophon::policy::standard_policies;
 use sophon::runner::{TrainingReport, TrainingRequest};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", CliOptions::usage());
-        println!("            [--explain]   print the SOPHON decision trace summary");
-        println!("            [--trace N]   print the first N samples' simulated timeline");
         return;
     }
-    let explain = if let Some(pos) = args.iter().position(|a| a == "--explain") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
-    let trace_n: Option<usize> = args.iter().position(|a| a == "--trace").map(|pos| {
-        args.remove(pos);
-        args.remove(pos).parse().unwrap_or_else(|_| {
-            eprintln!("error: --trace needs a sample count");
-            std::process::exit(2);
-        })
-    });
     let opts = match CliOptions::parse(&args) {
         Ok(o) => o,
         Err(msg) => {
@@ -39,7 +24,7 @@ fn main() {
     };
 
     if opts.modality == ModalityChoice::Audio {
-        run_audio(&opts, explain, trace_n);
+        run_audio(&opts);
         return;
     }
 
@@ -55,7 +40,7 @@ fn main() {
         scenario.config.link_bps / 1e6,
     );
 
-    if explain {
+    if opts.explain {
         let profiles = scenario.profiles();
         let ctx = sophon::engine::PlanningContext::new(
             &profiles,
@@ -73,7 +58,7 @@ SOPHON decision trace:
         );
     }
 
-    if let Some(n) = trace_n {
+    if let Some(n) = opts.trace {
         let profiles = scenario.profiles();
         let ctx = sophon::engine::PlanningContext::new(
             &profiles,
@@ -359,11 +344,7 @@ fn print_training_intro(opts: &CliOptions, request: &TrainingRequest<'_>) -> &'s
     let TrainingRequest { epochs, shards, replication, .. } = *request;
     let pct = opts.cache_budget_pct;
     let Some((budget, selection)) = request.cache else {
-        let hedging = match opts.hedge_after_ms {
-            0 => String::new(),
-            ms => format!(", hedging after {ms} ms (live transport only)"),
-        };
-        println!("\nstorage fleet: {shards} shards, {replication}-way replication{hedging}");
+        println!("\nstorage fleet: {shards} shards, {replication}-way replication");
         return "fleet";
     };
     let (gb, selection) = (budget as f64 / 1e9, selection.name());
@@ -459,7 +440,7 @@ fn print_training_report(r: &TrainingReport, chaos: bool) {
 /// The `--modality audio` path: plan the speech-like mel front-end with
 /// the same policies and cluster, using per-clip *measured* profiles
 /// instead of the imagery cost model.
-fn run_audio(opts: &CliOptions, explain: bool, trace_n: Option<usize>) {
+fn run_audio(opts: &CliOptions) {
     let workload = opts.workload();
     let config = opts.cluster_config();
     println!(
@@ -489,7 +470,7 @@ fn run_audio(opts: &CliOptions, explain: bool, trace_n: Option<usize>) {
         opts.batch,
     );
 
-    if explain {
+    if opts.explain {
         let (_, report) = sophon::explain::ExplainReport::compute(&ctx);
         println!(
             "
@@ -499,7 +480,7 @@ SOPHON decision trace:
         );
     }
 
-    if let Some(n) = trace_n {
+    if let Some(n) = opts.trace {
         let plan = sophon::engine::DecisionEngine::new().plan(&ctx);
         let works = plan.to_sample_works(&profiles).expect("plan matches profiles");
         let spec = cluster::EpochSpec::new(works, opts.batch, opts.model);

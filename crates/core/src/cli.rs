@@ -101,9 +101,6 @@ pub struct CliOptions {
     pub shards: usize,
     /// Replicas per sample across the fleet.
     pub replication: usize,
-    /// Hedge a slow fetch to a replica after this many milliseconds
-    /// (0 = never hedge).
-    pub hedge_after_ms: u64,
     /// Fault-injection intensity for fleet runs.
     pub chaos_profile: ChaosProfile,
     /// Seed driving the deterministic fault schedule.
@@ -126,6 +123,10 @@ pub struct CliOptions {
     pub brownout_tiers: Vec<f64>,
     /// Floor on the served byte fraction when brownout engages.
     pub min_fidelity: f64,
+    /// Print the SOPHON decision trace summary.
+    pub explain: bool,
+    /// Print the simulated timeline of this many leading samples.
+    pub trace: Option<usize>,
 }
 
 impl Default for CliOptions {
@@ -147,7 +148,6 @@ impl Default for CliOptions {
             cache_policy: crate::ext::caching::CacheSelection::EfficiencyAware,
             shards: 1,
             replication: 1,
-            hedge_after_ms: 0,
             chaos_profile: ChaosProfile::None,
             chaos_seed: 0,
             tenants: 1,
@@ -158,6 +158,8 @@ impl Default for CliOptions {
             replan_cooldown: 4,
             brownout_tiers: Vec::new(),
             min_fidelity: 0.25,
+            explain: false,
+            trace: None,
         }
     }
 }
@@ -177,9 +179,15 @@ impl CliOptions {
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let flag = flag.as_ref();
-            if flag == "--adaptive" {
-                opts.adaptive = true;
-                continue; // boolean switch, takes no value
+            // Boolean switches take no value.
+            let switch = match flag {
+                "--adaptive" => Some(&mut opts.adaptive),
+                "--explain" => Some(&mut opts.explain),
+                _ => None,
+            };
+            if let Some(on) = switch {
+                *on = true;
+                continue;
             }
             let value = it.next().ok_or_else(|| format!("flag {flag} needs a value"))?;
             let value = value.as_ref();
@@ -241,7 +249,6 @@ impl CliOptions {
                 }
                 "--shards" => opts.shards = parse_num(flag, value)?,
                 "--replication" => opts.replication = parse_num(flag, value)?,
-                "--hedge-after" => opts.hedge_after_ms = parse_num(flag, value)?,
                 "--chaos-profile" => {
                     opts.chaos_profile = match value {
                         "none" => ChaosProfile::None,
@@ -286,6 +293,7 @@ impl CliOptions {
                         .filter(|v| v.is_finite() && (0.0..=1.0).contains(v))
                         .ok_or_else(|| format!("invalid min fidelity '{value}' (want 0-1)"))?;
                 }
+                "--trace" => opts.trace = Some(parse_num(flag, value)?),
                 "--quota-bytes-per-sec" => {
                     opts.quota_bytes_per_sec = value
                         .parse::<f64>()
@@ -471,11 +479,12 @@ impl CliOptions {
          \u{20}          [--bandwidth-mbps F] [--model alexnet|resnet18|resnet50]\n\
          \u{20}          [--batch N] [--epochs N]\n\
          \u{20}          [--cache-budget-pct 0-100] [--cache-policy lru|size|efficiency]\n\
-         \u{20}          [--shards N] [--replication N] [--hedge-after MS]\n\
+         \u{20}          [--shards N] [--replication N]\n\
          \u{20}          [--chaos-profile none|light|aggressive|link-squeeze] [--chaos-seed N]\n\
          \u{20}          [--tenants N] [--tenant-weights W1,W2,...] [--quota-bytes-per-sec F]\n\
          \u{20}          [--adaptive] [--drift-window N] [--replan-cooldown N]\n\
          \u{20}          [--brownout-tiers F1,F2,...,1.0] [--min-fidelity F]\n\
+         \u{20}          [--explain] [--trace N]\n\
          \u{20}(--modality audio plans the speech-like mel front-end instead of the\n\
          \u{20} imagery pipeline, with per-clip measured profiles;\n\
          \u{20} --cache-budget-pct with --shards composes: a warm near-compute cache\n\
@@ -490,7 +499,9 @@ impl CliOptions {
          \u{20} adaptive loop: link-bound samples drop to the largest tier fraction\n\
          \u{20} the squeezed link affords, never below --min-fidelity;\n\
          \u{20} --chaos-profile link-squeeze throttles every link mid-epoch without\n\
-         \u{20} killing nodes — the schedule where rerouting cannot help)"
+         \u{20} killing nodes — the schedule where rerouting cannot help;\n\
+         \u{20} --explain prints the SOPHON decision trace summary;\n\
+         \u{20} --trace N prints the first N samples' simulated timeline)"
     }
 }
 
@@ -565,14 +576,11 @@ mod tests {
 
     #[test]
     fn fleet_flags_parse() {
-        let opts =
-            CliOptions::parse("--shards 4 --replication 2 --hedge-after 15".split_whitespace())
-                .unwrap();
+        let opts = CliOptions::parse("--shards 4 --replication 2".split_whitespace()).unwrap();
         assert_eq!(opts.shards, 4);
         assert_eq!(opts.replication, 2);
-        assert_eq!(opts.hedge_after_ms, 15);
         let d = CliOptions::default();
-        assert_eq!((d.shards, d.replication, d.hedge_after_ms), (1, 1, 0));
+        assert_eq!((d.shards, d.replication), (1, 1));
     }
 
     #[test]
@@ -738,6 +746,22 @@ mod tests {
         assert_eq!(opts.chaos_profile, ChaosProfile::LinkSqueeze);
         assert_eq!(opts.chaos_profile.name(), "link-squeeze");
         assert!(opts.chaos_kills().is_empty(), "a squeeze degrades links, never kills nodes");
+    }
+
+    #[test]
+    fn explain_and_trace_flags_parse() {
+        let d = CliOptions::default();
+        assert_eq!((d.explain, d.trace), (false, None));
+        // --explain is a switch: the next token is parsed as its own flag.
+        let opts =
+            CliOptions::parse("--explain --trace 5 --samples 64".split_whitespace()).unwrap();
+        assert!(opts.explain);
+        assert_eq!(opts.trace, Some(5));
+        assert_eq!(opts.samples, 64);
+        assert!(CliOptions::parse(["--samples", "64", "--trace"])
+            .unwrap_err()
+            .contains("--trace needs a value"));
+        assert!(CliOptions::parse(["--trace", "five"]).unwrap_err().contains("'five' for --trace"));
     }
 
     #[test]

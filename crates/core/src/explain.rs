@@ -6,13 +6,11 @@
 //! which resource finally bound, and how close to balanced the cluster
 //! ended up.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{DecisionEngine, PlanningContext};
 use crate::{Bottleneck, CostVector, OffloadPlan};
 
 /// A condensed account of one planning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// Cost vector before any offloading.
     pub baseline: CostVector,
@@ -31,7 +29,7 @@ pub struct ExplainReport {
 }
 
 /// Why the engine stopped offloading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The workload was never network-bound; nothing was offloaded.
     NotIoBound,

@@ -12,7 +12,6 @@
 use cluster::SampleWork;
 use datasets::{model, SampleRecord};
 use pipeline::SplitPoint;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::PlanningContext;
 use crate::{CostVector, OffloadPlan, SophonError};
@@ -39,7 +38,7 @@ impl Default for CompressionExt {
 }
 
 /// The outcome of compression planning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionReport {
     /// Samples whose transfer payload is re-encoded.
     pub compressed_samples: u64,

@@ -50,7 +50,6 @@ use cluster::{
 };
 use fleet::ShardMap;
 use pipeline::SplitPoint;
-use serde::{Deserialize, Serialize};
 use telemetry::{CusumDetector, DriftConfig, TelemetryHub};
 
 use crate::engine::PlanningContext;
@@ -58,7 +57,7 @@ use crate::ext::sharding::{owner_lists, plan_fleet, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
 /// Tuning of the [`FeedbackController`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackConfig {
     /// Samples per channel window feeding the drift statistic.
     pub drift_window: usize,
@@ -104,7 +103,7 @@ impl Default for FeedbackConfig {
 /// cooldown-gated and deadband-filtered for free, and the
 /// [`FeedbackConfig::recovery_decay`] machinery walks fidelity back to
 /// full as the link estimate decays toward nominal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrownoutConfig {
     /// Byte fraction of the full encoding at each fidelity tier, ascending
     /// and ending at `1.0` — the planner-side mirror of the stored
@@ -158,7 +157,7 @@ impl BrownoutConfig {
 }
 
 /// One channel's contribution to a replan decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelDrift {
     /// The telemetry channel that drifted (e.g. `node2.link`).
     pub channel: String,
@@ -167,7 +166,7 @@ pub struct ChannelDrift {
 }
 
 /// A replan the controller committed to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanEvent {
     /// The batch before which the replan takes effect.
     pub batch: u64,
@@ -360,7 +359,7 @@ pub fn link_channel(node: usize) -> String {
 /// A deterministic mid-epoch disturbance for chaos runs: at `at_batch`,
 /// node `node`'s service speed and link bandwidth are multiplied by the
 /// given factors (relative to nominal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
     /// Batch before which the disturbance lands.
     pub at_batch: u64,
@@ -447,7 +446,7 @@ fn splitmix(seed: u64, i: u64) -> u64 {
 }
 
 /// The outcome of one (possibly feedback-controlled) fleet epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveEpochReport {
     /// Virtual seconds until the last batch left the GPU.
     pub epoch_seconds: f64,

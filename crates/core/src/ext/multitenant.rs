@@ -10,7 +10,6 @@
 
 use cluster::GpuModel;
 use pipeline::{PipelineSpec, SampleProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{DecisionEngine, PlanningContext};
 use crate::{OffloadPlan, SophonError};
@@ -34,7 +33,7 @@ pub struct TenantJob {
 }
 
 /// A scheduler decision for one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantAllocation {
     /// Job name.
     pub name: String,
@@ -113,7 +112,7 @@ pub fn allocate_storage_cores(
 }
 
 /// A joint grant of storage cores and link bandwidth for one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceAllocation {
     /// Job name.
     pub name: String,

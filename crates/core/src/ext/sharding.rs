@@ -52,7 +52,6 @@
 use cluster::{ClusterConfig, FleetNodeConfig};
 use fleet::ShardMap;
 use pipeline::{SampleProfile, SplitPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};
 use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
@@ -60,7 +59,7 @@ use crate::ext::feedback::BrownoutConfig;
 use crate::{OffloadPlan, SophonError};
 
 /// One shard's slice of a fleet plan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardPlanStats {
     /// The shard (storage node) index.
     pub shard: usize,

@@ -143,18 +143,6 @@ impl<T: FetchTransport> OffloadingLoader<T> {
         &self.plan
     }
 
-    /// The fidelity cap currently attached to raw fetches.
-    pub fn max_tier(&self) -> Option<u8> {
-        self.config.max_tier
-    }
-
-    /// Sets (or clears) the fidelity cap for subsequent raw fetches — the
-    /// brownout controller's live actuator. Takes effect from the next
-    /// batch; `None` restores full fidelity.
-    pub fn set_max_tier(&mut self, cap: Option<u8>) {
-        self.config.max_tier = cap;
-    }
-
     /// The underlying transport (e.g. to read cache or retry counters off
     /// a decorated transport after an epoch).
     pub fn transport(&self) -> &T {

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Which resource dominates an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
     /// GPU compute (`T_G` predominant).
     Gpu,
@@ -23,7 +21,7 @@ pub enum Bottleneck {
 /// In a well-pipelined epoch the makespan approaches
 /// `max(t_g, t_cc, t_cs, t_net)`, so the decision engine drives `t_net`
 /// down only while it is the predominant term.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostVector {
     /// GPU seconds per epoch.
     pub t_g: f64,

@@ -1,6 +1,5 @@
 use cluster::SampleWork;
 use pipeline::{SampleProfile, SplitPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::SophonError;
 
@@ -9,7 +8,7 @@ use crate::SophonError;
 /// Entry `i` names how many leading pipeline operations sample `i` executes
 /// on the storage node. The plan is what SOPHON attaches to fetch requests
 /// (paper Figure 2, step d).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffloadPlan {
     splits: Vec<SplitPoint>,
 }
@@ -127,7 +126,7 @@ impl OffloadPlan {
 }
 
 /// Aggregate demands implied by an [`OffloadPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanSummary {
     /// Samples covered.
     pub samples: u64,

@@ -12,13 +12,11 @@ pub use no_off::NoOffPolicy;
 pub use resize_off::ResizeOffPolicy;
 pub use sophon::SophonPolicy;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::PlanningContext;
 use crate::{OffloadPlan, SophonError};
 
 /// The capability matrix of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Offloads any preprocessing at all.
     pub offloads_preprocessing: bool,

@@ -1,5 +1,4 @@
 use cluster::{simulate_epoch, EpochSpec, GpuModel, SampleWork};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::PlanningContext;
 use crate::SophonError;
@@ -9,7 +8,7 @@ use crate::SophonError;
 pub const PROBE_BATCHES: usize = 50;
 
 /// Stage-1 verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// GPU throughput is the limiter; offloading cannot help.
     GpuBound,
@@ -26,7 +25,7 @@ pub enum WorkloadClass {
 /// cluster with the other two resources idled, mirroring the paper's three
 /// settings: (1) GPU on synthetic data, (2) fetch-only I/O, (3) CPU
 /// preprocessing over cached data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage1Probe {
     /// Images/second sustained by the GPU alone.
     pub gpu_throughput: f64,

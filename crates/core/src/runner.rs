@@ -11,7 +11,6 @@
 use cluster::{simulate_epoch, ClusterConfig, EpochSpec, EpochStats, GpuModel};
 use datasets::DatasetSpec;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::PlanningContext;
 use crate::ext::caching::{self, CacheSelection};
@@ -156,7 +155,7 @@ impl TrainingRequest<'_> {
 }
 
 /// What a run's near-compute cache held.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheReport {
     /// Cache bytes occupied (at most the request's budget).
     pub cached_bytes: u64,
@@ -165,7 +164,7 @@ pub struct CacheReport {
 }
 
 /// The outcome of a multi-epoch training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// Policy name.
     pub policy: String,
@@ -304,7 +303,7 @@ impl Scenario {
 }
 
 /// The outcome of one policy run on one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Policy name.
     pub policy: String,

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod manifest;
 pub mod model;
 mod record;
 mod spec;

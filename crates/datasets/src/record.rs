@@ -1,5 +1,4 @@
 use pipeline::{CostModel, DataKind, OpKind, PipelineSpec, SampleProfile, StageMeasurement};
-use serde::{Deserialize, Serialize};
 
 /// Deterministic metadata of one synthetic sample.
 ///
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// complexity, and modeled encoded size, [`SampleRecord::analytic_profile`]
 /// derives the exact per-stage sizes and modeled CPU costs that measuring
 /// the materialized sample would produce — without touching pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleRecord {
     /// Sample index within its dataset.
     pub id: u64,

@@ -1,7 +1,6 @@
 use codec::Quality;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::model;
 use crate::record::SampleRecord;
@@ -12,7 +11,7 @@ use crate::record::SampleRecord;
 /// log. The calibrated corpora pin the two statistics the paper reports: the
 /// fraction of samples above the 150 528-byte post-crop size, and the mean
 /// sample size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeModel {
     /// Median encoded size in bytes.
     pub median_bytes: f64,
@@ -25,7 +24,7 @@ pub struct SizeModel {
 }
 
 /// Truncated-normal distribution of content complexity in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexityModel {
     /// Mean complexity.
     pub mean: f64,
@@ -34,7 +33,7 @@ pub struct ComplexityModel {
 }
 
 /// Mix of aspect ratios samples are drawn from (width : height).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AspectMix {
     /// `(aspect ratio, relative weight)` choices.
     pub choices: Vec<(f64, f64)>,
@@ -74,7 +73,7 @@ impl AspectMix {
 ///
 /// Every sample's metadata is a pure function of `(spec, sample id)`;
 /// [`DatasetSpec::materialize`] additionally renders the real image bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Human-readable corpus name (appears in reports).
     pub name: String,
@@ -194,19 +193,6 @@ impl DatasetSpec {
         (0..self.len).map(|id| self.record(id))
     }
 
-    /// Iterates over the records assigned to shard `rank` of `world` equal
-    /// shards (round-robin by id), as a distributed data loader would
-    /// partition the corpus.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `world == 0` or `rank >= world`.
-    pub fn records_shard(&self, rank: u64, world: u64) -> impl Iterator<Item = SampleRecord> + '_ {
-        assert!(world > 0, "world size must be positive");
-        assert!(rank < world, "rank {rank} out of range for world {world}");
-        (rank..self.len).step_by(world as usize).map(|id| self.record(id))
-    }
-
     /// Renders sample `id` and encodes it with the real codec, returning the
     /// encoded bytes. Expensive — intended for functional tests, examples,
     /// and the live storage server.
@@ -324,31 +310,6 @@ mod tests {
         let portrait = ds.records().filter(|r| r.width < r.height).count();
         assert!(landscape > 250, "landscape = {landscape}");
         assert!(portrait > 50, "portrait = {portrait}");
-    }
-
-    #[test]
-    fn shards_partition_the_corpus() {
-        let ds = DatasetSpec::openimages_like(103, 8);
-        let world = 4u64;
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0usize;
-        for rank in 0..world {
-            for r in ds.records_shard(rank, world) {
-                assert!(seen.insert(r.id), "sample {} in two shards", r.id);
-                total += 1;
-            }
-        }
-        assert_eq!(total, 103);
-        // Shard sizes are balanced within one sample.
-        let sizes: Vec<usize> = (0..world).map(|r| ds.records_shard(r, world).count()).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_shard_rank_panics() {
-        let ds = DatasetSpec::mini(10, 1);
-        let _ = ds.records_shard(4, 4).count();
     }
 
     #[test]

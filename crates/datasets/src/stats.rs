@@ -1,12 +1,11 @@
 //! Corpus-level statistics: the quantities behind the paper's Figure 1.
 
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::DatasetSpec;
 
 /// Aggregate statistics of a corpus under a preprocessing pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStats {
     /// Corpus name.
     pub name: String,

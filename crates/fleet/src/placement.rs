@@ -105,21 +105,20 @@ impl ShardMap {
         }
         owners
     }
-
-    /// Per-node primary-sample counts over `0..samples` (load-balance
-    /// diagnostics and per-shard planning).
-    pub fn primary_counts(&self, samples: u64) -> Vec<u64> {
-        let mut counts = vec![0u64; self.nodes];
-        for id in 0..samples {
-            counts[self.primary(id)] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-node primary-sample counts over `0..samples`.
+    fn primary_counts(map: &ShardMap, samples: u64) -> Vec<u64> {
+        let mut counts = vec![0u64; map.nodes];
+        for id in 0..samples {
+            counts[map.primary(id)] += 1;
+        }
+        counts
+    }
 
     #[test]
     fn same_seed_same_map() {
@@ -159,7 +158,7 @@ mod tests {
         // same raw input, so without stream separation every id below
         // `VNODES` landed exactly on a node-0 ring point.
         let map = ShardMap::new(4, 2, 42);
-        let counts = map.primary_counts(VNODES as u64);
+        let counts = primary_counts(&map, VNODES as u64);
         assert!(
             counts[0] < VNODES as u64 / 2,
             "node 0 holds {} of the first {VNODES} ids",
@@ -171,7 +170,7 @@ mod tests {
     #[test]
     fn load_is_roughly_balanced() {
         let map = ShardMap::new(4, 1, 42);
-        let counts = map.primary_counts(8_000);
+        let counts = primary_counts(&map, 8_000);
         let expected = 8_000.0 / 4.0;
         for (node, &c) in counts.iter().enumerate() {
             let skew = (c as f64 - expected).abs() / expected;

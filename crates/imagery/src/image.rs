@@ -113,11 +113,6 @@ impl RasterImage {
         &mut self.data
     }
 
-    /// Consumes the image and returns the raw interleaved RGB bytes.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
     #[inline]
     fn offset(&self, x: u32, y: u32) -> usize {
         (y as usize * self.width as usize + x as usize) * CHANNELS
@@ -248,18 +243,6 @@ impl RasterImage {
         }
         RasterImage { width: new_width, height: new_height, data }
     }
-
-    /// Mean value of each channel across the whole image, in `[0, 255]`.
-    pub fn channel_means(&self) -> [f64; CHANNELS] {
-        let mut sums = [0f64; CHANNELS];
-        for px in self.data.chunks_exact(CHANNELS) {
-            for c in 0..CHANNELS {
-                sums[c] += f64::from(px[c]);
-            }
-        }
-        let n = self.pixel_count() as f64;
-        sums.map(|s| s / n)
-    }
 }
 
 #[cfg(test)]
@@ -346,13 +329,6 @@ mod tests {
         let out = img.resize_bilinear(224, 224);
         assert_eq!(out.raw_len(), 224 * 224 * 3);
         assert_eq!(out.raw_len(), 150_528);
-    }
-
-    #[test]
-    fn channel_means_of_fill() {
-        let img = RasterImage::filled(7, 3, Rgb::new(10, 20, 30));
-        let m = img.channel_means();
-        assert_eq!(m, [10.0, 20.0, 30.0]);
     }
 
     /// The per-pixel bilinear resize `resize_bilinear` is checked against:

@@ -33,5 +33,5 @@ mod token_bucket;
 
 pub use bandwidth::Bandwidth;
 pub use link::VirtualLink;
-pub use meter::{MeterInterval, MeterSnapshot, MeterWindow, TrafficMeter};
+pub use meter::{MeterSnapshot, TrafficMeter};
 pub use token_bucket::TokenBucket;

@@ -1,4 +1,3 @@
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -155,133 +154,6 @@ impl MeterSnapshot {
         }
         total
     }
-
-    /// The counter delta from `earlier` to `self` over `seconds` elapsed
-    /// time (the caller's clock — virtual or wall). Deltas saturate at
-    /// zero, so a meter reset between the two readings yields an empty
-    /// interval rather than an underflow.
-    pub fn interval_since(&self, earlier: &MeterSnapshot, seconds: f64) -> MeterInterval {
-        MeterInterval {
-            label: self.label.clone(),
-            seconds,
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            messages: self.messages.saturating_sub(earlier.messages),
-        }
-    }
-}
-
-/// Traffic carried over one interval of time, derived from two snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeterInterval {
-    /// Which link or node this interval came from.
-    pub label: String,
-    /// Elapsed seconds the interval covers.
-    pub seconds: f64,
-    /// Bytes recorded during the interval.
-    pub bytes: u64,
-    /// Messages recorded during the interval.
-    pub messages: u64,
-}
-
-impl MeterInterval {
-    /// Throughput over the interval; `None` when it spans no time.
-    pub fn bytes_per_sec(&self) -> Option<f64> {
-        if self.seconds > 0.0 {
-            Some(self.bytes as f64 / self.seconds)
-        } else {
-            None
-        }
-    }
-}
-
-/// A bounded history of timestamped meter readings yielding windowed
-/// interval snapshots — the bridge between a cumulative [`TrafficMeter`]
-/// and a telemetry rate channel.
-///
-/// ```
-/// use netsim::{MeterWindow, TrafficMeter};
-/// let meter = TrafficMeter::new();
-/// let mut window = MeterWindow::new("node0", 64);
-/// window.observe(0.0, &meter);
-/// meter.record(1000);
-/// meter.record(1000);
-/// window.observe(2.0, &meter);
-/// let interval = window.interval_over(10.0, 2.0).unwrap();
-/// assert_eq!(interval.bytes, 2000);
-/// assert_eq!(interval.messages, 2);
-/// assert_eq!(interval.bytes_per_sec(), Some(1000.0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct MeterWindow {
-    label: String,
-    capacity: usize,
-    readings: VecDeque<(f64, u64, u64)>,
-}
-
-impl MeterWindow {
-    /// Creates a window retaining up to `capacity` readings.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity < 2` — a rate needs at least two readings
-    /// (allocation-time invariant).
-    pub fn new(label: impl Into<String>, capacity: usize) -> MeterWindow {
-        assert!(capacity >= 2, "a meter window needs capacity for at least two readings");
-        MeterWindow { label: label.into(), capacity, readings: VecDeque::new() }
-    }
-
-    /// Records a coherent reading of `meter` at time `t`. Readings with a
-    /// timestamp earlier than the newest retained one are rejected
-    /// (returns `false`) so a wall-clock hiccup cannot corrupt the window.
-    pub fn observe(&mut self, t: f64, meter: &TrafficMeter) -> bool {
-        if !t.is_finite() {
-            return false;
-        }
-        if let Some(&(newest, _, _)) = self.readings.back() {
-            if t < newest {
-                return false;
-            }
-        }
-        if self.readings.len() == self.capacity {
-            self.readings.pop_front();
-        }
-        let snap = meter.snapshot(self.label.clone());
-        self.readings.push_back((t, snap.bytes, snap.messages));
-        true
-    }
-
-    /// The interval between the oldest retained reading newer than
-    /// `now - window_seconds` and the newest reading. `None` until two
-    /// readings land in the window or while the window spans no time.
-    pub fn interval_over(&self, window_seconds: f64, now: f64) -> Option<MeterInterval> {
-        let since = now - window_seconds;
-        let first = self.readings.iter().find(|&&(t, _, _)| t >= since)?;
-        let last = self.readings.back()?;
-        if last.0 <= first.0 {
-            return None;
-        }
-        Some(MeterInterval {
-            label: self.label.clone(),
-            seconds: last.0 - first.0,
-            bytes: last.1.saturating_sub(first.1),
-            messages: last.2.saturating_sub(first.2),
-        })
-    }
-
-    /// The window's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Retained reading count.
-    pub fn len(&self) -> usize {
-        self.readings.len()
-    }
-
-    /// True before the first accepted reading.
-    pub fn is_empty(&self) -> bool {
-        self.readings.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -372,48 +244,5 @@ mod tests {
         meter.reset();
         assert_eq!(meter.bytes(), 0);
         assert_eq!(meter.messages(), 0);
-    }
-
-    #[test]
-    fn interval_since_saturates_across_reset() {
-        let meter = TrafficMeter::new();
-        meter.record(100);
-        let early = meter.snapshot("n");
-        meter.record(50);
-        let late = meter.snapshot("n");
-        let interval = late.interval_since(&early, 2.0);
-        assert_eq!(interval.bytes, 50);
-        assert_eq!(interval.messages, 1);
-        assert_eq!(interval.bytes_per_sec(), Some(25.0));
-
-        meter.reset();
-        let post_reset = meter.snapshot("n");
-        let empty = post_reset.interval_since(&late, 1.0);
-        assert_eq!((empty.bytes, empty.messages), (0, 0));
-    }
-
-    #[test]
-    fn meter_window_rates_and_eviction() {
-        let meter = TrafficMeter::new();
-        let mut window = MeterWindow::new("node0", 4);
-        assert!(window.is_empty());
-        assert_eq!(window.interval_over(10.0, 0.0), None);
-        for step in 0..6u64 {
-            meter.record(500);
-            assert!(window.observe(step as f64, &meter));
-        }
-        assert_eq!(window.len(), 4, "capacity bounds the history");
-        // Readings retained: t = 2..=5 with cumulative bytes 1500..=3000.
-        let all = window.interval_over(100.0, 5.0).unwrap();
-        assert_eq!(all.bytes, 1500);
-        assert_eq!(all.messages, 3);
-        assert_eq!(all.bytes_per_sec(), Some(500.0));
-        // A tighter window sees only the newest span.
-        let recent = window.interval_over(1.0, 5.0).unwrap();
-        assert_eq!(recent.bytes, 500);
-        // Rewinds are rejected without corrupting the history.
-        assert!(!window.observe(1.0, &meter));
-        assert!(!window.observe(f64::NAN, &meter));
-        assert_eq!(window.len(), 4);
     }
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{OpKind, StageData};
 
 /// Analytic CPU-cost model for preprocessing operations, in virtual seconds.
@@ -23,7 +21,7 @@ use crate::{OpKind, StageData};
 /// let f = m.op_seconds_for_dims(OpKind::RandomHorizontalFlip, 50_176, 150_528, 50_176, 150_528);
 /// assert!(f < 0.001, "flip cost {f}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Decode: nanoseconds per decoded pixel.
     pub decode_ns_per_pixel: f64,

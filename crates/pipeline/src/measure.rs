@@ -5,13 +5,11 @@
 //! while recording the byte size after every operation and each operation's
 //! CPU cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SampleKey;
 use crate::{CostModel, OpKind, PipelineError, PipelineSpec, SplitPoint, StageData};
 
 /// One operation's measurement within a [`SampleProfile`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageMeasurement {
     /// The operation measured.
     pub op: OpKind,
@@ -25,7 +23,7 @@ pub struct StageMeasurement {
 ///
 /// Stage indices are as in [`PipelineSpec::kind_at`]: stage 0 is the raw
 /// encoded sample; stage `i` is the output of operation `i - 1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleProfile {
     /// Sample index within its dataset.
     pub sample_id: u64,
@@ -114,11 +112,6 @@ impl SampleProfile {
         self.prefix_seconds(self.stages.len())
     }
 
-    /// Bytes saved by transferring at the minimum stage instead of raw.
-    pub fn max_savings(&self) -> u64 {
-        self.raw_bytes - self.min_stage().1
-    }
-
     /// The paper's *offloading efficiency*: bytes of traffic saved per
     /// second of storage-node CPU spent, at the optimal split. Zero when the
     /// raw form is already minimal.
@@ -197,7 +190,6 @@ mod tests {
         let (stage, _) = p.min_stage();
         assert_eq!(stage, 0, "small image should be smallest raw");
         assert_eq!(p.efficiency(), 0.0);
-        assert_eq!(p.max_savings(), 0);
         assert_eq!(p.best_split(), SplitPoint::NONE);
     }
 
@@ -211,17 +203,6 @@ mod tests {
             last = s;
         }
         assert!(p.total_seconds() > 0.0);
-    }
-
-    #[test]
-    fn efficiency_prefers_bigger_savings_for_same_work() {
-        // Larger raw size with the same decode target means more savings per
-        // CPU second.
-        let big = profile_of(1600, 1200, 0.9);
-        let small = profile_of(640, 480, 0.9);
-        if big.min_stage().0 > 0 && small.min_stage().0 > 0 {
-            assert!(big.max_savings() > small.max_savings());
-        }
     }
 
     #[test]

@@ -17,8 +17,6 @@ mod to_tensor;
 pub(crate) use random_resized_crop::decode_crop_and_resize;
 pub use random_resized_crop::CropParams;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AugmentRng, DataKind, PipelineError, StageData};
 
 /// A preprocessing operation, with its parameters.
@@ -27,7 +25,7 @@ use crate::{AugmentRng, DataKind, PipelineError, StageData};
 /// `[Decode, RandomResizedCrop{224}, RandomHorizontalFlip, ToTensor,
 /// Normalize]`; the evaluation pipeline replaces the two random ops with
 /// `Resize{256}` + `CenterCrop{224}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Encoded bytes → raster image.
     Decode,
@@ -224,18 +222,5 @@ mod tests {
         assert!(!OpKind::ToTensor.is_random());
         assert!(!OpKind::Normalize.is_random());
         assert!(!OpKind::Resize { size: 256 }.is_random());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let op = OpKind::RandomResizedCrop { size: 224 };
-        let s = serde_json_like(&op);
-        assert!(s.contains("RandomResizedCrop"));
-    }
-
-    // Minimal smoke check that Serialize derives are present without pulling
-    // in serde_json: format via the Debug of the serde-generated structure.
-    fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(v: &T) -> String {
-        format!("{v:?}")
     }
 }

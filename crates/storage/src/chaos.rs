@@ -9,31 +9,20 @@
 //! fault sequence, and a chaos failure found in CI reproduces locally from
 //! nothing but the seed.
 //!
-//! The plan drives two injectors:
+//! The plan drives a [`ServerFaultInjector`]: shared state a
+//! [`TcpStorageServer`](crate::TcpStorageServer) consults per fetch. The
+//! connection writer then drops, delays, truncates, or bit-flips the
+//! already-encoded response frame on the wire itself, so the client's
+//! production CRC path is what detects corruption.
 //!
-//! * [`FaultInjectingTransport`] — a client-side [`FetchTransport`]
-//!   decorator that perturbs batches before/after they reach the inner
-//!   transport. Corruption faults round-trip the real response through the
-//!   [`wire`] encoder, mutate the encoded bytes, and feed them back through
-//!   the real decoder, so the production CRC path is what detects them.
-//! * [`ServerFaultInjector`] — shared state a
-//!   [`TcpStorageServer`](crate::TcpStorageServer) consults per fetch; the
-//!   connection writer then drops, delays, truncates, or bit-flips the
-//!   already-encoded response frame on the wire itself.
-//!
-//! Every plan stops injecting once a key's attempt count reaches
-//! [`FaultPlan::fault_attempts`], so a bounded retry budget always
-//! converges: chaos perturbs the path, it never makes progress impossible.
+//! Random faults stop once a key's attempt count reaches the plan's fault
+//! attempt bound, so a bounded retry budget always converges: chaos
+//! perturbs the path, it never makes progress impossible.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use pipeline::PipelineSpec;
-
-use crate::protocol::Response;
-use crate::wire;
-use crate::{ClientError, FetchRequest, FetchResponse, FetchTransport};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +65,7 @@ pub struct FaultDirective {
 /// One injected fault, as recorded by an injector's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultRecord {
-    /// Node the injector belongs to (0 for a lone transport).
+    /// Node the injector belongs to.
     pub node: usize,
     /// The faulted sample.
     pub sample_id: u64,
@@ -118,13 +107,15 @@ pub struct FaultPlan {
     truncate_rate: f64,
     bit_flip_rate: f64,
     error_rate: f64,
+    /// Random faults only strike while a key's attempt index is below
+    /// this; scripted faults are exempt.
     fault_attempts: u32,
     scripted: BTreeMap<(u64, u64, u32), FaultKind>,
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (rates all zero); add faults with the
-    /// builder methods or [`FaultPlan::script`].
+    /// A plan that injects nothing (rates all zero); add faults with
+    /// [`FaultPlan::with_errors`] or [`FaultPlan::script`].
     pub fn quiet(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -143,51 +134,20 @@ impl FaultPlan {
     /// multi-fault batches routine, injecting on the first two attempts of
     /// each key.
     pub fn aggressive(seed: u64) -> FaultPlan {
-        FaultPlan::quiet(seed)
-            .with_drops(0.04)
-            .with_delays(0.10, Duration::from_millis(2))
-            .with_truncations(0.05)
-            .with_bit_flips(0.05)
-            .with_errors(0.05)
-            .with_fault_attempts(2)
-    }
-
-    /// Sets the response-drop rate.
-    pub fn with_drops(mut self, rate: f64) -> FaultPlan {
-        self.drop_rate = rate;
-        self
-    }
-
-    /// Sets the delay rate and per-fault delay.
-    pub fn with_delays(mut self, rate: f64, delay: Duration) -> FaultPlan {
-        self.delay_rate = rate;
-        self.delay = delay;
-        self
-    }
-
-    /// Sets the frame-truncation rate.
-    pub fn with_truncations(mut self, rate: f64) -> FaultPlan {
-        self.truncate_rate = rate;
-        self
-    }
-
-    /// Sets the bit-flip rate.
-    pub fn with_bit_flips(mut self, rate: f64) -> FaultPlan {
-        self.bit_flip_rate = rate;
-        self
+        FaultPlan {
+            drop_rate: 0.04,
+            delay_rate: 0.10,
+            truncate_rate: 0.05,
+            bit_flip_rate: 0.05,
+            error_rate: 0.05,
+            fault_attempts: 2,
+            ..FaultPlan::quiet(seed)
+        }
     }
 
     /// Sets the injected-server-error rate.
     pub fn with_errors(mut self, rate: f64) -> FaultPlan {
         self.error_rate = rate;
-        self
-    }
-
-    /// Random faults only strike while a key's attempt index is below
-    /// `n` — the convergence guarantee for bounded retry budgets.
-    /// Scripted faults are exempt.
-    pub fn with_fault_attempts(mut self, n: u32) -> FaultPlan {
-        self.fault_attempts = n;
         self
     }
 
@@ -208,11 +168,6 @@ impl FaultPlan {
     pub fn reseeded(mut self, seed: u64) -> FaultPlan {
         self.seed = seed;
         self
-    }
-
-    /// Attempt index at/after which random faults stop firing.
-    pub fn fault_attempts(&self) -> u32 {
-        self.fault_attempts
     }
 
     /// The fault (if any) for one `(sample, epoch, attempt)` fetch — a pure
@@ -331,166 +286,9 @@ impl ServerFaultInjector {
     }
 }
 
-/// A client-side [`FetchTransport`] decorator injecting faults from a
-/// [`FaultPlan`].
-///
-/// Per batch call, every request's `(sample, epoch)` attempt counter is
-/// bumped and the first faulted request (in batch order) decides the
-/// batch's fate — one injected fault per call keeps attempt accounting
-/// deterministic. Corruption faults are applied to the *encoded* response
-/// and pushed through the real wire decoder, so what the caller observes
-/// is exactly what the CRC layer produces.
-#[derive(Debug)]
-pub struct FaultInjectingTransport<T> {
-    inner: T,
-    node: usize,
-    plan: FaultPlan,
-    attempts: HashMap<(u64, u64), u32>,
-    log: Vec<FaultRecord>,
-}
-
-impl<T: FetchTransport> FaultInjectingTransport<T> {
-    /// Wraps `inner` with faults drawn from `plan` (node label 0).
-    pub fn new(inner: T, plan: FaultPlan) -> FaultInjectingTransport<T> {
-        Self::for_node(inner, 0, plan)
-    }
-
-    /// Wraps `inner`, labelling log records with `node`.
-    pub fn for_node(inner: T, node: usize, plan: FaultPlan) -> FaultInjectingTransport<T> {
-        FaultInjectingTransport { inner, node, plan, attempts: HashMap::new(), log: Vec::new() }
-    }
-
-    /// Faults injected so far, in injection order.
-    pub fn log(&self) -> &[FaultRecord] {
-        &self.log
-    }
-
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> usize {
-        self.log.len()
-    }
-
-    /// A reference to the wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// Corrupts the target response via a wire round-trip and returns the
-    /// decoder's verdict as the batch error.
-    fn corrupt_and_decode(
-        resp: &FetchResponse,
-        kind: FaultKind,
-        salt: u64,
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        let mut bytes = Vec::new();
-        wire::encode_response_into(0, &Response::Data(resp.clone()), &mut bytes);
-        match kind {
-            FaultKind::Truncate => truncate_payload(&mut bytes, salt),
-            _ => flip_bit(&mut bytes, salt),
-        }
-        match wire::decode_response_framed(&bytes) {
-            Err(e) => Err(ClientError::from(e)),
-            // CRC32 catches every ≤32-bit burst, so this arm is
-            // unreachable for single flips; stay total anyway.
-            Ok(_) => Err(ClientError::Corrupted),
-        }
-    }
-}
-
-impl<T: FetchTransport> FetchTransport for FaultInjectingTransport<T> {
-    fn configure(&mut self, dataset_seed: u64, pipeline: PipelineSpec) -> Result<(), ClientError> {
-        self.inner.configure(dataset_seed, pipeline)
-    }
-
-    fn fetch_many_requests(
-        &mut self,
-        requests: &[FetchRequest],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        let mut fault: Option<(u64, FaultDirective)> = None;
-        for req in requests {
-            let slot = self.attempts.entry((req.sample_id, req.epoch)).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            if fault.is_none() {
-                if let Some(d) = self.plan.fault_for(req.sample_id, req.epoch, attempt) {
-                    self.log.push(FaultRecord {
-                        node: self.node,
-                        sample_id: req.sample_id,
-                        epoch: req.epoch,
-                        attempt,
-                        kind: d.kind.name(),
-                    });
-                    fault = Some((req.sample_id, d));
-                }
-            }
-        }
-        match fault {
-            None => self.inner.fetch_many_requests(requests),
-            Some((_, FaultDirective { kind: FaultKind::Drop, .. })) => {
-                Err(ClientError::DeadlineExceeded)
-            }
-            Some((_, FaultDirective { kind: FaultKind::Delay(d), .. })) => {
-                std::thread::sleep(d);
-                self.inner.fetch_many_requests(requests)
-            }
-            Some((sample_id, FaultDirective { kind: FaultKind::Error, .. })) => {
-                Err(ClientError::Server {
-                    sample_id: Some(sample_id),
-                    message: "injected storage fault".into(),
-                })
-            }
-            Some((sample_id, FaultDirective { kind, salt })) => {
-                let out = self.inner.fetch_many_requests(requests)?;
-                match out.iter().find(|r| r.sample_id == sample_id) {
-                    Some(resp) => Self::corrupt_and_decode(resp, kind, salt),
-                    None => Ok(out),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use pipeline::{SplitPoint, StageData};
-
-    /// Always succeeds, returning a fixed payload per request.
-    struct Perfect {
-        calls: usize,
-    }
-
-    impl FetchTransport for Perfect {
-        fn configure(&mut self, _: u64, _: PipelineSpec) -> Result<(), ClientError> {
-            Ok(())
-        }
-
-        fn fetch_many_requests(
-            &mut self,
-            requests: &[FetchRequest],
-        ) -> Result<Vec<FetchResponse>, ClientError> {
-            self.calls += 1;
-            Ok(requests
-                .iter()
-                .map(|r| FetchResponse {
-                    sample_id: r.sample_id,
-                    ops_applied: 0,
-                    data: StageData::Encoded(Bytes::from_static(b"sample payload bytes")),
-                    tier: None,
-                })
-                .collect())
-        }
-    }
-
-    fn reqs(ids: &[u64]) -> Vec<FetchRequest> {
-        ids.iter().map(|&id| FetchRequest::new(id, 0, SplitPoint::NONE)).collect()
-    }
 
     #[test]
     fn fault_schedule_is_a_pure_function_of_the_seed() {
@@ -510,7 +308,7 @@ mod tests {
     fn faults_stop_after_the_attempt_bound() {
         let plan = FaultPlan::aggressive(11);
         for sample in 0..100u64 {
-            for attempt in plan.fault_attempts()..plan.fault_attempts() + 4 {
+            for attempt in plan.fault_attempts..plan.fault_attempts + 4 {
                 assert_eq!(plan.fault_for(sample, 0, attempt), None, "attempt {attempt} faulted");
             }
         }
@@ -522,54 +320,6 @@ mod tests {
         assert_eq!(plan.fault_for(9, 2, 1).map(|d| d.kind), Some(FaultKind::BitFlip));
         assert_eq!(plan.fault_for(9, 2, 0), None);
         assert_eq!(plan.fault_for(8, 2, 1), None);
-    }
-
-    #[test]
-    fn drop_fault_surfaces_as_deadline_exceeded_then_clears() {
-        let plan = FaultPlan::quiet(5).script(1, 0, 0, FaultKind::Drop);
-        let mut t = FaultInjectingTransport::new(Perfect { calls: 0 }, plan);
-        assert!(matches!(t.fetch_many_requests(&reqs(&[1])), Err(ClientError::DeadlineExceeded)));
-        // Attempt 1 is clean: the retry converges.
-        assert_eq!(t.fetch_many_requests(&reqs(&[1])).unwrap().len(), 1);
-        assert_eq!(t.injected(), 1);
-        assert_eq!(t.log()[0].kind, "drop");
-    }
-
-    #[test]
-    fn corruption_faults_are_detected_by_the_real_decoder() {
-        for kind in [FaultKind::Truncate, FaultKind::BitFlip] {
-            let plan = FaultPlan::quiet(5).script(2, 0, 0, kind);
-            let mut t = FaultInjectingTransport::new(Perfect { calls: 0 }, plan);
-            let err = t.fetch_many_requests(&reqs(&[2])).unwrap_err();
-            assert!(
-                matches!(err, ClientError::Corrupted | ClientError::Wire(_)),
-                "{kind:?} surfaced as {err:?}"
-            );
-            assert_eq!(t.fetch_many_requests(&reqs(&[2])).unwrap().len(), 1);
-        }
-    }
-
-    #[test]
-    fn error_fault_names_the_sample() {
-        let plan = FaultPlan::quiet(5).script(3, 0, 0, FaultKind::Error);
-        let mut t = FaultInjectingTransport::new(Perfect { calls: 0 }, plan);
-        match t.fetch_many_requests(&reqs(&[3])).unwrap_err() {
-            ClientError::Server { sample_id, .. } => assert_eq!(sample_id, Some(3)),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn one_fault_per_batch_and_attempts_advance_together() {
-        // Both samples scripted to fault on attempt 0; only the first in
-        // batch order fires, but both attempt counters advance.
-        let plan =
-            FaultPlan::quiet(5).script(1, 0, 0, FaultKind::Error).script(2, 0, 0, FaultKind::Error);
-        let mut t = FaultInjectingTransport::new(Perfect { calls: 0 }, plan);
-        assert!(t.fetch_many_requests(&reqs(&[1, 2])).is_err());
-        assert_eq!(t.injected(), 1);
-        // Attempt 1 for both keys: clean.
-        assert_eq!(t.fetch_many_requests(&reqs(&[1, 2])).unwrap().len(), 2);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   [`wire::WireError::ChecksumMismatch`] → [`ClientError::Corrupted`].
 //! * [`Deadline`] — per-exchange time budgets on [`TcpStorageClient`],
 //!   replacing the old hardcoded read timeout.
-//! * [`chaos`] — seeded, deterministic fault injection (client decorator
-//!   and server-side injector) over `(sample, epoch, attempt)` keys.
+//! * [`chaos`] — seeded, deterministic server-side fault injection over
+//!   `(sample, epoch, attempt)` keys.
 //! * [`health`] — a circuit breaker per node:
 //!   [`HealthTrackingTransport`] fails fast while a node is degraded and
 //!   probes it back to health after a deterministic cooldown schedule.
@@ -73,7 +73,7 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use chaos::{FaultInjectingTransport, FaultKind, FaultPlan, FaultRecord, ServerFaultInjector};
+pub use chaos::{FaultKind, FaultPlan, FaultRecord, ServerFaultInjector};
 pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
 pub use health::{

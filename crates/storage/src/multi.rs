@@ -309,11 +309,6 @@ impl MultiServerHarness {
         all
     }
 
-    /// Total faults injected fleet-wide so far.
-    pub fn faults_injected(&self) -> usize {
-        self.nodes.iter().filter_map(|n| n.injector.as_ref()).map(|i| i.injected()).sum()
-    }
-
     /// Whether `node` is still serving.
     pub fn is_alive(&self, node: usize) -> bool {
         self.nodes[node].server.is_some()

@@ -2,9 +2,9 @@
 //!
 //! Every message is a tagged, little-endian structure with explicit lengths;
 //! decoding is *total* — arbitrary byte soup yields a [`WireError`], never a
-//! panic or an over-allocation. (The workspace deliberately carries no
-//! serde format crate, so this module plays the role gRPC plays in the
-//! paper's prototype.)
+//! panic or an over-allocation. (The workspace carries no serialization
+//! crate, so this module plays the role gRPC plays in the paper's
+//! prototype.)
 //!
 //! There is one frame format, [`WIRE_VERSION`], and every field it defines
 //! is always present. Every message opens with the version byte and a

@@ -1,7 +1,5 @@
 //! Two-sided CUSUM drift detection with hysteresis.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a [`CusumDetector`].
 ///
 /// The detector watches a statistic (typically a windowed mean of an
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// is the re-arm band: after a trip, the detector stays disarmed until the
 /// statistic returns within `hysteresis` of the reference (or the caller
 /// [`CusumDetector::rebase`]s onto the new level).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// The level the statistic is expected to hold.
     pub reference: f64,
@@ -63,7 +61,7 @@ impl std::fmt::Display for DriftError {
 impl std::error::Error for DriftError {}
 
 /// Which side of the reference the statistic drifted to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftDirection {
     /// The statistic rose above the reference (e.g. service times grew —
     /// a straggler or a squeezed link).
@@ -74,7 +72,7 @@ pub enum DriftDirection {
 }
 
 /// A tripped drift detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftVerdict {
     /// Direction of the drift.
     pub direction: DriftDirection,

@@ -2,12 +2,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::estimator;
 
 /// One `(time, value)` observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSample {
     /// Seconds on the producer's monotonic clock (virtual or wall).
     pub t: f64,

@@ -2,15 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A tenant's wire-level identity.
 ///
 /// Carried as a `u16` in every request frame; `0` is the default tenant,
 /// which a client that names none sends.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u16);
 
 impl TenantId {
@@ -25,7 +21,7 @@ impl std::fmt::Display for TenantId {
 }
 
 /// One tenant's serving contract.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
     /// Scheduling weight (relative share of storage service); must be at
     /// least 1.
@@ -100,7 +96,7 @@ impl TenantSpec {
 /// per-connection flow control. Registering an explicit spec (or
 /// tightening `default_spec`) is what opts a tenant into admission
 /// limits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantPolicy {
     /// Explicit per-tenant contracts.
     pub specs: BTreeMap<u16, TenantSpec>,
