@@ -1,25 +1,17 @@
 use imagery::{RasterImage, Rect};
 
-use crate::bits::BitReader;
 use crate::block::Plane;
-use crate::encoder::chroma_dims;
 use crate::header::{Header, HEADER_LEN};
-use crate::huffman::HuffmanTable;
-use crate::{
-    color, dct, entropy, entropy_huff, quant, CodecError, EncodeOptions, EntropyMode, Quality,
-    Subsampling, BLOCK, BLOCK_AREA,
-};
+use crate::{color, dct, entropy, quant, CodecError, Quality, BLOCK, BLOCK_AREA};
 
 /// Decodes an SJPG byte stream back to a raster image.
-///
-/// Handles every encode mode (4:4:4 / 4:2:0 chroma, RLE-varint / Huffman
-/// entropy) from the header's flags.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] describing the first structural defect found:
-/// bad magic, unsupported version, invalid dimensions or flags, truncation,
-/// malformed entropy data, or trailing bytes after the final block.
+/// bad magic, unsupported version, invalid dimensions, quality or flags,
+/// truncation, malformed entropy data, or trailing bytes after the final
+/// block.
 ///
 /// ```
 /// use codec::{decode, CodecError};
@@ -58,74 +50,29 @@ pub fn decode_region(data: &[u8], rect: Rect) -> Result<RasterImage, CodecError>
 
 fn decode_classic(data: &[u8], rect: Option<Rect>) -> Result<RasterImage, CodecError> {
     let header = Header::parse(data)?;
-    let quality = Quality::new(header.quality).expect("validated by Header::parse");
-    let opts =
-        EncodeOptions::from_flags(quality, header.flags).expect("flags validated by Header::parse");
-    let region = Region::new(header.width, header.height, opts.subsampling, rect)?;
+    let region = Region::new(header.width, header.height, rect)?;
 
     // Entropy-decode all three planes, keeping the region's blocks.
-    let quantized = match opts.entropy {
-        EntropyMode::RleVarint => {
-            let mut pos = HEADER_LEN;
-            // A block is at least a DC varint and an end-of-block byte.
-            let mut quantized = region.block_storage((data.len() - pos) / 2, data.len())?;
-            for (plane, window) in quantized.iter_mut().zip(&region.windows) {
-                let mut dc_pred = 0i16;
-                window.for_each_block(|slot| {
-                    let zz = entropy::decode_block(data, &mut pos, &mut dc_pred)?;
-                    if let Some(slot) = slot {
-                        plane[slot] = zz;
-                    }
-                    Ok(())
-                })?;
+    let mut pos = HEADER_LEN;
+    // A block is at least a DC varint and an end-of-block byte.
+    let mut quantized = region.block_storage((data.len() - pos) / 2, data.len())?;
+    for plane in &mut quantized {
+        let mut dc_pred = 0i16;
+        region.window.for_each_block(|slot| {
+            let zz = entropy::decode_block(data, &mut pos, &mut dc_pred)?;
+            if let Some(slot) = slot {
+                plane[slot] = zz;
             }
-            if pos != data.len() {
-                return Err(CodecError::TrailingData { remaining: data.len() - pos });
-            }
-            quantized
-        }
-        EntropyMode::Huffman => {
-            let mut pos = HEADER_LEN;
-            let luma = entropy_huff::TablePair {
-                dc: HuffmanTable::parse(data, &mut pos)?,
-                ac: HuffmanTable::parse(data, &mut pos)?,
-            };
-            let chroma = entropy_huff::TablePair {
-                dc: HuffmanTable::parse(data, &mut pos)?,
-                ac: HuffmanTable::parse(data, &mut pos)?,
-            };
-            let len_bytes = data.get(pos..pos + 4).ok_or(CodecError::Truncated { offset: pos })?;
-            let stream_len =
-                u32::from_le_bytes(len_bytes.try_into().expect("sliced 4 bytes")) as usize;
-            pos += 4;
-            let stream =
-                data.get(pos..pos + stream_len).ok_or(CodecError::Truncated { offset: pos })?;
-            if pos + stream_len != data.len() {
-                return Err(CodecError::TrailingData { remaining: data.len() - pos - stream_len });
-            }
-            // A block is at least a DC symbol and an AC symbol, one bit each:
-            // four blocks to the byte.
-            let mut quantized = region.block_storage(stream_len * 4, data.len())?;
-            let mut reader = BitReader::new(stream);
-            for (i, (plane, window)) in quantized.iter_mut().zip(&region.windows).enumerate() {
-                let tables = if i == 0 { &luma } else { &chroma };
-                let mut dc_pred = 0i32;
-                window.for_each_block(|slot| {
-                    let zz = entropy_huff::decode_block(&mut reader, tables, &mut dc_pred)?;
-                    if let Some(slot) = slot {
-                        plane[slot] = zz;
-                    }
-                    Ok(())
-                })?;
-            }
-            quantized
-        }
-    };
-
-    Ok(reconstruct_region(quality, &region, &quantized))
+            Ok(())
+        })?;
+    }
+    if pos != data.len() {
+        return Err(CodecError::TrailingData { remaining: data.len() - pos });
+    }
+    Ok(reconstruct_region(header.quality, &region, &quantized))
 }
 
-/// The blocks of one plane that a pixel rectangle needs, inside the plane's
+/// The blocks of a plane that a pixel rectangle needs, inside the plane's
 /// full block grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockWindow {
@@ -138,22 +85,6 @@ pub(crate) struct BlockWindow {
 }
 
 impl BlockWindow {
-    /// The window covering samples `[x0, x1] × [y0, y1]` (inclusive) of a
-    /// `width × height` plane.
-    fn covering(
-        width: u32,
-        height: u32,
-        (x0, x1): (u32, u32),
-        (y0, y1): (u32, u32),
-    ) -> BlockWindow {
-        let b = BLOCK as u32;
-        BlockWindow {
-            grid: (width.div_ceil(b), height.div_ceil(b)),
-            origin: (x0 / b, y0 / b),
-            size: (x1 / b - x0 / b + 1, y1 / b - y0 / b + 1),
-        }
-    }
-
     /// Blocks in the whole plane.
     fn plane_blocks(&self) -> u64 {
         u64::from(self.grid.0) * u64::from(self.grid.1)
@@ -183,53 +114,37 @@ impl BlockWindow {
     }
 }
 
-/// A pixel rectangle of an image together with the block windows of the
-/// three planes that reconstructing it needs.
+/// A pixel rectangle of an image together with the block window that
+/// reconstructing it needs. Chroma is stored at full resolution, so Y, Cb
+/// and Cr share the one window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Region {
     rect: Rect,
-    subsampling: Subsampling,
-    /// Chroma plane dimensions.
-    chroma: (u32, u32),
-    /// Block windows of Y, Cb, Cr.
-    pub(crate) windows: [BlockWindow; 3],
+    pub(crate) window: BlockWindow,
 }
 
 impl Region {
     /// The region of `rect` (the whole image for `None`) in a
     /// `width × height` image.
-    ///
-    /// With [`Subsampling::S420`] the decoder upsamples chroma by nearest
-    /// neighbour at absolute coordinates, so the chroma blocks needed are
-    /// exactly those covering the image of `rect` under that map: there is
-    /// no filter support to widen by.
-    pub(crate) fn new(
-        width: u32,
-        height: u32,
-        subsampling: Subsampling,
-        rect: Option<Rect>,
-    ) -> Result<Region, CodecError> {
+    pub(crate) fn new(width: u32, height: u32, rect: Option<Rect>) -> Result<Region, CodecError> {
         let rect = rect.unwrap_or(Rect::full(width, height));
         if !rect.fits_in(width, height) {
             return Err(CodecError::RegionOutOfBounds { rect, width, height });
         }
-        let (cw, ch) = chroma_dims(width, height, subsampling);
-        let xs = (rect.x, rect.x + rect.width - 1);
-        let ys = (rect.y, rect.y + rect.height - 1);
-        let luma = BlockWindow::covering(width, height, xs, ys);
-        let chroma = BlockWindow::covering(
-            cw,
-            ch,
-            (chroma_coord(xs.0, cw, subsampling), chroma_coord(xs.1, cw, subsampling)),
-            (chroma_coord(ys.0, ch, subsampling), chroma_coord(ys.1, ch, subsampling)),
-        );
-        Ok(Region { rect, subsampling, chroma: (cw, ch), windows: [luma, chroma, chroma] })
+        let b = BLOCK as u32;
+        let (x1, y1) = (rect.x + rect.width - 1, rect.y + rect.height - 1);
+        let window = BlockWindow {
+            grid: (width.div_ceil(b), height.div_ceil(b)),
+            origin: (rect.x / b, rect.y / b),
+            size: (x1 / b - rect.x / b + 1, y1 / b - rect.y / b + 1),
+        };
+        Ok(Region { rect, window })
     }
 
     /// Zeroed storage for the region's quantized blocks, allocated only
     /// after the header's dimensions have been checked against the stream:
     /// `max_blocks` is how many blocks the entropy-coded bytes that remain
-    /// could hold at the fewest bits a block can take, whatever the header
+    /// could hold at the fewest bytes a block can take, whatever the header
     /// claims.
     ///
     /// # Errors
@@ -241,20 +156,10 @@ impl Region {
         max_blocks: usize,
         end: usize,
     ) -> Result<[Vec<[i16; BLOCK_AREA]>; 3], CodecError> {
-        let blocks: u64 = self.windows.iter().map(BlockWindow::plane_blocks).sum();
-        if blocks > max_blocks as u64 {
+        if 3 * self.window.plane_blocks() > max_blocks as u64 {
             return Err(CodecError::Truncated { offset: end });
         }
-        Ok(self.windows.map(|w| vec![[0i16; BLOCK_AREA]; w.len()]))
-    }
-}
-
-/// The chroma sample a luma coordinate reads, along one axis of a chroma
-/// plane `extent` samples long.
-fn chroma_coord(luma: u32, extent: u32, subsampling: Subsampling) -> u32 {
-    match subsampling {
-        Subsampling::S444 => luma,
-        Subsampling::S420 => (luma / 2).min(extent - 1),
+        Ok(std::array::from_fn(|_| vec![[0i16; BLOCK_AREA]; self.window.len()]))
     }
 }
 
@@ -268,10 +173,12 @@ pub(crate) fn reconstruct_region(
     quantized: &[Vec<[i16; BLOCK_AREA]>; 3],
 ) -> RasterImage {
     let b = BLOCK as u32;
+    let window = region.window;
     let luma_steps = quant::dequant_steps(&quality.luma_table());
     let chroma_steps = quant::dequant_steps(&quality.chroma_table());
-    // Planes cover the block-aligned windows, not the image.
-    let mut planes = region.windows.map(|w| Plane::new(w.size.0 * b, w.size.1 * b));
+    // Planes cover the block-aligned window, not the image.
+    let mut planes: [Plane; 3] =
+        std::array::from_fn(|_| Plane::new(window.size.0 * b, window.size.1 * b));
     for (i, (plane, blocks)) in planes.iter_mut().zip(quantized).enumerate() {
         let steps = if i == 0 { &luma_steps } else { &chroma_steps };
         let mut blocks = blocks.iter();
@@ -283,37 +190,14 @@ pub(crate) fn reconstruct_region(
         }
     }
 
-    // Color-convert row by row, upsampling chroma when subsampled.
+    // Color-convert row by row.
     let Rect { x, y, width, height } = region.rect;
-    let [luma, chroma, _] = region.windows;
-    let (cw, ch) = region.chroma;
     let w = width as usize;
-    let luma_x = (x - luma.origin.0 * b) as usize;
-    let chroma_x = |xx| (chroma_coord(xx, cw, region.subsampling) - chroma.origin.0 * b) as usize;
-    // 4:2:0 gathers each chroma row through this map into full-width rows.
-    let upsample: Vec<usize> = match region.subsampling {
-        Subsampling::S444 => Vec::new(),
-        Subsampling::S420 => (x..x + width).map(chroma_x).collect(),
-    };
-    let (mut cb_row, mut cr_row) = (vec![0f32; upsample.len()], vec![0f32; upsample.len()]);
+    let at = (x - window.origin.0 * b) as usize;
     let mut raw = vec![0u8; w * height as usize * 3];
-    for (rgb, yy) in raw.chunks_exact_mut(w * 3).zip(y..) {
-        let y_row = &planes[0].row(yy - luma.origin.1 * b)[luma_x..luma_x + w];
-        let cy = chroma_coord(yy, ch, region.subsampling) - chroma.origin.1 * b;
-        let (cb, cr) = (planes[1].row(cy), planes[2].row(cy));
-        match region.subsampling {
-            Subsampling::S444 => {
-                let at = chroma_x(x);
-                color::ycbcr_row_to_rgb(y_row, &cb[at..at + w], &cr[at..at + w], rgb);
-            }
-            Subsampling::S420 => {
-                for ((b_out, r_out), &at) in cb_row.iter_mut().zip(&mut cr_row).zip(&upsample) {
-                    *b_out = cb[at];
-                    *r_out = cr[at];
-                }
-                color::ycbcr_row_to_rgb(y_row, &cb_row, &cr_row, rgb);
-            }
-        }
+    for (rgb, row) in raw.chunks_exact_mut(w * 3).zip(y - window.origin.1 * b..) {
+        let [luma, cb, cr] = planes.each_ref().map(|p| &p.row(row)[at..at + w]);
+        color::ycbcr_row_to_rgb(luma, cb, cr, rgb);
     }
     RasterImage::from_raw(width, height, raw).expect("buffer sized from dimensions")
 }
@@ -321,7 +205,7 @@ pub(crate) fn reconstruct_region(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode, encode_with};
+    use crate::{encode, encode_tiered, TierSpec};
     use imagery::synth::SynthSpec;
 
     #[test]
@@ -337,18 +221,7 @@ mod tests {
         let img = SynthSpec::new(24, 24).complexity(0.5).render(1);
         let mut bytes = encode(&img, Quality::default());
         bytes.extend_from_slice(&[1, 2, 3]);
-        assert!(decode(&bytes).is_err(), "decode accepted trailing garbage");
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_huffman() {
-        let img = SynthSpec::new(24, 24).complexity(0.5).render(1);
-        let mut bytes = encode_with(
-            &img,
-            &EncodeOptions::new(Quality::default()).entropy(EntropyMode::Huffman),
-        );
-        bytes.extend_from_slice(&[1, 2, 3]);
-        assert!(decode(&bytes).is_err(), "decode accepted trailing garbage");
+        assert_eq!(decode(&bytes), Err(CodecError::TrailingData { remaining: 3 }));
     }
 
     #[test]
@@ -356,21 +229,26 @@ mod tests {
         assert!(matches!(decode(&[]), Err(CodecError::Truncated { .. })));
     }
 
+    /// Every byte of a classic and of a tiered stream, flipped to its
+    /// complement, and every bit of the header, flipped alone: the full
+    /// and the region decoder return a value or a typed error, never panic.
     #[test]
     fn fuzz_corrupt_bytes_never_panic() {
         let img = SynthSpec::new(48, 32).complexity(0.7).render(4);
-        for opts in [
-            EncodeOptions::new(Quality::default()),
-            EncodeOptions::new(Quality::default())
-                .entropy(EntropyMode::Huffman)
-                .subsampling(Subsampling::S420),
-        ] {
-            let bytes = encode_with(&img, &opts);
-            for i in (0..bytes.len()).step_by(5) {
+        let classic = encode(&img, Quality::default());
+        let tiered = encode_tiered(&img, Quality::default(), &TierSpec::default());
+        let rect = Rect::new(9, 5, 20, 18);
+        for bytes in [&classic, &tiered] {
+            let every_byte = (0..bytes.len()).map(|i| (i, 0xFF));
+            let header_bits = (0..HEADER_LEN).flat_map(|i| (0..8).map(move |bit| (i, 1u8 << bit)));
+            for (i, mask) in every_byte.chain(header_bits) {
                 let mut corrupted = bytes.clone();
-                corrupted[i] ^= 0xA5;
+                corrupted[i] ^= mask;
                 // Must not panic; any Result is acceptable.
                 let _ = decode(&corrupted);
+                let _ = decode_region(&corrupted, rect);
+                let _ = crate::decode_tiered(&corrupted);
+                let _ = crate::decode_tiered_region(&corrupted, rect);
             }
         }
     }
@@ -385,23 +263,20 @@ mod tests {
     #[test]
     fn hostile_dimensions_are_typed_errors_before_any_allocation() {
         // 2^26 x 2^26 passes `Header::parse`; a few hundred bytes cannot hold
-        // 2^46 blocks, and nothing may be sized from the claim (the Huffman
-        // path used to `Vec::with_capacity` it and abort the process).
+        // 2^46 blocks, and nothing may be sized from the claim.
         let img = SynthSpec::new(24, 24).complexity(0.5).render(1);
-        for entropy in [EntropyMode::RleVarint, EntropyMode::Huffman] {
-            let opts = EncodeOptions::new(Quality::default()).entropy(entropy);
-            let hostile = with_dimensions(encode_with(&img, &opts), 1 << 26, 1 << 26);
-            assert!(
-                matches!(decode(&hostile), Err(CodecError::Truncated { .. })),
-                "{entropy:?}: {:?}",
-                decode(&hostile).map(|_| ())
-            );
-            let rect = Rect::new(1 << 25, 1 << 25, 224, 224);
-            assert!(matches!(decode_region(&hostile, rect), Err(CodecError::Truncated { .. })));
-            // Slightly too large is caught the same way as absurdly large.
-            let wider = with_dimensions(encode_with(&img, &opts), 48, 24);
-            assert!(decode(&wider).is_err(), "{entropy:?}");
-        }
+        let bytes = encode(&img, Quality::default());
+        let hostile = with_dimensions(bytes.clone(), 1 << 26, 1 << 26);
+        assert!(
+            matches!(decode(&hostile), Err(CodecError::Truncated { .. })),
+            "{:?}",
+            decode(&hostile).map(|_| ())
+        );
+        let rect = Rect::new(1 << 25, 1 << 25, 224, 224);
+        assert!(matches!(decode_region(&hostile, rect), Err(CodecError::Truncated { .. })));
+        // Slightly too large is caught the same way as absurdly large.
+        let wider = with_dimensions(bytes, 48, 24);
+        assert!(decode(&wider).is_err());
     }
 
     #[test]

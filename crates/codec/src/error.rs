@@ -22,6 +22,10 @@ pub enum CodecError {
         /// Declared height.
         height: u32,
     },
+    /// The header's quality byte is outside `1..=100`.
+    InvalidQuality(u8),
+    /// The header's reserved flags byte is not 0.
+    UnsupportedFlags(u8),
     /// A varint in the entropy-coded segment exceeded its maximum width.
     MalformedVarint {
         /// Byte offset of the offending varint.
@@ -59,6 +63,10 @@ impl fmt::Display for CodecError {
             }
             CodecError::InvalidDimensions { width, height } => {
                 write!(f, "invalid encoded dimensions {width}x{height}")
+            }
+            CodecError::InvalidQuality(q) => write!(f, "encoded quality {q} outside 1..=100"),
+            CodecError::UnsupportedFlags(flags) => {
+                write!(f, "reserved flags byte is {flags:#04x}, not 0")
             }
             CodecError::MalformedVarint { offset } => {
                 write!(f, "malformed varint at byte offset {offset}")

@@ -1,9 +1,9 @@
-use crate::CodecError;
+use crate::{CodecError, Quality};
 
 /// Magic bytes identifying an SJPG stream.
 pub const FORMAT_MAGIC: [u8; 4] = *b"SJPG";
-/// Current format version (2 added the flags byte: subsampling + entropy
-/// mode).
+/// Format version of classic streams (2 added the flags byte, which is
+/// reserved and always 0).
 pub const FORMAT_VERSION: u8 = 2;
 /// Format version of progressive, tier-truncatable streams (see
 /// [`crate::tiered`]). Kept distinct from [`FORMAT_VERSION`] so legacy
@@ -16,8 +16,9 @@ pub const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 1;
 /// Parsed SJPG stream header.
 ///
 /// Layout (little-endian): magic `SJPG`, version `u8`, width `u32`, height
-/// `u32`, quality `u8`, flags `u8` (bit 0 = 4:2:0 chroma, bit 1 = Huffman
-/// entropy).
+/// `u32`, quality `u8`, flags `u8`. The flags byte is reserved and must be
+/// 0: its two low bits once selected 4:2:0 chroma and Huffman entropy
+/// coding, which no stream uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Image width in pixels.
@@ -25,67 +26,59 @@ pub struct Header {
     /// Image height in pixels.
     pub height: u32,
     /// Quality the stream was encoded with (determines the quant tables).
-    pub quality: u8,
-    /// Option flags (see [`crate::EncodeOptions`]).
-    pub flags: u8,
+    pub quality: Quality,
 }
 
 impl Header {
-    /// Serializes the header to its wire form.
-    pub fn to_bytes(self) -> [u8; HEADER_LEN] {
-        self.to_bytes_with_version(FORMAT_VERSION)
-    }
-
-    /// Serializes the header under an explicit format version byte.
-    pub(crate) fn to_bytes_with_version(self, version: u8) -> [u8; HEADER_LEN] {
+    /// Serializes the header under a format version byte.
+    pub(crate) fn to_bytes(self, version: u8) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[..4].copy_from_slice(&FORMAT_MAGIC);
         out[4] = version;
         out[5..9].copy_from_slice(&self.width.to_le_bytes());
         out[9..13].copy_from_slice(&self.height.to_le_bytes());
-        out[13] = self.quality;
-        out[14] = self.flags;
+        out[13] = self.quality.value();
         out
     }
 
-    /// Parses and validates a header from the start of `data`.
+    /// Parses and validates a classic stream's header from the start of
+    /// `data`.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`], [`CodecError::BadMagic`],
-    /// [`CodecError::UnsupportedVersion`], or
-    /// [`CodecError::InvalidDimensions`] for the corresponding defects.
+    /// [`CodecError::UnsupportedVersion`], [`CodecError::InvalidDimensions`],
+    /// [`CodecError::InvalidQuality`] or [`CodecError::UnsupportedFlags`] for
+    /// the corresponding defects, checked in that order.
     pub fn parse(data: &[u8]) -> Result<Header, CodecError> {
         Self::parse_with_version(data, FORMAT_VERSION)
     }
 
     /// [`Header::parse`] against an explicit expected version byte.
     pub(crate) fn parse_with_version(data: &[u8], version: u8) -> Result<Header, CodecError> {
-        if data.len() < HEADER_LEN {
+        let Some(&[m0, m1, m2, m3, v, w0, w1, w2, w3, h0, h1, h2, h3, quality, flags]) =
+            data.first_chunk::<HEADER_LEN>()
+        else {
             return Err(CodecError::Truncated { offset: data.len() });
-        }
-        if data[..4] != FORMAT_MAGIC {
+        };
+        if [m0, m1, m2, m3] != FORMAT_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        if data[4] != version {
-            return Err(CodecError::UnsupportedVersion(data[4]));
+        if v != version {
+            return Err(CodecError::UnsupportedVersion(v));
         }
-        let width = u32::from_le_bytes(data[5..9].try_into().expect("sliced 4 bytes"));
-        let height = u32::from_le_bytes(data[9..13].try_into().expect("sliced 4 bytes"));
+        let width = u32::from_le_bytes([w0, w1, w2, w3]);
+        let height = u32::from_le_bytes([h0, h1, h2, h3]);
         // 2^26 pixels per side is far beyond anything this workspace creates;
         // rejecting earlier protects decode from absurd allocations.
         if width == 0 || height == 0 || width > (1 << 26) || height > (1 << 26) {
             return Err(CodecError::InvalidDimensions { width, height });
         }
-        let quality = data[13];
-        if !(1..=100).contains(&quality) {
-            return Err(CodecError::InvalidDimensions { width, height });
+        let quality = Quality::new(quality).ok_or(CodecError::InvalidQuality(quality))?;
+        if flags != 0 {
+            return Err(CodecError::UnsupportedFlags(flags));
         }
-        let flags = data[14];
-        if flags & !0b11 != 0 {
-            return Err(CodecError::InvalidDimensions { width, height });
-        }
-        Ok(Header { width, height, quality, flags })
+        Ok(Header { width, height, quality })
     }
 }
 
@@ -94,54 +87,51 @@ mod tests {
     use super::*;
 
     fn header() -> Header {
-        Header { width: 1920, height: 1080, quality: 85, flags: 0 }
+        Header { width: 1920, height: 1080, quality: Quality::new(85).unwrap() }
     }
 
     #[test]
     fn roundtrip() {
-        for flags in 0..=3u8 {
-            let h = Header { flags, ..header() };
-            assert_eq!(Header::parse(&h.to_bytes()).unwrap(), h);
+        let h = header();
+        assert_eq!(Header::parse(&h.to_bytes(FORMAT_VERSION)), Ok(h));
+        assert_eq!(Header::parse_with_version(&h.to_bytes(3), 3), Ok(h));
+    }
+
+    /// Each defect of a hand-built header is reported as its own error,
+    /// naming the field at fault and the value found there.
+    #[test]
+    fn each_header_defect_names_its_field() {
+        let good = header().to_bytes(FORMAT_VERSION);
+        let with = |at: usize, patch: &[u8]| {
+            let mut b = good;
+            b[at..at + patch.len()].copy_from_slice(patch);
+            b
+        };
+        let cases = [
+            (with(0, b"X"), CodecError::BadMagic),
+            (with(4, &[99]), CodecError::UnsupportedVersion(99)),
+            (with(4, &[FORMAT_VERSION_TIERED]), CodecError::UnsupportedVersion(3)),
+            (with(5, &[0; 4]), CodecError::InvalidDimensions { width: 0, height: 1080 }),
+            (
+                with(9, &((1u32 << 26) + 1).to_le_bytes()),
+                CodecError::InvalidDimensions { width: 1920, height: (1 << 26) + 1 },
+            ),
+            (with(13, &[0]), CodecError::InvalidQuality(0)),
+            (with(13, &[101]), CodecError::InvalidQuality(101)),
+            (with(13, &[255]), CodecError::InvalidQuality(255)),
+            (with(14, &[0b01]), CodecError::UnsupportedFlags(0b01)),
+            (with(14, &[0b10]), CodecError::UnsupportedFlags(0b10)),
+            (with(14, &[0b11]), CodecError::UnsupportedFlags(0b11)),
+            (with(14, &[0b100]), CodecError::UnsupportedFlags(0b100)),
+            (with(14, &[0xFF]), CodecError::UnsupportedFlags(0xFF)),
+            // Quality is checked before flags.
+            (with(13, &[0, 0b11]), CodecError::InvalidQuality(0)),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(Header::parse(&bytes), Err(want), "{bytes:?}");
         }
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut b = header().to_bytes();
-        b[0] = b'X';
-        assert_eq!(Header::parse(&b), Err(CodecError::BadMagic));
-    }
-
-    #[test]
-    fn rejects_bad_version() {
-        let mut b = header().to_bytes();
-        b[4] = 99;
-        assert_eq!(Header::parse(&b), Err(CodecError::UnsupportedVersion(99)));
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let b = header().to_bytes();
-        assert!(matches!(Header::parse(&b[..10]), Err(CodecError::Truncated { .. })));
-    }
-
-    #[test]
-    fn rejects_zero_dims() {
-        let b = Header { width: 0, height: 5, quality: 50, flags: 0 }.to_bytes();
-        assert!(matches!(Header::parse(&b), Err(CodecError::InvalidDimensions { .. })));
-    }
-
-    #[test]
-    fn rejects_bad_quality() {
-        let b = Header { quality: 0, ..header() }.to_bytes();
-        assert!(Header::parse(&b).is_err());
-        let b = Header { quality: 101, ..header() }.to_bytes();
-        assert!(Header::parse(&b).is_err());
-    }
-
-    #[test]
-    fn rejects_unknown_flags() {
-        let b = Header { flags: 0b100, ..header() }.to_bytes();
-        assert!(Header::parse(&b).is_err());
+        for len in 0..HEADER_LEN {
+            assert_eq!(Header::parse(&good[..len]), Err(CodecError::Truncated { offset: len }));
+        }
     }
 }

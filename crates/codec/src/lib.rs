@@ -17,6 +17,12 @@
 //! to a few hundred bytes per megapixel while noisy images stay large —
 //! exactly the variance SOPHON's per-sample profiling exploits.
 //!
+//! There is one encoding, full-resolution (4:4:4) chroma with that entropy
+//! coder, in two containers: the classic stream ([`encode`], [`decode`])
+//! and the tier-truncatable one ([`tiered`]). The header's flags byte is
+//! reserved and must be 0; a stream that sets it is rejected with
+//! [`CodecError::UnsupportedFlags`].
+//!
 //! # Example
 //!
 //! ```
@@ -33,31 +39,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bits;
 pub mod block;
 pub mod color;
 pub mod dct;
 mod decoder;
 mod encoder;
 pub mod entropy;
-pub mod entropy_huff;
 mod error;
 mod header;
-pub mod huffman;
-mod options;
 pub mod quant;
 pub mod tiered;
 pub mod zigzag;
 
 pub use decoder::{decode, decode_region};
-pub use encoder::{encode, encode_with, worst_case_len};
+pub use encoder::{encode, worst_case_len};
 pub use error::CodecError;
 pub use header::{Header, FORMAT_MAGIC, FORMAT_VERSION, FORMAT_VERSION_TIERED};
-pub use options::{EncodeOptions, EntropyMode, Subsampling};
 pub use quant::Quality;
 pub use tiered::{
-    decode_tiered, decode_tiered_region, encode_tiered, encode_tiered_with, is_tiered,
-    truncate_to_tier, DecodeError, TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
+    decode_tiered, decode_tiered_region, encode_tiered, is_tiered, truncate_to_tier, DecodeError,
+    TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
 };
 
 /// Side length of the transform blocks (8, as in JPEG).

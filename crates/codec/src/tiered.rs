@@ -40,7 +40,7 @@ use imagery::{metrics, RasterImage, Rect};
 use crate::decoder::{reconstruct_region, Region};
 use crate::encoder::for_each_quantized_block;
 use crate::header::{Header, FORMAT_VERSION_TIERED, HEADER_LEN};
-use crate::{entropy, CodecError, Quality, Subsampling, BLOCK_AREA};
+use crate::{entropy, CodecError, Quality, BLOCK_AREA};
 
 /// Maximum number of tiers a stream may declare.
 pub const MAX_TIERS: usize = 8;
@@ -65,9 +65,6 @@ pub enum DecodeError {
         /// The version byte found.
         version: u8,
     },
-    /// Tiered streams only support the byte-aligned RLE-varint entropy
-    /// mode (bit-packed Huffman scans have no stable byte boundaries).
-    HuffmanUnsupported,
     /// The declared tier count is zero or exceeds [`MAX_TIERS`].
     BadTierCount {
         /// The declared count.
@@ -120,9 +117,6 @@ impl fmt::Display for DecodeError {
             DecodeError::Codec(_) => write!(f, "tiered stream has a defective SJPG structure"),
             DecodeError::NotTiered { version } => {
                 write!(f, "SJPG version {version} is not a tiered stream")
-            }
-            DecodeError::HuffmanUnsupported => {
-                write!(f, "tiered streams do not support Huffman entropy coding")
             }
             DecodeError::BadTierCount { count } => {
                 write!(f, "tier count {count} outside 1..={MAX_TIERS}")
@@ -242,9 +236,7 @@ pub struct TierIndex {
     /// Image height in pixels.
     pub height: u32,
     /// Quality the stream was encoded with.
-    pub quality: u8,
-    /// Chroma subsampling mode.
-    pub subsampling: Subsampling,
+    pub quality: Quality,
     /// Per-tier boundaries, coarsest first.
     pub tiers: Vec<TierBound>,
 }
@@ -257,8 +249,9 @@ impl TierIndex {
     /// # Errors
     ///
     /// Returns [`DecodeError::NotTiered`] for classic streams,
-    /// [`DecodeError::Codec`] for header defects, and the tier-directory
-    /// variants for a defective directory.
+    /// [`DecodeError::Codec`] for header defects (a nonzero flags byte
+    /// included), and the tier-directory variants for a defective
+    /// directory.
     pub fn parse(data: &[u8]) -> Result<TierIndex, DecodeError> {
         let header = match Header::parse_with_version(data, FORMAT_VERSION_TIERED) {
             Ok(h) => h,
@@ -267,11 +260,6 @@ impl TierIndex {
             }
             Err(e) => return Err(DecodeError::Codec(e)),
         };
-        if header.flags & 0b10 != 0 {
-            return Err(DecodeError::HuffmanUnsupported);
-        }
-        let subsampling =
-            if header.flags & 0b01 != 0 { Subsampling::S420 } else { Subsampling::S444 };
         let count =
             *data.get(HEADER_LEN).ok_or(CodecError::Truncated { offset: data.len() })? as usize;
         if count == 0 || count > MAX_TIERS {
@@ -306,13 +294,7 @@ impl TierIndex {
         if tiers.last().expect("count >= 1").band_end as usize != BLOCK_AREA {
             return Err(DecodeError::BadTierBands { tier: (count - 1) as u8, band_end: prev_band });
         }
-        Ok(TierIndex {
-            width: header.width,
-            height: header.height,
-            quality: header.quality,
-            subsampling,
-            tiers,
-        })
+        Ok(TierIndex { width: header.width, height: header.height, quality: header.quality, tiers })
     }
 
     /// Number of tiers in the stream.
@@ -359,30 +341,18 @@ pub struct TieredImage {
     pub index: TierIndex,
 }
 
-/// Encodes a raster image as a tiered (version-3) stream with 4:4:4
-/// chroma.
-pub fn encode_tiered(img: &RasterImage, quality: Quality, spec: &TierSpec) -> Vec<u8> {
-    encode_tiered_with(img, quality, Subsampling::S444, spec)
-}
-
-/// [`encode_tiered`] with explicit chroma subsampling.
+/// Encodes a raster image as a tiered (version-3) stream.
 ///
 /// PSNR per tier is measured on the spot: each prefix's reconstruction is
 /// compared against `img` and the result stored in the directory, so
 /// downstream planners can trade bytes against fidelity without decoding.
-pub fn encode_tiered_with(
-    img: &RasterImage,
-    quality: Quality,
-    subsampling: Subsampling,
-    spec: &TierSpec,
-) -> Vec<u8> {
+pub fn encode_tiered(img: &RasterImage, quality: Quality, spec: &TierSpec) -> Vec<u8> {
     let (w, h) = (img.width(), img.height());
     let mut quantized: [Vec<[i16; BLOCK_AREA]>; 3] = Default::default();
-    for_each_quantized_block(img, subsampling, quality, |p, zz| quantized[p].push(*zz));
+    for_each_quantized_block(img, quality, |p, zz| quantized[p].push(*zz));
 
-    let flags = if subsampling == Subsampling::S420 { 0b01 } else { 0 };
-    let header = Header { width: w, height: h, quality: quality.value(), flags };
-    let mut out = header.to_bytes_with_version(FORMAT_VERSION_TIERED).to_vec();
+    let header = Header { width: w, height: h, quality };
+    let mut out = header.to_bytes(FORMAT_VERSION_TIERED).to_vec();
 
     let count = spec.tiers();
     out.push(count as u8);
@@ -391,7 +361,7 @@ pub fn encode_tiered_with(
 
     // One scan per band, then the tier's directory entry: where the scan
     // ends and the PSNR of the prefix it completes.
-    let whole = Region::new(w, h, subsampling, None).expect("the full rectangle always fits");
+    let whole = Region::new(w, h, None).expect("the full rectangle always fits");
     let mut partial = quantized.each_ref().map(|plane| vec![[0i16; BLOCK_AREA]; plane.len()]);
     let mut lo = 0usize;
     for (t, &band_end) in spec.band_ends().iter().enumerate() {
@@ -467,14 +437,13 @@ pub fn decode_tiered_region(data: &[u8], rect: Rect) -> Result<TieredImage, Deco
 
 fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, DecodeError> {
     let index = TierIndex::parse(data)?;
-    let quality = Quality::new(index.quality).expect("validated by header parse");
     let Some(reached) = index.tiers.iter().rfind(|b| b.end_offset as usize == data.len()) else {
         let boundary =
             index.tiers.iter().map(|b| b.end_offset).rfind(|&off| (off as usize) <= data.len());
         return Err(DecodeError::OffTierBoundary { len: data.len(), boundary });
     };
     let reached_tier = reached.tier;
-    let region = Region::new(index.width, index.height, index.subsampling, rect)?;
+    let region = Region::new(index.width, index.height, rect)?;
 
     let mut pos = HEADER_LEN + 1 + index.tiers.len() * TIER_ENTRY_LEN;
     // In the first scan a block is at least a DC varint and an
@@ -485,9 +454,9 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
     let mut lo = 0usize;
     for bound in index.tiers.iter().take(reached_tier as usize + 1) {
         let hi = bound.band_end as usize;
-        for (plane, window) in quantized.iter_mut().zip(&region.windows) {
+        for plane in &mut quantized {
             let mut dc_pred = 0i16;
-            window.for_each_block(|slot| {
+            region.window.for_each_block(|slot| {
                 let zz = slot.map_or(&mut outside, |slot| &mut plane[slot]);
                 decode_band(data, &mut pos, lo, hi, &mut dc_pred, zz)
             })?;
@@ -502,7 +471,7 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
         lo = hi;
     }
     Ok(TieredImage {
-        image: reconstruct_region(quality, &region, &quantized),
+        image: reconstruct_region(index.quality, &region, &quantized),
         tier: reached_tier,
         index,
     })
@@ -546,7 +515,7 @@ fn decode_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode, encode_with, EncodeOptions, FORMAT_VERSION};
+    use crate::{decode, encode, FORMAT_VERSION};
     use imagery::synth::SynthSpec;
 
     fn img() -> RasterImage {
@@ -560,7 +529,7 @@ mod tests {
         let img = img();
         let q = Quality::default();
         let tiered = encode_tiered(&img, q, &TierSpec::default());
-        let classic = encode_with(&img, &EncodeOptions::new(q));
+        let classic = encode(&img, q);
         let a = decode_tiered(&tiered).unwrap();
         let b = decode(&classic).unwrap();
         assert_eq!(a.tier, 2);
@@ -637,7 +606,7 @@ mod tests {
 
     #[test]
     fn classic_stream_is_not_tiered() {
-        let classic = encode_with(&img(), &EncodeOptions::new(Quality::default()));
+        let classic = encode(&img(), Quality::default());
         assert_eq!(
             TierIndex::parse(&classic).unwrap_err(),
             DecodeError::NotTiered { version: FORMAT_VERSION }
@@ -654,25 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn subsampled_tiers_roundtrip() {
-        let img = img();
-        let bytes =
-            encode_tiered_with(&img, Quality::default(), Subsampling::S420, &TierSpec::default());
-        let index = TierIndex::parse(&bytes).unwrap();
-        assert_eq!(index.subsampling, Subsampling::S420);
-        for t in 0..index.tier_count() {
-            let out = decode_tiered(truncate_to_tier(&bytes, t).unwrap()).unwrap();
-            assert_eq!(out.tier, t);
-        }
-    }
-
-    #[test]
     fn source_chains_to_the_codec_error() {
         use std::error::Error;
         let err = DecodeError::from(CodecError::BadMagic);
         let source = err.source().expect("codec variant must chain");
         assert_eq!(source.to_string(), CodecError::BadMagic.to_string());
-        assert!(DecodeError::HuffmanUnsupported.source().is_none());
+        assert!(DecodeError::BadTierCount { count: 0 }.source().is_none());
     }
 
     #[test]

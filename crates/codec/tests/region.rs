@@ -1,10 +1,10 @@
-//! A region decode is the crop of the full decode, bit for bit: for every
-//! encode mode, odd dimensions, rectangles on every corner and across block
-//! and MCU boundaries, and every tier prefix of a progressive stream.
+//! A region decode is the crop of the full decode, bit for bit: for odd
+//! dimensions, rectangles on every corner and across block boundaries, and
+//! every tier prefix of a progressive stream.
 
 use codec::{
-    decode, decode_region, decode_tiered, decode_tiered_region, encode_tiered_with, encode_with,
-    truncate_to_tier, EncodeOptions, EntropyMode, Quality, Subsampling, TierSpec,
+    decode, decode_region, decode_tiered, decode_tiered_region, encode, encode_tiered,
+    truncate_to_tier, Quality, TierSpec,
 };
 use imagery::synth::SynthSpec;
 use imagery::Rect;
@@ -37,30 +37,18 @@ fn rects(width: u32, height: u32) -> Vec<Rect> {
     out
 }
 
-fn all_options() -> Vec<EncodeOptions> {
-    let mut out = Vec::new();
-    for subsampling in [Subsampling::S444, Subsampling::S420] {
-        for entropy in [EntropyMode::RleVarint, EntropyMode::Huffman] {
-            out.push(
-                EncodeOptions::new(Quality::default()).subsampling(subsampling).entropy(entropy),
-            );
-        }
-    }
-    out
-}
-
 #[test]
 fn classic_region_equals_crop_of_full_decode() {
     for (width, height) in [(75u32, 53u32), (64, 48), (33, 17), (8, 8), (1, 1), (5, 40)] {
         let img = SynthSpec::new(width, height).complexity(0.7).render(u64::from(width * height));
-        for opts in all_options() {
-            let bytes = encode_with(&img, &opts);
+        for quality in [Quality::default(), Quality::new(97).unwrap()] {
+            let bytes = encode(&img, quality);
             let full = decode(&bytes).unwrap();
             for rect in rects(width, height) {
                 assert_eq!(
                     decode_region(&bytes, rect).unwrap(),
                     full.crop(rect).unwrap(),
-                    "{width}x{height} {opts:?} {rect:?}"
+                    "{width}x{height} {quality:?} {rect:?}"
                 );
             }
         }
@@ -69,27 +57,25 @@ fn classic_region_equals_crop_of_full_decode() {
 
 #[test]
 fn tiered_region_equals_crop_of_full_decode_at_every_tier() {
-    for (width, height) in [(75u32, 53u32), (48, 64), (9, 9)] {
+    for (width, height) in [(75u32, 53u32), (48, 64), (9, 9), (1, 1), (5, 40)] {
         let img = SynthSpec::new(width, height).complexity(0.6).render(u64::from(width + height));
-        for subsampling in [Subsampling::S444, Subsampling::S420] {
-            let spec = TierSpec::new(vec![1, 6, 20, 64]);
-            let bytes = encode_tiered_with(&img, Quality::default(), subsampling, &spec);
-            for tier in 0..4 {
-                let prefix = truncate_to_tier(&bytes, tier).unwrap();
-                let full = decode_tiered(prefix).unwrap();
-                for rect in rects(width, height) {
-                    let region = decode_tiered_region(prefix, rect).unwrap();
-                    assert_eq!(
-                        (region.tier, &region.index),
-                        (full.tier, &full.index),
-                        "{width}x{height} {subsampling:?} tier {tier} {rect:?}"
-                    );
-                    assert_eq!(
-                        region.image,
-                        full.image.crop(rect).unwrap(),
-                        "{width}x{height} {subsampling:?} tier {tier} {rect:?}"
-                    );
-                }
+        let spec = TierSpec::new(vec![1, 6, 20, 64]);
+        let bytes = encode_tiered(&img, Quality::default(), &spec);
+        for tier in 0..4 {
+            let prefix = truncate_to_tier(&bytes, tier).unwrap();
+            let full = decode_tiered(prefix).unwrap();
+            for rect in rects(width, height) {
+                let region = decode_tiered_region(prefix, rect).unwrap();
+                assert_eq!(
+                    (region.tier, &region.index),
+                    (full.tier, &full.index),
+                    "{width}x{height} tier {tier} {rect:?}"
+                );
+                assert_eq!(
+                    region.image,
+                    full.image.crop(rect).unwrap(),
+                    "{width}x{height} tier {tier} {rect:?}"
+                );
             }
         }
     }
@@ -106,13 +92,11 @@ proptest! {
         c in 0f64..=1.0,
         q in 1u8..=100,
         seed in any::<u64>(),
-        mode in 0usize..4,
         corner in (0f64..1.0, 0f64..1.0),
         extent in (0f64..1.0, 0f64..1.0),
     ) {
         let img = SynthSpec::new(w, h).complexity(c).render(seed);
-        let opts = EncodeOptions { quality: Quality::new(q).unwrap(), ..all_options()[mode] };
-        let bytes = encode_with(&img, &opts);
+        let bytes = encode(&img, Quality::new(q).unwrap());
         let x = (corner.0 * f64::from(w)) as u32;
         let y = (corner.1 * f64::from(h)) as u32;
         let rect = Rect::new(
@@ -129,11 +113,11 @@ proptest! {
     #[test]
     fn corrupt_streams_fail_alike(
         flips in proptest::collection::vec((any::<u64>(), 0u8..8), 1..4),
-        mode in 0usize..4,
+        q in 1u8..=100,
         cut in 0usize..40,
     ) {
         let img = SynthSpec::new(40, 32).complexity(0.6).render(3);
-        let mut bytes = encode_with(&img, &all_options()[mode]);
+        let mut bytes = encode(&img, Quality::new(q).unwrap());
         for (at, bit) in flips {
             // The header's geometry stays: the rectangle must keep fitting.
             let at = 15 + (at as usize) % (bytes.len() - 15);

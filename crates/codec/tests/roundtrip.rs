@@ -1,17 +1,9 @@
 //! Property-based tests for the SJPG codec.
 
-use codec::{decode, encode, encode_with, EncodeOptions, EntropyMode, Quality, Subsampling};
+use codec::{decode, encode, Quality};
 use imagery::synth::SynthSpec;
 use imagery::RasterImage;
 use proptest::prelude::*;
-
-fn arb_options() -> impl Strategy<Value = EncodeOptions> {
-    (1u8..=100, any::<bool>(), any::<bool>()).prop_map(|(q, sub, huff)| {
-        EncodeOptions::new(Quality::new(q).expect("range-limited"))
-            .subsampling(if sub { Subsampling::S420 } else { Subsampling::S444 })
-            .entropy(if huff { EntropyMode::Huffman } else { EntropyMode::RleVarint })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -36,36 +28,6 @@ proptest! {
     #[test]
     fn decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode(&data);
-    }
-
-    /// Every (quality, subsampling, entropy) combination roundtrips with
-    /// bounded reconstruction error for arbitrary shapes and content.
-    #[test]
-    fn all_modes_roundtrip(
-        w in 1u32..160,
-        h in 1u32..160,
-        c in 0f64..=1.0,
-        seed in any::<u64>(),
-        opts in arb_options(),
-    ) {
-        let img = SynthSpec::new(w, h).complexity(c).render(seed);
-        let bytes = encode_with(&img, &opts);
-        let back = decode(&bytes).unwrap();
-        prop_assert_eq!((back.width(), back.height()), (w, h));
-    }
-
-    /// The two entropy backends carry identical quantized data when chroma
-    /// layout matches: reconstructions agree exactly.
-    #[test]
-    fn entropy_backends_agree(seed in any::<u64>(), q in 1u8..=100) {
-        let img = SynthSpec::new(72, 56).complexity(0.6).render(seed);
-        let quality = Quality::new(q).unwrap();
-        let rle = decode(&encode_with(&img, &EncodeOptions::new(quality))).unwrap();
-        let huff = decode(&encode_with(
-            &img,
-            &EncodeOptions::new(quality).entropy(EntropyMode::Huffman),
-        )).unwrap();
-        prop_assert_eq!(rle, huff);
     }
 
     /// Encoding is deterministic.

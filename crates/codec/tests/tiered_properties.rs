@@ -6,8 +6,8 @@
 //! consistency (the directory honestly describes the byte stream).
 
 use codec::{
-    decode_tiered, encode_tiered_with, truncate_to_tier, DecodeError, Quality, Subsampling,
-    TierIndex, TierSpec, BLOCK_AREA,
+    decode_tiered, encode_tiered, truncate_to_tier, DecodeError, Quality, TierIndex, TierSpec,
+    BLOCK_AREA,
 };
 use imagery::synth::SynthSpec;
 use proptest::prelude::*;
@@ -23,10 +23,6 @@ fn arb_spec() -> impl Strategy<Value = TierSpec> {
     })
 }
 
-fn arb_subsampling() -> impl Strategy<Value = Subsampling> {
-    any::<bool>().prop_map(|s| if s { Subsampling::S420 } else { Subsampling::S444 })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -40,11 +36,10 @@ proptest! {
         c in 0f64..=1.0,
         q in 20u8..=100,
         seed in any::<u64>(),
-        sub in arb_subsampling(),
         spec in arb_spec(),
     ) {
         let img = SynthSpec::new(w, h).complexity(c).render(seed);
-        let bytes = encode_tiered_with(&img, Quality::new(q).unwrap(), sub, &spec);
+        let bytes = encode_tiered(&img, Quality::new(q).unwrap(), &spec);
         let index = TierIndex::parse(&bytes).unwrap();
         prop_assert_eq!(index.tier_count() as usize, spec.tiers());
         let mut last_psnr = f64::NEG_INFINITY;
@@ -73,7 +68,7 @@ proptest! {
         spec in arb_spec(),
     ) {
         let img = SynthSpec::new(40, 24).complexity(c).render(seed);
-        let bytes = encode_tiered_with(&img, Quality::default(), Subsampling::S444, &spec);
+        let bytes = encode_tiered(&img, Quality::default(), &spec);
         let index = TierIndex::parse(&bytes).unwrap();
         let boundaries: Vec<usize> =
             index.tiers.iter().map(|b| b.end_offset as usize).collect();
@@ -107,12 +102,7 @@ proptest! {
     ) {
         use std::error::Error;
         let img = SynthSpec::new(32, 32).complexity(0.6).render(seed);
-        let bytes = encode_tiered_with(
-            &img,
-            Quality::default(),
-            Subsampling::S444,
-            &TierSpec::default(),
-        );
+        let bytes = encode_tiered(&img, Quality::default(), &TierSpec::default());
         let mut corrupted = bytes.clone();
         let at = (flip_byte % corrupted.len() as u64) as usize;
         corrupted[at] ^= 1 << flip_bit;
@@ -134,12 +124,8 @@ proptest! {
         flips in proptest::collection::vec((any::<u64>(), 0u8..8), 0..4),
     ) {
         let img = SynthSpec::new(24, 40).complexity(0.8).render(seed);
-        let mut bytes = encode_tiered_with(
-            &img,
-            Quality::default(),
-            Subsampling::S420,
-            &TierSpec::new(vec![2, 9, 33, 64]),
-        );
+        let mut bytes =
+            encode_tiered(&img, Quality::default(), &TierSpec::new(vec![2, 9, 33, 64]));
         for (at, bit) in flips {
             let i = (at % bytes.len() as u64) as usize;
             bytes[i] ^= 1 << bit;
@@ -152,8 +138,7 @@ proptest! {
 #[test]
 fn truncate_requests_beyond_the_ladder_are_typed() {
     let img = SynthSpec::new(16, 16).complexity(0.5).render(3);
-    let bytes =
-        encode_tiered_with(&img, Quality::default(), Subsampling::S444, &TierSpec::default());
+    let bytes = encode_tiered(&img, Quality::default(), &TierSpec::default());
     assert!(matches!(
         truncate_to_tier(&bytes, 9),
         Err(DecodeError::UnknownTier { tier: 9, tiers: 3 })

@@ -11,7 +11,7 @@
 //! `f0adaa2` (per-pixel value noise, plane-by-plane encoder, one thread). A
 //! digest that moves means a pixel or a tensor value changed.
 
-use codec::{EncodeOptions, EntropyMode, Quality, Subsampling, TierSpec};
+use codec::{Quality, TierSpec};
 use datasets::DatasetSpec;
 use imagery::synth::{Pattern, SynthSpec};
 use pipeline::{PipelineSpec, SampleKey, StageData};
@@ -141,75 +141,42 @@ fn synthesized_pixels_are_pinned() {
 
 #[test]
 fn classic_decode_pixels_are_pinned() {
-    let q = Quality::default();
-    let huff420 =
-        |q| EncodeOptions::new(q).subsampling(Subsampling::S420).entropy(EntropyMode::Huffman);
-    let cases = [
-        (96, 72, EncodeOptions::new(q)),
-        (96, 72, huff420(q)),
-        (75, 53, EncodeOptions::new(Quality::new(50).unwrap())),
-        (75, 53, huff420(Quality::new(97).unwrap())),
-        (75, 53, EncodeOptions::new(q).subsampling(Subsampling::S420)),
-        (17, 9, EncodeOptions::new(q).entropy(EntropyMode::Huffman)),
-    ];
+    let cases = [(96, 72, Quality::default(), 11), (75, 53, Quality::new(50).unwrap(), 13)];
     let got: Vec<u64> = cases
         .iter()
-        .zip(11u64..)
-        .map(|(&(w, h, ref opts), seed)| {
+        .map(|&(w, h, quality, seed)| {
             let img = SynthSpec::new(w, h).complexity(0.6).render(seed);
-            let bytes = codec::encode_with(&img, opts);
+            let bytes = codec::encode(&img, quality);
             let mut d = Fnv::new();
             d.fold_bytes(&bytes);
             d.fold_image(&codec::decode(&bytes).unwrap());
             d.0
         })
         .collect();
-    assert_digests(
-        "classic decode",
-        &got,
-        &[
-            0x16cc_c385_9d7f_e270,
-            0x8aa9_e00f_8f83_8f13,
-            0xd1dc_dbb8_f04d_a24f,
-            0xc113_525b_af90_fdef,
-            0xc9b5_de60_4af8_ac49,
-            0xb64b_df7b_ab7e_4719,
-        ],
-    );
+    assert_digests("classic decode", &got, &[0x16cc_c385_9d7f_e270, 0xd1dc_dbb8_f04d_a24f]);
 }
 
 #[test]
 fn tiered_decode_pixels_are_pinned() {
     let img = SynthSpec::new(75, 53).complexity(0.7).render(5);
-    let mut got = Vec::new();
-    let mut stored = Vec::new();
-    for subsampling in [Subsampling::S444, Subsampling::S420] {
-        let bytes =
-            codec::encode_tiered_with(&img, Quality::default(), subsampling, &TierSpec::default());
-        let mut d = Fnv::new();
-        d.fold_bytes(&bytes);
-        stored.push(d.0);
-        for tier in 0..3 {
+    let bytes = codec::encode_tiered(&img, Quality::default(), &TierSpec::default());
+    let mut stored = Fnv::new();
+    stored.fold_bytes(&bytes);
+    let got: Vec<u64> = (0..3)
+        .map(|tier| {
             let out = codec::decode_tiered(codec::truncate_to_tier(&bytes, tier).unwrap()).unwrap();
             assert_eq!(out.tier, tier);
             let mut d = Fnv::new();
             d.fold_image(&out.image);
-            got.push(d.0);
-        }
-    }
+            d.0
+        })
+        .collect();
     assert_digests(
         "tiered decode",
         &got,
-        &[
-            0x2282_26f6_1e87_7a14,
-            0xc821_941e_67a3_169b,
-            0x8ded_2472_e87e_2ebe,
-            0x23e5_fc3c_c1cc_0e50,
-            0xb002_5ffe_8879_647b,
-            0xafaf_6f64_2066_e5d3,
-        ],
+        &[0x2282_26f6_1e87_7a14, 0xc821_941e_67a3_169b, 0x8ded_2472_e87e_2ebe],
     );
-    assert_digests("tiered stored bytes", &stored, &[0x3507_e2dd_a6a7_9d83, 0x1189_7284_c037_9198]);
+    assert_digests("tiered stored bytes", &[stored.0], &[0x3507_e2dd_a6a7_9d83]);
 }
 
 /// Two stored samples and a browned-out tiered prefix of the first, each
