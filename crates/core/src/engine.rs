@@ -20,7 +20,7 @@
 use cluster::{ClusterConfig, FleetNodeConfig, GpuModel};
 use pipeline::{Modality, SampleProfile};
 
-use crate::{CostVector, OffloadPlan, SophonError};
+use crate::{CostVector, OffloadPlan, PlanSummary, SophonError};
 
 /// Sentinel cost (in seconds) for plans that route offloaded work to a
 /// zero-core storage node. Large enough that no feasible plan ever loses a
@@ -84,13 +84,22 @@ pub enum SampleUniverse<'a> {
     Indices(&'a [usize]),
 }
 
-impl SampleUniverse<'_> {
-    /// Materializes the universe's members over a corpus of `n` samples,
-    /// in ascending index order.
-    pub fn members(&self, n: usize) -> Vec<usize> {
+impl<'a> SampleUniverse<'a> {
+    /// The universe's members over a corpus of `n` samples, in ascending
+    /// index order, without collecting them.
+    pub fn members(self, n: usize) -> impl Iterator<Item = usize> + 'a {
+        let (all, listed): (usize, &'a [usize]) = match self {
+            SampleUniverse::All => (n, &[]),
+            SampleUniverse::Indices(ix) => (0, ix),
+        };
+        (0..all).chain(listed.iter().copied())
+    }
+
+    /// How many members the universe has over a corpus of `n` samples.
+    pub(crate) fn len(self, n: usize) -> usize {
         match self {
-            SampleUniverse::All => (0..n).collect(),
-            SampleUniverse::Indices(ix) => ix.to_vec(),
+            SampleUniverse::All => n,
+            SampleUniverse::Indices(ix) => ix.len(),
         }
     }
 }
@@ -139,7 +148,12 @@ impl<'a> PlanningContext<'a> {
     ///
     /// Propagates plan/profile mismatches.
     pub fn costs_for_plan(&self, plan: &OffloadPlan) -> Result<CostVector, SophonError> {
-        let summary = plan.summarize(self.profiles)?;
+        Ok(self.costs_for_summary(&plan.summarize(self.profiles)?))
+    }
+
+    /// The cost vector of a plan already summarized against this context's
+    /// profiles.
+    pub(crate) fn costs_for_summary(&self, summary: &PlanSummary) -> CostVector {
         let t_cc = summary.compute_cpu_seconds / self.config.compute_cores.max(1) as f64;
         let storage_capacity = self.config.storage_cores as f64;
         let t_cs = if summary.storage_cpu_seconds == 0.0 {
@@ -153,7 +167,7 @@ impl<'a> PlanningContext<'a> {
             summary.storage_cpu_seconds / storage_capacity
         };
         let t_net = summary.transfer_bytes as f64 * 8.0 / self.config.link_bps;
-        Ok(CostVector::new(self.gpu_epoch_seconds(), t_cc, t_cs, t_net))
+        CostVector::new(self.gpu_epoch_seconds(), t_cc, t_cs, t_net)
     }
 
     /// The `No-Off` baseline cost vector (`T_CS = 0`).
@@ -161,6 +175,35 @@ impl<'a> PlanningContext<'a> {
         self.costs_for_plan(&OffloadPlan::none(self.profiles.len()))
             .expect("none-plan always matches profiles")
     }
+}
+
+/// A candidate's place in the greedy order as one integer: its
+/// efficiency's bits inverted, above its index. Ascending keys run by
+/// descending efficiency, ties in ascending index order.
+///
+/// Every candidate's efficiency is `> 0.0` (finite or `+inf`), and positive
+/// doubles order like their bit patterns, so this is exactly the order of a
+/// stable sort of the ascending universe by descending efficiency under
+/// `partial_cmp`. The keys are unique, so an unstable sort, which needs no
+/// scratch buffer, yields that same order.
+fn rank_key(index: usize, efficiency: f64) -> u128 {
+    (u128::from(!efficiency.to_bits()) << 64) | index as u128
+}
+
+/// The universe's positive-efficiency samples as [`rank_key`]s in greedy
+/// order. Each sample's efficiency is priced once, however many
+/// comparisons the sort makes.
+fn ranked_candidates(ctx: &PlanningContext<'_>, universe: SampleUniverse<'_>) -> Vec<u128> {
+    let n = ctx.profiles.len();
+    let mut keys = Vec::with_capacity(universe.len(n));
+    for i in universe.members(n) {
+        let efficiency = ctx.profiles[i].efficiency();
+        if efficiency > 0.0 {
+            keys.push(rank_key(i, efficiency));
+        }
+    }
+    keys.sort_unstable();
+    keys
 }
 
 /// The SOPHON decision engine.
@@ -220,29 +263,17 @@ impl DecisionEngine {
             return (plan, trace);
         }
 
-        // Rank candidates by efficiency, descending; the sort is stable, so
-        // ties keep the universe's ascending index order.
-        let mut candidates: Vec<usize> = universe
-            .members(n)
-            .into_iter()
-            .filter(|&i| ctx.profiles[i].efficiency() > 0.0)
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            ctx.profiles[b]
-                .efficiency()
-                .partial_cmp(&ctx.profiles[a].efficiency())
-                .expect("efficiencies are finite")
-        });
-
         let storage_cores = budget.storage_cores;
         let compute_cores = budget.compute_cores;
         let bw = budget.link_bps;
 
         let mut current = *trace.last().expect("trace seeded with baseline");
-        for &i in &candidates {
+        for key in ranked_candidates(ctx, universe) {
             if !current.network_predominant() {
                 break;
             }
+            // The key's low 64 bits are the sample index.
+            let i = key as u64 as usize;
             let p = &ctx.profiles[i];
             let (stage, min_size) = p.min_stage();
             let saved_bytes = (p.raw_bytes - min_size) as f64;
@@ -404,5 +435,114 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The greedy pass as it ranked before ranks were keyed: the universe
+    /// collected, then stable-sorted by a comparator that prices both
+    /// sides' efficiency on every comparison. The oracle the keyed pass is
+    /// checked against.
+    fn plan_scoped_reference(
+        ctx: &PlanningContext<'_>,
+        universe: SampleUniverse<'_>,
+        baseline: CostVector,
+        budget: &ResourceBudget,
+    ) -> (OffloadPlan, Vec<CostVector>) {
+        let n = ctx.profiles.len();
+        let mut plan = OffloadPlan::none(n);
+        let mut trace = vec![baseline];
+        if budget.storage_cores <= 0.0 {
+            return (plan, trace);
+        }
+        let mut candidates: Vec<usize> =
+            universe.members(n).filter(|&i| ctx.profiles[i].efficiency() > 0.0).collect();
+        candidates.sort_by(|&a, &b| {
+            ctx.profiles[b]
+                .efficiency()
+                .partial_cmp(&ctx.profiles[a].efficiency())
+                .expect("efficiencies are finite")
+        });
+        let mut current = baseline;
+        for &i in &candidates {
+            if !current.network_predominant() {
+                break;
+            }
+            let p = &ctx.profiles[i];
+            let (stage, min_size) = p.min_stage();
+            let saved_bytes = (p.raw_bytes - min_size) as f64;
+            let prefix = p.prefix_seconds(stage);
+            let next = CostVector::new(
+                current.t_g,
+                (current.t_cc - prefix / budget.compute_cores).max(0.0),
+                current.t_cs + prefix / budget.storage_cores,
+                (current.t_net - saved_bytes * 8.0 / budget.link_bps).max(0.0),
+            );
+            if next.makespan() > current.makespan() {
+                continue;
+            }
+            plan.set_split(i, p.best_split());
+            current = next;
+            trace.push(next);
+        }
+        (plan, trace)
+    }
+
+    fn trace_bits(trace: &[CostVector]) -> Vec<[u64; 4]> {
+        trace.iter().map(|c| [c.t_g, c.t_cc, c.t_cs, c.t_net].map(f64::to_bits)).collect()
+    }
+
+    /// Plans `ps` with the keyed pass and with the reference on every
+    /// testbed size, over the whole corpus and over an ascending subset,
+    /// and asserts the same plan and, to the bit, the same trace.
+    fn assert_keyed_pass_matches_reference(name: &str, ps: &[SampleProfile]) {
+        let pipeline = PipelineSpec::standard_train();
+        let subset: Vec<usize> = (0..ps.len()).filter(|i| i % 3 != 1).collect();
+        for cores in [1usize, 2, 4, 48] {
+            let config = ClusterConfig::paper_testbed(cores);
+            let ctx = context(ps, &pipeline, &config);
+            let budget = ResourceBudget::of_context(&ctx);
+            let baseline = ctx.baseline_costs();
+            for (shape, universe) in
+                [("all", SampleUniverse::All), ("subset", SampleUniverse::Indices(&subset))]
+            {
+                let what = format!("{name}, {cores} cores, {shape}");
+                let (plan, trace) =
+                    DecisionEngine::new().plan_scoped_with_trace(&ctx, universe, baseline, &budget);
+                let (want_plan, want_trace) =
+                    plan_scoped_reference(&ctx, universe, baseline, &budget);
+                assert_eq!(plan, want_plan, "{what}: plan");
+                assert_eq!(trace_bits(&trace), trace_bits(&want_trace), "{what}: trace");
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_ranking_plans_like_the_comparator_sort() {
+        for (name, ds) in [
+            ("openimages", DatasetSpec::openimages_like(1500, 3)),
+            ("imagenet", DatasetSpec::imagenet_like(1500, 3)),
+            ("mini", DatasetSpec::mini(64, 3)),
+        ] {
+            assert_keyed_pass_matches_reference(name, &profiles(&ds));
+        }
+    }
+
+    #[test]
+    fn efficiency_ties_keep_ascending_index_order() {
+        // Four copies of each profile give exact efficiency ties; two
+        // copies of one sample get a prefix that costs nothing, so their
+        // efficiency is `+inf` and they tie with each other. With few
+        // storage cores the pass stops or skips inside tie groups, so any
+        // other tie order offloads different indices.
+        let base = profiles(&DatasetSpec::openimages_like(300, 7));
+        let mut ps: Vec<SampleProfile> = (0..4).flat_map(|_| base.iter().cloned()).collect();
+        let free = base.iter().position(|p| p.efficiency() > 0.0).expect("a sample benefits");
+        for i in [free, free + base.len()] {
+            let (stage, _) = ps[i].min_stage();
+            for m in &mut ps[i].stages[..stage] {
+                m.seconds = 0.0;
+            }
+            assert_eq!(ps[i].efficiency(), f64::INFINITY);
+        }
+        assert_keyed_pass_matches_reference("ties", &ps);
     }
 }

@@ -29,6 +29,8 @@
 //! ranks by wire bytes saved per cache byte spent, so cheap-to-pin,
 //! expensive-to-ship samples win the budget.
 
+use std::cmp::Reverse;
+
 use cluster::SampleWork;
 
 use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};
@@ -145,10 +147,10 @@ pub fn choose_cache_contents(
             candidates.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)));
         }
         CacheSelection::EfficiencyAware => {
-            candidates.sort_by(|a, b| {
-                let da = a.3 as f64 / a.2.max(1) as f64;
-                let db = b.3 as f64 / b.2.max(1) as f64;
-                db.total_cmp(&da).then(a.0.cmp(&b.0))
+            // Each ratio is computed once. The sort is stable over
+            // candidates in index order, so ties stay in index order.
+            candidates.sort_by_cached_key(|&(_, _, resident, shipped)| {
+                Reverse(total_order_key(shipped as f64 / resident.max(1) as f64))
             });
         }
     }
@@ -166,6 +168,13 @@ pub fn choose_cache_contents(
     CacheAssignment { cached_stage, cached_bytes, budget_bytes, warm_bytes_saved }
 }
 
+/// `x`'s bits as an integer that orders exactly as [`f64::total_cmp`]
+/// orders `x` (the transform `total_cmp` itself applies).
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// The warm-epoch baseline over a universe and a budget — e.g. one shard's
 /// primaries against that node's own link: cached samples contribute
 /// suffix compute only (zero transfer, zero storage time), uncached
@@ -178,11 +187,11 @@ pub fn warm_baseline_costs_scoped(
     universe: SampleUniverse<'_>,
     budget: &ResourceBudget,
 ) -> CostVector {
-    let members = universe.members(ctx.profiles.len());
-    let t_g = members.len() as f64 * ctx.gpu.seconds_per_image() / ctx.config.gpus.max(1) as f64;
+    let n = ctx.profiles.len();
+    let t_g = universe.len(n) as f64 * ctx.gpu.seconds_per_image() / ctx.config.gpus.max(1) as f64;
     let mut compute_seconds = 0.0;
     let mut net_bytes = 0u64;
-    for &i in &members {
+    for i in universe.members(n) {
         let p = &ctx.profiles[i];
         match assignment.cached_stage(i) {
             Some(stage) => compute_seconds += p.total_seconds() - p.prefix_seconds(stage),
@@ -258,6 +267,101 @@ mod tests {
                 if pct == 0 {
                     assert!(a.is_empty());
                 }
+            }
+        }
+    }
+
+    /// The selection as it ranked before the ratio was keyed: a stable sort
+    /// whose comparator divides on both sides of every comparison. The
+    /// oracle `choose_cache_contents` is checked against.
+    fn choose_cache_contents_reference(
+        ctx: &PlanningContext<'_>,
+        budget_bytes: u64,
+        selection: CacheSelection,
+    ) -> CacheAssignment {
+        let no_cache_plan = DecisionEngine::new().plan(ctx);
+        let stable_ops = ctx.modality.deterministic_prefix_ops();
+        let mut candidates: Vec<(usize, usize, u64, u64)> = ctx
+            .profiles
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let stage = (0..=stable_ops.min(p.stage_count()))
+                    .min_by_key(|&s| p.size_at(s))
+                    .unwrap_or(0);
+                let resident = p.size_at(stage);
+                let shipped = p.size_at(no_cache_plan.split(i).offloaded_ops());
+                (i, stage, resident, shipped)
+            })
+            .collect();
+        match selection {
+            CacheSelection::Arrival => {}
+            CacheSelection::SizeAware => {
+                candidates.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)));
+            }
+            CacheSelection::EfficiencyAware => {
+                candidates.sort_by(|a, b| {
+                    let da = a.3 as f64 / a.2.max(1) as f64;
+                    let db = b.3 as f64 / b.2.max(1) as f64;
+                    db.total_cmp(&da).then(a.0.cmp(&b.0))
+                });
+            }
+        }
+        let mut cached_stage = vec![None; ctx.profiles.len()];
+        let mut cached_bytes = 0u64;
+        let mut warm_bytes_saved = 0u64;
+        for (i, stage, resident, shipped) in candidates {
+            if cached_bytes + resident <= budget_bytes {
+                cached_stage[i] = Some(stage);
+                cached_bytes += resident;
+                warm_bytes_saved += shipped;
+            }
+        }
+        CacheAssignment { cached_stage, cached_bytes, budget_bytes, warm_bytes_saved }
+    }
+
+    #[test]
+    fn keyed_selection_matches_the_comparator_sort() {
+        let (ps, pipeline, config) = setup();
+        // The corpus twice over: every ratio then ties with another
+        // sample's, so the index tie-break decides which copy fits.
+        let twice: Vec<SampleProfile> = ps.iter().chain(&ps).cloned().collect();
+        for (name, corpus) in [("corpus", &ps), ("corpus twice", &twice)] {
+            let ctx = PlanningContext::new(corpus, &pipeline, &config, GpuModel::AlexNet, 256);
+            for pct in [5u64, 25, 60] {
+                let budget = corpus_bytes(corpus) * pct / 100;
+                for sel in [
+                    CacheSelection::Arrival,
+                    CacheSelection::SizeAware,
+                    CacheSelection::EfficiencyAware,
+                ] {
+                    assert_eq!(
+                        choose_cache_contents(&ctx, budget, sel),
+                        choose_cache_contents_reference(&ctx, budget, sel),
+                        "{name}, {sel:?} at {pct}%"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.25,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b), "{a} {b}");
             }
         }
     }

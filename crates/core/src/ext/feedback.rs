@@ -282,10 +282,13 @@ impl FeedbackController {
         let pending = &mut self.pending;
         for (name, series) in hub.iter() {
             let Some(mean) = series.mean_last(window) else { continue };
-            let detector = detectors.entry(name.to_string()).or_insert_with(|| {
-                CusumDetector::new(DriftConfig::for_reference(1.0))
-                    .expect("reference 1.0 is a valid drift config")
-            });
+            // Only a channel seen for the first time allocates its key.
+            if !detectors.contains_key(name) {
+                let detector = CusumDetector::new(DriftConfig::for_reference(1.0))
+                    .expect("reference 1.0 is a valid drift config");
+                detectors.insert(name.to_string(), detector);
+            }
+            let detector = detectors.get_mut(name).expect("inserted above");
             if let Some(verdict) = detector.update(batch as f64, mean) {
                 pending.insert(name.to_string(), verdict.level);
             }
@@ -354,6 +357,20 @@ pub fn cpu_channel(node: usize) -> String {
 /// The telemetry channel carrying node `n`'s link service ratio.
 pub fn link_channel(node: usize) -> String {
     format!("node{node}.link")
+}
+
+/// One node's three telemetry channel names, formatted once per run rather
+/// than once per stage event.
+struct NodeChannels {
+    read: String,
+    cpu: String,
+    link: String,
+}
+
+impl NodeChannels {
+    fn new(node: usize) -> NodeChannels {
+        NodeChannels { read: read_channel(node), cpu: cpu_channel(node), link: link_channel(node) }
+    }
 }
 
 /// A deterministic mid-epoch disturbance for chaos runs: at `at_batch`,
@@ -525,6 +542,7 @@ pub fn run_fleet_epoch_adaptive(
         None => None,
     };
 
+    let channels: Vec<NodeChannels> = (0..nodes.len()).map(NodeChannels::new).collect();
     let state = RefCell::new(DriverState {
         works,
         controller: feedback.map(|cfg| FeedbackController::new(cfg.clone())),
@@ -552,21 +570,21 @@ pub fn run_fleet_epoch_adaptive(
         let Some(controller) = st.controller.as_mut() else { return };
         let w = &st.works[e.sample as usize];
         let node = &nodes[e.node];
+        let names = &channels[e.node];
         let (channel, expected) = match e.stage {
             StageKind::Read => (
-                read_channel(e.node),
+                &names.read,
                 w.transfer_bytes as f64 / (base.storage_read_bytes_per_sec * node.speed),
             ),
-            StageKind::StorageCpu => (cpu_channel(e.node), w.storage_cpu_seconds / node.speed),
-            StageKind::Link => (
-                link_channel(e.node),
-                w.transfer_bytes as f64 * 8.0 / node.link_bps + base.link_latency,
-            ),
+            StageKind::StorageCpu => (&names.cpu, w.storage_cpu_seconds / node.speed),
+            StageKind::Link => {
+                (&names.link, w.transfer_bytes as f64 * 8.0 / node.link_bps + base.link_latency)
+            }
             // The compute stage is shared and not a planner input.
             StageKind::ComputeCpu => return,
         };
         if expected > 1e-12 {
-            controller.observe(&channel, e.batch as f64, e.service_seconds / expected);
+            controller.observe(channel, e.batch as f64, e.service_seconds / expected);
         }
     };
 
@@ -592,7 +610,7 @@ pub fn run_fleet_epoch_adaptive(
         // leaves the placement untouched.
         let fractions: Vec<f64> = (0..nodes.len())
             .map(|i| match &brownout {
-                Some(b) => b.fraction_for(controller.estimate(&link_channel(i))),
+                Some(b) => b.fraction_for(controller.estimate(&channels[i].link)),
                 None => 1.0,
             })
             .collect();
@@ -603,11 +621,11 @@ pub fn run_fleet_epoch_adaptive(
             .iter()
             .enumerate()
             .map(|(i, nd)| {
-                let r_cpu = controller.estimate(&cpu_channel(i));
-                let r_read = controller.estimate(&read_channel(i));
+                let r_cpu = controller.estimate(&channels[i].cpu);
+                let r_read = controller.estimate(&channels[i].read);
                 let r_speed =
                     if (r_cpu - 1.0).abs() >= (r_read - 1.0).abs() { r_cpu } else { r_read };
-                let r_link = controller.estimate(&link_channel(i)) * fractions[i];
+                let r_link = controller.estimate(&channels[i].link) * fractions[i];
                 FleetNodeConfig {
                     storage_cores: nd.storage_cores,
                     speed: (nd.speed / r_speed).clamp(nd.speed * 0.05, nd.speed * 20.0),
@@ -711,7 +729,10 @@ pub fn scheduled_replans(
 pub struct LiveFeedbackBridge {
     controller: FeedbackController,
     counters: TelemetryHub,
-    tenant: u16,
+    /// The exported counter the link ratio is read from, `tenant{N}.bytes`.
+    bytes_series: String,
+    /// The controller channel the ratio feeds, `tenant{N}.link`.
+    link_channel: String,
     nominal_bytes_per_sec: f64,
     rate_window_seconds: f64,
     batch: u64,
@@ -734,7 +755,8 @@ impl LiveFeedbackBridge {
         LiveFeedbackBridge {
             controller: FeedbackController::new(config),
             counters: TelemetryHub::new(256),
-            tenant,
+            bytes_series: format!("tenant{tenant}.bytes"),
+            link_channel: format!("tenant{tenant}.link"),
             nominal_bytes_per_sec,
             rate_window_seconds: 0.25,
             batch: 0,
@@ -769,7 +791,7 @@ impl LiveFeedbackBridge {
     /// nominal byte rate over the windowed served rate. `None` until the
     /// window holds two exports with positive served bytes.
     pub fn link_ratio(&self, now: f64) -> Option<f64> {
-        let series = self.counters.series(&format!("tenant{}.bytes", self.tenant))?;
+        let series = self.counters.series(&self.bytes_series)?;
         let observed = series.rate_over(self.rate_window_seconds, now)?;
         (observed > 0.0).then(|| self.nominal_bytes_per_sec / observed)
     }
@@ -780,8 +802,7 @@ impl LiveFeedbackBridge {
     /// if any.
     pub fn end_batch(&mut self, now: f64) -> Option<ReplanEvent> {
         if let Some(ratio) = self.link_ratio(now) {
-            let channel = format!("tenant{}.link", self.tenant);
-            self.controller.observe(&channel, now, ratio);
+            self.controller.observe(&self.link_channel, now, ratio);
         }
         let event = self.controller.end_batch(self.batch, now);
         self.batch += 1;

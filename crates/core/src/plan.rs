@@ -80,49 +80,64 @@ impl OffloadPlan {
         &self,
         profiles: &[SampleProfile],
     ) -> Result<Vec<SampleWork>, SophonError> {
-        if profiles.len() != self.splits.len() {
-            return Err(SophonError::PlanMismatch {
-                profiles: profiles.len(),
-                plan: self.splits.len(),
-            });
-        }
-        profiles
-            .iter()
-            .zip(self.splits.iter())
-            .map(|(p, &split)| {
-                let k = split.offloaded_ops();
-                if k > p.stages.len() {
-                    return Err(SophonError::BadSplit {
-                        sample_id: p.sample_id,
-                        split: k,
-                        len: p.stages.len(),
-                    });
-                }
-                let storage = p.prefix_seconds(k);
-                let transfer = p.size_at(k);
-                let compute = p.total_seconds() - storage;
-                Ok(SampleWork::new(storage, transfer, compute.max(0.0)))
-            })
-            .collect()
+        self.check_len(profiles)?;
+        profiles.iter().zip(&self.splits).map(|(p, &split)| sample_work(p, split)).collect()
     }
 
-    /// Summarizes the plan against its profiles.
+    /// Summarizes the plan against its profiles, folding each sample's work
+    /// into the totals in index order.
     ///
     /// # Errors
     ///
     /// Same conditions as [`OffloadPlan::to_sample_works`].
     pub fn summarize(&self, profiles: &[SampleProfile]) -> Result<PlanSummary, SophonError> {
-        let works = self.to_sample_works(profiles)?;
-        let raw_bytes: u64 = profiles.iter().map(|p| p.raw_bytes).sum();
-        Ok(PlanSummary {
-            samples: works.len() as u64,
-            offloaded_samples: self.offloaded_samples() as u64,
-            transfer_bytes: works.iter().map(|w| w.transfer_bytes).sum(),
-            raw_bytes,
-            storage_cpu_seconds: works.iter().map(|w| w.storage_cpu_seconds).sum(),
-            compute_cpu_seconds: works.iter().map(|w| w.compute_cpu_seconds).sum(),
-        })
+        self.check_len(profiles)?;
+        // `-0.0` is the identity `Iterator::sum` starts an `f64` total
+        // from, so the CPU totals keep the sign an all-zero sum has always
+        // had.
+        let mut summary = PlanSummary {
+            samples: profiles.len() as u64,
+            offloaded_samples: 0,
+            transfer_bytes: 0,
+            raw_bytes: 0,
+            storage_cpu_seconds: -0.0,
+            compute_cpu_seconds: -0.0,
+        };
+        for (p, &split) in profiles.iter().zip(&self.splits) {
+            let work = sample_work(p, split)?;
+            summary.offloaded_samples += u64::from(split.is_offloaded());
+            summary.transfer_bytes += work.transfer_bytes;
+            summary.raw_bytes += p.raw_bytes;
+            summary.storage_cpu_seconds += work.storage_cpu_seconds;
+            summary.compute_cpu_seconds += work.compute_cpu_seconds;
+        }
+        Ok(summary)
     }
+
+    fn check_len(&self, profiles: &[SampleProfile]) -> Result<(), SophonError> {
+        if profiles.len() == self.splits.len() {
+            Ok(())
+        } else {
+            Err(SophonError::PlanMismatch { profiles: profiles.len(), plan: self.splits.len() })
+        }
+    }
+}
+
+/// One sample's resource demands when its first `split` ops run on the
+/// storage node.
+fn sample_work(p: &SampleProfile, split: SplitPoint) -> Result<SampleWork, SophonError> {
+    let k = split.offloaded_ops();
+    if k > p.stages.len() {
+        return Err(SophonError::BadSplit {
+            sample_id: p.sample_id,
+            split: k,
+            len: p.stages.len(),
+        });
+    }
+    let storage = p.prefix_seconds(k);
+    let transfer = p.size_at(k);
+    let compute = p.total_seconds() - storage;
+    Ok(SampleWork::new(storage, transfer, compute.max(0.0)))
 }
 
 /// Aggregate demands implied by an [`OffloadPlan`].
@@ -209,6 +224,71 @@ mod tests {
         let ps = profiles(3);
         let plan = OffloadPlan::uniform(3, SplitPoint::new(9));
         assert!(matches!(plan.summarize(&ps), Err(SophonError::BadSplit { split: 9, .. })));
+    }
+
+    /// The summary as it was computed before it was folded: every sample's
+    /// work collected, then each field summed. The oracle `summarize` is
+    /// checked against.
+    fn summarize_reference(
+        plan: &OffloadPlan,
+        profiles: &[SampleProfile],
+    ) -> Result<PlanSummary, SophonError> {
+        let works = plan.to_sample_works(profiles)?;
+        let raw_bytes: u64 = profiles.iter().map(|p| p.raw_bytes).sum();
+        Ok(PlanSummary {
+            samples: works.len() as u64,
+            offloaded_samples: plan.offloaded_samples() as u64,
+            transfer_bytes: works.iter().map(|w| w.transfer_bytes).sum(),
+            raw_bytes,
+            storage_cpu_seconds: works.iter().map(|w| w.storage_cpu_seconds).sum(),
+            compute_cpu_seconds: works.iter().map(|w| w.compute_cpu_seconds).sum(),
+        })
+    }
+
+    fn summary_bits(s: &PlanSummary) -> [u64; 6] {
+        [
+            s.samples,
+            s.offloaded_samples,
+            s.transfer_bytes,
+            s.raw_bytes,
+            s.storage_cpu_seconds.to_bits(),
+            s.compute_cpu_seconds.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn folded_summary_matches_the_collected_one_bit_for_bit() {
+        let ps = profiles(400);
+        let plans = [
+            ("none", OffloadPlan::none(400)),
+            ("all", OffloadPlan::uniform(400, SplitPoint::new(5))),
+            (
+                "every split",
+                OffloadPlan::from_splits((0..400).map(|i| SplitPoint::new(i % 6)).collect()),
+            ),
+            ("best", OffloadPlan::from_splits(ps.iter().map(SampleProfile::best_split).collect())),
+        ];
+        for (name, plan) in &plans {
+            let got = plan.summarize(&ps).unwrap();
+            let want = summarize_reference(plan, &ps).unwrap();
+            assert_eq!(summary_bits(&got), summary_bits(&want), "{name}");
+        }
+        // An empty corpus sums nothing, from the same identity.
+        let empty = OffloadPlan::none(0);
+        assert_eq!(
+            summary_bits(&empty.summarize(&[]).unwrap()),
+            summary_bits(&summarize_reference(&empty, &[]).unwrap())
+        );
+        // A short plan and out-of-range splits fail with the same first
+        // error.
+        let short = OffloadPlan::none(399);
+        assert_eq!(short.summarize(&ps), summarize_reference(&short, &ps));
+        let mut bad = OffloadPlan::none(400);
+        bad.set_split(7, SplitPoint::new(9));
+        bad.set_split(300, SplitPoint::new(12));
+        let err = bad.summarize(&ps).unwrap_err();
+        assert_eq!(err, summarize_reference(&bad, &ps).unwrap_err());
+        assert!(matches!(err, SophonError::BadSplit { split: 9, .. }), "{err:?}");
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Scenario {
         let class = Stage1Probe::run(&ctx)?.classify();
         let plan = policy.plan(&ctx)?;
         let summary = plan.summarize(profiles)?;
-        let costs = ctx.costs_for_plan(&plan)?;
+        let costs = ctx.costs_for_summary(&summary);
         let works = plan.to_sample_works(profiles)?;
         let epoch =
             simulate_epoch(&self.config, &EpochSpec::new(works, self.batch_size, self.gpu))?;

@@ -83,16 +83,24 @@ impl ShardMap {
         self.seed
     }
 
-    /// The primary owner of `sample_id`.
+    /// The ring index of the first point at or clockwise of `sample_id`'s
+    /// hash; `ring.len()` when the hash lies past the last point, which
+    /// wraps to index 0.
+    fn ring_start(&self, sample_id: u64) -> usize {
+        let h = mix(SAMPLE_STREAM, self.seed, sample_id);
+        self.ring.partition_point(|&(pos, _)| pos < h)
+    }
+
+    /// The primary owner of `sample_id`: `owners(sample_id)[0]` without
+    /// building the owner list.
     pub fn primary(&self, sample_id: u64) -> usize {
-        self.owners(sample_id)[0]
+        self.ring[self.ring_start(sample_id) % self.ring.len()].1
     }
 
     /// The ordered owner list of `sample_id`: primary first, then
     /// `replication - 1` distinct replica nodes in ring order.
     pub fn owners(&self, sample_id: u64) -> Vec<usize> {
-        let h = mix(SAMPLE_STREAM, self.seed, sample_id);
-        let start = self.ring.partition_point(|&(pos, _)| pos < h);
+        let start = self.ring_start(sample_id);
         let mut owners = Vec::with_capacity(self.replication);
         for i in 0..self.ring.len() {
             let (_, node) = self.ring[(start + i) % self.ring.len()];
@@ -188,6 +196,30 @@ mod tests {
         let frac = moved as f64 / 4_000.0;
         assert!(frac < 0.40, "adding one node moved {frac:.2} of keys");
         assert!(frac > 0.05, "adding one node moved almost nothing ({frac:.2})");
+    }
+
+    #[test]
+    fn primary_is_the_first_owner() {
+        let ids = (0..10_000u64).chain(u64::MAX - 999..=u64::MAX);
+        for nodes in 1..=8 {
+            for replication in 1..=nodes {
+                for seed in [0u64, 7, 2024] {
+                    let map = ShardMap::new(nodes, replication, seed);
+                    let mut wrapped = 0;
+                    for id in ids.clone() {
+                        wrapped += usize::from(map.ring_start(id) == map.ring.len());
+                        assert_eq!(
+                            map.primary(id),
+                            map.owners(id)[0],
+                            "id {id}, {nodes} nodes, replication {replication}, seed {seed}"
+                        );
+                    }
+                    // Some hashes lie past the last ring point, so the
+                    // wrap to the first point is exercised too.
+                    assert!(wrapped > 0, "{nodes} nodes, seed {seed}: no id wrapped");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ impl TelemetryHub {
     /// Propagates [`SeriesError`] from the underlying series (out-of-order
     /// or non-finite samples).
     pub fn push(&mut self, name: &str, t: f64, value: f64) -> Result<(), SeriesError> {
+        // A registered series is found by `&str`; only a new name allocates
+        // its key.
+        if let Some(series) = self.series.get_mut(name) {
+            return series.push(t, value);
+        }
         let capacity = if self.capacity == 0 { DEFAULT_CAPACITY } else { self.capacity };
         self.series
             .entry(name.to_string())
