@@ -8,9 +8,9 @@
 //! ```
 
 use bench::{
-    cache_effectiveness, cached_fleet_table, discussion_bandwidth_sweep, discussion_gpus,
-    figure_1a, figure_1b, figure_1c, figure_1d, figure_3, figure_4, fleet_scaling_table, table1,
-    training_amortization, PAPER_SAMPLES,
+    ablations, cache_effectiveness, cached_fleet_table, discussion_bandwidth_sweep,
+    discussion_gpus, extensions, figure_1a, figure_1b, figure_1c, figure_1d, figure_3, figure_4,
+    fleet_scaling_table, table1, training_amortization, PAPER_SAMPLES,
 };
 
 fn main() {
@@ -41,6 +41,8 @@ fn main() {
     run("cache", &|| cache_effectiveness(len, 50));
     run("fleet", &|| fleet_scaling_table(len));
     run("cached-fleet", &|| cached_fleet_table(len));
+    run("ablations", &|| ablations(len));
+    run("extensions", &|| extensions(len));
 
     let known = [
         "all",
@@ -57,6 +59,8 @@ fn main() {
         "cache",
         "fleet",
         "cached-fleet",
+        "ablations",
+        "extensions",
     ];
     if !known.contains(&which) {
         eprintln!("unknown artifact '{which}'; use one of: {}", known.join(" "));

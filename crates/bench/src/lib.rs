@@ -1,10 +1,9 @@
 //! Shared harness regenerating every table and figure of the SOPHON paper.
 //!
 //! Each `figure_*` function computes one artifact's data and renders it as a
-//! plain-text table; the `figures` binary prints them and the Criterion
-//! benches wrap the underlying computations. Corpus sizes default to the
-//! paper's scale (40 960 samples ≈ 12 GB for OpenImages) — everything is
-//! virtual-time, so full-scale runs take seconds.
+//! plain-text table, and the `figures` binary prints them. Corpus sizes
+//! default to the paper's scale (40 960 samples ≈ 12 GB for OpenImages) —
+//! everything is virtual-time, so full-scale runs take seconds.
 
 use std::fmt::Write as _;
 
@@ -378,17 +377,17 @@ pub fn training_amortization(len: u64, epochs: u64) -> String {
     out
 }
 
-/// Simulates one epoch for `(dataset, policy)` — the unit the Criterion
-/// benches time.
-pub fn run_policy_epoch(ds: &DatasetSpec, policy: &dyn Policy, storage_cores: usize) -> f64 {
-    let s = scenario(ds.clone(), storage_cores, GpuModel::AlexNet);
-    s.run(policy).expect("policy simulates").epoch.epoch_seconds
-}
-
-/// Ablation: plan with candidates ordered by a custom key instead of the
-/// paper's efficiency metric, using the same stopping rule. Returns the
-/// simulated epoch seconds of the resulting plan.
-pub fn epoch_with_ordering<F>(ds: &DatasetSpec, storage_cores: usize, key: F) -> f64
+/// Simulated epoch seconds of a greedy plan over `ds` that takes the
+/// beneficial samples in descending `key` order. With `stopping_rule` it
+/// stops as the engine does, once the link no longer dominates, and skips
+/// a sample that would lengthen the epoch; without it, every beneficial
+/// sample is offloaded.
+fn epoch_with_ordering<F>(
+    ds: &DatasetSpec,
+    storage_cores: usize,
+    key: F,
+    stopping_rule: bool,
+) -> f64
 where
     F: Fn(&pipeline::SampleProfile) -> f64,
 {
@@ -410,7 +409,7 @@ where
     let storage_cores_f = s.config.storage_cores.max(1) as f64;
     let compute_cores_f = s.config.compute_cores as f64;
     for i in order {
-        if !costs.network_predominant() {
+        if stopping_rule && !costs.network_predominant() {
             break;
         }
         let p = &profiles[i];
@@ -422,7 +421,7 @@ where
             costs.t_cs + prefix / storage_cores_f,
             (costs.t_net - (p.raw_bytes - min_size) as f64 * 8.0 / s.config.link_bps).max(0.0),
         );
-        if next.makespan() > costs.makespan() {
+        if stopping_rule && next.makespan() > costs.makespan() {
             continue;
         }
         plan.set_split(i, p.best_split());
@@ -432,6 +431,102 @@ where
     simulate_epoch(&s.config, &EpochSpec::new(works, 256, GpuModel::AlexNet))
         .expect("feasible plan")
         .epoch_seconds
+}
+
+/// A pseudo-random candidate order: a hash of the sample id.
+fn hashed_id(p: &pipeline::SampleProfile) -> f64 {
+    (p.sample_id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11) as f64
+}
+
+/// Ablations of SOPHON's design choices (DESIGN.md §5): the candidate
+/// order (efficiency, the paper's, vs raw size vs pseudo-random) and the
+/// bottleneck-aware stopping rule vs offloading every beneficial sample,
+/// at one and four storage cores.
+pub fn ablations(len: u64) -> String {
+    let ds = openimages(len);
+    let rows: [(&str, &dyn Fn(usize) -> f64); 4] = [
+        ("efficiency order (paper)", &|k| epoch_with_ordering(&ds, k, |p| p.efficiency(), true)),
+        ("raw-size order", &|k| epoch_with_ordering(&ds, k, |p| p.raw_bytes as f64, true)),
+        ("pseudo-random order", &|k| epoch_with_ordering(&ds, k, hashed_id, true)),
+        ("no stopping rule", &|k| epoch_with_ordering(&ds, k, |p| p.efficiency(), false)),
+    ];
+    let mut out = String::new();
+    let _ = writeln!(out, "Ablation: epoch seconds by candidate ordering and stopping rule");
+    let _ = writeln!(out, "{:<28} {:>10} {:>10}", "variant", "1 core", "4 cores");
+    for (name, epoch) in rows {
+        let _ = writeln!(out, "{:<28} {:>9.1}s {:>9.1}s", name, epoch(1), epoch(4));
+    }
+    out
+}
+
+/// The paper's future-work extensions, implemented here: selective
+/// compression, heterogeneous storage CPUs, multi-tenant core grants and
+/// provisioning, each on the OpenImages-like corpus with 48 storage cores.
+pub fn extensions(len: u64) -> String {
+    use cluster::FleetNodeConfig;
+    use sophon::engine::{DecisionEngine, PlanningContext};
+    use sophon::ext::compression::CompressionExt;
+    use sophon::ext::multitenant::{allocate_storage_cores, TenantJob};
+    use sophon::ext::provisioning::{min_storage_cores_for, Provisioning};
+    use sophon::ext::sharding::{plan_fleet, FleetPlanRequest};
+
+    let records: Vec<_> = openimages(len).records().collect();
+    let pipeline = PipelineSpec::standard_train();
+    let model = CostModel::realistic();
+    let profiles: Vec<_> = records.iter().map(|r| r.analytic_profile(&pipeline, &model)).collect();
+    let config = ClusterConfig::paper_testbed(48);
+    let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, 256);
+    let mut out = String::new();
+
+    let plan = DecisionEngine::new().plan(&ctx);
+    let (_, comp) =
+        CompressionExt::default().apply(&ctx, &records, &plan).expect("plan matches the corpus");
+    let _ = writeln!(
+        out,
+        "selective compression: {} samples re-encoded, {:.2} GB -> {:.2} GB ({:.2}x)",
+        comp.compressed_samples,
+        comp.bytes_before as f64 / 1e9,
+        comp.bytes_after as f64 / 1e9,
+        comp.compression_gain()
+    );
+
+    let _ = write!(out, "heterogeneous CPUs (offloaded samples by storage speed): ");
+    let one_shard = fleet::ShardMap::new(1, 1, 0);
+    for factor in [0.25, 0.5, 1.0, 2.0] {
+        // A storage core at `factor`x a compute core is a node at that speed.
+        let node = [FleetNodeConfig::nominal(&config).with_speed(factor)];
+        let request = FleetPlanRequest::new(&one_shard, &node);
+        let p = plan_fleet(&ctx, &request).expect("one-node fleet plans").plan;
+        let _ = write!(out, "{factor}x -> {}  ", p.offloaded_samples());
+    }
+    let _ = writeln!(out);
+
+    let jobs: Vec<TenantJob> = (0..3)
+        .map(|i| TenantJob {
+            name: format!("job-{i}"),
+            profiles: profiles.clone(),
+            pipeline: pipeline.clone(),
+            gpu: GpuModel::AlexNet,
+            batch_size: 256,
+            config: ClusterConfig::paper_testbed(0),
+        })
+        .collect();
+    let _ = write!(out, "multi-tenant core grants (12 total): ");
+    for (a, _) in allocate_storage_cores(&jobs, 12).expect("three jobs share 12 cores") {
+        let _ = write!(out, "{}={}  ", a.name, a.cores);
+    }
+    let _ = writeln!(out);
+
+    let target = ctx.baseline_costs().makespan() * 0.6;
+    let _ = match min_storage_cores_for(&ctx, target).expect("provisioning searches") {
+        Provisioning::Cores(k) => {
+            writeln!(out, "provisioning: {k} cores reach 60% of baseline time")
+        }
+        Provisioning::Unreachable { best_seconds } => {
+            writeln!(out, "provisioning: unreachable (best {best_seconds:.1}s)")
+        }
+    };
+    out
 }
 
 /// One row of a near-compute cache budget sweep, over one storage node or
@@ -682,6 +777,8 @@ mod tests {
         assert!(discussion_bandwidth_sweep(512).contains("Mbps"));
         assert!(discussion_gpus(512).contains("GPUs"));
         assert!(training_amortization(512, 10).contains("overhead"));
+        assert!(ablations(512).contains("no stopping rule"));
+        assert!(extensions(512).contains("provisioning"));
     }
 
     #[test]
@@ -786,11 +883,8 @@ mod tests {
     #[test]
     fn efficiency_ordering_beats_random_under_tight_cpu() {
         let ds = openimages(2_048);
-        let eff = epoch_with_ordering(&ds, 1, |p| p.efficiency());
-        // Pseudo-random ordering keyed by a hash of the sample id.
-        let rand = epoch_with_ordering(&ds, 1, |p| {
-            (p.sample_id.wrapping_mul(0x9e3779b97f4a7c15) >> 11) as f64
-        });
+        let eff = epoch_with_ordering(&ds, 1, |p| p.efficiency(), true);
+        let rand = epoch_with_ordering(&ds, 1, hashed_id, true);
         assert!(eff <= rand + 1e-9, "efficiency {eff} vs random {rand}");
     }
 }

@@ -39,10 +39,10 @@
 //! (the cache is node-agnostic).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use pipeline::PipelineSpec;
 use storage::{ClientError, Deadline, FetchRequest, FetchResponse, FetchTransport};
 
@@ -67,8 +67,8 @@ struct Reply {
 fn worker_loop<T: FetchTransport>(
     node: usize,
     mut transport: T,
-    jobs: &channel::Receiver<Job>,
-    replies: &channel::Sender<Reply>,
+    jobs: &Receiver<Job>,
+    replies: &Sender<Reply>,
 ) {
     while let Ok(job) = jobs.recv() {
         let (ticket, body) = match job {
@@ -121,8 +121,8 @@ pub struct FleetTransport {
     map: ShardMap,
     /// Each node's worker job queue; `None` once the node is dead (its
     /// worker was disconnected and has exited).
-    job_txs: Vec<Option<channel::Sender<Job>>>,
-    reply_rx: channel::Receiver<Reply>,
+    job_txs: Vec<Option<Sender<Job>>>,
+    reply_rx: Receiver<Reply>,
     workers: Vec<JoinHandle<()>>,
     dead: Vec<bool>,
     hedge_after: Option<Duration>,
@@ -163,11 +163,11 @@ impl FleetTransport {
             transports.len(),
             map.nodes()
         );
-        let (reply_tx, reply_rx) = channel::unbounded::<Reply>();
+        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         let mut job_txs = Vec::with_capacity(transports.len());
         let mut workers = Vec::with_capacity(transports.len());
         for (node, transport) in transports.into_iter().enumerate() {
-            let (tx, rx) = channel::unbounded::<Job>();
+            let (tx, rx) = mpsc::channel::<Job>();
             let replies = reply_tx.clone();
             workers.push(std::thread::spawn(move || worker_loop(node, transport, &rx, &replies)));
             job_txs.push(Some(tx));
@@ -439,8 +439,8 @@ impl FetchTransport for FleetTransport {
                         _ => {} // stale ticket or configure reply: ignore
                     }
                 }
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(ClientError::Disconnected);
                 }
             }

@@ -20,9 +20,8 @@
 //! perturbs the path, it never makes progress impossible.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +233,12 @@ pub fn flip_bit(payload: &mut [u8], salt: u64) {
 pub struct ServerFaultInjector {
     node: usize,
     plan: FaultPlan,
+    /// Responses generated per `(sample, epoch)` key. Each update is one
+    /// counter bump, so a panicked holder leaves every count valid, and a
+    /// poisoned lock is used as is.
     attempts: Mutex<HashMap<(u64, u64), u32>>,
+    /// Every injected fault. Each update is one push, so a panicked holder
+    /// leaves a valid log, and a poisoned lock is used as is.
     log: Mutex<Vec<FaultRecord>>,
 }
 
@@ -253,7 +257,7 @@ impl ServerFaultInjector {
     /// bumping the key's attempt counter and logging any hit.
     pub fn decide(&self, sample: u64, epoch: u64) -> Option<FaultDirective> {
         let attempt = {
-            let mut attempts = self.attempts.lock();
+            let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = attempts.entry((sample, epoch)).or_insert(0);
             let current = *slot;
             *slot += 1;
@@ -261,7 +265,7 @@ impl ServerFaultInjector {
         };
         let directive = self.plan.fault_for(sample, epoch, attempt);
         if let Some(d) = directive {
-            self.log.lock().push(FaultRecord {
+            self.log.lock().unwrap_or_else(PoisonError::into_inner).push(FaultRecord {
                 node: self.node,
                 sample_id: sample,
                 epoch,
@@ -274,13 +278,13 @@ impl ServerFaultInjector {
 
     /// Number of faults injected so far.
     pub fn injected(&self) -> usize {
-        self.log.lock().len()
+        self.log.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// The fault log, sorted by `(sample, epoch, attempt)` so logs from
     /// different runs compare independent of worker-thread interleaving.
     pub fn log(&self) -> Vec<FaultRecord> {
-        let mut log = self.log.lock().clone();
+        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner).clone();
         log.sort_unstable();
         log
     }

@@ -19,10 +19,9 @@
 //! so callers can watch a node's health even after the transport itself
 //! has moved into a worker thread (the fleet scatter-gather pattern).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use pipeline::PipelineSpec;
 
 use crate::{ClientError, FetchRequest, FetchResponse, FetchTransport};
@@ -199,18 +198,19 @@ impl BreakerCore {
 /// A cloneable, thread-safe view of one node's breaker state.
 #[derive(Debug, Clone)]
 pub struct NodeHealthHandle {
+    /// The transport's breaker; see `HealthTrackingTransport::core`.
     core: Arc<Mutex<BreakerCore>>,
 }
 
 impl NodeHealthHandle {
     /// A point-in-time health reading.
     pub fn snapshot(&self) -> HealthSnapshot {
-        self.core.lock().snapshot()
+        self.core.lock().unwrap_or_else(PoisonError::into_inner).snapshot()
     }
 
     /// Whether the node is currently degraded (breaker not closed).
     pub fn is_degraded(&self) -> bool {
-        self.core.lock().state() != BreakerState::Closed
+        self.core.lock().unwrap_or_else(PoisonError::into_inner).state() != BreakerState::Closed
     }
 }
 
@@ -219,6 +219,10 @@ impl NodeHealthHandle {
 #[derive(Debug)]
 pub struct HealthTrackingTransport<T> {
     inner: T,
+    /// The breaker, shared with every [`NodeHealthHandle`]. Its methods
+    /// only count and move between states, and any mix of its fields is a
+    /// breaker that still closes on a success, so a panicked holder leaves
+    /// it usable, and a poisoned lock is used as is.
     core: Arc<Mutex<BreakerCore>>,
     started: Instant,
 }
@@ -259,16 +263,22 @@ impl<T: FetchTransport> FetchTransport for HealthTrackingTransport<T> {
         &mut self,
         requests: &[FetchRequest],
     ) -> Result<Vec<FetchResponse>, ClientError> {
-        if !self.core.lock().allow(self.started.elapsed()) {
+        if !self.core.lock().unwrap_or_else(PoisonError::into_inner).allow(self.started.elapsed()) {
             return Err(ClientError::CircuitOpen);
         }
         match self.inner.fetch_many_requests(requests) {
             Ok(out) => {
-                self.core.lock().on_success(self.started.elapsed());
+                self.core
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .on_success(self.started.elapsed());
                 Ok(out)
             }
             Err(e) => {
-                self.core.lock().on_failure(self.started.elapsed());
+                self.core
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .on_failure(self.started.elapsed());
                 Err(e)
             }
         }

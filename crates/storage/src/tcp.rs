@@ -65,19 +65,29 @@
 //! retryable `tenant-throttled` error reply instead of a queue slot, and
 //! per-tenant quota buckets are charged where pacing already happens — at
 //! encode, when response bytes reach the wire.
+//!
+//! # The worker pool
+//!
+//! [`ServerConfig::cores`] workers share one FIFO job queue, a `VecDeque`
+//! behind a mutex with a condition variable that idle workers wait on, so
+//! each queued job wakes one worker. A worker holds the mutex only to pop a
+//! job; a guard held through the job would let one worker at a time
+//! compute. Workers answer on a `std::sync::mpsc` channel, whose one
+//! consumer is the event loop, and then write the waker. The loop keeps at
+//! most two jobs per core in the queue, so under backlog the tenant
+//! scheduler, not the queue's FIFO order, decides which tenant runs next.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel;
 use netsim::{Bandwidth, TokenBucket, TrafficMeter};
-use parking_lot::RwLock;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use poller::{Events, Interest, Poller, Waker};
 use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantPolicy, TenantStats};
@@ -289,6 +299,7 @@ struct Job {
     request_id: u32,
     tenant: TenantId,
     request: Request,
+    /// The connection's session; see [`Conn::session`].
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
 }
 
@@ -383,6 +394,10 @@ impl WireFrame {
 /// Per-connection state owned by the event loop.
 struct Conn {
     stream: TcpStream,
+    /// The executor a `Configure` request set up, shared with the
+    /// connection's jobs. A worker replaces it whole under the write lock
+    /// and clones it under the read lock, so a panicked holder cannot leave
+    /// it half-written, and a poisoned lock is used as is.
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
     reader: FrameReader,
     outq: VecDeque<OutFrame>,
@@ -518,6 +533,7 @@ pub struct TcpStorageServer {
     waker: Waker,
     turns: Arc<AtomicU64>,
     meter: TrafficMeter,
+    /// The event loop's counters; see `EventLoop::stats`.
     stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
     event_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -564,16 +580,16 @@ impl TcpStorageServer {
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<Self> {
-        let (mut server, work_rx, reply_tx) = Self::start_loop(config, policy, addr)?;
+        let (mut server, jobs, reply_tx) = Self::start_loop(config, policy, addr)?;
         server.workers = (0..config.cores)
             .map(|_| {
-                let rx = work_rx.clone();
+                let jobs = Arc::clone(&jobs);
                 let tx = reply_tx.clone();
                 let waker = server.waker.clone();
                 let store = store.clone();
                 let injector = injector.clone();
                 std::thread::spawn(move || {
-                    worker_loop(&rx, &tx, &waker, &store, injector.as_deref());
+                    worker_loop(&jobs, &tx, &waker, &store, injector.as_deref());
                 })
             })
             .collect();
@@ -581,13 +597,13 @@ impl TcpStorageServer {
     }
 
     /// Binds the listener and starts the event loop, handing back the
-    /// worker pool's ends of the two channels. A reply sent on the second
-    /// must be followed by a wake of the server's waker.
+    /// worker pool's job queue and reply channel. A reply sent on the
+    /// channel must be followed by a wake of the server's waker.
     fn start_loop(
         config: ServerConfig,
         policy: TenantPolicy,
         addr: &str,
-    ) -> io::Result<(Self, channel::Receiver<Job>, channel::Sender<Reply>)> {
+    ) -> io::Result<(Self, Arc<JobQueue<Job>>, Sender<Reply>)> {
         if config.cores == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -600,7 +616,7 @@ impl TcpStorageServer {
                 "server needs max_in_flight >= 1",
             ));
         }
-        let (mut el, work_rx, reply_tx) = EventLoop::bind(config, policy, addr)?;
+        let (mut el, jobs, reply_tx) = EventLoop::bind(config, policy, addr)?;
         let mut server = TcpStorageServer {
             addr: el.listener.local_addr()?,
             stop: Arc::clone(&el.stop),
@@ -612,7 +628,7 @@ impl TcpStorageServer {
             workers: Vec::new(),
         };
         server.event_thread = Some(std::thread::spawn(move || el.run()));
-        Ok((server, work_rx, reply_tx))
+        Ok((server, jobs, reply_tx))
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -644,7 +660,7 @@ impl TcpStorageServer {
     /// counts responses handed back by the workers (including per-sample
     /// errors), `bytes_sent` counts frame payloads that reached the wire.
     pub fn tenant_stats(&self) -> BTreeMap<u16, TenantStats> {
-        self.stats.read().clone()
+        self.stats.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Appends one observation per tenant counter to `hub` at time
@@ -711,8 +727,9 @@ struct EventLoop {
     /// the source of the next wait's timeout.
     pending_out: BTreeSet<u64>,
     next_conn: u64,
-    work_tx: channel::Sender<Job>,
-    reply_rx: channel::Receiver<Reply>,
+    /// Closed when the loop is dropped, which ends the worker pool.
+    jobs: Arc<JobQueue<Job>>,
+    reply_rx: Receiver<Reply>,
     bucket: TokenBucket,
     meter: TrafficMeter,
     stop: Arc<AtomicBool>,
@@ -730,26 +747,28 @@ struct EventLoop {
     /// Cap on `dispatched`: excess jobs wait in the scheduler, where
     /// inter-tenant order is still decided by weights.
     dispatch_cap: usize,
-    /// Per-tenant counters shared with the server handle.
+    /// Per-tenant counters shared with the server handle. Each write is
+    /// one [`count`], a single counter update, so a panicked holder leaves
+    /// every count valid, and a poisoned lock is used as is.
     stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
 }
 
 impl EventLoop {
     /// Binds the listener and builds the loop, handing back the worker
-    /// pool's ends of the two channels.
+    /// pool's job queue and reply channel.
     fn bind(
         config: ServerConfig,
         policy: TenantPolicy,
         addr: &str,
-    ) -> io::Result<(EventLoop, channel::Receiver<Job>, channel::Sender<Reply>)> {
+    ) -> io::Result<(EventLoop, Arc<JobQueue<Job>>, Sender<Reply>)> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         let waker = Waker::new()?;
         poller.add(&listener, LISTENER, Interest::READABLE)?;
         poller.add(&waker, WAKER, Interest::READABLE)?;
-        let (work_tx, work_rx) = channel::unbounded::<Job>();
-        let (reply_tx, reply_rx) = channel::unbounded::<Reply>();
+        let jobs = Arc::new(JobQueue::new());
+        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         let el = EventLoop {
             poller,
             waker,
@@ -757,7 +776,7 @@ impl EventLoop {
             conns: HashMap::new(),
             pending_out: BTreeSet::new(),
             next_conn: 0,
-            work_tx,
+            jobs: Arc::clone(&jobs),
             reply_rx,
             bucket: TokenBucket::new(
                 config.bandwidth,
@@ -774,13 +793,13 @@ impl EventLoop {
             // the per-tenant quota buckets at encode).
             sched: DwrrScheduler::new(1),
             dispatched: 0,
-            // Small enough that the scheduler — not the FIFO worker
-            // channel — decides inter-tenant order under backlog,
+            // Small enough that the scheduler — not the workers' FIFO
+            // job queue — decides inter-tenant order under backlog,
             // large enough to keep every core fed.
             dispatch_cap: config.cores.saturating_mul(2).max(2),
             stats: Arc::new(RwLock::new(BTreeMap::new())),
         };
-        Ok((el, work_rx, reply_tx))
+        Ok((el, jobs, reply_tx))
     }
 
     fn run(&mut self) {
@@ -791,7 +810,6 @@ impl EventLoop {
         while !self.stop.load(Ordering::SeqCst) {
             timer = self.turn(&mut events, timer);
         }
-        // Dropping `work_tx` (with the loop) disconnects the worker pool.
     }
 
     /// One wait for readiness or `timer`, and the work it woke. Returns
@@ -914,7 +932,7 @@ impl EventLoop {
             // released either way.
             self.dispatched = self.dispatched.saturating_sub(1);
             self.admission.completed(reply.tenant);
-            self.stats.write().entry(reply.tenant.0).or_default().completed += 1;
+            count(&self.stats, reply.tenant, |s| s.completed += 1);
             let Some(conn) = self.conns.get_mut(&reply.conn) else {
                 continue; // connection died while the job was in flight
             };
@@ -942,17 +960,19 @@ impl EventLoop {
 
     /// Moves admitted jobs from the scheduler into the worker pool, in
     /// DWRR order, keeping at most `dispatch_cap` jobs inside the pool's
-    /// FIFO channel at once — so under backlog it is the weighted
+    /// FIFO job queue at once — so under backlog it is the weighted
     /// scheduler, not arrival order, that decides which tenant runs next.
     fn dispatch_jobs(&mut self) {
         while self.dispatched < self.dispatch_cap {
-            let Some((_, job)) = self.sched.pop() else { break };
-            self.dispatched += 1;
-            if self.work_tx.send(job).is_err() {
-                // Worker pool gone: the loop is shutting down.
+            if Arc::strong_count(&self.jobs) == 1 {
+                // Every worker has exited, which only a panic does while
+                // the loop runs: nothing can be served.
                 self.stop.store(true, Ordering::SeqCst);
                 break;
             }
+            let Some((_, job)) = self.sched.pop() else { break };
+            self.dispatched += 1;
+            self.jobs.push(job);
         }
     }
 
@@ -1030,7 +1050,7 @@ impl EventLoop {
             }
             let sent = wire.payload_len() as u64;
             self.meter.record(sent);
-            self.stats.write().entry(wire.tenant.0).or_default().bytes_sent += sent;
+            count(&self.stats, wire.tenant, |s| s.bytes_sent += sent);
             if self.spare.len() < SPARE_BUFFER_POOL {
                 wire.head.clear();
                 self.spare.push(wire.head);
@@ -1074,12 +1094,12 @@ impl EventLoop {
                                 // instead of queueing. The reply carries
                                 // the throttle marker so the client sees
                                 // a typed, retryable error.
-                                self.stats.write().entry(tenant.0).or_default().throttled += 1;
+                                count(&self.stats, tenant, |s| s.throttled += 1);
                                 reply_now(tenant, request_id, message);
                             } else {
                                 conn.in_flight += 1;
                                 self.admission.admitted(tenant);
-                                self.stats.write().entry(tenant.0).or_default().admitted += 1;
+                                count(&self.stats, tenant, |s| s.admitted += 1);
                                 let weight = self.admission.policy.spec(tenant).weight;
                                 self.sched.set_weight(tenant, weight);
                                 let job = Job {
@@ -1112,17 +1132,91 @@ impl EventLoop {
     }
 }
 
+impl Drop for EventLoop {
+    /// Closes the job queue however the loop ends, a panic included, so
+    /// the workers exit and `shutdown` can join them.
+    fn drop(&mut self) {
+        self.jobs.close();
+    }
+}
+
+/// Adds to `tenant`'s counters in `stats`.
+fn count(
+    stats: &RwLock<BTreeMap<u16, TenantStats>>,
+    tenant: TenantId,
+    add: impl FnOnce(&mut TenantStats),
+) {
+    add(stats.write().unwrap_or_else(PoisonError::into_inner).entry(tenant.0).or_default());
+}
+
+/// The worker pool's FIFO job queue, shared by every worker.
+///
+/// Idle workers wait on `ready`, so each push wakes one of them. An `mpsc`
+/// receiver shared behind a mutex (std's multi-consumer channel is not
+/// stable) would park all idle workers but one on that mutex, and every
+/// job would then wake two threads; on a 2 vCPU host that cost the
+/// 4-core `server_throughput` server about a tenth of its serial
+/// requests a second.
+struct JobQueue<T> {
+    /// Queued jobs, and whether the queue is closed. Each update is one
+    /// push, pop or flag write, so a panicked holder leaves it valid, and
+    /// a poisoned lock is used as is.
+    state: Mutex<(VecDeque<T>, bool)>,
+    ready: Condvar,
+}
+
+impl<T> JobQueue<T> {
+    fn new() -> Self {
+        JobQueue { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<T>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `job` and wakes one idle worker.
+    fn push(&self, job: T) {
+        self.lock().0.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// Ends every worker's loop once the queued jobs are taken.
+    fn close(&self) {
+        self.lock().1 = true;
+        self.ready.notify_all();
+    }
+
+    /// The next job, waiting for one, or `None` once the queue is closed
+    /// and empty. The guard drops on return, before the caller runs the
+    /// job.
+    fn take(&self) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One worker of the pool: takes jobs from the queue every worker shares,
+/// and answers on `reply_tx`.
 fn worker_loop(
-    rx: &channel::Receiver<Job>,
-    reply_tx: &channel::Sender<Reply>,
+    jobs: &JobQueue<Job>,
+    reply_tx: &Sender<Reply>,
     waker: &Waker,
     store: &ObjectStore,
     injector: Option<&ServerFaultInjector>,
 ) {
-    while let Ok(job) = rx.recv() {
+    while let Some(job) = jobs.take() {
         let (response, fault) = match job.request {
             Request::Configure(cfg) => {
-                *job.session.write() = Some(NearStorageExecutor::new(store.clone(), cfg));
+                let executor = NearStorageExecutor::new(store.clone(), cfg);
+                *job.session.write().unwrap_or_else(PoisonError::into_inner) = Some(executor);
                 (Response::Configured, None)
             }
             Request::Fetch(req) => {
@@ -1137,7 +1231,8 @@ fn worker_loop(
                         fault,
                     )
                 } else {
-                    let executor = job.session.read().clone();
+                    let executor =
+                        job.session.read().unwrap_or_else(PoisonError::into_inner).clone();
                     let response = match executor {
                         Some(ex) => match ex.execute(req) {
                             Ok(resp) => Response::Data(resp),
@@ -1718,7 +1813,7 @@ mod tests {
     /// receiver and [`answer`] replies the way a worker does.
     fn hand_worked_server(
         max_in_flight: usize,
-    ) -> (TcpStorageServer, channel::Receiver<Job>, channel::Sender<Reply>) {
+    ) -> (TcpStorageServer, Arc<JobQueue<Job>>, Sender<Reply>) {
         let config = ServerConfig {
             cores: 1,
             bandwidth: Bandwidth::from_gbps(10.0),
@@ -1730,7 +1825,7 @@ mod tests {
 
     const ANSWER_BYTES: usize = 64;
 
-    fn answer(server: &TcpStorageServer, reply_tx: &channel::Sender<Reply>, job: &Job) {
+    fn answer(server: &TcpStorageServer, reply_tx: &Sender<Reply>, job: &Job) {
         let Request::Fetch(req) = &job.request else { panic!("these tests only fetch") };
         let response = Response::Data(FetchResponse {
             sample_id: req.sample_id,
@@ -1806,14 +1901,14 @@ mod tests {
         let ids = client.submit_all(&reqs).unwrap();
         // Two jobs out is the bound: four requests stay unread in the
         // kernel buffer, where a level-triggered set keeps reporting them.
-        let mut in_hand = VecDeque::from([jobs.recv().unwrap(), jobs.recv().unwrap()]);
+        let mut in_hand = VecDeque::from([jobs.take().unwrap(), jobs.take().unwrap()]);
         let parked = server.loop_turns();
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(server.loop_turns(), parked, "the loop spun on a socket it may not read");
-        assert!(jobs.try_recv().is_err(), "read past the in-flight bound");
+        assert!(jobs.lock().0.is_empty(), "read past the in-flight bound");
         // Each answer frees a slot, and reading resumes where it stopped.
         for _ in 0..reqs.len() {
-            let job = in_hand.pop_front().unwrap_or_else(|| jobs.recv().unwrap());
+            let job = in_hand.pop_front().unwrap_or_else(|| jobs.take().unwrap());
             answer(&server, &replies, &job);
         }
         for (id, req) in ids.into_iter().zip(&reqs) {
@@ -1858,7 +1953,7 @@ mod tests {
         let (server, jobs, replies) = hand_worked_server(4);
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         let id = client.submit(FetchRequest::new(3, 0, SplitPoint::NONE)).unwrap();
-        let job = jobs.recv().unwrap();
+        let job = jobs.take().unwrap();
         let before = server.loop_turns();
         client.stream.shutdown(std::net::Shutdown::Write).unwrap();
         while server.loop_turns() == before {
@@ -1892,6 +1987,50 @@ mod tests {
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         drop(server);
         assert!(matches!(client.read_frame_within(None), Err(ClientError::Disconnected)));
+    }
+
+    #[test]
+    fn shared_job_queue_hands_out_work_while_a_job_is_held() {
+        const WAIT: Duration = Duration::from_secs(30);
+        let jobs = Arc::new(JobQueue::new());
+        let (took_tx, took) = mpsc::channel::<(char, Option<u32>)>();
+        let (release_tx, release) = mpsc::channel::<()>();
+        // Each worker reports every job it takes, and `None` when its loop
+        // ends; A holds its first job until released.
+        let worker = |name: char, hold: Option<Receiver<()>>| {
+            let jobs = Arc::clone(&jobs);
+            let took = took_tx.clone();
+            std::thread::spawn(move || {
+                while let Some(job) = jobs.take() {
+                    took.send((name, Some(job))).unwrap();
+                    if let Some(hold) = &hold {
+                        hold.recv().unwrap();
+                    }
+                }
+                took.send((name, None)).unwrap();
+            })
+        };
+        let a = worker('A', Some(release));
+        jobs.push(1);
+        assert_eq!(took.recv_timeout(WAIT), Ok(('A', Some(1))));
+        let b = worker('B', None);
+        // Pushed from another thread: a queue locked while A holds its job
+        // would block the push, and this test must fail, not hang.
+        let pusher = {
+            let jobs = Arc::clone(&jobs);
+            std::thread::spawn(move || jobs.push(2))
+        };
+        assert_eq!(took.recv_timeout(WAIT), Ok(('B', Some(2))), "B waited for A's job");
+        pusher.join().unwrap();
+        release_tx.send(()).unwrap();
+        // Closing the queue, as dropping the event loop does, ends both
+        // loops.
+        jobs.close();
+        let mut ended = [took.recv_timeout(WAIT).unwrap(), took.recv_timeout(WAIT).unwrap()];
+        ended.sort_unstable();
+        assert_eq!(ended, [('A', None), ('B', None)]);
+        a.join().unwrap();
+        b.join().unwrap();
     }
 
     #[test]
