@@ -6,21 +6,28 @@
 //! pipeline, and yields collated NCHW [`TensorBatch`]es per epoch:
 //!
 //! 1. shuffles the sample order deterministically per epoch;
-//! 2. issues each batch's fetches in one pipelined burst, attaching every
-//!    sample's offload split (and optional re-compression directive) from
-//!    the plan;
-//! 3. unpacks re-compressed payloads, finishes the pipeline suffix locally,
-//!    and collates.
+//! 2. on the calling thread, issues each batch's fetches in one pipelined
+//!    burst, attaching every sample's offload split (and optional
+//!    re-compression directive) from the plan, while the suffix workers
+//!    finish the batch before it — one batch of lookahead;
+//! 3. on `LoaderConfig::workers` threads that live for the whole epoch,
+//!    unpacks re-compressed payloads and runs each sample's pipeline suffix
+//!    up to its last image; the calling thread then writes each sample
+//!    straight into its slab of the batch buffer, running a trailing
+//!    `ToTensor` → `Normalize` as it writes (see
+//!    [`pipeline::BatchAssembly`]), and hands the batch to the consumer.
 //!
 //! Augmentations remain keyed by `(dataset seed, sample, epoch)`, so the
 //! batches are bit-identical to what an un-offloaded loader would produce —
 //! the property `tests/end_to_end.rs` checks across the live stack.
 
-use pipeline::batch::TensorBatch;
-use pipeline::{PipelineSpec, SampleKey, SplitPoint};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use pipeline::{BatchAssembly, PipelineSpec, SampleKey, SplitPoint, StageData, TensorBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use storage::{ClientError, FetchRequest, FetchTransport};
+use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport};
 
 use crate::OffloadPlan;
 
@@ -44,7 +51,8 @@ pub struct LoaderConfig {
     /// stores, which serve whole objects. `None` — the default — keeps
     /// every request byte-identical to a fidelity-unaware loader.
     pub max_tier: Option<u8>,
-    /// Worker threads for the local pipeline suffix (1 = run inline).
+    /// Threads that finish the local pipeline suffix, alive for a whole
+    /// epoch (at least one; the calling thread fetches and assembles).
     pub workers: usize,
 }
 
@@ -183,11 +191,14 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     }
 
     /// [`OffloadingLoader::run_epoch`] with mid-epoch replanning: before
-    /// each batch, `replan(batch_index)` may hand back a replacement
-    /// [`OffloadPlan`] that takes effect from that batch on (and stays the
-    /// loader's plan afterwards). This is the degraded-mode hook — when a
-    /// node's breaker opens partway through an epoch, the runtime swaps in
-    /// a [`crate::ext::sharding::plan_fleet`] plan computed with that node
+    /// each batch is issued, `replan(issue_index)` may hand back a
+    /// replacement [`OffloadPlan`] that takes effect from that batch on (and
+    /// stays the loader's plan afterwards). It is called for issue indices
+    /// `0..n` in order, once each; batch `b` is issued while batch `b - 1`
+    /// is still finishing, so the call for `b` comes before batch `b - 1`
+    /// reaches `consume`. This is the degraded-mode hook — when a node's
+    /// breaker opens partway through an epoch, the runtime swaps in a
+    /// [`crate::ext::sharding::plan_fleet`] plan computed with that node
     /// flagged `degraded`, and the remaining batches route their offloads
     /// around the sick node.
     ///
@@ -197,8 +208,9 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     ///
     /// # Errors
     ///
-    /// Stops at the first failing batch; a replacement plan of the wrong
-    /// length is [`LoaderError::ReplanMismatch`].
+    /// Stops at the first failing batch, after delivering every batch
+    /// before it; a replacement plan of the wrong length is
+    /// [`LoaderError::ReplanMismatch`].
     pub fn run_epoch_with_replan<F, R>(
         &mut self,
         epoch: u64,
@@ -210,141 +222,205 @@ impl<T: FetchTransport> OffloadingLoader<T> {
         R: FnMut(usize) -> Option<OffloadPlan>,
     {
         let order = self.epoch_order(epoch);
-        let mut batches = 0usize;
-        for chunk in order.chunks(self.config.batch_size) {
-            if let Some(next_plan) = replan(batches) {
-                if next_plan.len() != self.plan.len() {
-                    return Err(LoaderError::ReplanMismatch {
-                        expected: self.plan.len(),
-                        got: next_plan.len(),
-                    });
-                }
-                self.plan = next_plan;
+        let OffloadingLoader { transport, pipeline, plan, config } = self;
+        let batch_size = config.batch_size;
+        // Each sample's position within its batch: the slot its response
+        // goes to, whatever order the transport returns it in.
+        let mut slot_of = vec![0usize; order.len()];
+        for (i, &id) in order.iter().enumerate() {
+            slot_of[id as usize] = i % batch_size;
+        }
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
+        let pipeline: &PipelineSpec = pipeline;
+        std::thread::scope(|scope| {
+            for _ in 0..config.workers.max(1) {
+                let queue = Arc::clone(&queue);
+                let dataset_seed = config.dataset_seed;
+                scope.spawn(move || finish_jobs(&queue, pipeline, dataset_seed, epoch));
             }
-            let requests: Vec<FetchRequest> = chunk
-                .iter()
-                .map(|&id| {
-                    let split = self.plan.split(id as usize);
-                    let mut req = FetchRequest::new(id, epoch, split);
-                    // Only raw serves have tier boundaries to truncate at;
-                    // leaving offloaded requests untouched keeps their
-                    // wire frames bit-identical to a fidelity-unaware
-                    // loader.
-                    if let Some(cap) = self.config.max_tier {
-                        if split == SplitPoint::NONE {
-                            req = req.with_max_tier(cap);
-                        }
+            // The workers alone hold the queue now: if every one of them
+            // dies, queued jobs drop and the caller's receive fails instead
+            // of waiting forever.
+            drop(queue);
+            // Owned here, so the queue closes when this closure returns,
+            // fails or unwinds; the workers finish what is queued (at most
+            // one batch) and exit, and the scope joins them.
+            let jobs = jobs;
+            let mut finishing: Option<InFlight> = None;
+            let mut delivered = 0usize;
+            for (issued, chunk) in order.chunks(batch_size).enumerate() {
+                // Fetch batch `issued` while the workers finish the one
+                // before it.
+                let fetched = match replan(issued) {
+                    Some(next) if next.len() != plan.len() => {
+                        Err(LoaderError::ReplanMismatch { expected: plan.len(), got: next.len() })
                     }
-                    // Re-compression only applies to stages the modality's
-                    // codec can shrink (raster-image transfers).
-                    if let Some(q) = self.config.reencode_quality {
-                        if split.is_offloaded()
-                            && pipeline::Modality::stage_supports_reencode(
-                                &self.pipeline,
-                                split.offloaded_ops(),
-                            )
-                        {
-                            req = req.with_reencode(q);
+                    next => {
+                        if let Some(next) = next {
+                            *plan = next;
                         }
+                        let requests = batch_requests(config, pipeline, plan, chunk, epoch);
+                        transport
+                            .fetch_many_requests(&requests)
+                            .map_err(LoaderError::Client)
+                            .and_then(|responses| in_slots(responses, chunk, &slot_of))
                     }
-                    req
-                })
-                .collect();
-            let responses =
-                self.transport.fetch_many_requests(&requests).map_err(LoaderError::Client)?;
-            // Server workers answer out of order; restore request order so
-            // batches are deterministic regardless of server parallelism.
-            let mut by_id: std::collections::HashMap<u64, storage::FetchResponse> =
-                responses.into_iter().map(|r| (r.sample_id, r)).collect();
-            let responses: Vec<storage::FetchResponse> = chunk
-                .iter()
-                .map(|id| by_id.remove(id).ok_or(LoaderError::MissingSample(*id)))
-                .collect::<Result<_, _>>()?;
-
-            let tensors = self.finish_suffixes(responses, epoch)?;
-            consume(TensorBatch::collate(&tensors).map_err(LoaderError::Collate)?);
-            batches += 1;
-        }
-        Ok(batches)
-    }
-
-    /// Runs the pipeline suffix for a batch's responses, order-preserving,
-    /// using up to `config.workers` threads (suffix execution is pure, so
-    /// parallelism never affects results).
-    fn finish_suffixes(
-        &self,
-        responses: Vec<storage::FetchResponse>,
-        epoch: u64,
-    ) -> Result<Vec<pipeline::StageData>, LoaderError> {
-        // Capture only `Sync` state (not the transport) so workers can share
-        // the closure.
-        let pipeline = &self.pipeline;
-        let dataset_seed = self.config.dataset_seed;
-        let finish_one =
-            move |resp: storage::FetchResponse| -> Result<pipeline::StageData, LoaderError> {
-                let split = SplitPoint::new(resp.ops_applied as usize);
-                let sample_id = resp.sample_id;
-                let data = resp.unpack().map_err(LoaderError::Codec)?;
-                let key = SampleKey::new(dataset_seed, sample_id, epoch);
-                pipeline.run_suffix(data, split, key).map_err(LoaderError::Pipeline)
-            };
-
-        let workers = self.config.workers.max(1).min(responses.len().max(1));
-        if workers <= 1 {
-            return responses.into_iter().map(finish_one).collect();
-        }
-
-        let mut slots: Vec<Option<Result<pipeline::StageData, LoaderError>>> =
-            (0..responses.len()).map(|_| None).collect();
-        let jobs: Vec<(usize, storage::FetchResponse)> =
-            responses.into_iter().enumerate().collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = run_suffixes_parallel(&jobs, &next, workers, &finish_one, &mut slots);
-        results?;
-        slots.into_iter().map(|s| s.expect("every slot filled by a worker")).collect()
+                };
+                let dispatched = fetched.map(|responses| dispatch(&jobs, responses));
+                // Deliver the batch before it, even when this one failed.
+                if let Some(done) = finishing.take() {
+                    consume(done.assemble(pipeline)?);
+                    delivered += 1;
+                }
+                finishing = Some(dispatched?);
+            }
+            if let Some(done) = finishing {
+                consume(done.assemble(pipeline)?);
+                delivered += 1;
+            }
+            Ok(delivered)
+        })
     }
 }
 
-/// Scoped work-stealing over `jobs`: workers claim indices from `next`,
-/// results are collected with their slot index and scattered afterwards so
-/// order is preserved regardless of completion order.
-fn run_suffixes_parallel<F>(
-    jobs: &[(usize, storage::FetchResponse)],
-    next: &std::sync::atomic::AtomicUsize,
-    workers: usize,
-    finish_one: &F,
-    slots: &mut [Option<Result<pipeline::StageData, LoaderError>>],
-) -> Result<(), LoaderError>
-where
-    F: Fn(storage::FetchResponse) -> Result<pipeline::StageData, LoaderError> + Sync,
-{
-    use std::sync::Mutex;
-    // Collect (index, result) pairs from workers, then scatter into slots.
-    let collected: Mutex<Vec<(usize, Result<pipeline::StageData, LoaderError>)>> =
-        Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((slot, resp)) = jobs.get(i) else {
-                    return;
-                };
-                let result = finish_one(resp.clone());
-                collected.lock().expect("no panics hold the lock").push((*slot, result));
-            });
+/// The requests for one batch: each sample's split from `plan`, with the
+/// fidelity cap and re-compression directives `config` asks for.
+fn batch_requests(
+    config: &LoaderConfig,
+    pipeline: &PipelineSpec,
+    plan: &OffloadPlan,
+    chunk: &[u64],
+    epoch: u64,
+) -> Vec<FetchRequest> {
+    chunk
+        .iter()
+        .map(|&id| {
+            let split = plan.split(id as usize);
+            let mut req = FetchRequest::new(id, epoch, split);
+            // Only raw serves have tier boundaries to truncate at; leaving
+            // offloaded requests untouched keeps their wire frames
+            // bit-identical to a fidelity-unaware loader.
+            if let Some(cap) = config.max_tier {
+                if split == SplitPoint::NONE {
+                    req = req.with_max_tier(cap);
+                }
+            }
+            // Re-compression only applies to stages the modality's codec can
+            // shrink (raster-image transfers).
+            if let Some(q) = config.reencode_quality {
+                if split.is_offloaded()
+                    && pipeline::Modality::stage_supports_reencode(pipeline, split.offloaded_ops())
+                {
+                    req = req.with_reencode(q);
+                }
+            }
+            req
+        })
+        .collect()
+}
+
+/// Puts a batch's responses, which servers answer in any order, back in
+/// request order, so batches are deterministic whatever the server
+/// parallelism. A response for a sample outside `chunk` is dropped; of two
+/// for one sample the later wins.
+fn in_slots(
+    responses: Vec<FetchResponse>,
+    chunk: &[u64],
+    slot_of: &[usize],
+) -> Result<Vec<FetchResponse>, LoaderError> {
+    let mut slots: Vec<Option<FetchResponse>> = chunk.iter().map(|_| None).collect();
+    for response in responses {
+        let slot = usize::try_from(response.sample_id).ok().and_then(|id| slot_of.get(id));
+        if let Some(&slot) = slot {
+            if chunk.get(slot) == Some(&response.sample_id) {
+                slots[slot] = Some(response);
+            }
         }
-    });
-    for (slot, result) in collected.into_inner().expect("scope joined") {
-        slots[slot] = Some(result);
     }
-    Ok(())
+    slots.into_iter().zip(chunk).map(|(s, &id)| s.ok_or(LoaderError::MissingSample(id))).collect()
+}
+
+/// One sample for a suffix worker, and where its result goes.
+struct Job {
+    slot: usize,
+    response: FetchResponse,
+    done: Sender<Finished>,
+}
+
+/// A finished sample: its slot in the batch and its suffix's output.
+type Finished = (usize, Result<StageData, LoaderError>);
+
+/// Queues every sample of a batch whose responses are in slot order.
+fn dispatch(jobs: &Sender<Job>, responses: Vec<FetchResponse>) -> InFlight {
+    let (done, finished) = mpsc::channel();
+    let len = responses.len();
+    for (slot, response) in responses.into_iter().enumerate() {
+        // Fails only when every worker has died, and then the batch's
+        // receive reports it.
+        let _ = jobs.send(Job { slot, response, done: done.clone() });
+    }
+    InFlight { len, finished }
+}
+
+/// A batch whose samples are queued or being finished.
+struct InFlight {
+    len: usize,
+    finished: Receiver<Finished>,
+}
+
+impl InFlight {
+    /// Writes the batch's samples into one batch buffer, in slot order, as
+    /// the workers finish them. The first failing slot's error is the one
+    /// reported.
+    fn assemble(self, pipeline: &PipelineSpec) -> Result<TensorBatch, LoaderError> {
+        let mut batch = BatchAssembly::new(pipeline, self.len);
+        let mut arrived: Vec<Option<Result<StageData, LoaderError>>> =
+            (0..self.len).map(|_| None).collect();
+        let mut next = 0;
+        while next < self.len {
+            let (slot, result) = self.finished.recv().expect("a suffix worker panicked");
+            arrived[slot] = Some(result);
+            while let Some(result) = arrived.get_mut(next).and_then(Option::take) {
+                batch.push(&result?).map_err(LoaderError::Collate)?;
+                next += 1;
+            }
+        }
+        batch.finish().map_err(LoaderError::Collate)
+    }
+}
+
+/// A suffix worker: finishes queued samples until the queue closes. Each
+/// sample unpacks a re-compressed payload and runs its suffix up to what
+/// the batch assembly takes (suffix execution is pure, so which worker
+/// finishes a sample never affects the result).
+fn finish_jobs(
+    queue: &Mutex<Receiver<Job>>,
+    pipeline: &PipelineSpec,
+    dataset_seed: u64,
+    epoch: u64,
+) {
+    loop {
+        // Nothing panics while holding the lock, and a receiver has no
+        // state a panicking holder could leave half-updated.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(Job { slot, response, done }) = next else {
+            return;
+        };
+        let split = SplitPoint::new(response.ops_applied as usize);
+        let key = SampleKey::new(dataset_seed, response.sample_id, epoch);
+        let result = response.unpack().map_err(LoaderError::Codec).and_then(|data| {
+            pipeline.run_suffix_for_batch(data, split, key).map_err(LoaderError::Pipeline)
+        });
+        // The batch's receiver is gone only when the epoch already failed.
+        let _ = done.send((slot, result));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::Bandwidth;
-    use pipeline::StageData;
     use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
     const N: u64 = 10;
@@ -375,6 +451,207 @@ mod tests {
         OffloadPlan::from_splits(
             ds.records().map(|r| r.analytic_profile(&pipeline, &model).best_split()).collect(),
         )
+    }
+
+    /// An in-process transport over a [`storage::NearStorageExecutor`]: it
+    /// answers each batch in reverse order, fails batch `fail_at` (counting
+    /// from its first fetch), and serves `corrupt` as a re-compressed
+    /// payload that does not decode.
+    struct LocalTransport {
+        store: ObjectStore,
+        executor: Option<storage::NearStorageExecutor>,
+        fetches: usize,
+        fail_at: Option<usize>,
+        corrupt: Option<u64>,
+    }
+
+    impl LocalTransport {
+        fn new(store: ObjectStore) -> LocalTransport {
+            LocalTransport { store, executor: None, fetches: 0, fail_at: None, corrupt: None }
+        }
+    }
+
+    impl FetchTransport for LocalTransport {
+        fn configure(
+            &mut self,
+            dataset_seed: u64,
+            pipeline: PipelineSpec,
+        ) -> Result<(), ClientError> {
+            let config = storage::SessionConfig { dataset_seed, pipeline };
+            self.executor = Some(storage::NearStorageExecutor::new(self.store.clone(), config));
+            Ok(())
+        }
+
+        fn fetch_many_requests(
+            &mut self,
+            requests: &[FetchRequest],
+        ) -> Result<Vec<FetchResponse>, ClientError> {
+            self.fetches += 1;
+            if self.fetches - 1 == self.fail_at.unwrap_or(usize::MAX) {
+                return Err(ClientError::Disconnected);
+            }
+            let executor = self.executor.as_ref().ok_or(ClientError::UnexpectedResponse)?;
+            let mut out = Vec::with_capacity(requests.len());
+            for &req in requests.iter().rev() {
+                let mut resp = executor.execute(req).map_err(|e| ClientError::Server {
+                    sample_id: Some(req.sample_id),
+                    message: e.to_string(),
+                })?;
+                if self.corrupt == Some(req.sample_id) {
+                    resp.ops_applied = resp.ops_applied.max(1);
+                    resp.data = StageData::Encoded(b"not an image".to_vec().into());
+                }
+                out.push(resp);
+            }
+            Ok(out)
+        }
+    }
+
+    const LOCAL_N: u64 = 12;
+    const LOCAL_BATCH: usize = 5;
+
+    fn local_parts() -> (datasets::DatasetSpec, ObjectStore) {
+        let ds = datasets::DatasetSpec::mini(LOCAL_N, 55);
+        let store = ObjectStore::materialize_dataset(&ds, 0..LOCAL_N);
+        (ds, store)
+    }
+
+    fn local_loader(
+        ds: &datasets::DatasetSpec,
+        store: &ObjectStore,
+        plan: OffloadPlan,
+        workers: usize,
+    ) -> OffloadingLoader<LocalTransport> {
+        let mut config = LoaderConfig::new(ds.seed, LOCAL_BATCH);
+        config.workers = workers;
+        OffloadingLoader::new(
+            LocalTransport::new(store.clone()),
+            PipelineSpec::standard_train(),
+            plan,
+            config,
+        )
+        .unwrap()
+    }
+
+    /// Epoch `epoch` preprocessed locally with `pipeline.run` and stacked
+    /// with `TensorBatch::collate`, in the loader's order.
+    fn local_reference(
+        loader: &OffloadingLoader<LocalTransport>,
+        ds: &datasets::DatasetSpec,
+        store: &ObjectStore,
+        epoch: u64,
+    ) -> Vec<TensorBatch> {
+        let pipeline = PipelineSpec::standard_train();
+        loader
+            .epoch_order(epoch)
+            .chunks(LOCAL_BATCH)
+            .map(|chunk| {
+                let tensors: Vec<StageData> = chunk
+                    .iter()
+                    .map(|&id| {
+                        let raw = StageData::Encoded(store.get(id).unwrap());
+                        pipeline.run(raw, SampleKey::new(ds.seed, id, epoch)).unwrap()
+                    })
+                    .collect();
+                TensorBatch::collate(&tensors).unwrap()
+            })
+            .collect()
+    }
+
+    fn collect_epoch<T: FetchTransport>(
+        loader: &mut OffloadingLoader<T>,
+        epoch: u64,
+    ) -> (Vec<TensorBatch>, Result<usize, LoaderError>) {
+        let mut out = Vec::new();
+        let result = loader.run_epoch(epoch, |b| out.push(b));
+        (out, result)
+    }
+
+    #[test]
+    fn every_split_and_worker_count_match_local_run_then_collate() {
+        let (ds, store) = local_parts();
+        let pipeline = PipelineSpec::standard_train();
+        let mixed = make_plan(&ds);
+        let distinct: std::collections::BTreeSet<_> = mixed.iter().collect();
+        assert!(distinct.len() > 1, "the planned splits must mix: {distinct:?}");
+        let plans = pipeline
+            .split_points()
+            .map(|split| OffloadPlan::uniform(LOCAL_N as usize, split))
+            .chain([mixed]);
+        let epoch = 4;
+        let reference = local_reference(
+            &local_loader(&ds, &store, OffloadPlan::none(LOCAL_N as usize), 1),
+            &ds,
+            &store,
+            epoch,
+        );
+        for plan in plans {
+            for workers in [1, 2, 4] {
+                let mut loader = local_loader(&ds, &store, plan.clone(), workers);
+                let (batches, result) = collect_epoch(&mut loader, epoch);
+                assert_eq!(result.unwrap(), reference.len());
+                assert!(batches == reference, "plan {plan:?} with {workers} workers diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn replan_sees_issue_indices_in_order_once_each() {
+        let (ds, store) = local_parts();
+        let mut loader = local_loader(&ds, &store, make_plan(&ds), 2);
+        let mut seen = Vec::new();
+        let delivered = loader
+            .run_epoch_with_replan(
+                0,
+                |_| {},
+                |issued| {
+                    seen.push(issued);
+                    None
+                },
+            )
+            .unwrap();
+        assert_eq!(delivered, 3); // 12 samples in batches of 5: 5+5+2
+        assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn failed_fetch_delivers_the_batches_before_it_and_the_next_epoch_is_intact() {
+        let (ds, store) = local_parts();
+        for fail_at in 0..3 {
+            let mut loader = local_loader(&ds, &store, make_plan(&ds), 2);
+            let reference = local_reference(&loader, &ds, &store, 1);
+            loader.transport_mut().fail_at = Some(fail_at);
+            let (batches, result) = collect_epoch(&mut loader, 1);
+            assert!(matches!(result, Err(LoaderError::Client(ClientError::Disconnected))));
+            assert!(batches[..] == reference[..fail_at], "fetch failing at batch {fail_at}");
+            loader.transport_mut().fail_at = None;
+            let (batches, result) = collect_epoch(&mut loader, 1);
+            assert_eq!(result.unwrap(), reference.len());
+            assert!(batches == reference, "the epoch after a failure diverged");
+        }
+    }
+
+    #[test]
+    fn undecodable_payload_fails_its_batch_after_the_ones_before_it() {
+        let (ds, store) = local_parts();
+        let plan = OffloadPlan::uniform(LOCAL_N as usize, SplitPoint::new(2));
+        for fail_at in 0..3 {
+            for workers in [1, 2] {
+                let mut loader = local_loader(&ds, &store, plan.clone(), workers);
+                let reference = local_reference(&loader, &ds, &store, 1);
+                // The last sample of batch `fail_at`.
+                let order = loader.epoch_order(1);
+                let last = ((fail_at + 1) * LOCAL_BATCH).min(order.len()) - 1;
+                loader.transport_mut().corrupt = Some(order[last]);
+                let (batches, result) = collect_epoch(&mut loader, 1);
+                assert!(matches!(result, Err(LoaderError::Codec(_))), "{result:?}");
+                assert!(batches[..] == reference[..fail_at], "payload failing in batch {fail_at}");
+                loader.transport_mut().corrupt = None;
+                let (batches, result) = collect_epoch(&mut loader, 1);
+                assert_eq!(result.unwrap(), reference.len());
+                assert!(batches == reference, "the epoch after a failure diverged");
+            }
+        }
     }
 
     #[test]
@@ -484,26 +761,6 @@ mod tests {
             loader.run_epoch_with_replan(0, |_| {}, |_| Some(OffloadPlan::none(3))).unwrap_err();
         assert!(matches!(err, LoaderError::ReplanMismatch { expected, got: 3 }
             if expected == N as usize));
-        server.shutdown();
-    }
-
-    #[test]
-    fn worker_count_does_not_change_batches() {
-        let (ds, _store, server) = live_parts();
-        let plan = make_plan(&ds);
-        let run_with = |workers: usize, client: TcpStorageClient| {
-            let mut config = LoaderConfig::new(ds.seed, 5);
-            config.workers = workers;
-            let mut loader =
-                OffloadingLoader::new(client, PipelineSpec::standard_train(), plan.clone(), config)
-                    .unwrap();
-            let mut out: Vec<Vec<f32>> = Vec::new();
-            loader.run_epoch(1, |b| out.push(b.as_slice().to_vec())).unwrap();
-            out
-        };
-        let serial = run_with(1, connect(&server));
-        let parallel = run_with(4, connect(&server));
-        assert_eq!(serial, parallel, "worker count changed batch contents");
         server.shutdown();
     }
 

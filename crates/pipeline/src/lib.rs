@@ -63,7 +63,7 @@ pub mod ops;
 mod rng;
 mod spec;
 
-pub use batch::{BatchError, CollateError, TensorBatch};
+pub use batch::{BatchAssembly, CollateError, TensorBatch};
 pub use cost::CostModel;
 pub use data::{DataKind, StageData};
 pub use error::PipelineError;

@@ -245,6 +245,36 @@ impl PipelineSpec {
         self.run_range(data, split.offloaded_ops()..self.ops.len(), key)
     }
 
+    /// Where a trailing `ToTensor` → `Normalize` pair starts, when the spec
+    /// ends in one: the two ops a [`BatchAssembly`](crate::BatchAssembly)
+    /// writes straight into the batch.
+    pub(crate) fn fused_tail_start(&self) -> Option<usize> {
+        self.ops.ends_with(&[OpKind::ToTensor, OpKind::Normalize]).then(|| self.ops.len() - 2)
+    }
+
+    /// [`PipelineSpec::run_suffix`] as far as a
+    /// [`BatchAssembly`](crate::BatchAssembly) needs it: a spec that ends in
+    /// `ToTensor` → `Normalize` stops at the last image, and the assembly
+    /// writes the two ops straight into the sample's slab of the batch. A
+    /// split past that image runs the whole suffix.
+    ///
+    /// # Errors
+    ///
+    /// As [`PipelineSpec::run_suffix`].
+    pub fn run_suffix_for_batch(
+        &self,
+        data: StageData,
+        split: SplitPoint,
+        key: SampleKey,
+    ) -> Result<StageData, PipelineError> {
+        self.check_split(split)?;
+        let end = match self.fused_tail_start() {
+            Some(start) if split.offloaded_ops() <= start => start,
+            _ => self.ops.len(),
+        };
+        self.run_range(data, split.offloaded_ops()..end, key)
+    }
+
     /// All valid split points, from none to the full pipeline.
     pub fn split_points(&self) -> impl Iterator<Item = SplitPoint> + '_ {
         (0..=self.ops.len()).map(SplitPoint::new)
