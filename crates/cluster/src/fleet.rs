@@ -6,10 +6,10 @@
 //! [`SampleRouting::ReplicaFailover`] routing. The module is deliberately
 //! mechanism-free, like [`crate::simulate_training`]: callers supply
 //! the per-sample **owner lists** (ordered replica sets, primary first —
-//! built e.g. by `fleet::ShardMap::owners`), and this module only schedules
-//! the resulting per-node queues. Placement policy, hashing, and transport
-//! hedging live in the `fleet` crate; the simulator answers "what does this
-//! placement cost" questions:
+//! built e.g. by [`crate::ShardMap::owners`]), and this module only
+//! schedules the resulting per-node queues. Placement hashing lives in
+//! [`crate::ShardMap`] and transport hedging in the `fleet` crate; the
+//! simulator answers "what does this placement cost" questions:
 //!
 //! * **Per-node links and cores** — each node is a [`FleetNodeConfig`]; a
 //!   sample is read, offload-preprocessed, and transferred on *its serving

@@ -24,7 +24,8 @@
 //! plotted in the paper's Figures 1d, 3, and 4. [`simulate_fleet_epoch`]
 //! runs the same epoch over N storage nodes, and [`simulate_training`] is
 //! the one multi-epoch run (profiling / cold epoch, then steady epochs) over
-//! either.
+//! either. [`ShardMap`] is the consistent-hash placement those fleet runs,
+//! the planner and the live transport all route by.
 //!
 //! # Example
 //!
@@ -43,11 +44,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod config;
 mod fleet;
 mod gpu;
 pub mod multitenant;
+mod placement;
 mod resources;
 mod sim;
 pub mod stagegraph;
@@ -60,6 +63,7 @@ pub use config::ClusterConfig;
 pub use fleet::{simulate_fleet_epoch, FleetEpochStats};
 pub use gpu::GpuModel;
 pub use multitenant::{simulate_multi_tenant, MultiTenantRun, TenantRunStats, TenantWorkload};
+pub use placement::ShardMap;
 pub use resources::{CpuPool, FifoServer};
 pub use sim::{simulate_epoch, simulate_epoch_traced, SimError};
 pub use stagegraph::{

@@ -208,7 +208,7 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
             scenario.gpu,
             scenario.batch_size,
         );
-        let map = fleet::ShardMap::new(shards, opts.replication.min(shards), opts.seed);
+        let map = cluster::ShardMap::new(shards, opts.replication.min(shards), opts.seed);
         let nodes = sophon::ext::sharding::fleet_nodes_sharing_link(&scenario.config, shards);
         let batches = (profiles.len() / scenario.batch_size.max(1)).max(1) as u64;
         let chaos = match opts.chaos_profile {

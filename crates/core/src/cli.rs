@@ -176,9 +176,13 @@ impl CliOptions {
         S: AsRef<str>,
     {
         let mut opts = CliOptions::default();
+        // Flags as given, so a flag its run ignores is an error even when
+        // its value happens to equal the default.
+        let mut given: Vec<String> = Vec::new();
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let flag = flag.as_ref();
+            given.push(flag.to_string());
             // Boolean switches take no value.
             let switch = match flag {
                 "--adaptive" => Some(&mut opts.adaptive),
@@ -340,6 +344,28 @@ impl CliOptions {
                 opts.tenant_weights.len(),
                 opts.tenants
             ));
+        }
+        if opts.gpus == 0 {
+            return Err("gpus must be positive".to_string());
+        }
+        let ignored = |flags: &str, context: &str| {
+            let hit = given.iter().find(|f| flags.split_whitespace().any(|g| g == f.as_str()));
+            hit.map_or(Ok(()), |flag| Err(format!("{flag} has no effect {context}")))
+        };
+        if opts.modality == ModalityChoice::Audio {
+            // The audio path plans one corpus for one epoch, one node, one tenant.
+            ignored(
+                "--dataset --epochs --shards --replication --cache-budget-pct --cache-policy \
+                 --chaos-profile --tenants --quota-bytes-per-sec --adaptive",
+                "with --modality audio",
+            )?;
+        }
+        if !opts.adaptive {
+            let tuning = "--brownout-tiers --min-fidelity --drift-window --replan-cooldown";
+            ignored(tuning, "without --adaptive")?;
+        }
+        if opts.tenants == 1 {
+            ignored("--quota-bytes-per-sec --tenant-weights", "with one tenant")?;
         }
         Ok(opts)
     }
@@ -721,9 +747,6 @@ mod tests {
         // Without tiers the adaptive loop runs fidelity-blind.
         let plain = CliOptions::parse(["--adaptive"]).unwrap();
         assert!(plain.feedback_config().unwrap().brownout.is_none());
-        // Tiers without --adaptive configure nothing (the loop is off).
-        let unarmed = CliOptions::parse(["--brownout-tiers", "0.5,1.0"]).unwrap();
-        assert!(unarmed.feedback_config().is_none());
         assert!(CliOptions::parse(["--brownout-tiers", "0,1.0"]).unwrap_err().contains("tier"));
         assert!(CliOptions::parse(["--brownout-tiers", "0.5,1.5"]).unwrap_err().contains("tier"));
         assert!(CliOptions::parse(["--brownout-tiers", "0.6,0.3,1.0"])
@@ -762,6 +785,59 @@ mod tests {
             .unwrap_err()
             .contains("--trace needs a value"));
         assert!(CliOptions::parse(["--trace", "five"]).unwrap_err().contains("'five' for --trace"));
+    }
+
+    fn rejection(args: &str) -> String {
+        CliOptions::parse(args.split_whitespace()).unwrap_err()
+    }
+
+    #[test]
+    fn audio_rejects_flags_only_the_image_path_reads() {
+        for flag in ["--dataset mini", "--epochs 3", "--shards 2", "--cache-policy lru"] {
+            let err = rejection(&format!("--modality audio {flag}"));
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("{name} has no effect with --modality audio"));
+        }
+        // A flag given at its default value is still a flag the run ignores.
+        assert!(rejection("--tenants 1 --modality audio").starts_with("--tenants"));
+        assert!(rejection("--modality audio --adaptive").starts_with("--adaptive"));
+        assert!(
+            CliOptions::parse("--modality audio --samples 64 --gpus 2".split_whitespace()).is_ok()
+        );
+    }
+
+    #[test]
+    fn loop_tuning_needs_adaptive() {
+        for flag in [
+            "--brownout-tiers 0.5,1.0",
+            "--min-fidelity 0.5",
+            "--drift-window 64",
+            "--replan-cooldown 2",
+        ] {
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(rejection(flag), format!("{name} has no effect without --adaptive"));
+            assert!(CliOptions::parse(format!("--adaptive {flag}").split_whitespace()).is_ok());
+        }
+    }
+
+    #[test]
+    fn quota_and_weights_need_several_tenants() {
+        assert_eq!(
+            rejection("--quota-bytes-per-sec 1e6"),
+            "--quota-bytes-per-sec has no effect with one tenant"
+        );
+        assert_eq!(
+            rejection("--tenant-weights 2"),
+            "--tenant-weights has no effect with one tenant"
+        );
+        assert!(
+            CliOptions::parse("--tenants 2 --quota-bytes-per-sec 1e6".split_whitespace()).is_ok()
+        );
+    }
+
+    #[test]
+    fn zero_gpus_is_rejected() {
+        assert_eq!(rejection("--gpus 0"), "gpus must be positive");
     }
 
     #[test]

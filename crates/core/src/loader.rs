@@ -20,6 +20,9 @@
 //! Augmentations remain keyed by `(dataset seed, sample, epoch)`, so the
 //! batches are bit-identical to what an un-offloaded loader would produce —
 //! the property `tests/end_to_end.rs` checks across the live stack.
+//!
+//! [`live_replans`] turns a live server's tenant telemetry into the replan
+//! callback, through the planner's `ext::feedback::LiveFeedbackBridge`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -27,8 +30,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use pipeline::{BatchAssembly, PipelineSpec, SampleKey, SplitPoint, StageData, TensorBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport};
+use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport, TcpStorageServer};
 
+use crate::ext::feedback::{LiveFeedbackBridge, ReplanEvent};
 use crate::OffloadPlan;
 
 /// Loader configuration.
@@ -417,11 +421,34 @@ fn finish_jobs(
     }
 }
 
+/// Builds a replan callback for [`OffloadingLoader::run_epoch_with_replan`]
+/// driven by a live TCP server's tenant telemetry: before every batch the
+/// server's counters are exported into `bridge` at the wall-clock offset
+/// from `started`, and a committed replan is lowered to a replacement
+/// [`OffloadPlan`] by `lower` (returning `None` keeps the current plan —
+/// for example when the event is a recovery back toward nominal).
+pub fn live_replans<'a, F>(
+    bridge: &'a mut LiveFeedbackBridge,
+    server: &'a TcpStorageServer,
+    started: std::time::Instant,
+    mut lower: F,
+) -> impl FnMut(usize) -> Option<OffloadPlan> + 'a
+where
+    F: FnMut(&ReplanEvent) -> Option<OffloadPlan> + 'a,
+{
+    move |_batch| {
+        let now = started.elapsed().as_secs_f64();
+        // Telemetry is advisory: an export hiccup must not fail the epoch.
+        let _ = server.export_tenant_telemetry(bridge.counters_mut(), now);
+        bridge.end_batch(now).as_ref().and_then(&mut lower)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::Bandwidth;
-    use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
+    use storage::{ObjectStore, ServerConfig, TcpStorageClient};
 
     const N: u64 = 10;
 
@@ -828,6 +855,106 @@ mod tests {
             })
             .unwrap();
         assert_eq!(total, N as usize);
+        server.shutdown();
+    }
+
+    #[test]
+    fn live_link_squeeze_drives_replans_through_tenant_telemetry() {
+        // The TCP path end to end: a mid-epoch link squeeze (injected as a
+        // per-batch transport stall) collapses the byte rate the server's
+        // tenant counters report; the bridge must turn the exported
+        // counters into link ratios and schedule at least one replan
+        // through the live loader's replan callback.
+        use crate::ext::feedback::FeedbackConfig;
+        use std::time::{Duration, Instant};
+
+        struct Squeezed<T> {
+            inner: T,
+            calls: usize,
+            squeeze_from: usize,
+            delay: Duration,
+        }
+        impl<T: FetchTransport> FetchTransport for Squeezed<T> {
+            fn configure(&mut self, seed: u64, p: PipelineSpec) -> Result<(), ClientError> {
+                self.inner.configure(seed, p)
+            }
+            fn fetch_many_requests(
+                &mut self,
+                reqs: &[FetchRequest],
+            ) -> Result<Vec<FetchResponse>, ClientError> {
+                self.calls += 1;
+                if self.calls > self.squeeze_from {
+                    std::thread::sleep(self.delay);
+                }
+                self.inner.fetch_many_requests(reqs)
+            }
+        }
+
+        const N: u64 = 32;
+        let ds = datasets::DatasetSpec::mini(N, 55);
+        let server = TcpStorageServer::bind(
+            ObjectStore::materialize_dataset(&ds, 0..N),
+            ServerConfig {
+                cores: 2,
+                bandwidth: Bandwidth::from_gbps(10.0),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let plan = OffloadPlan::none(N as usize);
+
+        // Calibrate the nominal byte rate with one calm epoch.
+        let mut calm = OffloadingLoader::new(
+            connect(&server).with_tenant(9),
+            PipelineSpec::standard_train(),
+            plan.clone(),
+            LoaderConfig::new(ds.seed, 4),
+        )
+        .unwrap();
+        let calm_started = Instant::now();
+        let bytes_before = server.response_bytes();
+        let calm_batches = calm.run_epoch(0, |_| {}).unwrap();
+        let calm_elapsed = calm_started.elapsed().as_secs_f64().max(1e-6);
+        let calm_rate = (server.response_bytes() - bytes_before) as f64 / calm_elapsed;
+        // Scale the squeeze to the machine: a stall of 6x the calm batch
+        // latency collapses the byte rate ~7x regardless of how fast the
+        // suffix pipeline runs on this host, and a rate window spanning a
+        // few squeezed batch spacings always holds enough exports.
+        let calm_batch_seconds = calm_elapsed / calm_batches as f64;
+        let delay = Duration::from_secs_f64((calm_batch_seconds * 6.0).max(0.02));
+        let rate_window = (calm_batch_seconds * 16.0).max(0.25);
+
+        let mut loader = OffloadingLoader::new(
+            Squeezed { inner: connect(&server).with_tenant(9), calls: 0, squeeze_from: 2, delay },
+            PipelineSpec::standard_train(),
+            plan.clone(),
+            LoaderConfig::new(ds.seed, 4),
+        )
+        .unwrap();
+        let mut bridge = LiveFeedbackBridge::new(
+            FeedbackConfig { drift_window: 2, cooldown_batches: 2, ..FeedbackConfig::default() },
+            9,
+            calm_rate,
+        )
+        .with_rate_window(rate_window);
+        let mut lowered = 0usize;
+        let mut replan = live_replans(&mut bridge, &server, Instant::now(), |ev| {
+            assert!(
+                ev.channels.iter().all(|c| c.channel == "tenant9.link"),
+                "unexpected channels: {ev:?}"
+            );
+            lowered += 1;
+            Some(plan.clone())
+        });
+        let batches = loader.run_epoch_with_replan(1, |_| {}, &mut replan).unwrap();
+        drop(replan);
+        assert_eq!(batches, (N as usize).div_ceil(4));
+        assert!(
+            !bridge.controller().replans().is_empty(),
+            "a live link squeeze must schedule at least one replan"
+        );
+        assert!(lowered >= 1, "the replan callback must receive a lowered plan");
         server.shutdown();
     }
 }

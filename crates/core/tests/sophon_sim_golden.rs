@@ -6,7 +6,8 @@
 //! explanation, a cached fleet training run, both adaptive chaos profiles
 //! (whose replan lines print channel names and ratios) and the multi-tenant
 //! split, so a change that must leave plans and simulations untouched shows
-//! any drift here.
+//! any drift here. One more test checks that a flag the run would ignore
+//! exits with status 2 instead.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -106,4 +107,16 @@ fn adaptive_link_squeeze_brownout() {
 #[test]
 fn weighted_tenants() {
     check("tenants", &["--tenants", "3", "--tenant-weights", "1,2,3"]);
+}
+
+#[test]
+fn ignored_flag_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sophon-sim"))
+        .args(["--modality", "audio", "--epochs", "3"])
+        .output()
+        .expect("sophon-sim starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --epochs has no effect with --modality audio"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }

@@ -8,7 +8,8 @@
 //! * [`ShardMap`] — deterministic consistent-hash placement with a
 //!   configurable replication factor: same `(seed, nodes, replication)`
 //!   triple ⇒ byte-identical shard map everywhere, no coordination
-//!   service needed.
+//!   service needed. It lives in `cluster`, beside the owner-list routing
+//!   it feeds, and is re-exported here.
 //! * [`FleetTransport`] — a scatter-gather [`storage::FetchTransport`]
 //!   that fans each batch out to the owning shards, hedges groups that
 //!   outlive a deadline to replica nodes (first response wins), and fails
@@ -16,10 +17,11 @@
 //! * [`FleetStats`] — per-node routing counters plus hedge/failover
 //!   tallies.
 //!
-//! Planning against per-node budgets lives in `sophon::ext::sharding`; the
-//! virtual-time fleet simulator lives in `cluster::fleet`; the live
-//! multi-server TCP harness lives in `storage::multi`. All three agree on
-//! ownership because they all consume the same [`ShardMap`].
+//! Planning against per-node budgets lives in
+//! `sophon_planner::ext::sharding`; the virtual-time fleet simulator lives
+//! in `cluster::fleet`; the live multi-server TCP harness lives in
+//! `storage::multi`. All three agree on ownership because they all consume
+//! the same [`ShardMap`].
 //!
 //! # Example
 //!
@@ -36,8 +38,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod placement;
 mod transport;
 
-pub use placement::ShardMap;
+pub use cluster::ShardMap;
 pub use transport::{FleetStats, FleetTransport};

@@ -45,10 +45,9 @@ use std::collections::BTreeMap;
 
 use cluster::stagegraph::SampleRouting;
 use cluster::{
-    run_stage_graph, EpochDirective, EpochSpec, FleetNodeConfig, NodeUpdate, StageHooks, StageKind,
-    StageSample,
+    run_stage_graph, EpochDirective, EpochSpec, FleetNodeConfig, NodeUpdate, ShardMap, StageHooks,
+    StageKind, StageSample,
 };
-use fleet::ShardMap;
 use pipeline::SplitPoint;
 use telemetry::{CusumDetector, DriftConfig, TelemetryHub};
 
@@ -702,29 +701,19 @@ pub fn run_fleet_epoch_adaptive(
     })
 }
 
-/// Builds a replan callback for `OffloadingLoader::run_epoch_with_replan`
-/// from a batch → plan schedule (for example, a controller run's
-/// [`ReplanEvent`]s lowered to revised plans). Each plan fires once, before
-/// its batch.
-pub fn scheduled_replans(
-    mut schedule: BTreeMap<usize, OffloadPlan>,
-) -> impl FnMut(usize) -> Option<OffloadPlan> {
-    move |batch| schedule.remove(&batch)
-}
-
 /// Bridges the live TCP serving path into the feedback loop.
 ///
 /// The simulator's controller reads per-stage service ratios straight off
 /// the stage graph; the live path has no stage graph — what it has is the
 /// server's cumulative per-tenant counters
-/// ([`storage::TcpStorageServer::export_tenant_telemetry`]). The bridge
+/// (`storage::TcpStorageServer::export_tenant_telemetry`). The bridge
 /// owns the hub those counters land in, converts the tenant's windowed
 /// served-byte rate into an observed/expected service ratio
 /// (`nominal_rate / observed_rate`, so a squeezed link reads above `1.0`
 /// exactly like the simulator's link channels), and feeds it to a
 /// [`FeedbackController`] once per batch. Committed replans surface from
-/// [`LiveFeedbackBridge::end_batch`]; [`live_replans`] lowers them into
-/// the loader's replan callback.
+/// [`LiveFeedbackBridge::end_batch`]; the runtime's `loader::live_replans`
+/// lowers them into the loader's replan callback.
 #[derive(Debug, Clone)]
 pub struct LiveFeedbackBridge {
     controller: FeedbackController,
@@ -777,7 +766,7 @@ impl LiveFeedbackBridge {
     }
 
     /// The hub the server's counters are exported into — hand this to
-    /// [`storage::TcpStorageServer::export_tenant_telemetry`].
+    /// `storage::TcpStorageServer::export_tenant_telemetry`.
     pub fn counters_mut(&mut self) -> &mut TelemetryHub {
         &mut self.counters
     }
@@ -807,29 +796,6 @@ impl LiveFeedbackBridge {
         let event = self.controller.end_batch(self.batch, now);
         self.batch += 1;
         event
-    }
-}
-
-/// Builds a replan callback for `OffloadingLoader::run_epoch_with_replan`
-/// driven by a live TCP server's tenant telemetry: before every batch the
-/// server's counters are exported into `bridge` at the wall-clock offset
-/// from `started`, and a committed replan is lowered to a replacement
-/// [`OffloadPlan`] by `lower` (returning `None` keeps the current plan —
-/// for example when the event is a recovery back toward nominal).
-pub fn live_replans<'a, F>(
-    bridge: &'a mut LiveFeedbackBridge,
-    server: &'a storage::TcpStorageServer,
-    started: std::time::Instant,
-    mut lower: F,
-) -> impl FnMut(usize) -> Option<OffloadPlan> + 'a
-where
-    F: FnMut(&ReplanEvent) -> Option<OffloadPlan> + 'a,
-{
-    move |_batch| {
-        let now = started.elapsed().as_secs_f64();
-        // Telemetry is advisory: an export hiccup must not fail the epoch.
-        let _ = server.export_tenant_telemetry(bridge.counters_mut(), now);
-        bridge.end_batch(now).as_ref().and_then(&mut lower)
     }
 }
 
@@ -1065,54 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_replans_keep_live_loader_batches_bit_identical() {
-        // A controller-produced schedule drives the *real* loader through
-        // `scheduled_replans`: tensors must match a never-replanned run.
-        use crate::loader::{LoaderConfig, OffloadingLoader};
-        use netsim::Bandwidth;
-        use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
-
-        const N: u64 = 10;
-        let ds = DatasetSpec::mini(N, 55);
-        let pipeline = PipelineSpec::standard_train();
-        let model = CostModel::realistic();
-        let plan = crate::OffloadPlan::from_splits(
-            ds.records().map(|r| r.analytic_profile(&pipeline, &model).best_split()).collect(),
-        );
-        let server = TcpStorageServer::bind(
-            ObjectStore::materialize_dataset(&ds, 0..N),
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let run = |replan: &mut dyn FnMut(usize) -> Option<crate::OffloadPlan>| {
-            let mut loader = OffloadingLoader::new(
-                TcpStorageClient::connect(server.local_addr()).unwrap(),
-                PipelineSpec::standard_train(),
-                plan.clone(),
-                LoaderConfig::new(ds.seed, 4),
-            )
-            .unwrap();
-            let mut out: Vec<Vec<f32>> = Vec::new();
-            loader.run_epoch_with_replan(1, |b| out.push(b.as_slice().to_vec()), replan).unwrap();
-            out
-        };
-        let steady = run(&mut |_| None);
-        let mut schedule = BTreeMap::new();
-        schedule.insert(1usize, crate::OffloadPlan::none(N as usize));
-        schedule.insert(2usize, plan.clone());
-        let mut scheduled = scheduled_replans(schedule);
-        let replanned = run(&mut scheduled);
-        assert_eq!(steady, replanned, "scheduled replans changed batch contents");
-        assert!(scheduled(1).is_none(), "each scheduled plan fires exactly once");
-        server.shutdown();
-    }
-
-    #[test]
     fn live_bridge_turns_byte_counters_into_link_ratios() {
         // Cumulative served-byte exports at a steady 1000 B/s against a
         // nominal of 2000 B/s must read as a 2.0 link ratio.
@@ -1130,119 +1048,6 @@ mod tests {
         stalled.counters_mut().push("tenant3.bytes", 0.0, 500.0).unwrap();
         stalled.counters_mut().push("tenant3.bytes", 1.0, 500.0).unwrap();
         assert_eq!(stalled.link_ratio(1.0), None);
-    }
-
-    #[test]
-    fn live_link_squeeze_drives_replans_through_tenant_telemetry() {
-        // The TCP path end to end: a mid-epoch link squeeze (injected as a
-        // per-batch transport stall) collapses the byte rate the server's
-        // tenant counters report; the bridge must turn the exported
-        // counters into link ratios and schedule at least one replan
-        // through the live loader's replan callback.
-        use crate::loader::{LoaderConfig, OffloadingLoader};
-        use netsim::Bandwidth;
-        use std::time::{Duration, Instant};
-        use storage::{
-            FetchTransport, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer,
-        };
-
-        struct Squeezed<T> {
-            inner: T,
-            calls: usize,
-            squeeze_from: usize,
-            delay: Duration,
-        }
-        impl<T: FetchTransport> FetchTransport for Squeezed<T> {
-            fn configure(
-                &mut self,
-                seed: u64,
-                p: PipelineSpec,
-            ) -> Result<(), storage::ClientError> {
-                self.inner.configure(seed, p)
-            }
-            fn fetch_many_requests(
-                &mut self,
-                reqs: &[storage::FetchRequest],
-            ) -> Result<Vec<storage::FetchResponse>, storage::ClientError> {
-                self.calls += 1;
-                if self.calls > self.squeeze_from {
-                    std::thread::sleep(self.delay);
-                }
-                self.inner.fetch_many_requests(reqs)
-            }
-        }
-
-        const N: u64 = 32;
-        let ds = DatasetSpec::mini(N, 55);
-        let server = TcpStorageServer::bind(
-            ObjectStore::materialize_dataset(&ds, 0..N),
-            ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let plan = crate::OffloadPlan::none(N as usize);
-
-        // Calibrate the nominal byte rate with one calm epoch.
-        let mut calm = OffloadingLoader::new(
-            TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(9),
-            PipelineSpec::standard_train(),
-            plan.clone(),
-            LoaderConfig::new(ds.seed, 4),
-        )
-        .unwrap();
-        let calm_started = Instant::now();
-        let bytes_before = server.response_bytes();
-        let calm_batches = calm.run_epoch(0, |_| {}).unwrap();
-        let calm_elapsed = calm_started.elapsed().as_secs_f64().max(1e-6);
-        let calm_rate = (server.response_bytes() - bytes_before) as f64 / calm_elapsed;
-        // Scale the squeeze to the machine: a stall of 6x the calm batch
-        // latency collapses the byte rate ~7x regardless of how fast the
-        // suffix pipeline runs on this host, and a rate window spanning a
-        // few squeezed batch spacings always holds enough exports.
-        let calm_batch_seconds = calm_elapsed / calm_batches as f64;
-        let delay = Duration::from_secs_f64((calm_batch_seconds * 6.0).max(0.02));
-        let rate_window = (calm_batch_seconds * 16.0).max(0.25);
-
-        let mut loader = OffloadingLoader::new(
-            Squeezed {
-                inner: TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(9),
-                calls: 0,
-                squeeze_from: 2,
-                delay,
-            },
-            PipelineSpec::standard_train(),
-            plan.clone(),
-            LoaderConfig::new(ds.seed, 4),
-        )
-        .unwrap();
-        let mut bridge = LiveFeedbackBridge::new(
-            FeedbackConfig { drift_window: 2, cooldown_batches: 2, ..FeedbackConfig::default() },
-            9,
-            calm_rate,
-        )
-        .with_rate_window(rate_window);
-        let mut lowered = 0usize;
-        let mut replan = live_replans(&mut bridge, &server, Instant::now(), |ev| {
-            assert!(
-                ev.channels.iter().all(|c| c.channel == "tenant9.link"),
-                "unexpected channels: {ev:?}"
-            );
-            lowered += 1;
-            Some(plan.clone())
-        });
-        let batches = loader.run_epoch_with_replan(1, |_| {}, &mut replan).unwrap();
-        drop(replan);
-        assert_eq!(batches, (N as usize).div_ceil(4));
-        assert!(
-            !bridge.controller().replans().is_empty(),
-            "a live link squeeze must schedule at least one replan"
-        );
-        assert!(lowered >= 1, "the replan callback must receive a lowered plan");
-        server.shutdown();
     }
 
     #[test]

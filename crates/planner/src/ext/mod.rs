@@ -6,9 +6,9 @@
 //! * [`multitenant`] — a storage-side CPU scheduler that splits cores among
 //!   concurrent training jobs by marginal epoch-time gain.
 //!
-//! * [`sharding`] — the fleet planner (`fleet` crate): [`sharding::plan_fleet`]
-//!   runs the greedy engine per shard against each node's own cores and
-//!   link. Its request carries every other planning axis as data:
+//! * [`sharding`] — the fleet planner over a [`cluster::ShardMap`]:
+//!   [`sharding::plan_fleet`] runs the greedy engine per shard against each
+//!   node's own cores and link. Its request carries every other planning axis as data:
 //!   heterogeneous CPU types (a node `speed` other than `1.0`), the
 //!   near-compute cache, degraded nodes whose samples re-plan against
 //!   their replica shards (or fall back to raw fetches), and the brownout

@@ -2,7 +2,7 @@
 //!
 //! With a single storage node, the greedy engine's `T_CS` guard protects
 //! *that node's* cores. Sharding the corpus across N nodes (placed by
-//! [`fleet::ShardMap`]) changes the resource picture: each node has its own
+//! [`cluster::ShardMap`]) changes the resource picture: each node has its own
 //! preprocessing cores and its own link, so a plan computed against the
 //! aggregate fleet could pile every offloaded sample onto one hot shard.
 //! [`plan_fleet`] instead runs the greedy engine **once per shard**, over
@@ -42,15 +42,14 @@
 //! keep `T_Net` predominant longer — and vanishes as shards balance.
 //!
 //! The module is pure planning — it never touches a socket — so the runtime
-//! can call it between batches (via
-//! [`crate::loader::OffloadingLoader::run_epoch_with_replan`]) with whatever
+//! can call it between batches (via the runtime's
+//! `loader::OffloadingLoader::run_epoch_with_replan`) with whatever
 //! health picture the transport reports at that moment. It also bridges
 //! planning to the fleet simulator: [`owner_lists`] materializes per-sample
 //! replica sets for [`cluster::simulate_fleet_epoch`], and [`fleet_nodes`]
 //! derives the per-node resource vector from the planning config.
 
-use cluster::{ClusterConfig, FleetNodeConfig};
-use fleet::ShardMap;
+use cluster::{ClusterConfig, FleetNodeConfig, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
 
 use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};

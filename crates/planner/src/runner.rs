@@ -223,7 +223,7 @@ impl Scenario {
             self.gpu,
             self.batch_size,
         );
-        let map = fleet::ShardMap::new(req.shards, req.replication, req.placement_seed);
+        let map = cluster::ShardMap::new(req.shards, req.replication, req.placement_seed);
         let nodes = sharding::fleet_nodes(&self.config, req.shards);
         let assignment = req
             .cache

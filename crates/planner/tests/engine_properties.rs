@@ -5,8 +5,8 @@ use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use proptest::prelude::*;
-use sophon::engine::{DecisionEngine, PlanningContext};
-use sophon::prelude::*;
+use sophon_planner::engine::{DecisionEngine, PlanningContext};
+use sophon_planner::prelude::*;
 
 fn profiles_for(ds: &DatasetSpec) -> Vec<SampleProfile> {
     let spec = PipelineSpec::standard_train();
@@ -124,12 +124,12 @@ proptest! {
         let pipeline = PipelineSpec::standard_train();
         let config = ClusterConfig::paper_testbed(2);
         let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, 256);
-        let one_shard = fleet::ShardMap::new(1, 1, 0);
+        let one_shard = cluster::ShardMap::new(1, 1, 0);
         let mut last = 0usize;
         for factor in [0.25, 0.5, 1.0, 2.0] {
             let node = [cluster::FleetNodeConfig::nominal(&config).with_speed(factor)];
-            let request = sophon::ext::sharding::FleetPlanRequest::new(&one_shard, &node);
-            let plan = sophon::ext::sharding::plan_fleet(&ctx, &request).unwrap().plan;
+            let request = sophon_planner::ext::sharding::FleetPlanRequest::new(&one_shard, &node);
+            let plan = sophon_planner::ext::sharding::plan_fleet(&ctx, &request).unwrap().plan;
             let n = plan.offloaded_samples();
             prop_assert!(n >= last, "factor {factor}: {n} < {last}");
             last = n;

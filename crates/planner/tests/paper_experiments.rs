@@ -6,7 +6,7 @@
 
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
-use sophon::prelude::*;
+use sophon_planner::prelude::*;
 
 const N: u64 = 4_096;
 
