@@ -1,6 +1,5 @@
 use imagery::{RasterImage, Rect};
 
-use crate::block::Plane;
 use crate::header::{Header, HEADER_LEN};
 use crate::{color, dct, entropy, quant, CodecError, Quality, BLOCK, BLOCK_AREA};
 
@@ -18,7 +17,7 @@ use crate::{color, dct, entropy, quant, CodecError, Quality, BLOCK, BLOCK_AREA};
 /// assert!(matches!(decode(b"nope"), Err(CodecError::Truncated { .. })));
 /// ```
 pub fn decode(data: &[u8]) -> Result<RasterImage, CodecError> {
-    decode_classic(data, None)
+    Ok(read_classic(data, None)?.to_image())
 }
 
 /// Decodes only the pixels of `rect`: the result equals
@@ -26,8 +25,10 @@ pub fn decode(data: &[u8]) -> Result<RasterImage, CodecError> {
 ///
 /// The whole stream is still parsed (DC prediction chains through every
 /// block of a plane and SJPG has no restart markers), so every structural
-/// defect [`decode`] reports is reported here too; what is skipped is
-/// dequantization, the inverse DCT and colour conversion outside `rect`.
+/// defect [`decode`] reports is reported here too, at the same offset. A
+/// block outside `rect`'s block window is stepped over, not decoded: its
+/// coefficients are never stored, dequantized, transformed or
+/// colour-converted.
 ///
 /// # Errors
 ///
@@ -45,31 +46,55 @@ pub fn decode(data: &[u8]) -> Result<RasterImage, CodecError> {
 /// # Ok::<(), codec::CodecError>(())
 /// ```
 pub fn decode_region(data: &[u8], rect: Rect) -> Result<RasterImage, CodecError> {
-    decode_classic(data, Some(rect))
+    Ok(read_classic(data, Some(rect))?.to_image())
 }
 
-fn decode_classic(data: &[u8], rect: Option<Rect>) -> Result<RasterImage, CodecError> {
+/// [`decode_region`] without the image: the rows of `rect`, top to bottom,
+/// each `rect.width × 3` interleaved RGB bytes, go to `sink` as they are
+/// reconstructed, and no plane or image the size of `rect` is built. The
+/// rows are those of [`decode_region`]'s image, byte for byte.
+///
+/// The stream is parsed in full before the first row is reconstructed, so
+/// `sink` sees no row of a stream that fails.
+///
+/// # Errors
+///
+/// As [`decode_region`].
+///
+/// ```
+/// use codec::{decode_region, decode_region_rows, encode, Quality};
+/// use imagery::{synth::SynthSpec, Rect};
+///
+/// let img = SynthSpec::new(64, 48).complexity(0.5).render(1);
+/// let bytes = encode(&img, Quality::default());
+/// let rect = Rect::new(13, 7, 30, 21);
+/// let mut rows = Vec::new();
+/// decode_region_rows(&bytes, rect, |row| rows.extend_from_slice(row))?;
+/// assert_eq!(rows, decode_region(&bytes, rect)?.as_raw());
+/// # Ok::<(), codec::CodecError>(())
+/// ```
+pub fn decode_region_rows(
+    data: &[u8],
+    rect: Rect,
+    sink: impl FnMut(&[u8]),
+) -> Result<(), CodecError> {
+    read_classic(data, Some(rect))?.for_each_row(sink);
+    Ok(())
+}
+
+/// Entropy-decodes a classic stream's three planes, keeping the blocks of
+/// `rect`'s window (the whole image for `None`) and stepping over the rest.
+fn read_classic(data: &[u8], rect: Option<Rect>) -> Result<RegionBlocks, CodecError> {
     let header = Header::parse(data)?;
     let region = Region::new(header.width, header.height, rect)?;
-
-    // Entropy-decode all three planes, keeping the region's blocks.
     let mut pos = HEADER_LEN;
     // A block is at least a DC varint and an end-of-block byte.
-    let mut quantized = region.block_storage((data.len() - pos) / 2, data.len())?;
-    for plane in &mut quantized {
-        let mut dc_pred = 0i16;
-        region.window.for_each_block(|slot| {
-            let zz = entropy::decode_block(data, &mut pos, &mut dc_pred)?;
-            if let Some(slot) = slot {
-                plane[slot] = zz;
-            }
-            Ok(())
-        })?;
-    }
+    let mut blocks = region.block_storage(header.quality, (data.len() - pos) / 2, data.len())?;
+    blocks.read_scan(data, &mut pos, (0, BLOCK_AREA))?;
     if pos != data.len() {
         return Err(CodecError::TrailingData { remaining: data.len() - pos });
     }
-    Ok(reconstruct_region(header.quality, &region, &quantized))
+    Ok(blocks)
 }
 
 /// The blocks of a plane that a pixel rectangle needs, inside the plane's
@@ -153,53 +178,185 @@ impl Region {
     /// run out) when the three planes hold more blocks than that.
     pub(crate) fn block_storage(
         &self,
+        quality: Quality,
         max_blocks: usize,
         end: usize,
-    ) -> Result<[Vec<[i16; BLOCK_AREA]>; 3], CodecError> {
+    ) -> Result<RegionBlocks, CodecError> {
         if 3 * self.window.plane_blocks() > max_blocks as u64 {
             return Err(CodecError::Truncated { offset: end });
         }
-        Ok(std::array::from_fn(|_| vec![[0i16; BLOCK_AREA]; self.window.len()]))
+        Ok(RegionBlocks {
+            quality,
+            region: self.clone(),
+            planes: std::array::from_fn(|_| vec![[0i16; BLOCK_AREA]; self.window.len()]),
+        })
     }
 }
 
-/// Dequantizes, inverse-transforms, and color-converts the region's
-/// quantized blocks (`quantized[p]` holds plane `p`'s window in scan order)
-/// to the pixels of its rectangle: the back half of every decode, classic
-/// or tiered, whole image or crop.
-pub(crate) fn reconstruct_region(
-    quality: Quality,
-    region: &Region,
-    quantized: &[Vec<[i16; BLOCK_AREA]>; 3],
-) -> RasterImage {
-    let b = BLOCK as u32;
-    let window = region.window;
-    let luma_steps = quant::dequant_steps(&quality.luma_table());
-    let chroma_steps = quant::dequant_steps(&quality.chroma_table());
-    // Planes cover the block-aligned window, not the image.
-    let mut planes: [Plane; 3] =
-        std::array::from_fn(|_| Plane::new(window.size.0 * b, window.size.1 * b));
-    for (i, (plane, blocks)) in planes.iter_mut().zip(quantized).enumerate() {
-        let steps = if i == 0 { &luma_steps } else { &chroma_steps };
-        let mut blocks = blocks.iter();
-        for by in 0..plane.blocks_y() {
-            for bx in 0..plane.blocks_x() {
-                let zz = blocks.next().expect("storage sized from the window");
-                plane.place_block(bx, by, &dct::inverse_quantized(zz, steps));
+/// The quantized blocks of a region's window, plane by plane in scan
+/// order, with what turns them into pixels: the state between reading a
+/// stream, classic or tiered, and reconstructing its rectangle.
+#[derive(Debug)]
+pub(crate) struct RegionBlocks {
+    pub(crate) quality: Quality,
+    pub(crate) region: Region,
+    /// Plane `p`'s window blocks, zigzag-ordered.
+    pub(crate) planes: [Vec<[i16; BLOCK_AREA]>; 3],
+}
+
+impl RegionBlocks {
+    /// Reads one scan, the coefficients `[lo, hi)` of every block of the
+    /// three planes in turn, from `data` at `*pos`: the window's blocks
+    /// are decoded into the planes, the others stepped over.
+    ///
+    /// # Errors
+    ///
+    /// The first entropy defect, as [`entropy::decode_band`] reports it.
+    pub(crate) fn read_scan(
+        &mut self,
+        data: &[u8],
+        pos: &mut usize,
+        band: (usize, usize),
+    ) -> Result<(), CodecError> {
+        for plane in &mut self.planes {
+            let mut dc_pred = 0i16;
+            self.region.window.for_each_block(|slot| match slot {
+                Some(slot) => entropy::decode_band(data, pos, band, &mut dc_pred, &mut plane[slot]),
+                None => entropy::skip_band(data, pos, band, &mut dc_pred),
+            })?;
+        }
+        Ok(())
+    }
+
+    /// The back half of every decode: dequantizes, inverse-transforms and
+    /// colour-converts the window one block row at a time, and hands each
+    /// row of the rectangle, `rect.width × 3` RGB bytes, to `sink` top to
+    /// bottom.
+    ///
+    /// A block row of all three planes is transformed into an eight-row
+    /// band, and only the band's rows and columns inside the rectangle are
+    /// colour-converted. Every pixel comes from the `f32` operations, in
+    /// the order, of converting whole window planes (the oracle kept in the
+    /// tests): `inverse_quantized`, `+ 128.0`, `ycbcr_row_to_rgb`.
+    pub(crate) fn for_each_row(&self, mut sink: impl FnMut(&[u8])) {
+        let window = self.region.window;
+        let luma = quant::dequant_steps(&self.quality.luma_table());
+        let chroma = quant::dequant_steps(&self.quality.chroma_table());
+        let steps = [&luma, &chroma, &chroma];
+        let cols = window.size.0 as usize;
+        let band_width = cols * BLOCK;
+        let mut bands: [Vec<f32>; 3] = std::array::from_fn(|_| vec![0f32; band_width * BLOCK]);
+
+        let b = BLOCK as u32;
+        let Rect { x, y, width, height } = self.region.rect;
+        let at = (x - window.origin.0 * b) as usize;
+        let w = width as usize;
+        // The rectangle's rows, counted from the window's top edge.
+        let rows = (y - window.origin.1 * b) as usize..(y - window.origin.1 * b + height) as usize;
+        let mut rgb = vec![0u8; w * 3];
+        for by in 0..window.size.1 as usize {
+            for ((band, plane), steps) in bands.iter_mut().zip(&self.planes).zip(steps) {
+                for (bx, zz) in plane[by * cols..][..cols].iter().enumerate() {
+                    let block = dct::inverse_quantized(zz, steps);
+                    let band_rows = band.chunks_exact_mut(band_width);
+                    for (src, dst) in block.chunks_exact(BLOCK).zip(band_rows) {
+                        for (d, s) in dst[bx * BLOCK..][..BLOCK].iter_mut().zip(src) {
+                            *d = s + 128.0;
+                        }
+                    }
+                }
+            }
+            // The band's rows that lie in the rectangle.
+            let top = by * BLOCK;
+            for row in rows.start.max(top)..rows.end.min(top + BLOCK) {
+                let r = (row - top) * band_width + at;
+                let [luma, cb, cr] = bands.each_ref().map(|band| &band[r..r + w]);
+                color::ycbcr_row_to_rgb(luma, cb, cr, &mut rgb);
+                sink(&rgb);
             }
         }
     }
 
-    // Color-convert row by row.
-    let Rect { x, y, width, height } = region.rect;
-    let w = width as usize;
-    let at = (x - window.origin.0 * b) as usize;
-    let mut raw = vec![0u8; w * height as usize * 3];
-    for (rgb, row) in raw.chunks_exact_mut(w * 3).zip(y - window.origin.1 * b..) {
-        let [luma, cb, cr] = planes.each_ref().map(|p| &p.row(row)[at..at + w]);
-        color::ycbcr_row_to_rgb(luma, cb, cr, rgb);
+    /// The rectangle's pixels, [`RegionBlocks::for_each_row`] copied into
+    /// an image.
+    pub(crate) fn to_image(&self) -> RasterImage {
+        let Rect { width, height, .. } = self.region.rect;
+        let mut raw = Vec::with_capacity(width as usize * height as usize * 3);
+        self.for_each_row(|row| raw.extend_from_slice(row));
+        RasterImage::from_raw(width, height, raw).expect("rows sized from the rectangle")
     }
-    RasterImage::from_raw(width, height, raw).expect("buffer sized from dimensions")
+}
+
+/// The decode of every version before rows streamed, kept as the oracle
+/// of the skipping walker and the band reconstructor: every block of every
+/// plane is decoded and stored, and the window's planes are built whole.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::block::Plane;
+
+    /// `decode_region` (`decode` for `None`) as it was.
+    pub(crate) fn decode_classic(
+        data: &[u8],
+        rect: Option<Rect>,
+    ) -> Result<RasterImage, CodecError> {
+        let header = Header::parse(data)?;
+        let region = Region::new(header.width, header.height, rect)?;
+        let mut pos = HEADER_LEN;
+        let blocks = region.block_storage(header.quality, (data.len() - pos) / 2, data.len())?;
+        let mut quantized = blocks.planes;
+        for plane in &mut quantized {
+            let mut dc_pred = 0i16;
+            region.window.for_each_block(|slot| {
+                let zz = entropy::decode_block(data, &mut pos, &mut dc_pred)?;
+                if let Some(slot) = slot {
+                    plane[slot] = zz;
+                }
+                Ok(())
+            })?;
+        }
+        if pos != data.len() {
+            return Err(CodecError::TrailingData { remaining: data.len() - pos });
+        }
+        Ok(reconstruct_region(header.quality, &region, &quantized))
+    }
+
+    /// The back half of every decode as it was: whole window planes of
+    /// `f32`, then the rectangle colour-converted row by row.
+    pub(crate) fn reconstruct_region(
+        quality: Quality,
+        region: &Region,
+        quantized: &[Vec<[i16; BLOCK_AREA]>; 3],
+    ) -> RasterImage {
+        let b = BLOCK as u32;
+        let window = region.window;
+        let luma_steps = quant::dequant_steps(&quality.luma_table());
+        let chroma_steps = quant::dequant_steps(&quality.chroma_table());
+        // Planes cover the block-aligned window, not the image.
+        let mut planes: [Plane; 3] =
+            std::array::from_fn(|_| Plane::new(window.size.0 * b, window.size.1 * b));
+        for (i, (plane, blocks)) in planes.iter_mut().zip(quantized).enumerate() {
+            let steps = if i == 0 { &luma_steps } else { &chroma_steps };
+            let mut blocks = blocks.iter();
+            for by in 0..plane.blocks_y() {
+                for bx in 0..plane.blocks_x() {
+                    let zz = blocks.next().expect("storage sized from the window");
+                    plane.place_block(bx, by, &dct::inverse_quantized(zz, steps));
+                }
+            }
+        }
+
+        // Color-convert row by row.
+        let Rect { x, y, width, height } = region.rect;
+        let w = width as usize;
+        let at = (x - window.origin.0 * b) as usize;
+        let mut raw = vec![0u8; w * height as usize * 3];
+        for (rgb, row) in raw.chunks_exact_mut(w * 3).zip(y - window.origin.1 * b..) {
+            let [luma, cb, cr] = planes.each_ref().map(|p| &p.row(row)[at..at + w]);
+            color::ycbcr_row_to_rgb(luma, cb, cr, rgb);
+        }
+        RasterImage::from_raw(width, height, raw).expect("buffer sized from dimensions")
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +364,7 @@ mod tests {
     use super::*;
     use crate::{encode, encode_tiered, TierSpec};
     use imagery::synth::SynthSpec;
+    use imagery::BilinearResizer;
 
     #[test]
     fn rejects_truncated_body() {
@@ -229,9 +387,24 @@ mod tests {
         assert!(matches!(decode(&[]), Err(CodecError::Truncated { .. })));
     }
 
+    /// The codec half of the fused `Decode` → `RandomResizedCrop`:
+    /// `rect`'s rows streamed into a 224 × 224 bilinear resize, through the
+    /// entry point the pipeline routes the stream to.
+    fn fused(data: &[u8], rect: Rect) -> Result<RasterImage, crate::DecodeError> {
+        let mut resizer = BilinearResizer::new(rect.width, rect.height, 224, 224);
+        if crate::is_tiered(data) {
+            crate::decode_tiered_region_rows(data, rect, |row| resizer.push_row(row))?;
+        } else {
+            decode_region_rows(data, rect, |row| resizer.push_row(row))?;
+        }
+        Ok(resizer.finish())
+    }
+
     /// Every byte of a classic and of a tiered stream, flipped to its
-    /// complement, and every bit of the header, flipped alone: the full
-    /// and the region decoder return a value or a typed error, never panic.
+    /// complement, and every bit of the header, flipped alone: the full,
+    /// the region and the streamed decoders never panic and return exactly
+    /// what the storing walker and whole-plane reconstruction kept as the
+    /// oracle return, the same pixels or the same error at the same offset.
     #[test]
     fn fuzz_corrupt_bytes_never_panic() {
         let img = SynthSpec::new(48, 32).complexity(0.7).render(4);
@@ -244,11 +417,31 @@ mod tests {
             for (i, mask) in every_byte.chain(header_bits) {
                 let mut corrupted = bytes.clone();
                 corrupted[i] ^= mask;
-                // Must not panic; any Result is acceptable.
-                let _ = decode(&corrupted);
-                let _ = decode_region(&corrupted, rect);
-                let _ = crate::decode_tiered(&corrupted);
-                let _ = crate::decode_tiered_region(&corrupted, rect);
+                let c = &corrupted[..];
+                let classic_oracle = reference::decode_classic(c, Some(rect));
+                let tiered_oracle = crate::tiered::decode_tiered_reference(c, Some(rect));
+                assert_eq!(decode(c), reference::decode_classic(c, None), "byte {i} ^ {mask:#x}");
+                assert_eq!(decode_region(c, rect), classic_oracle, "byte {i} ^ {mask:#x}");
+                assert_eq!(
+                    crate::decode_tiered(c),
+                    crate::tiered::decode_tiered_reference(c, None),
+                    "byte {i} ^ {mask:#x}"
+                );
+                assert_eq!(
+                    crate::decode_tiered_region(c, rect),
+                    tiered_oracle,
+                    "byte {i} ^ {mask:#x}"
+                );
+                let oracle = if crate::is_tiered(c) {
+                    tiered_oracle.map(|t| t.image)
+                } else {
+                    classic_oracle.map_err(crate::DecodeError::Codec)
+                };
+                assert_eq!(
+                    fused(c, rect),
+                    oracle.map(|img| img.resize_bilinear(224, 224)),
+                    "byte {i} ^ {mask:#x}"
+                );
             }
         }
     }

@@ -117,13 +117,98 @@ pub(crate) fn encode_band(
     out.push(EOB);
 }
 
-/// Decodes one block from `data` at `*pos`, advancing `*pos`.
+/// Reads one block's coefficients in `[lo, hi)` (the whole spectrum of a
+/// classic stream, one band of a tiered scan) from `data` at `*pos` into
+/// `zz`, advancing `*pos` and, when `lo == 0`, the DC predictor.
 ///
 /// # Errors
 ///
 /// Propagates varint errors, and returns [`CodecError::RunOverflow`] when a
-/// run would exceed the 63 AC coefficients of a block.
-pub fn decode_block(
+/// run would pass the end of the band.
+pub(crate) fn decode_band(
+    data: &[u8],
+    pos: &mut usize,
+    (lo, hi): (usize, usize),
+    dc_pred: &mut i16,
+    zz: &mut [i16; BLOCK_AREA],
+) -> Result<(), CodecError> {
+    walk_band(data, pos, (lo, hi), dc_pred, |i, data, pos| {
+        zz[i] = read_varint(data, pos)? as i16;
+        Ok(())
+    })?;
+    if lo == 0 {
+        zz[0] = *dc_pred;
+    }
+    Ok(())
+}
+
+/// [`decode_band`] for a block nothing reads: each AC value's bytes are
+/// stepped over, not decoded or stored, and `*pos`, the DC predictor and
+/// every error, offset included, are those [`decode_band`] produces.
+pub(crate) fn skip_band(
+    data: &[u8],
+    pos: &mut usize,
+    (lo, hi): (usize, usize),
+    dc_pred: &mut i16,
+) -> Result<(), CodecError> {
+    walk_band(data, pos, (lo, hi), dc_pred, |_, data, pos| skip_varint(data, pos))
+}
+
+/// The one entropy walker: the DC (predicted) when `lo == 0`, then each
+/// `(run, value)` pair up to the end-of-block byte, with `value(index,
+/// data, pos)` reading or stepping over the value at `*pos`.
+#[inline(always)]
+fn walk_band(
+    data: &[u8],
+    pos: &mut usize,
+    (lo, hi): (usize, usize),
+    dc_pred: &mut i16,
+    mut value: impl FnMut(usize, &[u8], &mut usize) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    let mut idx = lo;
+    if lo == 0 {
+        // Wrapping: a hostile varint near i64::MAX must produce garbage
+        // coefficients, not a debug-build overflow panic.
+        *dc_pred = i64::from(*dc_pred).wrapping_add(read_varint(data, pos)?) as i16;
+        idx = 1;
+    }
+    loop {
+        let marker_off = *pos;
+        let byte = *data.get(*pos).ok_or(CodecError::Truncated { offset: *pos })?;
+        *pos += 1;
+        if byte == EOB {
+            return Ok(());
+        }
+        idx += usize::from(byte);
+        if idx >= hi {
+            return Err(CodecError::RunOverflow { offset: marker_off });
+        }
+        value(idx, data, pos)?;
+        idx += 1;
+    }
+}
+
+/// Steps over a signed varint at `*pos`, with [`read_varint`]'s errors:
+/// the stream may end inside it, or it may run past ten bytes.
+#[inline(always)]
+fn skip_varint(data: &[u8], pos: &mut usize) -> Result<(), CodecError> {
+    let start = *pos;
+    let bytes = data.get(start..).unwrap_or_default();
+    match bytes.iter().take(10).position(|&byte| byte & 0x80 == 0) {
+        Some(last) => {
+            *pos = start + last + 1;
+            Ok(())
+        }
+        None if bytes.len() >= 10 => Err(CodecError::MalformedVarint { offset: start }),
+        None => Err(CodecError::Truncated { offset: data.len() }),
+    }
+}
+
+/// Decodes one whole block from `data` at `*pos`, advancing `*pos`: the
+/// storing walker of every decode before blocks outside a crop were
+/// skipped, kept as the oracle of [`decode_band`] and [`skip_band`].
+#[cfg(test)]
+pub(crate) fn decode_block(
     data: &[u8],
     pos: &mut usize,
     dc_pred: &mut i16,
@@ -251,6 +336,66 @@ mod tests {
         encode_block(&zz, &mut dc, &mut out);
         // One varint byte for DC delta 0, one EOB byte.
         assert_eq!(out.len(), 2);
+    }
+
+    /// `decode_band` and `skip_band` over the whole spectrum against the
+    /// storing walker: the same `Result` (coefficients aside), the same
+    /// position and the same DC predictor, on streams built to end inside
+    /// varints, run past ten varint bytes and overflow a run, and on
+    /// byte soup.
+    #[test]
+    fn band_walkers_match_the_storing_walker() {
+        let mut streams: Vec<Vec<u8>> = Vec::new();
+        for len in 0..=12 {
+            // A DC varint and then an AC value of `len` continuation bytes,
+            // ended or cut off.
+            for dc_len in [0, len] {
+                let mut s = vec![0x80; dc_len];
+                s.extend([0x05, 3]);
+                s.extend(std::iter::repeat_n(0x80, len));
+                streams.push(s.clone());
+                s.extend([0x01, EOB]);
+                streams.push(s);
+            }
+        }
+        streams.extend([
+            vec![],
+            vec![0],
+            vec![0, 62, 1, EOB],
+            vec![0, 62, 1, 0, 1, EOB],
+            vec![0, 63, 1],
+        ]);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let len = (state >> 59) as usize;
+            streams.push(
+                (0..len)
+                    .map(|i| {
+                        let r = (state >> (i % 48)) as u8;
+                        match r % 4 {
+                            0 => EOB,
+                            1 => r | 0x80,
+                            _ => r % 40,
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        for data in &streams {
+            let (mut pos, mut dc) = (0, 7i16);
+            let oracle = decode_block(data, &mut pos, &mut dc);
+            let (mut skip_pos, mut skip_dc) = (0, 7i16);
+            let skipped = skip_band(data, &mut skip_pos, (0, BLOCK_AREA), &mut skip_dc);
+            let (mut band_pos, mut band_dc, mut zz) = (0, 7i16, [0i16; BLOCK_AREA]);
+            let decoded = decode_band(data, &mut band_pos, (0, BLOCK_AREA), &mut band_dc, &mut zz);
+            assert_eq!(skipped, oracle.clone().map(drop), "{data:?}");
+            assert_eq!(decoded.map(|()| zz), oracle.clone(), "{data:?}");
+            if oracle.is_ok() {
+                assert_eq!((skip_pos, skip_dc), (pos, dc), "{data:?}");
+                assert_eq!((band_pos, band_dc), (pos, dc), "{data:?}");
+            }
+        }
     }
 
     #[test]

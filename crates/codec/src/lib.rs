@@ -40,7 +40,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod block;
+#[cfg(test)]
+mod block;
 pub mod color;
 pub mod dct;
 mod decoder;
@@ -52,14 +53,14 @@ pub mod quant;
 pub mod tiered;
 pub mod zigzag;
 
-pub use decoder::{decode, decode_region};
+pub use decoder::{decode, decode_region, decode_region_rows};
 pub use encoder::{encode, worst_case_len};
 pub use error::CodecError;
 pub use header::{Header, FORMAT_MAGIC, FORMAT_VERSION, FORMAT_VERSION_TIERED};
 pub use quant::Quality;
 pub use tiered::{
-    decode_tiered, decode_tiered_region, encode_tiered, is_tiered, truncate_to_tier, DecodeError,
-    TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
+    decode_tiered, decode_tiered_region, decode_tiered_region_rows, encode_tiered, is_tiered,
+    truncate_to_tier, DecodeError, TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
 };
 
 /// Side length of the transform blocks (8, as in JPEG).

@@ -37,7 +37,7 @@ use std::fmt;
 
 use imagery::{metrics, RasterImage, Rect};
 
-use crate::decoder::{reconstruct_region, Region};
+use crate::decoder::{Region, RegionBlocks};
 use crate::encoder::for_each_quantized_block;
 use crate::header::{Header, FORMAT_VERSION_TIERED, HEADER_LEN};
 use crate::{entropy, CodecError, Quality, BLOCK_AREA};
@@ -362,18 +362,22 @@ pub fn encode_tiered(img: &RasterImage, quality: Quality, spec: &TierSpec) -> Ve
     // One scan per band, then the tier's directory entry: where the scan
     // ends and the PSNR of the prefix it completes.
     let whole = Region::new(w, h, None).expect("the full rectangle always fits");
-    let mut partial = quantized.each_ref().map(|plane| vec![[0i16; BLOCK_AREA]; plane.len()]);
+    let mut partial = RegionBlocks {
+        quality,
+        region: whole,
+        planes: quantized.each_ref().map(|plane| vec![[0i16; BLOCK_AREA]; plane.len()]),
+    };
     let mut lo = 0usize;
     for (t, &band_end) in spec.band_ends().iter().enumerate() {
         let hi = band_end as usize;
-        for (dst_plane, src_plane) in partial.iter_mut().zip(&quantized) {
+        for (dst_plane, src_plane) in partial.planes.iter_mut().zip(&quantized) {
             let mut dc_pred = 0i16;
             for (dst, src) in dst_plane.iter_mut().zip(src_plane) {
                 entropy::encode_band(src, lo, hi, &mut dc_pred, &mut out);
                 dst[lo..hi].copy_from_slice(&src[lo..hi]);
             }
         }
-        let psnr = metrics::psnr(img, &reconstruct_region(quality, &whole, &partial));
+        let psnr = metrics::psnr(img, &partial.to_image());
         let psnr_cdb = if psnr.is_finite() {
             (psnr * 100.0).round().clamp(0.0, f64::from(u32::MAX - 1)) as u32
         } else {
@@ -424,7 +428,9 @@ pub fn decode_tiered(data: &[u8]) -> Result<TieredImage, DecodeError> {
 
 /// [`decode_tiered`] for the pixels of `rect` only: `image` equals
 /// `decode_tiered(data)?.image.crop(rect)` at the cost of the blocks
-/// `rect` overlaps. Every scan is still parsed in full.
+/// `rect` overlaps. Every scan is still parsed in full, so every defect
+/// [`decode_tiered`] reports is reported here too, at the same offset; the
+/// blocks outside `rect`'s block window are stepped over, not decoded.
 ///
 /// # Errors
 ///
@@ -435,7 +441,36 @@ pub fn decode_tiered_region(data: &[u8], rect: Rect) -> Result<TieredImage, Deco
     decode_tiered_in(data, Some(rect))
 }
 
+/// [`decode_tiered_region`] without the image, as
+/// [`crate::decode_region_rows`] is [`crate::decode_region`] without it:
+/// the rows of `rect` go to `sink` top to bottom, once every scan up to the
+/// prefix's last tier has parsed.
+///
+/// # Errors
+///
+/// As [`decode_tiered_region`].
+pub fn decode_tiered_region_rows(
+    data: &[u8],
+    rect: Rect,
+    sink: impl FnMut(&[u8]),
+) -> Result<(), DecodeError> {
+    read_tiered(data, Some(rect))?.0.for_each_row(sink);
+    Ok(())
+}
+
 fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, DecodeError> {
+    let (blocks, tier, index) = read_tiered(data, rect)?;
+    Ok(TieredImage { image: blocks.to_image(), tier, index })
+}
+
+/// Parses the tier directory and every scan of the prefix, keeping the
+/// blocks of `rect`'s window (the whole image for `None`) and stepping over
+/// the rest; returns them with the tier the prefix reached and the
+/// directory.
+fn read_tiered(
+    data: &[u8],
+    rect: Option<Rect>,
+) -> Result<(RegionBlocks, u8, TierIndex), DecodeError> {
     let index = TierIndex::parse(data)?;
     let Some(reached) = index.tiers.iter().rfind(|b| b.end_offset as usize == data.len()) else {
         let boundary =
@@ -449,7 +484,45 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
     // In the first scan a block is at least a DC varint and an
     // end-of-block byte.
     let first_end = index.tiers[0].end_offset as usize;
-    let mut quantized = region.block_storage((first_end - pos) / 2, first_end)?;
+    let mut blocks = region.block_storage(index.quality, (first_end - pos) / 2, first_end)?;
+    let mut lo = 0usize;
+    for bound in index.tiers.iter().take(reached_tier as usize + 1) {
+        let band = (lo, bound.band_end as usize);
+        blocks.read_scan(data, &mut pos, band)?;
+        if pos != bound.end_offset as usize {
+            return Err(DecodeError::TierMisaligned {
+                tier: bound.tier,
+                expected: bound.end_offset,
+                actual: pos,
+            });
+        }
+        lo = band.1;
+    }
+    Ok((blocks, reached_tier, index))
+}
+
+/// The tiered decode of every version before rows streamed, kept as the
+/// oracle of the skipping walker and the band reconstructor: every block of
+/// every scan is decoded, the window's into its storage and the others
+/// into one scratch block.
+#[cfg(test)]
+pub(crate) fn decode_tiered_reference(
+    data: &[u8],
+    rect: Option<Rect>,
+) -> Result<TieredImage, DecodeError> {
+    let index = TierIndex::parse(data)?;
+    let Some(reached) = index.tiers.iter().rfind(|b| b.end_offset as usize == data.len()) else {
+        let boundary =
+            index.tiers.iter().map(|b| b.end_offset).rfind(|&off| (off as usize) <= data.len());
+        return Err(DecodeError::OffTierBoundary { len: data.len(), boundary });
+    };
+    let reached_tier = reached.tier;
+    let region = Region::new(index.width, index.height, rect)?;
+
+    let mut pos = HEADER_LEN + 1 + index.tiers.len() * TIER_ENTRY_LEN;
+    let first_end = index.tiers[0].end_offset as usize;
+    let mut quantized =
+        region.block_storage(index.quality, (first_end - pos) / 2, first_end)?.planes;
     let mut outside = [0i16; BLOCK_AREA];
     let mut lo = 0usize;
     for bound in index.tiers.iter().take(reached_tier as usize + 1) {
@@ -458,7 +531,7 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
             let mut dc_pred = 0i16;
             region.window.for_each_block(|slot| {
                 let zz = slot.map_or(&mut outside, |slot| &mut plane[slot]);
-                decode_band(data, &mut pos, lo, hi, &mut dc_pred, zz)
+                decode_band_reference(data, &mut pos, lo, hi, &mut dc_pred, zz)
             })?;
         }
         if pos != bound.end_offset as usize {
@@ -471,14 +544,16 @@ fn decode_tiered_in(data: &[u8], rect: Option<Rect>) -> Result<TieredImage, Deco
         lo = hi;
     }
     Ok(TieredImage {
-        image: reconstruct_region(index.quality, &region, &quantized),
+        image: crate::decoder::reference::reconstruct_region(index.quality, &region, &quantized),
         tier: reached_tier,
         index,
     })
 }
 
-/// Decodes one block's band scan for coefficients `[lo, hi)` into `zz`.
-fn decode_band(
+/// Decodes one block's band scan for coefficients `[lo, hi)` into `zz`:
+/// the storing band walker of [`decode_tiered_reference`].
+#[cfg(test)]
+fn decode_band_reference(
     data: &[u8],
     pos: &mut usize,
     lo: usize,

@@ -1,5 +1,4 @@
-use crate::round::round_f64_to_u8;
-use crate::{ImageError, Rect, Rgb, CHANNELS};
+use crate::{BilinearResizer, ImageError, Rect, Rgb, CHANNELS};
 
 /// An 8-bit interleaved RGB raster image.
 ///
@@ -182,66 +181,18 @@ impl RasterImage {
     }
 
     /// Resizes with bilinear interpolation to `new_width × new_height`
-    /// (the resize half of `RandomResizedCrop`).
+    /// (the resize half of `RandomResizedCrop`): a [`BilinearResizer`] fed
+    /// the image's rows.
     ///
     /// # Panics
     ///
     /// Panics when either target dimension is zero.
     pub fn resize_bilinear(&self, new_width: u32, new_height: u32) -> RasterImage {
-        assert!(new_width > 0 && new_height > 0, "resize target must be non-empty");
-        if new_width == self.width && new_height == self.height {
-            return self.clone();
+        let mut resizer = BilinearResizer::new(self.width, self.height, new_width, new_height);
+        for row in self.data.chunks_exact(self.width as usize * CHANNELS) {
+            resizer.push_row(row);
         }
-        // Scale factors mapping destination pixel centers into source space.
-        let sx = f64::from(self.width) / f64::from(new_width);
-        let sy = f64::from(self.height) / f64::from(new_height);
-        // The two source samples and the weight along one axis: the same
-        // for every row (or column), so the columns' are computed once.
-        let taps = |d: u32, scale: f64, extent: u32| {
-            let f = ((f64::from(d) + 0.5) * scale - 0.5).max(0.0);
-            let i0 = (f.floor() as u32).min(extent - 1);
-            let i1 = (i0 + 1).min(extent - 1);
-            (i0 as usize, i1 as usize, f - f64::from(i0))
-        };
-        let columns: Vec<(usize, usize, f64)> = (0..new_width)
-            .map(|dx| {
-                let (x0, x1, wx) = taps(dx, sx, self.width);
-                (x0 * CHANNELS, x1 * CHANNELS, wx)
-            })
-            .collect();
-        // A source row interpolated horizontally to the new width. Each
-        // output row blends two of them, and consecutive output rows mostly
-        // share one, so the last two are kept.
-        let out_row_len = new_width as usize * CHANNELS;
-        let interpolate = |y: usize, into: &mut Vec<f64>| {
-            let row =
-                &self.data[y * self.width as usize * CHANNELS..][..self.width as usize * CHANNELS];
-            for (out, &(o0, o1, wx)) in into.chunks_exact_mut(CHANNELS).zip(&columns) {
-                for c in 0..CHANNELS {
-                    let (left, right) = (f64::from(row[o0 + c]), f64::from(row[o1 + c]));
-                    out[c] = left + (right - left) * wx;
-                }
-            }
-        };
-        let mut upper = (usize::MAX, vec![0f64; out_row_len]);
-        let mut lower = (usize::MAX, vec![0f64; out_row_len]);
-        let mut data = vec![0u8; out_row_len * new_height as usize];
-        for (out_row, dy) in data.chunks_exact_mut(out_row_len).zip(0..) {
-            let (y0, y1, wy) = taps(dy, sy, self.height);
-            if lower.0 == y0 {
-                std::mem::swap(&mut upper, &mut lower);
-            }
-            for (row, y) in [(&mut upper, y0), (&mut lower, y1)] {
-                if row.0 != y {
-                    interpolate(y, &mut row.1);
-                    row.0 = y;
-                }
-            }
-            for ((px, &top), &bottom) in out_row.iter_mut().zip(&upper.1).zip(&lower.1) {
-                *px = round_f64_to_u8(top + (bottom - top) * wy);
-            }
-        }
-        RasterImage { width: new_width, height: new_height, data }
+        resizer.finish()
     }
 }
 

@@ -4,7 +4,8 @@
 //!
 //! * [`RasterImage`] — an 8-bit interleaved RGB raster with the geometric
 //!   operations the preprocessing pipeline needs (crop, bilinear resize,
-//!   horizontal flip).
+//!   horizontal flip), and [`BilinearResizer`], the resize fed one source
+//!   row at a time.
 //! * [`Tensor`] — a CHW `f32` tensor, the output format of `ToTensor` /
 //!   `Normalize`.
 //! * [`synth`] — deterministic synthetic image generators with a tunable
@@ -35,6 +36,7 @@ mod geometry;
 mod image;
 pub mod metrics;
 pub mod ppm;
+mod resize;
 mod round;
 pub mod synth;
 mod tensor;
@@ -43,6 +45,7 @@ pub use color::Rgb;
 pub use error::ImageError;
 pub use geometry::Rect;
 pub use image::RasterImage;
+pub use resize::BilinearResizer;
 pub use round::round_f32_to_u8;
 pub use tensor::{Tensor, IMAGENET_MEAN, IMAGENET_STD};
 

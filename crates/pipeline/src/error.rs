@@ -23,6 +23,14 @@ pub enum PipelineError {
         /// The kind flowing into it.
         incoming: DataKind,
     },
+    /// A sized operation carries a size of 0 or above
+    /// [`MAX_OP_SIZE`](crate::MAX_OP_SIZE).
+    InvalidOpSize {
+        /// Position of the operation.
+        index: usize,
+        /// The operation.
+        op: OpKind,
+    },
     /// A split point beyond the number of operations.
     SplitOutOfRange {
         /// The requested split.
@@ -49,6 +57,13 @@ impl std::fmt::Display for PipelineError {
                 write!(
                     f,
                     "ill-typed pipeline: op {op:?} at index {index} cannot consume {incoming:?}"
+                )
+            }
+            PipelineError::InvalidOpSize { index, op } => {
+                write!(
+                    f,
+                    "op {op:?} at index {index} has a size outside 1..={}",
+                    crate::MAX_OP_SIZE
                 )
             }
             PipelineError::SplitOutOfRange { split, len } => {

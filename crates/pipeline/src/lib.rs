@@ -78,3 +78,9 @@ pub const CROP_SIZE: u32 = 224;
 /// Raw byte size of a `CROP_SIZE`² RGB raster: 150 528 bytes (the paper's
 /// "151 KB post RandomResizedCrop").
 pub const CROPPED_RAW_BYTES: u64 = (CROP_SIZE as u64) * (CROP_SIZE as u64) * 3;
+/// The largest `size` a sized operation ([`OpKind::RandomResizedCrop`],
+/// [`OpKind::Resize`], [`OpKind::CenterCrop`]) may carry in a
+/// [`PipelineSpec`]: a `size × size` `f32` tensor, 12 bytes a pixel, still
+/// fits one 64 MiB wire frame (`storage::wire::MAX_PAYLOAD`, which checks
+/// this bound against itself).
+pub const MAX_OP_SIZE: u32 = 2_364;

@@ -1,32 +1,53 @@
 //! `Decode`: encoded SJPG bytes → raster image.
 
-use imagery::{RasterImage, Rect};
+use imagery::Rect;
 
 use crate::{PipelineError, StageData};
 
 pub(super) fn apply(data: StageData) -> Result<StageData, PipelineError> {
     let StageData::Encoded(bytes) = data else { unreachable!("kind checked by caller") };
-    Ok(StageData::Image(decode_rect(&bytes, Rect::full)?))
+    let image = if codec::is_tiered(&bytes) {
+        codec::decode_tiered(&bytes)?.image
+    } else {
+        codec::decode(&bytes)?
+    };
+    Ok(StageData::Image(image))
 }
 
-/// Decodes the rectangle `choose` picks from the stream's dimensions.
+/// The stream's width and height, from its header: what a crop is drawn
+/// from before anything is decoded.
+///
+/// # Errors
+///
+/// The error `Decode` reports for a defective header.
+pub(super) fn dimensions(bytes: &[u8]) -> Result<(u32, u32), PipelineError> {
+    if codec::is_tiered(bytes) {
+        let index = codec::TierIndex::parse(bytes)?;
+        Ok((index.width, index.height))
+    } else {
+        let header = codec::Header::parse(bytes)?;
+        Ok((header.width, header.height))
+    }
+}
+
+/// Decodes the rows of `rect`, top to bottom, into `sink`.
 ///
 /// Tiered (version-3) streams, including browned-out prefixes served under
 /// link pressure, decode through the progressive path and classic
-/// version-2 streams through the classic one; both reconstruct only the
-/// blocks the rectangle overlaps, and both report a defective stream with
-/// the error a full decode reports.
-pub(super) fn decode_rect(
+/// version-2 streams through the classic one. Both step over the blocks
+/// outside `rect`, parse the whole stream before the first row, and report
+/// a defective stream with the error a full decode reports.
+pub(super) fn decode_rows(
     bytes: &[u8],
-    choose: impl FnOnce(u32, u32) -> Rect,
-) -> Result<RasterImage, PipelineError> {
+    rect: Rect,
+    sink: impl FnMut(&[u8]),
+) -> Result<(), PipelineError> {
     if codec::is_tiered(bytes) {
-        let index = codec::TierIndex::parse(bytes)?;
-        Ok(codec::decode_tiered_region(bytes, choose(index.width, index.height))?.image)
+        codec::decode_tiered_region_rows(bytes, rect, sink)?;
     } else {
-        let header = codec::Header::parse(bytes)?;
-        Ok(codec::decode_region(bytes, choose(header.width, header.height))?)
+        codec::decode_region_rows(bytes, rect, sink)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -97,6 +97,17 @@ impl OpKind {
         }
     }
 
+    /// The output side length a sized operation carries, `None` for the
+    /// others.
+    pub(crate) fn size(self) -> Option<u32> {
+        match self {
+            OpKind::RandomResizedCrop { size }
+            | OpKind::Resize { size }
+            | OpKind::CenterCrop { size } => Some(size),
+            _ => None,
+        }
+    }
+
     /// Whether this operation draws from the augmentation stream.
     ///
     /// Deterministic ops still *receive* a stream (each op gets its own

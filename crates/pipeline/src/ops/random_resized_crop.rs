@@ -5,7 +5,7 @@
 //! `[3/4, 4/3]`; retry up to ten times until the rectangle fits; otherwise
 //! fall back to a central crop of the largest in-range aspect.
 
-use imagery::{RasterImage, Rect};
+use imagery::{BilinearResizer, RasterImage, Rect};
 
 use crate::{AugmentRng, PipelineError, StageData};
 
@@ -64,9 +64,9 @@ pub(super) fn apply(
 }
 
 /// `Decode` and `RandomResizedCrop` as one step: draws the crop from the
-/// stream's dimensions first, then decodes only that rectangle. The image
-/// equals [`crop_and_resize`] of the full decode, bit for bit, when `rng` is
-/// the crop's own substream.
+/// stream's dimensions first, then decodes only that rectangle, streaming
+/// its rows into the resize. The image equals [`crop_and_resize`] of the
+/// full decode, bit for bit, when `rng` is the crop's own substream.
 ///
 /// # Errors
 ///
@@ -76,8 +76,18 @@ pub(crate) fn decode_crop_and_resize(
     size: u32,
     rng: &mut AugmentRng,
 ) -> Result<RasterImage, PipelineError> {
-    let cropped = super::decode::decode_rect(bytes, |w, h| sample_params(w, h, rng).rect)?;
-    Ok(cropped.resize_bilinear(size, size))
+    let (width, height) = super::decode::dimensions(bytes)?;
+    decode_rect_resized(bytes, sample_params(width, height, rng).rect, size)
+}
+
+/// Decodes `rect` of `bytes` straight into a `size × size` bilinear resize:
+/// each row of the crop goes from the decoder to the resizer as it is
+/// reconstructed, so neither the crop nor a plane of it is ever built.
+fn decode_rect_resized(bytes: &[u8], rect: Rect, size: u32) -> Result<RasterImage, PipelineError> {
+    // An empty rectangle is the decoder's to reject, with a typed error.
+    let mut resizer = BilinearResizer::new(rect.width.max(1), rect.height.max(1), size, size);
+    super::decode::decode_rows(bytes, rect, |row| resizer.push_row(row))?;
+    Ok(resizer.finish())
 }
 
 /// Crops with sampled parameters and resizes to `size × size`.
@@ -101,6 +111,101 @@ mod tests {
     use super::*;
     use crate::OpKind;
     use imagery::synth::SynthSpec;
+    use proptest::prelude::*;
+
+    /// A classic, a tiered and a browned-out (first tier only) stream of
+    /// one `w × h` image.
+    fn streams(w: u32, h: u32, complexity: f64, seed: u64) -> [Vec<u8>; 3] {
+        let img = SynthSpec::new(w, h).complexity(complexity).render(seed);
+        let q = codec::Quality::default();
+        let tiered = codec::encode_tiered(&img, q, &codec::TierSpec::default());
+        let browned = codec::truncate_to_tier(&tiered, 0).unwrap().to_vec();
+        [codec::encode(&img, q), tiered, browned]
+    }
+
+    /// The unfused chain: the whole image decoded, cropped, then resized.
+    fn unfused(bytes: &[u8], rect: Rect, size: u32) -> Result<RasterImage, PipelineError> {
+        let decoded = OpKind::Decode
+            .apply(StageData::Encoded(bytes.to_vec().into()), &mut rng(0))?
+            .as_image()
+            .expect("decode yields an image")
+            .clone();
+        Ok(decoded.crop(rect)?.resize_bilinear(size, size))
+    }
+
+    /// The geometries that exercise the resizer's paths, for a `w × h`
+    /// image: `(rect, size)` pairs, with `pick` choosing positions and the
+    /// free lengths.
+    fn geometries(w: u32, h: u32, mut pick: impl FnMut(u32) -> u32) -> Vec<(Rect, u32)> {
+        let mut out = vec![
+            // 1 x 1 crops, into a 1 x 1 and a 224 x 224 output.
+            (Rect::new(pick(w), pick(h), 1, 1), 1),
+            (Rect::new(pick(w), pick(h), 1, 1), 224),
+            // The full image, resized and copied (crop size equal to `size`).
+            (Rect::full(w, h), 1 + pick(300)),
+        ];
+        if w == h {
+            out.push((Rect::full(w, h), w));
+        }
+        let side = 1 + pick(w.min(h));
+        out.push((Rect::new(pick(w - side + 1), pick(h - side + 1), side, side), side));
+        let (rw, rh) = (1 + pick(w), 1 + pick(h));
+        let rect = Rect::new(pick(w - rw + 1), pick(h - rh + 1), rw, rh);
+        // Pure upscale, pure downscale (where the crop has room) and
+        // whatever lies between.
+        out.push((rect, rw.max(rh) + 1 + pick(64)));
+        if rw.min(rh) > 1 {
+            out.push((rect, 1 + pick(rw.min(rh) - 1)));
+        }
+        out.push((rect, 1 + pick(300)));
+        out
+    }
+
+    fn check_fused_matches_unfused(w: u32, h: u32, complexity: f64, seed: u64) {
+        let mut state = seed | 1;
+        let pick = move |n: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(n)) as u32
+        };
+        let cases = geometries(w, h, pick);
+        for (kind, bytes) in
+            ["classic", "tiered", "browned-out"].iter().zip(streams(w, h, complexity, seed))
+        {
+            for &(rect, size) in &cases {
+                assert_eq!(
+                    decode_rect_resized(&bytes, rect, size),
+                    unfused(&bytes, rect, size),
+                    "{kind} {w}x{h}, {rect:?} -> {size}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_equals_decode_crop_resize_at_edge_shapes() {
+        for (w, h) in
+            [(1, 1), (1, 300), (300, 1), (7, 9), (8, 8), (9, 7), (16, 17), (224, 224), (300, 300)]
+        {
+            check_fused_matches_unfused(w, h, 0.6, u64::from(w * 1000 + h));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused step's pixels are the unfused chain's, bit for bit, for
+        /// classic, tiered and browned-out streams of any shape up to
+        /// 300 x 300 (block-aligned or not) and every resize path.
+        #[test]
+        fn fused_equals_decode_crop_resize(
+            w in 1u32..=300,
+            h in 1u32..=300,
+            complexity in 0f64..=1.0,
+            seed in any::<u64>(),
+        ) {
+            check_fused_matches_unfused(w, h, complexity, seed);
+        }
+    }
 
     fn rng(id: u64) -> AugmentRng {
         AugmentRng::for_sample(3, id, 0)

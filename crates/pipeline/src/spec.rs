@@ -1,5 +1,5 @@
 use crate::rng::SampleKey;
-use crate::{ops, AugmentRng, DataKind, OpKind, PipelineError, StageData, CROP_SIZE};
+use crate::{ops, AugmentRng, DataKind, OpKind, PipelineError, StageData, CROP_SIZE, MAX_OP_SIZE};
 
 /// How many leading operations of a pipeline run on the storage node.
 ///
@@ -52,17 +52,22 @@ pub struct PipelineSpec {
 }
 
 impl PipelineSpec {
-    /// Creates a spec, validating the type flow starting from encoded bytes.
+    /// Creates a spec, validating the type flow starting from encoded bytes
+    /// and the size every sized operation carries.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::InvalidSpec`] naming the first ill-typed
-    /// operation.
+    /// operation, and [`PipelineError::InvalidOpSize`] for the first sized
+    /// operation whose size is 0 or above [`MAX_OP_SIZE`].
     pub fn new(ops: Vec<OpKind>) -> Result<PipelineSpec, PipelineError> {
         let mut kind = DataKind::Encoded;
         for (index, &op) in ops.iter().enumerate() {
             if op.input_kind() != kind {
                 return Err(PipelineError::InvalidSpec { index, op, incoming: kind });
+            }
+            if op.size().is_some_and(|size| size == 0 || size > MAX_OP_SIZE) {
+                return Err(PipelineError::InvalidOpSize { index, op });
             }
             kind = op.output_kind();
         }
@@ -162,11 +167,12 @@ impl PipelineSpec {
     /// An adjacent `Decode` → `RandomResizedCrop` pair inside the range runs
     /// as one step: the crop rectangle is drawn first (it depends only on
     /// the stream's header dimensions and the crop's substream, and `Decode`
-    /// draws nothing), and the decoder reconstructs only that rectangle. The
-    /// result equals the op-by-op [`OpKind::apply`] chain bit for bit, and a
-    /// corrupt stream fails with the error `Decode` alone reports, because
-    /// the whole stream is still parsed. A range that holds only one of the
-    /// two ops runs it on its own.
+    /// draws nothing), the decoder reconstructs only that rectangle, and its
+    /// rows stream into the resize. The result equals the op-by-op
+    /// [`OpKind::apply`] chain bit for bit, and a corrupt stream fails with
+    /// the error `Decode` alone reports, because the whole stream is still
+    /// parsed. A range that holds only one of the two ops runs it on its
+    /// own.
     fn run_range(
         &self,
         mut data: StageData,
@@ -204,11 +210,14 @@ impl PipelineSpec {
     /// Runs only the offloaded prefix (what the storage node executes).
     ///
     /// When the prefix holds both `Decode` and the `RandomResizedCrop` right
-    /// after it, the two run fused and the node never reconstructs the
-    /// pixels the crop discards (about six in ten with torchvision's scale
-    /// range); the output is bit-identical to running them one by one. A
-    /// split between the two (`SplitPoint::new(1)`) decodes the full image,
-    /// which is what goes on the wire there.
+    /// after it, the two run fused. The node steps over the entropy data of
+    /// the blocks the crop discards (about six in ten with torchvision's
+    /// scale range) without decoding them, reconstructs the crop one block
+    /// row at a time, and streams its rows into the resize, so neither the
+    /// decoded image nor the crop is ever built. The output is
+    /// bit-identical to running the ops one by one. A split between the two
+    /// (`SplitPoint::new(1)`) decodes the full image, which is what goes on
+    /// the wire there.
     ///
     /// # Errors
     ///
@@ -333,6 +342,23 @@ mod tests {
         assert!(matches!(err, PipelineError::InvalidSpec { index: 0, .. }));
         let err = PipelineSpec::new(vec![OpKind::Decode, OpKind::Decode]).unwrap_err();
         assert!(matches!(err, PipelineError::InvalidSpec { index: 1, .. }));
+    }
+
+    #[test]
+    fn op_sizes_outside_the_frame_bound_are_rejected() {
+        for op in [
+            |size| OpKind::RandomResizedCrop { size },
+            |size| OpKind::Resize { size },
+            |size| OpKind::CenterCrop { size },
+        ] {
+            for size in [0, MAX_OP_SIZE + 1, 1 << 16] {
+                let err = PipelineSpec::new(vec![OpKind::Decode, op(size)]).unwrap_err();
+                assert_eq!(err, PipelineError::InvalidOpSize { index: 1, op: op(size) });
+            }
+            for size in [1, CROP_SIZE, MAX_OP_SIZE] {
+                assert!(PipelineSpec::new(vec![OpKind::Decode, op(size)]).is_ok());
+            }
+        }
     }
 
     #[test]

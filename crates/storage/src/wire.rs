@@ -108,6 +108,15 @@ impl std::error::Error for WireError {}
 /// adversarial length fields.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
+// `pipeline::MAX_OP_SIZE` is the largest side whose `f32` tensor (12 bytes
+// a pixel) one frame carries: a session configured at that bound can be
+// answered, and one a pixel larger could not.
+const _: () = {
+    let side = pipeline::MAX_OP_SIZE as u64;
+    assert!(side * side * 12 <= MAX_PAYLOAD as u64);
+    assert!((side + 1) * (side + 1) * 12 > MAX_PAYLOAD as u64);
+};
+
 /// The wire-format version, the first byte of every frame. The low nibble
 /// is the version number; the high nibble is a magic marker chosen so the
 /// byte never collides with a version-1 tag (`0x01..=0x03`,
@@ -280,7 +289,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<OpKind, WireError> {
     let tag = r.u8()?;
     let sized = |r: &mut Reader<'_>| -> Result<u32, WireError> {
         let size = r.u32()?;
-        if size == 0 || size > 1 << 16 {
+        if size == 0 || size > pipeline::MAX_OP_SIZE {
             return Err(WireError::Invalid("op size parameter"));
         }
         Ok(size)
@@ -631,6 +640,39 @@ mod tests {
         out.extend_from_slice(body);
         seal_in_place(&mut out);
         out
+    }
+
+    #[test]
+    fn oversized_ops_are_rejected_before_any_session_exists() {
+        // A `RandomResizedCrop { size: 65536 }` session would make every
+        // offloaded fetch allocate a 65536^2 x 3 byte raster whose answer no
+        // frame can carry.
+        let spec = PipelineSpec::standard_train();
+        let configure = |size: u32| {
+            let mut body = vec![0x01];
+            body.extend_from_slice(&42u64.to_le_bytes());
+            body.push(spec.len() as u8);
+            let mut ops = Vec::new();
+            for &op in spec.ops() {
+                encode_op(op, &mut ops);
+            }
+            // Decode is one byte; the crop's size follows its tag.
+            ops[2..6].copy_from_slice(&size.to_le_bytes());
+            body.extend_from_slice(&ops);
+            sealed(true, &body)
+        };
+        assert_eq!(
+            decode_request(&configure(224)).unwrap(),
+            Request::Configure(SessionConfig { dataset_seed: 42, pipeline: spec.clone() })
+        );
+        assert!(decode_request(&configure(pipeline::MAX_OP_SIZE)).is_ok());
+        for size in [0, pipeline::MAX_OP_SIZE + 1, 1 << 16] {
+            assert_eq!(
+                decode_request(&configure(size)),
+                Err(WireError::Invalid("op size parameter")),
+                "size {size}"
+            );
+        }
     }
 
     #[test]
