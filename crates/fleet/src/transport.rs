@@ -469,11 +469,23 @@ impl FetchTransport for FleetTransport {
 
         // Every pending sample drained, so every request has a response;
         // if that invariant ever breaks, surface a typed error instead of
-        // panicking inside the training loop.
-        requests
-            .iter()
-            .map(|r| done.get(&r.sample_id).cloned().ok_or(ClientError::UnexpectedResponse))
-            .collect()
+        // panicking inside the training loop. Walking the batch backwards,
+        // an id's last request moves its response out, and only a repeated
+        // id clones the response already moved.
+        let mut out: Vec<FetchResponse> = Vec::with_capacity(requests.len());
+        for req in requests.iter().rev() {
+            let resp = match done.remove(&req.sample_id) {
+                Some(resp) => resp,
+                None => out
+                    .iter()
+                    .find(|moved| moved.sample_id == req.sample_id)
+                    .cloned()
+                    .ok_or(ClientError::UnexpectedResponse)?,
+            };
+            out.push(resp);
+        }
+        out.reverse();
+        Ok(out)
     }
 }
 
@@ -588,10 +600,14 @@ mod tests {
         let stubs: Vec<Stub> = (0..2).map(Stub::healthy).collect();
         let mut fleet = FleetTransport::new(stubs, map, None);
         fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        let out = fleet.fetch_many_requests(&reqs(&[5, 5, 5])).unwrap();
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|r| r.sample_id == 5));
-        assert_eq!(fleet.stats().requests_per_node.iter().sum::<u64>(), 1);
+        let out = fleet.fetch_many_requests(&reqs(&[5, 9, 5, 5])).unwrap();
+        let ids: Vec<u64> = out.iter().map(|r| r.sample_id).collect();
+        assert_eq!(ids, [5, 9, 5, 5]);
+        for dup in [&out[2], &out[3]] {
+            assert_eq!(dup, &out[0], "every duplicate gets an equal response");
+        }
+        assert_eq!(out[0].data.as_encoded(), Some(&b"sample-5"[..]));
+        assert_eq!(fleet.stats().requests_per_node.iter().sum::<u64>(), 2);
     }
 
     #[test]

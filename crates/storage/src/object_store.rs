@@ -1,6 +1,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -9,9 +10,14 @@ use bytes::Bytes;
 /// Mirrors the paper's setup where the dataset subset is cached in the
 /// storage node's RAM so intra-node read bandwidth vastly exceeds the
 /// inter-node link.
+///
+/// A clone shares the map: the serving path clones a store into every
+/// session, so a clone costs one reference count however many objects the
+/// store holds. [`ObjectStore::insert`] copies the map first when a clone
+/// still shares it, leaving that clone as it was.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    objects: HashMap<u64, Bytes>,
+    objects: Arc<HashMap<u64, Bytes>>,
     total_bytes: u64,
 }
 
@@ -120,7 +126,7 @@ impl ObjectStore {
     /// Inserts (or replaces) an object; returns the previous bytes, if any.
     pub fn insert(&mut self, id: u64, bytes: Bytes) -> Option<Bytes> {
         self.total_bytes += bytes.len() as u64;
-        let prev = self.objects.insert(id, bytes);
+        let prev = Arc::make_mut(&mut self.objects).insert(id, bytes);
         if let Some(p) = &prev {
             self.total_bytes -= p.len() as u64;
         }
@@ -194,5 +200,22 @@ mod tests {
             assert!(codec::decode(&bytes).is_ok(), "object {id} must decode");
         }
         assert!(store.total_bytes() > 0);
+    }
+
+    #[test]
+    fn clone_shares_storage_and_insert_copies_on_write() {
+        let mut s = ObjectStore::new();
+        s.insert(1, Bytes::from_static(b"aaaa"));
+        let snapshot = s.clone();
+        assert!(Arc::ptr_eq(&s.objects, &snapshot.objects), "a clone shares the map");
+
+        s.insert(1, Bytes::from_static(b"bb"));
+        s.insert(2, Bytes::from_static(b"c"));
+        assert!(!Arc::ptr_eq(&s.objects, &snapshot.objects));
+        assert_eq!(snapshot.get(1).unwrap(), Bytes::from_static(b"aaaa"));
+        assert!(!snapshot.contains(2));
+        assert_eq!((snapshot.len(), snapshot.total_bytes()), (1, 4));
+        assert_eq!(s.get(1).unwrap(), Bytes::from_static(b"bb"));
+        assert_eq!((s.len(), s.total_bytes()), (2, 3));
     }
 }

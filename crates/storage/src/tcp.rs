@@ -396,8 +396,8 @@ struct Conn {
     stream: TcpStream,
     /// The executor a `Configure` request set up, shared with the
     /// connection's jobs. A worker replaces it whole under the write lock
-    /// and clones it under the read lock, so a panicked holder cannot leave
-    /// it half-written, and a poisoned lock is used as is.
+    /// and executes a fetch under the read lock, so a panicked holder cannot
+    /// leave it half-written, and a poisoned lock is used as is.
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
     reader: FrameReader,
     outq: VecDeque<OutFrame>,
@@ -1231,9 +1231,11 @@ fn worker_loop(
                         fault,
                     )
                 } else {
-                    let executor =
-                        job.session.read().unwrap_or_else(PoisonError::into_inner).clone();
-                    let response = match executor {
+                    // Executed under the read guard: the connection's other
+                    // fetches read in parallel, and only a `Configure` on
+                    // this connection waits for it.
+                    let session = job.session.read().unwrap_or_else(PoisonError::into_inner);
+                    let response = match session.as_ref() {
                         Some(ex) => match ex.execute(req) {
                             Ok(resp) => Response::Data(resp),
                             Err(e) => Response::Error {
