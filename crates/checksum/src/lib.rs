@@ -3,7 +3,9 @@
 //!
 //! [`crc32`] checksums one slice; [`Crc32`] checksums a message that arrives
 //! in parts (a frame's header, a shared payload and its trailer), with the
-//! same result as [`crc32`] over the parts glued together.
+//! same result as [`crc32`] over the parts glued together. [`crc32_combine`]
+//! gives the CRC of two parts glued together from the parts' own CRCs, so a
+//! part checksummed once need not be read again.
 //!
 //! Each update picks its path from what the CPU reports; no feature,
 //! setting or flag selects it. On x86_64 with PCLMULQDQ and SSE4.1 (std
@@ -76,6 +78,65 @@ impl Default for Crc32 {
         Crc32::new()
     }
 }
+
+/// The CRC32 of `a ‖ b`, from `crc32(a)`, `crc32(b)` and `b`'s length,
+/// without reading either part: zlib's `crc32_combine`.
+///
+/// Appending `len_b` bytes multiplies `a`'s CRC register by `x^(8·len_b)`
+/// modulo the polynomial, so the cost is a few dozen 32-bit multiplies,
+/// whatever the lengths.
+///
+/// ```
+/// let (a, b) = (b"1234".as_slice(), b"56789".as_slice());
+/// let glued = checksum::crc32_combine(checksum::crc32(a), checksum::crc32(b), b.len() as u64);
+/// assert_eq!(glued, checksum::crc32(b"123456789"));
+/// ```
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // x^(8·len_b), built from the squares x^(2^k) for the set bits of
+    // 8·len_b (k counts from 3 because of the factor 8).
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_poly(X_POW_2K[k % 32], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mul_mod_poly(shift, crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected bit order the
+/// CRC register uses (bit 31 is `x^0`).
+const fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ 0xedb8_8320 } else { b >> 1 };
+    }
+    product
+}
+
+/// `X_POW_2K[k]` is `x^(2^k)` modulo the CRC polynomial. The sequence
+/// repeats with period 32 in `k` (a test pins it), so 32 entries serve
+/// every `u64` length.
+const X_POW_2K: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = mul_mod_poly(p, p);
+        table[k] = p;
+        k += 1;
+    }
+    table
+};
 
 /// Slice-by-16 lookup tables for the reflected IEEE polynomial, built at
 /// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table; table
@@ -256,6 +317,39 @@ mod tests {
         assert_eq!(crc.finish(), 0xcbf4_3926);
     }
 
+    #[test]
+    fn squares_of_x_repeat_with_period_32() {
+        // What lets `crc32_combine` index the table mod 32 for any length.
+        assert_eq!(mul_mod_poly(X_POW_2K[31], X_POW_2K[31]), X_POW_2K[0]);
+    }
+
+    #[test]
+    fn combine_agrees_at_every_split_point() {
+        let data = blob(1100);
+        for len in [0, 1, 15, 16, 17, 127, 128, 129, 1100] {
+            let want = crc32(&data[..len]);
+            for at in 0..=len {
+                let (a, b) = data[..len].split_at(at);
+                let got = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+                assert_eq!(got, want, "len {len} split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn combine_agrees_on_frame_sized_inputs() {
+        // A response's head glued to a raw sample's payload, and two long
+        // halves.
+        for len in [145_417, 150_541, 602_112] {
+            let data = blob(len);
+            for at in [0, 22, 30, len / 2, len - 1, len] {
+                let (a, b) = data.split_at(at);
+                let got = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+                assert_eq!(got, crc32(&data), "len {len} split at {at}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -274,6 +368,16 @@ mod tests {
         ) {
             let at = if data.is_empty() { 0 } else { cut % (data.len() + 1) };
             prop_assert_eq!(split_at(&data, at), bitwise(&data));
+        }
+
+        #[test]
+        fn combine_agrees_on_arbitrary_splits(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            cut in any::<usize>(),
+        ) {
+            let at = if data.is_empty() { 0 } else { cut % (data.len() + 1) };
+            let (a, b) = data.split_at(at);
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), bitwise(&data));
         }
     }
 }

@@ -76,32 +76,48 @@ impl NearStorageExecutor {
     /// Returns [`ExecError::UnknownSample`] for missing objects and
     /// [`ExecError::Pipeline`] when the prefix fails.
     pub fn execute(&self, req: FetchRequest) -> Result<FetchResponse, ExecError> {
-        let bytes = self.store.get(req.sample_id).ok_or(ExecError::UnknownSample(req.sample_id))?;
+        self.execute_checksummed(req).map(|(resp, _)| resp)
+    }
 
-        // Brownout serving: a fidelity-capped raw fetch of a tiered object
-        // ships the tier prefix straight from storage — no re-encode, no
-        // pipeline work, strictly fewer bytes on the wire. The cap is
-        // advisory for classic (non-tiered) objects, which have no
-        // truncation boundaries and are served whole.
-        if let (Some(cap), true) = (req.max_tier, req.split == pipeline::SplitPoint::NONE) {
-            if let Ok(index) = codec::TierIndex::parse(&bytes) {
-                let served = cap.min(index.full_tier());
-                if served < index.full_tier() {
-                    let prefix = codec::truncate_to_tier(&bytes, served)
-                        .expect("tier validated against the parsed index");
-                    return Ok(FetchResponse {
-                        sample_id: req.sample_id,
-                        ops_applied: 0,
-                        data: StageData::Encoded(bytes.slice(0..prefix.len())),
-                        tier: Some(served),
-                    });
-                }
+    /// [`NearStorageExecutor::execute`], with the CRC32 of the response's
+    /// payload when that payload is stored bytes sent as they are (the
+    /// whole object, or a tier prefix of it). The store computed it when it
+    /// took the object, so nothing here reads the payload.
+    pub(crate) fn execute_checksummed(
+        &self,
+        req: FetchRequest,
+    ) -> Result<(FetchResponse, Option<u32>), ExecError> {
+        let object =
+            self.store.object(req.sample_id).ok_or(ExecError::UnknownSample(req.sample_id))?;
+        let raw =
+            |data, tier| FetchResponse { sample_id: req.sample_id, ops_applied: 0, data, tier };
+
+        if req.split == pipeline::SplitPoint::NONE {
+            // Brownout serving: a fidelity-capped raw fetch of a tiered
+            // object ships the tier prefix straight from storage — no
+            // re-encode, no pipeline work, strictly fewer bytes on the
+            // wire. The cap is advisory for classic (non-tiered) objects,
+            // which have no truncation boundaries and are served whole, as
+            // is a cap at or above the full tier.
+            let prefix = req.max_tier.and_then(|cap| {
+                object.tier_prefixes.get(usize::from(cap)).map(|&prefix| (cap, prefix))
+            });
+            if let Some((tier, (end, crc))) = prefix {
+                let data = StageData::Encoded(object.bytes.slice(..end));
+                return Ok((raw(data, Some(tier)), Some(crc)));
+            }
+            if req.reencode_quality.is_none() {
+                let data = StageData::Encoded(object.bytes.clone());
+                return Ok((raw(data, None), Some(object.crc)));
             }
         }
 
         let key = SampleKey::new(self.config.dataset_seed, req.sample_id, req.epoch);
-        let mut data =
-            self.config.pipeline.run_prefix(StageData::Encoded(bytes), req.split, key)?;
+        let mut data = self.config.pipeline.run_prefix(
+            StageData::Encoded(object.bytes.clone()),
+            req.split,
+            key,
+        )?;
         if let Some(q) = req.reencode_quality {
             let quality = codec::Quality::new(q).ok_or(ExecError::InvalidQuality(q))?;
             let StageData::Image(img) = &data else {
@@ -109,12 +125,13 @@ impl NearStorageExecutor {
             };
             data = StageData::Encoded(codec::encode(img, quality).into());
         }
-        Ok(FetchResponse {
+        let resp = FetchResponse {
             sample_id: req.sample_id,
             ops_applied: req.split.offloaded_ops() as u32,
             data,
             tier: None,
-        })
+        };
+        Ok((resp, None))
     }
 }
 
@@ -262,5 +279,30 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.data.as_image(), local.as_image());
+    }
+
+    #[test]
+    fn a_stored_payload_comes_with_its_crc_and_a_computed_one_without() {
+        let ds = datasets::DatasetSpec::mini(1, 4);
+        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &codec::TierSpec::default());
+        let ex = NearStorageExecutor::new(
+            store,
+            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
+        );
+        for req in [
+            FetchRequest::new(0, 0, SplitPoint::NONE),
+            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0),
+            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(1),
+            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(u8::MAX - 1),
+        ] {
+            let (resp, crc) = ex.execute_checksummed(req).unwrap();
+            assert_eq!(resp, ex.execute(req).unwrap());
+            let served = resp.data.as_encoded().unwrap();
+            assert_eq!(crc, Some(checksum::crc32(served)), "{req:?}");
+        }
+        let offloaded = FetchRequest::new(0, 0, SplitPoint::new(2));
+        assert_eq!(ex.execute_checksummed(offloaded).unwrap().1, None);
+        let reencoded = FetchRequest::new(0, 0, SplitPoint::new(2)).with_reencode(70);
+        assert_eq!(ex.execute_checksummed(reencoded).unwrap().1, None);
     }
 }

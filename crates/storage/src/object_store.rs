@@ -15,10 +15,60 @@ use bytes::Bytes;
 /// session, so a clone costs one reference count however many objects the
 /// store holds. [`ObjectStore::insert`] copies the map first when a clone
 /// still shares it, leaving that clone as it was.
+///
+/// Each object is checksummed once, when the store takes it: the CRC32 of
+/// the whole object and of each tier prefix a brownout serve can send (see
+/// [`crate::NearStorageExecutor::execute`]). A raw serve's frame CRC is
+/// combined from those, so serving an object never reads its bytes.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    objects: Arc<HashMap<u64, Bytes>>,
+    objects: Arc<HashMap<u64, StoredObject>>,
     total_bytes: u64,
+}
+
+/// One stored object, with the CRC32 of every payload a raw serve sends
+/// from it.
+#[derive(Debug, Clone)]
+pub(crate) struct StoredObject {
+    pub(crate) bytes: Bytes,
+    /// CRC32 of `bytes`.
+    pub(crate) crc: u32,
+    /// For a tiered stream, one entry per tier below the full one, coarsest
+    /// first: where that tier's prefix ends, and the prefix's CRC32. Empty
+    /// for a classic stream, and for a tiered one whose directory does not
+    /// fit its bytes; either is only ever served whole.
+    pub(crate) tier_prefixes: Box<[(usize, u32)]>,
+}
+
+impl StoredObject {
+    /// Indexes and checksums `bytes` in one pass.
+    fn new(bytes: Bytes) -> StoredObject {
+        let mut ends: Vec<usize> = codec::TierIndex::parse(&bytes)
+            .map(|index| {
+                let below_full = &index.tiers[..usize::from(index.full_tier())];
+                below_full.iter().map(|t| t.end_offset as usize).collect()
+            })
+            .unwrap_or_default();
+        if ends.last().is_some_and(|&end| end > bytes.len()) {
+            ends.clear();
+        }
+        // Each prefix extends the one before it (the directory's offsets
+        // rise), so its CRC is the previous one combined with the new part.
+        let (mut crc, mut start) = (checksum::crc32(&[]), 0);
+        let mut tier_prefixes = Vec::with_capacity(ends.len());
+        for end in ends {
+            crc = extend_crc(crc, &bytes[start..end]);
+            tier_prefixes.push((end, crc));
+            start = end;
+        }
+        let crc = extend_crc(crc, &bytes[start..]);
+        StoredObject { bytes, crc, tier_prefixes: tier_prefixes.into_boxed_slice() }
+    }
+}
+
+/// The CRC32 of `a ‖ part`, from `a`'s CRC.
+fn extend_crc(crc_a: u32, part: &[u8]) -> u32 {
+    checksum::crc32_combine(crc_a, checksum::crc32(part), part.len() as u64)
 }
 
 impl ObjectStore {
@@ -126,7 +176,8 @@ impl ObjectStore {
     /// Inserts (or replaces) an object; returns the previous bytes, if any.
     pub fn insert(&mut self, id: u64, bytes: Bytes) -> Option<Bytes> {
         self.total_bytes += bytes.len() as u64;
-        let prev = Arc::make_mut(&mut self.objects).insert(id, bytes);
+        let prev =
+            Arc::make_mut(&mut self.objects).insert(id, StoredObject::new(bytes)).map(|p| p.bytes);
         if let Some(p) = &prev {
             self.total_bytes -= p.len() as u64;
         }
@@ -135,7 +186,12 @@ impl ObjectStore {
 
     /// Fetches an object's bytes (cheaply cloned, shared buffer).
     pub fn get(&self, id: u64) -> Option<Bytes> {
-        self.objects.get(&id).cloned()
+        self.objects.get(&id).map(|o| o.bytes.clone())
+    }
+
+    /// An object with its checksums.
+    pub(crate) fn object(&self, id: u64) -> Option<&StoredObject> {
+        self.objects.get(&id)
     }
 
     /// Whether the store holds an object for `id`.
@@ -161,7 +217,7 @@ impl ObjectStore {
     /// Iterates `(id, bytes)` pairs (arbitrary order; bytes are cheaply
     /// cloned shared buffers).
     pub fn iter(&self) -> impl Iterator<Item = (u64, Bytes)> + '_ {
-        self.objects.iter().map(|(&id, b)| (id, b.clone()))
+        self.objects.iter().map(|(&id, o)| (id, o.bytes.clone()))
     }
 }
 
@@ -217,5 +273,39 @@ mod tests {
         assert_eq!((snapshot.len(), snapshot.total_bytes()), (1, 4));
         assert_eq!(s.get(1).unwrap(), Bytes::from_static(b"bb"));
         assert_eq!((s.len(), s.total_bytes()), (2, 3));
+    }
+
+    #[test]
+    fn every_servable_payload_is_checksummed_when_stored() {
+        let ds = datasets::DatasetSpec::mini(2, 3);
+        let tiers = codec::TierSpec::default();
+        let tiered = ObjectStore::materialize_dataset_tiered(&ds, 0..2, &tiers);
+        let classic = ObjectStore::materialize_dataset(&ds, 0..2);
+        for id in 0..2 {
+            let object = tiered.object(id).unwrap();
+            assert_eq!(object.crc, checksum::crc32(&object.bytes));
+            let index = codec::TierIndex::parse(&object.bytes).unwrap();
+            assert_eq!(object.tier_prefixes.len(), usize::from(index.full_tier()));
+            for (tier, &(end, crc)) in object.tier_prefixes.iter().enumerate() {
+                let prefix = codec::truncate_to_tier(&object.bytes, tier as u8).unwrap();
+                assert_eq!((end, crc), (prefix.len(), checksum::crc32(prefix)), "tier {tier}");
+            }
+            let object = classic.object(id).unwrap();
+            assert_eq!(object.crc, checksum::crc32(&object.bytes));
+            assert!(object.tier_prefixes.is_empty(), "a classic stream has no tier prefix");
+        }
+    }
+
+    #[test]
+    fn a_tier_directory_past_the_objects_end_leaves_it_served_whole() {
+        let ds = datasets::DatasetSpec::mini(1, 3);
+        let full = ds.materialize_tiered(0, &codec::TierSpec::default());
+        let index = codec::TierIndex::parse(&full).unwrap();
+        let cut = index.end_offset(0).unwrap() as usize - 1;
+        let mut s = ObjectStore::new();
+        s.insert(0, Bytes::copy_from_slice(&full[..cut]));
+        let object = s.object(0).unwrap();
+        assert!(object.tier_prefixes.is_empty());
+        assert_eq!(object.crc, checksum::crc32(&full[..cut]));
     }
 }

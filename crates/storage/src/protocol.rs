@@ -65,12 +65,12 @@ impl FetchRequest {
 /// Messages from client to server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Establish the session pipeline.
+    /// Establish the session pipeline. Await its `Configured` reply before
+    /// fetching: a fetch sent ahead of that reply may be answered first,
+    /// from no session or from the one this request replaces.
     Configure(SessionConfig),
     /// Fetch one sample.
     Fetch(FetchRequest),
-    /// Ask the server to stop after draining queued work.
-    Shutdown,
 }
 
 /// A successful fetch result.

@@ -4,10 +4,11 @@
 //! The storage node as a network service, and its client. The server is
 //! **readiness-driven**: one event-loop thread owns every connection as a
 //! nonblocking `TcpStream`, demultiplexes incoming frames by their [`wire`]
-//! `request_id` into the shared worker pool, and muxes completed responses
-//! back out of order onto the right connection. A single connection
-//! therefore carries many in-flight exchanges at once, bounded by
-//! [`ServerConfig::max_in_flight`] — past that depth the loop stops reading
+//! `request_id`, answers raw serves itself and hands offloaded prefixes to
+//! the shared worker pool, and muxes completed responses back out of order
+//! onto the right connection. A single connection therefore carries many
+//! in-flight exchanges at once, bounded by [`ServerConfig::max_in_flight`]
+//! — past that many unanswered or unsent responses the loop stops reading
 //! the socket and TCP backpressure propagates to the client.
 //!
 //! # The readiness set
@@ -21,13 +22,15 @@
 //!   bytes or closed, or a socket whose last write would have blocked
 //!   drained;
 //! * **the waker**: an `eventfd` the workers write after queueing each
-//!   reply, and the server handle writes after raising the stop flag;
+//!   reply, and the server handle writes after raising the stop flag (a
+//!   reply the loop makes itself needs no wake);
 //! * **the timer**: the wait's timeout is the earliest release time among
 //!   queued frames (token bucket, tenant quota, injected delay), to the
 //!   precision of the kernel's high-resolution timers.
 //!
 //! Each connection's interest follows its state: readable iff the peer
-//! has not closed and the connection is under its in-flight bound;
+//! has not closed and the connection's requests in flight plus responses
+//! queued for the wire are under its bound;
 //! writable iff the last write returned `WouldBlock`. A connection parked
 //! at its bound with unread requests, or half-closed with a job in
 //! flight, is therefore watched for nothing and cannot spin the loop.
@@ -39,6 +42,9 @@
 //! only a frame's head, into a pooled buffer, and its CRC, and sends head,
 //! the stored object's own `Bytes` and the CRC in one vectored write; a
 //! frame that a chaos truncate or bit-flip fault mutates is glued first.
+//! A raw serve's CRC is combined from the head's and the payload's, which
+//! the store computed when it took the object (for the whole object and
+//! each tier prefix), so only the kernel reads a served payload's bytes.
 //! The client reads each frame into one allocation of exactly its length,
 //! filled as bytes arrive, and that allocation becomes the response's
 //! `Bytes`; an image or tensor payload is copied out of it once. Between
@@ -67,6 +73,11 @@
 //! encode, when response bytes reach the wire.
 //!
 //! # The worker pool
+//!
+//! A raw serve (split [`SplitPoint::NONE`], no re-encode) only slices the
+//! stored `Bytes`, so the loop answers it where the scheduler pops it: no
+//! job, no channel, no waker write, no thread switch. Offloaded prefixes
+//! and `Configure` requests go to the pool.
 //!
 //! [`ServerConfig::cores`] workers share one FIFO job queue, a `VecDeque`
 //! behind a mutex with a condition variable that idle workers wait on, so
@@ -272,10 +283,11 @@ pub struct ServerConfig {
     /// writing it.
     pub queue_depth: usize,
     /// Backpressure bound for the pipelined TCP server: how many decoded
-    /// requests one connection may have in flight before the event loop
-    /// stops reading its socket (TCP backpressure then propagates to the
-    /// client). Connections beyond this depth are never starved — reading
-    /// resumes as soon as responses drain.
+    /// requests one connection may have unanswered or answered but not yet
+    /// on the wire before the event loop stops reading its socket (TCP
+    /// backpressure then propagates to the client). Connections beyond this
+    /// depth are never starved — reading resumes as soon as responses
+    /// drain.
     pub max_in_flight: usize,
 }
 
@@ -292,8 +304,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// A request handed to the worker pool, tagged with its origin so the
-/// event loop can mux the response back to the right connection.
+/// An admitted request, tagged with its origin so its response muxes back
+/// to the right connection: queued in the tenant scheduler, then answered
+/// by the event loop (a raw serve) or handed to the worker pool.
 struct Job {
     conn: u64,
     request_id: u32,
@@ -303,14 +316,17 @@ struct Job {
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
 }
 
-/// A finished response heading back to the event loop, paired with the
-/// fault (if any) the writer must apply to its encoded frame.
+/// A finished response heading for its connection's write queue, paired
+/// with the fault (if any) the writer must apply to its encoded frame.
 struct Reply {
     conn: u64,
     request_id: u32,
     tenant: TenantId,
     response: Response,
     fault: Option<FaultDirective>,
+    /// The payload's CRC32, for stored bytes sent as they are; see
+    /// [`OutFrame::payload_crc`].
+    payload_crc: Option<u32>,
 }
 
 /// One response queued on a connection, with a release time from
@@ -326,6 +342,9 @@ struct OutFrame {
     response: Response,
     /// Wire-level chaos mutation to apply at encode.
     fault: Option<FaultDirective>,
+    /// CRC32 of the response's encoded payload when the store computed it
+    /// (a raw serve's), so encoding the frame reads no payload byte.
+    payload_crc: Option<u32>,
     not_before: Instant,
 }
 
@@ -365,7 +384,12 @@ impl WireFrame {
                 }
                 None
             }
-            _ => wire::encode_response_parts(out.request_id, &out.response, &mut head),
+            _ => wire::encode_response_parts(
+                out.request_id,
+                &out.response,
+                &mut head,
+                out.payload_crc,
+            ),
         };
         let len = head.len() + body.as_ref().map_or(0, |(body, crc)| body.len() + crc.len());
         WireFrame {
@@ -414,6 +438,14 @@ struct Conn {
 impl Conn {
     fn has_output(&self) -> bool {
         self.writing.is_some() || !self.outq.is_empty()
+    }
+
+    /// What counts against [`ServerConfig::max_in_flight`]: requests not
+    /// yet answered, and responses not yet wholly on the wire. A client
+    /// that never reads therefore holds at most that many responses here,
+    /// however fast they are computed.
+    fn backlog(&self) -> usize {
+        self.in_flight + self.outq.len() + usize::from(self.writing.is_some())
     }
 }
 
@@ -532,6 +564,7 @@ pub struct TcpStorageServer {
     stop: Arc<AtomicBool>,
     waker: Waker,
     turns: Arc<AtomicU64>,
+    pool_jobs: Arc<AtomicU64>,
     meter: TrafficMeter,
     /// The event loop's counters; see `EventLoop::stats`.
     stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
@@ -563,10 +596,12 @@ impl TcpStorageServer {
     /// implicit tenant, unmetered, weight 1).
     ///
     /// Every fetch response first consults `injector` — the server-side
-    /// half of the chaos layer. Faults are applied to the encoded frame on
-    /// the wire itself: drops skip the write, delays hold the frame past
-    /// its release time, truncations shorten the frame, bit-flips corrupt
-    /// it. Configure responses are never faulted.
+    /// half of the chaos layer — on whichever thread answers it, the event
+    /// loop for a raw serve and a worker for an offloaded prefix. Faults are
+    /// applied to the encoded frame on the wire itself: drops skip the
+    /// write, delays hold the frame past its release time, truncations
+    /// shorten the frame, bit-flips corrupt it. Configure responses are
+    /// never faulted.
     ///
     /// # Errors
     ///
@@ -580,7 +615,8 @@ impl TcpStorageServer {
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<Self> {
-        let (mut server, jobs, reply_tx) = Self::start_loop(config, policy, addr)?;
+        let (mut server, jobs, reply_tx) =
+            Self::start_loop(config, policy, addr, injector.clone())?;
         server.workers = (0..config.cores)
             .map(|_| {
                 let jobs = Arc::clone(&jobs);
@@ -603,6 +639,7 @@ impl TcpStorageServer {
         config: ServerConfig,
         policy: TenantPolicy,
         addr: &str,
+        injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<(Self, Arc<JobQueue<Job>>, Sender<Reply>)> {
         if config.cores == 0 {
             return Err(io::Error::new(
@@ -616,12 +653,13 @@ impl TcpStorageServer {
                 "server needs max_in_flight >= 1",
             ));
         }
-        let (mut el, jobs, reply_tx) = EventLoop::bind(config, policy, addr)?;
+        let (mut el, jobs, reply_tx) = EventLoop::bind(config, policy, addr, injector)?;
         let mut server = TcpStorageServer {
             addr: el.listener.local_addr()?,
             stop: Arc::clone(&el.stop),
             waker: el.waker.clone(),
             turns: Arc::clone(&el.turns),
+            pool_jobs: Arc::clone(&el.pool_jobs),
             meter: el.meter.clone(),
             stats: Arc::clone(&el.stats),
             event_thread: None,
@@ -655,10 +693,18 @@ impl TcpStorageServer {
         self.turns.load(Ordering::Relaxed)
     }
 
+    /// How many jobs the event loop has handed to the worker pool: one per
+    /// `Configure` and per offloaded fetch. A raw serve is answered on the
+    /// loop and never counts; tests pin that.
+    #[doc(hidden)]
+    pub fn pool_jobs(&self) -> u64 {
+        self.pool_jobs.load(Ordering::Relaxed)
+    }
+
     /// A snapshot of per-tenant serving counters, keyed by tenant id.
     /// Tenants appear once their first request is decoded; `completed`
-    /// counts responses handed back by the workers (including per-sample
-    /// errors), `bytes_sent` counts frame payloads that reached the wire.
+    /// counts answered requests (including per-sample errors), `bytes_sent`
+    /// counts frame payloads that reached the wire.
     pub fn tenant_stats(&self) -> BTreeMap<u16, TenantStats> {
         self.stats.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
@@ -714,8 +760,9 @@ impl Drop for TcpStorageServer {
 
 /// The readiness-driven connection layer: one thread blocked in
 /// [`Poller::wait`], every connection nonblocking, frames demuxed in and
-/// muxed out by `request_id`. A turn costs O(ready sockets + connections
-/// with queued output), whatever the number of open connections.
+/// muxed out by `request_id`, raw serves answered in place. A turn costs
+/// O(ready sockets + connections with queued output), whatever the number
+/// of open connections.
 struct EventLoop {
     poller: Poller,
     /// Written by the workers after each reply, and by the server handle
@@ -729,7 +776,11 @@ struct EventLoop {
     next_conn: u64,
     /// Closed when the loop is dropped, which ends the worker pool.
     jobs: Arc<JobQueue<Job>>,
+    /// Jobs pushed onto `jobs` so far (`pool_jobs`).
+    pool_jobs: Arc<AtomicU64>,
     reply_rx: Receiver<Reply>,
+    /// Server-side chaos, consulted for every fetch the loop answers itself.
+    injector: Option<Arc<ServerFaultInjector>>,
     bucket: TokenBucket,
     meter: TrafficMeter,
     stop: Arc<AtomicBool>,
@@ -745,8 +796,14 @@ struct EventLoop {
     /// Jobs currently inside the worker pool (sent, reply not drained).
     dispatched: usize,
     /// Cap on `dispatched`: excess jobs wait in the scheduler, where
-    /// inter-tenant order is still decided by weights.
+    /// inter-tenant order is still decided by weights. A raw serve, which
+    /// the loop answers itself, takes no slot.
     dispatch_cap: usize,
+    /// A pool job the scheduler handed over while the pool was full. It
+    /// goes into the pool before anything else leaves the scheduler (which
+    /// cannot take it back), so only a job waiting for a slot holds up the
+    /// raw serves behind it.
+    parked: Option<Job>,
     /// Per-tenant counters shared with the server handle. Each write is
     /// one [`count`], a single counter update, so a panicked holder leaves
     /// every count valid, and a poisoned lock is used as is.
@@ -760,6 +817,7 @@ impl EventLoop {
         config: ServerConfig,
         policy: TenantPolicy,
         addr: &str,
+        injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<(EventLoop, Arc<JobQueue<Job>>, Sender<Reply>)> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -777,7 +835,9 @@ impl EventLoop {
             pending_out: BTreeSet::new(),
             next_conn: 0,
             jobs: Arc::clone(&jobs),
+            pool_jobs: Arc::new(AtomicU64::new(0)),
             reply_rx,
+            injector,
             bucket: TokenBucket::new(
                 config.bandwidth,
                 (config.bandwidth.bytes_per_second() * 0.02).max(1500.0) as usize,
@@ -797,6 +857,7 @@ impl EventLoop {
             // job queue — decides inter-tenant order under backlog,
             // large enough to keep every core fed.
             dispatch_cap: config.cores.saturating_mul(2).max(2),
+            parked: None,
             stats: Arc::new(RwLock::new(BTreeMap::new())),
         };
         Ok((el, jobs, reply_tx))
@@ -889,17 +950,18 @@ impl EventLoop {
     /// it is finished (peer-closed with nothing left to compute or flush).
     /// Called wherever that state changes.
     ///
-    /// Readable is watched iff the peer may still send and the connection
-    /// is under its in-flight bound; writable iff the last write would
-    /// have blocked. The registration is level-triggered, so a connection
-    /// parked at its bound with unread requests, or half-closed with a job
-    /// in flight, would otherwise wake the loop on every wait.
+    /// Readable is watched iff the peer may still send and the connection's
+    /// backlog is under its bound, so reading resumes as output drains;
+    /// writable iff the last write would have blocked. The registration is
+    /// level-triggered, so a connection parked at its bound with unread
+    /// requests, or half-closed with a job in flight, would otherwise wake
+    /// the loop on every wait.
     fn settle(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         let finished = conn.peer_closed && conn.in_flight == 0 && !conn.has_output();
         if !finished {
             let want = Interest {
-                readable: !conn.peer_closed && conn.in_flight < self.max_in_flight,
+                readable: !conn.peer_closed && conn.backlog() < self.max_in_flight,
                 writable: conn.write_blocked,
             };
             if want == conn.interest {
@@ -924,55 +986,91 @@ impl EventLoop {
     }
 
     /// Moves every completed response from the workers onto its
-    /// connection's write queue, applying wire-level chaos faults.
+    /// connection's write queue.
     fn drain_replies(&mut self) {
         while let Ok(reply) = self.reply_rx.try_recv() {
-            // Tenant accounting happens whether or not the connection is
-            // still alive — the worker slot and in-flight credit are
-            // released either way.
+            // The worker slot is released whether or not the connection is
+            // still alive.
             self.dispatched = self.dispatched.saturating_sub(1);
-            self.admission.completed(reply.tenant);
-            count(&self.stats, reply.tenant, |s| s.completed += 1);
-            let Some(conn) = self.conns.get_mut(&reply.conn) else {
-                continue; // connection died while the job was in flight
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            let delay = match reply.fault {
-                Some(FaultDirective { kind: FaultKind::Drop, .. }) => None,
-                Some(FaultDirective { kind: FaultKind::Delay(d), .. }) => Some(d),
-                // Truncate/BitFlip mutate the encoded bytes at write time;
-                // Error faults were applied at the worker.
-                _ => Some(Duration::ZERO),
-            };
-            if let Some(delay) = delay {
-                conn.outq.push_back(OutFrame {
-                    tenant: reply.tenant,
-                    request_id: reply.request_id,
-                    response: reply.response,
-                    fault: reply.fault,
-                    not_before: Instant::now() + delay,
-                });
-                self.pending_out.insert(reply.conn);
-            }
-            self.settle(reply.conn);
+            self.complete(reply);
         }
     }
 
-    /// Moves admitted jobs from the scheduler into the worker pool, in
-    /// DWRR order, keeping at most `dispatch_cap` jobs inside the pool's
-    /// FIFO job queue at once — so under backlog it is the weighted
-    /// scheduler, not arrival order, that decides which tenant runs next.
+    /// Settles one answered request, from a worker or from the loop
+    /// itself: releases its tenant credit and in-flight slot, and queues
+    /// the response on its connection, applying the wire-level part of its
+    /// chaos fault.
+    fn complete(&mut self, reply: Reply) {
+        // Tenant accounting happens whether or not the connection is
+        // still alive.
+        self.admission.completed(reply.tenant);
+        count(&self.stats, reply.tenant, |s| s.completed += 1);
+        let Some(conn) = self.conns.get_mut(&reply.conn) else {
+            return; // connection died while the request was in flight
+        };
+        conn.in_flight = conn.in_flight.saturating_sub(1);
+        let delay = match reply.fault {
+            Some(FaultDirective { kind: FaultKind::Drop, .. }) => None,
+            Some(FaultDirective { kind: FaultKind::Delay(d), .. }) => Some(d),
+            // Truncate/BitFlip mutate the encoded bytes at write time;
+            // Error faults already replaced the response.
+            _ => Some(Duration::ZERO),
+        };
+        if let Some(delay) = delay {
+            conn.outq.push_back(OutFrame {
+                tenant: reply.tenant,
+                request_id: reply.request_id,
+                response: reply.response,
+                fault: reply.fault,
+                payload_crc: reply.payload_crc,
+                not_before: Instant::now() + delay,
+            });
+            self.pending_out.insert(reply.conn);
+        }
+        self.settle(reply.conn);
+    }
+
+    /// Takes admitted jobs from the scheduler in DWRR order, answering a
+    /// raw serve in place and moving every other job into the worker pool,
+    /// with at most `dispatch_cap` jobs inside the pool's FIFO job queue at
+    /// once — so under backlog it is the weighted scheduler, not arrival
+    /// order, that decides which tenant runs next. A pool job that finds
+    /// the pool full is parked, and ends the pass.
     fn dispatch_jobs(&mut self) {
-        while self.dispatched < self.dispatch_cap {
+        loop {
             if Arc::strong_count(&self.jobs) == 1 {
                 // Every worker has exited, which only a panic does while
                 // the loop runs: nothing can be served.
                 self.stop.store(true, Ordering::SeqCst);
                 break;
             }
-            let Some((_, job)) = self.sched.pop() else { break };
-            self.dispatched += 1;
-            self.jobs.push(job);
+            let Some(job) = self.parked.take().or_else(|| self.sched.pop().map(|(_, job)| job))
+            else {
+                break;
+            };
+            match job.request {
+                Request::Fetch(req) if is_raw_serve(&req) => {
+                    let (response, fault, payload_crc) =
+                        answer_fetch(req, &job.session, self.injector.as_deref());
+                    self.complete(Reply {
+                        conn: job.conn,
+                        request_id: job.request_id,
+                        tenant: job.tenant,
+                        response,
+                        fault,
+                        payload_crc,
+                    });
+                }
+                _ if self.dispatched < self.dispatch_cap => {
+                    self.dispatched += 1;
+                    self.pool_jobs.fetch_add(1, Ordering::Relaxed);
+                    self.jobs.push(job);
+                }
+                _ => {
+                    self.parked = Some(job);
+                    break;
+                }
+            }
         }
     }
 
@@ -1059,7 +1157,7 @@ impl EventLoop {
     }
 
     /// Reads and dispatches frames from `id` until the socket runs dry or
-    /// the connection reaches its in-flight bound (backpressure: the
+    /// the connection's backlog reaches its bound (backpressure: the
     /// unread bytes stay in the kernel buffer and TCP flow control pushes
     /// back on the client).
     fn read_requests(&mut self, id: u64) {
@@ -1067,7 +1165,7 @@ impl EventLoop {
         if conn.peer_closed {
             return;
         }
-        while conn.in_flight < self.max_in_flight {
+        while conn.backlog() < self.max_in_flight {
             match conn.reader.poll(&mut conn.stream) {
                 ReadStatus::Frame => {
                     let frame = conn.reader.take_frame();
@@ -1078,15 +1176,12 @@ impl EventLoop {
                             request_id,
                             response: Response::Error { sample_id: None, message },
                             fault: None,
+                            payload_crc: None,
                             not_before: Instant::now(),
                         });
                         self.pending_out.insert(id);
                     };
                     match wire::decode_request_framed(&frame) {
-                        Ok((_, _, Request::Shutdown)) => {
-                            self.stop.store(true, Ordering::SeqCst);
-                            return;
-                        }
                         Ok((request_id, tenant, request)) => {
                             let tenant = TenantId(tenant);
                             if let Some(message) = self.admission.check(tenant) {
@@ -1203,6 +1298,45 @@ impl<T> JobQueue<T> {
     }
 }
 
+/// Whether the loop answers `req` itself: the stored object, or its tier
+/// prefix, sliced as it is, with no pipeline op and no re-encode.
+fn is_raw_serve(req: &FetchRequest) -> bool {
+    req.split == SplitPoint::NONE && req.reencode_quality.is_none()
+}
+
+/// Answers one fetch from its connection's session, after asking
+/// `injector` for the response's fault: the same steps on a worker, for an
+/// offloaded prefix, and on the event loop, for a raw serve. The last part
+/// is the payload's CRC32 when the store has it (a raw serve's).
+fn answer_fetch(
+    req: FetchRequest,
+    session: &RwLock<Option<NearStorageExecutor>>,
+    injector: Option<&ServerFaultInjector>,
+) -> (Response, Option<FaultDirective>, Option<u32>) {
+    let fault = injector.and_then(|i| i.decide(req.sample_id, req.epoch));
+    if matches!(fault, Some(FaultDirective { kind: FaultKind::Error, .. })) {
+        // Error faults replace the response before execution.
+        let message = "injected storage fault".to_string();
+        return (Response::Error { sample_id: Some(req.sample_id), message }, fault, None);
+    }
+    // Executed under the read guard: the connection's other fetches read
+    // in parallel, and only a `Configure` on this connection waits for it.
+    let session = session.read().unwrap_or_else(PoisonError::into_inner);
+    let (response, payload_crc) = match session.as_ref() {
+        Some(ex) => match ex.execute_checksummed(req) {
+            Ok((resp, crc)) => (Response::Data(resp), crc),
+            Err(e) => {
+                (Response::Error { sample_id: Some(req.sample_id), message: e.to_string() }, None)
+            }
+        },
+        None => {
+            let message = "session not configured".to_string();
+            (Response::Error { sample_id: Some(req.sample_id), message }, None)
+        }
+    };
+    (response, fault, payload_crc)
+}
+
 /// One worker of the pool: takes jobs from the queue every worker shares,
 /// and answers on `reply_tx`.
 fn worker_loop(
@@ -1213,57 +1347,31 @@ fn worker_loop(
     injector: Option<&ServerFaultInjector>,
 ) {
     while let Some(job) = jobs.take() {
-        let (response, fault) = match job.request {
-            Request::Configure(cfg) => {
-                let executor = NearStorageExecutor::new(store.clone(), cfg);
-                *job.session.write().unwrap_or_else(PoisonError::into_inner) = Some(executor);
-                (Response::Configured, None)
-            }
-            Request::Fetch(req) => {
-                let fault = injector.and_then(|i| i.decide(req.sample_id, req.epoch));
-                if matches!(fault, Some(FaultDirective { kind: FaultKind::Error, .. })) {
-                    // Error faults replace the response before execution.
-                    (
-                        Response::Error {
-                            sample_id: Some(req.sample_id),
-                            message: "injected storage fault".to_string(),
-                        },
-                        fault,
-                    )
-                } else {
-                    // Executed under the read guard: the connection's other
-                    // fetches read in parallel, and only a `Configure` on
-                    // this connection waits for it.
-                    let session = job.session.read().unwrap_or_else(PoisonError::into_inner);
-                    let response = match session.as_ref() {
-                        Some(ex) => match ex.execute(req) {
-                            Ok(resp) => Response::Data(resp),
-                            Err(e) => Response::Error {
-                                sample_id: Some(req.sample_id),
-                                message: e.to_string(),
-                            },
-                        },
-                        None => Response::Error {
-                            sample_id: Some(req.sample_id),
-                            message: "session not configured".to_string(),
-                        },
-                    };
-                    (response, fault)
-                }
-            }
-            Request::Shutdown => continue, // handled at the connection layer
-        };
-        let reply = Reply {
-            conn: job.conn,
-            request_id: job.request_id,
-            tenant: job.tenant,
-            response,
-            fault,
-        };
-        if reply_tx.send(reply).is_err() {
+        if reply_tx.send(run_job(job, store, injector)).is_err() {
             return;
         }
         waker.wake();
+    }
+}
+
+/// What a worker does with one job: a `Configure` sets up the connection's
+/// session over `store`, and a fetch is answered from it.
+fn run_job(job: Job, store: &ObjectStore, injector: Option<&ServerFaultInjector>) -> Reply {
+    let (response, fault, payload_crc) = match job.request {
+        Request::Configure(cfg) => {
+            let executor = NearStorageExecutor::new(store.clone(), cfg);
+            *job.session.write().unwrap_or_else(PoisonError::into_inner) = Some(executor);
+            (Response::Configured, None, None)
+        }
+        Request::Fetch(req) => answer_fetch(req, &job.session, injector),
+    };
+    Reply {
+        conn: job.conn,
+        request_id: job.request_id,
+        tenant: job.tenant,
+        response,
+        fault,
+        payload_crc,
     }
 }
 
@@ -1822,7 +1930,7 @@ mod tests {
             max_in_flight,
             ..ServerConfig::default()
         };
-        TcpStorageServer::start_loop(config, TenantPolicy::default(), "127.0.0.1:0").unwrap()
+        TcpStorageServer::start_loop(config, TenantPolicy::default(), "127.0.0.1:0", None).unwrap()
     }
 
     const ANSWER_BYTES: usize = 64;
@@ -1841,6 +1949,7 @@ mod tests {
             tenant: job.tenant,
             response,
             fault: None,
+            payload_crc: None,
         };
         reply_tx.send(reply).unwrap();
         server.waker.wake();
@@ -1874,8 +1983,9 @@ mod tests {
     #[test]
     fn turns_per_fetch_do_not_grow_with_idle_connections() {
         const FETCHES: u64 = 40;
-        // Two when all goes well (request readable, worker's wake), plus
-        // writable rounds if a response outgrows the socket buffer.
+        // One when all goes well (the request is readable, and the loop
+        // answers a raw fetch in that turn), plus writable rounds if a
+        // response outgrows the socket buffer.
         const TURNS_PER_FETCH: u64 = 8;
         let (server, ds) = spawn_server(2, 1);
         let mut active = configured_clients(&server, &ds, 1).remove(0);
@@ -1899,7 +2009,8 @@ mod tests {
     fn connection_parked_at_its_in_flight_bound_does_not_spin() {
         let (server, jobs, replies) = hand_worked_server(2);
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
-        let reqs: Vec<_> = (0..6u64).map(|i| FetchRequest::new(i, 0, SplitPoint::NONE)).collect();
+        // Offloaded, so each one waits for the hand-worked pool.
+        let reqs: Vec<_> = (0..6u64).map(|i| FetchRequest::new(i, 0, SplitPoint::new(2))).collect();
         let ids = client.submit_all(&reqs).unwrap();
         // Two jobs out is the bound: four requests stay unread in the
         // kernel buffer, where a level-triggered set keeps reporting them.
@@ -1941,8 +2052,8 @@ mod tests {
         .unwrap();
         let mut client = configured_clients(&server, &ds, 1).remove(0);
         let before = server.loop_turns();
-        // No deadline and no other traffic: once the worker's wake is
-        // handled, only the wait's timeout can end the frame's hold.
+        // No deadline and no other traffic: once the request is answered,
+        // on the loop, only the wait's timeout can end the frame's hold.
         client.fetch(0, 0, SplitPoint::NONE).unwrap();
         let turns = server.loop_turns() - before;
         assert_eq!(injector.injected(), 1);
@@ -1954,7 +2065,7 @@ mod tests {
     fn half_closed_client_gets_its_response_and_is_reaped() {
         let (server, jobs, replies) = hand_worked_server(4);
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
-        let id = client.submit(FetchRequest::new(3, 0, SplitPoint::NONE)).unwrap();
+        let id = client.submit(FetchRequest::new(3, 0, SplitPoint::new(2))).unwrap();
         let job = jobs.take().unwrap();
         let before = server.loop_turns();
         client.stream.shutdown(std::net::Shutdown::Write).unwrap();
@@ -1970,6 +2081,261 @@ mod tests {
         // Nothing left to compute or flush: the server drops its end.
         assert!(matches!(client.read_frame_within(None), Err(ClientError::Disconnected)));
         server.shutdown();
+    }
+
+    #[test]
+    fn raw_fetches_never_cross_the_worker_pool() {
+        const N: u64 = 6;
+        let ds = datasets::DatasetSpec::mini(2, 61);
+        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..2, &codec::TierSpec::default());
+        let server = TcpStorageServer::bind(
+            store.clone(),
+            ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..Default::default() },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = configured_clients(&server, &ds, 1).remove(0);
+        assert_eq!(server.pool_jobs(), 1, "the configure is the pool's one job so far");
+        for i in 0..N {
+            let whole = client.fetch(i % 2, i, SplitPoint::NONE).unwrap();
+            assert_eq!(whole.as_encoded().unwrap(), &store.get(i % 2).unwrap()[..]);
+            let req = FetchRequest::new(i % 2, i, SplitPoint::NONE).with_max_tier(0);
+            let capped = client.fetch_request(req).unwrap();
+            assert_eq!(capped.tier, Some(0));
+            assert!(capped.data.byte_len() < whole.byte_len());
+        }
+        assert_eq!(server.pool_jobs(), 1, "a raw fetch crossed the pool");
+        for i in 0..N {
+            client.fetch(i % 2, i, SplitPoint::new(2)).unwrap();
+        }
+        assert_eq!(server.pool_jobs(), 1 + N, "one pool job per offloaded fetch");
+        server.shutdown();
+    }
+
+    /// A one-core hand-worked server whose connection `client` is
+    /// configured from `store`, the test answering the `Configure` job.
+    fn hand_configured(
+        store: &ObjectStore,
+        seed: u64,
+    ) -> (TcpStorageServer, Arc<JobQueue<Job>>, Sender<Reply>, TcpStorageClient) {
+        let (server, jobs, replies) = hand_worked_server(8);
+        // The deadline only bounds a failure: a request that waits for the
+        // pool waits for the test, which may never answer it.
+        let mut client = TcpStorageClient::connect(server.local_addr())
+            .unwrap()
+            .with_deadline(Deadline::after(Duration::from_secs(10)));
+        let config =
+            crate::SessionConfig { dataset_seed: seed, pipeline: PipelineSpec::standard_train() };
+        let configure = client.send_framed(&Request::Configure(config)).unwrap();
+        replies.send(run_job(jobs.take().unwrap(), store, None)).unwrap();
+        server.waker.wake();
+        assert_eq!(client.await_any(configure).unwrap(), Response::Configured);
+        (server, jobs, replies, client)
+    }
+
+    #[test]
+    fn raw_fetch_is_answered_while_the_pool_is_full() {
+        let ds = datasets::DatasetSpec::mini(2, 61);
+        let store = ObjectStore::materialize_dataset(&ds, 0..2);
+        let (server, jobs, replies, mut client) = hand_configured(&store, ds.seed);
+        // One core: a pool of `dispatch_cap` = 2 jobs, one with the
+        // worker (the test) and one queued behind it.
+        let offloaded: Vec<u32> = (0..2)
+            .map(|i| client.submit(FetchRequest::new(i, 0, SplitPoint::new(2))).unwrap())
+            .collect();
+        let held = jobs.take().unwrap();
+        let raw = client.fetch(0, 0, SplitPoint::NONE).unwrap();
+        assert_eq!(raw.as_encoded().unwrap(), &store.get(0).unwrap()[..]);
+        assert_eq!(server.pool_jobs(), 3, "only the configure and the offloaded fetches");
+        // A third offloaded fetch finds the pool full and waits for a slot;
+        // the raw fetch behind it waits with it, and both go once one
+        // offloaded reply frees a slot.
+        let third = client.submit(FetchRequest::new(1, 1, SplitPoint::new(2))).unwrap();
+        let behind = client.submit(FetchRequest::new(1, 1, SplitPoint::NONE)).unwrap();
+        // Both read (the configure, two offloaded fetches and a raw one
+        // before them) before a slot frees, so the third one parks.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.tenant_stats()[&0].admitted < 6 {
+            assert!(Instant::now() < deadline, "the loop never read the last two requests");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        answer(&server, &replies, &held);
+        assert_eq!(client.await_response(behind).unwrap().sample_id, 1);
+        assert_eq!(server.pool_jobs(), 4, "the parked fetch entered the pool");
+        for _ in 0..2 {
+            answer(&server, &replies, &jobs.take().unwrap());
+        }
+        for id in offloaded.into_iter().chain([third]) {
+            assert_eq!(client.await_response(id).unwrap().data.byte_len(), ANSWER_BYTES as u64);
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_raw_fetch_sent_before_the_configured_reply_may_find_no_session() {
+        let ds = datasets::DatasetSpec::mini(2, 61);
+        let store = ObjectStore::materialize_dataset(&ds, 0..2);
+        let (server, jobs, replies) = hand_worked_server(8);
+        let mut client = TcpStorageClient::connect(server.local_addr())
+            .unwrap()
+            .with_deadline(Deadline::after(Duration::from_secs(10)));
+        let config = crate::SessionConfig {
+            dataset_seed: ds.seed,
+            pipeline: PipelineSpec::standard_train(),
+        };
+        let configure = client.send_framed(&Request::Configure(config)).unwrap();
+        // Pipelined behind the configure, which the pool (the test) holds:
+        // the loop answers the raw fetch at once, from no session.
+        let err = client.fetch(0, 0, SplitPoint::NONE).unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Server { message, .. } if message == "session not configured"),
+            "{err:?}"
+        );
+        replies.send(run_job(jobs.take().unwrap(), &store, None)).unwrap();
+        server.waker.wake();
+        assert_eq!(client.await_any(configure).unwrap(), Response::Configured);
+        assert!(client.fetch(0, 0, SplitPoint::NONE).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_holds_at_most_its_bound_of_responses() {
+        const BOUND: usize = 4;
+        const SUBMITTED: u64 = 200;
+        let ds = datasets::DatasetSpec::mini(2, 61);
+        let store = ObjectStore::materialize_dataset(&ds, 0..2);
+        let server = TcpStorageServer::bind(
+            store,
+            ServerConfig {
+                cores: 1,
+                bandwidth: Bandwidth::from_gbps(10.0),
+                max_in_flight: BOUND,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = configured_clients(&server, &ds, 1).remove(0);
+        // Every offloaded response of this pipeline is one 224x224 raster
+        // frame, so the bytes on the wire count the frames that left.
+        let frame_len = |response: &Response| {
+            let mut frame = Vec::new();
+            wire::encode_response_into(0, response, &mut frame);
+            frame.len() as u64
+        };
+        let configured = frame_len(&Response::Configured);
+        let frame = frame_len(&data_response(
+            StageData::Image(imagery::RasterImage::filled(224, 224, imagery::Rgb::gray(0))),
+            None,
+        ));
+        let admitted = || server.tenant_stats()[&0].admitted;
+        let admitted_before = admitted();
+        let reqs: Vec<_> =
+            (0..SUBMITTED).map(|i| FetchRequest::new(i % 2, i, SplitPoint::new(2))).collect();
+        let ids = client.submit_all(&reqs).unwrap();
+        // Until the loop stands still: socket buffers full, reading stopped.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut last = server.loop_turns();
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let now = server.loop_turns();
+            if now == last {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the loop never settled");
+            last = now;
+        }
+        // The meter counts a frame once it is whole, after the loop wrote
+        // it: read only once the loop stands still.
+        let taken = admitted() - admitted_before;
+        let sent = server.response_bytes() - configured;
+        assert_eq!(sent % frame, 0, "{sent} bytes are not whole frames of {frame}");
+        assert!(taken < SUBMITTED, "read all {SUBMITTED} requests from a client that never reads");
+        // What was read and not handed whole to the kernel is held here.
+        assert_eq!(taken - sent / frame, BOUND as u64, "{taken} admitted, {sent} bytes sent");
+        for (id, req) in ids.into_iter().zip(&reqs) {
+            assert_eq!(client.await_response(id).unwrap().sample_id, req.sample_id);
+        }
+        assert_eq!(admitted() - admitted_before, SUBMITTED);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_body_is_a_bad_request_and_serving_goes_on() {
+        let (server, ds) = spawn_server(1, 1);
+        let mut other = configured_clients(&server, &ds, 1).remove(0);
+        let mut sender = TcpStorageClient::connect(server.local_addr()).unwrap();
+        // The retired `0x03` body, sealed like any request: request id 9,
+        // tenant 0.
+        let mut body = vec![wire::WIRE_VERSION];
+        body.extend_from_slice(&9u32.to_le_bytes());
+        body.extend_from_slice(&0u16.to_le_bytes());
+        body.push(0x03);
+        let crc = wire::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        write_frame_vectored(&mut sender.stream, &body).unwrap();
+        let (id, response) = decode_received(sender.read_frame_within(None).unwrap()).unwrap();
+        assert_eq!(id, 9);
+        assert!(
+            matches!(&response, Response::Error { sample_id: None, message }
+                if message.starts_with("bad request")),
+            "{response:?}"
+        );
+        assert!(other.fetch(0, 0, SplitPoint::NONE).is_ok());
+        sender.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        assert!(sender.fetch(0, 1, SplitPoint::new(2)).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn chaos_on_a_raw_fetch_looks_as_it_does_on_an_offloaded_one() {
+        use crate::chaos::{FaultKind, FaultPlan, ServerFaultInjector};
+
+        let ds = datasets::DatasetSpec::mini(2, 61);
+        let store = ObjectStore::materialize_dataset(&ds, 0..2);
+        for kind in [FaultKind::Error, FaultKind::Drop, FaultKind::Truncate, FaultKind::BitFlip] {
+            // Sample 0's first response is served raw, sample 1's offloaded.
+            let plan = FaultPlan::quiet(3).script(0, 0, 0, kind).script(1, 0, 0, kind);
+            let injector = Arc::new(ServerFaultInjector::new(0, plan));
+            let server = TcpStorageServer::bind_with_policy(
+                store.clone(),
+                ServerConfig {
+                    cores: 1,
+                    bandwidth: Bandwidth::from_gbps(10.0),
+                    ..ServerConfig::default()
+                },
+                TenantPolicy::default(),
+                "127.0.0.1:0",
+                Some(Arc::clone(&injector)),
+            )
+            .unwrap();
+            let seen = |sample: u64, split: SplitPoint| {
+                let mut client = TcpStorageClient::connect(server.local_addr())
+                    .unwrap()
+                    .with_deadline(Deadline::after(Duration::from_millis(300)));
+                client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+                let err = client.fetch(sample, 0, split).unwrap_err();
+                // The fault was the first attempt's only: a retry is clean.
+                client.fetch(sample, 0, split).unwrap();
+                err
+            };
+            let raw = seen(0, SplitPoint::NONE);
+            let jobs_before_offloaded = server.pool_jobs();
+            let offloaded = seen(1, SplitPoint::new(2));
+            let name = kind.name();
+            match (&raw, &offloaded) {
+                (
+                    ClientError::Server { message: raw_msg, .. },
+                    ClientError::Server { message: off_msg, .. },
+                ) => assert_eq!(raw_msg, off_msg, "{name}"),
+                _ => assert_eq!(raw, offloaded, "{name}"),
+            }
+            assert_eq!(injector.injected(), 2, "{name}: one fault per scripted response");
+            // The configure, the faulted fetch and its retry.
+            assert_eq!(server.pool_jobs() - jobs_before_offloaded, 3, "{name}");
+            assert_eq!(jobs_before_offloaded, 1, "{name}: only the configure crossed the pool");
+            server.shutdown();
+        }
     }
 
     #[test]
@@ -2314,11 +2680,13 @@ mod tests {
         );
         let response =
             Response::Data(executor.execute(FetchRequest::new(0, 0, SplitPoint::NONE)).unwrap());
+        // As the loop queues a raw serve: with the stored object's CRC.
         let out = OutFrame {
             tenant: TenantId::DEFAULT,
             request_id: 3,
             response,
             fault: None,
+            payload_crc: Some(wire::crc32(&stored)),
             not_before: Instant::now(),
         };
         let frame = WireFrame::encode(&out, Vec::new());
@@ -2326,6 +2694,8 @@ mod tests {
         let glued = response_frame(3, &out.response);
         assert_eq!(frame.payload_len(), glued.len());
         assert!(frame.head.len() < 32, "the head carries no payload bytes");
+        let crc = frame.body.as_ref().map(|(_, crc)| *crc);
+        assert_eq!(crc.as_ref().map(|c| &c[..]), Some(&glued[glued.len() - 4..]));
         // A bit-flip fault mutates a glued copy, leaving the store alone.
         let flipped =
             OutFrame { fault: Some(FaultDirective { kind: FaultKind::BitFlip, salt: 5 }), ..out };
@@ -2380,6 +2750,7 @@ mod tests {
                 request_id: 12,
                 response,
                 fault: None,
+                payload_crc: None,
                 not_before: Instant::now(),
             };
             let want = framed(&response_frame(12, &out.response));
@@ -2399,7 +2770,7 @@ mod tests {
     fn bare_max_length_headers_pin_no_payload_memory_at_the_server() {
         let config = ServerConfig { cores: 1, ..ServerConfig::default() };
         let (mut el, _jobs, _replies) =
-            EventLoop::bind(config, TenantPolicy::default(), "127.0.0.1:0").unwrap();
+            EventLoop::bind(config, TenantPolicy::default(), "127.0.0.1:0", None).unwrap();
         let addr = el.listener.local_addr().unwrap();
         let mut peers: Vec<TcpStream> = (0..64)
             .map(|_| {

@@ -33,7 +33,6 @@
 //! Response  := ver:u8 request_id:u32 RespBody crc32:u32
 //! ReqBody   := 0x01 dataset_seed:u64 n:u8 OpKind*n                  (configure)
 //!            | 0x02 sample_id:u64 epoch:u64 split:u8 quality:u8 max_tier:u8  (fetch)
-//!            | 0x03                                                  (shutdown)
 //! RespBody  := 0x11                                                  (configured)
 //!            | 0x12 sample_id:u64 ops_applied:u8 tier:u8 StageData   (data)
 //!            | 0x13 has_id:u8 [sample_id:u64] len:u16 utf8           (error)
@@ -58,7 +57,9 @@
 //! transport. `encode_response_parts` writes a frame's head and returns an
 //! encoded payload's own [`Bytes`] and the CRC that follows it, so a raw
 //! serve goes out as head ‖ stored bytes ‖ CRC in one vectored write;
-//! [`encode_response_into`] is the same encoder with the parts glued.
+//! given the payload's own CRC it reads no payload byte, combining that with
+//! the head's. [`encode_response_into`] is the same encoder with the parts
+//! glued.
 //! `decode_response_shared` decodes a frame held in a [`Bytes`] and returns
 //! an encoded payload as a slice of it; [`decode_response_framed`] is the
 //! same decoder copying the payload out of a borrowed frame.
@@ -410,7 +411,6 @@ pub fn encode_request_tenant_into(
             out.push(f.reencode_quality.unwrap_or(0));
             out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
         }
-        Request::Shutdown => out.push(0x03),
     }
     seal_in_place(out);
 }
@@ -455,7 +455,6 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireErr
             let max_tier = decode_tier_byte(r.u8()?)?;
             Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality, max_tier })
         }
-        0x03 => Request::Shutdown,
         t => return Err(WireError::BadTag(t)),
     };
     r.finish()?;
@@ -470,7 +469,7 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireErr
 /// buffer (cleared first); a reused buffer makes steady-state encoding
 /// allocation-free.
 pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>) {
-    if let Some((body, crc)) = encode_response_parts(request_id, resp, out) {
+    if let Some((body, crc)) = encode_response_parts(request_id, resp, out, None) {
         out.extend_from_slice(&body);
         out.extend_from_slice(&crc);
     }
@@ -480,10 +479,15 @@ pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>)
 /// (cleared first), except for an encoded payload: that comes back, sharing
 /// the response's storage, with the CRC over head ‖ payload that follows it
 /// on the wire, and `head` stops where the payload begins.
+///
+/// `payload_crc`, when given, must be [`crc32`] of that encoded payload;
+/// the frame's CRC is then combined from it and the head's, without reading
+/// the payload. Debug builds check it.
 pub(crate) fn encode_response_parts(
     request_id: u32,
     resp: &Response,
     head: &mut Vec<u8>,
+    payload_crc: Option<u32>,
 ) -> Option<(Bytes, [u8; 4])> {
     head.clear();
     head.push(WIRE_VERSION);
@@ -518,10 +522,13 @@ pub(crate) fn encode_response_parts(
         seal_in_place(head);
         return None;
     };
-    let mut crc = checksum::Crc32::new();
-    crc.update(head);
-    crc.update(&body);
-    Some((body, crc.finish().to_le_bytes()))
+    debug_assert!(
+        payload_crc.is_none_or(|given| given == crc32(&body)),
+        "a payload CRC that is not the payload's"
+    );
+    let payload_crc = payload_crc.unwrap_or_else(|| crc32(&body));
+    let crc = checksum::crc32_combine(crc32(head), payload_crc, body.len() as u64);
+    Some((body, crc.to_le_bytes()))
 }
 
 /// Deserializes a [`Response`] together with its multiplexing id. An
@@ -620,7 +627,7 @@ mod tests {
             Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))),
             Request::Fetch(FetchRequest::new(u64::MAX, 0, SplitPoint::NONE)),
             Request::Fetch(FetchRequest::new(9, 1, SplitPoint::new(2)).with_reencode(70)),
-            Request::Shutdown,
+            Request::Fetch(FetchRequest::new(4, 2, SplitPoint::NONE).with_max_tier(1)),
         ];
         for req in &reqs {
             let bytes = request_frame(0, 0, req);
@@ -713,7 +720,7 @@ mod tests {
             assert_eq!(peek_request_id(&bytes), Some(id));
         }
         let mut front = Vec::new();
-        let req = Request::Shutdown;
+        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
         encode_request_into(5, &req, &mut front);
         assert_eq!(front, request_frame(5, 0, &req), "the front names tenant 0");
     }
@@ -973,13 +980,18 @@ mod tests {
         ];
         for (resp, has_body) in responses {
             let mut head = Vec::new();
-            let parts = encode_response_parts(6, &resp, &mut head);
+            let parts = encode_response_parts(6, &resp, &mut head, None);
             assert_eq!(parts.is_some(), has_body, "{resp:?}");
             let mut glued = head.clone();
             if let Some((body, crc)) = &parts {
                 assert_eq!(body.as_ptr(), stored.as_ptr(), "the body is the response's own bytes");
                 glued.extend_from_slice(body);
                 glued.extend_from_slice(crc);
+                // Handed the payload's own CRC, the encoder writes the
+                // same frame without reading the payload.
+                let mut known = Vec::new();
+                let combined = encode_response_parts(6, &resp, &mut known, Some(crc32(body)));
+                assert_eq!((known, combined), (head.clone(), parts.clone()), "{resp:?}");
             }
             assert_eq!(glued, response_frame(6, &resp), "{resp:?}");
         }
@@ -1055,10 +1067,19 @@ mod tests {
     }
 
     #[test]
+    fn retired_shutdown_tag_is_a_bad_tag() {
+        // 0x03 once asked the server to stop; no request kind has it now.
+        assert_eq!(decode_request(&sealed(true, &[0x03])), Err(WireError::BadTag(0x03)));
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         // A body with junk after a complete message, under a valid CRC
         // (appending to a sealed frame would fail the checksum instead).
-        let body = [0x03, 0]; // Shutdown, then junk
+        let mut body = vec![0x02]; // a whole fetch, then junk
+        body.extend_from_slice(&3u64.to_le_bytes());
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&[2, 0, TIER_UNCAPPED, 0]);
         assert_eq!(decode_request(&sealed(true, &body)), Err(WireError::TrailingBytes(1)));
     }
 

@@ -86,7 +86,11 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 Request::Fetch(req)
             }
         ),
-        Just(Request::Shutdown),
+        (any::<u64>(), any::<u64>(), 0u8..8).prop_map(|(sample_id, epoch, tier)| {
+            Request::Fetch(
+                FetchRequest::new(sample_id, epoch, SplitPoint::NONE).with_max_tier(tier),
+            )
+        }),
     ]
 }
 
