@@ -41,5 +41,5 @@ mod waveform;
 pub use corpus::{AudioDatasetSpec, ClipRecord};
 pub use data::AudioData;
 pub use ops::{AudioOp, AudioPipeline, AudioPipelineError};
-pub use profile::{profile_clip, AUDIO_OP_LABELS};
+pub use profile::profile_clip;
 pub use waveform::{SynthAudioSpec, Waveform, WaveformError};

@@ -3,36 +3,12 @@
 //! The decision engine never inspects *which* operations a profile's stages
 //! represent — only their output sizes and CPU costs
 //! ([`pipeline::SampleProfile`] exposes exactly that). So an audio clip's
-//! measured stages slot straight in; the `OpKind` labels carried by
-//! [`pipeline::StageMeasurement`] are **nominal placeholders** (documented
-//! in [`AUDIO_OP_LABELS`]) chosen only so existing tooling prints something
-//! sensible.
+//! measured stages slot straight in.
 
-use pipeline::{AugmentRng, OpKind, SampleKey, SampleProfile, StageMeasurement};
+use pipeline::{AugmentRng, SampleKey, SampleProfile, StageMeasurement};
 
 use crate::ops::AudioPipelineError;
 use crate::{AudioData, AudioOp, AudioPipeline};
-
-/// The nominal [`OpKind`] label used for each audio op inside a generic
-/// profile, in the standard pipeline's order. Labels are for display only;
-/// the engine is label-agnostic.
-pub const AUDIO_OP_LABELS: [(AudioOp, OpKind); 5] = [
-    (AudioOp::Decode, OpKind::Decode),
-    (AudioOp::Resample { to_hz: 16_000 }, OpKind::Resize { size: 16_000 }),
-    (AudioOp::RandomCrop { millis: 2_000 }, OpKind::RandomResizedCrop { size: 2_000 }),
-    (AudioOp::MelSpectrogram { n_fft: 512, hop: 256, n_mels: 64 }, OpKind::ToTensor),
-    (AudioOp::Normalize, OpKind::Normalize),
-];
-
-fn label_for(op: AudioOp) -> OpKind {
-    match op {
-        AudioOp::Decode => OpKind::Decode,
-        AudioOp::Resample { to_hz } => OpKind::Resize { size: to_hz.max(1) },
-        AudioOp::RandomCrop { millis } => OpKind::RandomResizedCrop { size: millis.max(1) },
-        AudioOp::MelSpectrogram { .. } => OpKind::ToTensor,
-        AudioOp::Normalize => OpKind::Normalize,
-    }
-}
 
 /// Analytic per-sample CPU costs for audio ops, in seconds — the audio
 /// analogue of [`pipeline::CostModel`], calibrated to scalar-DSP rates.
@@ -80,7 +56,6 @@ pub fn profile_clip(
             AudioData::Encoded(b) => b.len() as u64,
         };
         stages.push(StageMeasurement {
-            op: label_for(op),
             out_bytes: output.byte_len(),
             seconds: op_seconds(op, in_samples, in_bytes, out_values),
         });

@@ -5,8 +5,9 @@
 //! unified [`crate::stagegraph`] core with
 //! [`SampleRouting::ReplicaFailover`] routing. The module is deliberately
 //! mechanism-free, like [`crate::simulate_training`]: callers supply
-//! the per-sample **owner lists** (ordered replica sets, primary first —
-//! built e.g. by [`crate::ShardMap::owners`]), and this module only
+//! the per-sample **owner lists** (ordered replica sets, primary first) as
+//! one [`OwnerTable`] — built e.g. by [`crate::ShardMap::owner_table`] —
+//! and this module only
 //! schedules the resulting per-node queues. Placement hashing lives in
 //! [`crate::ShardMap`] and transport hedging in the `fleet` crate; the
 //! simulator answers "what does this placement cost" questions:
@@ -30,7 +31,9 @@
 use crate::stagegraph::{
     kill_thresholds, run_stage_graph, SampleRouting, StageGraphRun, StageHooks,
 };
-use crate::{ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, SimError};
+use crate::{
+    ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, OwnerTable, SimError,
+};
 
 pub use crate::stagegraph::NodeEpochStats;
 
@@ -72,8 +75,8 @@ impl FleetEpochStats {
 
 /// Simulates one epoch over a fleet of storage nodes.
 ///
-/// `owners[i]` is sample `i`'s ordered replica set (primary first); the
-/// sample is served by its first owner still alive when it is issued.
+/// `owners.owners(i)` is sample `i`'s ordered replica set (primary first);
+/// the sample is served by its first owner still alive when it is issued.
 /// `base` supplies the compute side (cores, GPUs, prefetch window) and the
 /// nominal storage read rate; each node's read and preprocessing service
 /// times are divided by its `speed`.
@@ -94,7 +97,7 @@ pub fn simulate_fleet_epoch(
     base: &ClusterConfig,
     nodes: &[FleetNodeConfig],
     spec: &EpochSpec,
-    owners: &[Vec<usize>],
+    owners: &OwnerTable,
     kills: &[KillEvent],
 ) -> Result<FleetEpochStats, SimError> {
     if nodes.is_empty() {
@@ -120,8 +123,9 @@ mod tests {
     }
 
     /// Round-robin primaries with `replication` successors.
-    fn owners(samples: usize, nodes: usize, replication: usize) -> Vec<Vec<usize>> {
-        (0..samples).map(|i| (0..replication).map(|r| (i + r) % nodes).collect()).collect()
+    fn owners(samples: usize, nodes: usize, replication: usize) -> OwnerTable {
+        let rows = (0..samples).flat_map(|i| (0..replication).map(move |r| (i + r) % nodes));
+        OwnerTable::new(replication, rows.collect())
     }
 
     fn io_bound_spec(n: usize) -> EpochSpec {
@@ -252,8 +256,9 @@ mod tests {
         let err = simulate_fleet_epoch(&base(), &[], &spec, &owners(8, 2, 1), &[]).unwrap_err();
         assert_eq!(err, SimError::EmptyFleet);
         // Owner index beyond the node vector.
-        let mut bad = owners(8, 2, 1);
-        bad[3] = vec![5];
+        let mut rows: Vec<usize> = owners(8, 2, 1).iter().flatten().copied().collect();
+        rows[3] = 5;
+        let bad = OwnerTable::new(1, rows);
         let err = simulate_fleet_epoch(&base(), &nominal_nodes(2), &spec, &bad, &[]).unwrap_err();
         assert_eq!(err, SimError::OwnerOutOfRange { sample: 3, owner: 5, nodes: 2 });
         // Kill event naming a node outside the fleet.

@@ -25,7 +25,8 @@
 //! runs the same epoch over N storage nodes, and [`simulate_training`] is
 //! the one multi-epoch run (profiling / cold epoch, then steady epochs) over
 //! either. [`ShardMap`] is the consistent-hash placement those fleet runs,
-//! the planner and the live transport all route by.
+//! the planner and the live transport all route by; a fleet run reads it
+//! as one flat [`OwnerTable`].
 //!
 //! # Example
 //!
@@ -63,7 +64,7 @@ pub use config::ClusterConfig;
 pub use fleet::{simulate_fleet_epoch, FleetEpochStats};
 pub use gpu::GpuModel;
 pub use multitenant::{simulate_multi_tenant, MultiTenantRun, TenantRunStats, TenantWorkload};
-pub use placement::ShardMap;
+pub use placement::{OwnerTable, ShardMap};
 pub use resources::{CpuPool, FifoServer};
 pub use sim::{simulate_epoch, simulate_epoch_traced, SimError};
 pub use stagegraph::{

@@ -100,24 +100,89 @@ impl ShardMap {
     /// The ordered owner list of `sample_id`: primary first, then
     /// `replication - 1` distinct replica nodes in ring order.
     pub fn owners(&self, sample_id: u64) -> Vec<usize> {
-        let start = self.ring_start(sample_id);
         let mut owners = Vec::with_capacity(self.replication);
+        self.push_owners(sample_id, &mut owners);
+        owners
+    }
+
+    /// The owner lists of sample ids `0..samples` as one flat table.
+    pub fn owner_table(&self, samples: usize) -> OwnerTable {
+        let mut owners = Vec::with_capacity(samples * self.replication);
+        for id in 0..samples {
+            self.push_owners(id as u64, &mut owners);
+        }
+        OwnerTable { replication: self.replication, owners }
+    }
+
+    /// Appends `sample_id`'s owner list to `out`.
+    fn push_owners(&self, sample_id: u64, out: &mut Vec<usize>) {
+        let (first, start) = (out.len(), self.ring_start(sample_id));
         for i in 0..self.ring.len() {
             let (_, node) = self.ring[(start + i) % self.ring.len()];
-            if !owners.contains(&node) {
-                owners.push(node);
-                if owners.len() == self.replication {
+            if !out[first..].contains(&node) {
+                out.push(node);
+                if out.len() - first == self.replication {
                     break;
                 }
             }
         }
-        owners
+    }
+}
+
+/// Every sample's ordered owner list (primary first) in one flat vector,
+/// `replication` entries per sample: what the fleet simulator routes by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OwnerTable {
+    replication: usize,
+    owners: Vec<usize>,
+}
+
+impl OwnerTable {
+    /// A table from its flat rows: sample `i`'s owners are
+    /// `owners[i * replication..(i + 1) * replication]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `replication` is zero or does not divide
+    /// `owners.len()`.
+    pub fn new(replication: usize, owners: Vec<usize>) -> OwnerTable {
+        assert!(
+            replication > 0 && owners.len().is_multiple_of(replication),
+            "{} owners do not split into rows of {replication}",
+            owners.len()
+        );
+        OwnerTable { replication, owners }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.owners.len() / self.replication
+    }
+
+    /// Whether the table holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.owners.is_empty()
+    }
+
+    /// Sample `sample`'s owners, primary first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sample >= self.len()`.
+    pub fn owners(&self, sample: usize) -> &[usize] {
+        &self.owners[sample * self.replication..(sample + 1) * self.replication]
+    }
+
+    /// Every sample's owners, in sample order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.owners.chunks_exact(self.replication)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Per-node primary-sample counts over `0..samples`.
     fn primary_counts(map: &ShardMap, samples: u64) -> Vec<u64> {
@@ -220,6 +285,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn owner_table_rows_are_the_owner_lists(
+            nodes in 1usize..=6,
+            pick in 0usize..6,
+            seed in any::<u64>(),
+            samples in 0usize..600,
+        ) {
+            let replication = 1 + pick % nodes;
+            let map = ShardMap::new(nodes, replication, seed);
+            let table = map.owner_table(samples);
+            prop_assert_eq!((table.len(), table.is_empty()), (samples, samples == 0));
+            prop_assert_eq!(table.iter().len(), samples);
+            for (id, row) in table.iter().enumerate() {
+                prop_assert_eq!(row.len(), replication);
+                prop_assert_eq!(row, map.owners(id as u64).as_slice());
+                prop_assert_eq!(table.owners(id), row);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows of 2")]
+    fn owner_table_rows_must_be_whole() {
+        OwnerTable::new(2, vec![0, 1, 0]);
     }
 
     #[test]

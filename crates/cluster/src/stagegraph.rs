@@ -34,7 +34,7 @@ use netsim::{Bandwidth, VirtualLink};
 
 use crate::resources::{CpuPool, FifoServer};
 use crate::trace::SampleTrace;
-use crate::{ClusterConfig, EpochSpec, EpochStats, SimError};
+use crate::{ClusterConfig, EpochSpec, EpochStats, OwnerTable, SimError};
 
 /// One storage node's resources in the stage graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,6 +173,9 @@ pub struct StageSample {
     pub service_seconds: f64,
     /// Seconds the sample queued before the stage started it.
     pub wait_seconds: f64,
+    /// The work the sample was issued with: the latest directive's
+    /// replacement works, or the spec's own.
+    pub work: crate::SampleWork,
 }
 
 /// A mid-epoch change to one node's modelled resources — a chaos event
@@ -264,14 +267,14 @@ impl CpuStage {
 pub enum SampleRouting<'a> {
     /// Every sample is served by node 0 (the two-node testbed).
     SingleNode,
-    /// `owners[i]` is sample `i`'s ordered replica set (primary first); the
-    /// sample is served by its first owner whose kill threshold
+    /// `owners.owners(i)` is sample `i`'s ordered replica set (primary
+    /// first); the sample is served by its first owner whose kill threshold
     /// (`dead_from`, from [`kill_thresholds`]) has not yet passed when the
     /// sample is issued. Skipped dead owners count as failovers.
     ReplicaFailover {
         /// Per-sample ordered replica sets, parallel to the epoch's
         /// samples.
-        owners: &'a [Vec<usize>],
+        owners: &'a OwnerTable,
         /// Per-node death thresholds (sample index at which the node
         /// becomes unusable), parallel to the node vector.
         dead_from: &'a [usize],
@@ -492,7 +495,7 @@ pub fn run_stage_graph(
                 SampleRouting::SingleNode => 0,
                 SampleRouting::ReplicaFailover { owners, dead_from } => {
                     let mut chosen = None;
-                    for &owner in &owners[sample_idx] {
+                    for &owner in owners.owners(sample_idx) {
                         if sample_idx < dead_from[owner] {
                             chosen = Some(owner);
                             break;
@@ -529,6 +532,7 @@ pub fn run_stage_graph(
                         done,
                         service_seconds,
                         wait_seconds: (done - ready - service_seconds).max(0.0),
+                        work: *w,
                     });
                 }
             };
@@ -665,7 +669,7 @@ mod tests {
     #[test]
     fn mismatched_owners_are_a_typed_error() {
         let nodes = [FleetNodeConfig::nominal(&base())];
-        let owners = vec![vec![0usize]; 3];
+        let owners = OwnerTable::new(1, vec![0; 3]);
         let dead = [usize::MAX];
         let err = run_stage_graph(
             &base(),
@@ -681,7 +685,7 @@ mod tests {
     #[test]
     fn out_of_range_owner_is_a_typed_error() {
         let nodes = [FleetNodeConfig::nominal(&base())];
-        let owners = vec![vec![0usize], vec![7], vec![0], vec![0]];
+        let owners = OwnerTable::new(1, vec![0, 7, 0, 0]);
         let dead = [usize::MAX];
         let err = run_stage_graph(
             &base(),
@@ -706,7 +710,7 @@ mod tests {
     fn fault_hook_sees_every_failover_in_issue_order() {
         let nodes = vec![FleetNodeConfig::nominal(&base()); 2];
         // Primary node 1, replica node 0; node 1 dead from sample 2.
-        let owners = vec![vec![1usize, 0]; 4];
+        let owners = OwnerTable::new(2, [1, 0].repeat(4));
         let dead = [usize::MAX, 2];
         let mut events = Vec::new();
         let mut hook = |e: FaultEvent| events.push(e);
@@ -731,7 +735,7 @@ mod tests {
     #[test]
     fn thresholds_mismatch_is_a_typed_error() {
         let nodes = vec![FleetNodeConfig::nominal(&base()); 2];
-        let owners = vec![vec![0usize]; 4];
+        let owners = OwnerTable::new(1, vec![0; 4]);
         let dead = [usize::MAX]; // one threshold for two nodes
         let err = run_stage_graph(
             &base(),
@@ -782,17 +786,29 @@ mod tests {
                 EpochDirective::default()
             }
         };
+        let mut events = Vec::new();
+        let mut observe = |e: StageSample| events.push(e);
         let run = run_stage_graph(
             &base(),
             &nodes,
             &s,
             SampleRouting::SingleNode,
-            StageHooks { batch: Some(&mut hook), ..StageHooks::default() },
+            StageHooks {
+                batch: Some(&mut hook),
+                stage: Some(&mut observe),
+                ..StageHooks::default()
+            },
         )
         .unwrap();
         // Batches 0-1 moved 100 KB per sample, batches 2-3 moved 10 KB.
         let expect = 64 * 100_000 + 64 * 10_000;
         assert_eq!(run.per_node[0].traffic_bytes, expect);
+        // Every stage event carries the work its sample was issued with.
+        assert!(!events.is_empty());
+        for e in &events {
+            let issued = if e.batch < 2 { s.samples[e.sample as usize] } else { slim[0] };
+            assert_eq!(e.work, issued, "{e:?}");
+        }
     }
 
     #[test]
@@ -890,7 +906,7 @@ mod tests {
     #[test]
     fn single_node_routing_matches_replica_routing_to_node_zero() {
         let nodes = [FleetNodeConfig::nominal(&base())];
-        let owners = vec![vec![0usize]; 64];
+        let owners = OwnerTable::new(1, vec![0; 64]);
         let dead = [usize::MAX];
         let s = spec(64);
         let single =

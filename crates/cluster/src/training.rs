@@ -24,7 +24,7 @@
 use crate::stagegraph::{run_stage_graph, SampleRouting, StageHooks};
 use crate::{
     simulate_fleet_epoch, ClusterConfig, EpochSpec, FleetEpochStats, FleetNodeConfig, KillEvent,
-    SimError,
+    OwnerTable, SimError,
 };
 
 /// Everything [`simulate_training`] runs, as data.
@@ -39,9 +39,9 @@ pub struct TrainingSpec<'a> {
     /// special).
     pub steady: &'a EpochSpec,
     /// Per-sample ordered replica sets (primary first), parallel to both
-    /// specs; empty means every sample is served by node 0 and `kills` are
+    /// specs; `None` means every sample is served by node 0 and `kills` are
     /// ignored.
-    pub owners: &'a [Vec<usize>],
+    pub owners: Option<&'a OwnerTable>,
     /// Node deaths during epoch 0, permanent afterwards.
     pub kills: &'a [KillEvent],
     /// Total epochs to run.
@@ -140,8 +140,8 @@ fn training_epoch(
     epoch: &EpochSpec,
     kills: &[KillEvent],
 ) -> Result<FleetEpochStats, SimError> {
-    if !spec.owners.is_empty() {
-        return simulate_fleet_epoch(base, spec.nodes, epoch, spec.owners, kills);
+    if let Some(owners) = spec.owners {
+        return simulate_fleet_epoch(base, spec.nodes, epoch, owners, kills);
     }
     run_stage_graph(base, spec.nodes, epoch, SampleRouting::SingleNode, StageHooks::default())
         .map(FleetEpochStats::from_run)
@@ -168,11 +168,14 @@ mod tests {
     ) -> Result<TrainingStats, SimError> {
         let base = ClusterConfig::paper_testbed(48);
         let nodes = vec![FleetNodeConfig::nominal(&base); nodes];
-        let routed = if replication == 0 { 0 } else { first.samples.len() };
-        let owners: Vec<Vec<usize>> = (0..routed)
-            .map(|i| (0..replication).map(|r| (i + r) % nodes.len()).collect())
-            .collect();
-        let spec = TrainingSpec { nodes: &nodes, first, steady, owners: &owners, kills, epochs };
+        let count = nodes.len();
+        let owners = (replication > 0).then(|| {
+            let rows = (0..first.samples.len())
+                .flat_map(|i| (0..replication).map(move |r| (i + r) % count));
+            OwnerTable::new(replication, rows.collect())
+        });
+        let owners = owners.as_ref();
+        let spec = TrainingSpec { nodes: &nodes, first, steady, owners, kills, epochs };
         simulate_training(&base, &spec)
     }
 

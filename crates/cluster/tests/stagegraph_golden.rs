@@ -16,7 +16,8 @@
 
 use cluster::{
     simulate_epoch, simulate_epoch_traced, simulate_fleet_epoch, simulate_training, ClusterConfig,
-    EpochSpec, FleetEpochStats, FleetNodeConfig, GpuModel, KillEvent, SampleWork, TrainingSpec,
+    EpochSpec, FleetEpochStats, FleetNodeConfig, GpuModel, KillEvent, OwnerTable, SampleWork,
+    TrainingSpec,
 };
 
 /// SplitMix64 — deterministic, dependency-free stream for the grid specs.
@@ -78,8 +79,9 @@ fn warm_spec(cold: &EpochSpec, seed: u64, hit_pct: u64) -> EpochSpec {
 
 /// Round-robin replica sets: sample `i` is owned by nodes
 /// `i, i+1, .. (mod nodes)`, `replication` deep.
-fn owners(samples: usize, nodes: usize, replication: usize) -> Vec<Vec<usize>> {
-    (0..samples).map(|i| (0..replication).map(|r| (i + r) % nodes).collect()).collect()
+fn owners(samples: usize, nodes: usize, replication: usize) -> OwnerTable {
+    let rows = (0..samples).flat_map(|i| (0..replication).map(move |r| (i + r) % nodes));
+    OwnerTable::new(replication, rows.collect())
 }
 
 fn fmt_f64(out: &mut String, label: &str, v: f64) {
@@ -196,7 +198,7 @@ fn render_grid() -> String {
         nodes: &[FleetNodeConfig::nominal(&testbed)],
         first: &spec_a,
         steady: &warm,
-        owners: &[],
+        owners: None,
         kills: &[],
         epochs: 12,
     };
@@ -238,7 +240,7 @@ fn render_grid() -> String {
             nodes: &nodes,
             first: &spec_f,
             steady: &spec_f,
-            owners: &own,
+            owners: Some(&own),
             kills: &kills,
             epochs: 5,
         },

@@ -41,9 +41,10 @@ fn main() {
     );
 
     if opts.explain {
-        let profiles = scenario.profiles();
+        let set = scenario.profile_set();
+        let profiles = set.profiles();
         let ctx = sophon::engine::PlanningContext::new(
-            &profiles,
+            profiles,
             &scenario.pipeline,
             &scenario.config,
             scenario.gpu,
@@ -59,16 +60,17 @@ SOPHON decision trace:
     }
 
     if let Some(n) = opts.trace {
-        let profiles = scenario.profiles();
+        let set = scenario.profile_set();
+        let profiles = set.profiles();
         let ctx = sophon::engine::PlanningContext::new(
-            &profiles,
+            profiles,
             &scenario.pipeline,
             &scenario.config,
             scenario.gpu,
             scenario.batch_size,
         );
         let plan = sophon::engine::DecisionEngine::new().plan(&ctx);
-        let works = plan.to_sample_works(&profiles).expect("plan matches profiles");
+        let works = plan.to_sample_works(profiles).expect("plan matches profiles");
         let spec = cluster::EpochSpec::new(works, scenario.batch_size, scenario.gpu);
         match cluster::simulate_epoch_traced(&scenario.config, &spec) {
             Ok(trace) => {
@@ -98,16 +100,17 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
     }
 
     if opts.tenants > 1 {
-        let profiles = scenario.profiles();
+        let set = scenario.profile_set();
+        let profiles = set.profiles();
         let ctx = sophon::engine::PlanningContext::new(
-            &profiles,
+            profiles,
             &scenario.pipeline,
             &scenario.config,
             scenario.gpu,
             scenario.batch_size,
         );
         let plan = sophon::engine::DecisionEngine::new().plan(&ctx);
-        let works = plan.to_sample_works(&profiles).expect("plan matches profiles");
+        let works = plan.to_sample_works(profiles).expect("plan matches profiles");
         let specs = opts.tenant_specs();
         // Deal the corpus round-robin: every tenant trains on an equal,
         // interleaved share of the planned samples.
@@ -178,7 +181,8 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
 
     if opts.cache_budget_pct > 0 || opts.shards > 1 {
         let cache = (opts.cache_budget_pct > 0).then(|| {
-            let corpus_bytes: u64 = scenario.profiles().iter().map(|p| p.raw_bytes).sum();
+            let set = scenario.profile_set();
+            let corpus_bytes: u64 = set.profiles().iter().map(|p| p.raw_bytes).sum();
             (corpus_bytes * opts.cache_budget_pct / 100, opts.cache_policy)
         });
         let request = TrainingRequest {
@@ -200,9 +204,10 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
 
     if let Some(feedback) = opts.feedback_config() {
         let shards = opts.shards.max(2); // the control loop watches a fleet
-        let profiles = scenario.profiles();
+        let set = scenario.profile_set();
+        let profiles = set.profiles();
         let ctx = sophon::engine::PlanningContext::new(
-            &profiles,
+            profiles,
             &scenario.pipeline,
             &scenario.config,
             scenario.gpu,

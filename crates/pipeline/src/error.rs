@@ -31,6 +31,17 @@ pub enum PipelineError {
         /// The operation.
         op: OpKind,
     },
+    /// A [`OpKind::Resize`] would produce a raster of more than
+    /// [`MAX_OP_SIZE`](crate::MAX_OP_SIZE)² pixels, which one frame cannot
+    /// carry. It is returned before anything is allocated.
+    OutputTooLarge {
+        /// The operation.
+        op: OpKind,
+        /// The output width it would produce.
+        width: u64,
+        /// The output height it would produce.
+        height: u64,
+    },
     /// A split point beyond the number of operations.
     SplitOutOfRange {
         /// The requested split.
@@ -63,6 +74,13 @@ impl std::fmt::Display for PipelineError {
                 write!(
                     f,
                     "op {op:?} at index {index} has a size outside 1..={}",
+                    crate::MAX_OP_SIZE
+                )
+            }
+            PipelineError::OutputTooLarge { op, width, height } => {
+                write!(
+                    f,
+                    "op {op:?} would produce a {width}x{height} raster, above {}² pixels",
                     crate::MAX_OP_SIZE
                 )
             }

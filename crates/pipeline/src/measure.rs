@@ -6,13 +6,12 @@
 //! CPU cost.
 
 use crate::rng::SampleKey;
-use crate::{CostModel, OpKind, PipelineError, PipelineSpec, SplitPoint, StageData};
+use crate::{CostModel, PipelineError, PipelineSpec, SplitPoint, StageData};
 
-/// One operation's measurement within a [`SampleProfile`].
+/// One operation's measurement within a [`SampleProfile`]. Which operation
+/// it measured is its index in the pipeline the profile was taken through.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageMeasurement {
-    /// The operation measured.
-    pub op: OpKind,
     /// Byte size of the operation's output.
     pub out_bytes: u64,
     /// Modeled single-core CPU seconds for the operation.
@@ -60,7 +59,7 @@ impl SampleProfile {
                 output.pixel_count(),
                 output.byte_len(),
             );
-            stages.push(StageMeasurement { op, out_bytes: output.byte_len(), seconds });
+            stages.push(StageMeasurement { out_bytes: output.byte_len(), seconds });
             current = output;
         }
         Ok(SampleProfile { sample_id: key.sample_id, raw_bytes, stages })

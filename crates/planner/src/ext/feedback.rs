@@ -52,7 +52,7 @@ use pipeline::SplitPoint;
 use telemetry::{CusumDetector, DriftConfig, TelemetryHub};
 
 use crate::engine::PlanningContext;
-use crate::ext::sharding::{owner_lists, plan_fleet, FleetPlanRequest};
+use crate::ext::sharding::{plan_fleet, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
 /// Tuning of the [`FeedbackController`].
@@ -483,7 +483,6 @@ pub struct AdaptiveEpochReport {
 }
 
 struct DriverState {
-    works: Vec<cluster::SampleWork>,
     controller: Option<FeedbackController>,
     digest: u64,
     /// Per-sample planned serving fraction (parallel to the corpus).
@@ -525,10 +524,10 @@ pub fn run_fleet_epoch_adaptive(
     feedback: Option<&FeedbackConfig>,
 ) -> Result<AdaptiveEpochReport, SophonError> {
     let n = ctx.profiles.len();
-    let sharded = plan_fleet(ctx, &FleetPlanRequest::new(map, nodes))?;
-    let works = sharded.plan.to_sample_works(ctx.profiles)?;
-    let spec = EpochSpec::new(works.clone(), ctx.batch_size, ctx.gpu);
-    let owners = owner_lists(map, n);
+    let works =
+        plan_fleet(ctx, &FleetPlanRequest::new(map, nodes))?.plan.to_sample_works(ctx.profiles)?;
+    let spec = EpochSpec::new(works, ctx.batch_size, ctx.gpu);
+    let owners = map.owner_table(n);
     let dead = vec![usize::MAX; nodes.len()];
     let base = ctx.config;
 
@@ -543,7 +542,6 @@ pub fn run_fleet_epoch_adaptive(
 
     let channels: Vec<NodeChannels> = (0..nodes.len()).map(NodeChannels::new).collect();
     let state = RefCell::new(DriverState {
-        works,
         controller: feedback.map(|cfg| FeedbackController::new(cfg.clone())),
         digest: 0xcbf29ce484222325,
         fidelity: vec![1.0; n],
@@ -567,7 +565,7 @@ pub fn run_fleet_epoch_adaptive(
             st.fidelity_samples += 1;
         }
         let Some(controller) = st.controller.as_mut() else { return };
-        let w = &st.works[e.sample as usize];
+        let w = &e.work;
         let node = &nodes[e.node];
         let names = &channels[e.node];
         let (channel, expected) = match e.stage {
@@ -663,7 +661,6 @@ pub fn run_fleet_epoch_adaptive(
         });
         match replanned {
             Ok((new_works, fidelity)) => {
-                st.works = new_works.clone();
                 st.fidelity = fidelity;
                 directive.works = Some(new_works);
                 st.replans.push(event);

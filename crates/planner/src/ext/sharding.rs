@@ -45,9 +45,9 @@
 //! can call it between batches (via the runtime's
 //! `loader::OffloadingLoader::run_epoch_with_replan`) with whatever
 //! health picture the transport reports at that moment. It also bridges
-//! planning to the fleet simulator: [`owner_lists`] materializes per-sample
-//! replica sets for [`cluster::simulate_fleet_epoch`], and [`fleet_nodes`]
-//! derives the per-node resource vector from the planning config.
+//! planning to the fleet simulator: [`fleet_nodes`] derives the per-node
+//! resource vector from the planning config, and the map's
+//! [`ShardMap::owner_table`] is the simulator's routing input.
 
 use cluster::{ClusterConfig, FleetNodeConfig, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
@@ -196,16 +196,16 @@ pub fn plan_fleet(
     // One pass over the corpus: each sample's effective primary, bucketed
     // into that shard's members (ascending by construction). A sample with
     // no healthy owner keeps its nominal primary, which is degraded and
-    // therefore never planned.
+    // therefore never planned. Only the degraded path reads replicas.
+    let owners = any_degraded.then(|| req.map.owner_table(n));
     let mut primaries = Vec::with_capacity(n);
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
     let mut fidelity = vec![1.0f64; n];
     let mut reassigned = 0u64;
     let mut raw_fallbacks = 0u64;
     for (i, served_fraction) in fidelity.iter_mut().enumerate() {
-        let primary = if any_degraded {
-            // `owners` allocates per sample; the healthy path skips it.
-            let owners = req.map.owners(i as u64);
+        let primary = if let Some(table) = &owners {
+            let owners = table.owners(i);
             match owners.iter().find(|&&o| !is_degraded(o)) {
                 Some(&owner) => {
                     reassigned += u64::from(owner != owners[0]);
@@ -289,12 +289,6 @@ fn shard_stats(
         stats.storage_cpu_seconds += p.prefix_seconds(split.offloaded_ops());
     }
     stats
-}
-
-/// Per-sample ordered replica sets for `samples` sequential sample ids —
-/// the `owners` input of [`cluster::simulate_fleet_epoch`].
-pub fn owner_lists(map: &ShardMap, samples: usize) -> Vec<Vec<usize>> {
-    (0..samples).map(|i| map.owners(i as u64)).collect()
 }
 
 /// A fleet of `shards` identical nodes, each matching the storage side of
@@ -417,7 +411,7 @@ mod tests {
             &config,
             &fleet_nodes(&config, 4),
             &spec,
-            &owner_lists(&map, ps.len()),
+            &map.owner_table(ps.len()),
             &[],
         )
         .unwrap();
@@ -557,7 +551,7 @@ mod tests {
         let plan = plan_one_node_at_speed(&ctx, factor);
         // The stage graph stretches the slow node's service times itself.
         let nodes = [FleetNodeConfig::nominal(&config).with_speed(factor)];
-        let owners = vec![vec![0usize]; ps.len()];
+        let owners = ShardMap::new(1, 1, 0).owner_table(ps.len());
         let simulate = |plan: &OffloadPlan| {
             let works = plan.to_sample_works(&ps).unwrap();
             let spec = EpochSpec::new(works, 256, GpuModel::AlexNet);

@@ -13,3 +13,4 @@ mod stage1;
 pub mod stage2;
 
 pub use stage1::{classify_workload, Stage1Probe, WorkloadClass, PROBE_BATCHES};
+pub use stage2::ProfileSet;

@@ -7,6 +7,12 @@
 //! with a neutral value, not runners of their own. Every such run is
 //! "epoch 0, then steady epochs": SOPHON's profiling epoch, the cache's cold
 //! epoch and the epoch kill events land in are all epoch 0.
+//!
+//! Like the paper's stage-2 profiler, which records each sample once in the
+//! first epoch, a `Scenario` derives its corpus' profiles once, on first
+//! use, and every later run reads that [`ProfileSet`].
+
+use std::sync::{Arc, OnceLock};
 
 use cluster::{simulate_epoch, ClusterConfig, EpochSpec, EpochStats, GpuModel};
 use datasets::DatasetSpec;
@@ -16,14 +22,15 @@ use crate::engine::PlanningContext;
 use crate::ext::caching::{self, CacheSelection};
 use crate::ext::sharding::{self, ShardPlanStats};
 use crate::policy::Policy;
-use crate::profiler::{Stage1Probe, WorkloadClass};
+use crate::profiler::{ProfileSet, Stage1Probe, WorkloadClass};
 use crate::{CostVector, PlanSummary, SophonError};
 
 /// One training scenario: a corpus on a cluster with a model.
 ///
 /// A `Scenario` owns everything needed to evaluate any policy, so Figures 3
 /// and 4 are sweeps of `Scenario::run` over policies and storage-core
-/// counts.
+/// counts. It also owns its corpus' analytic profiles, derived on first use
+/// and shared by its clones (see [`Scenario::profile_set`]).
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The corpus.
@@ -38,6 +45,9 @@ pub struct Scenario {
     pub pipeline: PipelineSpec,
     /// The CPU cost model.
     pub cost_model: CostModel,
+    /// The profiles of `dataset` through `pipeline` under `cost_model`, as
+    /// they were when first asked for.
+    profile_set: OnceLock<Arc<ProfileSet>>,
 }
 
 impl Scenario {
@@ -56,10 +66,12 @@ impl Scenario {
             batch_size,
             pipeline: PipelineSpec::standard_train(),
             cost_model: CostModel::realistic(),
+            profile_set: OnceLock::new(),
         }
     }
 
-    /// Stage-2 profiles for the whole corpus (analytic path).
+    /// Stage-2 profiles for the whole corpus (analytic path), derived afresh
+    /// on every call. The runs read [`Scenario::profile_set`] instead.
     pub fn profiles(&self) -> Vec<SampleProfile> {
         crate::profiler::stage2::profile_corpus_analytic(
             &self.dataset,
@@ -68,14 +80,29 @@ impl Scenario {
         )
     }
 
+    /// The profiles every run of this scenario reads: derived on the first
+    /// call and kept, so later calls return the same set. `dataset`,
+    /// `pipeline` and `cost_model` are public, so each call first checks
+    /// them against the kept set's provenance; when one has changed, it
+    /// derives a set for the current fields and returns that without
+    /// keeping it.
+    pub fn profile_set(&self) -> Arc<ProfileSet> {
+        let derive = || ProfileSet::analytic(&self.dataset, &self.pipeline, &self.cost_model);
+        let kept = self.profile_set.get_or_init(|| Arc::new(derive()));
+        if kept.is_derived_from(&self.dataset, &self.pipeline, &self.cost_model) {
+            Arc::clone(kept)
+        } else {
+            Arc::new(derive())
+        }
+    }
+
     /// Evaluates one policy end to end.
     ///
     /// # Errors
     ///
     /// Propagates planning and simulation failures.
     pub fn run(&self, policy: &dyn Policy) -> Result<RunReport, SophonError> {
-        let profiles = self.profiles();
-        self.run_with_profiles(policy, &profiles)
+        self.run_with_profiles(policy, self.profile_set().profiles())
     }
 
     /// Evaluates one policy over precomputed profiles (avoids re-profiling
@@ -107,10 +134,10 @@ impl Scenario {
     ///
     /// Propagates the first failing policy.
     pub fn run_all(&self) -> Result<Vec<RunReport>, SophonError> {
-        let profiles = self.profiles();
+        let set = self.profile_set();
         crate::policy::standard_policies()
             .iter()
-            .map(|p| self.run_with_profiles(p.as_ref(), &profiles))
+            .map(|p| self.run_with_profiles(p.as_ref(), set.profiles()))
             .collect()
     }
 }
@@ -215,14 +242,10 @@ impl Scenario {
     /// Panics when `epochs == 0`, `shards == 0`, or `replication` is not
     /// in `1..=shards`.
     pub fn run_training(&self, req: &TrainingRequest<'_>) -> Result<TrainingReport, SophonError> {
-        let profiles = self.profiles();
-        let ctx = PlanningContext::new(
-            &profiles,
-            &self.pipeline,
-            &self.config,
-            self.gpu,
-            self.batch_size,
-        );
+        let set = self.profile_set();
+        let profiles = set.profiles();
+        let ctx =
+            PlanningContext::new(profiles, &self.pipeline, &self.config, self.gpu, self.batch_size);
         let map = cluster::ShardMap::new(req.shards, req.replication, req.placement_seed);
         let nodes = sharding::fleet_nodes(&self.config, req.shards);
         let assignment = req
@@ -243,28 +266,25 @@ impl Scenario {
         };
         let steady_works = match &assignment {
             Some(assignment) => caching::warm_sample_works(&ctx, &plan, assignment)?,
-            None => plan.to_sample_works(&profiles)?,
+            None => plan.to_sample_works(profiles)?,
         };
         let steady = EpochSpec::new(steady_works, self.batch_size, self.gpu);
         let profiling = if profiling_epoch {
-            let raw = crate::OffloadPlan::none(profiles.len()).to_sample_works(&profiles)?;
+            let raw = crate::OffloadPlan::none(profiles.len()).to_sample_works(profiles)?;
             Some(EpochSpec::new(raw, self.batch_size, self.gpu))
         } else {
             None
         };
         // One healthy node needs no routing: every sample is on node 0.
-        let owners = if req.shards > 1 || !req.kills.is_empty() {
-            sharding::owner_lists(&map, profiles.len())
-        } else {
-            Vec::new()
-        };
+        let owners =
+            (req.shards > 1 || !req.kills.is_empty()).then(|| map.owner_table(profiles.len()));
         let stats = cluster::simulate_training(
             &self.config,
             &cluster::TrainingSpec {
                 nodes: &nodes,
                 first: profiling.as_ref().unwrap_or(&steady),
                 steady: &steady,
-                owners: &owners,
+                owners: owners.as_ref(),
                 kills: req.kills,
                 epochs: req.epochs,
             },
@@ -352,6 +372,54 @@ mod tests {
         for r in &reports {
             assert_eq!(r.epoch.traffic_bytes, r.summary.transfer_bytes, "{}", r.policy);
         }
+    }
+
+    #[test]
+    fn every_run_reads_one_profile_set() {
+        let s = scenario(8);
+        let set = s.profile_set();
+        assert_eq!(set.profiles(), s.profiles().as_slice());
+        let same = |s: &Scenario| std::ptr::eq(set.profiles(), s.profile_set().profiles());
+        s.run(&SophonPolicy::default()).unwrap();
+        assert!(same(&s));
+        s.run_all().unwrap();
+        assert!(same(&s));
+        s.run_training(&fleet(3)).unwrap();
+        assert!(same(&s));
+        // A clone shares the set rather than deriving its own.
+        assert!(same(&s.clone()));
+    }
+
+    #[test]
+    fn a_changed_input_is_never_read_through_stale_profiles() {
+        let mutations: [fn(&mut Scenario); 3] = [
+            |s| s.dataset = DatasetSpec::openimages_like(1024, 6),
+            |s| s.pipeline = pipeline::PipelineSpec::standard_eval(),
+            |s| s.cost_model.decode_ns_per_pixel *= 4.0,
+        ];
+        for mutate in mutations {
+            let mut s = scenario(8);
+            let before = (s.run_all().unwrap(), s.run_training(&fleet(3)).unwrap());
+            mutate(&mut s);
+            let mut fresh = scenario(8);
+            mutate(&mut fresh);
+            let after = (s.run_all().unwrap(), s.run_training(&fleet(3)).unwrap());
+            assert_ne!(after, before);
+            assert_eq!(after, (fresh.run_all().unwrap(), fresh.run_training(&fleet(3)).unwrap()));
+            assert_eq!(s.run(&SophonPolicy::default()), fresh.run(&SophonPolicy::default()));
+            assert_eq!(s.profile_set().profiles(), fresh.profiles().as_slice());
+        }
+    }
+
+    #[test]
+    fn debug_shows_the_sets_provenance_not_its_profiles() {
+        let s = scenario(8);
+        assert!(format!("{s:?}").contains("profile_set: OnceLock(<uninit>)"));
+        s.run(&NoOffPolicy).unwrap();
+        let shown = format!("{s:?}");
+        assert!(shown.contains("ProfileSet { dataset: DatasetSpec {"), "{shown}");
+        assert!(shown.contains("len: 2048"), "{shown}");
+        assert!(!shown.contains("sample_id"), "{shown}");
     }
 
     /// Four shards, two replicas, `epochs` epochs.

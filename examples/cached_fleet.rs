@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             nodes: &nodes,
             first: &EpochSpec::new(cold_works, BATCH, GpuModel::AlexNet),
             steady: &EpochSpec::new(warm_works, BATCH, GpuModel::AlexNet),
-            owners: &sharding::owner_lists(&map, profiles.len()),
+            owners: Some(&map.owner_table(profiles.len())),
             kills: &[],
             epochs: EPOCHS,
         },

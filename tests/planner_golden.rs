@@ -115,7 +115,8 @@ fn cached_training_digest_is_pinned() {
 fn policy_training_digest_is_pinned() {
     let mut d = Fnv::new();
     for storage_cores in [1, 2, 48] {
-        let s = Scenario { config: ClusterConfig::paper_testbed(storage_cores), ..scenario() };
+        let mut s = scenario();
+        s.config = ClusterConfig::paper_testbed(storage_cores);
         for policy in standard_policies() {
             let request =
                 TrainingRequest { policy: Some(policy.as_ref()), ..TrainingRequest::new(EPOCHS) };
