@@ -25,13 +25,14 @@
 //! changes *where* work runs, never *what* reaches the GPU), and the
 //! repeated adaptive run reproduces the first exactly (the CI smoke gate).
 
+use bench::gate::{fixed, list, Args, Clock, Report, Verdicts};
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
 use fleet::ShardMap;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use sophon::engine::PlanningContext;
 use sophon::ext::feedback::{
-    chaos_straggler_and_squeeze, run_fleet_epoch_adaptive, FeedbackConfig,
+    chaos_straggler_and_squeeze, run_fleet_epoch_adaptive, AdaptiveEpochReport, FeedbackConfig,
 };
 use sophon::ext::sharding::fleet_nodes_sharing_link;
 
@@ -47,30 +48,13 @@ const REPLICATION: usize = 2;
 /// Training batch size.
 const BATCH: usize = 64;
 
-struct Point {
-    seed: u64,
-    static_seconds: f64,
-    adaptive_seconds: f64,
-    static_traffic: u64,
-    adaptive_traffic: u64,
-    replans: usize,
-    replan_batches: Vec<u64>,
-    digests_match: bool,
-    deterministic: bool,
-}
-
-impl Point {
-    fn gain(&self) -> f64 {
-        1.0 - self.adaptive_seconds / self.static_seconds
-    }
-}
-
-fn run_point(
+/// One seed's static, adaptive and repeated adaptive epochs.
+fn run_seed(
     profiles: &[SampleProfile],
     pipeline: &PipelineSpec,
     cores: usize,
     seed: u64,
-) -> Point {
+) -> [AdaptiveEpochReport; 3] {
     let config = ClusterConfig::paper_testbed(cores);
     let ctx = PlanningContext::new(profiles, pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(SHARDS, REPLICATION, seed);
@@ -78,89 +62,19 @@ fn run_point(
     let batches = (profiles.len() / BATCH) as u64;
     let chaos = chaos_straggler_and_squeeze(seed, SHARDS, batches);
     let feedback = FeedbackConfig::default();
-
-    let static_run =
-        run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, None).expect("static run");
-    let adaptive = run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, Some(&feedback))
-        .expect("adaptive run");
-    let repeat =
-        run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, Some(&feedback)).expect("repeat run");
-
-    Point {
-        seed,
-        static_seconds: static_run.epoch_seconds,
-        adaptive_seconds: adaptive.epoch_seconds,
-        static_traffic: static_run.traffic_bytes,
-        adaptive_traffic: adaptive.traffic_bytes,
-        replans: adaptive.replans.len(),
-        replan_batches: adaptive.replans.iter().map(|r| r.batch).collect(),
-        digests_match: adaptive.digest == static_run.digest,
-        deterministic: repeat == adaptive,
-    }
-}
-
-fn render_json(samples: u64, cores: usize, points: &[Point]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"adaptive_replan\",\n");
-    out.push_str(&format!(
-        "  \"samples\": {samples},\n  \"storage_cores\": {cores},\n  \"shards\": {SHARDS},\n  \
-         \"batch\": {BATCH},\n  \"min_gain\": {MIN_GAIN},\n  \"rows\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"seed\": {}, \"static_s\": {:.3}, \"adaptive_s\": {:.3}, \
-             \"gain_pct\": {:.1}, \"static_gb\": {:.3}, \"adaptive_gb\": {:.3}, \
-             \"replans\": {}, \"replan_batches\": {:?}, \"digests_match\": {}, \
-             \"deterministic\": {}}}{}\n",
-            p.seed,
-            p.static_seconds,
-            p.adaptive_seconds,
-            p.gain() * 100.0,
-            p.static_traffic as f64 / 1e9,
-            p.adaptive_traffic as f64 / 1e9,
-            p.replans,
-            p.replan_batches,
-            p.digests_match,
-            p.deterministic,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    [None, Some(&feedback), Some(&feedback)].map(|feedback| {
+        run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, feedback).expect("fleet epoch")
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: Vec<u64> = vec![11, 17, 83];
-    let mut samples = 2048u64;
-    let mut cores = 2usize;
-    let mut json_path: Option<String> = None;
-    let mut assert_gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a comma-separated list");
-                seeds =
-                    v.split(',').map(|s| s.trim().parse().expect("seeds are integers")).collect();
-            }
-            "--samples" => {
-                samples =
-                    it.next().expect("--samples needs a count").parse().expect("sample count");
-            }
-            "--cores" => {
-                cores = it.next().expect("--cores needs a count").parse().expect("core count");
-            }
-            "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
-            "--assert" => assert_gate = true,
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'; flags: --seeds --samples --cores --json --assert"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "adaptive_replan",
+        &[("--seeds", "11,17,83"), ("--samples", "2048"), ("--cores", "2")],
+    );
+    let seeds: Vec<u64> = args.list("--seeds");
+    let samples: u64 = args.value("--samples");
+    let cores: usize = args.value("--cores");
 
     let ds = DatasetSpec::openimages_like(samples, 23);
     let pipeline = PipelineSpec::standard_train();
@@ -168,89 +82,62 @@ fn main() {
     let profiles: Vec<SampleProfile> =
         ds.records().map(|r| r.analytic_profile(&pipeline, &model)).collect();
 
-    println!(
-        "adaptive_replan: {samples} samples over {SHARDS} shards ({cores} cores each, shared \
-         500 Mbps link), batch {BATCH}; straggler + link squeeze per seed, unseen by either run"
-    );
-    println!(
-        "{:>6}  {:>10} {:>12} {:>7}  {:>9} {:>9}  {:>7} {:>8} {:>6}",
-        "seed",
-        "static s",
-        "adaptive s",
-        "gain",
-        "static GB",
-        "adapt GB",
-        "replans",
-        "digests",
-        "deterministic"
-    );
-    let points: Vec<Point> =
-        seeds.iter().map(|&s| run_point(&profiles, &pipeline, cores, s)).collect();
-    for p in &points {
-        println!(
-            "{:>6}  {:>10.2} {:>12.2} {:>6.1}%  {:>9.3} {:>9.3}  {:>7} {:>8} {:>6}",
-            p.seed,
-            p.static_seconds,
-            p.adaptive_seconds,
-            p.gain() * 100.0,
-            p.static_traffic as f64 / 1e9,
-            p.adaptive_traffic as f64 / 1e9,
-            p.replans,
-            if p.digests_match { "ok" } else { "DIFF" },
-            if p.deterministic { "ok" } else { "DIFF" },
+    let mut report = Report::new("adaptive_replan")
+        .param("samples", samples)
+        .param("storage_cores", cores)
+        .param("shards", SHARDS)
+        .param("batch", BATCH)
+        .param("min_gain", MIN_GAIN);
+    let mut verdicts = Verdicts::default();
+    for &seed in &seeds {
+        let [frozen, adaptive, repeat] = run_seed(&profiles, &pipeline, cores, seed);
+        let gain = 1.0 - adaptive.epoch_seconds / frozen.epoch_seconds;
+        let replan_batches: Vec<u64> = adaptive.replans.iter().map(|r| r.batch).collect();
+        let digests_match = adaptive.digest == frozen.digest;
+        let deterministic = repeat == adaptive;
+        report.row([
+            ("seed", seed.to_string()),
+            ("static_s", fixed(frozen.epoch_seconds, 3)),
+            ("adaptive_s", fixed(adaptive.epoch_seconds, 3)),
+            ("gain_pct", fixed(gain * 100.0, 1)),
+            ("static_gb", fixed(frozen.traffic_bytes as f64 / 1e9, 3)),
+            ("adaptive_gb", fixed(adaptive.traffic_bytes as f64 / 1e9, 3)),
+            ("replans", replan_batches.len().to_string()),
+            ("replan_batches", list(&replan_batches)),
+            ("digests_match", digests_match.to_string()),
+            ("deterministic", deterministic.to_string()),
+        ]);
+        verdicts.check(
+            Clock::Virtual,
+            !replan_batches.is_empty(),
+            format!("seed {seed} never replanned — the controller missed the injected drift"),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            gain >= MIN_GAIN,
+            format!(
+                "seed {seed} adaptive {:.2}s vs static {:.2}s — gain {:.1}% below the {:.0}% \
+                 floor",
+                adaptive.epoch_seconds,
+                frozen.epoch_seconds,
+                gain * 100.0,
+                MIN_GAIN * 100.0
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            digests_match,
+            format!(
+                "seed {seed} adaptive and static batch digests differ — replanning changed \
+                 batch contents"
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            deterministic,
+            format!("seed {seed} repeated adaptive run diverged (replans at {replan_batches:?})"),
         );
     }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(samples, cores, &points)).expect("write JSON artifact");
-        println!("wrote {path}");
-    }
-
-    if assert_gate {
-        let mut failed = false;
-        for p in &points {
-            if p.replans == 0 {
-                eprintln!(
-                    "FAIL: seed {} never replanned — the controller missed the injected drift",
-                    p.seed
-                );
-                failed = true;
-            }
-            if p.gain() < MIN_GAIN {
-                eprintln!(
-                    "FAIL: seed {} adaptive {:.2}s vs static {:.2}s — gain {:.1}% below the \
-                     {:.0}% floor",
-                    p.seed,
-                    p.adaptive_seconds,
-                    p.static_seconds,
-                    p.gain() * 100.0,
-                    MIN_GAIN * 100.0
-                );
-                failed = true;
-            }
-            if !p.digests_match {
-                eprintln!(
-                    "FAIL: seed {} adaptive and static batch digests differ — replanning \
-                     changed batch contents",
-                    p.seed
-                );
-                failed = true;
-            }
-            if !p.deterministic {
-                eprintln!(
-                    "FAIL: seed {} repeated adaptive run diverged (replans at {:?})",
-                    p.seed, p.replan_batches
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "assert ok: adaptive beat static by >= {:.0}% at every seed with bit-identical \
-             digests and reproducible replan points",
-            MIN_GAIN * 100.0
-        );
-    }
+    report.publish(&args);
+    verdicts.finish(&args);
 }

@@ -29,13 +29,15 @@
 //! move, never what reaches the GPU), and the browned run repeated
 //! end-to-end reproduces the first exactly.
 
+use bench::gate::{fixed, Args, Clock, Report, Verdicts};
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
 use fleet::ShardMap;
 use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use sophon::engine::PlanningContext;
 use sophon::ext::feedback::{
-    chaos_link_squeeze_to, run_fleet_epoch_adaptive, BrownoutConfig, FeedbackConfig,
+    chaos_link_squeeze_to, run_fleet_epoch_adaptive, AdaptiveEpochReport, BrownoutConfig,
+    ChaosEvent, FeedbackConfig,
 };
 use sophon::ext::sharding::fleet_nodes_sharing_link;
 
@@ -49,8 +51,8 @@ const COLLAPSE_FLOOR: f64 = 3.0;
 /// Residual link factors swept, harshest last.
 const SWEEP: [f64; 3] = [0.5, 0.35, 0.25];
 
-/// The sweep point the `--assert` gates judge.
-const GATE_FACTOR: f64 = 0.25;
+/// The sweep point the `--assert` gates judge: its harshest.
+const GATE_FACTOR: f64 = SWEEP[SWEEP.len() - 1];
 
 /// Storage nodes in the fleet.
 const SHARDS: usize = 4;
@@ -66,34 +68,14 @@ const BATCH: usize = 64;
 /// not where samples live.
 const MAP_SEED: u64 = 11;
 
-/// One (seed, link factor) sweep point.
-struct Point {
-    seed: u64,
-    link_factor: f64,
-    fixed_seconds: f64,
-    browned_seconds: f64,
-    fixed_traffic: u64,
-    browned_traffic: u64,
-    replans: usize,
-    mean_fidelity: f64,
-    digests_match: bool,
-    deterministic: bool,
-}
-
-/// One seed's calm baseline plus its sweep.
-struct SeedRun {
-    seed: u64,
-    calm_seconds: f64,
-    calm_traffic: u64,
-    points: Vec<Point>,
-}
-
+/// One seed's calm baseline, then its fixed, browned and repeated browned
+/// epochs at each link factor of the sweep.
 fn run_seed(
     profiles: &[SampleProfile],
     pipeline: &PipelineSpec,
     cores: usize,
     seed: u64,
-) -> SeedRun {
+) -> (AdaptiveEpochReport, Vec<[AdaptiveEpochReport; 3]>) {
     let config = ClusterConfig::paper_testbed(cores);
     let ctx = PlanningContext::new(profiles, pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(SHARDS, REPLICATION, MAP_SEED);
@@ -108,107 +90,23 @@ fn run_seed(
         brownout: Some(BrownoutConfig::default()),
         ..FeedbackConfig::default()
     };
-
-    let calm = run_fleet_epoch_adaptive(&ctx, &map, &nodes, &[], None).expect("calm run");
-    let points = SWEEP
-        .iter()
-        .map(|&link_factor| {
-            let chaos = chaos_link_squeeze_to(seed, SHARDS, batches, link_factor);
-            let fixed =
-                run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, None).expect("fixed run");
-            let browned = run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, Some(&feedback))
-                .expect("browned run");
-            let repeat = run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, Some(&feedback))
-                .expect("repeat run");
-            Point {
-                seed,
-                link_factor,
-                fixed_seconds: fixed.epoch_seconds,
-                browned_seconds: browned.epoch_seconds,
-                fixed_traffic: fixed.traffic_bytes,
-                browned_traffic: browned.traffic_bytes,
-                replans: browned.replans.len(),
-                mean_fidelity: browned.mean_fidelity,
-                digests_match: browned.digest == calm.digest && fixed.digest == calm.digest,
-                deterministic: repeat == browned,
-            }
-        })
-        .collect();
-    SeedRun { seed, calm_seconds: calm.epoch_seconds, calm_traffic: calm.traffic_bytes, points }
-}
-
-fn render_json(samples: u64, cores: usize, runs: &[SeedRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"brownout\",\n");
-    out.push_str(&format!(
-        "  \"samples\": {samples},\n  \"storage_cores\": {cores},\n  \"shards\": {SHARDS},\n  \
-         \"batch\": {BATCH},\n  \"calm_ceiling\": {CALM_CEILING},\n  \
-         \"collapse_floor\": {COLLAPSE_FLOOR},\n  \"gate_factor\": {GATE_FACTOR},\n  \
-         \"rows\": [\n"
-    ));
-    let mut first = true;
-    for run in runs {
-        for p in &run.points {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"seed\": {}, \"link_factor\": {}, \"calm_s\": {:.3}, \
-                 \"fixed_s\": {:.3}, \"browned_s\": {:.3}, \"calm_gb\": {:.3}, \
-                 \"fixed_gb\": {:.3}, \"browned_gb\": {:.3}, \"replans\": {}, \
-                 \"mean_fidelity\": {:.4}, \"digests_match\": {}, \"deterministic\": {}}}",
-                p.seed,
-                p.link_factor,
-                run.calm_seconds,
-                p.fixed_seconds,
-                p.browned_seconds,
-                run.calm_traffic as f64 / 1e9,
-                p.fixed_traffic as f64 / 1e9,
-                p.browned_traffic as f64 / 1e9,
-                p.replans,
-                p.mean_fidelity,
-                p.digests_match,
-                p.deterministic,
-            ));
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let epoch = |chaos: &[ChaosEvent], feedback: Option<&FeedbackConfig>| {
+        run_fleet_epoch_adaptive(&ctx, &map, &nodes, chaos, feedback).expect("fleet epoch")
+    };
+    let calm = epoch(&[], None);
+    let sweep = SWEEP.map(|link_factor| {
+        let chaos = chaos_link_squeeze_to(seed, SHARDS, batches, link_factor);
+        [None, Some(&feedback), Some(&feedback)].map(|feedback| epoch(&chaos, feedback))
+    });
+    (calm, sweep.into())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: Vec<u64> = vec![17, 83];
-    let mut samples = 2048u64;
-    let mut cores = 2usize;
-    let mut json_path: Option<String> = None;
-    let mut assert_gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a comma-separated list");
-                seeds =
-                    v.split(',').map(|s| s.trim().parse().expect("seeds are integers")).collect();
-            }
-            "--samples" => {
-                samples =
-                    it.next().expect("--samples needs a count").parse().expect("sample count");
-            }
-            "--cores" => {
-                cores = it.next().expect("--cores needs a count").parse().expect("core count");
-            }
-            "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
-            "--assert" => assert_gate = true,
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'; flags: --seeds --samples --cores --json --assert"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args =
+        Args::parse("brownout", &[("--seeds", "17,83"), ("--samples", "2048"), ("--cores", "2")]);
+    let seeds: Vec<u64> = args.list("--seeds");
+    let samples: u64 = args.value("--samples");
+    let cores: usize = args.value("--cores");
 
     let ds = DatasetSpec::imagenet_like(samples, 23);
     let pipeline = PipelineSpec::standard_train();
@@ -216,112 +114,84 @@ fn main() {
     let profiles: Vec<SampleProfile> =
         ds.records().map(|r| r.analytic_profile(&pipeline, &model)).collect();
 
-    println!(
-        "brownout: {samples} samples over {SHARDS} shards ({cores} cores each, shared \
-         500 Mbps link), batch {BATCH}; fleet-wide link squeeze per seed, sweep {SWEEP:?}"
-    );
-    println!(
-        "{:>6} {:>6}  {:>8} {:>9} {:>10}  {:>7} {:>9}  {:>7} {:>8} {:>6}",
-        "seed",
-        "link",
-        "calm s",
-        "fixed s",
-        "browned s",
-        "replans",
-        "fidelity",
-        "digests",
-        "determ",
-        "",
-    );
-    let runs: Vec<SeedRun> =
-        seeds.iter().map(|&s| run_seed(&profiles, &pipeline, cores, s)).collect();
-    for run in &runs {
-        for p in &run.points {
-            println!(
-                "{:>6} {:>5.2}x  {:>8.2} {:>9.2} {:>10.2}  {:>7} {:>9.3}  {:>7} {:>8} {:>6}",
-                p.seed,
-                p.link_factor,
-                run.calm_seconds,
-                p.fixed_seconds,
-                p.browned_seconds,
-                p.replans,
-                p.mean_fidelity,
-                if p.digests_match { "ok" } else { "DIFF" },
-                if p.deterministic { "ok" } else { "DIFF" },
-                "",
+    let mut report = Report::new("brownout")
+        .param("samples", samples)
+        .param("storage_cores", cores)
+        .param("shards", SHARDS)
+        .param("batch", BATCH)
+        .param("calm_ceiling", CALM_CEILING)
+        .param("collapse_floor", COLLAPSE_FLOOR)
+        .param("gate_factor", GATE_FACTOR);
+    let mut verdicts = Verdicts::default();
+    let floor = BrownoutConfig::default().min_fidelity;
+    for &seed in &seeds {
+        let (calm, sweep) = run_seed(&profiles, &pipeline, cores, seed);
+        for (link_factor, [fixed_fidelity, browned, repeat]) in SWEEP.into_iter().zip(sweep) {
+            let digests_match =
+                browned.digest == calm.digest && fixed_fidelity.digest == calm.digest;
+            report.row([
+                ("seed", seed.to_string()),
+                ("link_factor", link_factor.to_string()),
+                ("calm_s", fixed(calm.epoch_seconds, 3)),
+                ("fixed_s", fixed(fixed_fidelity.epoch_seconds, 3)),
+                ("browned_s", fixed(browned.epoch_seconds, 3)),
+                ("calm_gb", fixed(calm.traffic_bytes as f64 / 1e9, 3)),
+                ("fixed_gb", fixed(fixed_fidelity.traffic_bytes as f64 / 1e9, 3)),
+                ("browned_gb", fixed(browned.traffic_bytes as f64 / 1e9, 3)),
+                ("replans", browned.replans.len().to_string()),
+                ("mean_fidelity", fixed(browned.mean_fidelity, 4)),
+                ("digests_match", digests_match.to_string()),
+                ("deterministic", (repeat == browned).to_string()),
+            ]);
+            verdicts.check(
+                Clock::Virtual,
+                digests_match,
+                format!(
+                    "seed {seed} factor {link_factor} batch digests diverged from the calm \
+                     baseline — degradation changed batch contents"
+                ),
+            );
+            verdicts.check(
+                Clock::Virtual,
+                repeat == browned,
+                format!("seed {seed} factor {link_factor} repeated browned run diverged"),
+            );
+            if link_factor != GATE_FACTOR {
+                continue;
+            }
+            verdicts.check(
+                Clock::Virtual,
+                !browned.replans.is_empty(),
+                format!("seed {seed} never replanned — the controller missed the squeeze"),
+            );
+            verdicts.check(
+                Clock::Virtual,
+                browned.epoch_seconds <= calm.epoch_seconds * CALM_CEILING,
+                format!(
+                    "seed {seed} browned {:.2}s vs calm {:.2}s — exceeds the {CALM_CEILING}x \
+                     ceiling",
+                    browned.epoch_seconds, calm.epoch_seconds
+                ),
+            );
+            verdicts.check(
+                Clock::Virtual,
+                fixed_fidelity.epoch_seconds >= calm.epoch_seconds * COLLAPSE_FLOOR,
+                format!(
+                    "seed {seed} fixed {:.2}s vs calm {:.2}s — the squeeze is not biting \
+                     (wanted >= {COLLAPSE_FLOOR}x)",
+                    fixed_fidelity.epoch_seconds, calm.epoch_seconds
+                ),
+            );
+            verdicts.check(
+                Clock::Virtual,
+                (floor..1.0).contains(&browned.mean_fidelity),
+                format!(
+                    "seed {seed} delivered mean fidelity {:.3} outside [{floor}, 1)",
+                    browned.mean_fidelity
+                ),
             );
         }
     }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(samples, cores, &runs)).expect("write JSON artifact");
-        println!("wrote {path}");
-    }
-
-    if assert_gate {
-        let floor = BrownoutConfig::default().min_fidelity;
-        let mut failed = false;
-        for run in &runs {
-            for p in &run.points {
-                if !p.digests_match {
-                    eprintln!(
-                        "FAIL: seed {} factor {} batch digests diverged from the calm \
-                         baseline — degradation changed batch contents",
-                        p.seed, p.link_factor
-                    );
-                    failed = true;
-                }
-                if !p.deterministic {
-                    eprintln!(
-                        "FAIL: seed {} factor {} repeated browned run diverged",
-                        p.seed, p.link_factor
-                    );
-                    failed = true;
-                }
-            }
-            let Some(gate) = run.points.iter().find(|p| p.link_factor == GATE_FACTOR) else {
-                eprintln!("FAIL: sweep for seed {} never hit factor {GATE_FACTOR}", run.seed);
-                failed = true;
-                continue;
-            };
-            if gate.replans == 0 {
-                eprintln!(
-                    "FAIL: seed {} never replanned — the controller missed the squeeze",
-                    run.seed
-                );
-                failed = true;
-            }
-            if gate.browned_seconds > run.calm_seconds * CALM_CEILING {
-                eprintln!(
-                    "FAIL: seed {} browned {:.2}s vs calm {:.2}s — exceeds the {CALM_CEILING}x \
-                     ceiling",
-                    run.seed, gate.browned_seconds, run.calm_seconds
-                );
-                failed = true;
-            }
-            if gate.fixed_seconds < run.calm_seconds * COLLAPSE_FLOOR {
-                eprintln!(
-                    "FAIL: seed {} fixed {:.2}s vs calm {:.2}s — the squeeze is not biting \
-                     (wanted >= {COLLAPSE_FLOOR}x)",
-                    run.seed, gate.fixed_seconds, run.calm_seconds
-                );
-                failed = true;
-            }
-            if !(floor..1.0).contains(&gate.mean_fidelity) {
-                eprintln!(
-                    "FAIL: seed {} delivered mean fidelity {:.3} outside [{floor}, 1)",
-                    run.seed, gate.mean_fidelity
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "assert ok: browned epochs stayed within {CALM_CEILING}x of calm at factor \
-             {GATE_FACTOR} where fixed fidelity exceeded {COLLAPSE_FLOOR}x, with bit-identical \
-             digests and reproducible browned batches"
-        );
-    }
+    report.publish(&args);
+    verdicts.finish(&args);
 }

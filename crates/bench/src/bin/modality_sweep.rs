@@ -21,40 +21,12 @@
 //! minimum must land strictly inside the pipeline, the audio minimum at
 //! its end.
 
+use bench::gate::{fixed, list, string, Args, Clock, Report, Verdicts};
 use cluster::{ClusterConfig, EpochSpec, GpuModel};
 use pipeline::SplitPoint;
 use sophon::engine::{DecisionEngine, PlanningContext};
 use sophon::prelude::ModalWorkload;
 use sophon::OffloadPlan;
-
-/// One modality's sweep: per-split wire bytes plus the SOPHON plan.
-struct SweepRow {
-    modality: &'static str,
-    samples: u64,
-    op_names: Vec<&'static str>,
-    /// Wire bytes at uniform split `k`, for `k` in `0..=op_count`.
-    bytes_per_split: Vec<u64>,
-    sophon_bytes: u64,
-    sophon_offloaded: u64,
-    sophon_epoch_seconds: f64,
-    no_off_epoch_seconds: f64,
-}
-
-impl SweepRow {
-    /// `(best split, bytes)` over all uniform splits, `No-Off` included.
-    fn best_uniform(&self) -> (usize, u64) {
-        self.bytes_per_split
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(_, b)| b)
-            .expect("sweep is never empty")
-    }
-
-    fn no_off_bytes(&self) -> u64 {
-        self.bytes_per_split[0]
-    }
-}
 
 /// Paper-testbed cluster tuned so each modality's workload is I/O-bound
 /// (the regime where split choice matters): ample storage cores, and for
@@ -70,197 +42,109 @@ fn cluster_for(workload: &ModalWorkload) -> (ClusterConfig, GpuModel, usize) {
     }
 }
 
-fn run_sweep(workload: &ModalWorkload) -> SweepRow {
-    let profiles = workload.profiles().expect("profiling succeeds");
-    let (config, gpu, batch) = cluster_for(workload);
-    let modality = workload.modality();
-    let ops = modality.op_count();
-
-    let bytes_per_split: Vec<u64> = (0..=ops)
-        .map(|k| {
-            OffloadPlan::uniform(profiles.len(), SplitPoint::new(k))
-                .summarize(&profiles)
-                .expect("uniform split within every profile")
-                .transfer_bytes
-        })
-        .collect();
-
-    let ctx = PlanningContext::new(&profiles, modality, &config, gpu, batch);
-    let plan = DecisionEngine::new().plan(&ctx);
-    let summary = plan.summarize(&profiles).expect("plan matches profiles");
-    let epoch = |p: &OffloadPlan| {
-        let works = p.to_sample_works(&profiles).expect("plan matches profiles");
-        cluster::simulate_epoch(&config, &EpochSpec::new(works, batch, gpu))
-            .expect("simulation succeeds")
-            .epoch_seconds
-    };
-
-    SweepRow {
-        modality: workload.modality_name(),
-        samples: profiles.len() as u64,
-        op_names: (0..ops).map(|i| modality.op_name(i)).collect(),
-        bytes_per_split,
-        sophon_bytes: summary.transfer_bytes,
-        sophon_offloaded: summary.offloaded_samples,
-        sophon_epoch_seconds: epoch(&plan),
-        no_off_epoch_seconds: epoch(&OffloadPlan::none(profiles.len())),
-    }
-}
-
-fn render_json(samples: u64, clips: u64, rows: &[SweepRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"modality_sweep\",\n");
-    out.push_str(&format!("  \"image_samples\": {samples},\n  \"audio_clips\": {clips},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let (best_split, best_bytes) = r.best_uniform();
-        out.push_str(&format!(
-            "    {{\"modality\": \"{}\", \"ops\": {:?}, \"bytes_per_split\": {:?}, \
-             \"best_split\": {}, \"best_bytes\": {}, \"sophon_bytes\": {}, \
-             \"sophon_offloaded\": {}, \"sophon_epoch_s\": {:.3}, \"no_off_epoch_s\": {:.3}}}{}\n",
-            r.modality,
-            r.op_names,
-            r.bytes_per_split,
-            best_split,
-            best_bytes,
-            r.sophon_bytes,
-            r.sophon_offloaded,
-            r.sophon_epoch_seconds,
-            r.no_off_epoch_seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut samples = 2048u64;
-    let mut clips = 256u64;
-    let mut seed = 23u64;
-    let mut json_path: Option<String> = None;
-    let mut assert_gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--samples" => {
-                samples =
-                    it.next().expect("--samples needs a count").parse().expect("sample count");
-            }
-            "--clips" => {
-                clips = it.next().expect("--clips needs a count").parse().expect("clip count");
-            }
-            "--seed" => {
-                seed = it.next().expect("--seed needs a value").parse().expect("seed");
-            }
-            "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
-            "--assert" => assert_gate = true,
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'; flags: --samples --clips --seed --json --assert"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    println!(
-        "modality_sweep: wire bytes per uniform split, {samples} images (paper testbed, \
-         500 Mbps) and {clips} clips (16 cores, 50 Mbps); SOPHON plans per-sample"
+    let args = Args::parse(
+        "modality_sweep",
+        &[("--samples", "2048"), ("--clips", "256"), ("--seed", "23")],
     );
-    let rows = [
-        run_sweep(&ModalWorkload::image_standard(samples, seed)),
-        run_sweep(&ModalWorkload::audio_standard(clips, seed)),
-    ];
+    let samples: u64 = args.value("--samples");
+    let clips: u64 = args.value("--clips");
+    let seed: u64 = args.value("--seed");
 
-    for r in &rows {
-        let (best_split, _) = r.best_uniform();
-        println!("\n{} pipeline: {}", r.modality, r.op_names.join(" -> "));
-        println!("{:>7} {:>24} {:>12} {:>9}", "split", "boundary after", "bytes (MB)", "vs raw");
-        for (k, &bytes) in r.bytes_per_split.iter().enumerate() {
-            println!(
-                "{:>7} {:>24} {:>12.2} {:>8.2}x{}",
-                k,
-                if k == 0 { "(no offload)" } else { r.op_names[k - 1] },
-                bytes as f64 / 1e6,
-                r.no_off_bytes() as f64 / bytes as f64,
-                if k == best_split { "  <- best uniform" } else { "" },
-            );
-        }
-        println!(
-            "{:>7} {:>24} {:>12.2} {:>8.2}x  ({} of {} offloaded)",
-            "sophon",
-            "(per-sample)",
-            r.sophon_bytes as f64 / 1e6,
-            r.no_off_bytes() as f64 / r.sophon_bytes as f64,
-            r.sophon_offloaded,
-            r.samples,
-        );
-        println!(
-            "epoch: no-off {:.1}s, sophon {:.1}s ({:.2}x)",
-            r.no_off_epoch_seconds,
-            r.sophon_epoch_seconds,
-            r.no_off_epoch_seconds / r.sophon_epoch_seconds,
-        );
-    }
+    let mut report =
+        Report::new("modality_sweep").param("image_samples", samples).param("audio_clips", clips);
+    let mut verdicts = Verdicts::default();
+    for workload in
+        [ModalWorkload::image_standard(samples, seed), ModalWorkload::audio_standard(clips, seed)]
+    {
+        let profiles = workload.profiles().expect("profiling succeeds");
+        let (config, gpu, batch) = cluster_for(&workload);
+        let modality = workload.modality();
+        let name = workload.modality_name();
+        let ops = modality.op_count();
+        // Wire bytes at uniform split `k`, for `k` in `0..=ops`.
+        let bytes_per_split: Vec<u64> = (0..=ops)
+            .map(|k| {
+                OffloadPlan::uniform(profiles.len(), SplitPoint::new(k))
+                    .summarize(&profiles)
+                    .expect("uniform split within every profile")
+                    .transfer_bytes
+            })
+            .collect();
+        let no_off_bytes = bytes_per_split[0];
+        let end_bytes = bytes_per_split[ops];
+        let (best_split, best_bytes) = bytes_per_split
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, b)| b)
+            .expect("split 0 is swept");
 
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(samples, clips, &rows)).expect("write JSON artifact");
-        println!("\nwrote {path}");
-    }
+        let ctx = PlanningContext::new(&profiles, modality, &config, gpu, batch);
+        let plan = DecisionEngine::new().plan(&ctx);
+        let sophon = plan.summarize(&profiles).expect("plan matches profiles");
+        let epoch = |p: &OffloadPlan| {
+            let works = p.to_sample_works(&profiles).expect("plan matches profiles");
+            cluster::simulate_epoch(&config, &EpochSpec::new(works, batch, gpu))
+                .expect("simulation succeeds")
+                .epoch_seconds
+        };
+        let sophon_epoch = epoch(&plan);
+        let no_off_epoch = epoch(&OffloadPlan::none(profiles.len()));
 
-    if assert_gate {
-        let mut failed = false;
-        for r in &rows {
-            let (best_split, best_bytes) = r.best_uniform();
-            if best_bytes >= r.no_off_bytes() || best_split == 0 {
-                eprintln!(
-                    "FAIL: {} best uniform split {} ({} bytes) does not beat no-offload ({})",
-                    r.modality,
-                    best_split,
-                    best_bytes,
-                    r.no_off_bytes()
-                );
-                failed = true;
-            }
-            if r.sophon_bytes > best_bytes {
-                eprintln!(
-                    "FAIL: {} SOPHON moved {} bytes, worse than the best uniform split's {}",
-                    r.modality, r.sophon_bytes, best_bytes
-                );
-                failed = true;
-            }
-            if r.sophon_epoch_seconds >= r.no_off_epoch_seconds {
-                eprintln!(
-                    "FAIL: {} SOPHON epoch {:.2}s did not beat no-off {:.2}s",
-                    r.modality, r.sophon_epoch_seconds, r.no_off_epoch_seconds
-                );
-                failed = true;
-            }
-            // The shape claim behind the abstraction. Ties compare on
-            // bytes, not index: the audio `normalize_features` tail moves
-            // exactly what `mel_spectrogram` does, and both are "the end".
-            let end_bytes = *r.bytes_per_split.last().expect("sweep is never empty");
-            let interior = best_split > 0 && best_bytes < end_bytes;
-            if r.modality == "image" && !interior {
-                eprintln!("FAIL: image byte minimum at split {best_split}, expected interior");
-                failed = true;
-            }
-            if r.modality == "audio" && end_bytes > best_bytes {
-                eprintln!(
-                    "FAIL: audio pipeline end moves {end_bytes} bytes, above the minimum \
-                     {best_bytes} at split {best_split} — expected the minimum at the end"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "\nassert ok: both modalities beat no-offload on bytes, SOPHON matched or beat the \
-             best uniform split, and the image/audio minima landed mid-pipeline/at-end"
+        report.row([
+            ("modality", string(name)),
+            ("ops", list((0..ops).map(|i| string(modality.op_name(i))))),
+            ("bytes_per_split", list(&bytes_per_split)),
+            ("best_split", best_split.to_string()),
+            ("best_bytes", best_bytes.to_string()),
+            ("sophon_bytes", sophon.transfer_bytes.to_string()),
+            ("sophon_offloaded", sophon.offloaded_samples.to_string()),
+            ("sophon_epoch_s", fixed(sophon_epoch, 3)),
+            ("no_off_epoch_s", fixed(no_off_epoch, 3)),
+        ]);
+        verdicts.check(
+            Clock::Virtual,
+            best_bytes < no_off_bytes && best_split != 0,
+            format!(
+                "{name} best uniform split {best_split} ({best_bytes} bytes) does not beat \
+                 no-offload ({no_off_bytes})"
+            ),
         );
+        verdicts.check(
+            Clock::Virtual,
+            sophon.transfer_bytes <= best_bytes,
+            format!(
+                "{name} SOPHON moved {} bytes, worse than the best uniform split's {best_bytes}",
+                sophon.transfer_bytes
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            sophon_epoch < no_off_epoch,
+            format!(
+                "{name} SOPHON epoch {sophon_epoch:.2}s did not beat no-off {no_off_epoch:.2}s"
+            ),
+        );
+        // The shape claim behind the abstraction. Ties compare on bytes,
+        // not index: the audio `normalize_features` tail moves exactly what
+        // `mel_spectrogram` does, and both are "the end".
+        match workload {
+            ModalWorkload::Image { .. } => verdicts.check(
+                Clock::Virtual,
+                best_split > 0 && best_bytes < end_bytes,
+                format!("image byte minimum at split {best_split}, expected interior"),
+            ),
+            ModalWorkload::Audio { .. } => verdicts.check(
+                Clock::Virtual,
+                end_bytes <= best_bytes,
+                format!(
+                    "audio pipeline end moves {end_bytes} bytes, above the minimum {best_bytes} \
+                     at split {best_split} — expected the minimum at the end"
+                ),
+            ),
+        }
     }
+    report.publish(&args);
+    verdicts.finish(&args);
 }

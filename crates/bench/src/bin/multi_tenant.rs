@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 
+use bench::gate::{fixed, Args, Clock, Report, Verdicts};
 use cluster::{simulate_multi_tenant, ClusterConfig, MultiTenantRun, SampleWork, TenantWorkload};
 use tenant::{TenantId, TenantSpec};
 
@@ -45,19 +46,6 @@ const HOG_QUOTA_FRACTION: f64 = 0.10;
 /// Chaos seeds for the digest-stability check.
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-struct Point {
-    tenants: usize,
-    baseline_goodput: f64,
-    baseline_victim_p99: f64,
-    hog_goodput: f64,
-    hog_victim_p50: f64,
-    hog_victim_p99: f64,
-    hog_rate: f64,
-    hog_quota: f64,
-    hog_throttled: u64,
-    digests_stable: bool,
-}
-
 fn victims(tenants: usize, per_tenant: usize) -> Vec<TenantWorkload> {
     (0..tenants)
         .map(|i| {
@@ -70,9 +58,8 @@ fn victims(tenants: usize, per_tenant: usize) -> Vec<TenantWorkload> {
         .collect()
 }
 
-fn with_hog(config: &ClusterConfig, tenants: usize, per_tenant: usize) -> Vec<TenantWorkload> {
+fn with_hog(quota: f64, tenants: usize, per_tenant: usize) -> Vec<TenantWorkload> {
     let mut all = victims(tenants, per_tenant);
-    let quota = config.link_bps / 8.0 * HOG_QUOTA_FRACTION;
     // The hog's scheduling weight matches the whole victim population, so
     // unthrottled it would claim half the link at every swept point; the
     // byte quota is what actually pins it.
@@ -101,188 +88,97 @@ fn digests(run: &MultiTenantRun) -> BTreeMap<u16, u64> {
     run.per_tenant.iter().map(|(&id, t)| (id, t.digest)).collect()
 }
 
-fn run_point(config: &ClusterConfig, tenants: usize, per_tenant: usize) -> Point {
-    let base_workloads = victims(tenants, per_tenant);
-    let baseline = simulate_multi_tenant(config, &base_workloads, SEEDS[0]).expect("baseline run");
-    let (_, baseline_victim_p99) = victim_latencies(&baseline, tenants);
-
-    let hog_workloads = with_hog(config, tenants, per_tenant);
-    let runs: Vec<MultiTenantRun> = SEEDS
-        .iter()
-        .map(|&s| simulate_multi_tenant(config, &hog_workloads, s).expect("hog run"))
-        .collect();
-    let hog_run = &runs[0];
-    let digests_stable = runs.iter().all(|r| digests(r) == digests(hog_run));
-
-    let (hog_victim_p50, hog_victim_p99) = victim_latencies(hog_run, tenants);
-    let hog_stats = &hog_run.per_tenant[&(tenants as u16)];
-    Point {
-        tenants,
-        baseline_goodput: baseline.goodput_bytes_per_sec,
-        baseline_victim_p99,
-        hog_goodput: hog_run.goodput_bytes_per_sec,
-        hog_victim_p50,
-        hog_victim_p99,
-        hog_rate: hog_stats.bytes as f64 / hog_stats.done_seconds.max(f64::EPSILON),
-        hog_quota: config.link_bps / 8.0 * HOG_QUOTA_FRACTION,
-        hog_throttled: hog_stats.throttled,
-        digests_stable,
-    }
-}
-
-fn render_json(per_tenant: usize, points: &[Point]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"multi_tenant\",\n");
-    out.push_str(&format!(
-        "  \"per_tenant\": {per_tenant},\n  \"p99_multiplier\": {P99_MULTIPLIER},\n  \"rows\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tenants\": {}, \"baseline_goodput_mbps\": {:.1}, \
-             \"baseline_victim_p99_ms\": {:.1}, \"hog_goodput_mbps\": {:.1}, \
-             \"hog_victim_p50_ms\": {:.1}, \"hog_victim_p99_ms\": {:.1}, \
-             \"hog_rate_mbps\": {:.2}, \"hog_quota_mbps\": {:.2}, \
-             \"hog_throttled\": {}, \"digests_stable\": {}}}{}\n",
-            p.tenants,
-            p.baseline_goodput / 1e6,
-            p.baseline_victim_p99 * 1e3,
-            p.hog_goodput / 1e6,
-            p.hog_victim_p50 * 1e3,
-            p.hog_victim_p99 * 1e3,
-            p.hog_rate / 1e6,
-            p.hog_quota / 1e6,
-            p.hog_throttled,
-            p.digests_stable,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One swept point: the victims alone, then with the hog under each chaos
+/// seed.
+fn run_point(
+    config: &ClusterConfig,
+    quota: f64,
+    tenants: usize,
+    per_tenant: usize,
+) -> (MultiTenantRun, Vec<MultiTenantRun>) {
+    let baseline = simulate_multi_tenant(config, &victims(tenants, per_tenant), SEEDS[0])
+        .expect("baseline run");
+    let hog = with_hog(quota, tenants, per_tenant);
+    let runs = SEEDS.map(|s| simulate_multi_tenant(config, &hog, s).expect("hog run"));
+    (baseline, runs.into())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tenants: Vec<usize> = vec![8, 32, 128];
-    let mut per_tenant = 48usize;
-    let mut json_path: Option<String> = None;
-    let mut assert_gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tenants" => {
-                let v = it.next().expect("--tenants needs a comma-separated list");
-                tenants = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("tenant counts are integers"))
-                    .collect();
-            }
-            "--per-tenant" => {
-                per_tenant = it
-                    .next()
-                    .expect("--per-tenant needs a count")
-                    .parse()
-                    .expect("per-tenant is an integer");
-            }
-            "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
-            "--assert" => assert_gate = true,
-            other => {
-                eprintln!("unknown flag '{other}'; flags: --tenants --per-tenant --json --assert");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse("multi_tenant", &[("--tenants", "8,32,128"), ("--per-tenant", "48")]);
+    let tenants: Vec<usize> = args.list("--tenants");
+    let per_tenant: usize = args.value("--per-tenant");
 
     // The paper testbed's storage side: 500 Mbps egress, raw serving (no
     // offloaded CPU), which makes the shared link the contended resource.
     let config = ClusterConfig::paper_testbed(4);
-    println!(
-        "multi_tenant: {per_tenant} samples/tenant ({} KB each), hog at {HOG_FACTOR}x bytes \
-         quotaed to {:.0}% of the link, digests over {} chaos seeds",
-        SAMPLE_BYTES / 1000,
-        HOG_QUOTA_FRACTION * 100.0,
-        SEEDS.len()
+    let quota = config.link_bps / 8.0 * HOG_QUOTA_FRACTION;
+    let mut report = Report::new("multi_tenant")
+        .param("per_tenant", per_tenant)
+        .param("p99_multiplier", P99_MULTIPLIER);
+    let mut verdicts = Verdicts::default();
+    verdicts.check(
+        Clock::Virtual,
+        tenants.iter().any(|&n| n >= 100),
+        "--assert needs at least one swept point with >= 100 tenants",
     );
-    println!(
-        "{:>7}  {:>13} {:>9}   {:>13} {:>9} {:>9}  {:>9} {:>7}  {:>7}",
-        "tenants",
-        "base MB/s",
-        "p99 ms",
-        "hog MB/s",
-        "p50 ms",
-        "p99 ms",
-        "hog rate",
-        "quota",
-        "digests"
-    );
-    let points: Vec<Point> = tenants.iter().map(|&n| run_point(&config, n, per_tenant)).collect();
-    for p in &points {
-        println!(
-            "{:>7}  {:>13.1} {:>9.1}   {:>13.1} {:>9.1} {:>9.1}  {:>9.2} {:>7.2}  {:>7}",
-            p.tenants,
-            p.baseline_goodput / 1e6,
-            p.baseline_victim_p99 * 1e3,
-            p.hog_goodput / 1e6,
-            p.hog_victim_p50 * 1e3,
-            p.hog_victim_p99 * 1e3,
-            p.hog_rate / 1e6,
-            p.hog_quota / 1e6,
-            if p.digests_stable { "ok" } else { "DIFF" },
+    for &n in &tenants {
+        let (baseline, hog_runs) = run_point(&config, quota, n, per_tenant);
+        let hog_run = &hog_runs[0];
+        let (_, baseline_p99) = victim_latencies(&baseline, n);
+        let (hog_p50, hog_p99) = victim_latencies(hog_run, n);
+        let hog = &hog_run.per_tenant[&(n as u16)];
+        let hog_rate = hog.bytes as f64 / hog.done_seconds.max(f64::EPSILON);
+        let digests_stable = hog_runs.iter().all(|r| digests(r) == digests(hog_run));
+        report.row([
+            ("tenants", n.to_string()),
+            ("baseline_goodput_mbps", fixed(baseline.goodput_bytes_per_sec / 1e6, 1)),
+            ("baseline_victim_p99_ms", fixed(baseline_p99 * 1e3, 1)),
+            ("hog_goodput_mbps", fixed(hog_run.goodput_bytes_per_sec / 1e6, 1)),
+            ("hog_victim_p50_ms", fixed(hog_p50 * 1e3, 1)),
+            ("hog_victim_p99_ms", fixed(hog_p99 * 1e3, 1)),
+            ("hog_rate_mbps", fixed(hog_rate / 1e6, 2)),
+            ("hog_quota_mbps", fixed(quota / 1e6, 2)),
+            ("hog_throttled", hog.throttled.to_string()),
+            ("digests_stable", digests_stable.to_string()),
+        ]);
+        if n < 100 {
+            continue;
+        }
+        verdicts.check(
+            Clock::Virtual,
+            hog_p99 <= baseline_p99 * P99_MULTIPLIER,
+            format!(
+                "at {n} tenants the hog pushed victims' p99 to {:.1} ms (> {P99_MULTIPLIER}x the \
+                 {:.1} ms baseline)",
+                hog_p99 * 1e3,
+                baseline_p99 * 1e3
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            hog_rate <= quota * 1.10,
+            format!(
+                "at {n} tenants the hog served {:.2} MB/s, over its {:.2} MB/s quota",
+                hog_rate / 1e6,
+                quota / 1e6
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            hog_rate >= quota * 0.5,
+            format!(
+                "at {n} tenants the hog reached only {:.2} MB/s of its {:.2} MB/s quota (not \
+                 saturated, gate is vacuous)",
+                hog_rate / 1e6,
+                quota / 1e6
+            ),
+        );
+        verdicts.check(
+            Clock::Virtual,
+            digests_stable,
+            format!("at {n} tenants per-tenant digests changed across seeds"),
         );
     }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(per_tenant, &points)).expect("write JSON artifact");
-        println!("wrote {path}");
-    }
-
-    if assert_gate {
-        let mut failed = false;
-        let gated: Vec<&Point> = points.iter().filter(|p| p.tenants >= 100).collect();
-        if gated.is_empty() {
-            eprintln!("FAIL: --assert needs at least one swept point with >= 100 tenants");
-            failed = true;
-        }
-        for p in &gated {
-            if p.hog_victim_p99 > p.baseline_victim_p99 * P99_MULTIPLIER {
-                eprintln!(
-                    "FAIL: at {} tenants the hog pushed victims' p99 to {:.1} ms \
-                     (> {P99_MULTIPLIER}x the {:.1} ms baseline)",
-                    p.tenants,
-                    p.hog_victim_p99 * 1e3,
-                    p.baseline_victim_p99 * 1e3
-                );
-                failed = true;
-            }
-            if p.hog_rate > p.hog_quota * 1.10 {
-                eprintln!(
-                    "FAIL: at {} tenants the hog served {:.2} MB/s, over its {:.2} MB/s quota",
-                    p.tenants,
-                    p.hog_rate / 1e6,
-                    p.hog_quota / 1e6
-                );
-                failed = true;
-            }
-            if p.hog_rate < p.hog_quota * 0.5 {
-                eprintln!(
-                    "FAIL: at {} tenants the hog reached only {:.2} MB/s of its {:.2} MB/s \
-                     quota (not saturated, gate is vacuous)",
-                    p.tenants,
-                    p.hog_rate / 1e6,
-                    p.hog_quota / 1e6
-                );
-                failed = true;
-            }
-            if !p.digests_stable {
-                eprintln!("FAIL: at {} tenants per-tenant digests changed across seeds", p.tenants);
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "assert ok: hog pinned to its quota, victims' p99 within {P99_MULTIPLIER}x of \
-             baseline, digests seed-stable at every swept point >= 100 tenants"
-        );
-    }
+    report.publish(&args);
+    verdicts.finish(&args);
 }

@@ -34,6 +34,7 @@
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use bench::gate::{fixed, object, Args, Clock, Report, Verdicts};
 use netsim::Bandwidth;
 use pipeline::{PipelineSpec, SplitPoint};
 use storage::{FetchRequest, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
@@ -46,13 +47,6 @@ struct ModeResult {
     p99: Duration,
 }
 
-struct Row {
-    connections: usize,
-    idle: usize,
-    serial: ModeResult,
-    pipelined: ModeResult,
-}
-
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
@@ -63,7 +57,10 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 /// Runs one (connections, mode) cell and returns aggregate req/s plus the
 /// per-request latency distribution. Connections and sessions are set up
-/// before the clock starts; a barrier releases every client at once.
+/// before the clock starts; a barrier releases every client at once. Each
+/// client takes its own start after the barrier and its own end, and the
+/// cell's wall time runs from the first start to the last end, so a
+/// client that finishes before any other thread is scheduled is timed.
 fn run_mode(
     server: &TcpStorageServer,
     seed: u64,
@@ -72,8 +69,8 @@ fn run_mode(
     pipelined: bool,
 ) -> ModeResult {
     let addr = server.local_addr();
-    let barrier = Barrier::new(connections + 1);
-    let (wall, mut latencies) = std::thread::scope(|s| {
+    let barrier = Barrier::new(connections);
+    let clients: Vec<(Instant, Instant, Vec<Duration>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..connections)
             .map(|t| {
                 let barrier = &barrier;
@@ -86,9 +83,9 @@ fn run_mode(
                         })
                         .collect();
                     barrier.wait();
+                    let started = Instant::now();
                     let mut lats = Vec::with_capacity(per_conn);
                     if pipelined {
-                        let started = Instant::now();
                         let ids = client.submit_all(&reqs).expect("submit");
                         for id in ids {
                             client.await_response(id).expect("await");
@@ -98,21 +95,21 @@ fn run_mode(
                         }
                     } else {
                         for req in &reqs {
-                            let started = Instant::now();
+                            let sent = Instant::now();
                             client.fetch_request(*req).expect("fetch");
-                            lats.push(started.elapsed());
+                            lats.push(sent.elapsed());
                         }
                     }
-                    lats
+                    (started, Instant::now(), lats)
                 })
             })
             .collect();
-        barrier.wait();
-        let started = Instant::now();
-        let lats: Vec<Duration> =
-            handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
-        (started.elapsed(), lats)
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
+    let first_start = clients.iter().map(|c| c.0).min();
+    let last_end = clients.iter().map(|c| c.1).max();
+    let wall = first_start.zip(last_end).map_or(Duration::ZERO, |(s, e)| e - s);
+    let mut latencies: Vec<Duration> = clients.into_iter().flat_map(|c| c.2).collect();
     latencies.sort_unstable();
     let total = (connections * per_conn) as f64;
     ModeResult {
@@ -122,54 +119,15 @@ fn run_mode(
     }
 }
 
-fn json_escape_free_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn render_json(per_conn: usize, rows: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"server_throughput\",\n");
-    out.push_str(&format!("  \"per_conn\": {per_conn},\n  \"rows\": [\n"));
-    for (i, row) in rows.iter().enumerate() {
-        let mode = |m: &ModeResult| {
-            format!(
-                "{{\"rps\": {}, \"p50_us\": {}, \"p99_us\": {}}}",
-                json_escape_free_number(m.rps),
-                m.p50.as_micros(),
-                m.p99.as_micros()
-            )
-        };
-        out.push_str(&format!(
-            "    {{\"connections\": {}, \"idle\": {}, \"serial\": {}, \"pipelined\": {}}}{}\n",
-            row.connections,
-            row.idle,
-            mode(&row.serial),
-            mode(&row.pipelined),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// A depth-1 fetch beside idle connections may cost at most this many
-/// times what it costs beside none (ROADMAP item 2's gate).
+/// times what it costs beside none: an idle connection must cost the event
+/// loop nothing.
 const IDLE_P50_FACTOR: f64 = 1.5;
 
 /// Pipelined req/s on one connection must reach this many times serial:
 /// a pipelined batch pays one round trip where serial fetches pay one
 /// each.
 const PIPELINE_SPEEDUP: f64 = 1.5;
-
-fn parse_counts(flag: &str, list: &str) -> Vec<usize> {
-    list.split(',')
-        .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("{flag} takes integers, got '{s}'")))
-        .collect()
-}
 
 /// Connects and configures `n` clients that then send nothing.
 fn open_idle(server: &TcpStorageServer, seed: u64, n: usize) -> Vec<TcpStorageClient> {
@@ -186,51 +144,14 @@ fn open_idle(server: &TcpStorageServer, seed: u64, n: usize) -> Vec<TcpStorageCl
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut conns: Vec<usize> = vec![1, 8, 64];
-    let mut idles: Vec<usize> = vec![0];
-    let mut per_conn = 32usize;
-    let mut repeat = 3usize;
-    let mut json_path: Option<String> = None;
-    let mut assert_gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--conns" => {
-                conns = parse_counts(
-                    "--conns",
-                    it.next().expect("--conns needs a comma-separated list"),
-                );
-            }
-            "--idle" => {
-                idles =
-                    parse_counts("--idle", it.next().expect("--idle needs a comma-separated list"));
-            }
-            "--per-conn" => {
-                per_conn = it
-                    .next()
-                    .expect("--per-conn needs a count")
-                    .parse()
-                    .expect("per-conn is an integer");
-            }
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("repeat is an integer");
-                assert!(repeat >= 1, "--repeat must be >= 1");
-            }
-            "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
-            "--assert" => assert_gate = true,
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'; flags: --conns --idle --per-conn --repeat --json --assert"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "server_throughput",
+        &[("--conns", "1,8,64"), ("--idle", "0"), ("--per-conn", "32"), ("--repeat", "3")],
+    );
+    let conns: Vec<usize> = args.list("--conns");
+    let idles: Vec<usize> = args.list("--idle");
+    let per_conn: usize = args.value("--per-conn");
+    let repeat: usize = args.at_least("--repeat", 1);
 
     let ds = datasets::DatasetSpec::mini(SAMPLES, 47);
     let store = ObjectStore::materialize_dataset(&ds, 0..SAMPLES);
@@ -245,98 +166,73 @@ fn main() {
     )
     .expect("bind throughput server");
 
-    println!(
-        "server_throughput: {per_conn} raw fetches per connection, 4 server cores, best of {repeat}"
-    );
-    println!(
-        "{:>11} {:>6}  {:>13} {:>9} {:>9}   {:>13} {:>9} {:>9}  {:>8}",
-        "connections",
-        "idle",
-        "serial rps",
-        "p50 us",
-        "p99 us",
-        "pipelined rps",
-        "p50 us",
-        "p99 us",
-        "speedup"
-    );
-    let mut rows = Vec::new();
     // Best-of-N per cell: throughput cells measure capability, and on a
     // loaded host a single scheduler stall otherwise dominates a ~1s cell.
-    let best = |server: &TcpStorageServer, connections: usize, pipelined: bool| {
+    let best = |connections: usize, pipelined: bool| {
         (0..repeat)
-            .map(|_| run_mode(server, ds.seed, connections, per_conn, pipelined))
+            .map(|_| run_mode(&server, ds.seed, connections, per_conn, pipelined))
             .max_by(|a, b| a.rps.total_cmp(&b.rps))
             .expect("repeat >= 1")
     };
+    // (connections, idle, serial, pipelined) per swept cell.
+    let mut cells = Vec::new();
     for &idle in &idles {
         let parked = open_idle(&server, ds.seed, idle);
         for &connections in &conns {
-            let serial = best(&server, connections, false);
-            let pipelined = best(&server, connections, true);
-            println!(
-                "{:>11} {:>6}  {:>13.0} {:>9} {:>9}   {:>13.0} {:>9} {:>9}  {:>7.2}x",
-                connections,
-                idle,
-                serial.rps,
-                serial.p50.as_micros(),
-                serial.p99.as_micros(),
-                pipelined.rps,
-                pipelined.p50.as_micros(),
-                pipelined.p99.as_micros(),
-                pipelined.rps / serial.rps.max(f64::EPSILON)
-            );
-            rows.push(Row { connections, idle, serial, pipelined });
+            cells.push((connections, idle, best(connections, false), best(connections, true)));
         }
         drop(parked);
     }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(per_conn, &rows)).expect("write JSON artifact");
-        println!("wrote {path}");
-    }
-
-    if assert_gate {
-        let Some(alone) = rows.iter().find(|r| r.connections == 1 && r.idle == 0) else {
-            eprintln!("FAIL: --assert needs the 1 connection, 0 idle point swept");
-            std::process::exit(1);
-        };
-        let mut failed = false;
-        let speedup = alone.pipelined.rps / alone.serial.rps.max(f64::EPSILON);
-        if speedup < PIPELINE_SPEEDUP {
-            eprintln!(
-                "FAIL: pipelined ({:.0} rps) is {speedup:.2}x serial ({:.0} rps) on 1 connection, under {PIPELINE_SPEEDUP}x",
-                alone.pipelined.rps, alone.serial.rps
-            );
-            failed = true;
-        } else {
-            println!(
-                "assert ok: pipelined is {speedup:.2}x serial on 1 connection, at least {PIPELINE_SPEEDUP}x"
-            );
-        }
-        for row in rows.iter().filter(|r| r.connections == 1 && r.idle > 0) {
-            let limit = alone.serial.p50.mul_f64(IDLE_P50_FACTOR);
-            if row.serial.p50 > limit {
-                eprintln!(
-                    "FAIL: serial p50 of 1 connection is {} us beside {} idle, over {IDLE_P50_FACTOR}x its {} us beside none",
-                    row.serial.p50.as_micros(),
-                    row.idle,
-                    alone.serial.p50.as_micros()
-                );
-                failed = true;
-            } else {
-                println!(
-                    "assert ok: serial p50 of 1 connection is {} us beside {} idle, within {IDLE_P50_FACTOR}x its {} us beside none",
-                    row.serial.p50.as_micros(),
-                    row.idle,
-                    alone.serial.p50.as_micros()
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
-
     server.shutdown();
+
+    let mut report = Report::new("server_throughput").param("per_conn", per_conn);
+    let mode = |m: &ModeResult| {
+        object(&[
+            ("rps", fixed(m.rps, 1)),
+            ("p50_us", m.p50.as_micros().to_string()),
+            ("p99_us", m.p99.as_micros().to_string()),
+        ])
+    };
+    for (connections, idle, serial, pipelined) in &cells {
+        report.row([
+            ("connections", connections.to_string()),
+            ("idle", idle.to_string()),
+            ("serial", mode(serial)),
+            ("pipelined", mode(pipelined)),
+        ]);
+    }
+    report.publish(&args);
+
+    let mut verdicts = Verdicts::default();
+    let alone = cells.iter().find(|c| c.0 == 1 && c.1 == 0);
+    verdicts.check(
+        Clock::Virtual,
+        alone.is_some(),
+        "--assert needs the 1 connection, 0 idle point swept",
+    );
+    if let Some((_, _, serial, pipelined)) = alone {
+        let speedup = pipelined.rps / serial.rps.max(f64::EPSILON);
+        verdicts.check(
+            Clock::Wall,
+            speedup >= PIPELINE_SPEEDUP,
+            format!(
+                "pipelined ({:.0} rps) is {speedup:.2}x serial ({:.0} rps) on 1 connection, \
+                 under {PIPELINE_SPEEDUP}x",
+                pipelined.rps, serial.rps
+            ),
+        );
+        for (_, idle, beside, _) in cells.iter().filter(|c| c.0 == 1 && c.1 > 0) {
+            verdicts.check(
+                Clock::Wall,
+                beside.p50 <= serial.p50.mul_f64(IDLE_P50_FACTOR),
+                format!(
+                    "serial p50 of 1 connection is {} us beside {idle} idle, over \
+                     {IDLE_P50_FACTOR}x its {} us beside none",
+                    beside.p50.as_micros(),
+                    serial.p50.as_micros()
+                ),
+            );
+        }
+    }
+    verdicts.finish(&args);
 }

@@ -5,6 +5,8 @@
 //! default to the paper's scale (40 960 samples ≈ 12 GB for OpenImages) —
 //! everything is virtual-time, so full-scale runs take seconds.
 
+pub mod gate;
+
 use std::fmt::Write as _;
 
 use cluster::{simulate_epoch, ClusterConfig, EpochSpec, GpuModel};
