@@ -1,24 +1,36 @@
 //! The decision engine (paper §3.2): efficiency-ordered greedy offloading.
 //!
-//! One greedy pass is parameterized by two orthogonal inputs, mirroring the
+//! Every greedy pass walks the same order: the corpus' positive-efficiency
+//! samples by descending efficiency, ties by ascending index. That order is
+//! a function of the profiles alone, so a [`PlanningContext`] ranks its
+//! samples once, into an offload table built on its first greedy pass and
+//! shared by its clones, and every pass over that context scans the table.
+//! Budgets, caches and shards only move where a pass stops.
+//!
+//! A pass prices its candidates against two orthogonal inputs, mirroring the
 //! simulator's stage-graph core (`cluster::stagegraph`):
 //!
 //! * a [`SampleUniverse`] — *which* samples the pass may decide (the full
-//!   corpus, the uncached residual, one shard's primaries, …);
+//!   corpus, one shard's primaries, …);
 //! * a [`ResourceBudget`] — *what* the offloaded work runs against (the
 //!   single storage node of the paper testbed, or one fleet node's own
 //!   cores and link).
 //!
-//! [`DecisionEngine::plan_scoped_with_trace`] is the general entry point. It
-//! has two callers: [`DecisionEngine::plan_with_trace`] (full universe,
-//! config budget — the paper's two-node testbed) and
-//! `ext::sharding::plan_fleet`, which runs one pass per shard over that
-//! shard's uncached residual against that node's budget. Fleet size, cache
-//! contents, node health, node speed and the fidelity floor are all inputs
-//! of that one fleet planner, not planners of their own.
+//! [`DecisionEngine::plan`] runs one pass over every sample against the
+//! context's budget (the paper's two-node testbed).
+//! `ext::sharding::plan_fleet` runs one pass per healthy shard in a single
+//! scan of the table, each shard over its uncached primaries against that
+//! node's budget. Fleet size, cache contents, node health, node speed and
+//! the fidelity floor are all inputs of that one fleet planner, not
+//! planners of their own.
+
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::fmt;
+use std::rc::Rc;
 
 use cluster::{ClusterConfig, FleetNodeConfig, GpuModel};
-use pipeline::{Modality, SampleProfile};
+use pipeline::{Modality, SampleProfile, SplitPoint};
 
 use crate::{CostVector, OffloadPlan, PlanSummary, SophonError};
 
@@ -73,8 +85,9 @@ impl ResourceBudget {
 
 /// The slice of the corpus one greedy pass may decide.
 ///
-/// Index-based variants must be ascending for the engine's tie-breaking to
-/// stay deterministic (equal-efficiency samples are taken in index order).
+/// Index-based variants must be ascending: a shard's warm baseline sums
+/// its universe's costs in member order, and plans are pinned to the bits
+/// of the ascending sum.
 #[derive(Debug, Clone, Copy)]
 pub enum SampleUniverse<'a> {
     /// Every sample of the context.
@@ -105,7 +118,12 @@ impl<'a> SampleUniverse<'a> {
 }
 
 /// Everything a policy needs to decide a plan for one training job.
-#[derive(Debug, Clone, Copy)]
+///
+/// A context also keeps its profiles' offload table (see the module docs),
+/// built on its first greedy pass. Clones share that table, so a clone
+/// that only changes `config`, `gpu` or `batch_size` plans without
+/// ranking again; one whose `profiles` point elsewhere ranks its own.
+#[derive(Debug, Clone)]
 pub struct PlanningContext<'a> {
     /// Per-sample profiles from the stage-2 profiler, indexed by sample.
     pub profiles: &'a [SampleProfile],
@@ -119,6 +137,8 @@ pub struct PlanningContext<'a> {
     pub gpu: GpuModel,
     /// Training batch size.
     pub batch_size: usize,
+    /// The offload table of the profiles the first greedy pass saw.
+    table: Rc<OnceCell<OffloadTable>>,
 }
 
 impl<'a> PlanningContext<'a> {
@@ -133,7 +153,7 @@ impl<'a> PlanningContext<'a> {
         gpu: GpuModel,
         batch_size: usize,
     ) -> PlanningContext<'a> {
-        PlanningContext { profiles, modality, config, gpu, batch_size }
+        PlanningContext { profiles, modality, config, gpu, batch_size, table: Rc::default() }
     }
 
     /// GPU seconds for one epoch (`T_G`), accounting for data-parallel
@@ -175,6 +195,18 @@ impl<'a> PlanningContext<'a> {
         self.costs_for_plan(&OffloadPlan::none(self.profiles.len()))
             .expect("none-plan always matches profiles")
     }
+
+    /// The offload table of `self.profiles`: the kept one, built on the
+    /// first call, or — when `profiles` no longer points at the slice it
+    /// ranks — a fresh one that is not kept.
+    pub(crate) fn offload_table(&self) -> Cow<'_, OffloadTable> {
+        let kept = self.table.get_or_init(|| OffloadTable::build(self.profiles));
+        if kept.ranks(self.profiles) {
+            Cow::Borrowed(kept)
+        } else {
+            Cow::Owned(OffloadTable::build(self.profiles))
+        }
+    }
 }
 
 /// A candidate's place in the greedy order as one integer: its
@@ -190,20 +222,164 @@ fn rank_key(index: usize, efficiency: f64) -> u128 {
     (u128::from(!efficiency.to_bits()) << 64) | index as u128
 }
 
-/// The universe's positive-efficiency samples as [`rank_key`]s in greedy
-/// order. Each sample's efficiency is priced once, however many
-/// comparisons the sort makes.
-fn ranked_candidates(ctx: &PlanningContext<'_>, universe: SampleUniverse<'_>) -> Vec<u128> {
-    let n = ctx.profiles.len();
-    let mut keys = Vec::with_capacity(universe.len(n));
-    for i in universe.members(n) {
-        let efficiency = ctx.profiles[i].efficiency();
-        if efficiency > 0.0 {
-            keys.push(rank_key(i, efficiency));
-        }
+/// One sample of the greedy order, with what offloading it moves: its
+/// minimum-size stage, the bytes that saves and the prefix seconds it
+/// costs, priced once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    index: u32,
+    stage: u32,
+    saved_bytes: f64,
+    prefix_seconds: f64,
+}
+
+// The table holds one entry per positive-efficiency sample for as long as
+// its context lives; keep an entry at three words.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 24);
+
+impl Candidate {
+    /// The sample's index in the corpus.
+    pub(crate) fn index(&self) -> usize {
+        self.index as usize
     }
-    keys.sort_unstable();
-    keys
+
+    /// The split that ships the sample's minimum-size representation
+    /// (`SampleProfile::best_split`).
+    pub(crate) fn split(&self) -> SplitPoint {
+        SplitPoint::new(self.stage as usize)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Offload tables built on this thread, for tests that count them.
+    static TABLE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many offload tables this thread has built.
+#[cfg(test)]
+pub(crate) fn table_builds() -> usize {
+    TABLE_BUILDS.with(std::cell::Cell::get)
+}
+
+/// A profile slice's positive-efficiency samples in greedy order.
+#[derive(Clone)]
+pub(crate) struct OffloadTable {
+    /// Address and length of the profile slice the table ranks.
+    source: (usize, usize),
+    candidates: Vec<Candidate>,
+}
+
+impl OffloadTable {
+    /// Ranks `profiles`. Each sample's efficiency is priced once, however
+    /// many comparisons the sort makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corpus of 2³² samples or more.
+    fn build(profiles: &[SampleProfile]) -> OffloadTable {
+        #[cfg(test)]
+        TABLE_BUILDS.with(|builds| builds.set(builds.get() + 1));
+        let mut keys = Vec::with_capacity(profiles.len());
+        for (i, p) in profiles.iter().enumerate() {
+            let efficiency = p.efficiency();
+            if efficiency > 0.0 {
+                keys.push(rank_key(i, efficiency));
+            }
+        }
+        keys.sort_unstable();
+        let candidates = keys
+            .into_iter()
+            .map(|key| {
+                // The key's low 64 bits are the sample index.
+                let i = key as u64 as usize;
+                let p = &profiles[i];
+                let (stage, min_size) = p.min_stage();
+                Candidate {
+                    index: u32::try_from(i).expect("a corpus has fewer than 2^32 samples"),
+                    stage: u32::try_from(stage).expect("a pipeline has fewer than 2^32 ops"),
+                    saved_bytes: (p.raw_bytes - min_size) as f64,
+                    prefix_seconds: p.prefix_seconds(stage),
+                }
+            })
+            .collect();
+        OffloadTable { source: (profiles.as_ptr() as usize, profiles.len()), candidates }
+    }
+
+    /// Whether the table ranks exactly `profiles`. A context's profiles
+    /// are borrowed immutably for its whole lifetime, so the same address
+    /// and length mean the same profiles.
+    fn ranks(&self, profiles: &[SampleProfile]) -> bool {
+        self.source == (profiles.as_ptr() as usize, profiles.len())
+    }
+
+    /// The candidates in greedy order.
+    pub(crate) fn candidates(&self) -> &[Candidate] {
+        &self.candidates
+    }
+}
+
+/// Forty thousand candidates are not a readable debug line.
+impl fmt::Debug for OffloadTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OffloadTable").field("candidates", &self.candidates.len()).finish()
+    }
+}
+
+/// One greedy pass's running cost vector against one budget. The pass is
+/// offered candidates in greedy order and applies each one that keeps the
+/// makespan from growing, until the network stops being the predominant
+/// cost.
+#[derive(Debug)]
+pub(crate) struct GreedyPass {
+    budget: ResourceBudget,
+    costs: CostVector,
+    open: bool,
+}
+
+impl GreedyPass {
+    /// A pass starting from `baseline`. It is closed from the start when
+    /// the budget has no storage cores or the network does not bind.
+    pub(crate) fn new(baseline: CostVector, budget: ResourceBudget) -> GreedyPass {
+        let open = budget.storage_cores > 0.0 && baseline.network_predominant();
+        GreedyPass { budget, costs: baseline, open }
+    }
+
+    /// Whether the pass still takes candidates.
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// The cost vector after the last applied candidate.
+    pub(crate) fn costs(&self) -> CostVector {
+        self.costs
+    }
+
+    /// Offers the next candidate in greedy order. Returns the new cost
+    /// vector when the pass applies it; closes the pass, applying nothing,
+    /// once the network is no longer the predominant cost.
+    ///
+    /// As a refinement over the paper's prose, a candidate whose offload
+    /// would *increase* the predicted makespan is skipped (see
+    /// [`DecisionEngine`]).
+    pub(crate) fn offer(&mut self, c: &Candidate) -> Option<CostVector> {
+        if !self.open || !self.costs.network_predominant() {
+            self.open = false;
+            return None;
+        }
+        let (current, budget) = (self.costs, &self.budget);
+        let next = CostVector::new(
+            current.t_g,
+            (current.t_cc - c.prefix_seconds / budget.compute_cores).max(0.0),
+            current.t_cs + c.prefix_seconds / budget.storage_cores,
+            (current.t_net - c.saved_bytes * 8.0 / budget.link_bps).max(0.0),
+        );
+        if next.makespan() > current.makespan() {
+            return None;
+        }
+        self.costs = next;
+        Some(next)
+    }
 }
 
 /// The SOPHON decision engine.
@@ -232,25 +408,79 @@ impl DecisionEngine {
         DecisionEngine
     }
 
-    /// Computes the offload plan and the cost-vector trajectory (one entry
-    /// per applied sample, starting with the baseline).
-    pub fn plan_with_trace(&self, ctx: &PlanningContext<'_>) -> (OffloadPlan, Vec<CostVector>) {
-        self.plan_scoped_with_trace(
-            ctx,
-            SampleUniverse::All,
-            ctx.baseline_costs(),
-            &ResourceBudget::of_context(ctx),
-        )
+    /// Computes the offload plan.
+    pub fn plan(&self, ctx: &PlanningContext<'_>) -> OffloadPlan {
+        self.plan_from(ctx, ctx.baseline_costs(), |_| {}).0
     }
 
-    /// The fully general greedy pass: decides only `universe`'s samples,
-    /// prices offloads against `budget`, and starts from `baseline`.
-    ///
-    /// The universe and the budget vary independently, which is what lets
-    /// caching (residual universe) and sharding (per-shard universe,
-    /// per-node budget) compose inside `ext::sharding::plan_fleet`.
-    pub fn plan_scoped_with_trace(
+    /// Computes the offload plan and the cost-vector trajectory (one entry
+    /// per applied sample, starting with the baseline).
+    #[cfg(test)]
+    pub(crate) fn plan_with_trace(
         &self,
+        ctx: &PlanningContext<'_>,
+    ) -> (OffloadPlan, Vec<CostVector>) {
+        let baseline = ctx.baseline_costs();
+        let mut trace = vec![baseline];
+        let (plan, _) = self.plan_from(ctx, baseline, |next| trace.push(next));
+        (plan, trace)
+    }
+
+    /// The whole-corpus pass from `baseline` against the context's budget:
+    /// the plan and the cost vector it ends at. `applied` sees the cost
+    /// vector after each applied sample.
+    pub(crate) fn plan_from(
+        &self,
+        ctx: &PlanningContext<'_>,
+        baseline: CostVector,
+        mut applied: impl FnMut(CostVector),
+    ) -> (OffloadPlan, CostVector) {
+        let mut plan = OffloadPlan::none(ctx.profiles.len());
+        let mut pass = GreedyPass::new(baseline, ResourceBudget::of_context(ctx));
+        if pass.is_open() {
+            for c in ctx.offload_table().candidates() {
+                if let Some(next) = pass.offer(c) {
+                    plan.set_split(c.index(), c.split());
+                    applied(next);
+                } else if !pass.is_open() {
+                    break;
+                }
+            }
+        }
+        (plan, pass.costs())
+    }
+}
+
+/// The greedy planner as it ran before contexts kept an offload table,
+/// kept as the oracle of the table-driven one: every pass ranked its own
+/// universe and built its own plan and trace, and `plan_fleet` ran one such
+/// pass per healthy shard.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
+    use crate::ext::feedback::BrownoutConfig;
+    use crate::ext::sharding::{shard_stats, FleetPlan, FleetPlanRequest};
+
+    /// The universe's positive-efficiency samples as [`rank_key`]s in
+    /// greedy order.
+    fn ranked_candidates(ctx: &PlanningContext<'_>, universe: SampleUniverse<'_>) -> Vec<u128> {
+        let n = ctx.profiles.len();
+        let mut keys = Vec::with_capacity(universe.len(n));
+        for i in universe.members(n) {
+            let efficiency = ctx.profiles[i].efficiency();
+            if efficiency > 0.0 {
+                keys.push(rank_key(i, efficiency));
+            }
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// `DecisionEngine::plan_scoped_with_trace` as it was: decides only
+    /// `universe`'s samples, prices offloads against `budget`, and starts
+    /// from `baseline`.
+    pub(crate) fn plan_scoped_with_trace(
         ctx: &PlanningContext<'_>,
         universe: SampleUniverse<'_>,
         baseline: CostVector,
@@ -295,17 +525,91 @@ impl DecisionEngine {
         (plan, trace)
     }
 
-    /// Computes the offload plan.
-    pub fn plan(&self, ctx: &PlanningContext<'_>) -> OffloadPlan {
-        self.plan_with_trace(ctx).0
+    /// `ext::sharding::plan_fleet` as it was, for inputs that match the
+    /// shard map and the corpus.
+    pub(crate) fn plan_fleet(ctx: &PlanningContext<'_>, req: &FleetPlanRequest<'_>) -> FleetPlan {
+        let n = ctx.profiles.len();
+        let shards = req.map.nodes();
+        let no_cache = CacheAssignment::none();
+        let cache = req.cache.unwrap_or(&no_cache);
+        let any_degraded = req.degraded.contains(&true);
+        let is_degraded = |shard: usize| any_degraded && req.degraded[shard];
+        let floor = req.brownout.map_or(1.0, BrownoutConfig::floor_fraction);
+
+        let owners = any_degraded.then(|| req.map.owner_table(n));
+        let mut primaries = Vec::with_capacity(n);
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut fidelity = vec![1.0f64; n];
+        let mut reassigned = 0u64;
+        let mut raw_fallbacks = 0u64;
+        for (i, served_fraction) in fidelity.iter_mut().enumerate() {
+            let primary = if let Some(table) = &owners {
+                let owners = table.owners(i);
+                match owners.iter().find(|&&o| !is_degraded(o)) {
+                    Some(&owner) => {
+                        reassigned += u64::from(owner != owners[0]);
+                        owner
+                    }
+                    None => {
+                        if !cache.is_cached(i) {
+                            raw_fallbacks += 1;
+                            *served_fraction = floor;
+                        }
+                        owners[0]
+                    }
+                }
+            } else {
+                req.map.primary(i as u64)
+            };
+            primaries.push(primary);
+            members[primary].push(i);
+        }
+
+        let mut plan = OffloadPlan::none(n);
+        let mut per_shard = Vec::with_capacity(shards);
+        for (shard, node) in req.nodes.iter().enumerate() {
+            let members = &members[shard];
+            if !is_degraded(shard) {
+                let residual: Vec<usize> =
+                    members.iter().copied().filter(|&i| !cache.is_cached(i)).collect();
+                let budget = ResourceBudget::of_node(node, ctx);
+                let baseline = warm_baseline_costs_scoped(
+                    ctx,
+                    cache,
+                    SampleUniverse::Indices(members),
+                    &budget,
+                );
+                let (shard_plan, _) = plan_scoped_with_trace(
+                    ctx,
+                    SampleUniverse::Indices(&residual),
+                    baseline,
+                    &budget,
+                );
+                for &i in &residual {
+                    plan.set_split(i, shard_plan.split(i));
+                }
+            }
+            per_shard.push(shard_stats(shard, &plan, ctx.profiles, cache, members));
+        }
+        for i in 0..n {
+            if let Some(stage) = cache.cached_stage(i) {
+                plan.set_split(i, SplitPoint::new(stage));
+            }
+        }
+        FleetPlan { plan, primaries, per_shard, fidelity, reassigned, raw_fallbacks }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ext::caching::{self, warm_baseline_costs_scoped, CacheAssignment, CacheSelection};
+    use crate::ext::feedback::BrownoutConfig;
+    use crate::ext::sharding::{fleet_nodes, plan_fleet, FleetPlanRequest};
+    use cluster::ShardMap;
     use datasets::DatasetSpec;
-    use pipeline::{CostModel, PipelineSpec};
+    use pipeline::{CostModel, PipelineSpec, StageMeasurement};
+    use proptest::prelude::*;
 
     fn profiles(ds: &DatasetSpec) -> Vec<SampleProfile> {
         let spec = PipelineSpec::standard_train();
@@ -490,28 +794,38 @@ mod tests {
         trace.iter().map(|c| [c.t_g, c.t_cc, c.t_cs, c.t_net].map(f64::to_bits)).collect()
     }
 
-    /// Plans `ps` with the keyed pass and with the reference on every
-    /// testbed size, over the whole corpus and over an ascending subset,
-    /// and asserts the same plan and, to the bit, the same trace.
+    /// Plans `ps` with the table-driven engine and with the comparator
+    /// sort on every testbed size, over the whole corpus and over an
+    /// ascending subset, and asserts the same plans and, to the bit, the
+    /// same trace. The subset is the uncached residual of a one-shard fleet
+    /// that caches every other sample raw.
     fn assert_keyed_pass_matches_reference(name: &str, ps: &[SampleProfile]) {
         let pipeline = PipelineSpec::standard_train();
         let subset: Vec<usize> = (0..ps.len()).filter(|i| i % 3 != 1).collect();
+        let complement =
+            CacheAssignment::pinning((0..ps.len()).map(|i| (i % 3 == 1).then_some(0)).collect());
+        let map = ShardMap::new(1, 1, 0);
         for cores in [1usize, 2, 4, 48] {
             let config = ClusterConfig::paper_testbed(cores);
             let ctx = context(ps, &pipeline, &config);
             let budget = ResourceBudget::of_context(&ctx);
-            let baseline = ctx.baseline_costs();
-            for (shape, universe) in
-                [("all", SampleUniverse::All), ("subset", SampleUniverse::Indices(&subset))]
-            {
-                let what = format!("{name}, {cores} cores, {shape}");
-                let (plan, trace) =
-                    DecisionEngine::new().plan_scoped_with_trace(&ctx, universe, baseline, &budget);
-                let (want_plan, want_trace) =
-                    plan_scoped_reference(&ctx, universe, baseline, &budget);
-                assert_eq!(plan, want_plan, "{what}: plan");
-                assert_eq!(trace_bits(&trace), trace_bits(&want_trace), "{what}: trace");
-            }
+            let what = format!("{name}, {cores} cores");
+
+            let (plan, trace) = DecisionEngine::new().plan_with_trace(&ctx);
+            let (want_plan, want_trace) =
+                plan_scoped_reference(&ctx, SampleUniverse::All, ctx.baseline_costs(), &budget);
+            assert_eq!(plan, want_plan, "{what}, all: plan");
+            assert_eq!(trace_bits(&trace), trace_bits(&want_trace), "{what}, all: trace");
+
+            let nodes = fleet_nodes(&config, 1);
+            let req = FleetPlanRequest {
+                cache: Some(&complement),
+                ..FleetPlanRequest::new(&map, &nodes)
+            };
+            let warm = warm_baseline_costs_scoped(&ctx, &complement, SampleUniverse::All, &budget);
+            let (want_plan, _) =
+                plan_scoped_reference(&ctx, SampleUniverse::Indices(&subset), warm, &budget);
+            assert_eq!(plan_fleet(&ctx, &req).unwrap().plan, want_plan, "{what}, subset: plan");
         }
     }
 
@@ -544,5 +858,148 @@ mod tests {
             assert_eq!(ps[i].efficiency(), f64::INFINITY);
         }
         assert_keyed_pass_matches_reference("ties", &ps);
+    }
+
+    #[test]
+    fn clones_share_the_table_unless_their_profiles_change() {
+        let a = profiles(&DatasetSpec::openimages_like(600, 1));
+        let b = profiles(&DatasetSpec::openimages_like(600, 2));
+        let pipeline = PipelineSpec::standard_train();
+        let (two, many) = (ClusterConfig::paper_testbed(2), ClusterConfig::paper_testbed(48));
+        let engine = DecisionEngine::new();
+        let ctx = context(&a, &pipeline, &two);
+        let builds = table_builds();
+        let plan_a = engine.plan(&ctx);
+        assert_eq!(table_builds() - builds, 1);
+
+        // Another core count re-prices the same order.
+        let mut wider = ctx.clone();
+        wider.config = &many;
+        assert_eq!(engine.plan(&wider), engine.plan(&context(&a, &pipeline, &many)));
+        assert_eq!(table_builds() - builds, 2, "only the fresh context ranks");
+
+        // Other profiles are never planned through the kept order.
+        let mut other = ctx.clone();
+        other.profiles = &b;
+        assert_eq!(engine.plan(&other), engine.plan(&context(&b, &pipeline, &two)));
+        assert_ne!(engine.plan(&other), plan_a);
+        assert_eq!(engine.plan(&ctx), plan_a);
+    }
+
+    /// Stage sizes as multiples of the raw size, op costs in seconds and
+    /// raw sizes, each drawn from a short list so that efficiencies tie. An
+    /// op that costs nothing can make a prefix free (`+inf` efficiency),
+    /// and stages no smaller than the raw form save nothing.
+    const SIZE_FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 6.0];
+    const OP_SECONDS: [f64; 4] = [0.0, 0.5e-3, 1e-3, 2e-3];
+    const RAW_BYTES: [u64; 4] = [60_000, 90_000, 120_000, 180_000];
+    const LINK_GBPS: [f64; 4] = [0.2, 0.5, 1.0, 4.0];
+    const NODE_SPEEDS: [f64; 3] = [0.5, 1.0, 2.0];
+
+    fn arb_profile(ops: usize) -> impl Strategy<Value = SampleProfile> {
+        let stage = (0..SIZE_FACTORS.len(), 0..OP_SECONDS.len());
+        (0..RAW_BYTES.len(), proptest::collection::vec(stage, ops)).prop_map(|(raw, stages)| {
+            let raw_bytes = RAW_BYTES[raw];
+            let stages = stages
+                .into_iter()
+                .map(|(size, cost)| StageMeasurement {
+                    out_bytes: (raw_bytes as f64 * SIZE_FACTORS[size]) as u64,
+                    seconds: OP_SECONDS[cost],
+                })
+                .collect();
+            SampleProfile { sample_id: 0, raw_bytes, stages }
+        })
+    }
+
+    /// Drawn profiles, then exact copies of some of them at later indices.
+    fn arb_corpus() -> impl Strategy<Value = Vec<SampleProfile>> {
+        let ops = PipelineSpec::standard_train().ops().len();
+        let drawn = proptest::collection::vec(arb_profile(ops), 1..120);
+        (drawn, proptest::collection::vec(any::<usize>(), 0..40)).prop_map(|(mut ps, copies)| {
+            for c in copies {
+                let copy = ps[c % ps.len()].clone();
+                ps.push(copy);
+            }
+            for (i, p) in ps.iter_mut().enumerate() {
+                p.sample_id = i as u64;
+            }
+            ps
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table-driven planners give exactly what the sort-per-pass
+        /// oracle gives: `plan` and `plan_with_trace` over the whole corpus
+        /// (`SampleUniverse::All`), and `plan_fleet` over each shard's
+        /// residual (`SampleUniverse::Indices`), with or without a cache,
+        /// under degraded shards, node speeds and zero-core budgets.
+        #[test]
+        fn table_driven_planning_matches_the_sort_per_pass_oracle(
+            ps in arb_corpus(),
+            cores in 0usize..4,
+            link in 0..LINK_GBPS.len(),
+            shards in 1usize..5,
+            replicated in any::<bool>(),
+            seed in any::<u64>(),
+            speeds in proptest::collection::vec(0..NODE_SPEEDS.len(), 4),
+            degraded in proptest::collection::vec(any::<bool>(), 4),
+            cache_kind in 0usize..3,
+            pins in proptest::collection::vec(0usize..5, 160),
+            brownout in any::<bool>(),
+        ) {
+            let pipeline = PipelineSpec::standard_train();
+            let config = ClusterConfig::paper_testbed(cores)
+                .with_bandwidth(netsim::Bandwidth::from_gbps(LINK_GBPS[link]));
+            let ctx = context(&ps, &pipeline, &config);
+
+            let (plan, trace) = DecisionEngine::new().plan_with_trace(&ctx);
+            let budget = ResourceBudget::of_context(&ctx);
+            let (want_plan, want_trace) = reference::plan_scoped_with_trace(
+                &ctx,
+                SampleUniverse::All,
+                ctx.baseline_costs(),
+                &budget,
+            );
+            prop_assert_eq!(&plan, &want_plan);
+            prop_assert_eq!(trace_bits(&trace), trace_bits(&want_trace));
+            prop_assert_eq!(DecisionEngine::new().plan(&ctx), want_plan);
+
+            // No cache, a selected one, or any samples pinned at any stable
+            // stage.
+            let stable = pipeline.deterministic_prefix_ops();
+            let cache = match cache_kind {
+                0 => None,
+                1 => {
+                    let corpus: u64 = ps.iter().map(|p| p.raw_bytes).sum();
+                    let selection = [
+                        CacheSelection::Arrival,
+                        CacheSelection::SizeAware,
+                        CacheSelection::EfficiencyAware,
+                    ][pins[0] % 3];
+                    let budget = corpus * pins[1] as u64 / 4;
+                    Some(caching::choose_cache_contents(&ctx, budget, selection))
+                }
+                _ => Some(CacheAssignment::pinning(
+                    (0..ps.len())
+                        .map(|i| pins[i % pins.len()].checked_sub(2).map(|s| s.min(stable)))
+                        .collect(),
+                )),
+            };
+            let map = ShardMap::new(shards, if replicated && shards > 1 { 2 } else { 1 }, seed);
+            let nodes: Vec<FleetNodeConfig> = speeds[..shards]
+                .iter()
+                .map(|&s| FleetNodeConfig::nominal(&config).with_speed(NODE_SPEEDS[s]))
+                .collect();
+            let policy = BrownoutConfig::default();
+            let req = FleetPlanRequest {
+                cache: cache.as_ref(),
+                degraded: &degraded[..shards],
+                brownout: brownout.then_some(&policy),
+                ..FleetPlanRequest::new(&map, &nodes)
+            };
+            prop_assert_eq!(plan_fleet(&ctx, &req).unwrap(), reference::plan_fleet(&ctx, &req));
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Decision explanations: why SOPHON offloaded what it offloaded.
 //!
-//! The decision engine's trace (one [`CostVector`] per applied sample) is a
-//! complete record of the greedy run. This module condenses it into the
-//! story an operator wants: where the baseline stood, what the engine did,
-//! which resource finally bound, and how close to balanced the cluster
-//! ended up.
+//! The greedy run's baseline, its final cost vector and the context's
+//! offload table tell the story an operator wants: where the baseline
+//! stood, what the engine did, which resource finally bound, and how close
+//! to balanced the cluster ended up.
 
 use crate::engine::{DecisionEngine, PlanningContext};
 use crate::{Bottleneck, CostVector, OffloadPlan};
@@ -44,10 +43,9 @@ pub enum StopReason {
 impl ExplainReport {
     /// Plans with the engine and explains the run.
     pub fn compute(ctx: &PlanningContext<'_>) -> (OffloadPlan, ExplainReport) {
-        let candidates = ctx.profiles.iter().filter(|p| p.efficiency() > 0.0).count() as u64;
-        let (plan, trace) = DecisionEngine::new().plan_with_trace(ctx);
-        let baseline = trace[0];
-        let final_costs = *trace.last().expect("trace contains the baseline");
+        let candidates = ctx.offload_table().candidates().len() as u64;
+        let baseline = ctx.baseline_costs();
+        let (plan, final_costs) = DecisionEngine::new().plan_from(ctx, baseline, |_| {});
         let offloaded = plan.offloaded_samples() as u64;
         let stop_reason = if !baseline.network_predominant() {
             StopReason::NotIoBound

@@ -11,11 +11,11 @@
 //!    saves the wire bytes the no-cache plan would have shipped for it.
 //! 2. **Re-plan the residual** — hand the assignment to
 //!    [`crate::ext::sharding::plan_fleet`] as its `cache` input: each
-//!    shard's baseline ([`warm_baseline_costs_scoped`]) has cached samples
-//!    contributing **zero `T_Net`** and only suffix compute, and the greedy
-//!    engine runs over the uncached residual. Offload capacity the cache
-//!    frees up flows to samples the cache couldn't afford. A single
-//!    storage node is the one-shard fleet.
+//!    shard's warm baseline has cached samples contributing **zero
+//!    `T_Net`** and only suffix compute, and the greedy engine runs over
+//!    the uncached residual. Offload capacity the cache frees up flows to
+//!    samples the cache couldn't afford. A single storage node is the
+//!    one-shard fleet.
 //! 3. **Simulate** — [`warm_sample_works`] translates the combined plan
 //!    into per-sample demands for the cluster simulator: cached samples
 //!    have no storage time and no transfer; only their local suffix
@@ -85,6 +85,13 @@ impl CacheAssignment {
             budget_bytes: 0,
             warm_bytes_saved: 0,
         }
+    }
+
+    /// An assignment pinning each sample at the given stage, for tests
+    /// that draw arbitrary caches.
+    #[cfg(test)]
+    pub(crate) fn pinning(cached_stage: Vec<Option<usize>>) -> CacheAssignment {
+        CacheAssignment { cached_stage, cached_bytes: 0, budget_bytes: 0, warm_bytes_saved: 0 }
     }
 
     /// Whether sample `i` is cached.
@@ -181,7 +188,7 @@ fn total_order_key(x: f64) -> i64 {
 /// samples ship raw, and only the universe's samples contribute GPU,
 /// compute, and network time. With nothing cached this is the `No-Off`
 /// baseline of that universe.
-pub fn warm_baseline_costs_scoped(
+pub(crate) fn warm_baseline_costs_scoped(
     ctx: &PlanningContext<'_>,
     assignment: &CacheAssignment,
     universe: SampleUniverse<'_>,

@@ -1011,6 +1011,21 @@ mod tests {
     }
 
     #[test]
+    fn an_adaptive_epoch_ranks_its_context_once() {
+        let (ps, pipeline, config) = setup(2048, 2);
+        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 64);
+        let map = ShardMap::new(4, 2, 11);
+        let nodes = crate::ext::sharding::fleet_nodes_sharing_link(&config, 4);
+        let chaos = chaos_straggler_and_squeeze(17, 4, (ps.len() / 64) as u64);
+        let builds = crate::engine::table_builds();
+        let run =
+            run_fleet_epoch_adaptive(&ctx, &map, &nodes, &chaos, Some(&FeedbackConfig::default()))
+                .unwrap();
+        assert!(run.replans.len() >= 2, "{:?}", run.replans);
+        assert_eq!(crate::engine::table_builds() - builds, 1, "the initial plan and every replan");
+    }
+
+    #[test]
     fn same_seed_reproduces_the_same_replan_points() {
         let (ps, pipeline, config) = setup(1024, 8);
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 64);

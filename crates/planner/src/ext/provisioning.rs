@@ -25,7 +25,9 @@ pub enum Provisioning {
 /// Predicted epoch seconds with a given storage-core grant.
 fn predicted(ctx: &PlanningContext<'_>, cores: usize) -> Result<f64, SophonError> {
     let config = ctx.config.with_storage_cores(cores);
-    let mut scoped = *ctx;
+    // A clone shares the context's offload table: a core grant moves
+    // only where the greedy pass stops, never its order.
+    let mut scoped = ctx.clone();
     scoped.config = &config;
     let plan = DecisionEngine::new().plan(&scoped);
     Ok(scoped.costs_for_plan(&plan)?.makespan())

@@ -33,12 +33,16 @@
 //!   planned at the policy's fidelity floor, so the sick node ships tier
 //!   prefixes of its progressive encodings instead of whole objects.
 //!
-//! Each shard's pass is one [`SampleUniverse::Indices`] slice planned
-//! against a per-node [`ResourceBudget`] — no sub-contexts or profile
-//! clones. The budget reuses the job-wide compute-node and GPU capacities:
-//! those resources are shared by all shards, so each shard's view of
-//! `T_CC`/`T_G` covers only its own samples and understates the contention
-//! slightly. The bias is conservative for the stopping rule — it can only
+//! Each shard's pass decides the uncached samples it fronts against a
+//! per-node [`ResourceBudget`], from a warm baseline over its
+//! [`SampleUniverse::Indices`] slice — no sub-contexts or profile clones.
+//! The passes share one scan of the context's offload table (see
+//! [`crate::engine`]): a sample is offered to its effective primary's pass
+//! only, so each shard sees its candidates in the order a pass over its
+//! residual alone would. The budget reuses the job-wide compute-node and
+//! GPU capacities: those resources are shared by all shards, so each
+//! shard's view of `T_CC`/`T_G` covers only its own samples and
+//! understates the contention slightly. The bias is conservative for the stopping rule — it can only
 //! keep `T_Net` predominant longer — and vanishes as shards balance.
 //!
 //! The module is pure planning — it never touches a socket — so the runtime
@@ -52,7 +56,7 @@
 use cluster::{ClusterConfig, FleetNodeConfig, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
 
-use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};
+use crate::engine::{GreedyPass, PlanningContext, ResourceBudget, SampleUniverse};
 use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
 use crate::ext::feedback::BrownoutConfig;
 use crate::{OffloadPlan, SophonError};
@@ -166,7 +170,8 @@ fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), Soph
 
 /// Plans offloading for the fleet `req` describes: one greedy pass per
 /// healthy shard over the uncached samples it fronts, against that node's
-/// own cores and link, starting from that shard's warm baseline.
+/// own cores and link, starting from that shard's warm baseline. The
+/// passes share one scan of the context's offload table.
 ///
 /// # Errors
 ///
@@ -226,32 +231,49 @@ pub fn plan_fleet(
         members[primary].push(i);
     }
 
+    // Each healthy shard's pass starts from its warm baseline over the
+    // WHOLE shard (cached samples contribute suffix compute and zero net)
+    // and decides only its uncached samples. An open breaker gets no
+    // offloaded work at all.
+    let mut passes: Vec<Option<GreedyPass>> = req
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(shard, node)| {
+            (!is_degraded(shard)).then(|| {
+                let budget = ResourceBudget::of_node(node, ctx);
+                let members = SampleUniverse::Indices(&members[shard]);
+                GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members, &budget), budget)
+            })
+        })
+        .collect();
+    // One scan of the context's greedy order for every shard: each shard
+    // sees its own candidates in the order a pass over its residual alone
+    // would, and applies the same steps to its own cost vector.
     let mut plan = OffloadPlan::none(n);
-    let mut per_shard = Vec::with_capacity(shards);
-    let engine = DecisionEngine::new();
-    for (shard, node) in req.nodes.iter().enumerate() {
-        let members = &members[shard];
-        // An open breaker gets no offloaded work at all.
-        if !is_degraded(shard) {
-            let residual: Vec<usize> =
-                members.iter().copied().filter(|&i| !cache.is_cached(i)).collect();
-            let budget = ResourceBudget::of_node(node, ctx);
-            // Warm baseline over the WHOLE shard (cached samples contribute
-            // suffix compute and zero net), greedy over the residual only.
-            let baseline =
-                warm_baseline_costs_scoped(ctx, cache, SampleUniverse::Indices(members), &budget);
-            let (shard_plan, _) = engine.plan_scoped_with_trace(
-                ctx,
-                SampleUniverse::Indices(&residual),
-                baseline,
-                &budget,
-            );
-            for &i in &residual {
-                plan.set_split(i, shard_plan.split(i));
+    let mut open = passes.iter().flatten().filter(|pass| pass.is_open()).count();
+    if open > 0 {
+        for c in ctx.offload_table().candidates() {
+            let i = c.index();
+            let Some(pass) = passes[primaries[i]].as_mut() else { continue };
+            if !pass.is_open() || cache.is_cached(i) {
+                continue;
+            }
+            if pass.offer(c).is_some() {
+                plan.set_split(i, c.split());
+            } else if !pass.is_open() {
+                open -= 1;
+                if open == 0 {
+                    break;
+                }
             }
         }
-        per_shard.push(shard_stats(shard, &plan, ctx.profiles, cache, members));
     }
+    let per_shard = members
+        .iter()
+        .enumerate()
+        .map(|(shard, members)| shard_stats(shard, &plan, ctx.profiles, cache, members))
+        .collect();
     // A loader driving a `CachingTransport` requests each cached sample at
     // exactly the split whose payload the cache holds, so every such fetch
     // is a local hit.
@@ -265,7 +287,7 @@ pub fn plan_fleet(
 
 /// Aggregates one shard's slice of a plan, summing in ascending index
 /// order (the same order `OffloadPlan::summarize` uses over a sub-corpus).
-fn shard_stats(
+pub(crate) fn shard_stats(
     shard: usize,
     plan: &OffloadPlan,
     profiles: &[SampleProfile],
@@ -322,6 +344,7 @@ pub fn fleet_nodes_sharing_link(config: &ClusterConfig, shards: usize) -> Vec<Fl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DecisionEngine;
     use crate::ext::caching::{self, CacheSelection};
     use cluster::{simulate_epoch, simulate_fleet_epoch, EpochSpec, GpuModel};
     use datasets::DatasetSpec;
@@ -590,7 +613,7 @@ mod tests {
     fn warm_epoch_is_never_slower_than_no_cache() {
         let (ps, pipeline, config) = setup(2);
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let (no_cache_plan, _) = DecisionEngine::new().plan_with_trace(&ctx);
+        let no_cache_plan = DecisionEngine::new().plan(&ctx);
         let base_works = no_cache_plan.to_sample_works(&ps).unwrap();
         let base =
             simulate_epoch(&config, &EpochSpec::new(base_works, 256, GpuModel::AlexNet)).unwrap();

@@ -553,6 +553,16 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_training_run_ranks_its_context_once() {
+        let s = scenario(8);
+        let cache = cache_pct(&s, 30);
+        let builds = crate::engine::table_builds();
+        let report = s.run_training(&TrainingRequest { cache, ..fleet(3) }).unwrap();
+        assert!(report.cache.unwrap().cached_samples > 0);
+        assert_eq!(crate::engine::table_builds() - builds, 1, "the selection and the fleet plan");
+    }
+
+    #[test]
     fn kills_are_permanent_with_or_without_a_cache() {
         let s = scenario(8);
         let kills = [cluster::KillEvent::new(2, 0.25)];
