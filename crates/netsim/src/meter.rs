@@ -87,6 +87,16 @@ impl TrafficMeter {
         self.inner.unlock_write(seq);
     }
 
+    /// Takes back one message of `bytes` bytes that
+    /// [`TrafficMeter::record`] counted ahead of a write that then stopped
+    /// short, as one atomic pair update.
+    pub fn take_back(&self, bytes: u64) {
+        let seq = self.inner.lock_write();
+        self.inner.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.inner.messages.fetch_sub(1, Ordering::Relaxed);
+        self.inner.unlock_write(seq);
+    }
+
     /// Total bytes recorded.
     pub fn bytes(&self) -> u64 {
         self.inner.read_pair().0

@@ -7,9 +7,9 @@
 //! * [`profile_corpus_analytic`] — derives every profile from the dataset's
 //!   sample records and the analytic cost model, in O(samples) with no
 //!   pixels touched. This is what the large-scale simulated experiments use.
-//! * [`profile_corpus_live`] — materializes samples and measures the real
-//!   pipeline over real bytes (the path a production deployment would take).
-//!   Used by functional tests and the live example.
+//! * `sophon::live::Corpus::profiles` — measures the real pipeline over the
+//!   bytes a live corpus stores (the path a production deployment would
+//!   take), in the crate that materialises and serves them.
 //!
 //! Both paths produce [`SampleProfile`]s with identical stage-size
 //! semantics, a property asserted in `datasets`' fidelity tests.
@@ -21,9 +21,7 @@
 use std::fmt;
 
 use datasets::DatasetSpec;
-use pipeline::{CostModel, PipelineSpec, SampleKey, SampleProfile, StageData};
-
-use crate::SophonError;
+use pipeline::{CostModel, PipelineSpec, SampleProfile};
 
 /// Profiles the whole corpus analytically (no rendering).
 pub fn profile_corpus_analytic(
@@ -84,27 +82,6 @@ impl fmt::Debug for ProfileSet {
     }
 }
 
-/// Profiles a corpus by materializing and measuring each sample through the
-/// real pipeline (epoch 0, no offloading).
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure.
-pub fn profile_corpus_live(
-    ds: &DatasetSpec,
-    pipeline: &PipelineSpec,
-    model: &CostModel,
-    epoch: u64,
-) -> Result<Vec<SampleProfile>, SophonError> {
-    (0..ds.len)
-        .map(|id| {
-            let data = StageData::Encoded(ds.materialize(id).into());
-            let key = SampleKey::new(ds.seed, id, epoch);
-            SampleProfile::measure(pipeline, data, key, model).map_err(SophonError::from)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,21 +113,5 @@ mod tests {
         let cheaper =
             CostModel { decode_ns_per_pixel: model.decode_ns_per_pixel / 2.0, ..model.clone() };
         assert!(!set.is_derived_from(&ds, &pipeline, &cheaper));
-    }
-
-    #[test]
-    fn live_profiles_match_analytic_structure() {
-        let ds = DatasetSpec::mini(6, 13);
-        let pipeline = PipelineSpec::standard_train();
-        let model = CostModel::realistic();
-        let live = profile_corpus_live(&ds, &pipeline, &model, 0).unwrap();
-        let analytic = profile_corpus_analytic(&ds, &pipeline, &model);
-        assert_eq!(live.len(), analytic.len());
-        for (l, a) in live.iter().zip(analytic.iter()) {
-            // Post-decode stage sizes are byte-exact between the two paths.
-            for stage in 1..=5 {
-                assert_eq!(l.size_at(stage), a.size_at(stage), "sample {}", l.sample_id);
-            }
-        }
     }
 }

@@ -206,7 +206,7 @@ impl FaultPlan {
 }
 
 /// Removes 1–16 tail bytes from an encoded frame (salt-directed).
-pub fn truncate_payload(payload: &mut Vec<u8>, salt: u64) {
+pub(crate) fn truncate_payload(payload: &mut Vec<u8>, salt: u64) {
     if payload.is_empty() {
         return;
     }

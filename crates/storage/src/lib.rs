@@ -74,7 +74,7 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use chaos::{FaultKind, FaultPlan, FaultRecord, ServerFaultInjector};
+pub use chaos::{FaultKind, FaultPlan, FaultRecord};
 pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
 pub use health::{

@@ -110,7 +110,7 @@ impl MultiServerHarness {
     /// `owners(sample_id)` returns the ordered node list holding that
     /// sample (primary first); the sample's bytes are replicated onto each
     /// node in the list. Every server runs `config` (cores, bandwidth cap,
-    /// queue depth).
+    /// in-flight bound).
     ///
     /// # Errors
     ///

@@ -608,7 +608,7 @@ impl TcpStorageServer {
     /// Propagates bind failures and the operating system's refusal to
     /// create the readiness set or its waker; a zero-core or
     /// zero-in-flight config surfaces as `InvalidInput`.
-    pub fn bind_with_policy(
+    pub(crate) fn bind_with_policy(
         store: ObjectStore,
         config: ServerConfig,
         policy: TenantPolicy,
@@ -674,7 +674,9 @@ impl TcpStorageServer {
         self.addr
     }
 
-    /// Bytes written to clients so far.
+    /// Bytes written to clients so far. A response frame is counted by the
+    /// time its client can hold it whole, so a client that has its
+    /// responses reads an exact count.
     pub fn response_bytes(&self) -> u64 {
         self.meter.bytes()
     }
@@ -1137,17 +1139,24 @@ impl EventLoop {
                 conn.writing = Some(wire);
                 return Flush::Until(at);
             }
+            // Counted before the write that may complete the frame, so a
+            // client holding the response always finds it in the meter;
+            // taken back when the write stops short of the frame's end.
+            let sent = wire.payload_len() as u64;
+            self.meter.record(sent);
             match wire.send(&mut conn.stream) {
                 Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.meter.take_back(sent);
                     conn.writing = Some(wire);
                     conn.write_blocked = true;
                     return Flush::Blocked;
                 }
-                Err(_) => return Flush::Dead,
+                Err(_) => {
+                    self.meter.take_back(sent);
+                    return Flush::Dead;
+                }
             }
-            let sent = wire.payload_len() as u64;
-            self.meter.record(sent);
             count(&self.stats, wire.tenant, |s| s.bytes_sent += sent);
             if self.spare.len() < SPARE_BUFFER_POOL {
                 wire.head.clear();
@@ -2112,6 +2121,34 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn the_meter_counts_every_response_a_client_holds() {
+        // Read right after each response arrives, with nothing else in
+        // flight, the meter must already hold that response's frame.
+        const FETCHES: u64 = 200;
+        let ds = datasets::DatasetSpec::mini(1, 62);
+        let server = TcpStorageServer::bind(
+            ObjectStore::materialize_dataset(&ds, 0..1),
+            ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..Default::default() },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = configured_clients(&server, &ds, 1).remove(0);
+        let configured = server.meter().snapshot("node");
+        assert_eq!(configured.messages, 1, "the configure reply");
+        let mut frame = 0;
+        for i in 1..=FETCHES {
+            client.fetch(0, i, SplitPoint::NONE).unwrap();
+            let read = server.meter().snapshot("node");
+            assert_eq!(read.messages - configured.messages, i, "fetch {i}");
+            if i == 1 {
+                frame = read.bytes - configured.bytes;
+            }
+            assert_eq!(read.bytes - configured.bytes, i * frame, "fetch {i}");
+        }
+        server.shutdown();
+    }
+
     /// A one-core hand-worked server whose connection `client` is
     /// configured from `store`, the test answering the `Configure` job.
     fn hand_configured(
@@ -2245,8 +2282,9 @@ mod tests {
             assert!(Instant::now() < deadline, "the loop never settled");
             last = now;
         }
-        // The meter counts a frame once it is whole, after the loop wrote
-        // it: read only once the loop stands still.
+        // The meter counts a frame for the write that may complete it and
+        // takes it back when that write stops short: read once the loop
+        // stands still, with no write under way.
         let taken = admitted() - admitted_before;
         let sent = server.response_bytes() - configured;
         assert_eq!(sent % frame, 0, "{sent} bytes are not whole frames of {frame}");

@@ -1,8 +1,8 @@
 //! Live two-node demo of the near-compute sample cache.
 //!
 //! Real bytes, real codec, real bandwidth-throttled link: a storage server
-//! streams a mini corpus to a loader whose transport is wrapped in a
-//! [`cache::CachingTransport`] holding ~30% of the corpus. Epoch 0 runs
+//! streams a mini corpus to a [`sophon::live::Session`] whose loader reads
+//! through a [`cache::CachingTransport`] holding ~30% of the corpus. Epoch 0 runs
 //! cold (every sample crosses the wire, the cache fills); later epochs run
 //! warm, fetching only the uncached residual. Two cache configurations are
 //! compared at the same budget:
@@ -20,7 +20,7 @@
 //! cargo run --release --example cached_two_node
 //! ```
 
-use cache::{AdmissionHint, CachingTransport, SampleCache};
+use cache::{AdmissionHint, SampleCache};
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
 use netsim::Bandwidth;
@@ -28,9 +28,10 @@ use pipeline::{CostModel, PipelineSpec, SampleProfile};
 use sophon::engine::PlanningContext;
 use sophon::ext::caching::{self, CacheAssignment, CacheSelection};
 use sophon::ext::sharding::{self, FleetPlanRequest};
-use sophon::loader::{LoaderConfig, OffloadingLoader};
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
 use sophon::OffloadPlan;
-use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
+use storage::ServerConfig;
 
 const SAMPLES: u64 = 48;
 const BATCH: usize = 8;
@@ -45,63 +46,54 @@ struct CacheRun {
 }
 
 fn run_with_cache(
-    ds: &DatasetSpec,
+    corpus: &Corpus,
     profiles: &[SampleProfile],
     plan: &OffloadPlan,
     cache: SampleCache,
-    hints: bool,
+    with_hints: bool,
     label: &'static str,
 ) -> Result<CacheRun, Box<dyn std::error::Error>> {
-    let pipeline = PipelineSpec::standard_train();
-    let store = ObjectStore::materialize_dataset(ds, 0..SAMPLES);
-    let server = TcpStorageServer::bind(
-        store,
-        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(40.0), ..ServerConfig::default() },
-        "127.0.0.1:0",
-    )?;
-
-    let mut transport =
-        CachingTransport::new(TcpStorageClient::connect(server.local_addr())?, cache);
-    if hints {
-        transport.set_hints(profiles.iter().enumerate().map(|(i, p)| {
-            let shipped = p.size_at(plan.split(i).offloaded_ops());
-            (p.sample_id, AdmissionHint { saved_bytes: shipped, efficiency: p.efficiency() })
-        }));
-    }
-    let mut loader = OffloadingLoader::new(
-        transport,
-        pipeline,
-        plan.clone(),
-        LoaderConfig::new(ds.seed, BATCH),
-    )?;
+    let hints = profiles.iter().enumerate().filter(|_| with_hints).map(|(i, p)| {
+        let shipped = p.size_at(plan.split(i).offloaded_ops());
+        (p.sample_id, AdmissionHint { saved_bytes: shipped, efficiency: p.efficiency() })
+    });
+    let config = LoaderConfig::new(corpus.spec().seed, BATCH);
+    let mut session =
+        Session::builder(corpus, PipelineSpec::standard_train(), plan.clone(), config)
+            .server(ServerConfig {
+                cores: 4,
+                bandwidth: Bandwidth::from_mbps(40.0),
+                ..ServerConfig::default()
+            })
+            .cache(cache, hints)
+            .start()?;
+    let wire = |session: &Session| session.harness().traffic_total().bytes;
 
     // Cold epoch: everything crosses the wire, the cache fills.
-    loader.run_epoch(0, |_| {})?;
-    let cold_wire = server.response_bytes();
+    session.run_epoch(0, &[], |_| {})?;
+    let cold_wire = wire(&session);
 
     // Warm epochs: only the uncached residual is fetched.
     for epoch in 1..=WARM_EPOCHS {
-        loader.run_epoch(epoch, |_| {})?;
+        session.run_epoch(epoch, &[], |_| {})?;
     }
-    let warm_wire = (server.response_bytes() - cold_wire) / WARM_EPOCHS;
+    let warm_wire = (wire(&session) - cold_wire) / WARM_EPOCHS;
 
-    let stats = loader.transport().cache_stats();
-    let run = CacheRun {
+    let cache = session.cache().expect("the session has a cache");
+    Ok(CacheRun {
         label,
         cold_wire,
         warm_wire,
-        hit_rate: stats.hit_rate(),
-        cached_entries: loader.transport().cache().len(),
-    };
-    server.shutdown();
-    Ok(run)
+        hit_rate: cache.stats().hit_rate(),
+        cached_entries: cache.len(),
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = DatasetSpec::mini(SAMPLES, 2024);
     println!("materializing {SAMPLES} samples through the real codec...");
-    let store = ObjectStore::materialize_dataset(&ds, 0..SAMPLES);
-    let corpus_bytes = store.total_bytes();
+    let corpus = Corpus::materialize(&ds);
+    let corpus_bytes = corpus.store().total_bytes();
     let budget = corpus_bytes * 30 / 100;
     println!(
         "corpus: {:.1} MB encoded; cache budget {:.1} MB (30%)\n",
@@ -110,8 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let pipeline = PipelineSpec::standard_train();
-    let model = CostModel::realistic();
-    let profiles = sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0)?;
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic())?;
     let config = ClusterConfig::paper_testbed(4).with_bandwidth(Bandwidth::from_mbps(40.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
 
@@ -135,9 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eff_assign.cached_samples()
     );
 
-    let lru = run_with_cache(&ds, &profiles, &lru_plan, SampleCache::lru(budget), false, "lru")?;
+    let lru =
+        run_with_cache(&corpus, &profiles, &lru_plan, SampleCache::lru(budget), false, "lru")?;
     let eff = run_with_cache(
-        &ds,
+        &corpus,
         &profiles,
         &eff_plan,
         SampleCache::efficiency_aware(budget),

@@ -11,20 +11,18 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
-use fleet::{FleetTransport, ShardMap};
+use fleet::ShardMap;
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
 use sophon::ext::sharding::{self, FleetPlanRequest};
-use sophon::loader::{LoaderConfig, OffloadingLoader};
-use storage::{
-    BackoffConfig, Deadline, FaultKind, FaultPlan, MultiServerHarness, ObjectStore,
-    RetryingTransport, ServerConfig,
-};
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
+use storage::{FaultKind, FaultPlan, ServerConfig};
 
 const SAMPLES: u64 = 32;
 const NODES: usize = 2;
@@ -35,11 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(7);
     let ds = DatasetSpec::mini(SAMPLES, 1234);
     println!("materializing {SAMPLES} samples...");
-    let store = ObjectStore::materialize_dataset(&ds, 0..SAMPLES);
+    let corpus = Corpus::materialize(&ds);
 
     let pipeline = PipelineSpec::standard_train();
-    let model = CostModel::realistic();
-    let profiles = sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0)?;
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic())?;
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(NODES, REPLICATION, 7);
@@ -58,47 +55,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let server_config =
         ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
-    let run = |plan: Option<&FaultPlan>| -> Result<_, Box<dyn std::error::Error>> {
-        let harness = match plan {
-            Some(p) => MultiServerHarness::spawn_with_chaos(
-                &store,
-                NODES,
-                server_config,
-                |id| map.owners(id),
-                p,
-            )?,
-            None => MultiServerHarness::spawn(&store, NODES, server_config, |id| map.owners(id))?,
-        };
+    let run = |faults: Option<&FaultPlan>| -> Result<_, Box<dyn std::error::Error>> {
         // The resilience stack: a finite deadline turns dropped frames into
         // retryable timeouts; CRC32 turns corrupted frames into retryable
         // wire errors; the retry layer re-issues until the plan's attempt
-        // bound lets the batch through. The budget covers server-side
-        // preprocessing of a whole batch even in debug builds.
-        let transports: Vec<_> = harness
-            .clients()?
-            .into_iter()
-            .map(|c| {
-                RetryingTransport::with_backoff(
-                    c.with_deadline(Deadline::after(Duration::from_secs(2))),
-                    10,
-                    BackoffConfig::none(),
-                )
-            })
-            .collect();
-        let fleet = FleetTransport::new(transports, map.clone(), None);
-        let mut loader = OffloadingLoader::new(
-            fleet,
-            pipeline.clone(),
-            sharded.plan.clone(),
-            LoaderConfig::new(ds.seed, BATCH),
-        )?;
+        // bound lets the batch through.
+        let config = LoaderConfig::new(ds.seed, BATCH);
+        let mut builder = Session::builder(&corpus, pipeline.clone(), sharded.plan.clone(), config)
+            .shards(map.clone())
+            .server(server_config)
+            .resilient();
+        if let Some(plan) = faults {
+            builder = builder.faults(plan.clone());
+        }
+        let mut session = builder.start()?;
         let mut batches: Vec<TensorBatch> = Vec::new();
         let start = Instant::now();
-        loader.run_epoch(0, |b| batches.push(b))?;
-        let elapsed = start.elapsed();
-        let log = harness.fault_logs();
-        harness.shutdown();
-        Ok((batches, log, elapsed))
+        session.run_epoch(0, &[], |b| batches.push(b))?;
+        Ok((batches, session.harness().fault_logs(), start.elapsed()))
     };
 
     let (chaos_batches, fault_log, chaos_elapsed) = run(Some(&chaos))?;

@@ -10,15 +10,16 @@
 //! cargo run --release --example fleet_four_node
 //! ```
 
-use cluster::{ClusterConfig, GpuModel};
+use cluster::{ClusterConfig, GpuModel, KillEvent};
 use datasets::DatasetSpec;
-use fleet::{FleetTransport, ShardMap};
+use fleet::ShardMap;
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
 use sophon::ext::sharding::{self, FleetPlanRequest};
-use sophon::loader::{LoaderConfig, OffloadingLoader};
-use storage::{MultiServerHarness, ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
+use storage::ServerConfig;
 
 const SAMPLES: u64 = 32;
 const NODES: usize = 4;
@@ -29,13 +30,12 @@ const PLACEMENT_SEED: u64 = 7;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = DatasetSpec::mini(SAMPLES, 1234);
     println!("materializing {SAMPLES} samples...");
-    let store = ObjectStore::materialize_dataset(&ds, 0..SAMPLES);
+    let corpus = Corpus::materialize(&ds);
 
     // Shard-aware SOPHON plan: each shard's samples are planned against its
     // own storage node.
     let pipeline = PipelineSpec::standard_train();
-    let model = CostModel::realistic();
-    let profiles = sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0)?;
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic())?;
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(NODES, REPLICATION, PLACEMENT_SEED);
@@ -58,45 +58,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four live TCP servers, each storing its primaries plus replicas.
     let server_config =
         ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
-    let mut harness = MultiServerHarness::spawn(&store, NODES, server_config, |id| map.owners(id))?;
-    let transports = harness.clients()?;
-    let fleet = FleetTransport::new(transports, map.clone(), None);
+    let session = |map: ShardMap| {
+        let config = LoaderConfig::new(ds.seed, BATCH);
+        Session::builder(&corpus, pipeline.clone(), sharded.plan.clone(), config)
+            .shards(map)
+            .server(server_config)
+            .start()
+    };
 
-    // Kill one node after the second batch; replication 2 means every one
-    // of its samples has a surviving replica.
+    // Kill one node after the second of eight batches; replication 2 means
+    // every one of its samples has a surviving replica.
     let victim = map.primary(0);
     println!("\nrunning the epoch; killing node{victim} mid-epoch...");
-    let mut loader = OffloadingLoader::new(
-        fleet,
-        pipeline.clone(),
-        sharded.plan.clone(),
-        LoaderConfig::new(ds.seed, BATCH),
-    )?;
+    let mut fleet = session(map)?;
     let mut fleet_batches: Vec<TensorBatch> = Vec::new();
-    loader.run_epoch(0, |b| {
-        fleet_batches.push(b);
-        if fleet_batches.len() == 2 {
-            harness.kill(victim);
-        }
-    })?;
-    for t in harness.traffic() {
+    fleet.run_epoch(0, &[KillEvent::new(victim, 0.25)], |b| fleet_batches.push(b))?;
+    for t in fleet.harness().traffic() {
         println!("  {}: {:.2} MB in {} responses", t.label, t.bytes as f64 / 1e6, t.messages);
     }
-    let total = harness.traffic_total();
+    let total = fleet.harness().traffic_total();
     println!("  fleet total: {:.2} MB", total.bytes as f64 / 1e6);
-    harness.shutdown();
+    drop(fleet);
 
     // Reference: the same plan through one storage server.
-    let server = TcpStorageServer::bind(store, server_config, "127.0.0.1:0")?;
-    let mut single = OffloadingLoader::new(
-        TcpStorageClient::connect(server.local_addr())?,
-        pipeline,
-        sharded.plan,
-        LoaderConfig::new(ds.seed, BATCH),
-    )?;
     let mut single_batches: Vec<TensorBatch> = Vec::new();
-    single.run_epoch(0, |b| single_batches.push(b))?;
-    server.shutdown();
+    session(ShardMap::new(1, 1, 0))?.run_epoch(0, &[], |b| single_batches.push(b))?;
 
     let delivered: usize = fleet_batches.iter().map(TensorBatch::len).sum();
     assert_eq!(delivered as u64, SAMPLES, "fleet lost samples");

@@ -7,21 +7,17 @@
 //! variable (default 17); any failure reproduces locally with
 //! `CHAOS_SEED=<seed> cargo test --test chaos_end_to_end`.
 
-use std::time::Duration;
-
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
-use fleet::{FleetTransport, ShardMap};
+use fleet::ShardMap;
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, TensorBatch};
 use sophon::engine::PlanningContext;
 use sophon::ext::sharding::{self, FleetPlanRequest};
-use sophon::loader::{LoaderConfig, OffloadingLoader};
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
 use sophon::OffloadPlan;
-use storage::{
-    BackoffConfig, Deadline, FaultKind, FaultPlan, FaultRecord, MultiServerHarness, ObjectStore,
-    RetryingTransport, ServerConfig,
-};
+use storage::{FaultKind, FaultPlan, FaultRecord, ServerConfig};
 
 const N: u64 = 16;
 const BATCH: usize = 4;
@@ -33,73 +29,43 @@ fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(17)
 }
 
-fn server_config() -> ServerConfig {
-    ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
-}
-
 /// Runs one epoch over a live fleet, optionally under chaos, and returns
 /// the collated batches plus the fleet-wide fault log.
 fn run_epoch(
-    store: &ObjectStore,
+    corpus: &Corpus,
     map: &ShardMap,
     plan: &OffloadPlan,
-    ds_seed: u64,
     chaos: Option<&FaultPlan>,
 ) -> (Vec<TensorBatch>, Vec<FaultRecord>) {
-    let harness = match chaos {
-        Some(p) => MultiServerHarness::spawn_with_chaos(
-            store,
-            NODES,
-            server_config(),
-            |id| map.owners(id),
-            p,
-        )
-        .unwrap(),
-        None => {
-            MultiServerHarness::spawn(store, NODES, server_config(), |id| map.owners(id)).unwrap()
-        }
-    };
     // The production resilience stack per node: a finite deadline turns a
     // dropped response frame into `DeadlineExceeded`, and the retry layer
     // re-issues the batch until the fault plan's attempt bound clears it.
-    // The budget is generous because offloaded fetches run the real
-    // preprocessing pipeline server-side, which is slow in debug builds.
-    let transports: Vec<_> = harness
-        .clients()
-        .unwrap()
-        .into_iter()
-        .map(|client| {
-            RetryingTransport::with_backoff(
-                client.with_deadline(Deadline::after(Duration::from_secs(2))),
-                10,
-                BackoffConfig::none(),
-            )
-        })
-        .collect();
-    let fleet = FleetTransport::new(transports, map.clone(), None);
-    let mut loader = OffloadingLoader::new(
-        fleet,
-        PipelineSpec::standard_train(),
-        plan.clone(),
-        LoaderConfig::new(ds_seed, BATCH),
-    )
-    .unwrap();
+    let config = LoaderConfig::new(corpus.spec().seed, BATCH);
+    let mut builder =
+        Session::builder(corpus, PipelineSpec::standard_train(), plan.clone(), config)
+            .shards(map.clone())
+            .server(ServerConfig {
+                cores: 2,
+                bandwidth: Bandwidth::from_gbps(10.0),
+                ..ServerConfig::default()
+            })
+            .resilient();
+    if let Some(p) = chaos {
+        builder = builder.faults(p.clone());
+    }
+    let mut session = builder.start().unwrap();
     let mut batches: Vec<TensorBatch> = Vec::new();
-    loader.run_epoch(0, |b| batches.push(b)).unwrap();
-    let log = harness.fault_logs();
-    harness.shutdown();
-    (batches, log)
+    session.run_epoch(0, &[], |b| batches.push(b)).unwrap();
+    (batches, session.harness().fault_logs())
 }
 
 #[test]
 fn aggressive_chaos_loses_nothing_and_reproduces_per_seed() {
     let seed = chaos_seed();
     let ds = DatasetSpec::mini(N, 88);
-    let store = ObjectStore::materialize_dataset(&ds, 0..N);
+    let corpus = Corpus::materialize(&ds);
     let pipeline = PipelineSpec::standard_train();
-    let model = CostModel::realistic();
-    let profiles =
-        sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0).unwrap();
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic()).unwrap();
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(NODES, REPLICATION, 17);
@@ -114,7 +80,7 @@ fn aggressive_chaos_loses_nothing_and_reproduces_per_seed() {
     // seed's random schedule, so the CRC detection path always runs.
     let chaos = FaultPlan::aggressive(seed).script(0, 0, 0, FaultKind::BitFlip);
 
-    let (chaos_batches, log_a) = run_epoch(&store, &map, &sharded.plan, ds.seed, Some(&chaos));
+    let (chaos_batches, log_a) = run_epoch(&corpus, &map, &sharded.plan, Some(&chaos));
     let delivered: usize = chaos_batches.iter().map(TensorBatch::len).sum();
     assert_eq!(delivered as u64, N, "chaos lost samples (seed {seed})");
     assert!(!log_a.is_empty(), "the aggressive plan injected nothing (seed {seed})");
@@ -125,11 +91,11 @@ fn aggressive_chaos_loses_nothing_and_reproduces_per_seed() {
 
     // Bit-identity: chaos may delay, reorder retries, and corrupt frames,
     // but every surviving tensor must equal the fault-free run's.
-    let (clean_batches, clean_log) = run_epoch(&store, &map, &sharded.plan, ds.seed, None);
+    let (clean_batches, clean_log) = run_epoch(&corpus, &map, &sharded.plan, None);
     assert!(clean_log.is_empty());
     assert_eq!(chaos_batches, clean_batches, "chaos perturbed tensor contents (seed {seed})");
 
     // Determinism: the same seed injects the identical fault sequence.
-    let (_, log_b) = run_epoch(&store, &map, &sharded.plan, ds.seed, Some(&chaos));
+    let (_, log_b) = run_epoch(&corpus, &map, &sharded.plan, Some(&chaos));
     assert_eq!(log_a, log_b, "fault sequence did not reproduce (seed {seed})");
 }

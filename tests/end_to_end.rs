@@ -8,36 +8,36 @@ use datasets::DatasetSpec;
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SplitPoint, StageData};
 use sophon::engine::PlanningContext;
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
 use sophon::prelude::*;
-use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
+use storage::{ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const N: u64 = 12;
 
-fn live_setup() -> (DatasetSpec, ObjectStore, PipelineSpec) {
+fn live_setup() -> (DatasetSpec, Corpus, PipelineSpec) {
     let ds = DatasetSpec::mini(N, 99);
-    let store = ObjectStore::materialize_dataset(&ds, 0..N);
-    (ds, store, PipelineSpec::standard_train())
+    let corpus = Corpus::materialize(&ds);
+    (ds, corpus, PipelineSpec::standard_train())
+}
+
+fn server_config(cores: usize) -> ServerConfig {
+    ServerConfig { cores, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
 }
 
 #[test]
 fn sophon_offloaded_tensors_equal_local_tensors() {
     // The core correctness claim: whatever split SOPHON chooses, the tensor
     // the GPU sees is bit-identical to unsplit local preprocessing.
-    let (ds, store, pipeline) = live_setup();
-    let model = CostModel::realistic();
-    let profiles =
-        sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 1).unwrap();
+    let (ds, corpus, pipeline) = live_setup();
+    let store = corpus.store();
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic()).unwrap();
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, 4);
     let plan = SophonPolicy::without_stage1_gate().plan(&ctx).unwrap();
     assert!(plan.offloaded_samples() > 0, "mini corpus should offer offload candidates");
 
-    let server = TcpStorageServer::bind(
-        store.clone(),
-        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let server = TcpStorageServer::bind(store.clone(), server_config(2), "127.0.0.1:0").unwrap();
     let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline.clone()).unwrap();
 
@@ -63,10 +63,8 @@ fn wire_traffic_matches_plan_prediction() {
     // `size_at(split)` prediction exactly (payload part; framing adds 29
     // bytes per raw response: the length prefix, a 21-byte head and the
     // CRC).
-    let (ds, store, pipeline) = live_setup();
-    let model = CostModel::realistic();
-    let profiles =
-        sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0).unwrap();
+    let (ds, corpus, pipeline) = live_setup();
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic()).unwrap();
     let plan = OffloadPlan::from_splits(
         (0..N as usize)
             .map(|i| if i % 2 == 0 { SplitPoint::new(2) } else { SplitPoint::NONE })
@@ -75,12 +73,8 @@ fn wire_traffic_matches_plan_prediction() {
     let expected_payload: u64 =
         profiles.iter().zip(plan.iter()).map(|(p, s)| p.size_at(s.offloaded_ops())).sum();
 
-    let server = TcpStorageServer::bind(
-        store,
-        ServerConfig { cores: 3, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let server =
+        TcpStorageServer::bind(corpus.store().clone(), server_config(3), "127.0.0.1:0").unwrap();
     let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline).unwrap();
     let reqs: Vec<_> =
@@ -88,11 +82,10 @@ fn wire_traffic_matches_plan_prediction() {
     let responses = client.fetch_many_requests(&reqs).unwrap();
     assert_eq!(responses.len(), N as usize);
 
-    // Read after the join: the loop thread counts a frame once its write
-    // returns, which can be after the client has already read it.
-    let meter = server.meter();
+    // The meter counts a frame before the write that completes it, so
+    // every response the client holds is already in it.
+    let framing = server.response_bytes() - expected_payload;
     server.shutdown();
-    let framing = meter.bytes() - expected_payload;
     assert!(framing < N * 32, "framing overhead {framing} bytes is too large for {N} responses");
 }
 
@@ -129,13 +122,9 @@ fn simulated_and_predicted_traffic_agree_at_scale() {
 fn augmentations_vary_across_epochs_through_the_server() {
     // §3.3: offloading must not freeze augmentations. Fetch the same sample
     // in two epochs with the same split; the crops must differ.
-    let (ds, store, pipeline) = live_setup();
-    let server = TcpStorageServer::bind(
-        store,
-        ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let (ds, corpus, pipeline) = live_setup();
+    let server =
+        TcpStorageServer::bind(corpus.store().clone(), server_config(1), "127.0.0.1:0").unwrap();
     let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
     client.configure(ds.seed, pipeline).unwrap();
     let a = client.fetch(3, 0, SplitPoint::new(2)).unwrap();
@@ -154,38 +143,30 @@ fn loader_over_tcp_with_retry_and_compression() {
     // The full adoption stack in one test: SOPHON plan → retrying TCP
     // transport → offloading loader with wire re-compression → collated
     // NCHW batches identical in shape to local preprocessing.
-    use sophon::loader::{LoaderConfig, OffloadingLoader};
-    use storage::RetryingTransport;
-
     let ds = DatasetSpec::mini(8, 123);
-    let store = ObjectStore::materialize_dataset(&ds, 0..8);
+    let corpus = Corpus::materialize(&ds);
     let pipeline = PipelineSpec::standard_train();
     let model = CostModel::realistic();
-    let plan = sophon::OffloadPlan::from_splits(
+    let plan = OffloadPlan::from_splits(
         ds.records().map(|r| r.analytic_profile(&pipeline, &model).best_split()).collect(),
     );
 
-    let server = TcpStorageServer::bind(
-        store,
-        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() },
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let transport =
-        RetryingTransport::new(TcpStorageClient::connect(server.local_addr()).unwrap(), 2);
     let mut config = LoaderConfig::new(ds.seed, 3);
     config.reencode_quality = Some(85);
-    let mut loader = OffloadingLoader::new(transport, pipeline, plan, config).unwrap();
+    let mut session = Session::builder(&corpus, pipeline, plan, config)
+        .server(server_config(2))
+        .resilient()
+        .start()
+        .unwrap();
     let mut total_samples = 0usize;
-    let batches = loader
-        .run_epoch(2, |b| {
+    let batches = session
+        .run_epoch(2, &[], |b| {
             assert_eq!(b.shape(), (224, 224));
             total_samples += b.len();
         })
         .unwrap();
     assert_eq!(batches, 3);
     assert_eq!(total_samples, 8);
-    server.shutdown();
 }
 
 #[test]
@@ -195,16 +176,12 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     // to fetching it fresh — in *every* epoch, because the suffix (the
     // random ops) still reruns with that epoch's RNG. And caching must not
     // freeze augmentations: consecutive warm epochs still differ.
-    use cache::{CachingTransport, SampleCache};
-    use sophon::engine::PlanningContext;
+    use cache::SampleCache;
     use sophon::ext::caching::{self, CacheSelection};
     use sophon::ext::sharding::{self, FleetPlanRequest};
-    use sophon::loader::{LoaderConfig, OffloadingLoader};
 
-    let (ds, store, pipeline) = live_setup();
-    let model = CostModel::realistic();
-    let profiles =
-        sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0).unwrap();
+    let (ds, corpus, pipeline) = live_setup();
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic()).unwrap();
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, 4);
     // Full budget: every sample is pinned at an epoch-stable split.
@@ -218,54 +195,20 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     let plan = sharding::plan_fleet(&ctx, &request).unwrap().plan;
 
     let run_epochs = |cache: Option<SampleCache>, epochs: &[u64]| {
-        let server = TcpStorageServer::bind(
-            store.clone(),
-            ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let meter = server.meter();
-        let mut batches: Vec<Vec<pipeline::TensorBatch>> = Vec::new();
-        match cache {
-            Some(cache) => {
-                let transport = CachingTransport::new(
-                    TcpStorageClient::connect(server.local_addr()).unwrap(),
-                    cache,
-                );
-                let mut loader = OffloadingLoader::new(
-                    transport,
-                    pipeline.clone(),
-                    plan.clone(),
-                    LoaderConfig::new(ds.seed, 4),
-                )
-                .unwrap();
-                for &e in epochs {
-                    let mut got = Vec::new();
-                    loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
-                    batches.push(got);
-                }
-            }
-            None => {
-                let mut loader = OffloadingLoader::new(
-                    TcpStorageClient::connect(server.local_addr()).unwrap(),
-                    pipeline.clone(),
-                    plan.clone(),
-                    LoaderConfig::new(ds.seed, 4),
-                )
-                .unwrap();
-                for &e in epochs {
-                    let mut got = Vec::new();
-                    loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
-                    batches.push(got);
-                }
-            }
+        let config = LoaderConfig::new(ds.seed, 4);
+        let mut builder = Session::builder(&corpus, pipeline.clone(), plan.clone(), config)
+            .server(server_config(2));
+        if let Some(cache) = cache {
+            builder = builder.cache(cache, []);
         }
-        server.shutdown();
-        (batches, meter.bytes())
+        let mut session = builder.start().unwrap();
+        let mut batches: Vec<Vec<pipeline::TensorBatch>> = Vec::new();
+        for &e in epochs {
+            let mut got = Vec::new();
+            session.run_epoch(e, &[], |b| got.push(b)).unwrap();
+            batches.push(got);
+        }
+        (batches, session.harness().traffic_total().bytes)
     };
 
     // Cached run: epoch 0 cold (fills the cache), epochs 3 and 4 warm.

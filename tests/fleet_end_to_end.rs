@@ -5,17 +5,17 @@
 
 use std::time::{Duration, Instant};
 
-use cluster::{ClusterConfig, GpuModel};
+use cluster::{ClusterConfig, GpuModel, KillEvent};
 use datasets::DatasetSpec;
 use fleet::{FleetTransport, ShardMap};
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SplitPoint, TensorBatch};
 use sophon::engine::PlanningContext;
 use sophon::ext::sharding::{self, FleetPlanRequest};
-use sophon::loader::{LoaderConfig, OffloadingLoader};
+use sophon::live::{Corpus, Session};
+use sophon::loader::LoaderConfig;
 use storage::{
-    ClientError, FetchRequest, FetchResponse, FetchTransport, MultiServerHarness, ObjectStore,
-    ServerConfig, TcpStorageClient, TcpStorageServer,
+    ClientError, FetchRequest, FetchResponse, FetchTransport, MultiServerHarness, ServerConfig,
 };
 
 const N: u64 = 32;
@@ -32,55 +32,36 @@ fn killed_node_mid_epoch_loses_nothing_and_tensors_match_single_node() {
     // delivered, and the collated batches are bit-identical to the same
     // plan served by a single storage node.
     let ds = DatasetSpec::mini(N, 88);
-    let store = ObjectStore::materialize_dataset(&ds, 0..N);
+    let corpus = Corpus::materialize(&ds);
     let pipeline = PipelineSpec::standard_train();
-    let model = CostModel::realistic();
-    let profiles =
-        sophon::profiler::stage2::profile_corpus_live(&ds, &pipeline, &model, 0).unwrap();
+    let profiles = corpus.profiles(&pipeline, &CostModel::realistic()).unwrap();
     let config = ClusterConfig::paper_testbed(2).with_bandwidth(Bandwidth::from_mbps(100.0));
     let ctx = PlanningContext::new(&profiles, &pipeline, &config, GpuModel::AlexNet, BATCH);
     let map = ShardMap::new(4, 2, 17);
     let nodes = sharding::fleet_nodes(&config, 4);
     let sharded = sharding::plan_fleet(&ctx, &FleetPlanRequest::new(&map, &nodes)).unwrap();
     assert!(sharded.plan.offloaded_samples() > 0);
+    let session = |map: ShardMap| {
+        let config = LoaderConfig::new(ds.seed, BATCH);
+        Session::builder(&corpus, pipeline.clone(), sharded.plan.clone(), config)
+            .shards(map)
+            .server(server_config())
+            .start()
+            .unwrap()
+    };
 
-    let mut harness =
-        MultiServerHarness::spawn(&store, 4, server_config(), |id| map.owners(id)).unwrap();
-    let fleet = FleetTransport::new(harness.clients().unwrap(), map.clone(), None);
+    // Killed after the second of eight batches.
     let victim = map.primary(0);
-    let mut loader = OffloadingLoader::new(
-        fleet,
-        pipeline.clone(),
-        sharded.plan.clone(),
-        LoaderConfig::new(ds.seed, BATCH),
-    )
-    .unwrap();
+    let mut fleet = session(map);
     let mut fleet_batches: Vec<TensorBatch> = Vec::new();
-    loader
-        .run_epoch(0, |b| {
-            fleet_batches.push(b);
-            if fleet_batches.len() == 2 {
-                harness.kill(victim);
-            }
-        })
-        .unwrap();
-    assert!(!harness.is_alive(victim));
+    fleet.run_epoch(0, &[KillEvent::new(victim, 0.25)], |b| fleet_batches.push(b)).unwrap();
+    assert!(!fleet.harness().is_alive(victim));
     let delivered: usize = fleet_batches.iter().map(TensorBatch::len).sum();
     assert_eq!(delivered as u64, N, "fleet lost samples across the kill");
-    harness.shutdown();
 
     // Single-node baseline with the identical plan.
-    let server = TcpStorageServer::bind(store, server_config(), "127.0.0.1:0").unwrap();
-    let mut single = OffloadingLoader::new(
-        TcpStorageClient::connect(server.local_addr()).unwrap(),
-        pipeline,
-        sharded.plan,
-        LoaderConfig::new(ds.seed, BATCH),
-    )
-    .unwrap();
     let mut single_batches: Vec<TensorBatch> = Vec::new();
-    single.run_epoch(0, |b| single_batches.push(b)).unwrap();
-    server.shutdown();
+    session(ShardMap::new(1, 1, 0)).run_epoch(0, &[], |b| single_batches.push(b)).unwrap();
 
     assert_eq!(
         fleet_batches, single_batches,
@@ -122,14 +103,15 @@ fn hedging_cuts_the_tail_latency_of_a_straggler_node() {
     // delay; with a 10 ms hedge deadline the replica answers first and the
     // p99 drops well below the straggler's floor.
     let ds = DatasetSpec::mini(N, 21);
-    let store = ObjectStore::materialize_dataset(&ds, 0..N);
+    let corpus = Corpus::materialize(&ds);
     let map = ShardMap::new(2, 2, 13);
     let slow_node = map.primary(0);
     let delay = Duration::from_millis(80);
 
     let run = |hedge: Option<Duration>| -> (Vec<Duration>, u64) {
         let harness =
-            MultiServerHarness::spawn(&store, 2, server_config(), |id| map.owners(id)).unwrap();
+            MultiServerHarness::spawn(corpus.store(), 2, server_config(), |id| map.owners(id))
+                .unwrap();
         let transports: Vec<SlowTransport<_>> = harness
             .clients()
             .unwrap()
