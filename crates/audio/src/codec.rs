@@ -20,9 +20,9 @@
 use crate::Waveform;
 
 /// Magic bytes identifying a stream.
-pub const MAGIC: [u8; 4] = *b"SFLC";
+pub(crate) const MAGIC: [u8; 4] = *b"SFLC";
 /// Samples per frame.
-pub const FRAME: usize = 4096;
+pub(crate) const FRAME: usize = 4096;
 const HEADER_LEN: usize = 4 + 4 + 8;
 const MAX_SAMPLES: u64 = 1 << 32;
 
@@ -230,7 +230,7 @@ fn rice_decode(data: &[u8], k: u8, count: usize) -> Result<Vec<i64>, AudioCodecE
 // --- LPC ------------------------------------------------------------------
 
 /// Maximum LPC order.
-pub const MAX_LPC_ORDER: usize = 12;
+pub(crate) const MAX_LPC_ORDER: usize = 12;
 const LPC_PRECISION_BITS: u32 = 14;
 
 /// Levinson–Durbin recursion over the frame's autocorrelation; returns LPC

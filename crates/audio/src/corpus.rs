@@ -5,8 +5,7 @@
 //! mix common values — enough variety that SOPHON's per-clip decisions
 //! genuinely differ.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use imagery::rng::Rng;
 
 use crate::{codec, AudioData, SynthAudioSpec, Waveform};
 
@@ -18,26 +17,26 @@ pub struct AudioDatasetSpec {
     /// Number of clips.
     pub len: u64,
     /// Median clip duration in seconds.
-    pub median_seconds: f64,
+    pub(crate) median_seconds: f64,
     /// Log-space duration spread.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Mean tonality.
-    pub tonality_mean: f64,
+    pub(crate) tonality_mean: f64,
 }
 
 /// Per-clip metadata.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClipRecord {
+pub(crate) struct ClipRecord {
     /// Clip index.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Source sample rate in Hz.
-    pub sample_rate: u32,
+    pub(crate) sample_rate: u32,
     /// Duration in seconds.
-    pub duration_seconds: f64,
+    pub(crate) duration_seconds: f64,
     /// Tonality in `[0, 1]`.
-    pub tonality: f64,
+    pub(crate) tonality: f64,
     /// Amplitude in `[0, 1]` (quiet clips compress far better).
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
 }
 
 impl AudioDatasetSpec {
@@ -51,34 +50,29 @@ impl AudioDatasetSpec {
     /// # Panics
     ///
     /// Panics when `id >= len`.
-    pub fn record(&self, id: u64) -> ClipRecord {
+    pub(crate) fn record(&self, id: u64) -> ClipRecord {
         assert!(id < self.len, "clip {id} out of range");
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = Rng::seed_from_u64(
             self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ id.wrapping_mul(0xd6e8_feb8_6659_fd93),
         );
         let z: f64 = {
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
+            let u1 = rng.range_f64(f64::MIN_POSITIVE..1.0);
+            let u2 = rng.range_f64(0.0..1.0);
             (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         };
         let duration = (self.median_seconds * (z * self.sigma).exp()).clamp(0.5, 20.0);
-        let tonality = (self.tonality_mean + rng.gen_range(-0.35..0.35)).clamp(0.0, 1.0);
+        let tonality = (self.tonality_mean + rng.range_f64(-0.35..0.35)).clamp(0.0, 1.0);
         // ~20% of clips are quiet (hushed speech, room tone): these compress
         // below their feature size and are SOPHON's keep-raw cases.
         let amplitude =
-            if rng.gen_bool(0.2) { rng.gen_range(0.03..0.15) } else { rng.gen_range(0.5..1.0) };
+            if rng.gen_bool(0.2) { rng.range_f64(0.03..0.15) } else { rng.range_f64(0.5..1.0) };
         let sample_rate =
-            *[16_000u32, 22_050, 44_100].get(rng.gen_range(0..3usize)).expect("three rates");
+            *[16_000u32, 22_050, 44_100].get(rng.range_usize(0..3)).expect("three rates");
         ClipRecord { id, sample_rate, duration_seconds: duration, tonality, amplitude }
     }
 
-    /// All records.
-    pub fn records(&self) -> impl Iterator<Item = ClipRecord> + '_ {
-        (0..self.len).map(|id| self.record(id))
-    }
-
     /// Renders clip `id`'s waveform.
-    pub fn waveform(&self, id: u64) -> Waveform {
+    pub(crate) fn waveform(&self, id: u64) -> Waveform {
         let r = self.record(id);
         SynthAudioSpec::new(r.sample_rate, r.duration_seconds)
             .tonality(r.tonality)
@@ -99,7 +93,7 @@ mod tests {
     #[test]
     fn records_are_deterministic_and_bounded() {
         let ds = AudioDatasetSpec::speech_like(100, 5);
-        for r in ds.records() {
+        for r in (0..ds.len).map(|id| ds.record(id)) {
             assert_eq!(ds.record(r.id), r);
             assert!((0.5..=20.0).contains(&r.duration_seconds));
             assert!((0.0..=1.0).contains(&r.tonality));
@@ -111,7 +105,7 @@ mod tests {
     #[test]
     fn corpus_has_duration_variety() {
         let ds = AudioDatasetSpec::speech_like(200, 7);
-        let durations: Vec<f64> = ds.records().map(|r| r.duration_seconds).collect();
+        let durations: Vec<f64> = (0..ds.len).map(|id| ds.record(id).duration_seconds).collect();
         let min = durations.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = durations.iter().cloned().fold(0.0, f64::max);
         assert!(max > min * 3.0, "durations too uniform: {min}..{max}");

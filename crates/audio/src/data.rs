@@ -29,14 +29,6 @@ impl AudioData {
             _ => None,
         }
     }
-
-    /// Borrows the features, when at that stage.
-    pub fn as_features(&self) -> Option<&Spectrogram> {
-        match self {
-            AudioData::Features(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

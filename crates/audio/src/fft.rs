@@ -4,7 +4,7 @@
 //! must be powers of two; the mel op pads its frames accordingly.
 
 /// A complex number (re, im).
-pub type Complex = (f64, f64);
+pub(crate) type Complex = (f64, f64);
 
 /// Errors from the FFT kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ impl std::error::Error for FftError {}
 /// # Errors
 ///
 /// [`FftError::NotPowerOfTwo`] when `data.len()` is not a power of two.
-pub fn fft_in_place(data: &mut [Complex]) -> Result<(), FftError> {
+pub(crate) fn fft_in_place(data: &mut [Complex]) -> Result<(), FftError> {
     let n = data.len();
     if !n.is_power_of_two() {
         return Err(FftError::NotPowerOfTwo { len: n });
@@ -80,7 +80,7 @@ pub fn fft_in_place(data: &mut [Complex]) -> Result<(), FftError> {
 /// # Errors
 ///
 /// [`FftError::NotPowerOfTwo`] when `frame.len()` is not a power of two.
-pub fn power_spectrum(frame: &[f64]) -> Result<Vec<f64>, FftError> {
+pub(crate) fn power_spectrum(frame: &[f64]) -> Result<Vec<f64>, FftError> {
     let mut data: Vec<Complex> = frame.iter().map(|&v| (v, 0.0)).collect();
     fft_in_place(&mut data)?;
     Ok(data[..frame.len() / 2 + 1].iter().map(|&(re, im)| re * re + im * im).collect())

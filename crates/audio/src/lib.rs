@@ -15,7 +15,7 @@
 //! 2. **Resample** — to the model's rate (linear interpolation);
 //! 3. **RandomCrop** — a random fixed-length window (epoch-varying, keyed
 //!    like the image pipeline's augmentations);
-//! 4. **MelSpectrogram** — radix-2 FFT ([`fft`]) → mel filterbank
+//! 4. **MelSpectrogram** — radix-2 FFT (`fft`) → mel filterbank
 //!    ([`mel`]) → log power, the classic feature front-end;
 //! 5. **Normalize** — per-clip standardization.
 //!
@@ -27,18 +27,18 @@
 //! split structure.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod codec;
 pub mod corpus;
 mod data;
-pub mod fft;
+mod fft;
 pub mod mel;
 mod ops;
 mod profile;
 mod waveform;
 
-pub use corpus::{AudioDatasetSpec, ClipRecord};
+pub use corpus::AudioDatasetSpec;
 pub use data::AudioData;
 pub use ops::{AudioOp, AudioPipeline, AudioPipelineError};
 pub use profile::profile_clip;

@@ -62,12 +62,12 @@ impl From<FftError> for MelError {
 }
 
 /// Hz → mel (HTK convention).
-pub fn hz_to_mel(hz: f64) -> f64 {
+pub(crate) fn hz_to_mel(hz: f64) -> f64 {
     2595.0 * (1.0 + hz / 700.0).log10()
 }
 
 /// Mel → Hz (HTK convention).
-pub fn mel_to_hz(mel: f64) -> f64 {
+pub(crate) fn mel_to_hz(mel: f64) -> f64 {
     700.0 * (10f64.powf(mel / 2595.0) - 1.0)
 }
 
@@ -77,7 +77,7 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 ///
 /// [`MelError`] for degenerate parameters (zero filters, zero rate, `n_fft`
 /// not a power of two).
-pub fn filterbank(
+pub(crate) fn filterbank(
     n_mels: usize,
     n_fft: usize,
     sample_rate: u32,
@@ -126,29 +126,9 @@ pub struct Spectrogram {
 }
 
 impl Spectrogram {
-    /// Number of mel bands.
-    pub fn n_mels(&self) -> usize {
-        self.n_mels
-    }
-
-    /// Number of time frames.
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
     /// Byte size when transferred (`4` bytes per value).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.data.len() * 4
-    }
-
-    /// The value at `(mel, frame)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of range.
-    pub fn get(&self, mel: usize, frame: usize) -> f32 {
-        assert!(mel < self.n_mels && frame < self.frames);
-        self.data[frame * self.n_mels + mel]
     }
 
     /// Flat frame-major values.
@@ -157,7 +137,7 @@ impl Spectrogram {
     }
 
     /// Standardizes all values in place to zero mean, unit variance.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         let n = self.data.len() as f64;
         let mean = self.data.iter().map(|&v| f64::from(v)).sum::<f64>() / n;
         let var = self.data.iter().map(|&v| (f64::from(v) - mean).powi(2)).sum::<f64>() / n;
@@ -177,7 +157,7 @@ impl Spectrogram {
 ///
 /// [`MelError`] for degenerate parameters or a waveform shorter than one
 /// frame.
-pub fn mel_spectrogram(
+pub(crate) fn mel_spectrogram(
     w: &Waveform,
     n_fft: usize,
     hop: usize,
@@ -241,9 +221,9 @@ mod tests {
     fn spectrogram_shape_and_size() {
         let w = SynthAudioSpec::new(16_000, 1.0).render(1); // 16 000 samples
         let s = mel_spectrogram(&w, 512, 256, 64).unwrap();
-        assert_eq!(s.n_mels(), 64);
-        assert_eq!(s.frames(), (16_000 - 512) / 256 + 1);
-        assert_eq!(s.byte_len(), s.n_mels() * s.frames() * 4);
+        assert_eq!(s.n_mels, 64);
+        assert_eq!(s.frames, (16_000 - 512) / 256 + 1);
+        assert_eq!(s.byte_len(), s.n_mels * s.frames * 4);
         // Feature bytes are far below PCM bytes — the audio pipeline's
         // SOPHON opportunity.
         assert!(s.byte_len() < w.byte_len());
@@ -263,8 +243,9 @@ mod tests {
         let w = Waveform::new(sr, samples);
         let s = mel_spectrogram(&w, 512, 256, 40).unwrap();
         // Average each band over time.
-        let band_energy: Vec<f64> =
-            (0..40).map(|m| (0..s.frames()).map(|f| f64::from(s.get(m, f))).sum::<f64>()).collect();
+        let band_energy: Vec<f64> = (0..40)
+            .map(|m| (0..s.frames).map(|f| f64::from(s.data[f * 40 + m])).sum::<f64>())
+            .collect();
         let peak =
             band_energy.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         // 1 kHz = mel 999.9; with 40 bands to 8 kHz Nyquist (mel 2840), the

@@ -44,12 +44,12 @@ pub enum AudioOp {
 impl AudioOp {
     /// Whether this op draws from the augmentation stream (its output
     /// varies per epoch).
-    pub fn is_random(self) -> bool {
+    pub(crate) fn is_random(self) -> bool {
         matches!(self, AudioOp::RandomCrop { .. })
     }
 
     /// Short name for traces and profiles.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AudioOp::Decode => "audio_decode",
             AudioOp::Resample { .. } => "resample",
@@ -65,7 +65,7 @@ impl AudioOp {
     ///
     /// Returns [`AudioPipelineError`] on stage mismatches or decode
     /// failures.
-    pub fn apply(
+    pub(crate) fn apply(
         self,
         data: AudioData,
         rng: &mut AugmentRng,
@@ -188,7 +188,7 @@ pub struct AudioPipeline {
 
 impl AudioPipeline {
     /// Builds a pipeline from ops.
-    pub fn new(ops: Vec<AudioOp>) -> AudioPipeline {
+    pub(crate) fn new(ops: Vec<AudioOp>) -> AudioPipeline {
         AudioPipeline { ops }
     }
 
@@ -330,10 +330,9 @@ mod tests {
     fn full_pipeline_produces_features() {
         let out =
             AudioPipeline::standard_train().run(encoded(1, 0.6), SampleKey::new(9, 1, 0)).unwrap();
-        let s = out.as_features().unwrap();
-        assert_eq!(s.n_mels(), 64);
-        // 2 s at 16 kHz with 512/256: (32000-512)/256+1 = 124 frames.
-        assert_eq!(s.frames(), 124);
+        let AudioData::Features(s) = out else { panic!("no features: {out:?}") };
+        // 64 mel bands; 2 s at 16 kHz with 512/256: (32000-512)/256+1 = 124 frames.
+        assert_eq!(s.as_slice().len(), 64 * 124);
     }
 
     #[test]
@@ -371,7 +370,7 @@ mod tests {
         let out = spec
             .run(AudioData::Encoded(crate::codec::encode(&w)), SampleKey::new(0, 0, 0))
             .unwrap();
-        assert!(out.as_features().is_some());
+        assert!(matches!(out, AudioData::Features(_)));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use imagery::rng::Rng;
 
 /// Errors from waveform construction and slicing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,7 @@ impl Waveform {
     ///
     /// Panics when `sample_rate` is zero or `samples` is empty; use
     /// [`Waveform::try_new`] to handle untrusted dimensions.
-    pub fn new(sample_rate: u32, samples: Vec<i16>) -> Waveform {
+    pub(crate) fn new(sample_rate: u32, samples: Vec<i16>) -> Waveform {
         Waveform::try_new(sample_rate, samples).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -62,7 +61,7 @@ impl Waveform {
     ///
     /// [`WaveformError::ZeroSampleRate`] / [`WaveformError::EmptySamples`]
     /// for degenerate inputs.
-    pub fn try_new(sample_rate: u32, samples: Vec<i16>) -> Result<Waveform, WaveformError> {
+    pub(crate) fn try_new(sample_rate: u32, samples: Vec<i16>) -> Result<Waveform, WaveformError> {
         if sample_rate == 0 {
             return Err(WaveformError::ZeroSampleRate);
         }
@@ -83,23 +82,13 @@ impl Waveform {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
-    }
-
-    /// Whether the waveform is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Duration in seconds.
-    pub fn duration_seconds(&self) -> f64 {
-        self.samples.len() as f64 / f64::from(self.sample_rate)
     }
 
     /// Raw PCM byte size (2 bytes/sample) — what an un-offloaded loader
     /// would move once decoded.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.samples.len() * 2
     }
 
@@ -108,7 +97,7 @@ impl Waveform {
     /// # Errors
     ///
     /// [`WaveformError::ZeroTargetRate`] when `target_rate` is zero.
-    pub fn resample(&self, target_rate: u32) -> Result<Waveform, WaveformError> {
+    pub(crate) fn resample(&self, target_rate: u32) -> Result<Waveform, WaveformError> {
         if target_rate == 0 {
             return Err(WaveformError::ZeroTargetRate);
         }
@@ -137,7 +126,7 @@ impl Waveform {
     ///
     /// [`WaveformError::WindowOutOfRange`] when the window exceeds the
     /// waveform or `len` is zero.
-    pub fn window(&self, offset: usize, len: usize) -> Result<Waveform, WaveformError> {
+    pub(crate) fn window(&self, offset: usize, len: usize) -> Result<Waveform, WaveformError> {
         let available = self.samples.len();
         if len == 0 || offset.checked_add(len).is_none_or(|end| end > available) {
             return Err(WaveformError::WindowOutOfRange { offset, len, available });
@@ -189,24 +178,24 @@ impl SynthAudioSpec {
     /// Quiet clips compress dramatically better — silence is the best
     /// compressor's friend.
     #[must_use]
-    pub fn amplitude(mut self, a: f64) -> SynthAudioSpec {
+    pub(crate) fn amplitude(mut self, a: f64) -> SynthAudioSpec {
         self.amplitude = a.clamp(0.0, 1.0);
         self
     }
 
     /// Renders the waveform deterministically from `seed`.
     pub fn render(&self, seed: u64) -> Waveform {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4155_4449_4f21);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x4155_4449_4f21);
         let n = (self.duration_seconds * f64::from(self.sample_rate)).round().max(1.0) as usize;
         // Natural-ish spectra: low fundamentals with 1/h^2 harmonic rolloff,
         // which linear prediction captures well (as it does real speech).
-        let fundamental = rng.gen_range(70.0..350.0);
+        let fundamental = rng.range_f64(70.0..350.0);
         let harmonics: Vec<(f64, f64, f64)> = (1..=5)
             .map(|h| {
                 (
                     fundamental * f64::from(h),
-                    rng.gen_range(0.5..1.0) / f64::from(h * h),
-                    rng.gen_range(0.0..std::f64::consts::TAU),
+                    rng.range_f64(0.5..1.0) / f64::from(h * h),
+                    rng.range_f64(0.0..std::f64::consts::TAU),
                 )
             })
             .collect();
@@ -220,7 +209,7 @@ impl SynthAudioSpec {
                     .iter()
                     .map(|&(f, a, p)| a * (std::f64::consts::TAU * f * t + p).sin())
                     .sum();
-                let noise: f64 = rng.gen_range(-1.0..1.0);
+                let noise = rng.range_f64(-1.0..1.0);
                 let v = 0.5 * self.amplitude * (tone_amp * tone + noise_amp * noise);
                 (v.clamp(-1.0, 1.0) * 32767.0) as i16
             })
@@ -245,7 +234,6 @@ mod tests {
         let w = SynthAudioSpec::new(16_000, 2.0).render(1);
         assert_eq!(w.len(), 32_000);
         assert_eq!(w.byte_len(), 64_000);
-        assert!((w.duration_seconds() - 2.0).abs() < 1e-9);
     }
 
     #[test]

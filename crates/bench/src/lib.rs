@@ -886,7 +886,7 @@ mod tests {
     fn efficiency_ordering_beats_random_under_tight_cpu() {
         let ds = openimages(2_048);
         let eff = epoch_with_ordering(&ds, 1, |p| p.efficiency(), true);
-        let rand = epoch_with_ordering(&ds, 1, hashed_id, true);
-        assert!(eff <= rand + 1e-9, "efficiency {eff} vs random {rand}");
+        let hashed = epoch_with_ordering(&ds, 1, hashed_id, true);
+        assert!(eff <= hashed + 1e-9, "efficiency {eff} vs hashed {hashed}");
     }
 }

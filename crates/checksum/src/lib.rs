@@ -22,6 +22,7 @@
 //! `#[target_feature]` function, made after detection.
 
 #![deny(unsafe_op_in_unsafe_fn, missing_docs)]
+#![warn(unreachable_pub)]
 
 #[cfg(target_arch = "x86_64")]
 mod clmul;

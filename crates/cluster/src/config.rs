@@ -14,7 +14,7 @@ pub struct ClusterConfig {
     /// Fixed per-transfer latency in seconds (request/response overhead).
     pub link_latency: f64,
     /// How many batches the loader may run ahead of the GPU.
-    pub prefetch_batches: usize,
+    pub(crate) prefetch_batches: usize,
     /// Storage-node in-memory read throughput in bytes/second (the paper
     /// caches datasets in RAM, so this is high and rarely binding).
     pub storage_read_bytes_per_sec: f64,
@@ -33,11 +33,6 @@ impl ClusterConfig {
             prefetch_batches: 8,
             storage_read_bytes_per_sec: 10e9, // ~10 GB/s RAM-cached reads
         }
-    }
-
-    /// The link bandwidth as a typed value.
-    pub fn bandwidth(&self) -> Bandwidth {
-        Bandwidth::from_bps(self.link_bps)
     }
 
     /// Returns a copy with a different link bandwidth.

@@ -29,13 +29,11 @@
 //! cache — are [`crate::simulate_training`] with owner lists set.
 
 use crate::stagegraph::{
-    kill_thresholds, run_stage_graph, SampleRouting, StageGraphRun, StageHooks,
+    kill_thresholds, run_stage_graph, NodeEpochStats, SampleRouting, StageGraphRun, StageHooks,
 };
 use crate::{
     ClusterConfig, EpochSpec, EpochStats, FleetNodeConfig, KillEvent, OwnerTable, SimError,
 };
-
-pub use crate::stagegraph::NodeEpochStats;
 
 /// Results of simulating one epoch over a storage fleet.
 #[derive(Debug, Clone, PartialEq)]

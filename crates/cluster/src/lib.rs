@@ -44,7 +44,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod config;
@@ -65,13 +65,11 @@ pub use fleet::{simulate_fleet_epoch, FleetEpochStats};
 pub use gpu::GpuModel;
 pub use multitenant::{simulate_multi_tenant, MultiTenantRun, TenantRunStats, TenantWorkload};
 pub use placement::{OwnerTable, ShardMap};
-pub use resources::{CpuPool, FifoServer};
 pub use sim::{simulate_epoch, simulate_epoch_traced, SimError};
 pub use stagegraph::{
-    run_stage_graph, EpochDirective, FaultEvent, FleetNodeConfig, KillEvent, NodeEpochStats,
-    NodeUpdate, StageHooks, StageKind, StageSample,
+    run_stage_graph, EpochDirective, FleetNodeConfig, KillEvent, NodeEpochStats, NodeUpdate,
+    StageHooks, StageKind, StageSample,
 };
 pub use stats::EpochStats;
-pub use trace::TraceError;
 pub use training::{simulate_training, TrainingSpec, TrainingStats};
 pub use workload::{EpochSpec, SampleWork};

@@ -4,9 +4,8 @@
 //! storage side. Production fleets are nothing like that: hundreds of jobs
 //! share the storage node's read path, preprocessing cores, and egress
 //! link. This module reuses the stage-graph core's resource primitives
-//! ([`crate::FifoServer`], [`crate::stagegraph::CpuStage`],
-//! `netsim::VirtualLink`) and puts the `tenant` crate's scheduler in front
-//! of them:
+//! (`FifoServer`, `CpuStage`, `netsim::VirtualLink`) and puts the `tenant`
+//! crate's scheduler in front of them:
 //!
 //! ```text
 //! tenant 0 ─┐
@@ -63,11 +62,11 @@ const MAX_JITTER_SECS: f64 = 50e-6;
 #[derive(Debug, Clone)]
 pub struct TenantWorkload {
     /// The tenant's identity (must be unique within a run).
-    pub id: TenantId,
+    pub(crate) id: TenantId,
     /// Weight, quota, and in-flight bound.
-    pub spec: TenantSpec,
+    pub(crate) spec: TenantSpec,
     /// The tenant's samples, in its own loading order.
-    pub samples: Vec<SampleWork>,
+    pub(crate) samples: Vec<SampleWork>,
 }
 
 impl TenantWorkload {
@@ -109,9 +108,9 @@ pub struct MultiTenantRun {
     /// `total_bytes / epoch_seconds`.
     pub goodput_bytes_per_sec: f64,
     /// Core-seconds of offloaded preprocessing executed.
-    pub storage_cpu_busy_seconds: f64,
+    pub(crate) storage_cpu_busy_seconds: f64,
     /// Seconds the shared link spent transferring.
-    pub link_busy_seconds: f64,
+    pub(crate) link_busy_seconds: f64,
     /// Per-tenant breakdown, keyed by tenant id.
     pub per_tenant: BTreeMap<u16, TenantRunStats>,
 }

@@ -155,13 +155,8 @@ impl OwnerTable {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.owners.len() / self.replication
-    }
-
-    /// Whether the table holds no sample.
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
     }
 
     /// Sample `sample`'s owners, primary first.
@@ -174,7 +169,7 @@ impl OwnerTable {
     }
 
     /// Every sample's owners, in sample order.
-    pub fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+    pub(crate) fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
         self.owners.chunks_exact(self.replication)
     }
 }
@@ -300,7 +295,7 @@ mod tests {
             let replication = 1 + pick % nodes;
             let map = ShardMap::new(nodes, replication, seed);
             let table = map.owner_table(samples);
-            prop_assert_eq!((table.len(), table.is_empty()), (samples, samples == 0));
+            prop_assert_eq!(table.len(), samples);
             prop_assert_eq!(table.iter().len(), samples);
             for (id, row) in table.iter().enumerate() {
                 prop_assert_eq!(row.len(), replication);

@@ -7,11 +7,10 @@ use std::collections::BinaryHeap;
 /// `max(ready, earliest core free)` and occupies one core for its duration.
 /// This is the standard `G/G/k` forward schedule under FIFO dispatch.
 #[derive(Debug, Clone)]
-pub struct CpuPool {
+pub(crate) struct CpuPool {
     // Min-heap of times at which each core becomes free. Total order on f64
     // is safe here: times are always finite and non-NaN (asserted on entry).
     free_at: BinaryHeap<Reverse<OrderedTime>>,
-    cores: usize,
     busy_seconds: f64,
 }
 
@@ -39,17 +38,12 @@ impl CpuPool {
     /// A zero-core pool is legal; submitting work to it panics, so callers
     /// must route around empty pools (the simulator returns an error
     /// instead).
-    pub fn new(cores: usize) -> CpuPool {
+    pub(crate) fn new(cores: usize) -> CpuPool {
         let mut free_at = BinaryHeap::with_capacity(cores);
         for _ in 0..cores {
             free_at.push(Reverse(OrderedTime(0.0)));
         }
-        CpuPool { free_at, cores, busy_seconds: 0.0 }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores
+        CpuPool { free_at, busy_seconds: 0.0 }
     }
 
     /// Schedules a task that becomes ready at `ready` and needs `seconds` of
@@ -58,7 +52,7 @@ impl CpuPool {
     /// # Panics
     ///
     /// Panics when the pool has zero cores or the inputs are not finite.
-    pub fn run(&mut self, ready: f64, seconds: f64) -> f64 {
+    pub(crate) fn run(&mut self, ready: f64, seconds: f64) -> f64 {
         assert!(ready.is_finite() && ready >= 0.0, "invalid ready time {ready}");
         assert!(seconds.is_finite() && seconds >= 0.0, "invalid task length {seconds}");
         let Reverse(OrderedTime(free)) = self.free_at.pop().expect("CpuPool has no cores");
@@ -70,28 +64,22 @@ impl CpuPool {
     }
 
     /// Total core-seconds of work executed.
-    pub fn busy_seconds(&self) -> f64 {
+    pub(crate) fn busy_seconds(&self) -> f64 {
         self.busy_seconds
-    }
-
-    /// Time at which the last core finishes all queued work.
-    pub fn drain_time(&self) -> f64 {
-        self.free_at.iter().map(|Reverse(OrderedTime(t))| *t).fold(0.0, f64::max)
     }
 }
 
 /// A single FIFO server (the GPU): tasks run one at a time in submission
 /// order.
 #[derive(Debug, Clone)]
-pub struct FifoServer {
+pub(crate) struct FifoServer {
     free_at: f64,
-    busy_seconds: f64,
 }
 
 impl FifoServer {
     /// Creates an idle server.
-    pub fn new() -> FifoServer {
-        FifoServer { free_at: 0.0, busy_seconds: 0.0 }
+    pub(crate) fn new() -> FifoServer {
+        FifoServer { free_at: 0.0 }
     }
 
     /// Schedules a task ready at `ready` lasting `seconds`; returns its
@@ -100,22 +88,11 @@ impl FifoServer {
     /// # Panics
     ///
     /// Panics when the inputs are not finite or negative.
-    pub fn run(&mut self, ready: f64, seconds: f64) -> f64 {
+    pub(crate) fn run(&mut self, ready: f64, seconds: f64) -> f64 {
         assert!(ready.is_finite() && ready >= 0.0, "invalid ready time {ready}");
         assert!(seconds.is_finite() && seconds >= 0.0, "invalid task length {seconds}");
         let start = ready.max(self.free_at);
         self.free_at = start + seconds;
-        self.busy_seconds += seconds;
-        self.free_at
-    }
-
-    /// Total seconds of work executed.
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_seconds
-    }
-
-    /// Time the server becomes idle.
-    pub fn free_at(&self) -> f64 {
         self.free_at
     }
 }
@@ -153,7 +130,6 @@ mod tests {
     fn ready_time_delays_start() {
         let mut pool = CpuPool::new(2);
         assert_eq!(pool.run(10.0, 1.0), 11.0);
-        assert_eq!(pool.drain_time(), 11.0);
     }
 
     #[test]
@@ -166,10 +142,8 @@ mod tests {
     fn makespan_matches_greedy_bound() {
         // 100 unit tasks on 8 cores, all ready at 0: makespan = ceil(100/8).
         let mut pool = CpuPool::new(8);
-        for _ in 0..100 {
-            pool.run(0.0, 1.0);
-        }
-        assert_eq!(pool.drain_time(), 13.0);
+        let makespan = (0..100).map(|_| pool.run(0.0, 1.0)).fold(0.0, f64::max);
+        assert_eq!(makespan, 13.0);
     }
 
     #[test]
@@ -180,6 +154,5 @@ mod tests {
         for &(r, s) in &jobs {
             assert_eq!(srv.run(r, s), pool.run(r, s));
         }
-        assert_eq!(srv.busy_seconds(), pool.busy_seconds());
     }
 }

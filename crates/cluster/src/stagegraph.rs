@@ -19,7 +19,7 @@
 //! replica failover with kill thresholds and per-node straggler speeds).
 //!
 //! CPU stages that a configuration does not provision are represented
-//! explicitly as [`CpuStage::Unused`] rather than as phantom 1-core pools:
+//! explicitly as `CpuStage::Unused` rather than as phantom 1-core pools:
 //! routing work to an unused stage is a typed error
 //! ([`crate::SimError::NoStorageCores`] /
 //! [`crate::SimError::NoComputeCores`]), and an unused stage reports zero
@@ -104,7 +104,7 @@ impl KillEvent {
 ///
 /// Returns [`SimError::KillOutOfRange`] when an event names a node outside
 /// `0..nodes`.
-pub fn kill_thresholds(
+pub(crate) fn kill_thresholds(
     kills: &[KillEvent],
     nodes: usize,
     samples: usize,
@@ -168,11 +168,11 @@ pub struct StageSample {
     /// The batch the sample belongs to.
     pub batch: u64,
     /// Virtual time the stage finished the sample.
-    pub done: f64,
+    pub(crate) done: f64,
     /// Seconds the stage actively spent on the sample.
     pub service_seconds: f64,
     /// Seconds the sample queued before the stage started it.
-    pub wait_seconds: f64,
+    pub(crate) wait_seconds: f64,
     /// The work the sample was issued with: the latest directive's
     /// replacement works, or the spec's own.
     pub work: crate::SampleWork,
@@ -226,7 +226,7 @@ pub struct NodeEpochStats {
 /// reject with a typed error instead of an invariant the caller must
 /// remember.
 #[derive(Debug, Clone)]
-pub enum CpuStage {
+pub(crate) enum CpuStage {
     /// A provisioned pool.
     Active(CpuPool),
     /// The stage does not exist in this configuration; routing work to it
@@ -236,7 +236,7 @@ pub enum CpuStage {
 
 impl CpuStage {
     /// A stage with `cores` cores; zero cores means [`CpuStage::Unused`].
-    pub fn with_cores(cores: usize) -> CpuStage {
+    pub(crate) fn with_cores(cores: usize) -> CpuStage {
         if cores == 0 {
             CpuStage::Unused
         } else {
@@ -246,7 +246,7 @@ impl CpuStage {
 
     /// Schedules `seconds` of one core starting no earlier than `ready`;
     /// `None` when the stage is unused.
-    pub fn run(&mut self, ready: f64, seconds: f64) -> Option<f64> {
+    pub(crate) fn run(&mut self, ready: f64, seconds: f64) -> Option<f64> {
         match self {
             CpuStage::Active(pool) => Some(pool.run(ready, seconds)),
             CpuStage::Unused => None,
@@ -254,7 +254,7 @@ impl CpuStage {
     }
 
     /// Total core-seconds executed (zero for an unused stage).
-    pub fn busy_seconds(&self) -> f64 {
+    pub(crate) fn busy_seconds(&self) -> f64 {
         match self {
             CpuStage::Active(pool) => pool.busy_seconds(),
             CpuStage::Unused => 0.0,
@@ -269,7 +269,7 @@ pub enum SampleRouting<'a> {
     SingleNode,
     /// `owners.owners(i)` is sample `i`'s ordered replica set (primary
     /// first); the sample is served by its first owner whose kill threshold
-    /// (`dead_from`, from [`kill_thresholds`]) has not yet passed when the
+    /// (`dead_from`, from `kill_thresholds`) has not yet passed when the
     /// sample is issued. Skipped dead owners count as failovers.
     ReplicaFailover {
         /// Per-sample ordered replica sets, parallel to the epoch's
@@ -287,19 +287,19 @@ pub struct StageGraphRun {
     /// Virtual seconds until the last batch left the GPU.
     pub epoch_seconds: f64,
     /// Seconds the GPU spent computing.
-    pub gpu_busy_seconds: f64,
+    pub(crate) gpu_busy_seconds: f64,
     /// Core-seconds of preprocessing executed on the compute node.
-    pub compute_cpu_busy_seconds: f64,
+    pub(crate) compute_cpu_busy_seconds: f64,
     /// Per-node read/CPU/link accounting, parallel to the node vector.
-    pub per_node: Vec<NodeEpochStats>,
+    pub(crate) per_node: Vec<NodeEpochStats>,
     /// Samples that were rerouted past a dead owner.
-    pub failovers: u64,
+    pub(crate) failovers: u64,
     /// Samples processed.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// GPU batches executed.
     pub batches: u64,
     /// GPUs in the configuration.
-    pub gpus: u64,
+    pub(crate) gpus: u64,
 }
 
 impl StageGraphRun {
@@ -375,7 +375,7 @@ pub struct StageHooks<'a> {
 ///   malformed replica sets.
 /// * [`SimError::SampleUnreachable`] — a sample's owners are all dead.
 /// * [`SimError::NoStorageCores`] / [`SimError::NoComputeCores`] — work
-///   routed to an [`CpuStage::Unused`] stage.
+///   routed to an `CpuStage::Unused` stage.
 /// * [`SimError::NoGpus`] — the configuration has zero GPUs.
 /// * [`SimError::WorksMismatch`] — a directive's replacement works are not
 ///   parallel to the epoch's samples.

@@ -42,15 +42,6 @@ impl EpochStats {
         }
     }
 
-    /// Mean bytes per sample on the wire.
-    pub fn bytes_per_sample(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.traffic_bytes as f64 / self.samples as f64
-        }
-    }
-
     /// Epoch images per second.
     pub fn throughput(&self) -> f64 {
         if self.epoch_seconds <= 0.0 {
@@ -84,7 +75,6 @@ mod tests {
         let s = stats();
         assert_eq!(s.gpu_utilization(), 0.4);
         assert_eq!(s.link_utilization(), 0.9);
-        assert_eq!(s.bytes_per_sample(), 1000.0);
         assert_eq!(s.throughput(), 10.0);
     }
 
@@ -94,7 +84,6 @@ mod tests {
         s.epoch_seconds = 0.0;
         s.samples = 0;
         assert_eq!(s.gpu_utilization(), 0.0);
-        assert_eq!(s.bytes_per_sample(), 0.0);
         assert_eq!(s.throughput(), 0.0);
     }
 }

@@ -76,7 +76,7 @@ impl TrainingStats {
     }
 
     /// Wire bytes a warm epoch avoids relative to the cold epoch.
-    pub fn warm_bytes_saved(&self) -> u64 {
+    pub(crate) fn warm_bytes_saved(&self) -> u64 {
         self.cold().total.traffic_bytes.saturating_sub(self.warm().total.traffic_bytes)
     }
 

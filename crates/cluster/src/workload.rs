@@ -57,7 +57,7 @@ impl EpochSpec {
     }
 
     /// Number of batches (the final partial batch counts).
-    pub fn batch_count(&self) -> usize {
+    pub(crate) fn batch_count(&self) -> usize {
         self.samples.len().div_ceil(self.batch_size)
     }
 

@@ -8,7 +8,7 @@ use crate::{BLOCK, BLOCK_AREA};
 
 /// A single image plane of `f32` samples (one YCbCr channel).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Plane {
+pub(crate) struct Plane {
     width: u32,
     height: u32,
     data: Vec<f32>,
@@ -20,43 +20,43 @@ impl Plane {
     /// # Panics
     ///
     /// Panics when either dimension is zero.
-    pub fn new(width: u32, height: u32) -> Plane {
+    pub(crate) fn new(width: u32, height: u32) -> Plane {
         assert!(width > 0 && height > 0, "plane dimensions must be non-zero");
         Plane { width, height, data: vec![0f32; width as usize * height as usize] }
     }
 
     /// Reads the sample at `(x, y)`.
     #[inline]
-    pub fn get(&self, x: u32, y: u32) -> f32 {
+    pub(crate) fn get(&self, x: u32, y: u32) -> f32 {
         self.data[y as usize * self.width as usize + x as usize]
     }
 
     /// Writes the sample at `(x, y)`.
     #[inline]
-    pub fn set(&mut self, x: u32, y: u32, v: f32) {
+    pub(crate) fn set(&mut self, x: u32, y: u32, v: f32) {
         self.data[y as usize * self.width as usize + x as usize] = v;
     }
 
     /// Number of 8×8 block columns needed to cover the plane.
-    pub fn blocks_x(&self) -> u32 {
+    pub(crate) fn blocks_x(&self) -> u32 {
         self.width.div_ceil(BLOCK as u32)
     }
 
     /// Number of 8×8 block rows needed to cover the plane.
-    pub fn blocks_y(&self) -> u32 {
+    pub(crate) fn blocks_y(&self) -> u32 {
         self.height.div_ceil(BLOCK as u32)
     }
 
     /// Borrows row `y` of the plane.
     #[inline]
-    pub fn row(&self, y: u32) -> &[f32] {
+    pub(crate) fn row(&self, y: u32) -> &[f32] {
         let start = y as usize * self.width as usize;
         &self.data[start..start + self.width as usize]
     }
 
     /// Writes a reconstructed block back (adding the 128 offset), clipping at
     /// the plane border.
-    pub fn place_block(&mut self, bx: u32, by: u32, block: &[f32; BLOCK_AREA]) {
+    pub(crate) fn place_block(&mut self, bx: u32, by: u32, block: &[f32; BLOCK_AREA]) {
         let (x, y) = (bx as usize * BLOCK, by as usize * BLOCK);
         let (width, height) = (self.width as usize, self.height as usize);
         let cols = BLOCK.min(width.saturating_sub(x));

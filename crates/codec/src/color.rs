@@ -7,7 +7,7 @@
 use imagery::round_f32_to_u8;
 
 /// Converts one RGB pixel to YCbCr. All planes are centered in `[0, 255]`.
-pub fn rgb_to_ycbcr(r: u8, g: u8, b: u8) -> [f32; 3] {
+pub(crate) fn rgb_to_ycbcr(r: u8, g: u8, b: u8) -> [f32; 3] {
     let (r, g, b) = (f32::from(r), f32::from(g), f32::from(b));
     let y = 0.299 * r + 0.587 * g + 0.114 * b;
     let cb = 128.0 - 0.168_736 * r - 0.331_264 * g + 0.5 * b;
@@ -22,7 +22,7 @@ pub fn rgb_to_ycbcr(r: u8, g: u8, b: u8) -> [f32; 3] {
 ///
 /// Panics when the three planes differ in length or `rgb` is not three
 /// bytes per sample.
-pub fn ycbcr_row_to_rgb(y: &[f32], cb: &[f32], cr: &[f32], rgb: &mut [u8]) {
+pub(crate) fn ycbcr_row_to_rgb(y: &[f32], cb: &[f32], cr: &[f32], rgb: &mut [u8]) {
     assert!(y.len() == cb.len() && y.len() == cr.len() && rgb.len() == y.len() * 3);
     for (((px, &y), &cb), &cr) in rgb.chunks_exact_mut(3).zip(y).zip(cb).zip(cr) {
         let cb = cb - 128.0;

@@ -61,7 +61,7 @@ fn cos_table_transposed() -> &'static [[f32; BLOCK]; BLOCK] {
 /// products, accumulated from `+0.0` in the same order (`x` for a row, `y`
 /// for a column), scaled by `alpha * 0.5` as written. Only the loops are
 /// interchanged.
-pub fn forward(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+pub(crate) fn forward(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     // Transform rows: tmp[y][u] = sum over x of block[y][x] * cos[u][x].
     let cos_t = cos_table_transposed();
     let mut tmp = [0f32; BLOCK_AREA];
@@ -149,7 +149,10 @@ const ZIGZAG_ROW_COL_BITS: [u16; BLOCK_AREA] = {
 /// * `cos[0][*]` is `cos(0.0) == 1.0` exactly, so a block with no AC
 ///   coefficient is one value, computed by the same operations in the same
 ///   order and stored 64 times.
-pub fn inverse_quantized(zz: &[i16; BLOCK_AREA], steps: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+pub(crate) fn inverse_quantized(
+    zz: &[i16; BLOCK_AREA],
+    steps: &[f32; BLOCK_AREA],
+) -> [f32; BLOCK_AREA] {
     let cos = cos_table();
     // Which rows and columns hold a non-zero coefficient (branch-free).
     let mut touched = 0u16;

@@ -81,13 +81,6 @@ fn for_each_block(img: &RasterImage, mut visit: impl FnMut(usize, &[f32; BLOCK_A
     }
 }
 
-/// Estimated upper bound on encoded size for capacity planning: header plus
-/// a worst case of ~3 bytes per coefficient.
-pub fn worst_case_len(width: u32, height: u32) -> usize {
-    let blocks = (width.div_ceil(8) as usize) * (height.div_ceil(8) as usize);
-    crate::header::HEADER_LEN + blocks * 3 * (BLOCK_AREA * 3 + 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +144,9 @@ mod tests {
     fn encoded_under_worst_case() {
         let img = SynthSpec::new(100, 80).complexity(1.0).render(2);
         let bytes = encode(&img, Quality::new(100).unwrap());
-        assert!(bytes.len() <= worst_case_len(100, 80));
+        // The header plus ~3 bytes for each coefficient of every block.
+        let blocks = 100usize.div_ceil(8) * 80usize.div_ceil(8);
+        assert!(bytes.len() <= crate::header::HEADER_LEN + blocks * 3 * (BLOCK_AREA * 3 + 2));
     }
 
     /// The plane-by-plane form [`for_each_block`] is checked against, as

@@ -18,7 +18,7 @@
 use crate::{CodecError, BLOCK_AREA};
 
 /// End-of-block marker byte (cannot collide with runs, which are `<= 62`).
-pub const EOB: u8 = 0xFF;
+pub(crate) const EOB: u8 = 0xFF;
 
 /// ZigZag-maps a signed value to unsigned for varint coding.
 #[inline]
@@ -33,7 +33,7 @@ fn unzigzag_u64(v: u64) -> i64 {
 }
 
 /// Appends a signed varint to `out`.
-pub fn write_varint(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn write_varint(out: &mut Vec<u8>, v: i64) {
     let mut u = zigzag_i64(v);
     loop {
         let byte = (u & 0x7F) as u8;
@@ -52,7 +52,7 @@ pub fn write_varint(out: &mut Vec<u8>, v: i64) {
 ///
 /// Returns [`CodecError::Truncated`] when the stream ends mid-varint, or
 /// [`CodecError::MalformedVarint`] when the varint exceeds 10 bytes.
-pub fn read_varint(data: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
+pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
     let start = *pos;
     let mut shift = 0u32;
     let mut acc = 0u64;
@@ -74,7 +74,7 @@ pub fn read_varint(data: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
 ///
 /// `dc_pred` is the previous block's DC in the same plane; it is updated to
 /// this block's DC.
-pub fn encode_block(zz: &[i16; BLOCK_AREA], dc_pred: &mut i16, out: &mut Vec<u8>) {
+pub(crate) fn encode_block(zz: &[i16; BLOCK_AREA], dc_pred: &mut i16, out: &mut Vec<u8>) {
     encode_band(zz, 0, BLOCK_AREA, dc_pred, out);
 }
 

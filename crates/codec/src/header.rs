@@ -1,7 +1,7 @@
 use crate::{CodecError, Quality};
 
 /// Magic bytes identifying an SJPG stream.
-pub const FORMAT_MAGIC: [u8; 4] = *b"SJPG";
+pub(crate) const FORMAT_MAGIC: [u8; 4] = *b"SJPG";
 /// Format version of classic streams (2 added the flags byte, which is
 /// reserved and always 0).
 pub const FORMAT_VERSION: u8 = 2;
@@ -11,7 +11,7 @@ pub const FORMAT_VERSION: u8 = 2;
 /// bit-identical.
 pub const FORMAT_VERSION_TIERED: u8 = 3;
 /// Serialized header length in bytes.
-pub const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 1;
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 1;
 
 /// Parsed SJPG stream header.
 ///
@@ -26,7 +26,7 @@ pub struct Header {
     /// Image height in pixels.
     pub height: u32,
     /// Quality the stream was encoded with (determines the quant tables).
-    pub quality: Quality,
+    pub(crate) quality: Quality,
 }
 
 impl Header {

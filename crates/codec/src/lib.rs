@@ -7,11 +7,11 @@
 //!
 //! 1. RGB → YCbCr color transform ([`color`]) of each 8×8 block, built
 //!    straight from the raster with edge replication
-//! 2. Forward DCT-II per block ([`dct`])
-//! 3. Quality-scaled quantization, heavier on chroma ([`quant`]), into
+//! 2. Forward DCT-II per block (`dct`)
+//! 3. Quality-scaled quantization, heavier on chroma (`quant`), into
 //!    zigzag order ([`zigzag`])
 //! 4. DC prediction + zero-run-length + signed-varint entropy coding
-//!    ([`entropy`])
+//!    (`entropy`)
 //!
 //! Encoded size is therefore *content-dependent*: smooth gradients collapse
 //! to a few hundred bytes per megapixel while noisy images stay large —
@@ -37,26 +37,26 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 #[cfg(test)]
 mod block;
 pub mod color;
-pub mod dct;
+mod dct;
 mod decoder;
 mod encoder;
-pub mod entropy;
+mod entropy;
 mod error;
 mod header;
-pub mod quant;
+mod quant;
 pub mod tiered;
 pub mod zigzag;
 
 pub use decoder::{decode, decode_region, decode_region_rows};
-pub use encoder::{encode, worst_case_len};
+pub use encoder::encode;
 pub use error::CodecError;
-pub use header::{Header, FORMAT_MAGIC, FORMAT_VERSION, FORMAT_VERSION_TIERED};
+pub use header::{Header, FORMAT_VERSION, FORMAT_VERSION_TIERED};
 pub use quant::Quality;
 pub use tiered::{
     decode_tiered, decode_tiered_region, decode_tiered_region_rows, encode_tiered, is_tiered,
@@ -64,6 +64,6 @@ pub use tiered::{
 };
 
 /// Side length of the transform blocks (8, as in JPEG).
-pub const BLOCK: usize = 8;
+const BLOCK: usize = 8;
 /// Number of coefficients per block.
 pub const BLOCK_AREA: usize = BLOCK * BLOCK;

@@ -8,14 +8,14 @@ use crate::zigzag::ZIGZAG;
 use crate::BLOCK_AREA;
 
 /// JPEG Annex K luminance quantization table (row-major).
-pub const BASE_LUMA: [u16; BLOCK_AREA] = [
+pub(crate) const BASE_LUMA: [u16; BLOCK_AREA] = [
     16, 11, 10, 16, 24, 40, 51, 61, 12, 12, 14, 19, 26, 58, 60, 55, 14, 13, 16, 24, 40, 57, 69, 56,
     14, 17, 22, 29, 51, 87, 80, 62, 18, 22, 37, 56, 68, 109, 103, 77, 24, 35, 55, 64, 81, 104, 113,
     92, 49, 64, 78, 87, 103, 121, 120, 101, 72, 92, 95, 98, 112, 100, 103, 99,
 ];
 
 /// JPEG Annex K chrominance quantization table (row-major).
-pub const BASE_CHROMA: [u16; BLOCK_AREA] = [
+pub(crate) const BASE_CHROMA: [u16; BLOCK_AREA] = [
     17, 18, 24, 47, 99, 99, 99, 99, 18, 21, 26, 66, 99, 99, 99, 99, 24, 26, 56, 99, 99, 99, 99, 99,
     47, 66, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99,
     99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99,
@@ -38,7 +38,7 @@ impl Quality {
     }
 
     /// The numeric quality value.
-    pub fn value(self) -> u8 {
+    pub(crate) fn value(self) -> u8 {
         self.0
     }
 
@@ -53,12 +53,12 @@ impl Quality {
     }
 
     /// Builds the scaled luminance quantization table.
-    pub fn luma_table(self) -> [u16; BLOCK_AREA] {
+    pub(crate) fn luma_table(self) -> [u16; BLOCK_AREA] {
         scale_table(&BASE_LUMA, self.scale_percent())
     }
 
     /// Builds the scaled chrominance quantization table.
-    pub fn chroma_table(self) -> [u16; BLOCK_AREA] {
+    pub(crate) fn chroma_table(self) -> [u16; BLOCK_AREA] {
         scale_table(&BASE_CHROMA, self.scale_percent())
     }
 }
@@ -140,7 +140,7 @@ pub(crate) fn dequantize(
 
 /// The quantization steps of `table` as `f32`, in zigzag order: what
 /// [`crate::dct::inverse_quantized`] multiplies a stored block by.
-pub fn dequant_steps(table: &[u16; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+pub(crate) fn dequant_steps(table: &[u16; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     ZIGZAG.map(|at| f32::from(table[at]))
 }
 

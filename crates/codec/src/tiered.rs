@@ -192,7 +192,7 @@ impl TierSpec {
     }
 
     /// The exclusive zigzag bound of each tier.
-    pub fn band_ends(&self) -> &[u8] {
+    pub(crate) fn band_ends(&self) -> &[u8] {
         &self.band_ends
     }
 
@@ -214,9 +214,9 @@ impl Default for TierSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierBound {
     /// Tier index (0 = coarsest).
-    pub tier: u8,
+    pub(crate) tier: u8,
     /// Exclusive zigzag coefficient bound this tier completes.
-    pub band_end: u8,
+    pub(crate) band_end: u8,
     /// Absolute byte offset at which this tier's data ends:
     /// `data[..end_offset]` is the valid tier prefix.
     pub end_offset: u32,
@@ -236,7 +236,7 @@ pub struct TierIndex {
     /// Image height in pixels.
     pub height: u32,
     /// Quality the stream was encoded with.
-    pub quality: Quality,
+    pub(crate) quality: Quality,
     /// Per-tier boundaries, coarsest first.
     pub tiers: Vec<TierBound>,
 }
@@ -317,16 +317,6 @@ impl TierIndex {
             .get(tier as usize)
             .map(|b| b.end_offset)
             .ok_or(DecodeError::UnknownTier { tier, tiers: self.tier_count() })
-    }
-
-    /// The fraction of full-fidelity bytes a tier-`tier` prefix keeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnknownTier`] when `tier` is out of range.
-    pub fn byte_fraction(&self, tier: u8) -> Result<f64, DecodeError> {
-        let full = self.tiers.last().expect("at least one tier").end_offset;
-        Ok(f64::from(self.end_offset(tier)?) / f64::from(full))
     }
 }
 
@@ -409,7 +399,7 @@ pub fn truncate_to_tier(data: &[u8], tier: u8) -> Result<&[u8], DecodeError> {
 /// version byte? A `true` answer routes the stream to [`decode_tiered`];
 /// it does *not* promise the rest of the stream is well-formed.
 pub fn is_tiered(data: &[u8]) -> bool {
-    data.len() > 4 && data[..4] == crate::FORMAT_MAGIC && data[4] == FORMAT_VERSION_TIERED
+    data.len() > 4 && data[..4] == crate::header::FORMAT_MAGIC && data[4] == FORMAT_VERSION_TIERED
 }
 
 /// Decodes any prefix of a tiered stream that ends exactly on a tier
@@ -671,12 +661,9 @@ mod tests {
     fn byte_fractions_shrink_with_tier() {
         let bytes = encode_tiered(&img(), Quality::default(), &TierSpec::default());
         let index = TierIndex::parse(&bytes).unwrap();
-        let f0 = index.byte_fraction(0).unwrap();
-        let f2 = index.byte_fraction(2).unwrap();
-        assert!(f0 < f2, "{f0} vs {f2}");
-        assert_eq!(f2, 1.0);
-        assert!(f0 > 0.0);
-        assert!(index.byte_fraction(3).is_err());
+        let (f0, f2) = (index.end_offset(0).unwrap(), index.end_offset(2).unwrap());
+        assert!(0 < f0 && f0 < f2, "{f0} vs {f2}");
+        assert!(index.end_offset(3).is_err());
     }
 
     #[test]

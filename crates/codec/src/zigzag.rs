@@ -7,7 +7,7 @@
 use crate::{BLOCK, BLOCK_AREA};
 
 /// Row-major index of the `i`-th coefficient in zigzag order.
-pub const ZIGZAG: [usize; BLOCK_AREA] = build_zigzag();
+pub(crate) const ZIGZAG: [usize; BLOCK_AREA] = build_zigzag();
 
 const fn build_zigzag() -> [usize; BLOCK_AREA] {
     let mut order = [0usize; BLOCK_AREA];

@@ -27,9 +27,8 @@
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use imagery::rng::Rng;
 use pipeline::{BatchAssembly, PipelineSpec, SampleKey, SplitPoint, StageData, TensorBatch};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport, TcpStorageServer};
 
 use crate::ext::feedback::{LiveFeedbackBridge, ReplanEvent};
@@ -171,11 +170,11 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     /// plan-covered samples).
     pub fn epoch_order(&self, epoch: u64) -> Vec<u64> {
         let mut ids: Vec<u64> = (0..self.plan.len() as u64).collect();
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = Rng::seed_from_u64(
             self.config.shuffle_seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
         for i in (1..ids.len()).rev() {
-            let j = rng.gen_range(0..=i);
+            let j = rng.range_usize_inclusive(0..=i);
             ids.swap(i, j);
         }
         ids
@@ -534,6 +533,29 @@ mod tests {
         }
     }
 
+    /// The shuffle every epoch's batches follow, pinned sample for sample.
+    #[test]
+    fn epoch_orders_are_pinned() {
+        let (_, store) = local_parts();
+        for (shuffle_seed, epoch, want) in [
+            (0, 0, [1, 4, 5, 8, 6, 7, 0, 2, 9, 3]),
+            (0, 1, [4, 0, 6, 7, 2, 5, 1, 8, 9, 3]),
+            (9, 3, [2, 7, 3, 4, 9, 6, 8, 1, 5, 0]),
+        ] {
+            let mut config = LoaderConfig::new(55, LOCAL_BATCH);
+            config.shuffle_seed = shuffle_seed;
+            let plan = OffloadPlan::from_splits(vec![SplitPoint::NONE; 10]);
+            let loader = OffloadingLoader::new(
+                LocalTransport::new(store.clone()),
+                PipelineSpec::standard_train(),
+                plan,
+                config,
+            )
+            .unwrap();
+            assert_eq!(loader.epoch_order(epoch), want, "({shuffle_seed}, {epoch})");
+        }
+    }
+
     const LOCAL_N: u64 = 12;
     const LOCAL_BATCH: usize = 5;
 
@@ -836,26 +858,6 @@ mod tests {
         assert_eq!(browned, browned_again, "browned batches must be reproducible");
         assert_ne!(full, browned, "a tier-0 cap must actually shed fidelity");
         assert_eq!(full.len(), browned.len(), "brownout never drops batches");
-    }
-
-    #[test]
-    fn compression_directive_preserves_shapes() {
-        let (ds, _store, server) = live_parts();
-        let plan = make_plan(&ds);
-        let mut config = LoaderConfig::new(ds.seed, 4);
-        config.reencode_quality = Some(85);
-        let mut loader =
-            OffloadingLoader::new(connect(&server), PipelineSpec::standard_train(), plan, config)
-                .unwrap();
-        let mut total = 0usize;
-        loader
-            .run_epoch(0, |b| {
-                assert_eq!(b.shape(), (224, 224));
-                total += b.len();
-            })
-            .unwrap();
-        assert_eq!(total, N as usize);
-        server.shutdown();
     }
 
     #[test]

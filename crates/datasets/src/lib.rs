@@ -34,7 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod model;
 mod record;
@@ -42,4 +42,4 @@ mod spec;
 pub mod stats;
 
 pub use record::SampleRecord;
-pub use spec::{AspectMix, ComplexityModel, DatasetSpec, SizeModel};
+pub use spec::DatasetSpec;

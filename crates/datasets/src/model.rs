@@ -8,7 +8,8 @@
 
 /// Measured bits-per-pixel of the codec at quality 85 for complexities
 /// `0.0, 0.1, …, 1.0` on large (≥ 0.5 Mpx) images.
-pub const BPP_TABLE: [f64; 11] = [1.0, 2.25, 3.9, 5.03, 6.18, 7.4, 8.38, 9.25, 10.0, 10.82, 11.42];
+pub(crate) const BPP_TABLE: [f64; 11] =
+    [1.0, 2.25, 3.9, 5.03, 6.18, 7.4, 8.38, 9.25, 10.0, 10.82, 11.42];
 
 /// Extra bits-per-pixel for small images, modeled as `k(c) / sqrt(pixels)`
 /// with `k` interpolated between these endpoints at complexity 0 and 1.
@@ -46,7 +47,7 @@ pub fn encoded_size(complexity: f64, width: u32, height: u32) -> u64 {
 ///
 /// Solved by fixed-point iteration (the small-image correction makes the
 /// relation mildly nonlinear); converges in a handful of rounds.
-pub fn pixels_for_encoded_size(complexity: f64, target_bytes: f64) -> f64 {
+pub(crate) fn pixels_for_encoded_size(complexity: f64, target_bytes: f64) -> f64 {
     let mut px = (target_bytes * 8.0 / bits_per_pixel(complexity, 1_000_000.0)).max(64.0);
     for _ in 0..12 {
         px = (target_bytes * 8.0 / bits_per_pixel(complexity, px)).max(64.0);

@@ -1,6 +1,5 @@
 use codec::Quality;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use imagery::rng::Rng;
 
 use crate::model;
 use crate::record::SampleRecord;
@@ -12,37 +11,37 @@ use crate::record::SampleRecord;
 /// fraction of samples above the 150 528-byte post-crop size, and the mean
 /// sample size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SizeModel {
+pub(crate) struct SizeModel {
     /// Median encoded size in bytes.
-    pub median_bytes: f64,
+    pub(crate) median_bytes: f64,
     /// Log-space standard deviation.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Lower clamp (bytes).
-    pub min_bytes: f64,
+    pub(crate) min_bytes: f64,
     /// Upper clamp (bytes).
-    pub max_bytes: f64,
+    pub(crate) max_bytes: f64,
 }
 
 /// Truncated-normal distribution of content complexity in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComplexityModel {
+pub(crate) struct ComplexityModel {
     /// Mean complexity.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Standard deviation before clamping.
-    pub std: f64,
+    pub(crate) std: f64,
 }
 
 /// Mix of aspect ratios samples are drawn from (width : height).
 #[derive(Debug, Clone, PartialEq)]
-pub struct AspectMix {
+pub(crate) struct AspectMix {
     /// `(aspect ratio, relative weight)` choices.
-    pub choices: Vec<(f64, f64)>,
+    pub(crate) choices: Vec<(f64, f64)>,
 }
 
 impl AspectMix {
     /// The photographic default: landscape-dominated with some portrait and
     /// square images.
-    pub fn photographic() -> AspectMix {
+    pub(crate) fn photographic() -> AspectMix {
         AspectMix {
             choices: vec![
                 (4.0 / 3.0, 0.35),
@@ -55,13 +54,13 @@ impl AspectMix {
         }
     }
 
-    fn sample(&self, rng: &mut StdRng) -> f64 {
+    fn sample(&self, rng: &mut Rng) -> f64 {
         let total: f64 = self.choices.iter().map(|&(_, w)| w).sum();
-        let mut draw = rng.gen_range(0.0..total);
+        let mut draw = rng.range_f64(0.0..total);
         for &(ratio, w) in &self.choices {
             if draw < w {
                 // Jitter ±6 % so dimensions are not exactly gridded.
-                return ratio * rng.gen_range(0.94..1.06);
+                return ratio * rng.range_f64(0.94..1.06);
             }
             draw -= w;
         }
@@ -83,13 +82,13 @@ pub struct DatasetSpec {
     /// Number of samples.
     pub len: u64,
     /// Encoded-size distribution.
-    pub sizes: SizeModel,
+    pub(crate) sizes: SizeModel,
     /// Complexity distribution.
-    pub complexity: ComplexityModel,
+    pub(crate) complexity: ComplexityModel,
     /// Aspect-ratio mix.
-    pub aspects: AspectMix,
+    pub(crate) aspects: AspectMix,
     /// Codec quality used when materializing.
-    pub quality_value: u8,
+    pub(crate) quality_value: u8,
 }
 
 impl DatasetSpec {
@@ -156,12 +155,12 @@ impl DatasetSpec {
     }
 
     /// Deterministic per-sample RNG.
-    fn rng_for(&self, id: u64) -> StdRng {
+    fn rng_for(&self, id: u64) -> Rng {
         let mixed = self
             .seed
             .wrapping_mul(0xa076_1d64_78bd_642f)
             .wrapping_add(id.wrapping_mul(0xe703_7ed1_a0b4_28db));
-        StdRng::seed_from_u64(mixed)
+        Rng::seed_from_u64(mixed)
     }
 
     /// The metadata of sample `id`.
@@ -232,9 +231,9 @@ impl DatasetSpec {
 }
 
 /// Box–Muller standard normal draw.
-fn sample_standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+fn sample_standard_normal(rng: &mut Rng) -> f64 {
+    let u1 = rng.range_f64(f64::MIN_POSITIVE..1.0);
+    let u2 = rng.range_f64(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

@@ -23,8 +23,6 @@ pub struct Rgb {
 impl Rgb {
     /// Pure black, the default fill color.
     pub const BLACK: Rgb = Rgb { r: 0, g: 0, b: 0 };
-    /// Pure white.
-    pub const WHITE: Rgb = Rgb { r: 255, g: 255, b: 255 };
 
     /// Creates a color from its three channels.
     pub const fn new(r: u8, g: u8, b: u8) -> Self {
@@ -42,7 +40,7 @@ impl Rgb {
     }
 
     /// Linear interpolation between `self` and `other`; `t` is clamped to `[0, 1]`.
-    pub fn lerp(self, other: Rgb, t: f32) -> Rgb {
+    pub(crate) fn lerp(self, other: Rgb, t: f32) -> Rgb {
         let t = t.clamp(0.0, 1.0);
         let mix = |a: u8, b: u8| round_f32_to_u8(f32::from(a) + (f32::from(b) - f32::from(a)) * t);
         Rgb::new(mix(self.r, other.r), mix(self.g, other.g), mix(self.b, other.b))
@@ -68,7 +66,7 @@ mod tests {
     #[test]
     fn luma_extremes() {
         assert_eq!(Rgb::BLACK.luma(), 0);
-        assert_eq!(Rgb::WHITE.luma(), 255);
+        assert_eq!(Rgb::new(255, 255, 255).luma(), 255);
     }
 
     #[test]
@@ -82,7 +80,7 @@ mod tests {
     #[test]
     fn lerp_clamps() {
         let a = Rgb::BLACK;
-        let b = Rgb::WHITE;
+        let b = Rgb::new(255, 255, 255);
         assert_eq!(a.lerp(b, -3.0), a);
         assert_eq!(a.lerp(b, 7.0), b);
     }

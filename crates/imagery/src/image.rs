@@ -33,7 +33,7 @@ impl RasterImage {
     ///
     /// Returns [`ImageError::InvalidDimensions`] when either dimension is zero
     /// or the byte size would overflow `usize`.
-    pub fn new(width: u32, height: u32) -> Result<Self, ImageError> {
+    pub(crate) fn new(width: u32, height: u32) -> Result<Self, ImageError> {
         let len = Self::checked_len(width, height)?;
         Ok(RasterImage { width, height, data: vec![0; len] })
     }
@@ -42,7 +42,7 @@ impl RasterImage {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero. Use [`RasterImage::new`] for
+    /// Panics if either dimension is zero. Use `RasterImage::new` for
     /// fallible construction.
     pub fn filled(width: u32, height: u32, color: Rgb) -> Self {
         let len = Self::checked_len(width, height).expect("invalid dimensions");

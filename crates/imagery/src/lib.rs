@@ -27,7 +27,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod adjust;
 mod color;
@@ -37,6 +37,7 @@ mod image;
 pub mod metrics;
 pub mod ppm;
 mod resize;
+pub mod rng;
 mod round;
 pub mod synth;
 mod tensor;

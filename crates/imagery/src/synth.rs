@@ -10,9 +10,7 @@
 //! paper's per-sample size variance — the foundation of every offloading
 //! decision.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::Rng;
 use crate::round::round_f64_to_u8;
 use crate::{RasterImage, Rgb, CHANNELS};
 
@@ -90,19 +88,9 @@ impl SynthSpec {
         self
     }
 
-    /// Image width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Image height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Renders the image deterministically from `seed`.
     pub fn render(&self, seed: u64) -> RasterImage {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5350_4f48_4f4e_u64);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5350_4f48_4f4e_u64);
         let mut img = match self.pattern {
             Pattern::Gradient => render_gradient(self.width, self.height, &mut rng),
             Pattern::Stripes => render_stripes(self.width, self.height, &mut rng),
@@ -118,10 +106,10 @@ impl SynthSpec {
 }
 
 /// Renders a smooth two-corner color gradient background.
-fn render_gradient(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
-    let c0 = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let c1 = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let c2 = Rgb::new(rng.gen(), rng.gen(), rng.gen());
+fn render_gradient(width: u32, height: u32, rng: &mut Rng) -> RasterImage {
+    let c0 = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let c1 = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let c2 = Rgb::new(rng.u8(), rng.u8(), rng.u8());
     let mut img = RasterImage::new(width, height).expect("validated dimensions");
     for y in 0..height {
         let ty = f32::from(y as u16) / height.max(2) as f32;
@@ -136,11 +124,11 @@ fn render_gradient(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
 }
 
 /// Renders diagonal stripes with random period, angle sign, and colors.
-fn render_stripes(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
-    let a = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let b = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let period = rng.gen_range(8i64..48);
-    let slope: i64 = if rng.gen() { 1 } else { -1 };
+fn render_stripes(width: u32, height: u32, rng: &mut Rng) -> RasterImage {
+    let a = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let b = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let period = rng.range_i64(8..48);
+    let slope: i64 = if rng.bool() { 1 } else { -1 };
     let mut img = RasterImage::new(width, height).expect("validated dimensions");
     for y in 0..height {
         for x in 0..width {
@@ -154,14 +142,14 @@ fn render_stripes(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
 }
 
 /// Renders a checkerboard with a random cell size.
-fn render_checker(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
-    let a = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let b = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let cell = rng.gen_range(8u32..64);
+fn render_checker(width: u32, height: u32, rng: &mut Rng) -> RasterImage {
+    let a = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let b = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let cell = rng.range_u32(8..64);
     let mut img = RasterImage::new(width, height).expect("validated dimensions");
     for y in 0..height {
         for x in 0..width {
-            let c = if ((x / cell) + (y / cell)) % 2 == 0 { a } else { b };
+            let c = if ((x / cell) + (y / cell)).is_multiple_of(2) { a } else { b };
             img.put_pixel(x, y, c);
         }
     }
@@ -169,11 +157,11 @@ fn render_checker(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
 }
 
 /// Renders a radial gradient from a random center.
-fn render_radial(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
-    let a = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let b = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-    let cx = rng.gen_range(0.0..f64::from(width));
-    let cy = rng.gen_range(0.0..f64::from(height));
+fn render_radial(width: u32, height: u32, rng: &mut Rng) -> RasterImage {
+    let a = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let b = Rgb::new(rng.u8(), rng.u8(), rng.u8());
+    let cx = rng.range_f64(0.0..f64::from(width));
+    let cy = rng.range_f64(0.0..f64::from(height));
     let max_r = f64::from(width).hypot(f64::from(height));
     let mut img = RasterImage::new(width, height).expect("validated dimensions");
     for y in 0..height {
@@ -186,14 +174,14 @@ fn render_radial(width: u32, height: u32, rng: &mut StdRng) -> RasterImage {
 }
 
 /// Composites soft-edged ellipses ("objects") over the background.
-fn composite_blobs(img: &mut RasterImage, blobs: u32, rng: &mut StdRng) {
+fn composite_blobs(img: &mut RasterImage, blobs: u32, rng: &mut Rng) {
     let (w, h) = (img.width(), img.height());
     for _ in 0..blobs {
-        let cx = rng.gen_range(0.0..f64::from(w));
-        let cy = rng.gen_range(0.0..f64::from(h));
-        let rx = rng.gen_range(f64::from(w) * 0.05..f64::from(w) * 0.3);
-        let ry = rng.gen_range(f64::from(h) * 0.05..f64::from(h) * 0.3);
-        let color = Rgb::new(rng.gen(), rng.gen(), rng.gen());
+        let cx = rng.range_f64(0.0..f64::from(w));
+        let cy = rng.range_f64(0.0..f64::from(h));
+        let rx = rng.range_f64(f64::from(w) * 0.05..f64::from(w) * 0.3);
+        let ry = rng.range_f64(f64::from(h) * 0.05..f64::from(h) * 0.3);
+        let color = Rgb::new(rng.u8(), rng.u8(), rng.u8());
         let x0 = (cx - rx).max(0.0) as u32;
         let x1 = ((cx + rx).ceil() as u32).min(w);
         let y0 = (cy - ry).max(0.0) as u32;
@@ -216,11 +204,11 @@ fn composite_blobs(img: &mut RasterImage, blobs: u32, rng: &mut StdRng) {
 
 /// Adds multi-octave value noise; amplitude and octave count grow with
 /// `complexity`.
-fn apply_noise(img: &mut RasterImage, complexity: f64, rng: &mut StdRng) {
+fn apply_noise(img: &mut RasterImage, complexity: f64, rng: &mut Rng) {
     let width = img.width();
     let octaves = 1 + (complexity * 3.0).round() as u32;
     let amplitude = 10.0 + complexity * 70.0;
-    let lattice_seed: u64 = rng.gen();
+    let lattice_seed = rng.next_u64();
     let mut noise = ValueNoise::new(lattice_seed, octaves, amplitude, width);
     let mut n = vec![0f64; width as usize];
     let row_len = width as usize * CHANNELS;
@@ -471,8 +459,8 @@ mod tests {
             for c in [0.02, 0.3, 0.5, 0.98] {
                 let base = SynthSpec::new(w, h).complexity(0.0).render(u64::from(w * h));
                 let (mut got, mut want) = (base.clone(), base);
-                apply_noise(&mut got, c, &mut StdRng::seed_from_u64(3));
-                let lattice_seed: u64 = StdRng::seed_from_u64(3).gen();
+                apply_noise(&mut got, c, &mut Rng::seed_from_u64(3));
+                let lattice_seed = Rng::seed_from_u64(3).next_u64();
                 let octaves = 1 + (c * 3.0).round() as u32;
                 for y in 0..h {
                     for x in 0..w {

@@ -59,11 +59,6 @@ impl Tensor {
         self.height
     }
 
-    /// Number of `f32` elements (`3 × width × height`).
-    pub fn element_count(&self) -> usize {
-        self.data.len()
-    }
-
     /// Size in bytes when serialized (`4` bytes per element).
     ///
     /// This is the quantity transferred over the network when preprocessing is
@@ -138,11 +133,6 @@ impl Tensor {
             .map(|c| f32::from_le_bytes(c.try_into().expect("chunked by 4")))
             .collect();
         Some(Tensor { width, height, data })
-    }
-
-    /// Mean of all elements (useful in tests and validation).
-    pub fn mean(&self) -> f64 {
-        self.data.iter().map(|&v| f64::from(v)).sum::<f64>() / self.data.len() as f64
     }
 }
 

@@ -61,11 +61,6 @@ impl VirtualLink {
         self.busy_until
     }
 
-    /// Time at which the link becomes idle.
-    pub fn busy_until(&self) -> f64 {
-        self.busy_until
-    }
-
     /// Total bytes moved over the link so far.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -74,13 +69,6 @@ impl VirtualLink {
     /// Total seconds the link has spent transferring (utilization numerator).
     pub fn busy_seconds(&self) -> f64 {
         self.busy_seconds
-    }
-
-    /// Resets accounting and availability (start of a new epoch).
-    pub fn reset(&mut self) {
-        self.busy_until = 0.0;
-        self.total_bytes = 0;
-        self.busy_seconds = 0.0;
     }
 }
 
@@ -128,15 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn accounting_accumulates_and_resets() {
+    fn accounting_accumulates() {
         let mut link = mbps500();
         link.transfer(0.0, 1000);
         link.transfer(0.0, 2000);
         assert_eq!(link.total_bytes(), 3000);
         assert!(link.busy_seconds() > 0.0);
-        link.reset();
-        assert_eq!(link.total_bytes(), 0);
-        assert_eq!(link.busy_until(), 0.0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl TrafficMeter {
 
     /// Records one message of `bytes` bytes. The pair update is atomic
     /// with respect to [`TrafficMeter::snapshot`] and
-    /// [`TrafficMeter::reset`].
+    /// `TrafficMeter::reset`.
     pub fn record(&self, bytes: u64) {
         let seq = self.inner.lock_write();
         self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -105,14 +105,6 @@ impl TrafficMeter {
     /// Total messages recorded.
     pub fn messages(&self) -> u64 {
         self.inner.read_pair().1
-    }
-
-    /// Resets both counters to zero as one atomic pair update.
-    pub fn reset(&self) {
-        let seq = self.inner.lock_write();
-        self.inner.bytes.store(0, Ordering::Relaxed);
-        self.inner.messages.store(0, Ordering::Relaxed);
-        self.inner.unlock_write(seq);
     }
 
     /// Captures the current counters under `label` (e.g. a storage-node
@@ -245,14 +237,5 @@ mod tests {
         assert_eq!(fleet.messages, 5);
         // Merging nothing is the zero reading.
         assert_eq!(MeterSnapshot::merge("empty", []).bytes, 0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let meter = TrafficMeter::new();
-        meter.record(10);
-        meter.reset();
-        assert_eq!(meter.bytes(), 0);
-        assert_eq!(meter.messages(), 0);
     }
 }

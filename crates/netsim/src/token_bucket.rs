@@ -51,7 +51,7 @@ impl TokenBucket {
 
     /// Testable variant of [`TokenBucket::delay_for`] with an explicit
     /// clock reading.
-    pub fn delay_for_at(&mut self, bytes: usize, now: Instant) -> Duration {
+    pub(crate) fn delay_for_at(&mut self, bytes: usize, now: Instant) -> Duration {
         self.refill(now);
         self.available -= bytes as f64;
         if self.available >= 0.0 {

@@ -1,4 +1,4 @@
-use crate::{OpKind, StageData};
+use crate::OpKind;
 
 /// Analytic CPU-cost model for preprocessing operations, in virtual seconds.
 ///
@@ -65,17 +65,6 @@ impl CostModel {
             jitter_ns_per_pixel: 12.0,
             grayscale_ns_per_pixel: 5.0,
         }
-    }
-
-    /// Cost of `op` in seconds given its actual input and output values.
-    pub fn op_seconds(&self, op: OpKind, input: &StageData, output: &StageData) -> f64 {
-        self.op_seconds_for_dims(
-            op,
-            input.pixel_count(),
-            input.byte_len(),
-            output.pixel_count(),
-            output.byte_len(),
-        )
     }
 
     /// Cost of `op` in seconds given only sizes (used when replaying

@@ -84,7 +84,7 @@ impl StageData {
     /// Spatial pixel count of the current representation (encoded data
     /// reports the *decoded* dimensions from its header, or 0 when the header
     /// is unreadable).
-    pub fn pixel_count(&self) -> u64 {
+    pub(crate) fn pixel_count(&self) -> u64 {
         match self {
             StageData::Encoded(b) => codec::Header::parse(b)
                 .map(|h| u64::from(h.width) * u64::from(h.height))

@@ -51,7 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod batch;
 mod cost;
@@ -74,7 +74,7 @@ pub use rng::{AugmentRng, SampleKey};
 pub use spec::{PipelineSpec, SplitPoint};
 
 /// The spatial output size of the standard training pipeline (224×224).
-pub const CROP_SIZE: u32 = 224;
+const CROP_SIZE: u32 = 224;
 /// Raw byte size of a `CROP_SIZE`² RGB raster: 150 528 bytes (the paper's
 /// "151 KB post RandomResizedCrop").
 pub const CROPPED_RAW_BYTES: u64 = (CROP_SIZE as u64) * (CROP_SIZE as u64) * 3;

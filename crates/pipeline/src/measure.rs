@@ -20,7 +20,7 @@ pub struct StageMeasurement {
 
 /// The complete size/time profile of one sample through a pipeline.
 ///
-/// Stage indices are as in [`PipelineSpec::kind_at`]: stage 0 is the raw
+/// Stage indices are as in `PipelineSpec::kind_at`: stage 0 is the raw
 /// encoded sample; stage `i` is the output of operation `i - 1`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleProfile {

@@ -15,7 +15,6 @@ mod resize;
 mod to_tensor;
 
 pub(crate) use random_resized_crop::decode_crop_and_resize;
-pub use random_resized_crop::CropParams;
 
 use crate::{AugmentRng, DataKind, PipelineError, StageData};
 
@@ -112,7 +111,7 @@ impl OpKind {
     ///
     /// Deterministic ops still *receive* a stream (each op gets its own
     /// substream, so unused draws never shift later ops).
-    pub fn is_random(self) -> bool {
+    pub(crate) fn is_random(self) -> bool {
         matches!(
             self,
             OpKind::RandomResizedCrop { .. }

@@ -3,7 +3,7 @@
 use crate::{AugmentRng, PipelineError, StageData};
 
 /// Probability of flipping (torchvision default).
-pub const FLIP_PROBABILITY: f64 = 0.5;
+pub(crate) const FLIP_PROBABILITY: f64 = 0.5;
 
 pub(super) fn apply(data: StageData, rng: &mut AugmentRng) -> Result<StageData, PipelineError> {
     let StageData::Image(img) = data else { unreachable!("kind checked by caller") };

@@ -10,21 +10,21 @@ use imagery::{BilinearResizer, RasterImage, Rect};
 use crate::{AugmentRng, PipelineError, StageData};
 
 /// Scale range of the sampled crop area, relative to the source area.
-pub const SCALE_RANGE: (f64, f64) = (0.08, 1.0);
+pub(crate) const SCALE_RANGE: (f64, f64) = (0.08, 1.0);
 /// Aspect-ratio range of the sampled crop (log-uniform).
-pub const RATIO_RANGE: (f64, f64) = (3.0 / 4.0, 4.0 / 3.0);
+pub(crate) const RATIO_RANGE: (f64, f64) = (3.0 / 4.0, 4.0 / 3.0);
 /// Number of rejection-sampling attempts before the deterministic fallback.
-pub const MAX_ATTEMPTS: u32 = 10;
+pub(crate) const MAX_ATTEMPTS: u32 = 10;
 
 /// The crop rectangle chosen for a sample (exposed for tests and traces).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CropParams {
+pub(crate) struct CropParams {
     /// Region of the source image that was kept.
-    pub rect: Rect,
+    pub(crate) rect: Rect,
 }
 
 /// Draws torchvision-style crop parameters for a `width × height` source.
-pub fn sample_params(width: u32, height: u32, rng: &mut AugmentRng) -> CropParams {
+pub(crate) fn sample_params(width: u32, height: u32, rng: &mut AugmentRng) -> CropParams {
     let area = f64::from(width) * f64::from(height);
     for _ in 0..MAX_ATTEMPTS {
         let target_area = area * rng.next_range_f64(SCALE_RANGE.0, SCALE_RANGE.1);
@@ -96,7 +96,7 @@ fn decode_rect_resized(bytes: &[u8], rect: Rect, size: u32) -> Result<RasterImag
 ///
 /// Propagates crop geometry failures (impossible for parameters produced by
 /// [`sample_params`], but kept fallible for defense in depth).
-pub fn crop_and_resize(
+pub(crate) fn crop_and_resize(
     img: &RasterImage,
     size: u32,
     rng: &mut AugmentRng,

@@ -142,7 +142,7 @@ impl PipelineSpec {
     /// # Panics
     ///
     /// Panics when `stage > len()`.
-    pub fn kind_at(&self, stage: usize) -> DataKind {
+    pub(crate) fn kind_at(&self, stage: usize) -> DataKind {
         assert!(stage <= self.ops.len(), "stage {stage} beyond pipeline");
         if stage == 0 {
             DataKind::Encoded
@@ -294,7 +294,7 @@ impl PipelineSpec {
     /// are keyed by `(dataset seed, sample, epoch)`, so anything at or past
     /// the first [`OpKind::is_random`] op varies across epochs and must
     /// never be reused between them.
-    pub fn deterministic_prefix_ops(&self) -> usize {
+    pub(crate) fn deterministic_prefix_ops(&self) -> usize {
         self.ops.iter().position(|op| op.is_random()).unwrap_or(self.ops.len())
     }
 

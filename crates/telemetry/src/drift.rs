@@ -13,14 +13,14 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// The level the statistic is expected to hold.
-    pub reference: f64,
+    pub(crate) reference: f64,
     /// Per-update deviation ignored before accumulation (CUSUM `k`).
-    pub slack: f64,
+    pub(crate) slack: f64,
     /// Accumulated deviation that trips a verdict (CUSUM `h`).
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Re-arm band: while disarmed, the statistic must come back within
     /// this distance of the reference before the detector arms again.
-    pub hysteresis: f64,
+    pub(crate) hysteresis: f64,
 }
 
 impl DriftConfig {
@@ -82,7 +82,7 @@ pub struct DriftVerdict {
     /// of the new level.
     pub level: f64,
     /// Accumulated evidence at the trip (≥ the configured threshold).
-    pub evidence: f64,
+    pub(crate) evidence: f64,
 }
 
 /// A two-sided CUSUM detector with hysteresis.
@@ -115,21 +115,6 @@ impl CusumDetector {
             return Err(DriftError::InvalidConfig(config));
         }
         Ok(CusumDetector { config, up: 0.0, down: 0.0, armed: true, trips: 0 })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DriftConfig {
-        self.config
-    }
-
-    /// Whether the detector can currently trip.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Verdicts tripped so far.
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Folds in one statistic reading.
@@ -206,7 +191,7 @@ mod tests {
             let v = 1.0 + if i % 2 == 0 { 0.05 } else { -0.05 };
             assert_eq!(d.update(i as f64, v), None);
         }
-        assert_eq!(d.trips(), 0);
+        assert_eq!(d.trips, 0);
     }
 
     #[test]
@@ -253,13 +238,13 @@ mod tests {
             }
         }
         assert_eq!(verdicts, 1);
-        assert!(!d.is_armed());
+        assert!(!d.armed);
         // Signal returns to the reference: the detector re-arms and a new
         // excursion yields a new verdict.
         for i in 1000..1010 {
             assert_eq!(d.update(i as f64, 1.0), None);
         }
-        assert!(d.is_armed());
+        assert!(d.armed);
         let mut second = false;
         for i in 1010..1100 {
             if d.update(i as f64, 3.0).is_some() {
@@ -268,7 +253,7 @@ mod tests {
             }
         }
         assert!(second);
-        assert_eq!(d.trips(), 2);
+        assert_eq!(d.trips, 2);
     }
 
     #[test]
@@ -283,8 +268,8 @@ mod tests {
         }
         let v = tripped.unwrap();
         d.rebase(v.level);
-        assert!(d.is_armed());
-        assert_eq!(d.config().reference, 2.0);
+        assert!(d.armed);
+        assert_eq!(d.config.reference, 2.0);
         // The new level is now nominal: no verdicts.
         for i in 100..300 {
             assert_eq!(d.update(i as f64, 2.0), None);
@@ -299,7 +284,7 @@ mod tests {
             }
         }
         assert_eq!(second.unwrap().direction, DriftDirection::Up);
-        assert!((d.config().hysteresis - 0.4).abs() < 1e-12);
+        assert!((d.config.hysteresis - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -307,7 +292,7 @@ mod tests {
         let mut d = detector();
         assert_eq!(d.update(0.0, f64::NAN), None);
         assert_eq!(d.update(f64::INFINITY, 1.0), None);
-        assert_eq!(d.trips(), 0);
+        assert_eq!(d.trips, 0);
     }
 
     #[test]

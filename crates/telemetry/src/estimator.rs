@@ -84,16 +84,6 @@ impl Ewma {
         }
         self.value
     }
-
-    /// The current average; `None` before the first observation.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]
@@ -141,15 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges_and_resets() {
+    fn ewma_converges_and_ignores_non_finite_input() {
         let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
+        assert_eq!(e.update(f64::NAN), None);
         assert_eq!(e.update(10.0), Some(10.0));
         assert_eq!(e.update(0.0), Some(5.0));
-        e.update(f64::NAN); // ignored
-        assert_eq!(e.value(), Some(5.0));
-        e.reset();
-        assert_eq!(e.value(), None);
+        assert_eq!(e.update(f64::NAN), Some(5.0));
     }
 
     #[test]

@@ -56,24 +56,9 @@ impl TelemetryHub {
         self.series.get(name)
     }
 
-    /// Registered series names in sorted order.
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
     /// Iterates `(name, series)` pairs in sorted name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricSeries)> {
         self.series.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of registered series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when no series are registered.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 }
 
@@ -87,17 +72,19 @@ mod tests {
         hub.push("node1.link", 0.0, 1.0).unwrap();
         hub.push("node0.cpu", 0.0, 2.0).unwrap();
         hub.push("node0.cpu", 1.0, 3.0).unwrap();
-        assert_eq!(hub.names(), vec!["node0.cpu", "node1.link"]);
+        let names: Vec<&str> = hub.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["node0.cpu", "node1.link"]);
         assert_eq!(hub.series("node0.cpu").unwrap().len(), 2);
         assert_eq!(hub.series("missing"), None);
-        assert_eq!(hub.len(), 2);
     }
 
     #[test]
     fn default_hub_uses_default_capacity() {
         let mut hub = TelemetryHub::default();
         hub.push("x", 0.0, 1.0).unwrap();
-        assert_eq!(hub.series("x").unwrap().capacity(), 1024);
+        let mut want = MetricSeries::new("x", 1024);
+        want.push(0.0, 1.0).unwrap();
+        assert_eq!(hub.series("x"), Some(&want));
     }
 
     #[test]

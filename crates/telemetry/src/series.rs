@@ -84,16 +84,6 @@ impl MetricSeries {
         }
     }
 
-    /// The series name (the hub key).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Maximum samples retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Samples currently held.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -104,11 +94,6 @@ impl MetricSeries {
         self.buf.is_empty()
     }
 
-    /// Samples ever accepted (including those since evicted).
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
     /// Samples rejected as out-of-order or non-finite.
     pub fn rejected(&self) -> u64 {
         self.rejected
@@ -117,11 +102,6 @@ impl MetricSeries {
     /// The newest accepted sample.
     pub fn newest(&self) -> Option<MetricSample> {
         self.buf.back().copied()
-    }
-
-    /// The oldest retained sample.
-    pub fn oldest(&self) -> Option<MetricSample> {
-        self.buf.front().copied()
     }
 
     /// Appends an observation.
@@ -213,8 +193,8 @@ mod tests {
             s.push(i as f64, 0.0).unwrap();
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.oldest().unwrap().t, 7.0);
-        assert_eq!(s.accepted(), 10);
+        assert_eq!(s.buf.front().unwrap().t, 7.0);
+        assert_eq!(s.accepted, 10);
     }
 
     #[test]

@@ -110,19 +110,9 @@ impl<T> DwrrScheduler<T> {
         }
     }
 
-    /// Items queued across all tenants.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no items are queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Items queued for one tenant.
-    pub fn queued(&self, tenant: TenantId) -> usize {
-        self.queues.get(&tenant.0).map_or(0, |q| q.items.len())
     }
 }
 
@@ -220,6 +210,6 @@ mod tests {
     fn pop_on_empty_returns_none() {
         let mut s: DwrrScheduler<()> = DwrrScheduler::new(1);
         assert_eq!(s.pop(), None);
-        assert_eq!(s.queued(TenantId(0)), 0);
+        assert!(s.is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //! no I/O and no clock of its own — callers supply `now`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod budget;

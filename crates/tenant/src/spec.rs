@@ -99,9 +99,9 @@ impl TenantSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantPolicy {
     /// Explicit per-tenant contracts.
-    pub specs: BTreeMap<u16, TenantSpec>,
+    pub(crate) specs: BTreeMap<u16, TenantSpec>,
     /// Contract applied to tenants without an explicit entry.
-    pub default_spec: TenantSpec,
+    pub(crate) default_spec: TenantSpec,
 }
 
 impl Default for TenantPolicy {
@@ -124,25 +124,6 @@ impl TenantPolicy {
     pub fn with_tenant(mut self, tenant: TenantId, spec: TenantSpec) -> TenantPolicy {
         self.specs.insert(tenant.0, spec);
         self
-    }
-
-    /// A policy giving `n` tenants the listed weights (cycled when
-    /// shorter than `n`) and an optional uniform byte quota.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weights` is empty or contains a zero.
-    pub fn uniform(n: u16, weights: &[u32], quota_bytes_per_sec: Option<f64>) -> TenantPolicy {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        let mut policy = TenantPolicy::default();
-        for t in 0..n {
-            let mut spec = TenantSpec::default().with_weight(weights[t as usize % weights.len()]);
-            if let Some(q) = quota_bytes_per_sec {
-                spec = spec.with_quota(q, (q / 4.0).max(1.0) as u64);
-            }
-            policy.specs.insert(t, spec);
-        }
-        policy
     }
 }
 
@@ -167,15 +148,6 @@ mod tests {
         let policy = TenantPolicy::default();
         assert_eq!(policy.spec(TenantId::DEFAULT).max_in_flight, usize::MAX);
         assert_eq!(policy.spec(TenantId::DEFAULT).quota_bytes_per_sec, None);
-    }
-
-    #[test]
-    fn uniform_policy_cycles_weights_and_applies_quota() {
-        let policy = TenantPolicy::uniform(4, &[1, 3], Some(1e6));
-        assert_eq!(policy.spec(TenantId(0)).weight, 1);
-        assert_eq!(policy.spec(TenantId(1)).weight, 3);
-        assert_eq!(policy.spec(TenantId(2)).weight, 1);
-        assert_eq!(policy.spec(TenantId(3)).quota_bytes_per_sec, Some(1e6));
     }
 
     #[test]
