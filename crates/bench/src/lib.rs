@@ -291,10 +291,9 @@ pub fn discussion_bandwidth_sweep(len: u64) -> String {
     for mbps in [100.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 16_000.0] {
         let config = ClusterConfig::paper_testbed(48).with_bandwidth(Bandwidth::from_mbps(mbps));
         let s = Scenario::new(ds.clone(), config, GpuModel::AlexNet, 256);
-        let profiles = s.profiles();
-        let no_off = s.run_with_profiles(&NoOffPolicy, &profiles).expect("no-off simulates");
-        let sophon =
-            s.run_with_profiles(&SophonPolicy::default(), &profiles).expect("sophon simulates");
+        let no_off = s.run(&NoOffPolicy).expect("no-off simulates");
+        let sophon = s.run(&SophonPolicy::default()).expect("sophon simulates");
+        let class = s.workload_class().expect("the probe simulates");
         let _ = writeln!(
             out,
             "{:<12} {:>12.1} {:>12.1} {:>8.2}x {:>12} {:>11?}",
@@ -303,7 +302,7 @@ pub fn discussion_bandwidth_sweep(len: u64) -> String {
             sophon.epoch.epoch_seconds,
             no_off.epoch.epoch_seconds / sophon.epoch.epoch_seconds,
             sophon.summary.offloaded_samples,
-            sophon.class
+            class
         );
     }
     let _ =

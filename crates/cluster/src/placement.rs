@@ -155,8 +155,13 @@ impl OwnerTable {
     }
 
     /// Number of samples.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.owners.len() / self.replication
+    }
+
+    /// Whether the table has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.owners.is_empty()
     }
 
     /// Sample `sample`'s owners, primary first.
@@ -169,7 +174,7 @@ impl OwnerTable {
     }
 
     /// Every sample's owners, in sample order.
-    pub(crate) fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
         self.owners.chunks_exact(self.replication)
     }
 }

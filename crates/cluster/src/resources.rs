@@ -8,28 +8,11 @@ use std::collections::BinaryHeap;
 /// This is the standard `G/G/k` forward schedule under FIFO dispatch.
 #[derive(Debug, Clone)]
 pub(crate) struct CpuPool {
-    // Min-heap of times at which each core becomes free. Total order on f64
-    // is safe here: times are always finite and non-NaN (asserted on entry).
-    free_at: BinaryHeap<Reverse<OrderedTime>>,
+    // Min-heap of the times at which each core becomes free, as `f64`
+    // bits. The times are non-negative and never NaN (asserted on entry),
+    // and a `-0.0` is stored as `0.0`, so the bits sort like the values.
+    free_at: BinaryHeap<Reverse<u64>>,
     busy_seconds: f64,
-}
-
-/// `f64` wrapper with a total order; times are validated finite.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedTime(f64);
-
-impl Eq for OrderedTime {}
-
-impl PartialOrd for OrderedTime {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("times are finite")
-    }
 }
 
 impl CpuPool {
@@ -39,11 +22,7 @@ impl CpuPool {
     /// must route around empty pools (the simulator returns an error
     /// instead).
     pub(crate) fn new(cores: usize) -> CpuPool {
-        let mut free_at = BinaryHeap::with_capacity(cores);
-        for _ in 0..cores {
-            free_at.push(Reverse(OrderedTime(0.0)));
-        }
-        CpuPool { free_at, busy_seconds: 0.0 }
+        CpuPool { free_at: vec![Reverse(0.0f64.to_bits()); cores].into(), busy_seconds: 0.0 }
     }
 
     /// Schedules a task that becomes ready at `ready` and needs `seconds` of
@@ -55,10 +34,13 @@ impl CpuPool {
     pub(crate) fn run(&mut self, ready: f64, seconds: f64) -> f64 {
         assert!(ready.is_finite() && ready >= 0.0, "invalid ready time {ready}");
         assert!(seconds.is_finite() && seconds >= 0.0, "invalid task length {seconds}");
-        let Reverse(OrderedTime(free)) = self.free_at.pop().expect("CpuPool has no cores");
-        let start = ready.max(free);
+        // The earliest free core takes the task: its free time is replaced
+        // in place, one sift-down when `earliest` drops.
+        let mut earliest = self.free_at.peek_mut().expect("CpuPool has no cores");
+        let start = ready.max(f64::from_bits(earliest.0));
         let end = start + seconds;
-        self.free_at.push(Reverse(OrderedTime(end)));
+        // `-0.0 + 0.0` is `0.0`; every other time keeps its bits.
+        earliest.0 = (end + 0.0).to_bits();
         self.busy_seconds += seconds;
         end
     }
@@ -66,6 +48,64 @@ impl CpuPool {
     /// Total core-seconds of work executed.
     pub(crate) fn busy_seconds(&self) -> f64 {
         self.busy_seconds
+    }
+}
+
+/// The pool as it was before it kept its free times as bits: a pop and a
+/// push per task through a total order on `f64`. The oracle of
+/// [`CpuPool`].
+#[cfg(test)]
+mod pop_push {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct CpuPool {
+        free_at: BinaryHeap<Reverse<Time>>,
+        busy_seconds: f64,
+    }
+
+    /// `f64` wrapper with a total order; times are validated finite.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Time(f64);
+
+    impl Eq for Time {}
+
+    impl PartialOrd for Time {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Time {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.partial_cmp(&other.0).expect("times are finite")
+        }
+    }
+
+    impl CpuPool {
+        pub(super) fn new(cores: usize) -> CpuPool {
+            let mut free_at = BinaryHeap::with_capacity(cores);
+            for _ in 0..cores {
+                free_at.push(Reverse(Time(0.0)));
+            }
+            CpuPool { free_at, busy_seconds: 0.0 }
+        }
+
+        pub(super) fn run(&mut self, ready: f64, seconds: f64) -> f64 {
+            assert!(ready.is_finite() && ready >= 0.0, "invalid ready time {ready}");
+            assert!(seconds.is_finite() && seconds >= 0.0, "invalid task length {seconds}");
+            let Reverse(Time(free)) = self.free_at.pop().expect("CpuPool has no cores");
+            let start = ready.max(free);
+            let end = start + seconds;
+            self.free_at.push(Reverse(Time(end)));
+            self.busy_seconds += seconds;
+            end
+        }
+
+        pub(super) fn busy_seconds(&self) -> f64 {
+            self.busy_seconds
+        }
     }
 }
 
@@ -106,6 +146,7 @@ impl Default for FifoServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_core_serializes() {
@@ -144,6 +185,47 @@ mod tests {
         let mut pool = CpuPool::new(8);
         let makespan = (0..100).map(|_| pool.run(0.0, 1.0)).fold(0.0, f64::max);
         assert_eq!(makespan, 13.0);
+    }
+
+    /// A time drawn from a few exact values (ties, both zeros) or a
+    /// random one.
+    fn time() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0usize..5).prop_map(|i| [0.0, -0.0, 0.5, 1.0, 2.0][i]),
+            0.0f64..8.0,
+            (0u32..64).prop_map(|q| f64::from(q) * 0.125),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn replacing_the_top_matches_pop_and_push(
+            cores in 1usize..6,
+            tasks in proptest::collection::vec((time(), time(), any::<bool>()), 0..200),
+        ) {
+            let (mut pool, mut oracle) = (CpuPool::new(cores), pop_push::CpuPool::new(cores));
+            let mut clock = 0.0f64;
+            for (ready, seconds, advance) in tasks {
+                // Ready times mostly advance, as the stage graph's do, with
+                // repeats and zero-length tasks for ties.
+                let ready = if advance { clock + ready } else { ready };
+                clock = clock.max(ready);
+                let (got, want) = (pool.run(ready, seconds), oracle.run(ready, seconds));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "run({}, {})", ready, seconds);
+            }
+            prop_assert_eq!(pool.busy_seconds().to_bits(), oracle.busy_seconds().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_time_is_stored_as_zero() {
+        let mut pool = CpuPool::new(2);
+        assert_eq!(pool.run(-0.0, -0.0).to_bits(), (-0.0f64).to_bits());
+        // Had the `-0.0` gone in as bits, it would sort after every other
+        // time and the core freeing at 1.0 would be taken first.
+        assert_eq!(pool.run(0.0, 1.0), 1.0);
+        assert_eq!(pool.run(0.0, 1.0), 1.0);
+        assert_eq!(pool.run(0.0, 1.0), 2.0);
     }
 
     #[test]

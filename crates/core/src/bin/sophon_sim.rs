@@ -306,16 +306,17 @@ SOPHON epoch timeline (first {n} samples, virtual seconds):"
             "\n{:<12} {:>11} {:>13} {:>11} {:>10} {:>9}",
             "policy", "epoch (s)", "traffic (GB)", "offloaded", "GPU util", "class"
         );
+        let class = scenario.workload_class();
         for p in selected {
-            match scenario.run(p.as_ref()) {
-                Ok(r) => println!(
+            match class.clone().and_then(|class| Ok((scenario.run(p.as_ref())?, class))) {
+                Ok((r, class)) => println!(
                     "{:<12} {:>11.1} {:>13.2} {:>11} {:>9.1}% {:>9}",
                     r.policy,
                     r.epoch.epoch_seconds,
                     r.epoch.traffic_bytes as f64 / 1e9,
                     r.summary.offloaded_samples,
                     r.epoch.gpu_utilization() * 100.0,
-                    format!("{:?}", r.class),
+                    format!("{class:?}"),
                 ),
                 Err(e) => println!("{:<12} failed: {e}", p.name()),
             }

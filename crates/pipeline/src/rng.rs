@@ -87,7 +87,7 @@ impl AugmentRng {
 
     /// Draws a uniform `f64` in `[lo, hi)`.
     pub(crate) fn next_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_unit_f64() * (hi - lo)
+        unit_into(self.next_unit_f64(), lo, hi)
     }
 
     /// Draws a uniform integer in `[0, n)`; `n` must be positive.
@@ -100,6 +100,18 @@ impl AugmentRng {
         // Multiply-shift bounded sampling (Lemire); bias is negligible for
         // the small ranges used by augmentations.
         ((u128::from(self.inner.next_u64()) * u128::from(n)) >> 64) as u64
+    }
+}
+
+/// `u` in `[0, 1)` mapped onto `[lo, hi)`. Rounding may land
+/// `lo + u * (hi - lo)` on `hi`; such a draw reads as `lo`, as it does in
+/// `imagery::rng::Rng::range_f64`.
+fn unit_into(u: f64, lo: f64, hi: f64) -> f64 {
+    let v = lo + u * (hi - lo);
+    if v >= hi {
+        lo
+    } else {
+        v
     }
 }
 
@@ -144,6 +156,18 @@ mod tests {
             let v = r.next_unit_f64();
             assert!((0.0..1.0).contains(&v));
         }
+    }
+
+    #[test]
+    fn a_draw_that_rounds_onto_the_open_bound_reads_as_the_low_one() {
+        // The largest unit draw: `1 + u` is halfway between `2 - 2^-52`
+        // and `2`, and rounds to the even `2`.
+        let u = 1.0 - f64::EPSILON / 2.0;
+        let (lo, hi) = (1.0, 2.0);
+        assert_eq!(lo + u * (hi - lo), hi, "the unguarded draw lands on the open bound");
+        assert_eq!(unit_into(u, lo, hi), lo);
+        assert_eq!(unit_into(0.5, lo, hi), 1.5);
+        assert_eq!(unit_into(0.0, lo, hi), lo);
     }
 
     #[test]

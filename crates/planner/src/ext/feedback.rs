@@ -41,7 +41,6 @@
 //! path, the tensor bytes — are identical with the controller on or off.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use cluster::stagegraph::SampleRouting;
 use cluster::{
@@ -49,10 +48,10 @@ use cluster::{
     StageKind, StageSample,
 };
 use pipeline::SplitPoint;
-use telemetry::{CusumDetector, DriftConfig, TelemetryHub};
+use telemetry::{CusumDetector, DriftConfig, SeriesId, TelemetryHub};
 
 use crate::engine::PlanningContext;
-use crate::ext::sharding::{plan_fleet, FleetPlanRequest};
+use crate::ext::sharding::{plan_fleet, FleetPlan, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
 /// Tuning of the [`FeedbackController`].
@@ -179,18 +178,25 @@ pub struct ReplanEvent {
 /// decisions, with hysteresis (via the detectors) and a cooldown so the
 /// control loop cannot thrash.
 ///
-/// Channels are created on first [`FeedbackController::observe`]; each gets
-/// a [`CusumDetector`] referenced at ratio `1.0`. Once per batch,
-/// [`FeedbackController::end_batch`] folds every channel's windowed mean
-/// into its detector; trips accumulate until the cooldown allows acting,
-/// at which point detectors rebase onto the adopted levels.
+/// Channels are created on first [`FeedbackController::observe`] (or
+/// [`FeedbackController::channel`], which resolves a name to its
+/// [`SeriesId`] once, for a producer that observes by id); each gets a
+/// [`CusumDetector`] referenced at ratio `1.0` once it has a window. Once
+/// per batch, [`FeedbackController::end_batch`] folds every channel's
+/// windowed mean into its detector, in channel-name order; trips
+/// accumulate until the cooldown allows acting, at which point detectors
+/// rebase onto the adopted levels. The per-channel state lives in `Vec`s
+/// indexed by [`SeriesId::index`].
 #[derive(Debug, Clone)]
 pub struct FeedbackController {
     config: FeedbackConfig,
     hub: TelemetryHub,
-    detectors: BTreeMap<String, CusumDetector>,
-    estimates: BTreeMap<String, f64>,
-    pending: BTreeMap<String, f64>,
+    detectors: Vec<Option<CusumDetector>>,
+    /// Adopted ratios; `1.0` is nominal, whether never adopted or
+    /// snapped back.
+    estimates: Vec<f64>,
+    /// Tripped levels waiting for the cooldown.
+    pending: Vec<Option<f64>>,
     last_replan: Option<u64>,
     replans: Vec<ReplanEvent>,
 }
@@ -236,25 +242,56 @@ impl FeedbackController {
         FeedbackController {
             config,
             hub: TelemetryHub::new(capacity),
-            detectors: BTreeMap::new(),
-            estimates: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            detectors: Vec::new(),
+            estimates: Vec::new(),
+            pending: Vec::new(),
             last_replan: None,
             replans: Vec::new(),
         }
+    }
+
+    /// The id of `channel`, creating the channel on first use.
+    pub fn channel(&mut self, channel: &str) -> SeriesId {
+        let id = self.hub.register(channel);
+        if id.index() >= self.estimates.len() {
+            self.detectors.resize(id.index() + 1, None);
+            self.estimates.resize(id.index() + 1, 1.0);
+            self.pending.resize(id.index() + 1, None);
+        }
+        id
     }
 
     /// Feeds one observed/expected ratio into `channel` at time `t`.
     /// Out-of-order or non-finite observations are dropped (the series
     /// counts them as rejected) rather than corrupting the window.
     pub fn observe(&mut self, channel: &str, t: f64, ratio: f64) {
-        let _ = self.hub.push(channel, t, ratio);
+        let id = self.channel(channel);
+        self.observe_id(id, t, ratio);
+    }
+
+    /// [`FeedbackController::observe`] for a channel resolved with
+    /// [`FeedbackController::channel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `channel` did not come from this controller.
+    pub fn observe_id(&mut self, channel: SeriesId, t: f64, ratio: f64) {
+        let _ = self.hub.push_to(channel, t, ratio);
     }
 
     /// The controller's current believed ratio for `channel` (`1.0` until
     /// a replan adopts something else).
     pub fn estimate(&self, channel: &str) -> f64 {
-        self.estimates.get(channel).copied().unwrap_or(1.0)
+        self.hub.id(channel).map_or(1.0, |id| self.estimate_id(id))
+    }
+
+    /// [`FeedbackController::estimate`] for a resolved channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `channel` did not come from this controller.
+    pub fn estimate_id(&self, channel: SeriesId) -> f64 {
+        self.estimates[channel.index()]
     }
 
     /// The telemetry hub backing the controller (for reporting).
@@ -276,23 +313,17 @@ impl FeedbackController {
     /// the deadband.
     pub fn end_batch(&mut self, batch: u64, now: f64) -> Option<ReplanEvent> {
         let window = self.config.drift_window;
-        let hub = &self.hub;
-        let detectors = &mut self.detectors;
-        let pending = &mut self.pending;
-        for (name, series) in hub.iter() {
+        for (_, id, series) in self.hub.iter() {
             let Some(mean) = series.mean_last(window) else { continue };
-            // Only a channel seen for the first time allocates its key.
-            if !detectors.contains_key(name) {
-                let detector = CusumDetector::new(DriftConfig::for_reference(1.0))
-                    .expect("reference 1.0 is a valid drift config");
-                detectors.insert(name.to_string(), detector);
-            }
-            let detector = detectors.get_mut(name).expect("inserted above");
+            let detector = self.detectors[id.index()].get_or_insert_with(|| {
+                CusumDetector::new(DriftConfig::for_reference(1.0))
+                    .expect("reference 1.0 is a valid drift config")
+            });
             if let Some(verdict) = detector.update(batch as f64, mean) {
-                pending.insert(name.to_string(), verdict.level);
+                self.pending[id.index()] = Some(verdict.level);
             }
         }
-        if self.pending.is_empty() {
+        if self.pending.iter().all(Option::is_none) {
             return None;
         }
         if let Some(last) = self.last_replan {
@@ -301,15 +332,16 @@ impl FeedbackController {
             }
         }
         let mut channels = Vec::new();
-        for (channel, level) in std::mem::take(&mut self.pending) {
-            let current = self.estimates.get(&channel).copied().unwrap_or(1.0);
+        for (name, id, _) in self.hub.iter() {
+            let Some(level) = self.pending[id.index()].take() else { continue };
+            let current = self.estimates[id.index()];
             let relative = (level / current - 1.0).abs();
             let detector =
-                self.detectors.get_mut(&channel).expect("tripped channels have detectors");
+                self.detectors[id.index()].as_mut().expect("tripped channels have detectors");
             if relative >= self.config.min_ratio_change {
                 detector.rebase(level);
-                self.estimates.insert(channel.clone(), level);
-                channels.push(ChannelDrift { channel, ratio: level });
+                self.estimates[id.index()] = level;
+                channels.push(ChannelDrift { channel: name.to_string(), ratio: level });
             } else if self.config.recovery_decay > 0.0
                 && (level - 1.0).abs() < (current - 1.0).abs()
             {
@@ -321,12 +353,9 @@ impl FeedbackController {
                     adopted = 1.0;
                 }
                 detector.rebase(adopted);
-                if (adopted - 1.0).abs() < 1e-12 {
-                    self.estimates.remove(&channel);
-                } else {
-                    self.estimates.insert(channel.clone(), adopted);
-                }
-                channels.push(ChannelDrift { channel, ratio: adopted });
+                self.estimates[id.index()] =
+                    if (adopted - 1.0).abs() < 1e-12 { 1.0 } else { adopted };
+                channels.push(ChannelDrift { channel: name.to_string(), ratio: adopted });
             } else {
                 // Inside the deadband, away from nominal: noise. Re-arm on
                 // the existing estimate.
@@ -358,17 +387,21 @@ pub fn link_channel(node: usize) -> String {
     format!("node{node}.link")
 }
 
-/// One node's three telemetry channel names, formatted once per run rather
-/// than once per stage event.
+/// One node's three telemetry channels, resolved once per run rather than
+/// looked up by name once per stage event.
 struct NodeChannels {
-    read: String,
-    cpu: String,
-    link: String,
+    read: SeriesId,
+    cpu: SeriesId,
+    link: SeriesId,
 }
 
 impl NodeChannels {
-    fn new(node: usize) -> NodeChannels {
-        NodeChannels { read: read_channel(node), cpu: cpu_channel(node), link: link_channel(node) }
+    fn new(controller: &mut FeedbackController, node: usize) -> NodeChannels {
+        NodeChannels {
+            read: controller.channel(&read_channel(node)),
+            cpu: controller.channel(&cpu_channel(node)),
+            link: controller.channel(&link_channel(node)),
+        }
     }
 }
 
@@ -485,7 +518,8 @@ pub struct AdaptiveEpochReport {
 struct DriverState {
     controller: Option<FeedbackController>,
     digest: u64,
-    /// Per-sample planned serving fraction (parallel to the corpus).
+    /// Per-sample planned serving fraction (parallel to the corpus), or
+    /// empty while every sample is planned at full fidelity.
     fidelity: Vec<f64>,
     /// Delivered fidelity, accumulated as samples actually cross a link.
     fidelity_sum: f64,
@@ -524,10 +558,14 @@ pub fn run_fleet_epoch_adaptive(
     feedback: Option<&FeedbackConfig>,
 ) -> Result<AdaptiveEpochReport, SophonError> {
     let n = ctx.profiles.len();
-    let works =
-        plan_fleet(ctx, &FleetPlanRequest::new(map, nodes))?.plan.to_sample_works(ctx.profiles)?;
-    let spec = EpochSpec::new(works, ctx.batch_size, ctx.gpu);
+    // The initial plan, every replan and the stage graph route by one table.
     let owners = map.owner_table(n);
+    let initial = FleetPlanRequest { owners: Some(&owners), ..FleetPlanRequest::new(map, nodes) };
+    // Only the plan outlives the planning: the rest goes before the works
+    // are allocated.
+    let plan = plan_fleet(ctx, &initial)?.plan;
+    let works = plan.to_sample_works(ctx.profiles)?;
+    let spec = EpochSpec::new(works, ctx.batch_size, ctx.gpu);
     let dead = vec![usize::MAX; nodes.len()];
     let base = ctx.config;
 
@@ -540,11 +578,15 @@ pub fn run_fleet_epoch_adaptive(
         None => None,
     };
 
-    let channels: Vec<NodeChannels> = (0..nodes.len()).map(NodeChannels::new).collect();
+    let mut controller = feedback.map(|cfg| FeedbackController::new(cfg.clone()));
+    let channels: Vec<NodeChannels> = match controller.as_mut() {
+        Some(controller) => (0..nodes.len()).map(|n| NodeChannels::new(controller, n)).collect(),
+        None => Vec::new(),
+    };
     let state = RefCell::new(DriverState {
-        controller: feedback.map(|cfg| FeedbackController::new(cfg.clone())),
+        controller,
         digest: 0xcbf29ce484222325,
-        fidelity: vec![1.0; n],
+        fidelity: Vec::new(),
         fidelity_sum: 0.0,
         fidelity_samples: 0,
         replans: Vec::new(),
@@ -561,7 +603,7 @@ pub fn run_fleet_epoch_adaptive(
         if e.stage == StageKind::Link {
             // Delivered fidelity is what the plan said *when the sample
             // crossed the wire*, not what a later replan would have served.
-            st.fidelity_sum += st.fidelity[e.sample as usize];
+            st.fidelity_sum += st.fidelity.get(e.sample as usize).copied().unwrap_or(1.0);
             st.fidelity_samples += 1;
         }
         let Some(controller) = st.controller.as_mut() else { return };
@@ -570,18 +612,18 @@ pub fn run_fleet_epoch_adaptive(
         let names = &channels[e.node];
         let (channel, expected) = match e.stage {
             StageKind::Read => (
-                &names.read,
+                names.read,
                 w.transfer_bytes as f64 / (base.storage_read_bytes_per_sec * node.speed),
             ),
-            StageKind::StorageCpu => (&names.cpu, w.storage_cpu_seconds / node.speed),
+            StageKind::StorageCpu => (names.cpu, w.storage_cpu_seconds / node.speed),
             StageKind::Link => {
-                (&names.link, w.transfer_bytes as f64 * 8.0 / node.link_bps + base.link_latency)
+                (names.link, w.transfer_bytes as f64 * 8.0 / node.link_bps + base.link_latency)
             }
             // The compute stage is shared and not a planner input.
             StageKind::ComputeCpu => return,
         };
         if expected > 1e-12 {
-            controller.observe(channel, e.batch as f64, e.service_seconds / expected);
+            controller.observe_id(channel, e.batch as f64, e.service_seconds / expected);
         }
     };
 
@@ -607,7 +649,7 @@ pub fn run_fleet_epoch_adaptive(
         // leaves the placement untouched.
         let fractions: Vec<f64> = (0..nodes.len())
             .map(|i| match &brownout {
-                Some(b) => b.fraction_for(controller.estimate(&channels[i].link)),
+                Some(b) => b.fraction_for(controller.estimate_id(channels[i].link)),
                 None => 1.0,
             })
             .collect();
@@ -618,11 +660,11 @@ pub fn run_fleet_epoch_adaptive(
             .iter()
             .enumerate()
             .map(|(i, nd)| {
-                let r_cpu = controller.estimate(&channels[i].cpu);
-                let r_read = controller.estimate(&channels[i].read);
+                let r_cpu = controller.estimate_id(channels[i].cpu);
+                let r_read = controller.estimate_id(channels[i].read);
                 let r_speed =
                     if (r_cpu - 1.0).abs() >= (r_read - 1.0).abs() { r_cpu } else { r_read };
-                let r_link = controller.estimate(&channels[i].link) * fractions[i];
+                let r_link = controller.estimate_id(channels[i].link) * fractions[i];
                 FleetNodeConfig {
                     storage_cores: nd.storage_cores,
                     speed: (nd.speed / r_speed).clamp(nd.speed * 0.05, nd.speed * 20.0),
@@ -630,19 +672,24 @@ pub fn run_fleet_epoch_adaptive(
                 }
             })
             .collect();
-        let replanned = plan_fleet(ctx, &FleetPlanRequest::new(map, &revised)).and_then(|p| {
-            let mut new_works = p.plan.to_sample_works(ctx.profiles)?;
-            let mut fidelity = vec![1.0; new_works.len()];
+        let request = FleetPlanRequest { nodes: &revised, ..initial };
+        let replanned = plan_fleet(ctx, &request).and_then(|p| {
+            let FleetPlan { plan, primaries, fidelity: planned, .. } = p;
+            drop(planned); // never read: freed before the works are allocated
+            let mut new_works = plan.to_sample_works(ctx.profiles)?;
+            // Allocated only when a sample browns out.
+            let mut fidelity = None;
+            let n = new_works.len();
             for (s, w) in new_works.iter_mut().enumerate() {
-                let f = fractions[p.primaries[s]];
+                let f = fractions[primaries[s]];
                 if f >= 1.0 {
                     continue;
                 }
-                if p.plan.split(s) == SplitPoint::NONE {
+                if plan.split(s) == SplitPoint::NONE {
                     // A raw serve browns out in place: same plan, fewer
                     // bytes — the wire ships a tier prefix.
                     w.transfer_bytes = ((w.transfer_bytes as f64) * f).ceil() as u64;
-                    fidelity[s] = f;
+                    fidelity.get_or_insert_with(|| vec![1.0; n])[s] = f;
                 } else if let Some(raw) = raw_works.as_ref() {
                     // An offloaded serve has no tier boundaries (it ships
                     // a stage output), but brownout can outbid it: when
@@ -653,7 +700,7 @@ pub fn run_fleet_epoch_adaptive(
                     if browned < w.transfer_bytes {
                         *w = raw[s];
                         w.transfer_bytes = browned;
-                        fidelity[s] = f;
+                        fidelity.get_or_insert_with(|| vec![1.0; n])[s] = f;
                     }
                 }
             }
@@ -661,7 +708,7 @@ pub fn run_fleet_epoch_adaptive(
         });
         match replanned {
             Ok((new_works, fidelity)) => {
-                st.fidelity = fidelity;
+                st.fidelity = fidelity.unwrap_or_default();
                 directive.works = Some(new_works);
                 st.replans.push(event);
             }
@@ -840,6 +887,38 @@ mod tests {
         }
         assert!((c.estimate("node0.link") - 2.5).abs() < 0.2, "{:?}", c.replans());
         assert_eq!(c.estimate("node9.link"), 1.0, "untouched channels stay nominal");
+    }
+
+    #[test]
+    fn a_controller_fed_by_id_matches_one_fed_by_name() {
+        // Channels that trip, recover and stay quiet, observed in an order
+        // that is not their name order.
+        let names = ["node1.link", "node0.cpu", "node0.read", "node2.cpu"];
+        let ratio = |channel: usize, b: u64| match channel {
+            0 if b >= 6 => 2.5,
+            1 if (10..40).contains(&b) => 1.6,
+            3 if b >= 20 => 0.6,
+            _ => 1.0,
+        };
+        let config = FeedbackConfig { drift_window: 16, ..FeedbackConfig::default() };
+        let mut by_name = FeedbackController::new(config.clone());
+        let mut by_id = FeedbackController::new(config);
+        let ids: Vec<SeriesId> = names.iter().map(|name| by_id.channel(name)).collect();
+        for b in 0..80u64 {
+            for (c, name) in names.iter().enumerate() {
+                for _ in 0..8 {
+                    by_name.observe(name, b as f64, ratio(c, b));
+                    by_id.observe_id(ids[c], b as f64, ratio(c, b));
+                }
+            }
+            assert_eq!(by_id.end_batch(b, b as f64), by_name.end_batch(b, b as f64), "batch {b}");
+            assert_eq!(by_id.pending, by_name.pending, "batch {b}");
+            for (c, name) in names.iter().enumerate() {
+                assert_eq!(by_id.estimate_id(ids[c]), by_name.estimate(name), "{name}");
+            }
+        }
+        assert!(by_id.replans().len() >= 3, "{:?}", by_id.replans());
+        assert_eq!(by_id.replans(), by_name.replans());
     }
 
     #[test]

@@ -51,9 +51,12 @@
 //! health picture the transport reports at that moment. It also bridges
 //! planning to the fleet simulator: [`fleet_nodes`] derives the per-node
 //! resource vector from the planning config, and the map's
-//! [`ShardMap::owner_table`] is the simulator's routing input.
+//! [`ShardMap::owner_table`] is the simulator's routing input. The planner
+//! reads every sample's owners from that same table, so a run that plans
+//! more than once (a replan, a training run's plan and its simulation)
+//! builds it once and hands it to each.
 
-use cluster::{ClusterConfig, FleetNodeConfig, ShardMap};
+use cluster::{ClusterConfig, FleetNodeConfig, OwnerTable, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
 
 use crate::engine::{GreedyPass, PlanningContext, ResourceBudget, SampleUniverse};
@@ -87,6 +90,9 @@ pub struct ShardPlanStats {
 pub struct FleetPlanRequest<'a> {
     /// Placement: which node fronts which sample.
     pub map: &'a ShardMap,
+    /// `map`'s owner table for the corpus, when the caller already has
+    /// it; `None` builds it.
+    pub owners: Option<&'a OwnerTable>,
     /// Per-node cores, speed, and link, parallel to `map`'s shards.
     pub nodes: &'a [FleetNodeConfig],
     /// Samples pinned next to the trainer, parallel to the corpus.
@@ -102,7 +108,7 @@ pub struct FleetPlanRequest<'a> {
 impl<'a> FleetPlanRequest<'a> {
     /// A healthy, uncached, full-fidelity fleet.
     pub fn new(map: &'a ShardMap, nodes: &'a [FleetNodeConfig]) -> FleetPlanRequest<'a> {
-        FleetPlanRequest { map, nodes, cache: None, degraded: &[], brownout: None }
+        FleetPlanRequest { map, nodes, owners: None, cache: None, degraded: &[], brownout: None }
     }
 }
 
@@ -176,8 +182,9 @@ fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), Soph
 /// # Errors
 ///
 /// Returns [`SophonError::FleetMismatch`] when `req.nodes` or a non-empty
-/// `req.degraded` is not parallel to the shard map, or `req.cache` does not
-/// cover the corpus.
+/// `req.degraded` is not parallel to the shard map, `req.owners` or
+/// `req.cache` does not cover the corpus, or `req.owners` names a node the
+/// map does not have.
 pub fn plan_fleet(
     ctx: &PlanningContext<'_>,
     req: &FleetPlanRequest<'_>,
@@ -191,6 +198,14 @@ pub fn plan_fleet(
     if let Some(cache) = req.cache {
         check_len("cache assignment for the corpus", n, cache.len())?;
     }
+    if let Some(table) = req.owners {
+        check_len("owner table for the corpus", n, table.len())?;
+        let nodes = table.iter().flatten().max().map_or(0, |&widest| widest + 1);
+        if nodes > shards {
+            let what = "shard map for the owner table's nodes";
+            return Err(SophonError::FleetMismatch { what, expected: nodes, got: shards });
+        }
+    }
     let no_cache = CacheAssignment::none();
     let cache = req.cache.unwrap_or(&no_cache);
     // Empty or all-false flags are the healthy fleet.
@@ -198,38 +213,53 @@ pub fn plan_fleet(
     let is_degraded = |shard: usize| any_degraded && req.degraded[shard];
     let floor = req.brownout.map_or(1.0, BrownoutConfig::floor_fraction);
 
-    // One pass over the corpus: each sample's effective primary, bucketed
-    // into that shard's members (ascending by construction). A sample with
-    // no healthy owner keeps its nominal primary, which is degraded and
-    // therefore never planned. Only the degraded path reads replicas.
-    let owners = any_degraded.then(|| req.map.owner_table(n));
+    // One pass over the corpus: each sample's effective primary, its first
+    // healthy owner. A sample with no healthy owner keeps its nominal
+    // primary, which is degraded and therefore never planned.
+    let built;
+    let table = match req.owners {
+        Some(table) => table,
+        None => {
+            built = req.map.owner_table(n);
+            &built
+        }
+    };
     let mut primaries = Vec::with_capacity(n);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    // `starts[s + 1]` counts shard `s`'s members, then marks where they end.
+    let mut starts = vec![0usize; shards + 1];
     let mut fidelity = vec![1.0f64; n];
     let mut reassigned = 0u64;
     let mut raw_fallbacks = 0u64;
     for (i, served_fraction) in fidelity.iter_mut().enumerate() {
-        let primary = if let Some(table) = &owners {
-            let owners = table.owners(i);
-            match owners.iter().find(|&&o| !is_degraded(o)) {
-                Some(&owner) => {
-                    reassigned += u64::from(owner != owners[0]);
-                    owner
-                }
-                None => {
-                    if !cache.is_cached(i) {
-                        raw_fallbacks += 1;
-                        *served_fraction = floor;
-                    }
-                    owners[0]
-                }
+        let owners = table.owners(i);
+        let primary = match owners.iter().find(|&&o| !is_degraded(o)) {
+            Some(&owner) => {
+                reassigned += u64::from(owner != owners[0]);
+                owner
             }
-        } else {
-            req.map.primary(i as u64)
+            None => {
+                if !cache.is_cached(i) {
+                    raw_fallbacks += 1;
+                    *served_fraction = floor;
+                }
+                owners[0]
+            }
         };
         primaries.push(primary);
-        members[primary].push(i);
+        starts[primary + 1] += 1;
     }
+    // Each shard's members, ascending, as one slice of a stable counting
+    // sort of the corpus by primary.
+    for shard in 0..shards {
+        starts[shard + 1] += starts[shard];
+    }
+    let mut sorted = vec![0usize; n];
+    let mut next = starts.clone();
+    for (i, &primary) in primaries.iter().enumerate() {
+        sorted[next[primary]] = i;
+        next[primary] += 1;
+    }
+    let members = |shard: usize| &sorted[starts[shard]..starts[shard + 1]];
 
     // Each healthy shard's pass starts from its warm baseline over the
     // WHOLE shard (cached samples contribute suffix compute and zero net)
@@ -242,7 +272,7 @@ pub fn plan_fleet(
         .map(|(shard, node)| {
             (!is_degraded(shard)).then(|| {
                 let budget = ResourceBudget::of_node(node, ctx);
-                let members = SampleUniverse::Indices(&members[shard]);
+                let members = SampleUniverse::Indices(members(shard));
                 GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members, &budget), budget)
             })
         })
@@ -269,10 +299,8 @@ pub fn plan_fleet(
             }
         }
     }
-    let per_shard = members
-        .iter()
-        .enumerate()
-        .map(|(shard, members)| shard_stats(shard, &plan, ctx.profiles, cache, members))
+    let per_shard = (0..shards)
+        .map(|shard| shard_stats(shard, &plan, ctx.profiles, cache, members(shard)))
         .collect();
     // A loader driving a `CachingTransport` requests each cached sample at
     // exactly the split whose payload the cache holds, so every such fetch
@@ -541,6 +569,73 @@ mod tests {
             matches!(err, SophonError::FleetMismatch { expected: 1600, got: 1000, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_foreign_owner_table_is_a_typed_error() {
+        let (ps, pipeline, config) = setup(4);
+        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
+        let map = ShardMap::new(4, 2, 7);
+        let nodes = fleet_nodes(&config, 4);
+        let ok = FleetPlanRequest::new(&map, &nodes);
+
+        let short = map.owner_table(1000);
+        let err = plan_fleet(&ctx, &FleetPlanRequest { owners: Some(&short), ..ok }).unwrap_err();
+        assert_eq!(err.to_string(), "owner table for the corpus has 1000 entries, expected 1600");
+
+        let wider = ShardMap::new(6, 2, 7).owner_table(ps.len());
+        let err = plan_fleet(&ctx, &FleetPlanRequest { owners: Some(&wider), ..ok }).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "shard map for the owner table's nodes has 4 entries, expected 6"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Reading primaries from an owner table, passed or built, plans
+        /// exactly what hashing each primary did, healthy or degraded.
+        #[test]
+        fn an_owner_table_plans_what_hashing_planned(
+            len in 1u64..400,
+            corpus_seed in 0u64..1000,
+            cores in 1usize..8,
+            shards in 1usize..5,
+            replicated in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            degraded in proptest::collection::vec(proptest::prelude::any::<bool>(), 4),
+            cached_pct in 0u64..60,
+            brownout in proptest::prelude::any::<bool>(),
+        ) {
+            let ds = DatasetSpec::openimages_like(len, corpus_seed);
+            let pipeline = PipelineSpec::standard_train();
+            let model = CostModel::realistic();
+            let ps: Vec<_> = ds.records().map(|r| r.analytic_profile(&pipeline, &model)).collect();
+            let config = ClusterConfig::paper_testbed(cores);
+            let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 64);
+            let map = ShardMap::new(shards, if replicated && shards > 1 { 2 } else { 1 }, seed);
+            let nodes = fleet_nodes(&config, shards);
+            let cache = caching::choose_cache_contents(
+                &ctx,
+                corpus_bytes(&ps) * cached_pct / 100,
+                CacheSelection::EfficiencyAware,
+            );
+            let policy = BrownoutConfig::default();
+            let owners = map.owner_table(ps.len());
+            for degraded in [&[][..], &degraded[..shards]] {
+                let built = FleetPlanRequest {
+                    cache: Some(&cache),
+                    degraded,
+                    brownout: brownout.then_some(&policy),
+                    ..FleetPlanRequest::new(&map, &nodes)
+                };
+                let passed = FleetPlanRequest { owners: Some(&owners), ..built };
+                let want = crate::engine::reference::plan_fleet(&ctx, &built);
+                proptest::prop_assert_eq!(&plan_fleet(&ctx, &built).unwrap(), &want);
+                proptest::prop_assert_eq!(&plan_fleet(&ctx, &passed).unwrap(), &want);
+            }
+        }
     }
 
     // --- node speed (heterogeneous CPUs) -----------------------------------

@@ -80,8 +80,9 @@ impl OffloadPlan {
         &self,
         profiles: &[SampleProfile],
     ) -> Result<Vec<SampleWork>, SophonError> {
-        self.check_len(profiles)?;
-        profiles.iter().zip(&self.splits).map(|(p, &split)| sample_work(p, split)).collect()
+        // One exact allocation, where a `collect` through `Result` cannot
+        // see the length and grows its buffer by doubling.
+        self.works_and_summary(profiles).map(|(works, _)| works)
     }
 
     /// Summarizes the plan against its profiles, folding each sample's work
@@ -91,6 +92,31 @@ impl OffloadPlan {
     ///
     /// Same conditions as [`OffloadPlan::to_sample_works`].
     pub fn summarize(&self, profiles: &[SampleProfile]) -> Result<PlanSummary, SophonError> {
+        self.fold_works(profiles, |_| {})
+    }
+
+    /// [`OffloadPlan::to_sample_works`] and [`OffloadPlan::summarize`] in
+    /// one pass over the profiles.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`OffloadPlan::to_sample_works`].
+    pub(crate) fn works_and_summary(
+        &self,
+        profiles: &[SampleProfile],
+    ) -> Result<(Vec<SampleWork>, PlanSummary), SophonError> {
+        let mut works = Vec::with_capacity(profiles.len());
+        let summary = self.fold_works(profiles, |work| works.push(work))?;
+        Ok((works, summary))
+    }
+
+    /// Folds each sample's work into a summary in index order, handing
+    /// every work to `each` on the way.
+    fn fold_works(
+        &self,
+        profiles: &[SampleProfile],
+        mut each: impl FnMut(SampleWork),
+    ) -> Result<PlanSummary, SophonError> {
         self.check_len(profiles)?;
         // `-0.0` is the identity `Iterator::sum` starts an `f64` total
         // from, so the CPU totals keep the sign an all-zero sum has always
@@ -110,6 +136,7 @@ impl OffloadPlan {
             summary.raw_bytes += p.raw_bytes;
             summary.storage_cpu_seconds += work.storage_cpu_seconds;
             summary.compute_cpu_seconds += work.compute_cpu_seconds;
+            each(work);
         }
         Ok(summary)
     }

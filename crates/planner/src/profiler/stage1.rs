@@ -35,6 +35,18 @@ pub struct Stage1Probe {
     pub cpu_throughput: f64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Stage-1 probes run on this thread, for tests that count them.
+    static PROBE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many stage-1 probes this thread has run.
+#[cfg(test)]
+pub(crate) fn probe_runs() -> usize {
+    PROBE_RUNS.with(std::cell::Cell::get)
+}
+
 impl Stage1Probe {
     /// Runs the three probes for a context.
     ///
@@ -43,6 +55,8 @@ impl Stage1Probe {
     /// Propagates simulator failures (empty profile sets produce a probe of
     /// zero batches and are rejected by the simulator's callers upstream).
     pub fn run(ctx: &PlanningContext<'_>) -> Result<Stage1Probe, SophonError> {
+        #[cfg(test)]
+        PROBE_RUNS.with(|runs| runs.set(runs.get() + 1));
         let take = (PROBE_BATCHES * ctx.batch_size).min(ctx.profiles.len());
         let probe_profiles = &ctx.profiles[..take];
 

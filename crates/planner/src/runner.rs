@@ -116,16 +116,29 @@ impl Scenario {
         policy: &dyn Policy,
         profiles: &[SampleProfile],
     ) -> Result<RunReport, SophonError> {
-        let ctx =
-            PlanningContext::new(profiles, &self.pipeline, &self.config, self.gpu, self.batch_size);
-        let class = Stage1Probe::run(&ctx)?.classify();
+        let ctx = self.context(profiles);
         let plan = policy.plan(&ctx)?;
-        let summary = plan.summarize(profiles)?;
+        let (works, summary) = plan.works_and_summary(profiles)?;
         let costs = ctx.costs_for_summary(&summary);
-        let works = plan.to_sample_works(profiles)?;
         let epoch =
             simulate_epoch(&self.config, &EpochSpec::new(works, self.batch_size, self.gpu))?;
-        Ok(RunReport { policy: policy.name().to_string(), class, costs, summary, epoch })
+        Ok(RunReport { policy: policy.name().to_string(), costs, summary, epoch })
+    }
+
+    /// The stage-1 class of this scenario's un-offloaded workload: one
+    /// probe over the kept profiles. It does not depend on the policy, so
+    /// no run reports it; a sweep that prints it asks once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates probe failures.
+    pub fn workload_class(&self) -> Result<WorkloadClass, SophonError> {
+        let set = self.profile_set();
+        Ok(Stage1Probe::run(&self.context(set.profiles()))?.classify())
+    }
+
+    fn context<'a>(&'a self, profiles: &'a [SampleProfile]) -> PlanningContext<'a> {
+        PlanningContext::new(profiles, &self.pipeline, &self.config, self.gpu, self.batch_size)
     }
 
     /// Evaluates all five standard policies.
@@ -244,19 +257,23 @@ impl Scenario {
     pub fn run_training(&self, req: &TrainingRequest<'_>) -> Result<TrainingReport, SophonError> {
         let set = self.profile_set();
         let profiles = set.profiles();
-        let ctx =
-            PlanningContext::new(profiles, &self.pipeline, &self.config, self.gpu, self.batch_size);
+        let ctx = self.context(profiles);
         let map = cluster::ShardMap::new(req.shards, req.replication, req.placement_seed);
         let nodes = sharding::fleet_nodes(&self.config, req.shards);
         let assignment = req
             .cache
             .map(|(budget, selection)| caching::choose_cache_contents(&ctx, budget, selection));
+        // One healthy node needs no routing: every sample is on node 0. A
+        // fleet plan and a routed simulation read one owner table.
+        let routed = req.shards > 1 || !req.kills.is_empty();
+        let owners = (routed || req.policy.is_none()).then(|| map.owner_table(profiles.len()));
         let (name, profiling_epoch, plan, per_shard) = match req.policy {
             Some(policy) => {
                 (policy.name(), policy.requires_profiling_epoch(), policy.plan(&ctx)?, Vec::new())
             }
             None => {
                 let request = sharding::FleetPlanRequest {
+                    owners: owners.as_ref(),
                     cache: assignment.as_ref(),
                     ..sharding::FleetPlanRequest::new(&map, &nodes)
                 };
@@ -275,16 +292,13 @@ impl Scenario {
         } else {
             None
         };
-        // One healthy node needs no routing: every sample is on node 0.
-        let owners =
-            (req.shards > 1 || !req.kills.is_empty()).then(|| map.owner_table(profiles.len()));
         let stats = cluster::simulate_training(
             &self.config,
             &cluster::TrainingSpec {
                 nodes: &nodes,
                 first: profiling.as_ref().unwrap_or(&steady),
                 steady: &steady,
-                owners: owners.as_ref(),
+                owners: owners.as_ref().filter(|_| routed),
                 kills: req.kills,
                 epochs: req.epochs,
             },
@@ -327,8 +341,6 @@ impl Scenario {
 pub struct RunReport {
     /// Policy name.
     pub policy: String,
-    /// Stage-1 classification of the (un-offloaded) workload.
-    pub class: WorkloadClass,
     /// Predicted cost vector of the chosen plan.
     pub costs: CostVector,
     /// Plan aggregates.
@@ -357,7 +369,7 @@ mod tests {
         let s = scenario(48);
         let no_off = s.run(&NoOffPolicy).unwrap();
         let sophon = s.run(&SophonPolicy::default()).unwrap();
-        assert_eq!(no_off.class, WorkloadClass::IoBound);
+        assert_eq!(s.workload_class(), Ok(WorkloadClass::IoBound));
         assert!(sophon.epoch.traffic_bytes < no_off.epoch.traffic_bytes);
         let speedup = no_off.epoch.epoch_seconds / sophon.epoch.epoch_seconds;
         assert!(speedup > 1.5, "speedup {speedup}");
@@ -388,6 +400,21 @@ mod tests {
         assert!(same(&s));
         // A clone shares the set rather than deriving its own.
         assert!(same(&s.clone()));
+    }
+
+    #[test]
+    fn only_sophons_own_gate_probes() {
+        let s = scenario(48);
+        let set = s.profile_set();
+        for policy in crate::policy::standard_policies() {
+            let probes = crate::profiler::probe_runs();
+            s.run_with_profiles(policy.as_ref(), set.profiles()).unwrap();
+            let want = usize::from(policy.name() == "sophon");
+            assert_eq!(crate::profiler::probe_runs() - probes, want, "{}", policy.name());
+        }
+        let probes = crate::profiler::probe_runs();
+        assert_eq!(s.workload_class(), Ok(WorkloadClass::IoBound));
+        assert_eq!(crate::profiler::probe_runs() - probes, 1);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   until either values return near the reference or the caller
 //!   [`CusumDetector::rebase`]s it onto the new level (what a controller
 //!   does after acting on a verdict).
-//! * [`TelemetryHub`] — a name-keyed registry of series (`BTreeMap`, so
-//!   iteration order is deterministic) shared by instrumented components.
+//! * [`TelemetryHub`] — a name-keyed registry of series (a sorted name
+//!   index, so iteration order is deterministic) shared by instrumented
+//!   components; a hot producer resolves each name to a [`SeriesId`] once
+//!   and pushes by id.
 //!
 //! Timestamps are plain `f64` seconds from any monotonic clock — the
 //! discrete-event simulator's virtual clock or a wall-clock
@@ -31,7 +33,7 @@
 //! ```
 //! use telemetry::{CusumDetector, DriftConfig, MetricSeries};
 //!
-//! let mut series = MetricSeries::new("node0.link_ratio", 128);
+//! let mut series = MetricSeries::new(128);
 //! let mut det = CusumDetector::new(DriftConfig::for_reference(1.0)).unwrap();
 //! // Nominal for a while, then the link is squeezed: observed/expected
 //! // transfer-time ratio jumps to ~2.5.
@@ -60,5 +62,5 @@ mod series;
 
 pub use drift::{CusumDetector, DriftConfig, DriftDirection, DriftError, DriftVerdict};
 pub use estimator::{percentile, windowed_mean, windowed_rate, Ewma};
-pub use hub::TelemetryHub;
+pub use hub::{SeriesId, TelemetryHub};
 pub use series::{MetricSample, MetricSeries, SeriesError};

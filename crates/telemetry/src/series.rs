@@ -60,7 +60,6 @@ impl std::error::Error for SeriesError {}
 /// ones a windowed estimator can see anyway.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
-    name: String,
     capacity: usize,
     buf: VecDeque<MetricSample>,
     accepted: u64,
@@ -73,15 +72,9 @@ impl MetricSeries {
     /// # Panics
     ///
     /// Panics when `capacity` is zero (allocation-time invariant).
-    pub fn new(name: impl Into<String>, capacity: usize) -> MetricSeries {
+    pub fn new(capacity: usize) -> MetricSeries {
         assert!(capacity > 0, "a series needs capacity for at least one sample");
-        MetricSeries {
-            name: name.into(),
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            accepted: 0,
-            rejected: 0,
-        }
+        MetricSeries { capacity, buf: VecDeque::with_capacity(capacity), accepted: 0, rejected: 0 }
     }
 
     /// Samples currently held.
@@ -175,7 +168,7 @@ mod tests {
 
     #[test]
     fn push_and_window() {
-        let mut s = MetricSeries::new("x", 8);
+        let mut s = MetricSeries::new(8);
         for i in 0..5 {
             s.push(i as f64, i as f64 * 10.0).unwrap();
         }
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest() {
-        let mut s = MetricSeries::new("x", 3);
+        let mut s = MetricSeries::new(3);
         for i in 0..10 {
             s.push(i as f64, 0.0).unwrap();
         }
@@ -199,7 +192,7 @@ mod tests {
 
     #[test]
     fn out_of_order_rejected_and_counted() {
-        let mut s = MetricSeries::new("x", 8);
+        let mut s = MetricSeries::new(8);
         s.push(5.0, 1.0).unwrap();
         let err = s.push(4.0, 2.0).unwrap_err();
         assert_eq!(err, SeriesError::OutOfOrder { t: 4.0, newest: 5.0 });
@@ -212,7 +205,7 @@ mod tests {
 
     #[test]
     fn non_finite_rejected() {
-        let mut s = MetricSeries::new("x", 4);
+        let mut s = MetricSeries::new(4);
         assert!(matches!(s.push(f64::NAN, 1.0), Err(SeriesError::NonFinite { .. })));
         assert!(matches!(s.push(0.0, f64::INFINITY), Err(SeriesError::NonFinite { .. })));
         assert!(s.is_empty());
@@ -220,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_window_estimators_are_none() {
-        let s = MetricSeries::new("x", 4);
+        let s = MetricSeries::new(4);
         assert_eq!(s.mean_over(10.0, 100.0), None);
         assert_eq!(s.rate_over(10.0, 100.0), None);
         assert_eq!(s.percentile_over(0.5, 10.0, 100.0), None);
@@ -229,7 +222,7 @@ mod tests {
 
     #[test]
     fn windowed_statistics() {
-        let mut s = MetricSeries::new("bytes", 64);
+        let mut s = MetricSeries::new(64);
         // Cumulative counter growing 100 per second.
         for i in 0..=10 {
             s.push(i as f64, i as f64 * 100.0).unwrap();
@@ -244,6 +237,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
-        MetricSeries::new("x", 0);
+        MetricSeries::new(0);
     }
 }

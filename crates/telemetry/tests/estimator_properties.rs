@@ -24,7 +24,7 @@ proptest! {
     /// tail.
     #[test]
     fn monotone_pushes_all_accepted(values in proptest::collection::vec(0u32..1000, 1..64)) {
-        let mut s = MetricSeries::new("x", 32);
+        let mut s = MetricSeries::new(32);
         let pairs: Vec<(f64, f64)> =
             values.iter().enumerate().map(|(i, &v)| (i as f64, v as f64)).collect();
         prop_assert_eq!(fill(&mut s, &pairs), pairs.len());
@@ -44,7 +44,7 @@ proptest! {
         rewind_at in 1usize..39,
     ) {
         let rewind_at = rewind_at.min(n - 1);
-        let mut s = MetricSeries::new("x", 64);
+        let mut s = MetricSeries::new(64);
         for i in 0..n {
             s.push(i as f64, i as f64).unwrap();
             if i == rewind_at {
@@ -98,7 +98,7 @@ proptest! {
         let windows = 16usize;
         let per_window = 8usize;
         let run = |shuffle: bool| -> Vec<(u64, String)> {
-            let mut series = MetricSeries::new("ratio", 256);
+            let mut series = MetricSeries::new(256);
             let mut det = CusumDetector::new(DriftConfig::for_reference(1.0)).unwrap();
             let mut verdicts = Vec::new();
             let mut state = seed | 1;
@@ -172,7 +172,7 @@ proptest! {
 /// zeros that a controller could mistake for a real reading.
 #[test]
 fn empty_windows_yield_none_everywhere() {
-    let s = MetricSeries::new("x", 8);
+    let s = MetricSeries::new(8);
     assert_eq!(s.mean_over(10.0, 0.0), None);
     assert_eq!(s.rate_over(10.0, 0.0), None);
     assert_eq!(s.percentile_over(0.5, 10.0, 0.0), None);
