@@ -199,11 +199,10 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     /// stays the loader's plan afterwards). It is called for issue indices
     /// `0..n` in order, once each; batch `b` is issued while batch `b - 1`
     /// is still finishing, so the call for `b` comes before batch `b - 1`
-    /// reaches `consume`. This is the degraded-mode hook — when a node's
-    /// breaker opens partway through an epoch, the runtime swaps in a
-    /// [`crate::ext::sharding::plan_fleet`] plan computed with that node
-    /// flagged `degraded`, and the remaining batches route their offloads
-    /// around the sick node.
+    /// reaches `consume`. [`live_replans`] builds this callback from the
+    /// feedback controller's replans. A node whose breaker opens needs no
+    /// replan: the fleet transport reroutes its fetches to replicas at the
+    /// split the plan asked for.
     ///
     /// Splits only choose *where* preprocessing runs, never *what* it
     /// computes, so a mid-epoch swap keeps batches bit-identical to an

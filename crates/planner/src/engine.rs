@@ -10,19 +10,18 @@
 //! A pass prices its candidates against two orthogonal inputs, mirroring the
 //! simulator's stage-graph core (`cluster::stagegraph`):
 //!
-//! * a [`SampleUniverse`] — *which* samples the pass may decide (the full
+//! * a `SampleUniverse` — *which* samples the pass may decide (the full
 //!   corpus, one shard's primaries, …);
-//! * a [`ResourceBudget`] — *what* the offloaded work runs against (the
+//! * a `ResourceBudget` — *what* the offloaded work runs against (the
 //!   single storage node of the paper testbed, or one fleet node's own
 //!   cores and link).
 //!
 //! [`DecisionEngine::plan`] runs one pass over every sample against the
 //! context's budget (the paper's two-node testbed).
-//! `ext::sharding::plan_fleet` runs one pass per healthy shard in a single
-//! scan of the table, each shard over its uncached primaries against that
-//! node's budget. Fleet size, cache contents, node health, node speed and
-//! the fidelity floor are all inputs of that one fleet planner, not
-//! planners of their own.
+//! `ext::sharding::plan_fleet` runs one pass per shard in a single scan of
+//! the table, each shard over its uncached primaries against that node's
+//! budget. Fleet size, cache contents and node speed are all inputs of that
+//! one fleet planner, not planners of their own.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -37,7 +36,7 @@ use crate::{CostVector, OffloadPlan, PlanSummary, SophonError};
 /// Sentinel cost (in seconds) for plans that route offloaded work to a
 /// zero-core storage node. Large enough that no feasible plan ever loses a
 /// comparison to an infeasible one, finite so arithmetic stays well-formed.
-pub const INFEASIBLE_SECONDS: f64 = 1e18;
+pub(crate) const INFEASIBLE_SECONDS: f64 = 1e18;
 
 /// The resources one greedy pass plans offloaded work against.
 ///
@@ -45,24 +44,24 @@ pub const INFEASIBLE_SECONDS: f64 = 1e18;
 /// whole storage side of the testbed ([`ResourceBudget::of_context`]) or
 /// against a single fleet node's own cores and link
 /// ([`ResourceBudget::of_node`]), while the sample set is chosen
-/// independently via [`SampleUniverse`].
+/// independently via `SampleUniverse`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResourceBudget {
+pub(crate) struct ResourceBudget {
     /// Effective storage cores available to offloaded work — physical
     /// cores scaled by node speed. Zero disables offloading.
-    pub storage_cores: f64,
+    pub(crate) storage_cores: f64,
     /// Compute-node cores the residual preprocessing shares (already
     /// clamped to at least 1).
-    pub compute_cores: f64,
+    pub(crate) compute_cores: f64,
     /// The storage→compute link this universe's transfers traverse, in
     /// bits per second.
-    pub link_bps: f64,
+    pub(crate) link_bps: f64,
 }
 
 impl ResourceBudget {
     /// The budget of the context's single storage node (the paper
     /// testbed).
-    pub fn of_context(ctx: &PlanningContext<'_>) -> ResourceBudget {
+    pub(crate) fn of_context(ctx: &PlanningContext<'_>) -> ResourceBudget {
         ResourceBudget {
             storage_cores: ctx.config.storage_cores as f64,
             compute_cores: ctx.config.compute_cores.max(1) as f64,
@@ -74,7 +73,7 @@ impl ResourceBudget {
     /// storage core running at `speed`× a compute core — `1.0` is the
     /// paper's identical-CPU assumption) and its own link; the compute
     /// side stays the job-wide one, since all shards share it.
-    pub fn of_node(node: &FleetNodeConfig, ctx: &PlanningContext<'_>) -> ResourceBudget {
+    pub(crate) fn of_node(node: &FleetNodeConfig, ctx: &PlanningContext<'_>) -> ResourceBudget {
         ResourceBudget {
             storage_cores: node.storage_cores as f64 * node.speed,
             compute_cores: ctx.config.compute_cores.max(1) as f64,
@@ -89,8 +88,9 @@ impl ResourceBudget {
 /// its universe's costs in member order, and plans are pinned to the bits
 /// of the ascending sum.
 #[derive(Debug, Clone, Copy)]
-pub enum SampleUniverse<'a> {
-    /// Every sample of the context.
+pub(crate) enum SampleUniverse<'a> {
+    /// Every sample of the context (the test oracles' whole-corpus pass).
+    #[cfg(test)]
     All,
     /// An explicit ascending index set — e.g. one shard's uncached
     /// residual.
@@ -100,20 +100,16 @@ pub enum SampleUniverse<'a> {
 impl<'a> SampleUniverse<'a> {
     /// The universe's members over a corpus of `n` samples, in ascending
     /// index order, without collecting them.
-    pub fn members(self, n: usize) -> impl Iterator<Item = usize> + 'a {
+    pub(crate) fn members(self, n: usize) -> impl Iterator<Item = usize> + 'a {
         let (all, listed): (usize, &'a [usize]) = match self {
+            #[cfg(test)]
             SampleUniverse::All => (n, &[]),
-            SampleUniverse::Indices(ix) => (0, ix),
+            SampleUniverse::Indices(ix) => {
+                debug_assert!(ix.last().is_none_or(|&last| last < n), "a member past the corpus");
+                (0, ix)
+            }
         };
         (0..all).chain(listed.iter().copied())
-    }
-
-    /// How many members the universe has over a corpus of `n` samples.
-    pub(crate) fn len(self, n: usize) -> usize {
-        match self {
-            SampleUniverse::All => n,
-            SampleUniverse::Indices(ix) => ix.len(),
-        }
     }
 }
 
@@ -126,17 +122,17 @@ impl<'a> SampleUniverse<'a> {
 #[derive(Debug, Clone)]
 pub struct PlanningContext<'a> {
     /// Per-sample profiles from the stage-2 profiler, indexed by sample.
-    pub profiles: &'a [SampleProfile],
+    pub(crate) profiles: &'a [SampleProfile],
     /// The job's preprocessing pipeline, behind the modality abstraction:
     /// policies read only op structure and split semantics, never concrete
     /// op types, so one engine plans imagery and audio alike.
-    pub modality: &'a dyn Modality,
+    pub(crate) modality: &'a dyn Modality,
     /// The cluster's resources.
-    pub config: &'a ClusterConfig,
+    pub(crate) config: &'a ClusterConfig,
     /// The model being trained.
-    pub gpu: GpuModel,
+    pub(crate) gpu: GpuModel,
     /// Training batch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// The offload table of the profiles the first greedy pass saw.
     table: Rc<OnceCell<OffloadTable>>,
 }
@@ -158,7 +154,7 @@ impl<'a> PlanningContext<'a> {
 
     /// GPU seconds for one epoch (`T_G`), accounting for data-parallel
     /// GPUs.
-    pub fn gpu_epoch_seconds(&self) -> f64 {
+    pub(crate) fn gpu_epoch_seconds(&self) -> f64 {
         self.profiles.len() as f64 * self.gpu.seconds_per_image() / self.config.gpus.max(1) as f64
     }
 
@@ -192,6 +188,8 @@ impl<'a> PlanningContext<'a> {
 
     /// The `No-Off` baseline cost vector (`T_CS = 0`).
     pub fn baseline_costs(&self) -> CostVector {
+        // `costs_for_plan` fails only on a plan whose length differs from
+        // the profiles', and this plan is built from their length.
         self.costs_for_plan(&OffloadPlan::none(self.profiles.len()))
             .expect("none-plan always matches profiles")
     }
@@ -454,19 +452,18 @@ impl DecisionEngine {
 /// The greedy planner as it ran before contexts kept an offload table,
 /// kept as the oracle of the table-driven one: every pass ranked its own
 /// universe and built its own plan and trace, and `plan_fleet` ran one such
-/// pass per healthy shard.
+/// pass per shard.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
     use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
-    use crate::ext::feedback::BrownoutConfig;
     use crate::ext::sharding::{shard_stats, FleetPlan, FleetPlanRequest};
 
     /// The universe's positive-efficiency samples as [`rank_key`]s in
     /// greedy order.
     fn ranked_candidates(ctx: &PlanningContext<'_>, universe: SampleUniverse<'_>) -> Vec<u128> {
         let n = ctx.profiles.len();
-        let mut keys = Vec::with_capacity(universe.len(n));
+        let mut keys = Vec::new();
         for i in universe.members(n) {
             let efficiency = ctx.profiles[i].efficiency();
             if efficiency > 0.0 {
@@ -532,62 +529,24 @@ pub(crate) mod reference {
         let shards = req.map.nodes();
         let no_cache = CacheAssignment::none();
         let cache = req.cache.unwrap_or(&no_cache);
-        let any_degraded = req.degraded.contains(&true);
-        let is_degraded = |shard: usize| any_degraded && req.degraded[shard];
-        let floor = req.brownout.map_or(1.0, BrownoutConfig::floor_fraction);
-
-        let owners = any_degraded.then(|| req.map.owner_table(n));
-        let mut primaries = Vec::with_capacity(n);
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut fidelity = vec![1.0f64; n];
-        let mut reassigned = 0u64;
-        let mut raw_fallbacks = 0u64;
-        for (i, served_fraction) in fidelity.iter_mut().enumerate() {
-            let primary = if let Some(table) = &owners {
-                let owners = table.owners(i);
-                match owners.iter().find(|&&o| !is_degraded(o)) {
-                    Some(&owner) => {
-                        reassigned += u64::from(owner != owners[0]);
-                        owner
-                    }
-                    None => {
-                        if !cache.is_cached(i) {
-                            raw_fallbacks += 1;
-                            *served_fraction = floor;
-                        }
-                        owners[0]
-                    }
-                }
-            } else {
-                req.map.primary(i as u64)
-            };
-            primaries.push(primary);
-            members[primary].push(i);
+        for i in 0..n {
+            members[req.map.primary(i as u64)].push(i);
         }
 
         let mut plan = OffloadPlan::none(n);
         let mut per_shard = Vec::with_capacity(shards);
         for (shard, node) in req.nodes.iter().enumerate() {
             let members = &members[shard];
-            if !is_degraded(shard) {
-                let residual: Vec<usize> =
-                    members.iter().copied().filter(|&i| !cache.is_cached(i)).collect();
-                let budget = ResourceBudget::of_node(node, ctx);
-                let baseline = warm_baseline_costs_scoped(
-                    ctx,
-                    cache,
-                    SampleUniverse::Indices(members),
-                    &budget,
-                );
-                let (shard_plan, _) = plan_scoped_with_trace(
-                    ctx,
-                    SampleUniverse::Indices(&residual),
-                    baseline,
-                    &budget,
-                );
-                for &i in &residual {
-                    plan.set_split(i, shard_plan.split(i));
-                }
+            let residual: Vec<usize> =
+                members.iter().copied().filter(|&i| !cache.is_cached(i)).collect();
+            let budget = ResourceBudget::of_node(node, ctx);
+            let baseline =
+                warm_baseline_costs_scoped(ctx, cache, SampleUniverse::Indices(members), &budget);
+            let (shard_plan, _) =
+                plan_scoped_with_trace(ctx, SampleUniverse::Indices(&residual), baseline, &budget);
+            for &i in &residual {
+                plan.set_split(i, shard_plan.split(i));
             }
             per_shard.push(shard_stats(shard, &plan, ctx.profiles, cache, members));
         }
@@ -596,7 +555,7 @@ pub(crate) mod reference {
                 plan.set_split(i, SplitPoint::new(stage));
             }
         }
-        FleetPlan { plan, primaries, per_shard, fidelity, reassigned, raw_fallbacks }
+        FleetPlan { plan, per_shard }
     }
 }
 
@@ -604,7 +563,6 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::ext::caching::{self, warm_baseline_costs_scoped, CacheAssignment, CacheSelection};
-    use crate::ext::feedback::BrownoutConfig;
     use crate::ext::sharding::{fleet_nodes, plan_fleet, FleetPlanRequest};
     use cluster::ShardMap;
     use datasets::DatasetSpec;
@@ -934,7 +892,7 @@ mod tests {
         /// oracle gives: `plan` and `plan_with_trace` over the whole corpus
         /// (`SampleUniverse::All`), and `plan_fleet` over each shard's
         /// residual (`SampleUniverse::Indices`), with or without a cache,
-        /// under degraded shards, node speeds and zero-core budgets.
+        /// under node speeds and zero-core budgets.
         #[test]
         fn table_driven_planning_matches_the_sort_per_pass_oracle(
             ps in arb_corpus(),
@@ -944,10 +902,8 @@ mod tests {
             replicated in any::<bool>(),
             seed in any::<u64>(),
             speeds in proptest::collection::vec(0..NODE_SPEEDS.len(), 4),
-            degraded in proptest::collection::vec(any::<bool>(), 4),
             cache_kind in 0usize..3,
             pins in proptest::collection::vec(0usize..5, 160),
-            brownout in any::<bool>(),
         ) {
             let pipeline = PipelineSpec::standard_train();
             let config = ClusterConfig::paper_testbed(cores)
@@ -992,13 +948,7 @@ mod tests {
                 .iter()
                 .map(|&s| FleetNodeConfig::nominal(&config).with_speed(NODE_SPEEDS[s]))
                 .collect();
-            let policy = BrownoutConfig::default();
-            let req = FleetPlanRequest {
-                cache: cache.as_ref(),
-                degraded: &degraded[..shards],
-                brownout: brownout.then_some(&policy),
-                ..FleetPlanRequest::new(&map, &nodes)
-            };
+            let req = FleetPlanRequest { cache: cache.as_ref(), ..FleetPlanRequest::new(&map, &nodes) };
             prop_assert_eq!(plan_fleet(&ctx, &req).unwrap(), reference::plan_fleet(&ctx, &req));
         }
     }

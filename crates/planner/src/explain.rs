@@ -12,24 +12,24 @@ use crate::{Bottleneck, CostVector, OffloadPlan};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// Cost vector before any offloading.
-    pub baseline: CostVector,
+    pub(crate) baseline: CostVector,
     /// Cost vector after the final applied sample.
-    pub final_costs: CostVector,
+    pub(crate) final_costs: CostVector,
     /// Samples the engine offloaded.
-    pub offloaded_samples: u64,
+    pub(crate) offloaded_samples: u64,
     /// Candidate samples (positive efficiency) that were available.
-    pub candidates: u64,
+    pub(crate) candidates: u64,
     /// The bottleneck before planning.
-    pub initial_bottleneck: Bottleneck,
+    pub(crate) initial_bottleneck: Bottleneck,
     /// The bottleneck after planning.
-    pub final_bottleneck: Bottleneck,
+    pub(crate) final_bottleneck: Bottleneck,
     /// Why the greedy loop stopped.
-    pub stop_reason: StopReason,
+    pub(crate) stop_reason: StopReason,
 }
 
 /// Why the engine stopped offloading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
+pub(crate) enum StopReason {
     /// The workload was never network-bound; nothing was offloaded.
     NotIoBound,
     /// The storage node has no preprocessing cores.

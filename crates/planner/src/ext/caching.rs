@@ -67,12 +67,12 @@ pub struct CacheAssignment {
     /// not cached.
     cached_stage: Vec<Option<usize>>,
     /// Cache bytes occupied.
-    pub cached_bytes: u64,
+    pub(crate) cached_bytes: u64,
     /// The budget the selection ran under.
-    pub budget_bytes: u64,
+    pub(crate) budget_bytes: u64,
     /// Wire bytes the cache saves per warm epoch relative to the no-cache
     /// plan.
-    pub warm_bytes_saved: u64,
+    pub(crate) warm_bytes_saved: u64,
 }
 
 impl CacheAssignment {
@@ -95,12 +95,12 @@ impl CacheAssignment {
     }
 
     /// Whether sample `i` is cached.
-    pub fn is_cached(&self, i: usize) -> bool {
+    pub(crate) fn is_cached(&self, i: usize) -> bool {
         self.cached_stage.get(i).is_some_and(|s| s.is_some())
     }
 
     /// The cached stage for sample `i`, when cached.
-    pub fn cached_stage(&self, i: usize) -> Option<usize> {
+    pub(crate) fn cached_stage(&self, i: usize) -> Option<usize> {
         self.cached_stage.get(i).copied().flatten()
     }
 
@@ -110,13 +110,8 @@ impl CacheAssignment {
     }
 
     /// Number of samples covered by the assignment.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cached_stage.len()
-    }
-
-    /// Whether no sample is cached.
-    pub fn is_empty(&self) -> bool {
-        self.cached_samples() == 0
     }
 }
 
@@ -194,11 +189,11 @@ pub(crate) fn warm_baseline_costs_scoped(
     universe: SampleUniverse<'_>,
     budget: &ResourceBudget,
 ) -> CostVector {
-    let n = ctx.profiles.len();
-    let t_g = universe.len(n) as f64 * ctx.gpu.seconds_per_image() / ctx.config.gpus.max(1) as f64;
+    let mut members = 0usize;
     let mut compute_seconds = 0.0;
     let mut net_bytes = 0u64;
-    for i in universe.members(n) {
+    for i in universe.members(ctx.profiles.len()) {
+        members += 1;
         let p = &ctx.profiles[i];
         match assignment.cached_stage(i) {
             Some(stage) => compute_seconds += p.total_seconds() - p.prefix_seconds(stage),
@@ -208,6 +203,7 @@ pub(crate) fn warm_baseline_costs_scoped(
             }
         }
     }
+    let t_g = members as f64 * ctx.gpu.seconds_per_image() / ctx.config.gpus.max(1) as f64;
     CostVector::new(
         t_g,
         compute_seconds / budget.compute_cores,
@@ -272,7 +268,7 @@ mod tests {
                 let a = choose_cache_contents(&ctx, budget, sel);
                 assert!(a.cached_bytes <= budget, "{sel:?} at {pct}% overflowed");
                 if pct == 0 {
-                    assert!(a.is_empty());
+                    assert_eq!(a.cached_samples(), 0);
                 }
             }
         }

@@ -19,21 +19,18 @@ use crate::{CostVector, OffloadPlan, SophonError};
 /// Planner for transfer-time re-compression.
 ///
 /// Size estimates come from the calibrated quality-85 codec model
-/// (`datasets::model`); keep `quality` at (or near) 85 so the live
-/// re-encode directive matches the plan's predictions. The live path itself
-/// (`FetchRequest::with_reencode` + the loader's `reencode_quality`) honors
-/// whatever quality is sent.
+/// (`datasets::model`); a live run re-encodes at quality 85 to match the
+/// plan's predictions. The live path itself (`FetchRequest::with_reencode`
+/// + the loader's `reencode_quality`) honors whatever quality is sent.
 #[derive(Debug, Clone)]
 pub struct CompressionExt {
-    /// Codec quality used for the re-encoded transfer payload.
-    pub quality: u8,
     /// CPU cost model for the extra encode/decode work.
-    pub cost_model: pipeline::CostModel,
+    pub(crate) cost_model: pipeline::CostModel,
 }
 
 impl Default for CompressionExt {
     fn default() -> Self {
-        CompressionExt { quality: 85, cost_model: pipeline::CostModel::realistic() }
+        CompressionExt { cost_model: pipeline::CostModel::realistic() }
     }
 }
 
@@ -51,7 +48,7 @@ pub struct CompressionReport {
     /// Extra compute-node CPU seconds spent decoding.
     pub extra_compute_cpu_seconds: f64,
     /// Predicted cost vector after compression.
-    pub costs: CostVector,
+    pub(crate) costs: CostVector,
 }
 
 impl CompressionReport {
@@ -123,7 +120,9 @@ impl CompressionExt {
                 pixels,
                 pixels * 3,
             );
-            if encode_s <= 0.0 {
+            // A NaN cost (from a NaN model coefficient) is skipped too, so
+            // every efficiency below is a positive number.
+            if encode_s.is_nan() || encode_s <= 0.0 {
                 continue;
             }
             candidates.push(Candidate {
@@ -134,9 +133,8 @@ impl CompressionExt {
                 efficiency: saved as f64 / encode_s,
             });
         }
-        candidates.sort_by(|a, b| {
-            b.efficiency.partial_cmp(&a.efficiency).expect("efficiencies are finite")
-        });
+        // Every efficiency is positive, so `total_cmp` orders them as `<` does.
+        candidates.sort_by(|a, b| b.efficiency.total_cmp(&a.efficiency));
 
         let mut compressed_samples = 0u64;
         let mut extra_storage = 0.0;
@@ -222,6 +220,25 @@ mod tests {
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
         let plan = OffloadPlan::none(ps.len());
         let (_, report) = CompressionExt::default().apply(&ctx, &records, &plan).unwrap();
+        assert_eq!(report.compressed_samples, 0);
+        assert_eq!(report.bytes_before, report.bytes_after);
+    }
+
+    #[test]
+    fn a_nan_encode_cost_compresses_nothing() {
+        let ds = DatasetSpec::openimages_like(300, 5);
+        let records: Vec<_> = ds.records().collect();
+        let pipeline = PipelineSpec::standard_train();
+        let model = CostModel::realistic();
+        let ps: Vec<_> = records.iter().map(|r| r.analytic_profile(&pipeline, &model)).collect();
+        let config = ClusterConfig::paper_testbed(48);
+        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
+        let plan = DecisionEngine::new().plan(&ctx);
+        assert!(plan.offloaded_samples() > 0, "the plan must offer candidates");
+        let nan = CompressionExt {
+            cost_model: CostModel { encode_ns_per_pixel: f64::NAN, ..CostModel::realistic() },
+        };
+        let (_, report) = nan.apply(&ctx, &records, &plan).unwrap();
         assert_eq!(report.compressed_samples, 0);
         assert_eq!(report.bytes_before, report.bytes_after);
     }

@@ -51,7 +51,7 @@ use pipeline::SplitPoint;
 use telemetry::{CusumDetector, DriftConfig, SeriesId, TelemetryHub};
 
 use crate::engine::PlanningContext;
-use crate::ext::sharding::{plan_fleet, FleetPlan, FleetPlanRequest};
+use crate::ext::sharding::{plan_fleet, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
 /// Tuning of the [`FeedbackController`].
@@ -124,7 +124,7 @@ impl BrownoutConfig {
     /// The lowest tier fraction the fidelity floor allows — what brownout
     /// serves when the link budget is arbitrarily bad. `1.0` when the
     /// ladder has no rung at or above the floor (brownout disabled).
-    pub fn floor_fraction(&self) -> f64 {
+    pub(crate) fn floor_fraction(&self) -> f64 {
         let mut lowest = 1.0f64;
         for &f in &self.tier_fractions {
             if f >= self.min_fidelity {
@@ -139,7 +139,7 @@ impl BrownoutConfig {
     /// estimates) full fidelity; past it, the largest ladder rung that
     /// fits the residual link budget `1 / r_link`, floored at
     /// [`BrownoutConfig::min_fidelity`].
-    pub fn fraction_for(&self, r_link: f64) -> f64 {
+    pub(crate) fn fraction_for(&self, r_link: f64) -> f64 {
         if !r_link.is_finite() || r_link < self.threshold {
             return 1.0;
         }
@@ -169,7 +169,7 @@ pub struct ReplanEvent {
     /// The batch before which the replan takes effect.
     pub batch: u64,
     /// Virtual time of the decision.
-    pub at: f64,
+    pub(crate) at: f64,
     /// The drifted channels that drove it, in channel-name order.
     pub channels: Vec<ChannelDrift>,
 }
@@ -178,11 +178,11 @@ pub struct ReplanEvent {
 /// decisions, with hysteresis (via the detectors) and a cooldown so the
 /// control loop cannot thrash.
 ///
-/// Channels are created on first [`FeedbackController::observe`] (or
-/// [`FeedbackController::channel`], which resolves a name to its
+/// Channels are created on first `FeedbackController::observe` (or
+/// `FeedbackController::channel`, which resolves a name to its
 /// [`SeriesId`] once, for a producer that observes by id); each gets a
 /// [`CusumDetector`] referenced at ratio `1.0` once it has a window. Once
-/// per batch, [`FeedbackController::end_batch`] folds every channel's
+/// per batch, `FeedbackController::end_batch` folds every channel's
 /// windowed mean into its detector, in channel-name order; trips
 /// accumulate until the cooldown allows acting, at which point detectors
 /// rebase onto the adopted levels. The per-channel state lives in `Vec`s
@@ -209,7 +209,7 @@ impl FeedbackController {
     /// Panics when `drift_window` is zero, `min_ratio_change` is not a
     /// finite non-negative number, or `recovery_decay` is outside `[0, 1]`
     /// (allocation-time invariants).
-    pub fn new(config: FeedbackConfig) -> FeedbackController {
+    pub(crate) fn new(config: FeedbackConfig) -> FeedbackController {
         assert!(config.drift_window > 0, "drift window must hold at least one sample");
         assert!(
             config.min_ratio_change.is_finite() && config.min_ratio_change >= 0.0,
@@ -251,7 +251,7 @@ impl FeedbackController {
     }
 
     /// The id of `channel`, creating the channel on first use.
-    pub fn channel(&mut self, channel: &str) -> SeriesId {
+    pub(crate) fn channel(&mut self, channel: &str) -> SeriesId {
         let id = self.hub.register(channel);
         if id.index() >= self.estimates.len() {
             self.detectors.resize(id.index() + 1, None);
@@ -264,39 +264,37 @@ impl FeedbackController {
     /// Feeds one observed/expected ratio into `channel` at time `t`.
     /// Out-of-order or non-finite observations are dropped (the series
     /// counts them as rejected) rather than corrupting the window.
-    pub fn observe(&mut self, channel: &str, t: f64, ratio: f64) {
+    pub(crate) fn observe(&mut self, channel: &str, t: f64, ratio: f64) {
         let id = self.channel(channel);
         self.observe_id(id, t, ratio);
     }
 
-    /// [`FeedbackController::observe`] for a channel resolved with
-    /// [`FeedbackController::channel`].
+    /// `FeedbackController::observe` for a channel resolved with
+    /// `FeedbackController::channel`.
     ///
     /// # Panics
     ///
     /// Panics when `channel` did not come from this controller.
-    pub fn observe_id(&mut self, channel: SeriesId, t: f64, ratio: f64) {
+    pub(crate) fn observe_id(&mut self, channel: SeriesId, t: f64, ratio: f64) {
         let _ = self.hub.push_to(channel, t, ratio);
     }
 
     /// The controller's current believed ratio for `channel` (`1.0` until
     /// a replan adopts something else).
-    pub fn estimate(&self, channel: &str) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn estimate(&self, channel: &str) -> f64 {
         self.hub.id(channel).map_or(1.0, |id| self.estimate_id(id))
     }
 
-    /// [`FeedbackController::estimate`] for a resolved channel.
+    /// The controller's current believed ratio for a channel resolved with
+    /// `FeedbackController::channel` (`1.0` until a replan adopts
+    /// something else).
     ///
     /// # Panics
     ///
     /// Panics when `channel` did not come from this controller.
-    pub fn estimate_id(&self, channel: SeriesId) -> f64 {
+    pub(crate) fn estimate_id(&self, channel: SeriesId) -> f64 {
         self.estimates[channel.index()]
-    }
-
-    /// The telemetry hub backing the controller (for reporting).
-    pub fn hub(&self) -> &TelemetryHub {
-        &self.hub
     }
 
     /// Replans committed so far, in batch order.
@@ -311,11 +309,13 @@ impl FeedbackController {
     /// Returns the committed [`ReplanEvent`], or `None` when nothing
     /// drifted, the cooldown is still active, or every trip fell inside
     /// the deadband.
-    pub fn end_batch(&mut self, batch: u64, now: f64) -> Option<ReplanEvent> {
+    pub(crate) fn end_batch(&mut self, batch: u64, now: f64) -> Option<ReplanEvent> {
         let window = self.config.drift_window;
         for (_, id, series) in self.hub.iter() {
             let Some(mean) = series.mean_last(window) else { continue };
             let detector = self.detectors[id.index()].get_or_insert_with(|| {
+                // `new` rejects only a non-finite field or a negative
+                // magnitude, and `for_reference(1.0)` has neither.
                 CusumDetector::new(DriftConfig::for_reference(1.0))
                     .expect("reference 1.0 is a valid drift config")
             });
@@ -336,6 +336,8 @@ impl FeedbackController {
             let Some(level) = self.pending[id.index()].take() else { continue };
             let current = self.estimates[id.index()];
             let relative = (level / current - 1.0).abs();
+            // A pending level comes only from a detector's verdict in the
+            // loop above, which first put that detector in its slot.
             let detector =
                 self.detectors[id.index()].as_mut().expect("tripped channels have detectors");
             if relative >= self.config.min_ratio_change {
@@ -373,17 +375,17 @@ impl FeedbackController {
 }
 
 /// The telemetry channel carrying node `n`'s storage-read service ratio.
-pub fn read_channel(node: usize) -> String {
+pub(crate) fn read_channel(node: usize) -> String {
     format!("node{node}.read")
 }
 
 /// The telemetry channel carrying node `n`'s offloaded-CPU service ratio.
-pub fn cpu_channel(node: usize) -> String {
+pub(crate) fn cpu_channel(node: usize) -> String {
     format!("node{node}.cpu")
 }
 
 /// The telemetry channel carrying node `n`'s link service ratio.
-pub fn link_channel(node: usize) -> String {
+pub(crate) fn link_channel(node: usize) -> String {
     format!("node{node}.link")
 }
 
@@ -411,13 +413,13 @@ impl NodeChannels {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
     /// Batch before which the disturbance lands.
-    pub at_batch: u64,
+    pub(crate) at_batch: u64,
     /// The disturbed node.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Multiplier on the node's service speed (`1.0` = unchanged).
-    pub speed_factor: f64,
+    pub(crate) speed_factor: f64,
     /// Multiplier on the node's link bandwidth (`1.0` = unchanged).
-    pub link_factor: f64,
+    pub(crate) link_factor: f64,
 }
 
 /// The bench's chaos profile: a straggler onset at ~20% of the epoch and a
@@ -673,15 +675,16 @@ pub fn run_fleet_epoch_adaptive(
             })
             .collect();
         let request = FleetPlanRequest { nodes: &revised, ..initial };
-        let replanned = plan_fleet(ctx, &request).and_then(|p| {
-            let FleetPlan { plan, primaries, fidelity: planned, .. } = p;
-            drop(planned); // never read: freed before the works are allocated
+        let replanned = plan_fleet(ctx, &request).and_then(|fleet| {
+            let plan = fleet.plan;
             let mut new_works = plan.to_sample_works(ctx.profiles)?;
             // Allocated only when a sample browns out.
             let mut fidelity = None;
             let n = new_works.len();
             for (s, w) in new_works.iter_mut().enumerate() {
-                let f = fractions[primaries[s]];
+                // No node dies in this run (`dead`), so the stage graph
+                // serves each sample from its primary.
+                let f = fractions[owners.owners(s)[0]];
                 if f >= 1.0 {
                     continue;
                 }
@@ -779,7 +782,7 @@ impl LiveFeedbackBridge {
     /// # Panics
     ///
     /// Panics when `nominal_bytes_per_sec` is not a positive finite number
-    /// or `config` is invalid (see [`FeedbackController::new`]).
+    /// or `config` is invalid (see `FeedbackController::new`).
     pub fn new(config: FeedbackConfig, tenant: u16, nominal_bytes_per_sec: f64) -> Self {
         assert!(
             nominal_bytes_per_sec.is_finite() && nominal_bytes_per_sec > 0.0,
@@ -823,7 +826,7 @@ impl LiveFeedbackBridge {
     /// The tenant's observed/expected link ratio at wall-clock `now`: the
     /// nominal byte rate over the windowed served rate. `None` until the
     /// window holds two exports with positive served bytes.
-    pub fn link_ratio(&self, now: f64) -> Option<f64> {
+    pub(crate) fn link_ratio(&self, now: f64) -> Option<f64> {
         let series = self.counters.series(&self.bytes_series)?;
         let observed = series.rate_over(self.rate_window_seconds, now)?;
         (observed > 0.0).then(|| self.nominal_bytes_per_sec / observed)

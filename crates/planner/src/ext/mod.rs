@@ -9,10 +9,8 @@
 //! * [`sharding`] — the fleet planner over a [`cluster::ShardMap`]:
 //!   [`sharding::plan_fleet`] runs the greedy engine per shard against each
 //!   node's own cores and link. Its request carries every other planning axis as data:
-//!   heterogeneous CPU types (a node `speed` other than `1.0`), the
-//!   near-compute cache, degraded nodes whose samples re-plan against
-//!   their replica shards (or fall back to raw fetches), and the brownout
-//!   fidelity floor for those fallbacks.
+//!   heterogeneous CPU types (a node `speed` other than `1.0`) and the
+//!   near-compute cache.
 //! * [`caching`] — cache selection for the near-compute sample cache
 //!   (`cache` crate) and the warm baseline the fleet planner starts from:
 //!   cached samples drop out of `T_Net` and the greedy engine re-plans the

@@ -16,52 +16,40 @@
 //!
 //! * **fleet size** — the paper's two-node testbed is the one-shard fleet;
 //! * **node speed** — heterogeneous CPUs (future work §6) are a node whose
-//!   `speed` is not `1.0`: its [`ResourceBudget`] shrinks, so a slow
+//!   `speed` is not `1.0`: its `ResourceBudget` shrinks, so a slow
 //!   storage node offloads fewer samples, and the stage graph stretches
 //!   its service times by the same factor;
 //! * **cache** — a [`CacheAssignment`] removes the cached samples from each
 //!   shard's universe and from its baseline `T_Net`, and pins them at their
-//!   cached stage in the merged plan;
-//! * **health** — a `degraded` flag per node (an open circuit breaker, see
-//!   `storage::NodeHealthHandle::is_degraded`) moves each sample to its
-//!   first healthy owner, whose cores and link then carry it; a sample with
-//!   no healthy owner falls back to a raw fetch from its nominal primary
-//!   ("degraded" means unfit for offloaded preprocessing, not necessarily
-//!   unreachable: a raw read is the cheapest thing the sick node can serve,
-//!   and the transport's retry/breaker machinery still guards the fetch);
-//! * **fidelity** — with a [`BrownoutConfig`], those raw fallbacks are
-//!   planned at the policy's fidelity floor, so the sick node ships tier
-//!   prefixes of its progressive encodings instead of whole objects.
+//!   cached stage in the merged plan.
 //!
 //! Each shard's pass decides the uncached samples it fronts against a
-//! per-node [`ResourceBudget`], from a warm baseline over its
-//! [`SampleUniverse::Indices`] slice — no sub-contexts or profile clones.
+//! per-node `ResourceBudget`, from a warm baseline over its
+//! `SampleUniverse::Indices` slice — no sub-contexts or profile clones.
 //! The passes share one scan of the context's offload table (see
-//! [`crate::engine`]): a sample is offered to its effective primary's pass
-//! only, so each shard sees its candidates in the order a pass over its
+//! [`crate::engine`]): a sample is offered to its primary's pass only, so each shard sees its candidates in the order a pass over its
 //! residual alone would. The budget reuses the job-wide compute-node and
 //! GPU capacities: those resources are shared by all shards, so each
 //! shard's view of `T_CC`/`T_G` covers only its own samples and
 //! understates the contention slightly. The bias is conservative for the stopping rule — it can only
 //! keep `T_Net` predominant longer — and vanishes as shards balance.
 //!
-//! The module is pure planning — it never touches a socket — so the runtime
-//! can call it between batches (via the runtime's
-//! `loader::OffloadingLoader::run_epoch_with_replan`) with whatever
-//! health picture the transport reports at that moment. It also bridges
-//! planning to the fleet simulator: [`fleet_nodes`] derives the per-node
-//! resource vector from the planning config, and the map's
-//! [`ShardMap::owner_table`] is the simulator's routing input. The planner
-//! reads every sample's owners from that same table, so a run that plans
-//! more than once (a replan, a training run's plan and its simulation)
-//! builds it once and hands it to each.
+//! The module is pure planning — it never touches a socket. The feedback
+//! controller calls it between batches with node parameters revised from
+//! telemetry; a node whose breaker opens is the transport's concern, which
+//! reroutes each fetch to a live replica and leaves the plan as it is. The
+//! module also bridges planning to the fleet simulator: [`fleet_nodes`]
+//! derives the per-node resource vector from the planning config, and the
+//! map's [`ShardMap::owner_table`] is the simulator's routing input. The
+//! planner reads every sample's primary from that same table, so a run
+//! that plans more than once (a replan, a training run's plan and its
+//! simulation) builds it once and hands it to each.
 
 use cluster::{ClusterConfig, FleetNodeConfig, OwnerTable, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
 
 use crate::engine::{GreedyPass, PlanningContext, ResourceBudget, SampleUniverse};
 use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
-use crate::ext::feedback::BrownoutConfig;
 use crate::{OffloadPlan, SophonError};
 
 /// One shard's slice of a fleet plan.
@@ -82,7 +70,7 @@ pub struct ShardPlanStats {
     pub cached_samples: u64,
     /// Wire bytes the cache saves this shard per epoch (the raw bytes of
     /// its cached samples).
-    pub cached_bytes_saved: u64,
+    pub(crate) cached_bytes_saved: u64,
 }
 
 /// Everything [`plan_fleet`] plans against, as data.
@@ -97,18 +85,12 @@ pub struct FleetPlanRequest<'a> {
     pub nodes: &'a [FleetNodeConfig],
     /// Samples pinned next to the trainer, parallel to the corpus.
     pub cache: Option<&'a CacheAssignment>,
-    /// Per-node "breaker open" flags, parallel to `map`'s shards; empty
-    /// means every node is healthy.
-    pub degraded: &'a [bool],
-    /// Serves samples with no healthy owner at this policy's fidelity
-    /// floor instead of full fidelity.
-    pub brownout: Option<&'a BrownoutConfig>,
 }
 
 impl<'a> FleetPlanRequest<'a> {
-    /// A healthy, uncached, full-fidelity fleet.
+    /// An uncached fleet.
     pub fn new(map: &'a ShardMap, nodes: &'a [FleetNodeConfig]) -> FleetPlanRequest<'a> {
-        FleetPlanRequest { map, nodes, owners: None, cache: None, degraded: &[], brownout: None }
+        FleetPlanRequest { map, nodes, owners: None, cache: None }
     }
 }
 
@@ -116,53 +98,17 @@ impl<'a> FleetPlanRequest<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPlan {
     /// The merged plan, indexed like the corpus: residual samples at their
-    /// greedy split, cached samples pinned at their cached stage, samples
-    /// with no healthy owner at `SplitPoint::NONE`.
+    /// greedy split, cached samples pinned at their cached stage.
     pub plan: OffloadPlan,
-    /// Per-sample effective primary (first healthy owner, or the nominal
-    /// primary when every owner is degraded), parallel to the corpus.
-    pub primaries: Vec<usize>,
     /// Per-shard aggregates, in shard order.
     pub per_shard: Vec<ShardPlanStats>,
-    /// Per-sample serving fidelity as a byte fraction of the full
-    /// encoding, parallel to the corpus. All `1.0` unless the request had
-    /// a brownout policy, under which raw fallbacks are served at the
-    /// policy's fidelity floor. Samples with a healthy owner keep full
-    /// fidelity — mid-epoch link pressure on healthy nodes is the feedback
-    /// controller's job, not this planner's.
-    pub fidelity: Vec<f64>,
-    /// Samples now fronted by a replica because their nominal primary is
-    /// degraded.
-    pub reassigned: u64,
-    /// Uncached samples with no healthy owner, pinned to
-    /// `SplitPoint::NONE` raw fetches.
-    pub raw_fallbacks: u64,
 }
 
 impl FleetPlan {
-    /// The busiest shard's offloaded CPU seconds — the quantity per-shard
-    /// planning bounds.
-    pub fn peak_storage_cpu_seconds(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.storage_cpu_seconds).fold(0.0, f64::max)
-    }
-
     /// Total bytes on all wires per epoch (warm-epoch bytes when the plan
     /// has a cache).
     pub fn total_transfer_bytes(&self) -> u64 {
         self.per_shard.iter().map(|s| s.transfer_bytes).sum()
-    }
-
-    /// Whether degradation forced any change of serving shard.
-    pub fn is_disturbed(&self) -> bool {
-        self.reassigned > 0 || self.raw_fallbacks > 0
-    }
-
-    /// Mean planned fidelity across the corpus (`1.0` without brownout).
-    pub fn mean_fidelity(&self) -> f64 {
-        if self.fidelity.is_empty() {
-            return 1.0;
-        }
-        self.fidelity.iter().sum::<f64>() / self.fidelity.len() as f64
     }
 }
 
@@ -175,14 +121,14 @@ fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), Soph
 }
 
 /// Plans offloading for the fleet `req` describes: one greedy pass per
-/// healthy shard over the uncached samples it fronts, against that node's
+/// shard over the uncached samples it fronts, against that node's
 /// own cores and link, starting from that shard's warm baseline. The
 /// passes share one scan of the context's offload table.
 ///
 /// # Errors
 ///
-/// Returns [`SophonError::FleetMismatch`] when `req.nodes` or a non-empty
-/// `req.degraded` is not parallel to the shard map, `req.owners` or
+/// Returns [`SophonError::FleetMismatch`] when `req.nodes` is not parallel
+/// to the shard map, `req.owners` or
 /// `req.cache` does not cover the corpus, or `req.owners` names a node the
 /// map does not have.
 pub fn plan_fleet(
@@ -192,9 +138,6 @@ pub fn plan_fleet(
     let n = ctx.profiles.len();
     let shards = req.map.nodes();
     check_len("node vector for the shard map", shards, req.nodes.len())?;
-    if !req.degraded.is_empty() {
-        check_len("degraded vector for the shard map", shards, req.degraded.len())?;
-    }
     if let Some(cache) = req.cache {
         check_len("cache assignment for the corpus", n, cache.len())?;
     }
@@ -208,14 +151,7 @@ pub fn plan_fleet(
     }
     let no_cache = CacheAssignment::none();
     let cache = req.cache.unwrap_or(&no_cache);
-    // Empty or all-false flags are the healthy fleet.
-    let any_degraded = req.degraded.contains(&true);
-    let is_degraded = |shard: usize| any_degraded && req.degraded[shard];
-    let floor = req.brownout.map_or(1.0, BrownoutConfig::floor_fraction);
 
-    // One pass over the corpus: each sample's effective primary, its first
-    // healthy owner. A sample with no healthy owner keeps its nominal
-    // primary, which is degraded and therefore never planned.
     let built;
     let table = match req.owners {
         Some(table) => table,
@@ -224,32 +160,15 @@ pub fn plan_fleet(
             &built
         }
     };
-    let mut primaries = Vec::with_capacity(n);
-    // `starts[s + 1]` counts shard `s`'s members, then marks where they end.
+    // Each sample's primary is its first owner.
+    let primaries: Vec<usize> = table.iter().map(|owners| owners[0]).collect();
+    // Each shard's members, ascending, as one slice of a stable counting
+    // sort of the corpus by primary: `starts[s + 1]` counts shard `s`'s
+    // members, then marks where they end.
     let mut starts = vec![0usize; shards + 1];
-    let mut fidelity = vec![1.0f64; n];
-    let mut reassigned = 0u64;
-    let mut raw_fallbacks = 0u64;
-    for (i, served_fraction) in fidelity.iter_mut().enumerate() {
-        let owners = table.owners(i);
-        let primary = match owners.iter().find(|&&o| !is_degraded(o)) {
-            Some(&owner) => {
-                reassigned += u64::from(owner != owners[0]);
-                owner
-            }
-            None => {
-                if !cache.is_cached(i) {
-                    raw_fallbacks += 1;
-                    *served_fraction = floor;
-                }
-                owners[0]
-            }
-        };
-        primaries.push(primary);
+    for &primary in &primaries {
         starts[primary + 1] += 1;
     }
-    // Each shard's members, ascending, as one slice of a stable counting
-    // sort of the corpus by primary.
     for shard in 0..shards {
         starts[shard + 1] += starts[shard];
     }
@@ -261,31 +180,28 @@ pub fn plan_fleet(
     }
     let members = |shard: usize| &sorted[starts[shard]..starts[shard + 1]];
 
-    // Each healthy shard's pass starts from its warm baseline over the
-    // WHOLE shard (cached samples contribute suffix compute and zero net)
-    // and decides only its uncached samples. An open breaker gets no
-    // offloaded work at all.
-    let mut passes: Vec<Option<GreedyPass>> = req
+    // Each shard's pass starts from its warm baseline over the WHOLE shard
+    // (cached samples contribute suffix compute and zero net) and decides
+    // only its uncached samples.
+    let mut passes: Vec<GreedyPass> = req
         .nodes
         .iter()
         .enumerate()
         .map(|(shard, node)| {
-            (!is_degraded(shard)).then(|| {
-                let budget = ResourceBudget::of_node(node, ctx);
-                let members = SampleUniverse::Indices(members(shard));
-                GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members, &budget), budget)
-            })
+            let budget = ResourceBudget::of_node(node, ctx);
+            let members = SampleUniverse::Indices(members(shard));
+            GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members, &budget), budget)
         })
         .collect();
     // One scan of the context's greedy order for every shard: each shard
     // sees its own candidates in the order a pass over its residual alone
     // would, and applies the same steps to its own cost vector.
     let mut plan = OffloadPlan::none(n);
-    let mut open = passes.iter().flatten().filter(|pass| pass.is_open()).count();
+    let mut open = passes.iter().filter(|pass| pass.is_open()).count();
     if open > 0 {
         for c in ctx.offload_table().candidates() {
             let i = c.index();
-            let Some(pass) = passes[primaries[i]].as_mut() else { continue };
+            let pass = &mut passes[primaries[i]];
             if !pass.is_open() || cache.is_cached(i) {
                 continue;
             }
@@ -310,7 +226,7 @@ pub fn plan_fleet(
             plan.set_split(i, SplitPoint::new(stage));
         }
     }
-    Ok(FleetPlan { plan, primaries, per_shard, fidelity, reassigned, raw_fallbacks })
+    Ok(FleetPlan { plan, per_shard })
 }
 
 /// Aggregates one shard's slice of a plan, summing in ascending index
@@ -425,8 +341,13 @@ mod tests {
         let sharded = plan_for_map(&ctx, &map);
         assert_eq!(sharded.plan.len(), ps.len());
         assert_eq!(sharded.per_shard.iter().map(|s| s.samples).sum::<u64>(), ps.len() as u64);
-        for (i, &p) in sharded.primaries.iter().enumerate() {
-            assert_eq!(p, map.primary(i as u64));
+        // Each shard serves exactly the samples the map makes it primary of.
+        let mut primaries = vec![0u64; map.nodes()];
+        for i in 0..ps.len() as u64 {
+            primaries[map.primary(i)] += 1;
+        }
+        for s in &sharded.per_shard {
+            assert_eq!(s.samples, primaries[s.shard], "shard {}", s.shard);
         }
         // Every shard got a meaningful slice of a 1600-sample corpus.
         for s in &sharded.per_shard {
@@ -447,7 +368,6 @@ mod tests {
         for (shard, load) in loads.iter().enumerate() {
             assert!(*load < mean * 2.0, "shard {shard} carries {load} vs mean {mean} core-seconds");
         }
-        assert!(sharded.peak_storage_cpu_seconds() < mean * 2.0);
     }
 
     #[test]
@@ -490,11 +410,8 @@ mod tests {
             corpus_bytes(&ps) / 4,
             CacheSelection::EfficiencyAware,
         );
-        let req = FleetPlanRequest {
-            cache: Some(&assignment),
-            degraded: &[false, true, false, false],
-            ..FleetPlanRequest::new(&map, &nodes)
-        };
+        let req =
+            FleetPlanRequest { cache: Some(&assignment), ..FleetPlanRequest::new(&map, &nodes) };
         assert_eq!(plan_fleet(&ctx, &req).unwrap(), plan_fleet(&ctx, &req).unwrap());
     }
 
@@ -507,40 +424,18 @@ mod tests {
         let one = plan_for_map(&ctx, &ShardMap::new(1, 1, 2024));
         assert_eq!(one.plan, DecisionEngine::new().plan(&ctx));
         assert_eq!(one.per_shard.len(), 1);
-        assert!(one.primaries.iter().all(|&p| p == 0));
 
         let map = ShardMap::new(4, 2, 7);
         let nodes = fleet_nodes(&config, 4);
         let plain = plan_for_map(&ctx, &map);
-        assert_eq!(plain.reassigned, 0);
-        assert_eq!(plain.raw_fallbacks, 0);
-        assert!(!plain.is_disturbed());
-        assert_eq!(plain.mean_fidelity(), 1.0);
 
         let empty = caching::choose_cache_contents(&ctx, 0, CacheSelection::EfficiencyAware);
-        assert!(empty.is_empty());
-        let policy = BrownoutConfig::default();
-        let rows = [
-            (
-                "zero-budget cache",
-                FleetPlanRequest { cache: Some(&empty), ..FleetPlanRequest::new(&map, &nodes) },
-            ),
-            (
-                "all-healthy flags",
-                FleetPlanRequest { degraded: &[false; 4], ..FleetPlanRequest::new(&map, &nodes) },
-            ),
-            (
-                "brownout with nothing to brown out",
-                FleetPlanRequest { brownout: Some(&policy), ..FleetPlanRequest::new(&map, &nodes) },
-            ),
-        ];
-        for (axis, req) in rows {
-            let with_axis = plan_fleet(&ctx, &req).unwrap();
-            assert_eq!(with_axis.plan, plain.plan, "{axis}");
-            assert_eq!(with_axis.primaries, plain.primaries, "{axis}");
-            assert_eq!(with_axis.total_transfer_bytes(), plain.total_transfer_bytes(), "{axis}");
-            assert_eq!(with_axis, plain, "{axis}");
-        }
+        assert_eq!(empty.cached_samples(), 0);
+        let req = FleetPlanRequest { cache: Some(&empty), ..FleetPlanRequest::new(&map, &nodes) };
+        let zero_budget = plan_fleet(&ctx, &req).unwrap();
+        assert_eq!(zero_budget.plan, plain.plan);
+        assert_eq!(zero_budget.total_transfer_bytes(), plain.total_transfer_bytes());
+        assert_eq!(zero_budget, plain);
     }
 
     #[test]
@@ -555,9 +450,6 @@ mod tests {
         let err = plan_fleet(&ctx, &FleetPlanRequest { nodes: &short_nodes, ..ok }).unwrap_err();
         assert!(matches!(err, SophonError::FleetMismatch { expected: 4, got: 3, .. }), "{err}");
         assert_eq!(err.to_string(), "node vector for the shard map has 3 entries, expected 4");
-
-        let err = plan_fleet(&ctx, &FleetPlanRequest { degraded: &[false; 2], ..ok }).unwrap_err();
-        assert!(matches!(err, SophonError::FleetMismatch { expected: 4, got: 2, .. }), "{err}");
 
         // An assignment chosen for a shorter corpus: its tail used to read
         // as "uncached" without a word.
@@ -595,7 +487,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Reading primaries from an owner table, passed or built, plans
-        /// exactly what hashing each primary did, healthy or degraded.
+        /// exactly what hashing each primary did.
         #[test]
         fn an_owner_table_plans_what_hashing_planned(
             len in 1u64..400,
@@ -604,9 +496,7 @@ mod tests {
             shards in 1usize..5,
             replicated in proptest::prelude::any::<bool>(),
             seed in proptest::prelude::any::<u64>(),
-            degraded in proptest::collection::vec(proptest::prelude::any::<bool>(), 4),
             cached_pct in 0u64..60,
-            brownout in proptest::prelude::any::<bool>(),
         ) {
             let ds = DatasetSpec::openimages_like(len, corpus_seed);
             let pipeline = PipelineSpec::standard_train();
@@ -621,20 +511,12 @@ mod tests {
                 corpus_bytes(&ps) * cached_pct / 100,
                 CacheSelection::EfficiencyAware,
             );
-            let policy = BrownoutConfig::default();
             let owners = map.owner_table(ps.len());
-            for degraded in [&[][..], &degraded[..shards]] {
-                let built = FleetPlanRequest {
-                    cache: Some(&cache),
-                    degraded,
-                    brownout: brownout.then_some(&policy),
-                    ..FleetPlanRequest::new(&map, &nodes)
-                };
-                let passed = FleetPlanRequest { owners: Some(&owners), ..built };
-                let want = crate::engine::reference::plan_fleet(&ctx, &built);
-                proptest::prop_assert_eq!(&plan_fleet(&ctx, &built).unwrap(), &want);
-                proptest::prop_assert_eq!(&plan_fleet(&ctx, &passed).unwrap(), &want);
-            }
+            let built = FleetPlanRequest { cache: Some(&cache), ..FleetPlanRequest::new(&map, &nodes) };
+            let passed = FleetPlanRequest { owners: Some(&owners), ..built };
+            let want = crate::engine::reference::plan_fleet(&ctx, &built);
+            proptest::prop_assert_eq!(&plan_fleet(&ctx, &built).unwrap(), &want);
+            proptest::prop_assert_eq!(&plan_fleet(&ctx, &passed).unwrap(), &want);
         }
     }
 
@@ -811,116 +693,5 @@ mod tests {
             assert_eq!(residual_total + cached_total, ps.len() as u64);
             assert_eq!(cached_total, assignment.cached_samples() as u64);
         }
-    }
-
-    // --- health and fidelity -----------------------------------------------
-
-    #[test]
-    fn degraded_primary_hands_its_samples_to_replicas() {
-        let (ps, pipeline, config) = setup(8);
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let map = ShardMap::new(3, 2, 17);
-        let nodes = fleet_nodes(&config, 3);
-        let sick = 1usize;
-        let req = FleetPlanRequest {
-            degraded: &[false, true, false],
-            ..FleetPlanRequest::new(&map, &nodes)
-        };
-        let plan = plan_fleet(&ctx, &req).unwrap();
-        assert!(plan.reassigned > 0, "node 1 fronted samples that must move");
-        assert_eq!(plan.raw_fallbacks, 0, "replication 2 covers a single death");
-        for (i, &p) in plan.primaries.iter().enumerate() {
-            assert_ne!(p, sick, "sample {i} still fronted by the degraded node");
-            assert!(map.owners(i as u64).contains(&p), "sample {i} moved off its replica set");
-            // Everything the sick node used to front now plans against its
-            // replica's budget — but never offloads *to* the sick node.
-        }
-        // The plan still offloads (the surviving shards absorbed the work).
-        assert!((0..ps.len()).any(|i| plan.plan.split(i).is_offloaded()));
-    }
-
-    #[test]
-    fn unreplicated_degradation_falls_back_to_raw_fetches() {
-        let (ps, pipeline, config) = setup(8);
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let map = ShardMap::new(2, 1, 9);
-        let nodes = fleet_nodes(&config, 2);
-        let req =
-            FleetPlanRequest { degraded: &[true, false], ..FleetPlanRequest::new(&map, &nodes) };
-        let plan = plan_fleet(&ctx, &req).unwrap();
-        assert!(plan.raw_fallbacks > 0);
-        assert_eq!(plan.reassigned, 0, "replication 1 leaves nowhere to reassign");
-        for i in 0..ps.len() {
-            if map.primary(i as u64) == 0 {
-                assert_eq!(plan.plan.split(i), SplitPoint::NONE, "orphan {i} must fetch raw");
-                assert_eq!(plan.primaries[i], 0, "orphan keeps its nominal primary");
-            }
-        }
-    }
-
-    #[test]
-    fn fully_degraded_fleet_is_all_raw() {
-        let (ps, pipeline, config) = setup(8);
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let map = ShardMap::new(2, 2, 9);
-        let nodes = fleet_nodes(&config, 2);
-        let req =
-            FleetPlanRequest { degraded: &[true, true], ..FleetPlanRequest::new(&map, &nodes) };
-        let plan = plan_fleet(&ctx, &req).unwrap();
-        assert_eq!(plan.raw_fallbacks, ps.len() as u64);
-        assert_eq!(plan.plan, OffloadPlan::none(ps.len()));
-    }
-
-    #[test]
-    fn brownout_serves_orphans_at_the_fidelity_floor() {
-        let (ps, pipeline, config) = setup(8);
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let map = ShardMap::new(2, 1, 9);
-        let nodes = fleet_nodes(&config, 2);
-        let policy = BrownoutConfig::default();
-        let sick =
-            FleetPlanRequest { degraded: &[true, false], ..FleetPlanRequest::new(&map, &nodes) };
-        let plan = plan_fleet(&ctx, &FleetPlanRequest { brownout: Some(&policy), ..sick }).unwrap();
-        assert!(plan.raw_fallbacks > 0);
-        let floor = policy.floor_fraction();
-        assert!(floor < 1.0, "the default policy must have a real floor");
-        for i in 0..ps.len() {
-            if map.primary(i as u64) == 0 {
-                assert_eq!(plan.fidelity[i], floor, "orphan {i} must serve at the floor");
-                assert_eq!(plan.plan.split(i), SplitPoint::NONE);
-            } else {
-                assert_eq!(plan.fidelity[i], 1.0, "alive-owner sample {i} stays full fidelity");
-            }
-        }
-        assert!(plan.mean_fidelity() < 1.0);
-        // The fidelity axis never changes placement: splits and primaries
-        // match the brownout-free replan exactly.
-        let plain = plan_fleet(&ctx, &sick).unwrap();
-        assert_eq!(plan.plan, plain.plan);
-        assert_eq!(plan.primaries, plain.primaries);
-        assert!(plain.fidelity.iter().all(|&f| f == 1.0));
-        assert_eq!(plain.mean_fidelity(), 1.0);
-    }
-
-    #[test]
-    fn brownout_on_a_healthy_fleet_is_full_fidelity() {
-        let (ps, pipeline, config) = setup(8);
-        let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        let map = ShardMap::new(3, 2, 17);
-        let nodes = fleet_nodes(&config, 3);
-        let policy = BrownoutConfig::default();
-        let browned =
-            FleetPlanRequest { brownout: Some(&policy), ..FleetPlanRequest::new(&map, &nodes) };
-        let plan =
-            plan_fleet(&ctx, &FleetPlanRequest { degraded: &[false; 3], ..browned }).unwrap();
-        assert!(plan.fidelity.iter().all(|&f| f == 1.0));
-        assert_eq!(plan.mean_fidelity(), 1.0);
-        // Replication 2 also covers a single death without orphans, so no
-        // sample browns out even with a sick node.
-        let sick =
-            plan_fleet(&ctx, &FleetPlanRequest { degraded: &[false, true, false], ..browned })
-                .unwrap();
-        assert!(sick.reassigned > 0);
-        assert!(sick.fidelity.iter().all(|&f| f == 1.0));
     }
 }

@@ -29,8 +29,8 @@
 //! * [`ext`] — the paper's future-work extensions, implemented: selective
 //!   re-compression of offloaded samples, a multi-tenant storage-CPU
 //!   scheduler, and the one fleet planner ([`ext::sharding::plan_fleet`])
-//!   whose inputs cover sharding, heterogeneous CPU speeds, the
-//!   near-compute cache, degraded nodes and the fidelity floor.
+//!   whose inputs cover sharding, heterogeneous CPU speeds and the
+//!   near-compute cache.
 //!
 //! # Quickstart
 //!
@@ -51,7 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod engine;
@@ -72,9 +72,7 @@ pub use plan::{OffloadPlan, PlanSummary};
 /// Convenient glob-import surface for examples and benches.
 pub mod prelude {
     pub use crate::engine::DecisionEngine;
-    pub use crate::policy::{
-        AllOffPolicy, FastFlowPolicy, NoOffPolicy, Policy, ResizeOffPolicy, SophonPolicy,
-    };
+    pub use crate::policy::{NoOffPolicy, Policy, SophonPolicy};
     pub use crate::profiler::{Stage1Probe, WorkloadClass};
     pub use crate::runner::{RunReport, Scenario, TrainingRequest};
     pub use crate::workload::ModalWorkload;

@@ -48,7 +48,7 @@ impl CostVector {
 
     /// The predominant metric (ties broken in the order GPU, compute CPU,
     /// storage CPU, network — so "network predominant" is a strict claim).
-    pub fn predominant(&self) -> Bottleneck {
+    pub(crate) fn predominant(&self) -> Bottleneck {
         let pairs = [
             (Bottleneck::Gpu, self.t_g),
             (Bottleneck::ComputeCpu, self.t_cc),

@@ -171,7 +171,7 @@ fn sample_work(p: &SampleProfile, split: SplitPoint) -> Result<SampleWork, Sopho
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanSummary {
     /// Samples covered.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Samples with at least one op offloaded.
     pub offloaded_samples: u64,
     /// Total bytes on the wire per epoch.
@@ -179,9 +179,9 @@ pub struct PlanSummary {
     /// Total raw bytes (the `No-Off` traffic).
     pub raw_bytes: u64,
     /// Total offloaded single-core CPU seconds.
-    pub storage_cpu_seconds: f64,
+    pub(crate) storage_cpu_seconds: f64,
     /// Total local single-core CPU seconds.
-    pub compute_cpu_seconds: f64,
+    pub(crate) compute_cpu_seconds: f64,
 }
 
 impl PlanSummary {

@@ -12,7 +12,7 @@ use super::{Capabilities, Policy};
 /// each sample to 602 112 bytes, raising traffic 1.9× (OpenImages) to 5.1×
 /// (ImageNet) over `No-Off`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AllOffPolicy;
+pub(crate) struct AllOffPolicy;
 
 impl Policy for AllOffPolicy {
     fn name(&self) -> &'static str {

@@ -16,7 +16,7 @@ use super::{Capabilities, Policy};
 /// of offloading in every scenario the paper evaluates — "FastFlow
 /// consistently decides against preprocessing offloading".
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FastFlowPolicy;
+pub(crate) struct FastFlowPolicy;
 
 impl Policy for FastFlowPolicy {
     fn name(&self) -> &'static str {

@@ -6,10 +6,10 @@ mod no_off;
 mod resize_off;
 mod sophon;
 
-pub use all_off::AllOffPolicy;
-pub use fastflow::FastFlowPolicy;
+use all_off::AllOffPolicy;
+use fastflow::FastFlowPolicy;
 pub use no_off::NoOffPolicy;
-pub use resize_off::ResizeOffPolicy;
+use resize_off::ResizeOffPolicy;
 pub use sophon::SophonPolicy;
 
 use crate::engine::PlanningContext;

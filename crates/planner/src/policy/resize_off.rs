@@ -10,7 +10,7 @@ use super::{Capabilities, Policy};
 /// 1.3× traffic on ImageNet in the paper, and why its storage-CPU appetite
 /// makes it slower than `No-Off` when the storage node has ≤ 2 cores.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ResizeOffPolicy;
+pub(crate) struct ResizeOffPolicy;
 
 impl Policy for ResizeOffPolicy {
     fn name(&self) -> &'static str {

@@ -10,7 +10,7 @@ use super::{Capabilities, Policy};
 pub struct SophonPolicy {
     /// Whether to run the stage-1 probe and refuse to offload for non-I/O-
     /// bound workloads (the paper's behaviour). Disable only in ablations.
-    pub stage1_gate: bool,
+    pub(crate) stage1_gate: bool,
 }
 
 impl Default for SophonPolicy {

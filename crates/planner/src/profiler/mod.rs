@@ -14,5 +14,5 @@ pub mod stage2;
 
 #[cfg(test)]
 pub(crate) use stage1::probe_runs;
-pub use stage1::{classify_workload, Stage1Probe, WorkloadClass, PROBE_BATCHES};
-pub use stage2::ProfileSet;
+pub use stage1::{Stage1Probe, WorkloadClass};
+pub(crate) use stage2::ProfileSet;

@@ -5,7 +5,7 @@ use crate::SophonError;
 
 /// Number of batches each stage-1 probe runs (the paper uses 50 — tiny next
 /// to a 50-epoch job with thousands of batches per epoch).
-pub const PROBE_BATCHES: usize = 50;
+const PROBE_BATCHES: usize = 50;
 
 /// Stage-1 verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,18 +21,18 @@ pub enum WorkloadClass {
 
 /// The three isolated throughput measurements of stage 1.
 ///
-/// Each probe replays the first [`PROBE_BATCHES`] batches through the
+/// Each probe replays the first 50 batches through the
 /// cluster with the other two resources idled, mirroring the paper's three
 /// settings: (1) GPU on synthetic data, (2) fetch-only I/O, (3) CPU
 /// preprocessing over cached data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage1Probe {
     /// Images/second sustained by the GPU alone.
-    pub gpu_throughput: f64,
+    pub(crate) gpu_throughput: f64,
     /// Images/second sustained by the link alone.
-    pub io_throughput: f64,
+    pub(crate) io_throughput: f64,
     /// Images/second sustained by local preprocessing alone.
-    pub cpu_throughput: f64,
+    pub(crate) cpu_throughput: f64,
 }
 
 #[cfg(test)]
@@ -94,16 +94,6 @@ impl Stage1Probe {
     }
 }
 
-/// Convenience: probe and classify a context, used by policies that gate on
-/// the workload class.
-///
-/// # Errors
-///
-/// Propagates probe failures.
-pub fn classify_workload(ctx: &PlanningContext<'_>) -> Result<WorkloadClass, SophonError> {
-    Ok(Stage1Probe::run(ctx)?.classify())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +127,7 @@ mod tests {
         let config =
             ClusterConfig::paper_testbed(48).with_bandwidth(netsim::Bandwidth::from_gbps(100.0));
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::ResNet50, 256);
-        assert_eq!(classify_workload(&ctx).unwrap(), WorkloadClass::GpuBound);
+        assert_eq!(Stage1Probe::run(&ctx).unwrap().classify(), WorkloadClass::GpuBound);
     }
 
     #[test]
@@ -148,7 +138,7 @@ mod tests {
             .with_bandwidth(netsim::Bandwidth::from_gbps(100.0))
             .with_compute_cores(1);
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
-        assert_eq!(classify_workload(&ctx).unwrap(), WorkloadClass::CpuBound);
+        assert_eq!(Stage1Probe::run(&ctx).unwrap().classify(), WorkloadClass::CpuBound);
     }
 
     #[test]

@@ -44,7 +44,11 @@ pub struct ProfileSet {
 impl ProfileSet {
     /// Derives every profile of `ds` through `pipeline` under `model`
     /// ([`profile_corpus_analytic`]) and records those three inputs.
-    pub fn analytic(ds: &DatasetSpec, pipeline: &PipelineSpec, model: &CostModel) -> ProfileSet {
+    pub(crate) fn analytic(
+        ds: &DatasetSpec,
+        pipeline: &PipelineSpec,
+        model: &CostModel,
+    ) -> ProfileSet {
         ProfileSet {
             profiles: profile_corpus_analytic(ds, pipeline, model),
             dataset: ds.clone(),
@@ -59,7 +63,7 @@ impl ProfileSet {
     }
 
     /// Whether these profiles were derived from exactly these inputs.
-    pub fn is_derived_from(
+    pub(crate) fn is_derived_from(
         &self,
         ds: &DatasetSpec,
         pipeline: &PipelineSpec,

@@ -44,7 +44,7 @@ pub struct Scenario {
     /// The preprocessing pipeline.
     pub pipeline: PipelineSpec,
     /// The CPU cost model.
-    pub cost_model: CostModel,
+    pub(crate) cost_model: CostModel,
     /// The profiles of `dataset` through `pipeline` under `cost_model`, as
     /// they were when first asked for.
     profile_set: OnceLock<Arc<ProfileSet>>,

@@ -111,7 +111,7 @@ impl ModalWorkload {
     }
 
     /// The corpus seed, which also keys augmentation randomness.
-    pub fn dataset_seed(&self) -> u64 {
+    pub(crate) fn dataset_seed(&self) -> u64 {
         match self {
             ModalWorkload::Image { dataset, .. } => dataset.seed,
             ModalWorkload::Audio { dataset, .. } => dataset.seed,
