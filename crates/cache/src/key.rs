@@ -51,7 +51,7 @@ impl std::error::Error for CacheError {}
 /// static guarantee that the corresponding intermediate can be cached and
 /// replayed in any epoch without changing training results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StableSplit(SplitPoint);
+pub(crate) struct StableSplit(SplitPoint);
 
 impl StableSplit {
     /// Validates `split` against the modality's deterministic prefix.
@@ -63,7 +63,10 @@ impl StableSplit {
     ///
     /// [`CacheError::UnstableSplit`] when the split is past the first
     /// randomized op (or past the end of the pipeline).
-    pub fn try_new(split: SplitPoint, modality: &dyn Modality) -> Result<StableSplit, CacheError> {
+    pub(crate) fn try_new(
+        split: SplitPoint,
+        modality: &dyn Modality,
+    ) -> Result<StableSplit, CacheError> {
         if modality.split_is_epoch_stable(split) {
             Ok(StableSplit(split))
         } else {
@@ -73,16 +76,6 @@ impl StableSplit {
             })
         }
     }
-
-    /// The underlying split point.
-    pub fn split(self) -> SplitPoint {
-        self.0
-    }
-
-    /// Number of pipeline ops applied before this split.
-    pub fn ops(self) -> usize {
-        self.0.offloaded_ops()
-    }
 }
 
 /// Identity of a cached representation.
@@ -90,24 +83,24 @@ impl StableSplit {
 /// Two fetches hit the same entry iff they come from the same modality and
 /// dataset, name the same sample, ask for the same (stable) split, and
 /// carry the same re-compression directive. Epoch is intentionally absent:
-/// stability of the split (enforced by [`StableSplit`]) is what makes that
+/// stability of the split (enforced by `StableSplit`) is what makes that
 /// sound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Modality name ([`Modality::modality_name`]): image and audio entries
     /// for the same `(dataset_seed, sample_id)` are different bytes and
     /// must never collide.
-    pub modality: &'static str,
+    pub(crate) modality: &'static str,
     /// Dataset seed (distinguishes datasets and their augmentation keying).
-    pub dataset_seed: u64,
+    pub(crate) dataset_seed: u64,
     /// Sample id within the dataset.
-    pub sample_id: u64,
+    pub(crate) sample_id: u64,
     /// The epoch-stable split whose output is cached.
-    pub split: StableSplit,
+    pub(crate) split: StableSplit,
     /// Re-compression quality the transfer was produced with, if any. A
     /// raw fetch and a re-encoded fetch are different bytes and must not
     /// alias.
-    pub reencode_quality: Option<u8>,
+    pub(crate) reencode_quality: Option<u8>,
 }
 
 impl CacheKey {

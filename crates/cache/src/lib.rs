@@ -13,25 +13,25 @@
 //! and post-decode rasters, for the standard training pipeline — are ever
 //! cacheable. Anything downstream of a randomized op differs per epoch,
 //! and replaying it would silently pin one epoch's augmentations forever.
-//! The rule is enforced in the type layer by [`StableSplit`]: a
-//! [`CacheKey`] cannot be constructed for an unstable split, which is also
-//! why the key needs no epoch field.
+//! The rule is enforced in the type layer by a crate-private
+//! `StableSplit`: a [`CacheKey`] cannot be constructed for an unstable
+//! split, which is also why the key needs no epoch field.
 //!
-//! What to keep under the budget is a [`CachePolicy`]: classic
-//! [`LruPolicy`], traffic-greedy [`SizeAwarePolicy`], or
-//! [`EfficiencyAwarePolicy`], which ranks entries the same way the
-//! decision engine ranks offload candidates. The planner side — choosing
+//! What to keep under the budget is a policy: classic LRU
+//! ([`SampleCache::lru`]) or efficiency-aware
+//! ([`SampleCache::efficiency_aware`]), which ranks entries the same way
+//! the decision engine ranks offload candidates. The planner side — choosing
 //! cache contents from profiles and re-planning the residual set — lives
 //! in `sophon::ext::caching`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod key;
-pub mod policy;
-pub mod store;
-pub mod transport;
+mod key;
+mod policy;
+mod store;
+mod transport;
 
-pub use key::{CacheError, CacheKey, StableSplit};
-pub use policy::{CachePolicy, EfficiencyAwarePolicy, EntryMeta, LruPolicy, SizeAwarePolicy};
+pub use key::{CacheError, CacheKey};
 pub use store::{AdmissionHint, CacheStats, SampleCache};
 pub use transport::CachingTransport;

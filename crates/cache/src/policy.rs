@@ -9,26 +9,26 @@
 
 /// Bookkeeping the cache maintains per entry, visible to policies.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntryMeta {
+pub(crate) struct EntryMeta {
     /// Resident size of the cached payload in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Wire bytes a hit on this entry avoids per warm epoch (the transfer
     /// size the planner would otherwise ship).
-    pub saved_bytes: u64,
+    pub(crate) saved_bytes: u64,
     /// The decision engine's offloading-efficiency hint for the sample
     /// (bytes saved per storage-CPU-second); zero when no hint was given.
-    pub efficiency: f64,
+    pub(crate) efficiency: f64,
     /// Logical time of the last hit or insertion (cache-local clock).
-    pub last_touch: u64,
+    pub(crate) last_touch: u64,
     /// Logical time of insertion.
-    pub inserted_at: u64,
+    pub(crate) inserted_at: u64,
 }
 
 /// An admission/eviction policy: a total order over entries.
 ///
 /// Higher priority = more worth keeping. See the module docs for how the
 /// cache applies it.
-pub trait CachePolicy: std::fmt::Debug + Send {
+pub(crate) trait CachePolicy: std::fmt::Debug + Send {
     /// Retention priority of an entry with metadata `meta`.
     fn priority(&self, meta: &EntryMeta) -> f64;
 }
@@ -38,23 +38,11 @@ pub trait CachePolicy: std::fmt::Debug + Send {
 /// coldest — the classic baseline the smarter policies are measured
 /// against.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LruPolicy;
+pub(crate) struct LruPolicy;
 
 impl CachePolicy for LruPolicy {
     fn priority(&self, meta: &EntryMeta) -> f64 {
         meta.last_touch as f64
-    }
-}
-
-/// Size-aware: priority is the wire traffic a hit avoids. Keeps the
-/// entries that save the most bytes per warm epoch, regardless of how much
-/// cache they occupy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SizeAwarePolicy;
-
-impl CachePolicy for SizeAwarePolicy {
-    fn priority(&self, meta: &EntryMeta) -> f64 {
-        meta.saved_bytes as f64
     }
 }
 
@@ -64,7 +52,7 @@ impl CachePolicy for SizeAwarePolicy {
 /// ranking — samples whose transfers are expensive relative to the space
 /// needed to pin them locally win the budget.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EfficiencyAwarePolicy;
+pub(crate) struct EfficiencyAwarePolicy;
 
 impl CachePolicy for EfficiencyAwarePolicy {
     fn priority(&self, meta: &EntryMeta) -> f64 {
@@ -91,12 +79,6 @@ mod tests {
         let old = meta(1, 1_000_000, 99.0, 5);
         let new = meta(1_000_000, 1, 0.0, 10);
         assert!(p.priority(&new) > p.priority(&old));
-    }
-
-    #[test]
-    fn size_aware_orders_by_saved_bytes() {
-        let p = SizeAwarePolicy;
-        assert!(p.priority(&meta(10, 500, 0.0, 0)) > p.priority(&meta(10, 100, 0.0, 99)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use pipeline::StageData;
 
 use crate::key::CacheKey;
-use crate::policy::{CachePolicy, EfficiencyAwarePolicy, EntryMeta, LruPolicy, SizeAwarePolicy};
+use crate::policy::{CachePolicy, EfficiencyAwarePolicy, EntryMeta, LruPolicy};
 
 /// Hit/miss/byte counters, updated on every cache operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,17 +26,17 @@ pub struct CacheStats {
     /// Lookups that went to storage.
     pub misses: u64,
     /// Payloads admitted (including refreshes of resident keys).
-    pub insertions: u64,
+    pub(crate) insertions: u64,
     /// Candidates the policy turned away at admission.
     pub rejections: u64,
     /// Residents displaced to make room.
     pub evictions: u64,
     /// Payload bytes served from the cache (wire traffic avoided).
-    pub bytes_served: u64,
+    pub(crate) bytes_served: u64,
     /// Payload bytes admitted.
-    pub bytes_inserted: u64,
+    pub(crate) bytes_inserted: u64,
     /// Payload bytes displaced.
-    pub bytes_evicted: u64,
+    pub(crate) bytes_evicted: u64,
 }
 
 impl CacheStats {
@@ -90,7 +90,7 @@ pub struct SampleCache {
 
 impl SampleCache {
     /// A cache holding at most `budget_bytes` of payload under `policy`.
-    pub fn new(budget_bytes: u64, policy: Box<dyn CachePolicy>) -> SampleCache {
+    pub(crate) fn new(budget_bytes: u64, policy: Box<dyn CachePolicy>) -> SampleCache {
         SampleCache {
             budget_bytes,
             used_bytes: 0,
@@ -106,20 +106,10 @@ impl SampleCache {
         SampleCache::new(budget_bytes, Box::new(LruPolicy))
     }
 
-    /// A size-aware cache (keep the biggest per-epoch byte savers).
-    pub fn size_aware(budget_bytes: u64) -> SampleCache {
-        SampleCache::new(budget_bytes, Box::new(SizeAwarePolicy))
-    }
-
     /// An efficiency-aware cache (keep the densest byte savers, weighted
     /// by the planner's efficiency hint).
     pub fn efficiency_aware(budget_bytes: u64) -> SampleCache {
         SampleCache::new(budget_bytes, Box::new(EfficiencyAwarePolicy))
-    }
-
-    /// The hard byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
     }
 
     /// Payload bytes currently resident.
@@ -140,11 +130,6 @@ impl SampleCache {
     /// Counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Whether `key` is resident (no counter or recency update).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
     }
 
     /// Looks up `key`, counting a hit or miss and refreshing recency.
@@ -306,32 +291,10 @@ mod tests {
         // Touch 0 so 1 becomes the coldest.
         assert!(cache.get(&key(0)).is_some());
         cache.insert(key(3), 0, payload(40), AdmissionHint::default());
-        assert!(cache.contains(&key(0)));
-        assert!(!cache.contains(&key(1)), "coldest entry should be evicted");
-        assert!(cache.contains(&key(3)));
+        assert!(cache.entries.contains_key(&key(0)));
+        assert!(!cache.entries.contains_key(&key(1)), "coldest entry should be evicted");
+        assert!(cache.entries.contains_key(&key(3)));
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn size_aware_rejects_lower_value_candidates() {
-        let mut cache = SampleCache::size_aware(100);
-        cache.insert(key(0), 0, payload(60), AdmissionHint { saved_bytes: 500, efficiency: 0.0 });
-        // Not enough room; the resident saves more, so the candidate loses.
-        assert!(!cache.insert(
-            key(1),
-            0,
-            payload(60),
-            AdmissionHint { saved_bytes: 100, efficiency: 0.0 },
-        ));
-        assert!(cache.contains(&key(0)));
-        // A better saver displaces it.
-        assert!(cache.insert(
-            key(2),
-            0,
-            payload(60),
-            AdmissionHint { saved_bytes: 900, efficiency: 0.0 },
-        ));
-        assert!(!cache.contains(&key(0)));
     }
 
     #[test]
@@ -346,7 +309,7 @@ mod tests {
             payload(90),
             AdmissionHint { saved_bytes: 810, efficiency: 0.0 },
         ));
-        assert!(cache.contains(&key(0)));
+        assert!(cache.entries.contains_key(&key(0)));
     }
 
     #[test]
@@ -378,8 +341,16 @@ mod tests {
     #[test]
     fn multi_victim_admission_stops_at_equal_priority() {
         // Candidate must outrank *every* displaced entry; two 40-byte
-        // residents saving 300 each beat a 100-byte candidate saving 300.
-        let mut cache = SampleCache::size_aware(100);
+        // residents saving 300 each beat a 100-byte candidate saving 300
+        // under a policy that ranks by bytes saved alone.
+        #[derive(Debug)]
+        struct BySavedBytes;
+        impl CachePolicy for BySavedBytes {
+            fn priority(&self, meta: &EntryMeta) -> f64 {
+                meta.saved_bytes as f64
+            }
+        }
+        let mut cache = SampleCache::new(100, Box::new(BySavedBytes));
         cache.insert(key(0), 0, payload(40), AdmissionHint { saved_bytes: 300, efficiency: 0.0 });
         cache.insert(key(1), 0, payload(40), AdmissionHint { saved_bytes: 300, efficiency: 0.0 });
         assert!(!cache.insert(

@@ -41,14 +41,9 @@ impl<T: FetchTransport> CachingTransport<T> {
         CachingTransport { inner, cache, session: None, hints: HashMap::new() }
     }
 
-    /// Attaches a planner-supplied admission hint for `sample_id`; used
-    /// when that sample's fetch is offered to the cache. Samples without a
-    /// hint are valued at their own payload size.
-    pub fn set_hint(&mut self, sample_id: u64, hint: AdmissionHint) {
-        self.hints.insert(sample_id, hint);
-    }
-
-    /// Attaches hints in bulk (see [`CachingTransport::set_hint`]).
+    /// Attaches planner-supplied admission hints, keyed by sample id; a
+    /// sample's hint is used when its fetch is offered to the cache.
+    /// Samples without a hint are valued at their own payload size.
     pub fn set_hints(&mut self, hints: impl IntoIterator<Item = (u64, AdmissionHint)>) {
         self.hints.extend(hints);
     }
@@ -66,11 +61,6 @@ impl<T: FetchTransport> CachingTransport<T> {
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Unwraps the inner transport, dropping the cache.
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 
     /// Builds the cache key for a request, when the session is configured
@@ -275,8 +265,10 @@ mod tests {
         let mut t =
             CachingTransport::new(CountingTransport::new(64), SampleCache::efficiency_aware(64));
         t.configure(7, PipelineSpec::standard_train()).unwrap();
-        t.set_hint(0, AdmissionHint { saved_bytes: 10, efficiency: 0.0 });
-        t.set_hint(1, AdmissionHint { saved_bytes: 1000, efficiency: 0.0 });
+        t.set_hints([
+            (0, AdmissionHint { saved_bytes: 10, efficiency: 0.0 }),
+            (1, AdmissionHint { saved_bytes: 1000, efficiency: 0.0 }),
+        ]);
         t.fetch_many_requests(&raw_reqs(&[0, 1], 0)).unwrap();
         // Sample 1 should hold the slot; refetching it is a hit, sample 0
         // a miss.

@@ -135,11 +135,7 @@ fn sample_digest(tenant: u16, index: u64, work: &SampleWork) -> u64 {
 
 /// SplitMix64 over `(seed, i)` — the workspace's standard jitter source.
 fn splitmix(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    imagery::rng::splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {

@@ -12,12 +12,7 @@
 /// Virtual nodes per physical node on the hash ring.
 const VNODES: usize = 64;
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use imagery::rng::splitmix64;
 
 // Ring points and sample lookups must hash in disjoint streams: node 0's
 // vnode `v` and sample id `v` share the raw input `v`, so without the tag a

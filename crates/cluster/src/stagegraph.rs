@@ -345,9 +345,8 @@ pub struct StageHooks<'a> {
     /// [`EpochDirective`]: optional replacement sample works (a revised
     /// offloading plan lowered to works — only not-yet-issued samples are
     /// affected) and node resource updates (chaos events or controller
-    /// estimates). This is the simulator analogue of
-    /// `OffloadingLoader::run_epoch_with_replan`'s replan callback, with
-    /// the same batch-boundary granularity.
+    /// estimates), taking effect at the batch boundary. The live loader
+    /// has no such hook: it runs each epoch under one plan.
     pub batch: Option<&'a mut dyn FnMut(u64, f64) -> EpochDirective>,
 }
 

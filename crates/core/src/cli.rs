@@ -44,19 +44,9 @@ pub enum ModalityChoice {
     Audio,
 }
 
-impl ModalityChoice {
-    /// The modality's CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModalityChoice::Image => "image",
-            ModalityChoice::Audio => "audio",
-        }
-    }
-}
-
 /// Which corpus to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetChoice {
+pub(crate) enum DatasetChoice {
     /// OpenImages-like statistics.
     OpenImages,
     /// ImageNet-like statistics.
@@ -71,21 +61,21 @@ pub struct CliOptions {
     /// Data modality of the workload.
     pub modality: ModalityChoice,
     /// Corpus family.
-    pub dataset: DatasetChoice,
+    pub(crate) dataset: DatasetChoice,
     /// Sample count.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Corpus seed.
     pub seed: u64,
     /// Policy name, or `"all"`.
     pub policy: String,
     /// Storage-node preprocessing cores.
-    pub storage_cores: usize,
+    pub(crate) storage_cores: usize,
     /// Compute-node preprocessing cores.
-    pub compute_cores: usize,
+    pub(crate) compute_cores: usize,
     /// GPUs.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// Link bandwidth in Mbps.
-    pub bandwidth_mbps: f64,
+    pub(crate) bandwidth_mbps: f64,
     /// GPU cost model.
     pub model: GpuModel,
     /// Batch size.
@@ -113,16 +103,16 @@ pub struct CliOptions {
     /// Per-tenant byte quota in bytes/second (0 = unquotaed).
     pub quota_bytes_per_sec: f64,
     /// Enable the mid-epoch feedback control loop on fleet runs.
-    pub adaptive: bool,
+    pub(crate) adaptive: bool,
     /// Telemetry samples per channel window feeding drift detection.
-    pub drift_window: usize,
+    pub(crate) drift_window: usize,
     /// Minimum batches between feedback-driven replans.
-    pub replan_cooldown: u64,
+    pub(crate) replan_cooldown: u64,
     /// Byte fractions of the brownout fidelity ladder, ascending and
     /// ending at 1.0 (empty = brownout disabled).
-    pub brownout_tiers: Vec<f64>,
+    pub(crate) brownout_tiers: Vec<f64>,
     /// Floor on the served byte fraction when brownout engages.
-    pub min_fidelity: f64,
+    pub(crate) min_fidelity: f64,
     /// Print the SOPHON decision trace summary.
     pub explain: bool,
     /// Print the simulated timeline of this many leading samples.
@@ -371,14 +361,14 @@ impl CliOptions {
     }
 
     /// Materializes the modality-tagged workload: the corpus paired with
-    /// its preprocessing pipeline, behind [`crate::workload::ModalWorkload`]'s
+    /// its preprocessing pipeline, behind [`sophon_planner::workload::ModalWorkload`]'s
     /// dispatch.
     ///
     /// `--dataset` picks the image corpus family; the audio modality has
     /// a single speech-like corpus family, so it reads only `--samples`
     /// and `--seed`.
-    pub fn workload(&self) -> crate::workload::ModalWorkload {
-        use crate::workload::ModalWorkload;
+    pub fn workload(&self) -> sophon_planner::workload::ModalWorkload {
+        use sophon_planner::workload::ModalWorkload;
         match self.modality {
             ModalityChoice::Image => ModalWorkload::Image {
                 dataset: self.dataset_spec(),
@@ -390,7 +380,7 @@ impl CliOptions {
     }
 
     /// Materializes the corpus spec.
-    pub fn dataset_spec(&self) -> DatasetSpec {
+    pub(crate) fn dataset_spec(&self) -> DatasetSpec {
         match self.dataset {
             DatasetChoice::OpenImages => DatasetSpec::openimages_like(self.samples, self.seed),
             DatasetChoice::ImageNet => DatasetSpec::imagenet_like(self.samples, self.seed),
@@ -535,14 +525,9 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
     value.parse().map_err(|_| format!("invalid value '{value}' for {flag}"))
 }
 
-/// SplitMix64 over `(seed, i)` — the same finalizer the storage crate's
-/// chaos schedules use, re-derived here so planning stays dependency-light.
+/// SplitMix64 over `(seed, i)`.
 fn splitmix(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    imagery::rng::splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 //! talks to a storage node:
 //!
 //! * [`loader`] — the offloading data loader a training loop consumes,
-//!   over any `storage::FetchTransport`, plus [`loader::live_replans`],
-//!   which feeds a TCP server's tenant telemetry to the feedback loop;
+//!   over any `storage::FetchTransport`;
 //! * [`live`] — the live lifecycle behind one builder: a [`live::Corpus`]
 //!   materialised once and profiled from its stored bytes, and a
 //!   [`live::Session`] that binds the storage nodes, builds the client
@@ -17,13 +16,12 @@
 //! * [`cli`] — argument parsing for the `sophon-sim` tool.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod cli;
 pub mod live;
 pub mod loader;
 
 pub use sophon_planner::{
-    engine, explain, ext, policy, prelude, profiler, runner, workload, Bottleneck, CostVector,
-    OffloadPlan, PlanSummary, SophonError,
+    engine, explain, ext, policy, prelude, profiler, runner, OffloadPlan, SophonError,
 };

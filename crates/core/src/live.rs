@@ -28,7 +28,7 @@ use datasets::DatasetSpec;
 use fleet::FleetTransport;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SampleProfile, StageData, TensorBatch};
 use storage::{
-    BackoffConfig, ClientError, Deadline, FaultPlan, FetchRequest, FetchResponse, FetchTransport,
+    ClientError, Deadline, FaultPlan, FetchRequest, FetchResponse, FetchTransport,
     MultiServerHarness, ObjectStore, RetryingTransport, ServerConfig,
 };
 
@@ -39,8 +39,8 @@ use crate::{OffloadPlan, SophonError};
 /// node's preprocessing of a whole batch, in debug builds too.
 const RESILIENT_DEADLINE: Duration = Duration::from_secs(2);
 
-/// The resilient preset's re-attempts of a failed exchange, made without
-/// backoff.
+/// The resilient preset's re-attempts of a failed exchange, each made at
+/// once.
 const RESILIENT_RETRIES: u32 = 10;
 
 /// A dataset materialised once: every sample of `0..spec.len`, encoded.
@@ -229,8 +229,8 @@ impl SessionBuilder<'_> {
         self
     }
 
-    /// Gives each node exchange a 2 s deadline and 10 re-attempts without
-    /// backoff, so dropped and corrupted frames are fetched again.
+    /// Gives each node exchange a 2 s deadline and 10 immediate
+    /// re-attempts, so dropped and corrupted frames are fetched again.
     #[must_use]
     pub fn resilient(mut self) -> Self {
         self.node_stack = (Deadline::after(RESILIENT_DEADLINE), RESILIENT_RETRIES);
@@ -254,13 +254,10 @@ impl SessionBuilder<'_> {
             None => MultiServerHarness::spawn(store, nodes, self.server, owners),
         }?;
         let (deadline, retries) = self.node_stack;
-        let clients = harness.clients()?.into_iter().map(|client| {
-            RetryingTransport::with_backoff(
-                client.with_deadline(deadline),
-                retries,
-                BackoffConfig::none(),
-            )
-        });
+        let clients = harness
+            .clients()?
+            .into_iter()
+            .map(|client| RetryingTransport::new(client.with_deadline(deadline), retries));
         let fleet = FleetTransport::new(clients.collect(), self.map, None);
         let stack = match self.cache {
             Some((cache, hints)) => {

@@ -20,18 +20,14 @@
 //! Augmentations remain keyed by `(dataset seed, sample, epoch)`, so the
 //! batches are bit-identical to what an un-offloaded loader would produce —
 //! the property `tests/end_to_end.rs` checks across the live stack.
-//!
-//! [`live_replans`] turns a live server's tenant telemetry into the replan
-//! callback, through the planner's `ext::feedback::LiveFeedbackBridge`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use imagery::rng::Rng;
 use pipeline::{BatchAssembly, PipelineSpec, SampleKey, SplitPoint, StageData, TensorBatch};
-use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport, TcpStorageServer};
+use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport};
 
-use crate::ext::feedback::{LiveFeedbackBridge, ReplanEvent};
 use crate::OffloadPlan;
 
 /// Loader configuration.
@@ -39,21 +35,15 @@ use crate::OffloadPlan;
 pub struct LoaderConfig {
     /// Dataset seed (keys augmentation streams; must match the server's
     /// session).
-    pub dataset_seed: u64,
+    pub(crate) dataset_seed: u64,
     /// Training batch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Shuffle seed; the per-epoch order is derived from `(shuffle_seed,
     /// epoch)`.
     pub shuffle_seed: u64,
     /// When set, every offloaded image-stage transfer is re-encoded at this
     /// quality (the selective-compression extension).
     pub reencode_quality: Option<u8>,
-    /// When set, raw (un-offloaded) fetches carry this fidelity cap: a
-    /// server holding tiered encodings serves the tier prefix instead of
-    /// the full stream (the brownout extension). Advisory for classic
-    /// stores, which serve whole objects. `None` — the default — keeps
-    /// every request byte-identical to a fidelity-unaware loader.
-    pub max_tier: Option<u8>,
     /// Threads that finish the local pipeline suffix, alive for a whole
     /// epoch (at least one; the calling thread fetches and assembles).
     pub workers: usize,
@@ -68,7 +58,6 @@ impl LoaderConfig {
             batch_size,
             shuffle_seed: 0,
             reencode_quality: None,
-            max_tier: None,
             workers: 2,
         }
     }
@@ -89,14 +78,6 @@ pub enum LoaderError {
     /// The transport reported success but a requested sample is missing
     /// from its responses (a protocol violation, not a transient fault).
     MissingSample(u64),
-    /// A replacement plan swapped in mid-epoch covers a different corpus
-    /// size than the one it replaces.
-    ReplanMismatch {
-        /// Samples the active plan covers.
-        expected: usize,
-        /// Samples the replacement covers.
-        got: usize,
-    },
 }
 
 impl std::fmt::Display for LoaderError {
@@ -108,9 +89,6 @@ impl std::fmt::Display for LoaderError {
             LoaderError::Collate(e) => write!(f, "collate failed: {e}"),
             LoaderError::MissingSample(id) => {
                 write!(f, "transport omitted sample {id} from a successful batch")
-            }
-            LoaderError::ReplanMismatch { expected, got } => {
-                write!(f, "replacement plan covers {got} samples, epoch has {expected}")
             }
         }
     }
@@ -181,47 +159,17 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     }
 
     /// Runs one epoch, invoking `consume` with every collated batch in
-    /// order. Returns the number of batches delivered.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing batch.
-    pub fn run_epoch<F>(&mut self, epoch: u64, consume: F) -> Result<usize, LoaderError>
-    where
-        F: FnMut(TensorBatch),
-    {
-        self.run_epoch_with_replan(epoch, consume, |_| None)
-    }
-
-    /// [`OffloadingLoader::run_epoch`] with mid-epoch replanning: before
-    /// each batch is issued, `replan(issue_index)` may hand back a
-    /// replacement [`OffloadPlan`] that takes effect from that batch on (and
-    /// stays the loader's plan afterwards). It is called for issue indices
-    /// `0..n` in order, once each; batch `b` is issued while batch `b - 1`
-    /// is still finishing, so the call for `b` comes before batch `b - 1`
-    /// reaches `consume`. [`live_replans`] builds this callback from the
-    /// feedback controller's replans. A node whose breaker opens needs no
-    /// replan: the fleet transport reroutes its fetches to replicas at the
-    /// split the plan asked for.
-    ///
-    /// Splits only choose *where* preprocessing runs, never *what* it
-    /// computes, so a mid-epoch swap keeps batches bit-identical to an
-    /// unswapped run.
+    /// order. Returns the number of batches delivered. Batch `b` is fetched
+    /// while the suffix workers finish batch `b - 1`, before it reaches
+    /// `consume`.
     ///
     /// # Errors
     ///
     /// Stops at the first failing batch, after delivering every batch
-    /// before it; a replacement plan of the wrong length is
-    /// [`LoaderError::ReplanMismatch`].
-    pub fn run_epoch_with_replan<F, R>(
-        &mut self,
-        epoch: u64,
-        mut consume: F,
-        mut replan: R,
-    ) -> Result<usize, LoaderError>
+    /// before it.
+    pub fn run_epoch<F>(&mut self, epoch: u64, mut consume: F) -> Result<usize, LoaderError>
     where
         F: FnMut(TensorBatch),
-        R: FnMut(usize) -> Option<OffloadPlan>,
     {
         let order = self.epoch_order(epoch);
         let OffloadingLoader { transport, pipeline, plan, config } = self;
@@ -251,24 +199,14 @@ impl<T: FetchTransport> OffloadingLoader<T> {
             let jobs = jobs;
             let mut finishing: Option<InFlight> = None;
             let mut delivered = 0usize;
-            for (issued, chunk) in order.chunks(batch_size).enumerate() {
-                // Fetch batch `issued` while the workers finish the one
-                // before it.
-                let fetched = match replan(issued) {
-                    Some(next) if next.len() != plan.len() => {
-                        Err(LoaderError::ReplanMismatch { expected: plan.len(), got: next.len() })
-                    }
-                    next => {
-                        if let Some(next) = next {
-                            *plan = next;
-                        }
-                        let requests = batch_requests(config, pipeline, plan, chunk, epoch);
-                        transport
-                            .fetch_many_requests(&requests)
-                            .map_err(LoaderError::Client)
-                            .and_then(|responses| in_slots(responses, chunk, &slot_of))
-                    }
-                };
+            for chunk in order.chunks(batch_size) {
+                // Fetch this batch while the workers finish the one before
+                // it.
+                let requests = batch_requests(config, pipeline, plan, chunk, epoch);
+                let fetched = transport
+                    .fetch_many_requests(&requests)
+                    .map_err(LoaderError::Client)
+                    .and_then(|responses| in_slots(responses, chunk, &slot_of));
                 let dispatched = fetched.map(|responses| dispatch(&jobs, responses));
                 // Deliver the batch before it, even when this one failed.
                 if let Some(done) = finishing.take() {
@@ -287,7 +225,7 @@ impl<T: FetchTransport> OffloadingLoader<T> {
 }
 
 /// The requests for one batch: each sample's split from `plan`, with the
-/// fidelity cap and re-compression directives `config` asks for.
+/// re-compression directive `config` asks for.
 fn batch_requests(
     config: &LoaderConfig,
     pipeline: &PipelineSpec,
@@ -300,14 +238,6 @@ fn batch_requests(
         .map(|&id| {
             let split = plan.split(id as usize);
             let mut req = FetchRequest::new(id, epoch, split);
-            // Only raw serves have tier boundaries to truncate at; leaving
-            // offloaded requests untouched keeps their wire frames
-            // bit-identical to a fidelity-unaware loader.
-            if let Some(cap) = config.max_tier {
-                if split == SplitPoint::NONE {
-                    req = req.with_max_tier(cap);
-                }
-            }
             // Re-compression only applies to stages the modality's codec can
             // shrink (raster-image transfers).
             if let Some(q) = config.reencode_quality {
@@ -419,34 +349,11 @@ fn finish_jobs(
     }
 }
 
-/// Builds a replan callback for [`OffloadingLoader::run_epoch_with_replan`]
-/// driven by a live TCP server's tenant telemetry: before every batch the
-/// server's counters are exported into `bridge` at the wall-clock offset
-/// from `started`, and a committed replan is lowered to a replacement
-/// [`OffloadPlan`] by `lower` (returning `None` keeps the current plan —
-/// for example when the event is a recovery back toward nominal).
-pub fn live_replans<'a, F>(
-    bridge: &'a mut LiveFeedbackBridge,
-    server: &'a TcpStorageServer,
-    started: std::time::Instant,
-    mut lower: F,
-) -> impl FnMut(usize) -> Option<OffloadPlan> + 'a
-where
-    F: FnMut(&ReplanEvent) -> Option<OffloadPlan> + 'a,
-{
-    move |_batch| {
-        let now = started.elapsed().as_secs_f64();
-        // Telemetry is advisory: an export hiccup must not fail the epoch.
-        let _ = server.export_tenant_telemetry(bridge.counters_mut(), now);
-        bridge.end_batch(now).as_ref().and_then(&mut lower)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::Bandwidth;
-    use storage::{ObjectStore, ServerConfig, TcpStorageClient};
+    use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
     const N: u64 = 10;
 
@@ -644,25 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn replan_sees_issue_indices_in_order_once_each() {
-        let (ds, store) = local_parts();
-        let mut loader = local_loader(&ds, &store, make_plan(&ds), 2);
-        let mut seen = Vec::new();
-        let delivered = loader
-            .run_epoch_with_replan(
-                0,
-                |_| {},
-                |issued| {
-                    seen.push(issued);
-                    None
-                },
-            )
-            .unwrap();
-        assert_eq!(delivered, 3); // 12 samples in batches of 5: 5+5+2
-        assert_eq!(seen, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn failed_fetch_delivers_the_batches_before_it_and_the_next_epoch_is_intact() {
         let (ds, store) = local_parts();
         for fail_at in 0..3 {
@@ -764,198 +652,6 @@ mod tests {
                 );
             }
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn mid_epoch_replan_keeps_batches_bit_identical() {
-        // Swapping the plan between batches changes only *where* prefixes
-        // run; the tensors must not move by a single bit.
-        let (ds, _store, server) = live_parts();
-        let plan = make_plan(&ds);
-        let run = |client: TcpStorageClient,
-                   replan: &mut dyn FnMut(usize) -> Option<OffloadPlan>| {
-            let mut loader = OffloadingLoader::new(
-                client,
-                PipelineSpec::standard_train(),
-                plan.clone(),
-                LoaderConfig::new(ds.seed, 4),
-            )
-            .unwrap();
-            let mut out: Vec<Vec<f32>> = Vec::new();
-            loader.run_epoch_with_replan(2, |b| out.push(b.as_slice().to_vec()), replan).unwrap();
-            out
-        };
-        let steady = run(connect(&server), &mut |_| None);
-        // Degraded-mode analogue: from batch 1 on, stop offloading.
-        let raw_from_batch_1 =
-            run(connect(&server), &mut |batch| (batch == 1).then(|| OffloadPlan::none(N as usize)));
-        assert_eq!(steady, raw_from_batch_1, "replan changed batch contents");
-        server.shutdown();
-    }
-
-    #[test]
-    fn replan_of_the_wrong_length_is_rejected() {
-        let (ds, _store, server) = live_parts();
-        let plan = make_plan(&ds);
-        let mut loader = OffloadingLoader::new(
-            connect(&server),
-            PipelineSpec::standard_train(),
-            plan,
-            LoaderConfig::new(ds.seed, 4),
-        )
-        .unwrap();
-        let err =
-            loader.run_epoch_with_replan(0, |_| {}, |_| Some(OffloadPlan::none(3))).unwrap_err();
-        assert!(matches!(err, LoaderError::ReplanMismatch { expected, got: 3 }
-            if expected == N as usize));
-        server.shutdown();
-    }
-
-    #[test]
-    fn fidelity_cap_browns_out_raw_fetches_deterministically() {
-        // A tiered store served under a fidelity cap: batches keep their
-        // shapes, differ from the full-fidelity run (fewer coefficients
-        // reached the decoder), and reproduce exactly across reruns.
-        let ds = datasets::DatasetSpec::mini(N, 55);
-        let spawn = || {
-            TcpStorageServer::bind(
-                ObjectStore::materialize_dataset_tiered(&ds, 0..N, &codec::TierSpec::default()),
-                ServerConfig {
-                    cores: 3,
-                    bandwidth: Bandwidth::from_gbps(10.0),
-                    ..ServerConfig::default()
-                },
-                "127.0.0.1:0",
-            )
-            .unwrap()
-        };
-        let run = |cap: Option<u8>| {
-            let server = spawn();
-            let mut config = LoaderConfig::new(ds.seed, 4);
-            config.max_tier = cap;
-            let mut loader = OffloadingLoader::new(
-                connect(&server),
-                PipelineSpec::standard_train(),
-                OffloadPlan::none(N as usize),
-                config,
-            )
-            .unwrap();
-            let mut out: Vec<Vec<f32>> = Vec::new();
-            loader
-                .run_epoch(0, |b| {
-                    assert_eq!(b.shape(), (224, 224));
-                    out.push(b.as_slice().to_vec());
-                })
-                .unwrap();
-            server.shutdown();
-            out
-        };
-        let full = run(None);
-        let browned = run(Some(0));
-        let browned_again = run(Some(0));
-        assert_eq!(browned, browned_again, "browned batches must be reproducible");
-        assert_ne!(full, browned, "a tier-0 cap must actually shed fidelity");
-        assert_eq!(full.len(), browned.len(), "brownout never drops batches");
-    }
-
-    #[test]
-    fn live_link_squeeze_drives_replans_through_tenant_telemetry() {
-        // The TCP path end to end: a mid-epoch link squeeze (injected as a
-        // per-batch transport stall) collapses the byte rate the server's
-        // tenant counters report; the bridge must turn the exported
-        // counters into link ratios and schedule at least one replan
-        // through the live loader's replan callback.
-        use crate::ext::feedback::FeedbackConfig;
-        use std::time::{Duration, Instant};
-
-        struct Squeezed<T> {
-            inner: T,
-            calls: usize,
-            squeeze_from: usize,
-            delay: Duration,
-        }
-        impl<T: FetchTransport> FetchTransport for Squeezed<T> {
-            fn configure(&mut self, seed: u64, p: PipelineSpec) -> Result<(), ClientError> {
-                self.inner.configure(seed, p)
-            }
-            fn fetch_many_requests(
-                &mut self,
-                reqs: &[FetchRequest],
-            ) -> Result<Vec<FetchResponse>, ClientError> {
-                self.calls += 1;
-                if self.calls > self.squeeze_from {
-                    std::thread::sleep(self.delay);
-                }
-                self.inner.fetch_many_requests(reqs)
-            }
-        }
-
-        const N: u64 = 32;
-        let ds = datasets::DatasetSpec::mini(N, 55);
-        let server = TcpStorageServer::bind(
-            ObjectStore::materialize_dataset(&ds, 0..N),
-            ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let plan = OffloadPlan::none(N as usize);
-
-        // Calibrate the nominal byte rate with one calm epoch.
-        let mut calm = OffloadingLoader::new(
-            connect(&server).with_tenant(9),
-            PipelineSpec::standard_train(),
-            plan.clone(),
-            LoaderConfig::new(ds.seed, 4),
-        )
-        .unwrap();
-        let calm_started = Instant::now();
-        let bytes_before = server.response_bytes();
-        let calm_batches = calm.run_epoch(0, |_| {}).unwrap();
-        let calm_elapsed = calm_started.elapsed().as_secs_f64().max(1e-6);
-        let calm_rate = (server.response_bytes() - bytes_before) as f64 / calm_elapsed;
-        // Scale the squeeze to the machine: a stall of 6x the calm batch
-        // latency collapses the byte rate ~7x regardless of how fast the
-        // suffix pipeline runs on this host, and a rate window spanning a
-        // few squeezed batch spacings always holds enough exports.
-        let calm_batch_seconds = calm_elapsed / calm_batches as f64;
-        let delay = Duration::from_secs_f64((calm_batch_seconds * 6.0).max(0.02));
-        let rate_window = (calm_batch_seconds * 16.0).max(0.25);
-
-        let mut loader = OffloadingLoader::new(
-            Squeezed { inner: connect(&server).with_tenant(9), calls: 0, squeeze_from: 2, delay },
-            PipelineSpec::standard_train(),
-            plan.clone(),
-            LoaderConfig::new(ds.seed, 4),
-        )
-        .unwrap();
-        let mut bridge = LiveFeedbackBridge::new(
-            FeedbackConfig { drift_window: 2, cooldown_batches: 2, ..FeedbackConfig::default() },
-            9,
-            calm_rate,
-        )
-        .with_rate_window(rate_window);
-        let mut lowered = 0usize;
-        let mut replan = live_replans(&mut bridge, &server, Instant::now(), |ev| {
-            assert!(
-                ev.channels.iter().all(|c| c.channel == "tenant9.link"),
-                "unexpected channels: {ev:?}"
-            );
-            lowered += 1;
-            Some(plan.clone())
-        });
-        let batches = loader.run_epoch_with_replan(1, |_| {}, &mut replan).unwrap();
-        drop(replan);
-        assert_eq!(batches, (N as usize).div_ceil(4));
-        assert!(
-            !bridge.controller().replans().is_empty(),
-            "a live link squeeze must schedule at least one replan"
-        );
-        assert!(lowered >= 1, "the replan callback must receive a lowered plan");
         server.shutdown();
     }
 }

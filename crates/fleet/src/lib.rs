@@ -35,10 +35,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod transport;
 
 pub use cluster::ShardMap;
-pub use transport::{FleetStats, FleetTransport};
+pub use transport::FleetStats;
+pub use transport::FleetTransport;

@@ -16,18 +16,11 @@
 //!   marked permanently dead; its in-flight samples re-route to the next
 //!   alive owner, and later batches never touch it again. Only when a
 //!   sample has no alive owner left does the error surface.
-//! * **breaker reroutes** — a node that reports
-//!   [`ClientError::CircuitOpen`] (its `HealthTrackingTransport` breaker
-//!   tripped) is *temporarily* unusable, not dead: the group's unfinished
-//!   samples re-route to replicas for this batch, but the node stays in
-//!   the map so the breaker's half-open probe can readmit it later.
 //!
-//! * **exchange deadlines** — an optional [`Deadline`] bounds each
-//!   `fetch_many_requests` call end to end. One clock covers the whole
-//!   exchange: hedged, failed-over, and breaker-rerouted attempts charge
-//!   their elapsed time against the same budget rather than each
-//!   re-dispatch starting a fresh one, and exhaustion surfaces as
-//!   [`ClientError::DeadlineExceeded`] (transient to the retry layer).
+//! The fleet sets no clock of its own on an exchange: each node client's
+//! own deadline bounds its group, and any other error a node reports
+//! (an expired deadline among them) fails the call, for the retry layer
+//! to take.
 //!
 //! Each node's transport carries one batch group at a time; a
 //! `TcpStorageClient` multiplexes every request of that group on its one
@@ -44,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pipeline::PipelineSpec;
-use storage::{ClientError, Deadline, FetchRequest, FetchResponse, FetchTransport};
+use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport};
 
 use crate::ShardMap;
 
@@ -89,7 +82,7 @@ fn worker_loop<T: FetchTransport>(
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// Fetch requests routed to each node (including hedges and reroutes).
-    pub requests_per_node: Vec<u64>,
+    pub(crate) requests_per_node: Vec<u64>,
     /// Samples re-issued to a replica because their group ran past the
     /// hedge deadline.
     pub hedges_issued: u64,
@@ -97,9 +90,6 @@ pub struct FleetStats {
     pub hedge_wins: u64,
     /// Node-death events that forced in-flight samples to re-route.
     pub failovers: u64,
-    /// Samples rerouted past a node whose circuit breaker was open (the
-    /// node stays routable for later batches, unlike a failover).
-    pub breaker_reroutes: u64,
 }
 
 /// A group of requests in flight on one node.
@@ -126,7 +116,6 @@ pub struct FleetTransport {
     workers: Vec<JoinHandle<()>>,
     dead: Vec<bool>,
     hedge_after: Option<Duration>,
-    deadline: Deadline,
     next_ticket: u64,
     stats: FleetStats,
 }
@@ -138,7 +127,6 @@ impl std::fmt::Debug for FleetTransport {
             .field("replication", &self.map.replication())
             .field("dead", &self.dead)
             .field("hedge_after", &self.hedge_after)
-            .field("deadline", &self.deadline)
             .finish()
     }
 }
@@ -180,40 +168,9 @@ impl FleetTransport {
             workers,
             dead: vec![false; nodes],
             hedge_after,
-            deadline: Deadline::NONE,
             next_ticket: 0,
             stats: FleetStats { requests_per_node: vec![0; nodes], ..FleetStats::default() },
         }
-    }
-
-    /// The placement map the fleet routes by.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Sets the **exchange-level** time budget for each
-    /// `fetch_many_requests` call.
-    ///
-    /// One clock covers the whole exchange: hedges, breaker reroutes, and
-    /// dead-node failovers all charge their elapsed time against the same
-    /// budget instead of each re-dispatched attempt getting a fresh one.
-    /// When the budget runs out with samples still pending the call fails
-    /// with [`ClientError::DeadlineExceeded`]. [`Deadline::NONE`] (the
-    /// default) blocks until the fleet answers or dies.
-    pub fn set_deadline(&mut self, deadline: Deadline) {
-        self.deadline = deadline;
-    }
-
-    /// Builder form of [`set_deadline`](Self::set_deadline).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Deadline) -> FleetTransport {
-        self.set_deadline(deadline);
-        self
-    }
-
-    /// The exchange-level deadline currently in force.
-    pub fn deadline(&self) -> Deadline {
-        self.deadline
     }
 
     /// Counters accumulated so far.
@@ -221,13 +178,8 @@ impl FleetTransport {
         &self.stats
     }
 
-    /// Whether `node` has been declared permanently dead.
-    pub fn is_dead(&self, node: usize) -> bool {
-        self.dead[node]
-    }
-
     /// Nodes still alive.
-    pub fn alive_nodes(&self) -> usize {
+    pub(crate) fn alive_nodes(&self) -> usize {
         self.dead.iter().filter(|&&d| !d).count()
     }
 
@@ -350,12 +302,6 @@ impl FetchTransport for FleetTransport {
             }
         }
 
-        // One clock for the whole exchange: hedged, failed-over, and
-        // breaker-rerouted attempts all charge elapsed time against this
-        // expiry. Each `Group` still carries its own `sent_at` for hedge
-        // pacing, but no re-dispatch ever refreshes the exchange budget.
-        let expiry = self.deadline.expiry_from_now();
-
         // Tickets count up, so a reply below this one is a stale reply
         // from an earlier call.
         let first_ticket = self.next_ticket;
@@ -364,14 +310,7 @@ impl FetchTransport for FleetTransport {
         self.dispatch(&unique, false, &mut pending, &mut groups, ClientError::Disconnected)?;
 
         while !pending.is_empty() {
-            let mut wait = self.hedge_after.unwrap_or(Duration::from_millis(50));
-            if let Some(expiry) = expiry {
-                let remaining = expiry.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(ClientError::DeadlineExceeded);
-                }
-                wait = wait.min(remaining);
-            }
+            let wait = self.hedge_after.unwrap_or(Duration::from_millis(50));
             match self.reply_rx.recv_timeout(wait) {
                 Ok(reply) => {
                     let known = reply.ticket >= first_ticket;
@@ -413,26 +352,6 @@ impl FetchTransport for FleetTransport {
                                 &mut pending,
                                 &mut groups,
                                 ClientError::Disconnected,
-                            )?;
-                        }
-                        ReplyBody::Fetched(Err(ClientError::CircuitOpen)) if known => {
-                            // The node's breaker is open: unusable right
-                            // now, but not dead. Reroute this group past it
-                            // (its `tried` entry keeps it excluded for the
-                            // rest of the batch) and leave it in the map so
-                            // the half-open probe can readmit it.
-                            let stranded: Vec<u64> = group
-                                .into_iter()
-                                .flat_map(|g| g.samples)
-                                .filter(|s| pending.contains_key(s))
-                                .collect();
-                            self.stats.breaker_reroutes += stranded.len() as u64;
-                            self.dispatch(
-                                &stranded,
-                                false,
-                                &mut pending,
-                                &mut groups,
-                                ClientError::CircuitOpen,
                             )?;
                         }
                         ReplyBody::Fetched(Err(e)) if known => return Err(e),
@@ -512,8 +431,6 @@ mod tests {
         delay: Duration,
         calls: Arc<AtomicU64>,
         dead: Arc<AtomicBool>,
-        open: Arc<AtomicBool>,
-        sick: Arc<AtomicBool>,
     }
 
     impl Stub {
@@ -523,8 +440,6 @@ mod tests {
                 delay: Duration::ZERO,
                 calls: Arc::new(AtomicU64::new(0)),
                 dead: Arc::new(AtomicBool::new(false)),
-                open: Arc::new(AtomicBool::new(false)),
-                sick: Arc::new(AtomicBool::new(false)),
             }
         }
     }
@@ -544,16 +459,6 @@ mod tests {
             self.calls.fetch_add(1, Ordering::SeqCst);
             if self.dead.load(Ordering::SeqCst) {
                 return Err(ClientError::Disconnected);
-            }
-            if self.open.load(Ordering::SeqCst) {
-                return Err(ClientError::CircuitOpen);
-            }
-            if self.sick.load(Ordering::SeqCst) {
-                // A retryable (non-fatal) server-side failure.
-                return Err(ClientError::Server {
-                    sample_id: requests.first().map(|r| r.sample_id),
-                    message: "stub sick".to_string(),
-                });
             }
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);
@@ -627,7 +532,7 @@ mod tests {
         let mut fleet = FleetTransport::new(stubs, map.clone(), None);
         // Configure already discovers the corpse.
         fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        assert!(fleet.is_dead(victim));
+        assert!(fleet.dead[victim]);
         let ids: Vec<u64> = (0..32).collect();
         let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
         assert_eq!(out.len(), 32);
@@ -655,83 +560,8 @@ mod tests {
         let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
         assert_eq!(out.len(), 16);
         assert!(out.iter().all(|r| r.ops_applied == 1), "survivor must serve everything");
-        assert!(fleet.is_dead(0));
+        assert!(fleet.dead[0]);
         assert_eq!(fleet.stats().failovers, 1);
-    }
-
-    #[test]
-    fn open_breaker_reroutes_without_declaring_the_node_dead() {
-        let map = ShardMap::new(2, 2, 5);
-        let stubs: Vec<Stub> = (0..2).map(Stub::healthy).collect();
-        let breaker = Arc::clone(&stubs[0].open);
-        let calls: Vec<Arc<AtomicU64>> = stubs.iter().map(|s| Arc::clone(&s.calls)).collect();
-        let mut fleet = FleetTransport::new(stubs, map, None);
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        // Node 0's breaker trips: the batch still completes off node 1.
-        breaker.store(true, Ordering::SeqCst);
-        let ids: Vec<u64> = (0..16).collect();
-        let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
-        assert_eq!(out.len(), 16);
-        assert!(out.iter().all(|r| r.ops_applied == 1), "replica must cover the open node");
-        assert!(fleet.stats().breaker_reroutes > 0);
-        // Crucially: not a failover — the node stays routable.
-        assert!(!fleet.is_dead(0));
-        assert_eq!(fleet.stats().failovers, 0);
-        assert_eq!(fleet.alive_nodes(), 2);
-        // Breaker closes (half-open probe succeeded): node 0 serves again.
-        breaker.store(false, Ordering::SeqCst);
-        let before = calls[0].load(Ordering::SeqCst);
-        fleet.fetch_many_requests(&reqs(&ids)).unwrap();
-        assert!(calls[0].load(Ordering::SeqCst) > before, "recovered node must be retried");
-    }
-
-    #[test]
-    fn unreplicated_open_breaker_surfaces_circuit_open() {
-        let map = ShardMap::new(2, 1, 5);
-        let stubs: Vec<Stub> = (0..2).map(Stub::healthy).collect();
-        stubs[0].open.store(true, Ordering::SeqCst);
-        let mut fleet = FleetTransport::new(stubs, map.clone(), None);
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        let victim_sample = (0..100u64).find(|&id| map.primary(id) == 0).unwrap();
-        let err = fleet.fetch_many_requests(&reqs(&[victim_sample])).unwrap_err();
-        // CircuitOpen (retryable upstream), not Disconnected (permanent).
-        assert!(matches!(err, ClientError::CircuitOpen));
-        assert!(!fleet.is_dead(0));
-    }
-
-    #[test]
-    fn health_tracked_nodes_compose_under_the_fleet() {
-        use storage::{BackoffConfig, BreakerConfig, HealthTrackingTransport, RetryingTransport};
-
-        let map = ShardMap::new(2, 2, 9);
-        // Node 0 persistently errors; its breaker (threshold 2, long
-        // cooldown) opens mid-retry, the retry budget drains against the
-        // open breaker, and CircuitOpen reaches the fleet — which reroutes.
-        let stubs: Vec<Stub> = (0..2).map(Stub::healthy).collect();
-        let sick = Arc::clone(&stubs[0].sick);
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(30),
-            cooldown_cap: Duration::from_secs(30),
-        };
-        let mut handles = Vec::new();
-        let stack: Vec<_> = stubs
-            .into_iter()
-            .map(|s| {
-                let tracked = HealthTrackingTransport::new(s, cfg);
-                handles.push(tracked.handle());
-                RetryingTransport::with_backoff(tracked, 4, BackoffConfig::none())
-            })
-            .collect();
-        let mut fleet = FleetTransport::new(stack, map, None);
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        sick.store(true, Ordering::SeqCst);
-        let ids: Vec<u64> = (0..8).collect();
-        let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
-        assert_eq!(out.len(), 8);
-        assert!(out.iter().all(|r| r.ops_applied == 1));
-        assert!(handles[0].is_degraded(), "node 0's breaker must have opened");
-        assert!(!handles[1].is_degraded());
     }
 
     #[test]
@@ -772,83 +602,6 @@ mod tests {
         );
         assert!(fleet.stats().hedges_issued >= 1);
         assert!(fleet.stats().hedge_wins >= 1);
-    }
-
-    #[test]
-    fn exchange_deadline_is_not_refreshed_by_hedges() {
-        // Both replicas are 800 ms stragglers. The hedge fires at 100 ms
-        // but must charge against the same 200 ms exchange budget: a
-        // single clock fails the call at ~200 ms, a per-attempt budget
-        // restarted at the hedge would keep it alive until ~300 ms, and
-        // no budget at all blocks for the full 800 ms.
-        let map = ShardMap::new(2, 2, 13);
-        let stubs: Vec<Stub> = (0..2)
-            .map(|n| {
-                let mut s = Stub::healthy(n);
-                s.delay = Duration::from_millis(800);
-                s
-            })
-            .collect();
-        let mut fleet = FleetTransport::new(stubs, map, Some(Duration::from_millis(100)))
-            .with_deadline(Deadline::after(Duration::from_millis(200)));
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        let started = Instant::now();
-        let err = fleet.fetch_many_requests(&reqs(&[0])).unwrap_err();
-        let elapsed = started.elapsed();
-        assert!(matches!(err, ClientError::DeadlineExceeded), "got {err:?}");
-        assert!(fleet.stats().hedges_issued >= 1, "hedge must fire before the budget drains");
-        assert!(
-            elapsed < Duration::from_millis(280),
-            "hedge was granted a fresh budget: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn breaker_reroutes_charge_the_same_exchange_budget() {
-        // Primary's breaker is open, the replica is an 800 ms straggler.
-        // The reroute happens almost immediately and must not restart the
-        // 200 ms exchange clock.
-        let map = ShardMap::new(2, 2, 5);
-        let mut stubs: Vec<Stub> = (0..2).map(Stub::healthy).collect();
-        let victim_sample = (0..100u64).find(|&id| map.primary(id) == 0).unwrap();
-        stubs[0].open.store(true, Ordering::SeqCst);
-        stubs[1].delay = Duration::from_millis(800);
-        let mut fleet = FleetTransport::new(stubs, map, None)
-            .with_deadline(Deadline::after(Duration::from_millis(200)));
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        let started = Instant::now();
-        let err = fleet.fetch_many_requests(&reqs(&[victim_sample])).unwrap_err();
-        let elapsed = started.elapsed();
-        assert!(matches!(err, ClientError::DeadlineExceeded), "got {err:?}");
-        assert!(fleet.stats().breaker_reroutes >= 1, "the open breaker must reroute first");
-        assert!(
-            elapsed < Duration::from_millis(400),
-            "reroute was granted a fresh budget: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn a_generous_deadline_does_not_disturb_a_healthy_exchange() {
-        let map = ShardMap::new(2, 2, 7);
-        let stubs: Vec<Stub> = (0..2)
-            .map(|n| {
-                let mut s = Stub::healthy(n);
-                s.delay = Duration::from_millis(20);
-                s
-            })
-            .collect();
-        let mut fleet = FleetTransport::new(stubs, map, Some(Duration::from_millis(10)))
-            .with_deadline(Deadline::after(Duration::from_secs(5)));
-        assert_eq!(fleet.deadline(), Deadline::after(Duration::from_secs(5)));
-        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
-        let ids: Vec<u64> = (0..8).collect();
-        let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
-        assert_eq!(out.len(), 8);
-        // And the default stays the pre-deadline blocking behaviour.
-        assert_eq!(
-            FleetTransport::new(vec![Stub::healthy(0)], ShardMap::new(1, 1, 3), None).deadline(),
-            Deadline::NONE
-        );
     }
 
     #[test]

@@ -9,6 +9,20 @@
 
 use std::ops::{Range, RangeInclusive};
 
+/// SplitMix64's increment, the 64-bit golden ratio.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The SplitMix64 (Steele, Lea and Flood) output for `state`: the state
+/// advanced by one step, then mixed. Its outputs from `seed` are
+/// `splitmix64(seed)`, `splitmix64(seed + γ)`, … (wrapping); as a bare
+/// function of one word it is a well-mixed 64-bit hash.
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256++ (Blackman and Vigna), seeded by expanding a `u64` through
 /// SplitMix64. Each `range_*` draw panics on an empty range.
 #[derive(Debug)]
@@ -22,14 +36,7 @@ impl Rng {
     /// most one of four consecutive outputs is 0 and the state is never the
     /// all-zero one xoshiro must not start from.
     pub fn seed_from_u64(seed: u64) -> Rng {
-        let mut state = seed;
-        let s = [(); 4].map(|()| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        });
+        let s = [0u64, 1, 2, 3].map(|k| splitmix64(seed.wrapping_add(k.wrapping_mul(GAMMA))));
         Rng { s }
     }
 
@@ -124,7 +131,13 @@ impl Rng {
 
 #[cfg(test)]
 mod tests {
-    use super::Rng;
+    use super::{splitmix64, Rng};
+
+    #[test]
+    fn splitmix64_matches_the_reference_first_output() {
+        // splitmix64.c's first output from state 0.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+    }
 
     /// Eight draws of `f` from a fresh seed-7 stream.
     fn seven<T>(mut f: impl FnMut(&mut Rng) -> T) -> Vec<T> {

@@ -346,12 +346,7 @@ fn smoothstep(t: f64) -> f64 {
 
 /// Hashes a lattice coordinate to a uniform value in `[0, 1)`.
 fn hash2(seed: u64, x: u32, y: u32) -> f64 {
-    let mut v = seed ^ (u64::from(x) << 32) ^ u64::from(y);
-    // SplitMix64 finalizer.
-    v = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    v = (v ^ (v >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    v = (v ^ (v >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    v ^= v >> 31;
+    let v = crate::rng::splitmix64(seed ^ (u64::from(x) << 32) ^ u64::from(y));
     (v >> 11) as f64 / (1u64 << 53) as f64
 }
 

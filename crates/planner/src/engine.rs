@@ -10,8 +10,8 @@
 //! A pass prices its candidates against two orthogonal inputs, mirroring the
 //! simulator's stage-graph core (`cluster::stagegraph`):
 //!
-//! * a `SampleUniverse` — *which* samples the pass may decide (the full
-//!   corpus, one shard's primaries, …);
+//! * a universe — the ascending slice of sample indices the pass may
+//!   decide (one shard's primaries, its uncached residual, …);
 //! * a `ResourceBudget` — *what* the offloaded work runs against (the
 //!   single storage node of the paper testbed, or one fleet node's own
 //!   cores and link).
@@ -44,7 +44,7 @@ pub(crate) const INFEASIBLE_SECONDS: f64 = 1e18;
 /// whole storage side of the testbed ([`ResourceBudget::of_context`]) or
 /// against a single fleet node's own cores and link
 /// ([`ResourceBudget::of_node`]), while the sample set is chosen
-/// independently via `SampleUniverse`.
+/// independently as a slice of sample indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ResourceBudget {
     /// Effective storage cores available to offloaded work — physical
@@ -79,37 +79,6 @@ impl ResourceBudget {
             compute_cores: ctx.config.compute_cores.max(1) as f64,
             link_bps: node.link_bps,
         }
-    }
-}
-
-/// The slice of the corpus one greedy pass may decide.
-///
-/// Index-based variants must be ascending: a shard's warm baseline sums
-/// its universe's costs in member order, and plans are pinned to the bits
-/// of the ascending sum.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SampleUniverse<'a> {
-    /// Every sample of the context (the test oracles' whole-corpus pass).
-    #[cfg(test)]
-    All,
-    /// An explicit ascending index set — e.g. one shard's uncached
-    /// residual.
-    Indices(&'a [usize]),
-}
-
-impl<'a> SampleUniverse<'a> {
-    /// The universe's members over a corpus of `n` samples, in ascending
-    /// index order, without collecting them.
-    pub(crate) fn members(self, n: usize) -> impl Iterator<Item = usize> + 'a {
-        let (all, listed): (usize, &'a [usize]) = match self {
-            #[cfg(test)]
-            SampleUniverse::All => (n, &[]),
-            SampleUniverse::Indices(ix) => {
-                debug_assert!(ix.last().is_none_or(|&last| last < n), "a member past the corpus");
-                (0, ix)
-            }
-        };
-        (0..all).chain(listed.iter().copied())
     }
 }
 
@@ -461,10 +430,9 @@ pub(crate) mod reference {
 
     /// The universe's positive-efficiency samples as [`rank_key`]s in
     /// greedy order.
-    fn ranked_candidates(ctx: &PlanningContext<'_>, universe: SampleUniverse<'_>) -> Vec<u128> {
-        let n = ctx.profiles.len();
+    fn ranked_candidates(ctx: &PlanningContext<'_>, universe: &[usize]) -> Vec<u128> {
         let mut keys = Vec::new();
-        for i in universe.members(n) {
+        for &i in universe {
             let efficiency = ctx.profiles[i].efficiency();
             if efficiency > 0.0 {
                 keys.push(rank_key(i, efficiency));
@@ -479,7 +447,7 @@ pub(crate) mod reference {
     /// from `baseline`.
     pub(crate) fn plan_scoped_with_trace(
         ctx: &PlanningContext<'_>,
-        universe: SampleUniverse<'_>,
+        universe: &[usize],
         baseline: CostVector,
         budget: &ResourceBudget,
     ) -> (OffloadPlan, Vec<CostVector>) {
@@ -541,10 +509,8 @@ pub(crate) mod reference {
             let residual: Vec<usize> =
                 members.iter().copied().filter(|&i| !cache.is_cached(i)).collect();
             let budget = ResourceBudget::of_node(node, ctx);
-            let baseline =
-                warm_baseline_costs_scoped(ctx, cache, SampleUniverse::Indices(members), &budget);
-            let (shard_plan, _) =
-                plan_scoped_with_trace(ctx, SampleUniverse::Indices(&residual), baseline, &budget);
+            let baseline = warm_baseline_costs_scoped(ctx, cache, members, &budget);
+            let (shard_plan, _) = plan_scoped_with_trace(ctx, &residual, baseline, &budget);
             for &i in &residual {
                 plan.set_split(i, shard_plan.split(i));
             }
@@ -705,7 +671,7 @@ mod tests {
     /// checked against.
     fn plan_scoped_reference(
         ctx: &PlanningContext<'_>,
-        universe: SampleUniverse<'_>,
+        universe: &[usize],
         baseline: CostVector,
         budget: &ResourceBudget,
     ) -> (OffloadPlan, Vec<CostVector>) {
@@ -716,7 +682,7 @@ mod tests {
             return (plan, trace);
         }
         let mut candidates: Vec<usize> =
-            universe.members(n).filter(|&i| ctx.profiles[i].efficiency() > 0.0).collect();
+            universe.iter().copied().filter(|&i| ctx.profiles[i].efficiency() > 0.0).collect();
         candidates.sort_by(|&a, &b| {
             ctx.profiles[b]
                 .efficiency()
@@ -769,9 +735,10 @@ mod tests {
             let budget = ResourceBudget::of_context(&ctx);
             let what = format!("{name}, {cores} cores");
 
+            let all: Vec<usize> = (0..ps.len()).collect();
             let (plan, trace) = DecisionEngine::new().plan_with_trace(&ctx);
             let (want_plan, want_trace) =
-                plan_scoped_reference(&ctx, SampleUniverse::All, ctx.baseline_costs(), &budget);
+                plan_scoped_reference(&ctx, &all, ctx.baseline_costs(), &budget);
             assert_eq!(plan, want_plan, "{what}, all: plan");
             assert_eq!(trace_bits(&trace), trace_bits(&want_trace), "{what}, all: trace");
 
@@ -780,9 +747,8 @@ mod tests {
                 cache: Some(&complement),
                 ..FleetPlanRequest::new(&map, &nodes)
             };
-            let warm = warm_baseline_costs_scoped(&ctx, &complement, SampleUniverse::All, &budget);
-            let (want_plan, _) =
-                plan_scoped_reference(&ctx, SampleUniverse::Indices(&subset), warm, &budget);
+            let warm = warm_baseline_costs_scoped(&ctx, &complement, &all, &budget);
+            let (want_plan, _) = plan_scoped_reference(&ctx, &subset, warm, &budget);
             assert_eq!(plan_fleet(&ctx, &req).unwrap().plan, want_plan, "{what}, subset: plan");
         }
     }
@@ -889,9 +855,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The table-driven planners give exactly what the sort-per-pass
-        /// oracle gives: `plan` and `plan_with_trace` over the whole corpus
-        /// (`SampleUniverse::All`), and `plan_fleet` over each shard's
-        /// residual (`SampleUniverse::Indices`), with or without a cache,
+        /// oracle gives: `plan` and `plan_with_trace` over the whole corpus,
+        /// and `plan_fleet` over each shard's residual, with or without a
+        /// cache,
         /// under node speeds and zero-core budgets.
         #[test]
         fn table_driven_planning_matches_the_sort_per_pass_oracle(
@@ -914,7 +880,7 @@ mod tests {
             let budget = ResourceBudget::of_context(&ctx);
             let (want_plan, want_trace) = reference::plan_scoped_with_trace(
                 &ctx,
-                SampleUniverse::All,
+                &(0..ps.len()).collect::<Vec<_>>(),
                 ctx.baseline_costs(),
                 &budget,
             );

@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 
 use cluster::SampleWork;
 
-use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget, SampleUniverse};
+use crate::engine::{DecisionEngine, PlanningContext, ResourceBudget};
 use crate::{CostVector, OffloadPlan, SophonError};
 
 /// How [`choose_cache_contents`] ranks samples for the budget.
@@ -182,17 +182,18 @@ fn total_order_key(x: f64) -> i64 {
 /// suffix compute only (zero transfer, zero storage time), uncached
 /// samples ship raw, and only the universe's samples contribute GPU,
 /// compute, and network time. With nothing cached this is the `No-Off`
-/// baseline of that universe.
+/// baseline of that universe. `universe` must be ascending: plans are
+/// pinned to the bits of the sum in ascending member order.
 pub(crate) fn warm_baseline_costs_scoped(
     ctx: &PlanningContext<'_>,
     assignment: &CacheAssignment,
-    universe: SampleUniverse<'_>,
+    universe: &[usize],
     budget: &ResourceBudget,
 ) -> CostVector {
     let mut members = 0usize;
     let mut compute_seconds = 0.0;
     let mut net_bytes = 0u64;
-    for i in universe.members(ctx.profiles.len()) {
+    for &i in universe {
         members += 1;
         let p = &ctx.profiles[i];
         match assignment.cached_stage(i) {
@@ -390,7 +391,7 @@ mod tests {
         let ctx = PlanningContext::new(&ps, &pipeline, &config, GpuModel::AlexNet, 256);
         let whole_testbed = |a: &CacheAssignment| {
             let budget = ResourceBudget::of_context(&ctx);
-            warm_baseline_costs_scoped(&ctx, a, SampleUniverse::All, &budget)
+            warm_baseline_costs_scoped(&ctx, a, &(0..ps.len()).collect::<Vec<_>>(), &budget)
         };
         let cold = whole_testbed(&CacheAssignment::none());
         let no_cache = ctx.baseline_costs();

@@ -37,8 +37,8 @@
 //! (permutation-invariant in window contents) fed to a pure CUSUM, so the
 //! same seed produces the same verdicts at the same batches. Replanning
 //! swaps *works* (where preprocessing runs, how many bytes move) but never
-//! routing or sample order, so the batch digest — and, on the live loader
-//! path, the tensor bytes — are identical with the controller on or off.
+//! routing or sample order, so the batch digest is identical with the
+//! controller on or off.
 
 use std::cell::RefCell;
 
@@ -54,7 +54,7 @@ use crate::engine::PlanningContext;
 use crate::ext::sharding::{plan_fleet, FleetPlanRequest};
 use crate::{OffloadPlan, SophonError};
 
-/// Tuning of the [`FeedbackController`].
+/// Tuning of the feedback controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackConfig {
     /// Samples per channel window feeding the drift statistic.
@@ -178,9 +178,9 @@ pub struct ReplanEvent {
 /// decisions, with hysteresis (via the detectors) and a cooldown so the
 /// control loop cannot thrash.
 ///
-/// Channels are created on first `FeedbackController::observe` (or
-/// `FeedbackController::channel`, which resolves a name to its
-/// [`SeriesId`] once, for a producer that observes by id); each gets a
+/// Channels are created by `FeedbackController::channel`, which resolves
+/// a name to its [`SeriesId`] once, for a producer that observes by id
+/// (tests observe by name); each gets a
 /// [`CusumDetector`] referenced at ratio `1.0` once it has a window. Once
 /// per batch, `FeedbackController::end_batch` folds every channel's
 /// windowed mean into its detector, in channel-name order; trips
@@ -188,7 +188,7 @@ pub struct ReplanEvent {
 /// rebase onto the adopted levels. The per-channel state lives in `Vec`s
 /// indexed by [`SeriesId::index`].
 #[derive(Debug, Clone)]
-pub struct FeedbackController {
+pub(crate) struct FeedbackController {
     config: FeedbackConfig,
     hub: TelemetryHub,
     detectors: Vec<Option<CusumDetector>>,
@@ -264,6 +264,7 @@ impl FeedbackController {
     /// Feeds one observed/expected ratio into `channel` at time `t`.
     /// Out-of-order or non-finite observations are dropped (the series
     /// counts them as rejected) rather than corrupting the window.
+    #[cfg(test)]
     pub(crate) fn observe(&mut self, channel: &str, t: f64, ratio: f64) {
         let id = self.channel(channel);
         self.observe_id(id, t, ratio);
@@ -295,11 +296,6 @@ impl FeedbackController {
     /// Panics when `channel` did not come from this controller.
     pub(crate) fn estimate_id(&self, channel: SeriesId) -> f64 {
         self.estimates[channel.index()]
-    }
-
-    /// Replans committed so far, in batch order.
-    pub fn replans(&self) -> &[ReplanEvent] {
-        &self.replans
     }
 
     /// Closes batch `batch` at virtual time `now`: updates every channel's
@@ -489,11 +485,12 @@ pub fn chaos_link_squeeze_to(
         .collect()
 }
 
+/// The SplitMix64 mix of `seed + i·γ`. `splitmix64` adds one γ before it
+/// mixes, so it is handed one γ less.
 fn splitmix(seed: u64, i: u64) -> u64 {
-    let mut z = seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    imagery::rng::splitmix64(
+        seed.wrapping_add(i.wrapping_sub(1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+    )
 }
 
 /// The outcome of one (possibly feedback-controlled) fleet epoch.
@@ -748,104 +745,6 @@ pub fn run_fleet_epoch_adaptive(
     })
 }
 
-/// Bridges the live TCP serving path into the feedback loop.
-///
-/// The simulator's controller reads per-stage service ratios straight off
-/// the stage graph; the live path has no stage graph — what it has is the
-/// server's cumulative per-tenant counters
-/// (`storage::TcpStorageServer::export_tenant_telemetry`). The bridge
-/// owns the hub those counters land in, converts the tenant's windowed
-/// served-byte rate into an observed/expected service ratio
-/// (`nominal_rate / observed_rate`, so a squeezed link reads above `1.0`
-/// exactly like the simulator's link channels), and feeds it to a
-/// [`FeedbackController`] once per batch. Committed replans surface from
-/// [`LiveFeedbackBridge::end_batch`]; the runtime's `loader::live_replans`
-/// lowers them into the loader's replan callback.
-#[derive(Debug, Clone)]
-pub struct LiveFeedbackBridge {
-    controller: FeedbackController,
-    counters: TelemetryHub,
-    /// The exported counter the link ratio is read from, `tenant{N}.bytes`.
-    bytes_series: String,
-    /// The controller channel the ratio feeds, `tenant{N}.link`.
-    link_channel: String,
-    nominal_bytes_per_sec: f64,
-    rate_window_seconds: f64,
-    batch: u64,
-}
-
-impl LiveFeedbackBridge {
-    /// A bridge for `tenant`, expecting `nominal_bytes_per_sec` of served
-    /// traffic when the path runs as provisioned (measure one calm epoch,
-    /// or derive it from the link's modelled bandwidth).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nominal_bytes_per_sec` is not a positive finite number
-    /// or `config` is invalid (see `FeedbackController::new`).
-    pub fn new(config: FeedbackConfig, tenant: u16, nominal_bytes_per_sec: f64) -> Self {
-        assert!(
-            nominal_bytes_per_sec.is_finite() && nominal_bytes_per_sec > 0.0,
-            "invalid nominal byte rate {nominal_bytes_per_sec}"
-        );
-        LiveFeedbackBridge {
-            controller: FeedbackController::new(config),
-            counters: TelemetryHub::new(256),
-            bytes_series: format!("tenant{tenant}.bytes"),
-            link_channel: format!("tenant{tenant}.link"),
-            nominal_bytes_per_sec,
-            rate_window_seconds: 0.25,
-            batch: 0,
-        }
-    }
-
-    /// Sets the trailing window over which the served-byte rate is
-    /// estimated (default 250 ms — several batches on a healthy path).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `seconds` is not a positive finite number.
-    #[must_use]
-    pub fn with_rate_window(mut self, seconds: f64) -> Self {
-        assert!(seconds.is_finite() && seconds > 0.0, "invalid rate window {seconds}");
-        self.rate_window_seconds = seconds;
-        self
-    }
-
-    /// The hub the server's counters are exported into — hand this to
-    /// `storage::TcpStorageServer::export_tenant_telemetry`.
-    pub fn counters_mut(&mut self) -> &mut TelemetryHub {
-        &mut self.counters
-    }
-
-    /// The controller consuming the derived ratios.
-    pub fn controller(&self) -> &FeedbackController {
-        &self.controller
-    }
-
-    /// The tenant's observed/expected link ratio at wall-clock `now`: the
-    /// nominal byte rate over the windowed served rate. `None` until the
-    /// window holds two exports with positive served bytes.
-    pub(crate) fn link_ratio(&self, now: f64) -> Option<f64> {
-        let series = self.counters.series(&self.bytes_series)?;
-        let observed = series.rate_over(self.rate_window_seconds, now)?;
-        (observed > 0.0).then(|| self.nominal_bytes_per_sec / observed)
-    }
-
-    /// Closes one loader batch at wall-clock `now` (seconds from the
-    /// caller's epoch origin): derives the link ratio from the exported
-    /// counters, feeds the controller, and returns the replan it commits,
-    /// if any.
-    pub fn end_batch(&mut self, now: f64) -> Option<ReplanEvent> {
-        if let Some(ratio) = self.link_ratio(now) {
-            self.controller.observe(&self.link_channel, now, ratio);
-        }
-        let event = self.controller.end_batch(self.batch, now);
-        self.batch += 1;
-        event
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,14 +780,14 @@ mod tests {
         let c = controller_with_squeeze(6, 40);
         // A windowed step response may converge in two corrections (the
         // first window straddles the step), but never thrashes.
-        assert!((1..=2).contains(&c.replans().len()), "{:?}", c.replans());
-        let first = &c.replans()[0];
+        assert!((1..=2).contains(&c.replans.len()), "{:?}", c.replans);
+        let first = &c.replans[0];
         assert!(first.batch >= 6, "cannot trip before the squeeze");
         assert!(first.batch <= 10, "a 2.5x step must trip fast, got {}", first.batch);
-        for pair in c.replans().windows(2) {
+        for pair in c.replans.windows(2) {
             assert!(pair[1].batch - pair[0].batch >= 4, "cooldown violated: {pair:?}");
         }
-        assert!((c.estimate("node0.link") - 2.5).abs() < 0.2, "{:?}", c.replans());
+        assert!((c.estimate("node0.link") - 2.5).abs() < 0.2, "{:?}", c.replans);
         assert_eq!(c.estimate("node9.link"), 1.0, "untouched channels stay nominal");
     }
 
@@ -920,15 +819,15 @@ mod tests {
                 assert_eq!(by_id.estimate_id(ids[c]), by_name.estimate(name), "{name}");
             }
         }
-        assert!(by_id.replans().len() >= 3, "{:?}", by_id.replans());
-        assert_eq!(by_id.replans(), by_name.replans());
+        assert!(by_id.replans.len() >= 3, "{:?}", by_id.replans);
+        assert_eq!(by_id.replans, by_name.replans);
     }
 
     #[test]
     fn controller_is_deterministic() {
         let a = controller_with_squeeze(6, 40);
         let b = controller_with_squeeze(6, 40);
-        assert_eq!(a.replans(), b.replans());
+        assert_eq!(a.replans, b.replans);
     }
 
     #[test]
@@ -945,8 +844,8 @@ mod tests {
             }
             c.end_batch(b, b as f64);
         }
-        assert_eq!(c.replans().len(), 1);
-        let first = c.replans()[0].batch;
+        assert_eq!(c.replans.len(), 1);
+        let first = c.replans[0].batch;
         // A second channel drifts immediately after: its trip must wait
         // out the cooldown, then land.
         for b in 4..20u64 {
@@ -956,10 +855,10 @@ mod tests {
             }
             c.end_batch(b, b as f64);
         }
-        assert_eq!(c.replans().len(), 2, "{:?}", c.replans());
-        let second = c.replans()[1].batch;
+        assert_eq!(c.replans.len(), 2, "{:?}", c.replans);
+        let second = c.replans[1].batch;
         assert!(second - first >= 10, "cooldown violated: {first} then {second}");
-        assert_eq!(c.replans()[1].channels[0].channel, "node1.cpu");
+        assert_eq!(c.replans[1].channels[0].channel, "node1.cpu");
     }
 
     /// A link squeezed to 2.5x that later lifts most of the way back,
@@ -987,18 +886,18 @@ mod tests {
         // every recovery trip toward 2.2 lands inside the deadband and is
         // dropped, so the only replan is the original degradation.
         let stale = degrade_then_partially_recover(0.0);
-        assert_eq!(stale.replans().len(), 1, "{:?}", stale.replans());
-        assert!((stale.estimate("node0.link") - 2.5).abs() < 0.2, "{:?}", stale.replans());
+        assert_eq!(stale.replans.len(), 1, "{:?}", stale.replans);
+        assert!((stale.estimate("node0.link") - 2.5).abs() < 0.2, "{:?}", stale.replans);
 
         // With decay the suppressed trip moves the estimate halfway toward
         // the observed 2.2 and then settles (the rebased detector sees the
         // residual as in-slack), as its own cooldown-respecting replan.
         let tracked = degrade_then_partially_recover(0.5);
-        assert!(tracked.replans().len() >= 2, "{:?}", tracked.replans());
+        assert!(tracked.replans.len() >= 2, "{:?}", tracked.replans);
         let est = tracked.estimate("node0.link");
         assert!((2.0..2.45).contains(&est), "expected a decayed step toward 2.2, got {est}");
-        assert!(tracked.replans().len() <= 4, "recovery must not thrash: {:?}", tracked.replans());
-        for pair in tracked.replans().windows(2) {
+        assert!(tracked.replans.len() <= 4, "recovery must not thrash: {:?}", tracked.replans);
+        for pair in tracked.replans.windows(2) {
             assert!(pair[1].batch - pair[0].batch >= 4, "cooldown violated: {pair:?}");
         }
     }
@@ -1029,9 +928,9 @@ mod tests {
             }
             c.end_batch(b, b as f64);
         }
-        assert_eq!(c.estimate("node0.cpu"), 1.0, "{:?}", c.replans());
-        let last = c.replans().last().expect("recovery must commit a replan");
-        assert_eq!(last.channels[0].ratio, 1.0, "{:?}", c.replans());
+        assert_eq!(c.estimate("node0.cpu"), 1.0, "{:?}", c.replans);
+        let last = c.replans.last().expect("recovery must commit a replan");
+        assert_eq!(last.channels[0].ratio, 1.0, "{:?}", c.replans);
     }
 
     #[test]
@@ -1050,7 +949,7 @@ mod tests {
             }
             c.end_batch(b, b as f64);
         }
-        assert!(c.replans().is_empty(), "{:?}", c.replans());
+        assert!(c.replans.is_empty(), "{:?}", c.replans);
         assert_eq!(c.estimate("node0.cpu"), 1.0);
     }
 
@@ -1122,26 +1021,6 @@ mod tests {
             a.replans.iter().map(|r| r.batch).collect::<Vec<_>>(),
             b.replans.iter().map(|r| r.batch).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn live_bridge_turns_byte_counters_into_link_ratios() {
-        // Cumulative served-byte exports at a steady 1000 B/s against a
-        // nominal of 2000 B/s must read as a 2.0 link ratio.
-        let mut bridge =
-            LiveFeedbackBridge::new(FeedbackConfig::default(), 3, 2000.0).with_rate_window(10.0);
-        assert_eq!(bridge.link_ratio(0.0), None, "no exports yet");
-        for t in 0..6u32 {
-            bridge.counters_mut().push("tenant3.bytes", t as f64, (t * 1000) as f64).unwrap();
-        }
-        let ratio = bridge.link_ratio(5.0).unwrap();
-        assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
-        // A flat counter (no bytes served) yields no ratio, not infinity.
-        let mut stalled =
-            LiveFeedbackBridge::new(FeedbackConfig::default(), 3, 2000.0).with_rate_window(10.0);
-        stalled.counters_mut().push("tenant3.bytes", 0.0, 500.0).unwrap();
-        stalled.counters_mut().push("tenant3.bytes", 1.0, 500.0).unwrap();
-        assert_eq!(stalled.link_ratio(1.0), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Each shard's pass decides the uncached samples it fronts against a
 //! per-node `ResourceBudget`, from a warm baseline over its
-//! `SampleUniverse::Indices` slice — no sub-contexts or profile clones.
+//! slice of member indices — no sub-contexts or profile clones.
 //! The passes share one scan of the context's offload table (see
 //! [`crate::engine`]): a sample is offered to its primary's pass only, so each shard sees its candidates in the order a pass over its
 //! residual alone would. The budget reuses the job-wide compute-node and
@@ -36,8 +36,8 @@
 //!
 //! The module is pure planning — it never touches a socket. The feedback
 //! controller calls it between batches with node parameters revised from
-//! telemetry; a node whose breaker opens is the transport's concern, which
-//! reroutes each fetch to a live replica and leaves the plan as it is. The
+//! telemetry; a dead node is the transport's concern, which fails each
+//! fetch over to a live replica and leaves the plan as it is. The
 //! module also bridges planning to the fleet simulator: [`fleet_nodes`]
 //! derives the per-node resource vector from the planning config, and the
 //! map's [`ShardMap::owner_table`] is the simulator's routing input. The
@@ -48,7 +48,7 @@
 use cluster::{ClusterConfig, FleetNodeConfig, OwnerTable, ShardMap};
 use pipeline::{SampleProfile, SplitPoint};
 
-use crate::engine::{GreedyPass, PlanningContext, ResourceBudget, SampleUniverse};
+use crate::engine::{GreedyPass, PlanningContext, ResourceBudget};
 use crate::ext::caching::{warm_baseline_costs_scoped, CacheAssignment};
 use crate::{OffloadPlan, SophonError};
 
@@ -189,8 +189,7 @@ pub fn plan_fleet(
         .enumerate()
         .map(|(shard, node)| {
             let budget = ResourceBudget::of_node(node, ctx);
-            let members = SampleUniverse::Indices(members(shard));
-            GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members, &budget), budget)
+            GreedyPass::new(warm_baseline_costs_scoped(ctx, cache, members(shard), &budget), budget)
         })
         .collect();
     // One scan of the context's greedy order for every shard: each shard

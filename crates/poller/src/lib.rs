@@ -16,6 +16,7 @@
 //! below are the generic Linux values (x86, Arm, RISC-V).
 
 #![deny(unsafe_op_in_unsafe_fn, missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 #[cfg(not(target_os = "linux"))]

@@ -4,8 +4,7 @@
 //! `(sample, epoch, attempt)` fetch, whether to inject a fault and which
 //! kind: drop the response, delay it, truncate its frame, flip a bit, or
 //! replace it with a server error. Decisions are a pure SplitMix64 hash of
-//! the key — the same discipline [`BackoffConfig`](crate::BackoffConfig)
-//! uses for jitter — so two runs with the same seed inject the *identical*
+//! the key, so two runs with the same seed inject the *identical*
 //! fault sequence, and a chaos failure found in CI reproduces locally from
 //! nothing but the seed.
 //!
@@ -22,6 +21,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
+
+use imagery::rng::splitmix64;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Short label for logs.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Delay(_) => "delay",
@@ -54,40 +55,31 @@ impl FaultKind {
 /// A fault decision plus the deterministic salt that parameterizes it
 /// (which byte to cut, which bit to flip).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultDirective {
+pub(crate) struct FaultDirective {
     /// What to do to the response.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Seeded randomness for the fault's parameters.
-    pub salt: u64,
+    pub(crate) salt: u64,
 }
 
 /// One injected fault, as recorded by an injector's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultRecord {
     /// Node the injector belongs to.
-    pub node: usize,
+    pub(crate) node: usize,
     /// The faulted sample.
     pub sample_id: u64,
     /// The faulted epoch.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// 0-based attempt index for this `(sample, epoch)` key.
     pub attempt: u32,
     /// Short label of the injected fault kind.
     pub kind: &'static str,
 }
 
-/// A stateless SplitMix64 scramble (same constants as
-/// [`BackoffConfig`](crate::BackoffConfig)'s jitter stream).
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Hash of a full fault key.
 fn mix_key(seed: u64, sample: u64, epoch: u64, attempt: u32) -> u64 {
-    mix(mix(mix(mix(seed) ^ sample) ^ epoch) ^ u64::from(attempt))
+    splitmix64(splitmix64(splitmix64(splitmix64(seed) ^ sample) ^ epoch) ^ u64::from(attempt))
 }
 
 /// Maps a hash onto the unit interval.
@@ -114,8 +106,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that injects nothing (rates all zero); add faults with
-    /// [`FaultPlan::with_errors`] or [`FaultPlan::script`].
-    pub fn quiet(seed: u64) -> FaultPlan {
+    /// [`FaultPlan::script`].
+    pub(crate) fn quiet(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             drop_rate: 0.0,
@@ -145,7 +137,8 @@ impl FaultPlan {
     }
 
     /// Sets the injected-server-error rate.
-    pub fn with_errors(mut self, rate: f64) -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn with_errors(mut self, rate: f64) -> FaultPlan {
         self.error_rate = rate;
         self
     }
@@ -158,22 +151,27 @@ impl FaultPlan {
     }
 
     /// The plan's seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// The same schedule parameters under a different seed (used to derive
     /// per-node plans from one fleet seed).
-    pub fn reseeded(mut self, seed: u64) -> FaultPlan {
+    pub(crate) fn reseeded(mut self, seed: u64) -> FaultPlan {
         self.seed = seed;
         self
     }
 
     /// The fault (if any) for one `(sample, epoch, attempt)` fetch — a pure
     /// function of the plan.
-    pub fn fault_for(&self, sample: u64, epoch: u64, attempt: u32) -> Option<FaultDirective> {
+    pub(crate) fn fault_for(
+        &self,
+        sample: u64,
+        epoch: u64,
+        attempt: u32,
+    ) -> Option<FaultDirective> {
         let h = mix_key(self.seed, sample, epoch, attempt);
-        let salt = mix(h);
+        let salt = splitmix64(h);
         if let Some(&kind) = self.scripted.get(&(sample, epoch, attempt)) {
             return Some(FaultDirective { kind, salt });
         }
@@ -215,7 +213,7 @@ pub(crate) fn truncate_payload(payload: &mut Vec<u8>, salt: u64) {
 }
 
 /// Flips one bit of an encoded frame (salt-directed).
-pub fn flip_bit(payload: &mut [u8], salt: u64) {
+pub(crate) fn flip_bit(payload: &mut [u8], salt: u64) {
     if payload.is_empty() {
         return;
     }
@@ -230,7 +228,7 @@ pub fn flip_bit(payload: &mut [u8], salt: u64) {
 /// response bumps the key) and records every injected fault, so a chaos
 /// run can assert the exact fault sequence afterwards.
 #[derive(Debug)]
-pub struct ServerFaultInjector {
+pub(crate) struct ServerFaultInjector {
     node: usize,
     plan: FaultPlan,
     /// Responses generated per `(sample, epoch)` key. Each update is one
@@ -244,7 +242,7 @@ pub struct ServerFaultInjector {
 
 impl ServerFaultInjector {
     /// An injector for `node` driven by `plan`.
-    pub fn new(node: usize, plan: FaultPlan) -> ServerFaultInjector {
+    pub(crate) fn new(node: usize, plan: FaultPlan) -> ServerFaultInjector {
         ServerFaultInjector {
             node,
             plan,
@@ -255,7 +253,7 @@ impl ServerFaultInjector {
 
     /// Decides the fault for the next response to `(sample, epoch)`,
     /// bumping the key's attempt counter and logging any hit.
-    pub fn decide(&self, sample: u64, epoch: u64) -> Option<FaultDirective> {
+    pub(crate) fn decide(&self, sample: u64, epoch: u64) -> Option<FaultDirective> {
         let attempt = {
             let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = attempts.entry((sample, epoch)).or_insert(0);
@@ -276,14 +274,9 @@ impl ServerFaultInjector {
         directive
     }
 
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> usize {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
     /// The fault log, sorted by `(sample, epoch, attempt)` so logs from
     /// different runs compare independent of worker-thread interleaving.
-    pub fn log(&self) -> Vec<FaultRecord> {
+    pub(crate) fn log(&self) -> Vec<FaultRecord> {
         let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner).clone();
         log.sort_unstable();
         log

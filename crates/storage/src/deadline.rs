@@ -30,18 +30,8 @@ impl Deadline {
         Deadline { budget: Some(d) }
     }
 
-    /// The configured budget, when finite.
-    pub fn budget(&self) -> Option<Duration> {
-        self.budget
-    }
-
-    /// Whether this deadline ever expires.
-    pub fn is_finite(&self) -> bool {
-        self.budget.is_some()
-    }
-
     /// The absolute expiry for an exchange starting now.
-    pub fn expiry_from_now(&self) -> Option<Instant> {
+    pub(crate) fn expiry_from_now(&self) -> Option<Instant> {
         self.budget.map(|b| Instant::now() + b)
     }
 }
@@ -52,8 +42,7 @@ mod tests {
 
     #[test]
     fn none_never_expires() {
-        assert_eq!(Deadline::NONE.budget(), None);
-        assert!(!Deadline::NONE.is_finite());
+        assert_eq!(Deadline::NONE.budget, None);
         assert_eq!(Deadline::NONE.expiry_from_now(), None);
         assert_eq!(Deadline::default(), Deadline::NONE);
     }
@@ -61,8 +50,7 @@ mod tests {
     #[test]
     fn finite_budget_yields_a_future_expiry() {
         let d = Deadline::after(Duration::from_millis(250));
-        assert_eq!(d.budget(), Some(Duration::from_millis(250)));
-        assert!(d.is_finite());
+        assert_eq!(d.budget, Some(Duration::from_millis(250)));
         let expiry = d.expiry_from_now().unwrap();
         assert!(expiry > Instant::now());
         assert!(expiry <= Instant::now() + Duration::from_millis(250));

@@ -64,11 +64,6 @@ impl NearStorageExecutor {
         NearStorageExecutor { store, config }
     }
 
-    /// The session configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
     /// Executes one fetch request.
     ///
     /// # Errors

@@ -27,11 +27,10 @@
 //!   [`wire::WireError::ChecksumMismatch`] → [`ClientError::Corrupted`].
 //! * [`Deadline`] — per-exchange time budgets on [`TcpStorageClient`],
 //!   replacing the old hardcoded read timeout.
-//! * [`chaos`] — seeded, deterministic server-side fault injection over
-//!   `(sample, epoch, attempt)` keys.
-//! * [`health`] — a circuit breaker per node:
-//!   [`HealthTrackingTransport`] fails fast while a node is degraded and
-//!   probes it back to health after a deterministic cooldown schedule.
+//! * [`FaultPlan`] — seeded, deterministic server-side fault injection
+//!   over `(sample, epoch, attempt)` keys.
+//! * [`RetryingTransport`] — re-sends a failed batch at once, a bounded
+//!   number of times; fetches are idempotent.
 //!
 //! # Example
 //!
@@ -59,30 +58,26 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod chaos;
+mod chaos;
 mod deadline;
 mod executor;
-pub mod health;
-pub mod multi;
+mod multi;
 mod object_store;
-pub mod protocol;
+mod protocol;
 mod retry;
-pub mod tcp;
+mod tcp;
 mod transport;
 pub mod wire;
 
 pub use chaos::{FaultKind, FaultPlan, FaultRecord};
 pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
-pub use health::{
-    BreakerConfig, BreakerState, HealthSnapshot, HealthTrackingTransport, NodeHealthHandle,
-};
 pub use multi::{HarnessError, MultiServerHarness};
 pub use object_store::ObjectStore;
 pub use protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
-pub use retry::{BackoffConfig, RetryingTransport};
+pub use retry::RetryingTransport;
 pub use tcp::{ServerConfig, TcpStorageClient, TcpStorageServer};
 pub use transport::{ClientError, FetchTransport};

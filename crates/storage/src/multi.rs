@@ -94,7 +94,6 @@ struct Node {
     server: Option<TcpStorageServer>,
     addr: SocketAddr,
     meter: TrafficMeter,
-    stored: usize,
     injector: Option<Arc<ServerFaultInjector>>,
 }
 
@@ -135,7 +134,7 @@ impl MultiServerHarness {
     /// seed derived deterministically from the plan seed and node index,
     /// so a fleet-wide chaos run reproduces exactly from one seed. Read
     /// the injected-fault history back with
-    /// [`MultiServerHarness::fault_log`].
+    /// [`MultiServerHarness::fault_logs`].
     ///
     /// # Errors
     ///
@@ -190,7 +189,6 @@ impl MultiServerHarness {
                         Arc::new(ServerFaultInjector::new(n, p.clone().reseeded(node_seed)))
                     });
                     s.spawn(move || {
-                        let stored = shard.len();
                         let server = TcpStorageServer::bind_with_policy(
                             shard,
                             config,
@@ -203,7 +201,6 @@ impl MultiServerHarness {
                             addr: server.local_addr(),
                             meter: server.meter(),
                             server: Some(server),
-                            stored,
                             injector,
                         })
                     })
@@ -252,17 +249,12 @@ impl MultiServerHarness {
         self.nodes[node].addr
     }
 
-    /// Samples stored on `node` (as primary or replica).
-    pub fn stored_samples(&self, node: usize) -> usize {
-        self.nodes[node].stored
-    }
-
     /// Connects a fresh client to `node`.
     ///
     /// # Errors
     ///
     /// Propagates connection failures (e.g. the node was killed).
-    pub fn client(&self, node: usize) -> io::Result<TcpStorageClient> {
+    pub(crate) fn client(&self, node: usize) -> io::Result<TcpStorageClient> {
         TcpStorageClient::connect(self.nodes[node].addr)
     }
 
@@ -273,11 +265,6 @@ impl MultiServerHarness {
     /// Propagates the first connection failure.
     pub fn clients(&self) -> io::Result<Vec<TcpStorageClient>> {
         (0..self.len()).map(|n| self.client(n)).collect()
-    }
-
-    /// Response bytes `node` has written so far (survives a kill).
-    pub fn response_bytes(&self, node: usize) -> u64 {
-        self.nodes[node].meter.bytes()
     }
 
     /// Labeled per-node traffic readings (`node0`, `node1`, …), taken now.
@@ -296,7 +283,7 @@ impl MultiServerHarness {
 
     /// Faults injected by `node` so far, sorted by
     /// `(sample, epoch, attempt)` (empty without chaos).
-    pub fn fault_log(&self, node: usize) -> Vec<FaultRecord> {
+    pub(crate) fn fault_log(&self, node: usize) -> Vec<FaultRecord> {
         self.nodes[node].injector.as_ref().map(|i| i.log()).unwrap_or_default()
     }
 
@@ -432,15 +419,21 @@ mod tests {
             vec![(id % 3) as usize, ((id + 1) % 3) as usize]
         })
         .unwrap();
-        // Each node holds its primaries plus its predecessors' replicas.
+        // Each node holds its primaries plus its predecessors' replicas, 8
+        // of the 12 samples, and serves exactly those.
         for node in 0..3 {
-            assert_eq!(harness.stored_samples(node), 8, "node {node}");
+            let mut client = harness.client(node).unwrap();
+            client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+            let mut served = 0;
+            for id in 0..12u64 {
+                let stored = id % 3 == node as u64 || (id + 1) % 3 == node as u64;
+                let reqs = vec![crate::FetchRequest::new(id, 0, SplitPoint::NONE)];
+                let fetched = client.fetch_many_requests(&reqs);
+                assert_eq!(fetched.is_ok(), stored, "node {node}, sample {id}");
+                served += usize::from(stored);
+            }
+            assert_eq!(served, 8, "node {node}");
         }
-        // A client of node 1 can fetch anything node 1 stores.
-        let mut client = harness.client(1).unwrap();
-        client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        let reqs = vec![crate::FetchRequest::new(1, 0, SplitPoint::NONE)];
-        assert_eq!(client.fetch_many_requests(&reqs).unwrap().len(), 1);
         harness.shutdown();
     }
 
@@ -463,9 +456,10 @@ mod tests {
         ok.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
         let reqs = vec![crate::FetchRequest::new(1, 0, SplitPoint::NONE)];
         assert_eq!(ok.fetch_many_requests(&reqs).unwrap().len(), 1);
+        let per_node = harness.traffic();
+        assert!(per_node[0].bytes > 0, "the corpse's configure reply still counts");
         let total = harness.traffic_total();
-        assert_eq!(total.bytes, harness.response_bytes(0) + harness.response_bytes(1));
-        assert!(total.bytes > 0);
+        assert_eq!(total.bytes, per_node.iter().map(|n| n.bytes).sum::<u64>());
         harness.shutdown();
     }
 }

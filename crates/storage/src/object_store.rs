@@ -194,11 +194,6 @@ impl ObjectStore {
         self.objects.get(&id)
     }
 
-    /// Whether the store holds an object for `id`.
-    pub fn contains(&self, id: u64) -> bool {
-        self.objects.contains_key(&id)
-    }
-
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -216,7 +211,7 @@ impl ObjectStore {
 
     /// Iterates `(id, bytes)` pairs (arbitrary order; bytes are cheaply
     /// cloned shared buffers).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Bytes)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Bytes)> + '_ {
         self.objects.iter().map(|(&id, o)| (id, o.bytes.clone()))
     }
 }
@@ -269,7 +264,7 @@ mod tests {
         s.insert(2, Bytes::from_static(b"c"));
         assert!(!Arc::ptr_eq(&s.objects, &snapshot.objects));
         assert_eq!(snapshot.get(1).unwrap(), Bytes::from_static(b"aaaa"));
-        assert!(!snapshot.contains(2));
+        assert!(snapshot.get(2).is_none());
         assert_eq!((snapshot.len(), snapshot.total_bytes()), (1, 4));
         assert_eq!(s.get(1).unwrap(), Bytes::from_static(b"bb"));
         assert_eq!((s.len(), s.total_bytes()), (2, 3));

@@ -26,7 +26,7 @@ pub struct FetchRequest {
     /// Sample to fetch.
     pub sample_id: u64,
     /// Current training epoch (augmentations vary per epoch).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// How many leading pipeline operations to execute near storage.
     pub split: SplitPoint,
     /// When set and the offloaded prefix produces a raster image, the
@@ -38,7 +38,7 @@ pub struct FetchRequest {
     /// tier's boundary instead of shipping the full encoding. `None` means
     /// full fidelity. The cap is advisory — classic (non-tiered) objects
     /// are served whole.
-    pub max_tier: Option<u8>,
+    pub(crate) max_tier: Option<u8>,
 }
 
 impl FetchRequest {

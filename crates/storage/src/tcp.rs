@@ -563,10 +563,13 @@ pub struct TcpStorageServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     waker: Waker,
+    #[cfg(test)]
     turns: Arc<AtomicU64>,
+    #[cfg(test)]
     pool_jobs: Arc<AtomicU64>,
     meter: TrafficMeter,
     /// The event loop's counters; see `EventLoop::stats`.
+    #[cfg(test)]
     stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
     event_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -658,9 +661,12 @@ impl TcpStorageServer {
             addr: el.listener.local_addr()?,
             stop: Arc::clone(&el.stop),
             waker: el.waker.clone(),
+            #[cfg(test)]
             turns: Arc::clone(&el.turns),
+            #[cfg(test)]
             pool_jobs: Arc::clone(&el.pool_jobs),
             meter: el.meter.clone(),
+            #[cfg(test)]
             stats: Arc::clone(&el.stats),
             event_thread: None,
             workers: Vec::new(),
@@ -690,48 +696,27 @@ impl TcpStorageServer {
     /// How many times the event loop has woken from its readiness wait.
     /// An idle server's count stands still; tests pin that, and that a
     /// turn's cost does not grow with the number of open connections.
-    #[doc(hidden)]
-    pub fn loop_turns(&self) -> u64 {
+    #[cfg(test)]
+    fn loop_turns(&self) -> u64 {
         self.turns.load(Ordering::Relaxed)
     }
 
     /// How many jobs the event loop has handed to the worker pool: one per
     /// `Configure` and per offloaded fetch. A raw serve is answered on the
     /// loop and never counts; tests pin that.
-    #[doc(hidden)]
-    pub fn pool_jobs(&self) -> u64 {
+    #[cfg(test)]
+    fn pool_jobs(&self) -> u64 {
         self.pool_jobs.load(Ordering::Relaxed)
     }
 
     /// A snapshot of per-tenant serving counters, keyed by tenant id.
     /// Tenants appear once their first request is decoded; `completed`
     /// counts answered requests (including per-sample errors), `bytes_sent`
-    /// counts frame payloads that reached the wire.
-    pub fn tenant_stats(&self) -> BTreeMap<u16, TenantStats> {
+    /// counts frame payloads that reached the wire. Tests observe
+    /// admission and throttling through it.
+    #[cfg(test)]
+    fn tenant_stats(&self) -> BTreeMap<u16, TenantStats> {
         self.stats.read().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Appends one observation per tenant counter to `hub` at time
-    /// `t_seconds` (the caller's clock): `tenant{id}.served`,
-    /// `tenant{id}.throttled`, and `tenant{id}.bytes`, all cumulative, so
-    /// `telemetry::windowed_rate` over the resulting series yields live
-    /// per-tenant serving and throttle rates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`telemetry::SeriesError`] when `t_seconds` rewinds a
-    /// series' clock (callers must sample with a monotonic clock).
-    pub fn export_tenant_telemetry(
-        &self,
-        hub: &mut telemetry::TelemetryHub,
-        t_seconds: f64,
-    ) -> Result<(), telemetry::SeriesError> {
-        for (id, stats) in self.tenant_stats() {
-            hub.push(&format!("tenant{id}.served"), t_seconds, stats.completed as f64)?;
-            hub.push(&format!("tenant{id}.throttled"), t_seconds, stats.throttled as f64)?;
-            hub.push(&format!("tenant{id}.bytes"), t_seconds, stats.bytes_sent as f64)?;
-        }
-        Ok(())
     }
 
     /// Stops accepting, drains workers, and joins all threads.
@@ -1461,24 +1446,16 @@ impl TcpStorageClient {
     /// Sets the per-request time budget. Every subsequent submit starts a
     /// fresh budget for that request; expiry surfaces as
     /// [`ClientError::DeadlineExceeded`] from the await that hits it.
-    pub fn set_deadline(&mut self, deadline: Deadline) {
-        self.deadline = deadline;
-    }
-
-    /// Builder form of [`TcpStorageClient::set_deadline`].
     pub fn with_deadline(mut self, deadline: Deadline) -> TcpStorageClient {
         self.deadline = deadline;
         self
     }
 
-    /// The configured per-request deadline.
-    pub fn deadline(&self) -> Deadline {
-        self.deadline
-    }
-
-    /// Stamps every request frame with `tenant` instead of 0.
+    /// Stamps every request frame with `tenant` instead of 0. Tests tag
+    /// clients to observe admission and throttling per tenant.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_tenant(mut self, tenant: u16) -> TcpStorageClient {
+    pub(crate) fn with_tenant(mut self, tenant: u16) -> TcpStorageClient {
         self.tenant = tenant;
         self
     }
@@ -2065,7 +2042,7 @@ mod tests {
         // on the loop, only the wait's timeout can end the frame's hold.
         client.fetch(0, 0, SplitPoint::NONE).unwrap();
         let turns = server.loop_turns() - before;
-        assert_eq!(injector.injected(), 1);
+        assert_eq!(injector.log().len(), 1);
         assert!(turns <= 16, "held by a spin, not a timer: {turns} turns");
         server.shutdown();
     }
@@ -2368,7 +2345,7 @@ mod tests {
                 ) => assert_eq!(raw_msg, off_msg, "{name}"),
                 _ => assert_eq!(raw, offloaded, "{name}"),
             }
-            assert_eq!(injector.injected(), 2, "{name}: one fault per scripted response");
+            assert_eq!(injector.log().len(), 2, "{name}: one fault per scripted response");
             // The configure, the faulted fetch and its retry.
             assert_eq!(server.pool_jobs() - jobs_before_offloaded, 3, "{name}");
             assert_eq!(jobs_before_offloaded, 1, "{name}: only the configure crossed the pool");
@@ -2446,11 +2423,11 @@ mod tests {
         client.fetch(0, 0, SplitPoint::NONE).unwrap();
         assert_eq!(client.read_timeout, None, "no deadline, so never set");
         assert_eq!(client.stream.read_timeout().unwrap(), None);
-        client.set_deadline(Deadline::after(Duration::from_secs(5)));
+        client.deadline = Deadline::after(Duration::from_secs(5));
         client.fetch(0, 1, SplitPoint::NONE).unwrap();
         assert!(client.read_timeout.is_some() && client.stream.read_timeout().unwrap().is_some());
         // Back to blocking reads: the remembered value tracks the socket.
-        client.set_deadline(Deadline::NONE);
+        client.deadline = Deadline::NONE;
         client.fetch(0, 2, SplitPoint::NONE).unwrap();
         assert_eq!(client.stream.read_timeout().unwrap(), None);
         server.shutdown();
@@ -2898,7 +2875,7 @@ mod tests {
             ClientError::DeadlineExceeded
         );
         expired_tx.send(()).unwrap();
-        client.set_deadline(Deadline::NONE);
+        client.deadline = Deadline::NONE;
         // The rest of sample 1's frame comes first, a byte at a time: it is
         // read from where the deadline cut it, discarded as abandoned, and
         // sample 2's frame decodes right after it.
@@ -2977,7 +2954,7 @@ mod tests {
         assert!(matches!(err, ClientError::DeadlineExceeded), "{err:?}");
         // Attempt 1 is clean: the same connection recovers.
         assert_eq!(client.fetch_many_requests(&reqs).unwrap().len(), 1);
-        assert_eq!(injector.injected(), 1);
+        assert_eq!(injector.log().len(), 1);
         server.shutdown();
     }
 
@@ -3057,30 +3034,6 @@ mod tests {
         assert_eq!(t7.throttled, 0);
         assert!(t7.bytes_sent > 3 * 150_528, "{t7:?}");
         assert_eq!(stats[&0].admitted, 2);
-        server.shutdown();
-    }
-
-    #[test]
-    fn tenant_telemetry_exports_rate_series() {
-        let (server, ds) = spawn_server(3, 2);
-        let mut hub = telemetry::TelemetryHub::new(64);
-        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(9);
-        client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        server.export_tenant_telemetry(&mut hub, 0.0).unwrap();
-        for s in 0..3u64 {
-            client.fetch(s, 0, SplitPoint::new(2)).unwrap();
-        }
-        server.export_tenant_telemetry(&mut hub, 2.0).unwrap();
-        let served = hub.series("tenant9.served").unwrap();
-        assert_eq!(served.len(), 2);
-        // 3 fetches over 2 seconds of caller clock.
-        let rate = served.rate_over(10.0, 2.0).unwrap();
-        assert!((rate - 1.5).abs() < 1e-9, "rate {rate}");
-        let throttled = hub.series("tenant9.throttled").unwrap();
-        assert_eq!(throttled.rate_over(10.0, 2.0), Some(0.0));
-        assert!(hub.series("tenant9.bytes").unwrap().newest().unwrap().value > 0.0);
-        // A clock rewind is a typed error, not silent corruption.
-        assert!(server.export_tenant_telemetry(&mut hub, 1.0).is_err());
         server.shutdown();
     }
 

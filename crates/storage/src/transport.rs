@@ -1,7 +1,7 @@
 //! The transport abstraction and its error type.
 //!
 //! [`TcpStorageClient`] speaks the protocol over a socket; the decorators
-//! around it (retry, chaos, health, cache, fleet) expose the same two
+//! around it (retry, cache, fleet) expose the same two
 //! calls. `FetchTransport` lets higher layers — notably the `sophon` data
 //! loader — run over any stack of them without caring which.
 
@@ -33,9 +33,6 @@ pub enum ClientError {
     /// The per-request [`Deadline`](crate::Deadline) expired before the
     /// response arrived. Retryable with a fresh budget.
     DeadlineExceeded,
-    /// The node's circuit breaker is open: requests fail fast without
-    /// touching the wire until the cooldown elapses and a probe succeeds.
-    CircuitOpen,
     /// The server's admission control rejected the request because this
     /// tenant is over its byte quota or in-flight bound. Retryable: the
     /// request was never queued, so backing off and resubmitting is safe
@@ -50,7 +47,7 @@ pub enum ClientError {
 /// admission control. Clients recognise it and surface the typed,
 /// retryable [`ClientError::TenantThrottled`] instead of a generic server
 /// error.
-pub const TENANT_THROTTLED_PREFIX: &str = "tenant-throttled: ";
+pub(crate) const TENANT_THROTTLED_PREFIX: &str = "tenant-throttled: ";
 
 /// Maps a server error reply to the client-side error type, recognising
 /// the admission-control marker.
@@ -73,7 +70,6 @@ impl std::fmt::Display for ClientError {
             ClientError::UnexpectedResponse => write!(f, "unexpected response kind"),
             ClientError::Corrupted => write!(f, "frame corrupted in transit (checksum mismatch)"),
             ClientError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            ClientError::CircuitOpen => write!(f, "node circuit breaker is open"),
             ClientError::TenantThrottled { message } => {
                 write!(f, "tenant throttled by admission control (retryable): {message}")
             }

@@ -6,7 +6,7 @@
 //! crate, so this module plays the role gRPC plays in the paper's
 //! prototype.)
 //!
-//! There is one frame format, [`WIRE_VERSION`], and every field it defines
+//! There is one frame format, version `0xA5`, and every field it defines
 //! is always present. Every message opens with the version byte and a
 //! `request_id: u32`, the multiplexing key that lets one connection carry
 //! many pipelined in-flight exchanges. A request then names its tenant, the
@@ -107,7 +107,7 @@ impl std::error::Error for WireError {}
 
 /// Maximum accepted payload length (64 MiB) — caps allocations from
 /// adversarial length fields.
-pub const MAX_PAYLOAD: u32 = 64 << 20;
+pub(crate) const MAX_PAYLOAD: u32 = 64 << 20;
 
 // `pipeline::MAX_OP_SIZE` is the largest side whose `f32` tensor (12 bytes
 // a pixel) one frame carries: a session configured at that bound can be
@@ -123,7 +123,7 @@ const _: () = {
 /// byte never collides with a version-1 tag (`0x01..=0x03`,
 /// `0x11..=0x13`), so a stray v1 frame fails the version gate as foreign
 /// instead of parsing as a header.
-pub const WIRE_VERSION: u8 = 0xA5;
+pub(crate) const WIRE_VERSION: u8 = 0xA5;
 
 /// The wire sentinel for "no fidelity cap / full fidelity".
 const TIER_UNCAPPED: u8 = u8::MAX;

@@ -6,9 +6,8 @@ use crate::series::{MetricSeries, SeriesError};
 
 /// A deterministic registry of [`MetricSeries`], keyed by name.
 ///
-/// Instrumented components (the stage-graph driver, the TCP server's
-/// tenant accounting, live traffic meters) all write into one hub; the
-/// feedback controller reads windows back out. The series live in a `Vec`
+/// The feedback controller writes the stage graph's service ratios into
+/// one hub and reads windows back out. The series live in a `Vec`
 /// in registration order, each at a [`SeriesId`]; a sorted `BTreeMap` from
 /// name to id keeps iteration order stable, so anything derived from "all
 /// series" is reproducible. A hot producer resolves its names to ids once
@@ -61,18 +60,6 @@ impl TelemetryHub {
         id
     }
 
-    /// Appends an observation to `name`'s series, creating it on first
-    /// use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SeriesError`] from the underlying series (out-of-order
-    /// or non-finite samples).
-    pub fn push(&mut self, name: &str, t: f64, value: f64) -> Result<(), SeriesError> {
-        let id = self.register(name);
-        self.push_to(id, t, value)
-    }
-
     /// Appends an observation to the series at `id`.
     ///
     /// # Errors
@@ -91,11 +78,6 @@ impl TelemetryHub {
         self.ids.get(name).copied()
     }
 
-    /// The series registered under `name`, if any.
-    pub fn series(&self, name: &str) -> Option<&MetricSeries> {
-        self.id(name).map(|id| &self.series[id.0])
-    }
-
     /// Iterates `(name, id, series)` triples in sorted name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, SeriesId, &MetricSeries)> {
         self.ids.iter().map(|(name, &id)| (name.as_str(), id, &self.series[id.0]))
@@ -106,16 +88,27 @@ impl TelemetryHub {
 mod tests {
     use super::*;
 
+    /// The series registered under `name`, if any.
+    fn series<'h>(hub: &'h TelemetryHub, name: &str) -> Option<&'h MetricSeries> {
+        hub.iter().find(|&(n, _, _)| n == name).map(|(_, _, series)| series)
+    }
+
+    /// Registers `name` on first use and appends one observation to it.
+    fn push(hub: &mut TelemetryHub, name: &str, t: f64, value: f64) -> Result<(), SeriesError> {
+        let id = hub.register(name);
+        hub.push_to(id, t, value)
+    }
+
     #[test]
     fn creates_on_first_push_and_orders_names() {
         let mut hub = TelemetryHub::new(16);
-        hub.push("node1.link", 0.0, 1.0).unwrap();
-        hub.push("node0.cpu", 0.0, 2.0).unwrap();
-        hub.push("node0.cpu", 1.0, 3.0).unwrap();
+        push(&mut hub, "node1.link", 0.0, 1.0).unwrap();
+        push(&mut hub, "node0.cpu", 0.0, 2.0).unwrap();
+        push(&mut hub, "node0.cpu", 1.0, 3.0).unwrap();
         let names: Vec<&str> = hub.iter().map(|(name, _, _)| name).collect();
         assert_eq!(names, ["node0.cpu", "node1.link"]);
-        assert_eq!(hub.series("node0.cpu").unwrap().len(), 2);
-        assert_eq!(hub.series("missing"), None);
+        assert_eq!(series(&hub, "node0.cpu").unwrap().len(), 2);
+        assert_eq!(series(&hub, "missing"), None);
     }
 
     #[test]
@@ -128,7 +121,7 @@ mod tests {
         assert_eq!(hub.id("node0.cpu"), Some(cpu));
         assert_eq!(hub.id("missing"), None);
         hub.push_to(cpu, 0.0, 2.0).unwrap();
-        hub.push("node0.cpu", 1.0, 3.0).unwrap();
+        push(&mut hub, "node0.cpu", 1.0, 3.0).unwrap();
         let order: Vec<(&str, SeriesId, usize)> =
             hub.iter().map(|(name, id, series)| (name, id, series.len())).collect();
         assert_eq!(order, [("node0.cpu", cpu, 2), ("node1.link", link, 0)]);
@@ -137,18 +130,18 @@ mod tests {
     #[test]
     fn default_hub_uses_default_capacity() {
         let mut hub = TelemetryHub::default();
-        hub.push("x", 0.0, 1.0).unwrap();
+        push(&mut hub, "x", 0.0, 1.0).unwrap();
         let mut want = MetricSeries::new(1024);
         want.push(0.0, 1.0).unwrap();
-        assert_eq!(hub.series("x"), Some(&want));
+        assert_eq!(series(&hub, "x"), Some(&want));
     }
 
     #[test]
     fn per_series_ordering_enforced_through_hub() {
         let mut hub = TelemetryHub::new(8);
-        hub.push("x", 5.0, 1.0).unwrap();
-        assert!(hub.push("x", 1.0, 1.0).is_err());
+        push(&mut hub, "x", 5.0, 1.0).unwrap();
+        assert!(push(&mut hub, "x", 1.0, 1.0).is_err());
         // Other series are unaffected by one series' clock.
-        hub.push("y", 1.0, 1.0).unwrap();
+        push(&mut hub, "y", 1.0, 1.0).unwrap();
     }
 }

@@ -92,11 +92,6 @@ impl MetricSeries {
         self.rejected
     }
 
-    /// The newest accepted sample.
-    pub fn newest(&self) -> Option<MetricSample> {
-        self.buf.back().copied()
-    }
-
     /// Appends an observation.
     ///
     /// # Errors
@@ -176,7 +171,7 @@ mod tests {
         let w = s.window(2.0);
         assert_eq!(w.len(), 3);
         assert_eq!(w[0].t, 2.0);
-        assert_eq!(s.newest().unwrap().value, 40.0);
+        assert_eq!(w.last().unwrap().value, 40.0, "the window ends at the newest sample");
     }
 
     #[test]
