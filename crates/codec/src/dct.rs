@@ -134,6 +134,18 @@ const ZIGZAG_ROW_COL_BITS: [u16; BLOCK_AREA] = {
     bits
 };
 
+/// For each row-major position, its index in zigzag order: the inverse of
+/// [`ZIGZAG`].
+const UNZIGZAG: [usize; BLOCK_AREA] = {
+    let mut at = [0usize; BLOCK_AREA];
+    let mut i = 0;
+    while i < BLOCK_AREA {
+        at[ZIGZAG[i]] = i;
+        i += 1;
+    }
+    at
+};
+
 /// Inverse 8×8 DCT (type III) of a quantized block in zigzag order,
 /// reconstructing the spatial block. `steps` are the quantization steps in
 /// the same zigzag order ([`crate::quant::dequant_steps`]).
@@ -146,6 +158,12 @@ const ZIGZAG_ROW_COL_BITS: [u16; BLOCK_AREA] = {
 ///   changes it: coefficient rows past the last non-zero one can be left out
 ///   of the column pass, and a column that is all zero leaves
 ///   `tmp[*][u] == +0.0` and can be left out of both passes;
+/// * the column pass dequantizes each coefficient where it reads it, with
+///   the dense loop's operations (`alpha(v) * (c * step)`); a zero
+///   coefficient gives `+0.0`, what the dense loop's zeroed array holds;
+/// * `alpha(u)` is `1.0` for every `u` but 0, and `x * 1.0 == x`, so the
+///   row pass's `alpha(u) * tmp[y][u]` is taken once per column at the end
+///   of the column pass, where it is the same product;
 /// * `cos[0][*]` is `cos(0.0) == 1.0` exactly, so a block with no AC
 ///   coefficient is one value, computed by the same operations in the same
 ///   order and stored 64 times.
@@ -166,44 +184,32 @@ pub(crate) fn inverse_quantized(
         let column = (0.0 + dc * cos[0][0]) * 0.5;
         return [(0.0 + alpha(0) * column * cos[0][0]) * 0.5; BLOCK_AREA];
     }
-    // How much of the zigzag sequence holds one, in eighths.
-    let mut live = 0;
-    for (k, chunk) in zz.chunks_exact(BLOCK).enumerate() {
-        if chunk.iter().fold(0, |any, &c| any | c) != 0 {
-            live = (k + 1) * BLOCK;
-        }
-    }
-    // Unscan, dequantize and scale by alpha(v) in one pass.
-    let mut scaled = [0f32; BLOCK_AREA];
-    for ((&c, &step), &at) in zz.iter().zip(steps).zip(&ZIGZAG).take(live) {
-        scaled[at] = alpha(at / BLOCK) * (f32::from(c) * step);
-    }
     let row_end = BLOCK - rows.leading_zeros() as usize;
     let col_end = BLOCK - cols.leading_zeros() as usize;
 
     // Inverse transform the columns that are not all zero, each with its
-    // eight outputs side by side; `tmp` is column-major.
+    // eight outputs side by side, and scale each by alpha(u); `tmp` is
+    // column-major.
     let mut tmp = [0f32; BLOCK_AREA];
     for (u, tmp_col) in tmp.chunks_exact_mut(BLOCK).enumerate().take(col_end) {
         let mut acc = [0f32; BLOCK];
-        for (scaled_row, cos_v) in scaled.chunks_exact(BLOCK).zip(cos).take(row_end) {
-            let s = scaled_row[u];
+        for (v, cos_v) in cos.iter().enumerate().take(row_end) {
+            let k = UNZIGZAG[v * BLOCK + u];
+            let s = alpha(v) * (f32::from(zz[k]) * steps[k]);
             for (a, &c) in acc.iter_mut().zip(cos_v) {
                 *a += s * c;
             }
         }
         for (t, a) in tmp_col.iter_mut().zip(acc) {
-            *t = a * 0.5;
+            *t = alpha(u) * (a * 0.5);
         }
     }
     // Inverse transform rows, the eight outputs of a row side by side.
     let mut out = [0f32; BLOCK_AREA];
     for (y, out_row) in out.chunks_exact_mut(BLOCK).enumerate() {
         let mut acc = [0f32; BLOCK];
-        for (u, (cos_u, tmp_col)) in
-            cos.iter().zip(tmp.chunks_exact(BLOCK)).enumerate().take(col_end)
-        {
-            let t = alpha(u) * tmp_col[y];
+        for (cos_u, tmp_col) in cos.iter().zip(tmp.chunks_exact(BLOCK)).take(col_end) {
+            let t = tmp_col[y];
             for (a, &c) in acc.iter_mut().zip(cos_u) {
                 *a += t * c;
             }

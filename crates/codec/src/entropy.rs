@@ -48,11 +48,29 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, v: i64) {
 
 /// Reads a signed varint from `data` starting at `*pos`, advancing `*pos`.
 ///
+/// A value in `-64..=63` is one byte with the high bit clear, and is
+/// decoded here; a longer one, or a stream that ends at `*pos`, takes
+/// [`read_varint_long`], out of line.
+///
 /// # Errors
 ///
 /// Returns [`CodecError::Truncated`] when the stream ends mid-varint, or
 /// [`CodecError::MalformedVarint`] when the varint exceeds 10 bytes.
+#[inline(always)]
 pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
+    match data.get(*pos) {
+        Some(&byte) if byte & 0x80 == 0 => {
+            *pos += 1;
+            Ok(unzigzag_u64(u64::from(byte)))
+        }
+        _ => read_varint_long(data, pos),
+    }
+}
+
+/// [`read_varint`]'s byte loop: the whole decode of any varint, and the
+/// one that reports every error.
+#[inline(never)]
+pub(crate) fn read_varint_long(data: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
     let start = *pos;
     let mut shift = 0u32;
     let mut acc = 0u64;
@@ -125,6 +143,7 @@ pub(crate) fn encode_band(
 ///
 /// Propagates varint errors, and returns [`CodecError::RunOverflow`] when a
 /// run would pass the end of the band.
+#[inline]
 pub(crate) fn decode_band(
     data: &[u8],
     pos: &mut usize,
@@ -132,39 +151,42 @@ pub(crate) fn decode_band(
     dc_pred: &mut i16,
     zz: &mut [i16; BLOCK_AREA],
 ) -> Result<(), CodecError> {
-    walk_band(data, pos, (lo, hi), dc_pred, |i, data, pos| {
-        zz[i] = read_varint(data, pos)? as i16;
-        Ok(())
-    })?;
+    walk_band(data, pos, (lo, hi), dc_pred, |i, value| zz[i] = value as i16)?;
     if lo == 0 {
         zz[0] = *dc_pred;
     }
     Ok(())
 }
 
-/// [`decode_band`] for a block nothing reads: each AC value's bytes are
-/// stepped over, not decoded or stored, and `*pos`, the DC predictor and
-/// every error, offset included, are those [`decode_band`] produces.
+/// [`decode_band`] for a block nothing reads: the AC values are read but
+/// not stored, so `*pos`, the DC predictor and every error, offset
+/// included, are those [`decode_band`] produces.
+#[inline]
 pub(crate) fn skip_band(
     data: &[u8],
     pos: &mut usize,
-    (lo, hi): (usize, usize),
+    band: (usize, usize),
     dc_pred: &mut i16,
 ) -> Result<(), CodecError> {
-    walk_band(data, pos, (lo, hi), dc_pred, |_, data, pos| skip_varint(data, pos))
+    walk_band(data, pos, band, dc_pred, |_, _| {})
 }
 
 /// The one entropy walker: the DC (predicted) when `lo == 0`, then each
-/// `(run, value)` pair up to the end-of-block byte, with `value(index,
-/// data, pos)` reading or stepping over the value at `*pos`.
+/// `(run, value)` pair up to the end-of-block byte, handing `set` each
+/// value with its index. Every value is read by [`read_varint`], whether
+/// `set` stores it or drops it, so a skipped block's position and errors
+/// are a decoded block's.
 #[inline(always)]
 fn walk_band(
     data: &[u8],
     pos: &mut usize,
     (lo, hi): (usize, usize),
     dc_pred: &mut i16,
-    mut value: impl FnMut(usize, &[u8], &mut usize) -> Result<(), CodecError>,
+    mut set: impl FnMut(usize, i64),
 ) -> Result<(), CodecError> {
+    // Bands end inside the block; saying so here drops the bounds checks
+    // on the indices `set` stores at.
+    let hi = hi.min(BLOCK_AREA);
     let mut idx = lo;
     if lo == 0 {
         // Wrapping: a hostile varint near i64::MAX must produce garbage
@@ -183,30 +205,15 @@ fn walk_band(
         if idx >= hi {
             return Err(CodecError::RunOverflow { offset: marker_off });
         }
-        value(idx, data, pos)?;
+        set(idx, read_varint(data, pos)?);
         idx += 1;
-    }
-}
-
-/// Steps over a signed varint at `*pos`, with [`read_varint`]'s errors:
-/// the stream may end inside it, or it may run past ten bytes.
-#[inline(always)]
-fn skip_varint(data: &[u8], pos: &mut usize) -> Result<(), CodecError> {
-    let start = *pos;
-    let bytes = data.get(start..).unwrap_or_default();
-    match bytes.iter().take(10).position(|&byte| byte & 0x80 == 0) {
-        Some(last) => {
-            *pos = start + last + 1;
-            Ok(())
-        }
-        None if bytes.len() >= 10 => Err(CodecError::MalformedVarint { offset: start }),
-        None => Err(CodecError::Truncated { offset: data.len() }),
     }
 }
 
 /// Decodes one whole block from `data` at `*pos`, advancing `*pos`: the
 /// storing walker of every decode before blocks outside a crop were
-/// skipped, kept as the oracle of [`decode_band`] and [`skip_band`].
+/// skipped, kept as the oracle of [`decode_band`] and [`skip_band`]. It
+/// reads every varint with the byte loop, not the one-byte fast path.
 #[cfg(test)]
 pub(crate) fn decode_block(
     data: &[u8],
@@ -216,7 +223,7 @@ pub(crate) fn decode_block(
     let mut zz = [0i16; BLOCK_AREA];
     // Wrapping: a hostile varint near i64::MAX must produce garbage
     // coefficients, not a debug-build overflow panic.
-    let dc = i64::from(*dc_pred).wrapping_add(read_varint(data, pos)?);
+    let dc = i64::from(*dc_pred).wrapping_add(read_varint_long(data, pos)?);
     zz[0] = dc as i16;
     *dc_pred = zz[0];
     let mut idx = 1usize;
@@ -231,7 +238,7 @@ pub(crate) fn decode_block(
         if idx >= BLOCK_AREA {
             return Err(CodecError::RunOverflow { offset: marker_off });
         }
-        zz[idx] = read_varint(data, pos)? as i16;
+        zz[idx] = read_varint_long(data, pos)? as i16;
         idx += 1;
         if idx > BLOCK_AREA {
             return Err(CodecError::RunOverflow { offset: marker_off });
@@ -365,6 +372,23 @@ mod tests {
             vec![0, 62, 1, 0, 1, EOB],
             vec![0, 63, 1],
         ]);
+        // Streams that end right after a run byte, and on either side of a
+        // one-byte value, whose bytes sit at the 0x7F / 0x80 boundary
+        // between the one-byte fast path and the byte loop.
+        for boundary in [0x00, 0x7E, 0x7F, 0x80, 0x81, 0xFE] {
+            for dc in [vec![boundary], vec![0x80, boundary]] {
+                let mut s = dc.clone();
+                streams.push(s.clone());
+                s.push(0);
+                streams.push(s.clone());
+                s.push(boundary);
+                streams.push(s.clone());
+                s.push(0x01);
+                streams.push(s.clone());
+                s.extend([5, 0x7F, EOB]);
+                streams.push(s);
+            }
+        }
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..20_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -394,6 +418,37 @@ mod tests {
             if oracle.is_ok() {
                 assert_eq!((skip_pos, skip_dc), (pos, dc), "{data:?}");
                 assert_eq!((band_pos, band_dc), (pos, dc), "{data:?}");
+            }
+        }
+    }
+
+    /// `read_varint`'s one-byte fast path against the byte loop behind it,
+    /// from every offset of streams around the 0x7F / 0x80 boundary: the
+    /// same value or error, and the same position.
+    #[test]
+    fn varint_fast_path_matches_the_byte_loop() {
+        let mut streams = vec![vec![0x7F], vec![0x80], vec![0x80, 0x7F], vec![0xFF; 12]];
+        for len in 0..=11 {
+            let mut s = vec![0x80; len];
+            s.push(0x7F);
+            streams.push(s);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let len = (state >> 60) as usize;
+            // Bytes of the state, every third with its high bit forced on.
+            let byte = |i: usize| {
+                (state >> (8 * (i % 7))) as u8 | if i.is_multiple_of(3) { 0x80 } else { 0 }
+            };
+            streams.push((0..len).map(byte).collect());
+        }
+        for data in &streams {
+            for start in 0..=data.len() {
+                let (mut fast, mut long) = (start, start);
+                let value = read_varint(data, &mut fast);
+                assert_eq!(value, read_varint_long(data, &mut long), "{data:?} at {start}");
+                assert_eq!(fast, long, "{data:?} at {start}");
             }
         }
     }

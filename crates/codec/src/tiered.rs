@@ -541,7 +541,8 @@ pub(crate) fn decode_tiered_reference(
 }
 
 /// Decodes one block's band scan for coefficients `[lo, hi)` into `zz`:
-/// the storing band walker of [`decode_tiered_reference`].
+/// the storing band walker of [`decode_tiered_reference`], reading every
+/// varint with the byte loop.
 #[cfg(test)]
 fn decode_band_reference(
     data: &[u8],
@@ -553,7 +554,7 @@ fn decode_band_reference(
 ) -> Result<(), CodecError> {
     let mut idx = lo;
     if lo == 0 {
-        let dc = i64::from(*dc_pred).wrapping_add(entropy::read_varint(data, pos)?);
+        let dc = i64::from(*dc_pred).wrapping_add(entropy::read_varint_long(data, pos)?);
         zz[0] = dc as i16;
         *dc_pred = zz[0];
         idx = 1;
@@ -569,7 +570,7 @@ fn decode_band_reference(
         if idx >= hi {
             return Err(CodecError::RunOverflow { offset: marker_off });
         }
-        zz[idx] = entropy::read_varint(data, pos)? as i16;
+        zz[idx] = entropy::read_varint_long(data, pos)? as i16;
         idx += 1;
         if idx > hi {
             return Err(CodecError::RunOverflow { offset: marker_off });

@@ -310,8 +310,13 @@ impl FetchTransport for FleetTransport {
         self.dispatch(&unique, false, &mut pending, &mut groups, ClientError::Disconnected)?;
 
         while !pending.is_empty() {
-            let wait = self.hedge_after.unwrap_or(Duration::from_millis(50));
-            match self.reply_rx.recv_timeout(wait) {
+            // Without hedging nothing happens between replies, so the wait
+            // has no timeout; it still ends when every worker has exited.
+            let reply = match self.hedge_after {
+                Some(wait) => self.reply_rx.recv_timeout(wait),
+                None => self.reply_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match reply {
                 Ok(reply) => {
                     let known = reply.ticket >= first_ticket;
                     let group = groups.remove(&reply.ticket);
@@ -602,6 +607,49 @@ mod tests {
         );
         assert!(fleet.stats().hedges_issued >= 1);
         assert!(fleet.stats().hedge_wins >= 1);
+    }
+
+    #[test]
+    fn a_slow_node_without_hedging_still_returns_every_sample() {
+        let map = ShardMap::new(2, 2, 13);
+        let stubs: Vec<Stub> = (0..2)
+            .map(|n| {
+                let mut s = Stub::healthy(n);
+                s.delay = Duration::from_millis(120);
+                s
+            })
+            .collect();
+        let mut fleet = FleetTransport::new(stubs, map, None);
+        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
+        let ids: Vec<u64> = (0..16).collect();
+        let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
+        assert_eq!(out.iter().map(|r| r.sample_id).collect::<Vec<_>>(), ids);
+        assert_eq!(fleet.stats().hedges_issued, 0);
+    }
+
+    /// A node client that panics on its first fetch, taking its worker
+    /// thread down without a reply.
+    struct Panics;
+
+    impl FetchTransport for Panics {
+        fn configure(&mut self, _: u64, _: PipelineSpec) -> Result<(), ClientError> {
+            Ok(())
+        }
+
+        fn fetch_many_requests(
+            &mut self,
+            _: &[FetchRequest],
+        ) -> Result<Vec<FetchResponse>, ClientError> {
+            panic!("node client panicked");
+        }
+    }
+
+    #[test]
+    fn a_worker_that_dies_without_replying_ends_an_unhedged_wait() {
+        let mut fleet = FleetTransport::new(vec![Panics], ShardMap::new(1, 1, 5), None);
+        fleet.configure(1, PipelineSpec::standard_train()).unwrap();
+        let err = fleet.fetch_many_requests(&reqs(&[0, 1, 2])).unwrap_err();
+        assert!(matches!(err, ClientError::Disconnected));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! from zero differs from ties-to-even only where the tie went down, which is
 //! where the remainder is exactly a half. `floor(v + 0.5)` would not do: the
 //! sum rounds up to 1.0 at `0.5 - 1 ulp`.
+//!
+//! The integer left in the low bits is at most 256 for either width, so the
+//! tie correction and the final `min(255)` run on `u32` lanes for `f64` as
+//! for `f32`: the difference of the two `f64` bit patterns is below 2^9 and
+//! its truncation to `u32` loses no bit. A loop over `f64` samples then
+//! vectorizes on AVX2, which has an unsigned 32-bit `min` but no 64-bit one.
 
 /// `v.round().clamp(0.0, 255.0) as u8` for an `f32`, bit for bit, without
 /// libm (see the module docs).
@@ -32,16 +38,17 @@ pub fn round_f32_to_u8(v: f32) -> u8 {
     (nearest + u32::from(tie_went_down)).min(255) as u8
 }
 
-/// [`round_f32_to_u8`] for an `f64`, with `2^52` as the shift.
+/// [`round_f32_to_u8`] for an `f64`, with `2^52` as the shift and the
+/// integer steps on `u32` (see the module docs).
 #[inline]
 pub(crate) fn round_f64_to_u8(v: f64) -> u8 {
     const TWO_52: f64 = 4_503_599_627_370_496.0;
     let v = if v > 0.0 { v } else { 0.0 };
     let v = if v < 256.0 { v } else { 256.0 };
     let shifted = v + TWO_52;
-    let nearest = shifted.to_bits() - TWO_52.to_bits();
+    let nearest = (shifted.to_bits() - TWO_52.to_bits()) as u32;
     let tie_went_down = v - (shifted - TWO_52) == 0.5;
-    (nearest + u64::from(tie_went_down)).min(255) as u8
+    (nearest + u32::from(tie_went_down)).min(255) as u8
 }
 
 #[cfg(test)]
