@@ -88,12 +88,9 @@ impl<T: FetchTransport> FetchTransport for CachingTransport<T> {
         for req in requests {
             match self.key_for(req) {
                 Some(key) => match self.cache.get(&key) {
-                    Some((ops_applied, data)) => served.push(FetchResponse {
-                        sample_id: req.sample_id,
-                        ops_applied,
-                        data,
-                        tier: None,
-                    }),
+                    Some((ops_applied, data)) => {
+                        served.push(FetchResponse { sample_id: req.sample_id, ops_applied, data })
+                    }
                     None => {
                         forward_keys.insert(req.sample_id, key);
                         forward.push(*req);
@@ -164,7 +161,6 @@ mod tests {
                         sample_id: r.sample_id,
                         ops_applied: r.split.offloaded_ops() as u32,
                         data: StageData::Encoded(bytes.into()),
-                        tier: None,
                     }
                 })
                 .collect())

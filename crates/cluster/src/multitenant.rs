@@ -14,16 +14,17 @@
 //!                  └─ per-tenant token-bucket byte quota (delays issue)
 //! ```
 //!
-//! Each tenant runs a closed loop: at most `TenantSpec::max_in_flight`
-//! samples outstanding, the next sample issued when the oldest completes —
-//! the virtual-time analogue of `storage::tcp`'s per-tenant admission
-//! bound. Service order across tenants is deficit-weighted round robin
-//! with byte costs, so a large-sample tenant cannot crowd out small ones;
-//! quotaed tenants are additionally delayed by their [`ByteBudget`], and
-//! every issue that lands while the bucket's debt exceeds the same reject
-//! horizon the live server uses is counted as a throttle event (the real
-//! server bounces it with `TenantThrottled`; the simulator re-admits after
-//! the debt drains, which is what a retrying client converges to).
+//! Multi-tenancy is a simulated extension: the live storage server serves
+//! one job, and this model is where tenants share a node. Each tenant runs
+//! a closed loop: at most `TenantSpec::max_in_flight` samples outstanding,
+//! the next sample issued when the oldest completes. Service order across
+//! tenants is deficit-weighted round robin with byte costs, so a
+//! large-sample tenant cannot crowd out small ones; quotaed tenants are
+//! additionally delayed by their [`ByteBudget`], and every issue that
+//! lands while the bucket's debt exceeds a reject horizon is counted as a
+//! throttle event (a server would bounce it with a retryable error; the
+//! simulator re-admits after the debt drains, which is what a retrying
+//! client converges to).
 //!
 //! Admission is horizon-gated: a staged sample enters the DWRR ring only
 //! once its release time falls inside the shared pipeline's current
@@ -46,8 +47,8 @@ use crate::resources::FifoServer;
 use crate::stagegraph::CpuStage;
 use crate::{ClusterConfig, SampleWork, SimError};
 
-/// Mirror of `storage::tcp`'s admission horizon: an issue finding more
-/// than this many seconds of quota debt counts as a throttle event.
+/// The admission horizon: an issue finding more than this many seconds of
+/// quota debt counts as a throttle event.
 const QUOTA_REJECT_HORIZON_SECS: f64 = 0.1;
 
 /// DWRR quantum in bytes — near a typical encoded-sample size so byte
@@ -84,7 +85,8 @@ pub struct TenantRunStats {
     /// Bytes delivered over the shared link.
     pub bytes: u64,
     /// Issues that found the tenant's quota bucket past the reject
-    /// horizon (the live server would have answered `TenantThrottled`).
+    /// horizon (a server would have answered them with a retryable
+    /// throttle error).
     pub throttled: u64,
     /// Median issue-to-delivery latency, in virtual seconds.
     pub p50_latency_seconds: f64,

@@ -195,7 +195,7 @@ impl Region {
 
 /// The quantized blocks of a region's window, plane by plane in scan
 /// order, with what turns them into pixels: the state between reading a
-/// stream, classic or tiered, and reconstructing its rectangle.
+/// stream and reconstructing its rectangle.
 #[derive(Debug)]
 pub(crate) struct RegionBlocks {
     pub(crate) quality: Quality,
@@ -362,7 +362,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode, encode_tiered, TierSpec};
+    use crate::encode;
     use imagery::synth::SynthSpec;
     use imagery::BilinearResizer;
 
@@ -390,59 +390,36 @@ mod tests {
     /// The codec half of the fused `Decode` → `RandomResizedCrop`:
     /// `rect`'s rows streamed into a 224 × 224 bilinear resize, through the
     /// entry point the pipeline routes the stream to.
-    fn fused(data: &[u8], rect: Rect) -> Result<RasterImage, crate::DecodeError> {
+    fn fused(data: &[u8], rect: Rect) -> Result<RasterImage, CodecError> {
         let mut resizer = BilinearResizer::new(rect.width, rect.height, 224, 224);
-        if crate::is_tiered(data) {
-            crate::decode_tiered_region_rows(data, rect, |row| resizer.push_row(row))?;
-        } else {
-            decode_region_rows(data, rect, |row| resizer.push_row(row))?;
-        }
+        decode_region_rows(data, rect, |row| resizer.push_row(row))?;
         Ok(resizer.finish())
     }
 
-    /// Every byte of a classic and of a tiered stream, flipped to its
-    /// complement, and every bit of the header, flipped alone: the full,
-    /// the region and the streamed decoders never panic and return exactly
-    /// what the storing walker and whole-plane reconstruction kept as the
-    /// oracle return, the same pixels or the same error at the same offset.
+    /// Every byte of a stream, flipped to its complement, and every bit of
+    /// the header, flipped alone: the full, the region and the streamed
+    /// decoders never panic and return exactly what the storing walker and
+    /// whole-plane reconstruction kept as the oracle return, the same
+    /// pixels or the same error at the same offset.
     #[test]
     fn fuzz_corrupt_bytes_never_panic() {
         let img = SynthSpec::new(48, 32).complexity(0.7).render(4);
-        let classic = encode(&img, Quality::default());
-        let tiered = encode_tiered(&img, Quality::default(), &TierSpec::default());
+        let bytes = encode(&img, Quality::default());
         let rect = Rect::new(9, 5, 20, 18);
-        for bytes in [&classic, &tiered] {
-            let every_byte = (0..bytes.len()).map(|i| (i, 0xFF));
-            let header_bits = (0..HEADER_LEN).flat_map(|i| (0..8).map(move |bit| (i, 1u8 << bit)));
-            for (i, mask) in every_byte.chain(header_bits) {
-                let mut corrupted = bytes.clone();
-                corrupted[i] ^= mask;
-                let c = &corrupted[..];
-                let classic_oracle = reference::decode_classic(c, Some(rect));
-                let tiered_oracle = crate::tiered::decode_tiered_reference(c, Some(rect));
-                assert_eq!(decode(c), reference::decode_classic(c, None), "byte {i} ^ {mask:#x}");
-                assert_eq!(decode_region(c, rect), classic_oracle, "byte {i} ^ {mask:#x}");
-                assert_eq!(
-                    crate::decode_tiered(c),
-                    crate::tiered::decode_tiered_reference(c, None),
-                    "byte {i} ^ {mask:#x}"
-                );
-                assert_eq!(
-                    crate::decode_tiered_region(c, rect),
-                    tiered_oracle,
-                    "byte {i} ^ {mask:#x}"
-                );
-                let oracle = if crate::is_tiered(c) {
-                    tiered_oracle.map(|t| t.image)
-                } else {
-                    classic_oracle.map_err(crate::DecodeError::Codec)
-                };
-                assert_eq!(
-                    fused(c, rect),
-                    oracle.map(|img| img.resize_bilinear(224, 224)),
-                    "byte {i} ^ {mask:#x}"
-                );
-            }
+        let every_byte = (0..bytes.len()).map(|i| (i, 0xFF));
+        let header_bits = (0..HEADER_LEN).flat_map(|i| (0..8).map(move |bit| (i, 1u8 << bit)));
+        for (i, mask) in every_byte.chain(header_bits) {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= mask;
+            let c = &corrupted[..];
+            let oracle = reference::decode_classic(c, Some(rect));
+            assert_eq!(decode(c), reference::decode_classic(c, None), "byte {i} ^ {mask:#x}");
+            assert_eq!(decode_region(c, rect), oracle, "byte {i} ^ {mask:#x}");
+            assert_eq!(
+                fused(c, rect),
+                oracle.map(|img| img.resize_bilinear(224, 224)),
+                "byte {i} ^ {mask:#x}"
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 use imagery::RasterImage;
 
-use crate::header::{Header, FORMAT_VERSION};
+use crate::header::Header;
 use crate::{color, dct, entropy, quant, Quality, BLOCK, BLOCK_AREA};
 
 /// Encodes a raster image to a classic SJPG stream at the given quality.
@@ -21,7 +21,7 @@ use crate::{color, dct, entropy, quant, Quality, BLOCK, BLOCK_AREA};
 /// ```
 pub fn encode(img: &RasterImage, quality: Quality) -> Vec<u8> {
     let header = Header { width: img.width(), height: img.height(), quality };
-    let mut out = header.to_bytes(FORMAT_VERSION).to_vec();
+    let mut out = header.to_bytes().to_vec();
     // Each block goes straight into its plane's stream; the planes are
     // stored one after the other.
     let mut planes: [Vec<u8>; 3] = Default::default();

@@ -93,28 +93,11 @@ pub(crate) fn read_varint_long(data: &[u8], pos: &mut usize) -> Result<i64, Code
 /// `dc_pred` is the previous block's DC in the same plane; it is updated to
 /// this block's DC.
 pub(crate) fn encode_block(zz: &[i16; BLOCK_AREA], dc_pred: &mut i16, out: &mut Vec<u8>) {
-    encode_band(zz, 0, BLOCK_AREA, dc_pred, out);
-}
-
-/// Encodes one block's coefficients in `[lo, hi)`: the DC (predicted) when
-/// `lo == 0`, then a `(run, value)` pair for each non-zero AC coefficient
-/// of the band, then [`EOB`]. [`encode_block`] is the whole-spectrum band;
-/// a tiered stream codes one band per scan.
-pub(crate) fn encode_band(
-    zz: &[i16; BLOCK_AREA],
-    lo: usize,
-    hi: usize,
-    dc_pred: &mut i16,
-    out: &mut Vec<u8>,
-) {
-    let mut next = lo;
-    if lo == 0 {
-        write_varint(out, i64::from(zz[0]) - i64::from(*dc_pred));
-        *dc_pred = zz[0];
-        next = 1;
-    }
-    // One bit per non-zero coefficient of the band's AC part, so the loop
-    // below visits those only; `run` is the zeros skipped since `next`.
+    write_varint(out, i64::from(zz[0]) - i64::from(*dc_pred));
+    *dc_pred = zz[0];
+    let mut next = 1;
+    // One bit per non-zero AC coefficient, so the loop below visits those
+    // only, then [`EOB`]; `run` is the zeros skipped since `next`.
     // (Sixteen coefficients at a time compile to vector compares.)
     let mut nonzero = 0u64;
     for (k, chunk) in zz.chunks_exact(16).enumerate() {
@@ -124,7 +107,7 @@ pub(crate) fn encode_band(
         }
         nonzero |= bits << (16 * k);
     }
-    nonzero &= (u64::MAX << next) & (u64::MAX >> (BLOCK_AREA - hi));
+    nonzero &= u64::MAX << next;
     while nonzero != 0 {
         let i = nonzero.trailing_zeros() as usize;
         out.push((i - next) as u8);
@@ -135,8 +118,8 @@ pub(crate) fn encode_band(
     out.push(EOB);
 }
 
-/// Reads one block's coefficients in `[lo, hi)` (the whole spectrum of a
-/// classic stream, one band of a tiered scan) from `data` at `*pos` into
+/// Reads one block's coefficients in `[lo, hi)` (the whole spectrum, as
+/// every caller passes it) from `data` at `*pos` into
 /// `zz`, advancing `*pos` and, when `lo == 0`, the DC predictor.
 ///
 /// # Errors

@@ -3,13 +3,9 @@ use crate::{CodecError, Quality};
 /// Magic bytes identifying an SJPG stream.
 pub(crate) const FORMAT_MAGIC: [u8; 4] = *b"SJPG";
 /// Format version of classic streams (2 added the flags byte, which is
-/// reserved and always 0).
-pub const FORMAT_VERSION: u8 = 2;
-/// Format version of progressive, tier-truncatable streams (see
-/// [`crate::tiered`]). Kept distinct from [`FORMAT_VERSION`] so legacy
-/// decoders reject tiered streams cleanly and v2 byte streams stay
-/// bit-identical.
-pub const FORMAT_VERSION_TIERED: u8 = 3;
+/// reserved and always 0). Version 3, a retired progressive container, is
+/// refused as any other version is.
+pub(crate) const FORMAT_VERSION: u8 = 2;
 /// Serialized header length in bytes.
 pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 1;
 
@@ -30,11 +26,11 @@ pub struct Header {
 }
 
 impl Header {
-    /// Serializes the header under a format version byte.
-    pub(crate) fn to_bytes(self, version: u8) -> [u8; HEADER_LEN] {
+    /// Serializes the header.
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[..4].copy_from_slice(&FORMAT_MAGIC);
-        out[4] = version;
+        out[4] = FORMAT_VERSION;
         out[5..9].copy_from_slice(&self.width.to_le_bytes());
         out[9..13].copy_from_slice(&self.height.to_le_bytes());
         out[13] = self.quality.value();
@@ -51,11 +47,6 @@ impl Header {
     /// [`CodecError::InvalidQuality`] or [`CodecError::UnsupportedFlags`] for
     /// the corresponding defects, checked in that order.
     pub fn parse(data: &[u8]) -> Result<Header, CodecError> {
-        Self::parse_with_version(data, FORMAT_VERSION)
-    }
-
-    /// [`Header::parse`] against an explicit expected version byte.
-    pub(crate) fn parse_with_version(data: &[u8], version: u8) -> Result<Header, CodecError> {
         let Some(&[m0, m1, m2, m3, v, w0, w1, w2, w3, h0, h1, h2, h3, quality, flags]) =
             data.first_chunk::<HEADER_LEN>()
         else {
@@ -64,7 +55,7 @@ impl Header {
         if [m0, m1, m2, m3] != FORMAT_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        if v != version {
+        if v != FORMAT_VERSION {
             return Err(CodecError::UnsupportedVersion(v));
         }
         let width = u32::from_le_bytes([w0, w1, w2, w3]);
@@ -93,15 +84,14 @@ mod tests {
     #[test]
     fn roundtrip() {
         let h = header();
-        assert_eq!(Header::parse(&h.to_bytes(FORMAT_VERSION)), Ok(h));
-        assert_eq!(Header::parse_with_version(&h.to_bytes(3), 3), Ok(h));
+        assert_eq!(Header::parse(&h.to_bytes()), Ok(h));
     }
 
     /// Each defect of a hand-built header is reported as its own error,
     /// naming the field at fault and the value found there.
     #[test]
     fn each_header_defect_names_its_field() {
-        let good = header().to_bytes(FORMAT_VERSION);
+        let good = header().to_bytes();
         let with = |at: usize, patch: &[u8]| {
             let mut b = good;
             b[at..at + patch.len()].copy_from_slice(patch);
@@ -110,7 +100,7 @@ mod tests {
         let cases = [
             (with(0, b"X"), CodecError::BadMagic),
             (with(4, &[99]), CodecError::UnsupportedVersion(99)),
-            (with(4, &[FORMAT_VERSION_TIERED]), CodecError::UnsupportedVersion(3)),
+            (with(4, &[3]), CodecError::UnsupportedVersion(3)),
             (with(5, &[0; 4]), CodecError::InvalidDimensions { width: 0, height: 1080 }),
             (
                 with(9, &((1u32 << 26) + 1).to_le_bytes()),

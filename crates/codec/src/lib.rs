@@ -18,10 +18,10 @@
 //! exactly the variance SOPHON's per-sample profiling exploits.
 //!
 //! There is one encoding, full-resolution (4:4:4) chroma with that entropy
-//! coder, in two containers: the classic stream ([`encode`], [`decode`])
-//! and the tier-truncatable one ([`tiered`]). The header's flags byte is
-//! reserved and must be 0; a stream that sets it is rejected with
-//! [`CodecError::UnsupportedFlags`].
+//! coder, in one container, the classic stream ([`encode`], [`decode`]).
+//! The header's flags byte is reserved and must be 0; a stream that sets it
+//! is rejected with [`CodecError::UnsupportedFlags`], and a version byte
+//! other than 2 with [`CodecError::UnsupportedVersion`].
 //!
 //! # Example
 //!
@@ -50,18 +50,13 @@ mod entropy;
 mod error;
 mod header;
 mod quant;
-pub mod tiered;
 pub mod zigzag;
 
 pub use decoder::{decode, decode_region, decode_region_rows};
 pub use encoder::encode;
 pub use error::CodecError;
-pub use header::{Header, FORMAT_VERSION, FORMAT_VERSION_TIERED};
+pub use header::Header;
 pub use quant::Quality;
-pub use tiered::{
-    decode_tiered, decode_tiered_region, decode_tiered_region_rows, encode_tiered, is_tiered,
-    truncate_to_tier, DecodeError, TierBound, TierIndex, TierSpec, TieredImage, MAX_TIERS,
-};
 
 /// Side length of the transform blocks (8, as in JPEG).
 const BLOCK: usize = 8;

@@ -1,11 +1,7 @@
 //! A region decode is the crop of the full decode, bit for bit: for odd
-//! dimensions, rectangles on every corner and across block boundaries, and
-//! every tier prefix of a progressive stream.
+//! dimensions, and rectangles on every corner and across block boundaries.
 
-use codec::{
-    decode, decode_region, decode_tiered, decode_tiered_region, encode, encode_tiered,
-    truncate_to_tier, Quality, TierSpec,
-};
+use codec::{decode, decode_region, encode, Quality};
 use imagery::synth::SynthSpec;
 use imagery::Rect;
 use proptest::prelude::*;
@@ -49,32 +45,6 @@ fn classic_region_equals_crop_of_full_decode() {
                     decode_region(&bytes, rect).unwrap(),
                     full.crop(rect).unwrap(),
                     "{width}x{height} {quality:?} {rect:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn tiered_region_equals_crop_of_full_decode_at_every_tier() {
-    for (width, height) in [(75u32, 53u32), (48, 64), (9, 9), (1, 1), (5, 40)] {
-        let img = SynthSpec::new(width, height).complexity(0.6).render(u64::from(width + height));
-        let spec = TierSpec::new(vec![1, 6, 20, 64]);
-        let bytes = encode_tiered(&img, Quality::default(), &spec);
-        for tier in 0..4 {
-            let prefix = truncate_to_tier(&bytes, tier).unwrap();
-            let full = decode_tiered(prefix).unwrap();
-            for rect in rects(width, height) {
-                let region = decode_tiered_region(prefix, rect).unwrap();
-                assert_eq!(
-                    (region.tier, &region.index),
-                    (full.tier, &full.index),
-                    "{width}x{height} tier {tier} {rect:?}"
-                );
-                assert_eq!(
-                    region.image,
-                    full.image.crop(rect).unwrap(),
-                    "{width}x{height} tier {tier} {rect:?}"
                 );
             }
         }

@@ -443,7 +443,7 @@ impl CliOptions {
     /// Per-tenant specs for the multi-tenant serving simulation: weights
     /// cycled from `--tenant-weights` (equal when unset), every tenant
     /// quotaed at `--quota-bytes-per-sec` when positive (burst = a
-    /// quarter-second of quota, matching `TenantPolicy::uniform`).
+    /// quarter-second of quota).
     pub fn tenant_specs(&self) -> Vec<tenant::TenantSpec> {
         (0..self.tenants)
             .map(|i| {

@@ -207,23 +207,6 @@ impl DatasetSpec {
         codec::encode(&img, self.quality())
     }
 
-    /// Renders sample `id` like [`DatasetSpec::materialize`] but encodes it
-    /// as a tiered (progressive) stream with the given tier ladder, so a
-    /// storage server can brown out the sample by truncating at a tier
-    /// boundary. Same pixels, same seed derivation — only the byte layout
-    /// differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id >= len`.
-    pub fn materialize_tiered(&self, id: u64, tiers: &codec::TierSpec) -> Vec<u8> {
-        let rec = self.record(id);
-        let img = imagery::synth::SynthSpec::new(rec.width, rec.height)
-            .complexity(rec.complexity)
-            .render(self.seed ^ id.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        codec::encode_tiered(&img, self.quality(), tiers)
-    }
-
     /// Total modeled corpus size in bytes.
     pub fn total_encoded_bytes(&self) -> u64 {
         self.records().map(|r| r.encoded_bytes).sum()

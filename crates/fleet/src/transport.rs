@@ -57,21 +57,44 @@ struct Reply {
     body: ReplyBody,
 }
 
+/// The reply a worker owes for the job it is running, which `Drop` sends
+/// if the worker unwinds first: the fleet then takes the node for dead, as
+/// it does a closed socket, rather than wait for a reply that never comes.
+struct Owed<'a> {
+    replies: &'a Sender<Reply>,
+    reply: Option<Reply>,
+}
+
+impl Drop for Owed<'_> {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            let _ = self.replies.send(reply);
+        }
+    }
+}
+
 fn worker_loop<T: FetchTransport>(
     node: usize,
     mut transport: T,
     jobs: &Receiver<Job>,
     replies: &Sender<Reply>,
 ) {
+    let mut owed = Owed { replies, reply: None };
     while let Ok(job) = jobs.recv() {
-        let (ticket, body) = match job {
-            Job::Configure(ticket, seed, pipeline) => {
-                (ticket, ReplyBody::Configured(transport.configure(seed, pipeline)))
+        let (ticket, lost) = match job {
+            Job::Configure(ticket, ..) => {
+                (ticket, ReplyBody::Configured(Err(ClientError::Disconnected)))
             }
-            Job::Fetch(ticket, reqs) => {
-                (ticket, ReplyBody::Fetched(transport.fetch_many_requests(&reqs)))
-            }
+            Job::Fetch(ticket, _) => (ticket, ReplyBody::Fetched(Err(ClientError::Disconnected))),
         };
+        owed.reply = Some(Reply { node, ticket, body: lost });
+        let body = match job {
+            Job::Configure(_, seed, pipeline) => {
+                ReplyBody::Configured(transport.configure(seed, pipeline))
+            }
+            Job::Fetch(_, reqs) => ReplyBody::Fetched(transport.fetch_many_requests(&reqs)),
+        };
+        owed.reply = None;
         if replies.send(Reply { node, ticket, body }).is_err() {
             return;
         }
@@ -476,7 +499,6 @@ mod tests {
                     data: StageData::Encoded(bytes::Bytes::from(
                         format!("sample-{}", r.sample_id).into_bytes(),
                     )),
-                    tier: None,
                 })
                 .collect())
         }
@@ -628,8 +650,8 @@ mod tests {
     }
 
     /// A node client that panics on its first fetch, taking its worker
-    /// thread down without a reply.
-    struct Panics;
+    /// thread down, or, holding a stub, serves as the stub does.
+    struct Panics(Option<Stub>);
 
     impl FetchTransport for Panics {
         fn configure(&mut self, _: u64, _: PipelineSpec) -> Result<(), ClientError> {
@@ -638,18 +660,45 @@ mod tests {
 
         fn fetch_many_requests(
             &mut self,
-            _: &[FetchRequest],
+            requests: &[FetchRequest],
         ) -> Result<Vec<FetchResponse>, ClientError> {
-            panic!("node client panicked");
+            match &mut self.0 {
+                Some(stub) => stub.fetch_many_requests(requests),
+                None => panic!("node client panicked"),
+            }
         }
     }
 
     #[test]
     fn a_worker_that_dies_without_replying_ends_an_unhedged_wait() {
-        let mut fleet = FleetTransport::new(vec![Panics], ShardMap::new(1, 1, 5), None);
+        let mut fleet = FleetTransport::new(vec![Panics(None)], ShardMap::new(1, 1, 5), None);
         fleet.configure(1, PipelineSpec::standard_train()).unwrap();
         let err = fleet.fetch_many_requests(&reqs(&[0, 1, 2])).unwrap_err();
         assert!(matches!(err, ClientError::Disconnected));
+    }
+
+    #[test]
+    fn a_panicking_node_client_fails_over_to_its_replica() {
+        let map = ShardMap::new(2, 2, 5);
+        let ids: Vec<u64> = (0..16).collect();
+        assert!(ids.iter().any(|&id| map.primary(id) == 0), "node 0 must own a sample");
+        // On a thread, so a fetch that never returns fails the test on the
+        // timeout below rather than hanging it.
+        let (done_tx, done) = mpsc::channel();
+        let fetch_ids = ids.clone();
+        std::thread::spawn(move || {
+            let nodes = vec![Panics(None), Panics(Some(Stub::healthy(1)))];
+            let mut fleet = FleetTransport::new(nodes, map, None);
+            fleet.configure(1, PipelineSpec::standard_train()).unwrap();
+            let out = fleet.fetch_many_requests(&reqs(&fetch_ids));
+            let _ = done_tx.send((out, fleet.stats().failovers));
+        });
+        let (out, failovers) =
+            done.recv_timeout(Duration::from_secs(10)).expect("the fetch never returned");
+        let out = out.unwrap();
+        assert_eq!(out.iter().map(|r| r.sample_id).collect::<Vec<_>>(), ids);
+        assert!(out.iter().all(|r| r.ops_applied == 1), "the replica serves every sample");
+        assert_eq!(failovers, 1);
     }
 
     #[test]

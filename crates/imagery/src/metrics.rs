@@ -1,7 +1,4 @@
 //! Image quality metrics: MSE and PSNR.
-//!
-//! Used throughout the workspace's tests to bound codec reconstruction
-//! error, and by the tiered encoder to record each tier's PSNR.
 
 use crate::RasterImage;
 

@@ -51,9 +51,6 @@ pub enum PipelineError {
     },
     /// Decoding the encoded payload failed.
     Decode(codec::CodecError),
-    /// Decoding a tiered (progressive) payload failed — e.g. a browned-out
-    /// prefix cut off a tier boundary.
-    DecodeTiered(codec::DecodeError),
     /// An image-level operation failed (e.g. crop geometry).
     Image(imagery::ImageError),
 }
@@ -88,7 +85,6 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "split point {split} out of range for {len}-op pipeline")
             }
             PipelineError::Decode(e) => write!(f, "decode failed: {e}"),
-            PipelineError::DecodeTiered(e) => write!(f, "tiered decode failed: {e}"),
             PipelineError::Image(e) => write!(f, "image operation failed: {e}"),
         }
     }
@@ -98,7 +94,6 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Decode(e) => Some(e),
-            PipelineError::DecodeTiered(e) => Some(e),
             PipelineError::Image(e) => Some(e),
             _ => None,
         }
@@ -108,12 +103,6 @@ impl std::error::Error for PipelineError {
 impl From<codec::CodecError> for PipelineError {
     fn from(e: codec::CodecError) -> Self {
         PipelineError::Decode(e)
-    }
-}
-
-impl From<codec::DecodeError> for PipelineError {
-    fn from(e: codec::DecodeError) -> Self {
-        PipelineError::DecodeTiered(e)
     }
 }
 

@@ -76,8 +76,8 @@ pub(crate) fn decode_crop_and_resize(
     size: u32,
     rng: &mut AugmentRng,
 ) -> Result<RasterImage, PipelineError> {
-    let (width, height) = super::decode::dimensions(bytes)?;
-    decode_rect_resized(bytes, sample_params(width, height, rng).rect, size)
+    let header = codec::Header::parse(bytes)?;
+    decode_rect_resized(bytes, sample_params(header.width, header.height, rng).rect, size)
 }
 
 /// Decodes `rect` of `bytes` straight into a `size × size` bilinear resize:
@@ -86,7 +86,7 @@ pub(crate) fn decode_crop_and_resize(
 fn decode_rect_resized(bytes: &[u8], rect: Rect, size: u32) -> Result<RasterImage, PipelineError> {
     // An empty rectangle is the decoder's to reject, with a typed error.
     let mut resizer = BilinearResizer::new(rect.width.max(1), rect.height.max(1), size, size);
-    super::decode::decode_rows(bytes, rect, |row| resizer.push_row(row))?;
+    codec::decode_region_rows(bytes, rect, |row| resizer.push_row(row))?;
     Ok(resizer.finish())
 }
 
@@ -112,16 +112,6 @@ mod tests {
     use crate::OpKind;
     use imagery::synth::SynthSpec;
     use proptest::prelude::*;
-
-    /// A classic, a tiered and a browned-out (first tier only) stream of
-    /// one `w × h` image.
-    fn streams(w: u32, h: u32, complexity: f64, seed: u64) -> [Vec<u8>; 3] {
-        let img = SynthSpec::new(w, h).complexity(complexity).render(seed);
-        let q = codec::Quality::default();
-        let tiered = codec::encode_tiered(&img, q, &codec::TierSpec::default());
-        let browned = codec::truncate_to_tier(&tiered, 0).unwrap().to_vec();
-        [codec::encode(&img, q), tiered, browned]
-    }
 
     /// The unfused chain: the whole image decoded, cropped, then resized.
     fn unfused(bytes: &[u8], rect: Rect, size: u32) -> Result<RasterImage, PipelineError> {
@@ -167,17 +157,14 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) % u64::from(n)) as u32
         };
-        let cases = geometries(w, h, pick);
-        for (kind, bytes) in
-            ["classic", "tiered", "browned-out"].iter().zip(streams(w, h, complexity, seed))
-        {
-            for &(rect, size) in &cases {
-                assert_eq!(
-                    decode_rect_resized(&bytes, rect, size),
-                    unfused(&bytes, rect, size),
-                    "{kind} {w}x{h}, {rect:?} -> {size}"
-                );
-            }
+        let img = SynthSpec::new(w, h).complexity(complexity).render(seed);
+        let bytes = codec::encode(&img, codec::Quality::default());
+        for (rect, size) in geometries(w, h, pick) {
+            assert_eq!(
+                decode_rect_resized(&bytes, rect, size),
+                unfused(&bytes, rect, size),
+                "{w}x{h}, {rect:?} -> {size}"
+            );
         }
     }
 
@@ -194,8 +181,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The fused step's pixels are the unfused chain's, bit for bit, for
-        /// classic, tiered and browned-out streams of any shape up to
-        /// 300 x 300 (block-aligned or not) and every resize path.
+        /// streams of any shape up to 300 x 300 (block-aligned or not) and
+        /// every resize path.
         #[test]
         fn fused_equals_decode_crop_resize(
             w in 1u32..=300,

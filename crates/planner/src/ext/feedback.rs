@@ -104,8 +104,8 @@ impl Default for FeedbackConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BrownoutConfig {
     /// Byte fraction of the full encoding at each fidelity tier, ascending
-    /// and ending at `1.0` — the planner-side mirror of the stored
-    /// stream's `codec::TierIndex` ladder.
+    /// and ending at `1.0`: the ladder of a progressive container, which
+    /// brownout is simulated against (no stored stream carries one).
     pub tier_fractions: Vec<f64>,
     /// Floor on the served fraction: brownout never plans a tier whose
     /// byte fraction is below this.

@@ -75,36 +75,19 @@ impl NearStorageExecutor {
     }
 
     /// [`NearStorageExecutor::execute`], with the CRC32 of the response's
-    /// payload when that payload is stored bytes sent as they are (the
-    /// whole object, or a tier prefix of it). The store computed it when it
-    /// took the object, so nothing here reads the payload.
+    /// payload when that payload is the stored object sent as it is. The
+    /// store computed it when it took the object, so nothing here reads the
+    /// payload.
     pub(crate) fn execute_checksummed(
         &self,
         req: FetchRequest,
     ) -> Result<(FetchResponse, Option<u32>), ExecError> {
         let object =
             self.store.object(req.sample_id).ok_or(ExecError::UnknownSample(req.sample_id))?;
-        let raw =
-            |data, tier| FetchResponse { sample_id: req.sample_id, ops_applied: 0, data, tier };
-
-        if req.split == pipeline::SplitPoint::NONE {
-            // Brownout serving: a fidelity-capped raw fetch of a tiered
-            // object ships the tier prefix straight from storage — no
-            // re-encode, no pipeline work, strictly fewer bytes on the
-            // wire. The cap is advisory for classic (non-tiered) objects,
-            // which have no truncation boundaries and are served whole, as
-            // is a cap at or above the full tier.
-            let prefix = req.max_tier.and_then(|cap| {
-                object.tier_prefixes.get(usize::from(cap)).map(|&prefix| (cap, prefix))
-            });
-            if let Some((tier, (end, crc))) = prefix {
-                let data = StageData::Encoded(object.bytes.slice(..end));
-                return Ok((raw(data, Some(tier)), Some(crc)));
-            }
-            if req.reencode_quality.is_none() {
-                let data = StageData::Encoded(object.bytes.clone());
-                return Ok((raw(data, None), Some(object.crc)));
-            }
+        if req.split == pipeline::SplitPoint::NONE && req.reencode_quality.is_none() {
+            let data = StageData::Encoded(object.bytes.clone());
+            let resp = FetchResponse { sample_id: req.sample_id, ops_applied: 0, data };
+            return Ok((resp, Some(object.crc)));
         }
 
         let key = SampleKey::new(self.config.dataset_seed, req.sample_id, req.epoch);
@@ -124,7 +107,6 @@ impl NearStorageExecutor {
             sample_id: req.sample_id,
             ops_applied: req.split.offloaded_ops() as u32,
             data,
-            tier: None,
         };
         Ok((resp, None))
     }
@@ -175,85 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_capped_raw_fetch_serves_a_tier_prefix() {
-        let ds = datasets::DatasetSpec::mini(2, 4);
-        let spec = codec::TierSpec::default();
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..2, &spec);
-        let full = store.get(0).unwrap();
-        let ex = NearStorageExecutor::new(
-            store,
-            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
-        );
-        let resp = ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0)).unwrap();
-        assert_eq!(resp.tier, Some(0));
-        let served = resp.data.as_encoded().unwrap();
-        assert!(served.len() < full.len(), "tier 0 prefix must shrink the payload");
-        assert_eq!(&full[..served.len()], served, "prefix is a literal truncation");
-        assert_eq!(codec::decode_tiered(served).unwrap().tier, 0);
-    }
-
-    #[test]
-    fn served_raw_bytes_and_tier_prefixes_share_the_stored_objects_storage() {
-        let ds = datasets::DatasetSpec::mini(1, 4);
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &codec::TierSpec::default());
-        let full = store.get(0).unwrap();
-        let ex = NearStorageExecutor::new(
-            store,
-            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
-        );
-        for req in [
-            FetchRequest::new(0, 0, SplitPoint::NONE),
-            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0),
-        ] {
-            let resp = ex.execute(req).unwrap();
-            let StageData::Encoded(served) = resp.data else { panic!("a raw serve is encoded") };
-            assert_eq!(served.as_ptr(), full.as_ptr(), "{req:?} copied the stored object");
-        }
-    }
-
-    #[test]
-    fn fidelity_cap_at_or_above_the_ladder_serves_full_and_unmarked() {
-        let ds = datasets::DatasetSpec::mini(1, 4);
-        let spec = codec::TierSpec::default();
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &spec);
-        let full = store.get(0).unwrap();
-        let ex = NearStorageExecutor::new(
-            store,
-            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
-        );
-        for cap in [2u8, 7] {
-            let resp =
-                ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(cap)).unwrap();
-            assert_eq!(resp.tier, None, "full-fidelity serves carry no tier marker");
-            assert_eq!(resp.data.as_encoded().unwrap(), &full[..]);
-        }
-    }
-
-    #[test]
-    fn fidelity_cap_is_advisory_for_classic_objects() {
-        let ex = executor(); // classic v2 store
-        let full = ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE)).unwrap();
-        let capped =
-            ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0)).unwrap();
-        assert_eq!(capped.tier, None);
-        assert_eq!(capped.data.as_encoded(), full.data.as_encoded());
-    }
-
-    #[test]
-    fn fidelity_cap_does_not_disturb_offloaded_prefixes() {
-        let ds = datasets::DatasetSpec::mini(1, 4);
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &codec::TierSpec::default());
-        let ex = NearStorageExecutor::new(
-            store,
-            SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
-        );
-        let resp =
-            ex.execute(FetchRequest::new(0, 0, SplitPoint::new(2)).with_max_tier(0)).unwrap();
-        assert_eq!(resp.tier, None, "offloaded samples are not browned out");
-        assert_eq!(resp.ops_applied, 2);
-    }
-
-    #[test]
     fn prefix_matches_compute_side_execution() {
         // The executor's output must equal what the compute node would have
         // produced for the same key — the split-equivalence guarantee across
@@ -279,22 +182,18 @@ mod tests {
     #[test]
     fn a_stored_payload_comes_with_its_crc_and_a_computed_one_without() {
         let ds = datasets::DatasetSpec::mini(1, 4);
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..1, &codec::TierSpec::default());
+        let store = ObjectStore::materialize_dataset(&ds, 0..1);
+        let full = store.get(0).unwrap();
         let ex = NearStorageExecutor::new(
             store,
             SessionConfig { dataset_seed: 4, pipeline: PipelineSpec::standard_train() },
         );
-        for req in [
-            FetchRequest::new(0, 0, SplitPoint::NONE),
-            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(0),
-            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(1),
-            FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(u8::MAX - 1),
-        ] {
-            let (resp, crc) = ex.execute_checksummed(req).unwrap();
-            assert_eq!(resp, ex.execute(req).unwrap());
-            let served = resp.data.as_encoded().unwrap();
-            assert_eq!(crc, Some(checksum::crc32(served)), "{req:?}");
-        }
+        let req = FetchRequest::new(0, 0, SplitPoint::NONE);
+        let (resp, crc) = ex.execute_checksummed(req).unwrap();
+        assert_eq!(resp, ex.execute(req).unwrap());
+        let StageData::Encoded(served) = resp.data else { panic!("a raw serve is encoded") };
+        assert_eq!(served.as_ptr(), full.as_ptr(), "the raw serve copied the stored object");
+        assert_eq!(crc, Some(checksum::crc32(&served)));
         let offloaded = FetchRequest::new(0, 0, SplitPoint::new(2));
         assert_eq!(ex.execute_checksummed(offloaded).unwrap().1, None);
         let reencoded = FetchRequest::new(0, 0, SplitPoint::new(2)).with_reencode(70);

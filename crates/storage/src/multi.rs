@@ -15,7 +15,6 @@ use std::sync::Arc;
 use netsim::MeterSnapshot;
 
 use netsim::TrafficMeter;
-use tenant::TenantPolicy;
 
 use crate::chaos::{FaultPlan, FaultRecord, ServerFaultInjector};
 use crate::tcp::{TcpStorageClient, TcpStorageServer};
@@ -189,10 +188,9 @@ impl MultiServerHarness {
                         Arc::new(ServerFaultInjector::new(n, p.clone().reseeded(node_seed)))
                     });
                     s.spawn(move || {
-                        let server = TcpStorageServer::bind_with_policy(
+                        let server = TcpStorageServer::bind_with_chaos(
                             shard,
                             config,
-                            TenantPolicy::default(),
                             "127.0.0.1:0",
                             injector.clone(),
                         )

@@ -16,59 +16,28 @@ use bytes::Bytes;
 /// store holds. [`ObjectStore::insert`] copies the map first when a clone
 /// still shares it, leaving that clone as it was.
 ///
-/// Each object is checksummed once, when the store takes it: the CRC32 of
-/// the whole object and of each tier prefix a brownout serve can send (see
-/// [`crate::NearStorageExecutor::execute`]). A raw serve's frame CRC is
-/// combined from those, so serving an object never reads its bytes.
+/// Each object is checksummed once, when the store takes it. A raw serve's
+/// frame CRC is combined from that CRC and the frame head's (see
+/// [`crate::NearStorageExecutor::execute`]), so serving an object never
+/// reads its bytes.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     objects: Arc<HashMap<u64, StoredObject>>,
     total_bytes: u64,
 }
 
-/// One stored object, with the CRC32 of every payload a raw serve sends
-/// from it.
+/// One stored object, with the CRC32 of the payload a raw serve sends.
 #[derive(Debug, Clone)]
 pub(crate) struct StoredObject {
     pub(crate) bytes: Bytes,
     /// CRC32 of `bytes`.
     pub(crate) crc: u32,
-    /// For a tiered stream, one entry per tier below the full one, coarsest
-    /// first: where that tier's prefix ends, and the prefix's CRC32. Empty
-    /// for a classic stream, and for a tiered one whose directory does not
-    /// fit its bytes; either is only ever served whole.
-    pub(crate) tier_prefixes: Box<[(usize, u32)]>,
 }
 
 impl StoredObject {
-    /// Indexes and checksums `bytes` in one pass.
     fn new(bytes: Bytes) -> StoredObject {
-        let mut ends: Vec<usize> = codec::TierIndex::parse(&bytes)
-            .map(|index| {
-                let below_full = &index.tiers[..usize::from(index.full_tier())];
-                below_full.iter().map(|t| t.end_offset as usize).collect()
-            })
-            .unwrap_or_default();
-        if ends.last().is_some_and(|&end| end > bytes.len()) {
-            ends.clear();
-        }
-        // Each prefix extends the one before it (the directory's offsets
-        // rise), so its CRC is the previous one combined with the new part.
-        let (mut crc, mut start) = (checksum::crc32(&[]), 0);
-        let mut tier_prefixes = Vec::with_capacity(ends.len());
-        for end in ends {
-            crc = extend_crc(crc, &bytes[start..end]);
-            tier_prefixes.push((end, crc));
-            start = end;
-        }
-        let crc = extend_crc(crc, &bytes[start..]);
-        StoredObject { bytes, crc, tier_prefixes: tier_prefixes.into_boxed_slice() }
+        StoredObject { crc: checksum::crc32(&bytes), bytes }
     }
-}
-
-/// The CRC32 of `a ‖ part`, from `a`'s CRC.
-fn extend_crc(crc_a: u32, part: &[u8]) -> u32 {
-    checksum::crc32_combine(crc_a, checksum::crc32(part), part.len() as u64)
 }
 
 impl ObjectStore {
@@ -101,32 +70,6 @@ impl ObjectStore {
     ///
     /// Panics when the range exceeds the dataset length.
     pub fn materialize_dataset(ds: &datasets::DatasetSpec, ids: Range<u64>) -> ObjectStore {
-        Self::materialize_with(ds, ids, |id| ds.materialize(id))
-    }
-
-    /// Materializes the given id range as **tiered** (progressive) streams
-    /// so the server can brown out samples by truncating at tier
-    /// boundaries. Same pixels and threads as
-    /// [`ObjectStore::materialize_dataset`]; only the byte layout differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range exceeds the dataset length.
-    pub fn materialize_dataset_tiered(
-        ds: &datasets::DatasetSpec,
-        ids: Range<u64>,
-        tiers: &codec::TierSpec,
-    ) -> ObjectStore {
-        Self::materialize_with(ds, ids, |id| ds.materialize_tiered(id, tiers))
-    }
-
-    /// Stores `one(id)` for every id, the ids handed out to scoped worker
-    /// threads one at a time.
-    fn materialize_with(
-        ds: &datasets::DatasetSpec,
-        ids: Range<u64>,
-        one: impl Fn(u64) -> Vec<u8> + Sync,
-    ) -> ObjectStore {
         // On the calling thread, so an out-of-range id panics with the
         // dataset's own message rather than as a failed worker.
         if let Some(last) = ids.clone().next_back() {
@@ -136,7 +79,7 @@ impl ObjectStore {
         // included; the store keeps every object for its whole life, so the
         // spare is given back first.
         let stored = |id| {
-            let mut object = one(id);
+            let mut object = ds.materialize(id);
             object.shrink_to_fit();
             (id, Bytes::from(object))
         };
@@ -273,34 +216,11 @@ mod tests {
     #[test]
     fn every_servable_payload_is_checksummed_when_stored() {
         let ds = datasets::DatasetSpec::mini(2, 3);
-        let tiers = codec::TierSpec::default();
-        let tiered = ObjectStore::materialize_dataset_tiered(&ds, 0..2, &tiers);
-        let classic = ObjectStore::materialize_dataset(&ds, 0..2);
-        for id in 0..2 {
-            let object = tiered.object(id).unwrap();
-            assert_eq!(object.crc, checksum::crc32(&object.bytes));
-            let index = codec::TierIndex::parse(&object.bytes).unwrap();
-            assert_eq!(object.tier_prefixes.len(), usize::from(index.full_tier()));
-            for (tier, &(end, crc)) in object.tier_prefixes.iter().enumerate() {
-                let prefix = codec::truncate_to_tier(&object.bytes, tier as u8).unwrap();
-                assert_eq!((end, crc), (prefix.len(), checksum::crc32(prefix)), "tier {tier}");
-            }
-            let object = classic.object(id).unwrap();
-            assert_eq!(object.crc, checksum::crc32(&object.bytes));
-            assert!(object.tier_prefixes.is_empty(), "a classic stream has no tier prefix");
+        let mut store = ObjectStore::materialize_dataset(&ds, 0..2);
+        store.insert(2, Bytes::from_static(b"not a stream"));
+        for id in 0..3 {
+            let object = store.object(id).unwrap();
+            assert_eq!(object.crc, checksum::crc32(&object.bytes), "object {id}");
         }
-    }
-
-    #[test]
-    fn a_tier_directory_past_the_objects_end_leaves_it_served_whole() {
-        let ds = datasets::DatasetSpec::mini(1, 3);
-        let full = ds.materialize_tiered(0, &codec::TierSpec::default());
-        let index = codec::TierIndex::parse(&full).unwrap();
-        let cut = index.end_offset(0).unwrap() as usize - 1;
-        let mut s = ObjectStore::new();
-        s.insert(0, Bytes::copy_from_slice(&full[..cut]));
-        let object = s.object(0).unwrap();
-        assert!(object.tier_prefixes.is_empty());
-        assert_eq!(object.crc, checksum::crc32(&full[..cut]));
     }
 }

@@ -33,31 +33,18 @@ pub struct FetchRequest {
     /// server re-encodes it at this quality before transfer (the selective
     /// compression extension); the client transparently decodes.
     pub reencode_quality: Option<u8>,
-    /// Fidelity cap for brownout serving: when set and the stored object is
-    /// a tiered SJPG stream served raw, the server truncates it at this
-    /// tier's boundary instead of shipping the full encoding. `None` means
-    /// full fidelity. The cap is advisory — classic (non-tiered) objects
-    /// are served whole.
-    pub(crate) max_tier: Option<u8>,
 }
 
 impl FetchRequest {
     /// A plain fetch with an offload directive and no re-compression.
     pub fn new(sample_id: u64, epoch: u64, split: SplitPoint) -> FetchRequest {
-        FetchRequest { sample_id, epoch, split, reencode_quality: None, max_tier: None }
+        FetchRequest { sample_id, epoch, split, reencode_quality: None }
     }
 
     /// Adds transfer-time re-compression at `quality`.
     #[must_use]
     pub fn with_reencode(mut self, quality: u8) -> FetchRequest {
         self.reencode_quality = Some(quality);
-        self
-    }
-
-    /// Caps the served fidelity at `tier` (brownout serving).
-    #[must_use]
-    pub fn with_max_tier(mut self, tier: u8) -> FetchRequest {
-        self.max_tier = Some(tier);
         self
     }
 }
@@ -82,11 +69,6 @@ pub struct FetchResponse {
     pub ops_applied: u32,
     /// The (possibly partially preprocessed) payload.
     pub data: StageData,
-    /// The fidelity tier the payload was truncated to, when the server
-    /// browned out this sample; `None` means the full encoding was served.
-    /// Every data frame carries it, ahead of the payload (`0xFF` for
-    /// `None`), and the frame's CRC covers it.
-    pub tier: Option<u8>,
 }
 
 impl FetchResponse {

@@ -83,7 +83,6 @@ mod tests {
                         sample_id: r.sample_id,
                         ops_applied: 0,
                         data: StageData::Encoded(bytes::Bytes::from_static(b"payload")),
-                        tier: None,
                     })
                     .collect()),
                 Err(e) => Err(e),

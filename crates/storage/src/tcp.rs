@@ -25,7 +25,7 @@
 //!   reply, and the server handle writes after raising the stop flag (a
 //!   reply the loop makes itself needs no wake);
 //! * **the timer**: the wait's timeout is the earliest release time among
-//!   queued frames (token bucket, tenant quota, injected delay), to the
+//!   queued frames (token bucket, injected delay), to the
 //!   precision of the kernel's high-resolution timers.
 //!
 //! Each connection's interest follows its state: readable iff the peer
@@ -43,8 +43,8 @@
 //! the stored object's own `Bytes` and the CRC in one vectored write; a
 //! frame that a chaos truncate or bit-flip fault mutates is glued first.
 //! A raw serve's CRC is combined from the head's and the payload's, which
-//! the store computed when it took the object (for the whole object and
-//! each tier prefix), so only the kernel reads a served payload's bytes.
+//! the store computed when it took the object, so only the kernel reads a
+//! served payload's bytes.
 //! The client reads each frame into one allocation of exactly its length,
 //! filled as bytes arrive, and that allocation becomes the response's
 //! `Bytes`; an image or tensor payload is copied out of it once. Between
@@ -57,26 +57,18 @@
 //! Frame format: `u32` little-endian payload length (capped at
 //! [`wire::MAX_PAYLOAD`]) followed by the payload (a [`wire`]-encoded
 //! request or response, which itself opens with the `ver request_id`
-//! multiplexing header, a request's then with its `tenant_id`, and ends
-//! with the CRC32 trailer).
+//! multiplexing header, a request's then with a `tenant_id` the server
+//! reads and discards, and ends with the CRC32 trailer).
 //!
-//! # Multi-tenancy
-//!
-//! The server is tenant-aware: every request frame carries a `tenant_id`
-//! (a client that names none sends [`TenantId::DEFAULT`], 0), and dispatch
-//! to the worker pool goes through a per-tenant deficit-weighted
-//! round-robin scheduler instead of a FIFO — a backlogged tenant cannot
-//! starve others past its weight share. Admission control runs at decode
-//! time: a tenant over its in-flight bound or byte quota gets a typed,
-//! retryable `tenant-throttled` error reply instead of a queue slot, and
-//! per-tenant quota buckets are charged where pacing already happens — at
-//! encode, when response bytes reach the wire.
+//! The server serves one training job and answers requests in the order
+//! it reads them. Sharing a node among tenants, with weights and byte
+//! quotas, is a simulated extension (`cluster::simulate_multi_tenant`).
 //!
 //! # The worker pool
 //!
 //! A raw serve (split [`SplitPoint::NONE`], no re-encode) only slices the
-//! stored `Bytes`, so the loop answers it where the scheduler pops it: no
-//! job, no channel, no waker write, no thread switch. Offloaded prefixes
+//! stored `Bytes`, so the loop answers it where it takes it from its queue:
+//! no job, no channel, no waker write, no thread switch. Offloaded prefixes
 //! and `Configure` requests go to the pool.
 //!
 //! [`ServerConfig::cores`] workers share one FIFO job queue, a `VecDeque`
@@ -85,13 +77,14 @@
 //! job; a guard held through the job would let one worker at a time
 //! compute. Workers answer on a `std::sync::mpsc` channel, whose one
 //! consumer is the event loop, and then write the waker. The loop keeps at
-//! most two jobs per core in the queue, so under backlog the tenant
-//! scheduler, not the queue's FIFO order, decides which tenant runs next.
+//! most two jobs per core in the pool's queue; the rest wait in its own.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -101,11 +94,9 @@ use bytes::Bytes;
 use netsim::{Bandwidth, TokenBucket, TrafficMeter};
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use poller::{Events, Interest, Poller, Waker};
-use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantPolicy, TenantStats};
 
 use crate::chaos::{FaultDirective, FaultKind, ServerFaultInjector};
 use crate::protocol::{FetchRequest, FetchResponse, Request, Response};
-use crate::transport::{server_error, TENANT_THROTTLED_PREFIX};
 use crate::wire::{self, WireError};
 use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore};
 
@@ -304,13 +295,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// An admitted request, tagged with its origin so its response muxes back
-/// to the right connection: queued in the tenant scheduler, then answered
-/// by the event loop (a raw serve) or handed to the worker pool.
+/// A decoded request, tagged with its origin so its response muxes back
+/// to the right connection: queued on the loop, then answered by the loop
+/// (a raw serve) or handed to the worker pool.
 struct Job {
     conn: u64,
     request_id: u32,
-    tenant: TenantId,
     request: Request,
     /// The connection's session; see [`Conn::session`].
     session: Arc<RwLock<Option<NearStorageExecutor>>>,
@@ -321,7 +311,6 @@ struct Job {
 struct Reply {
     conn: u64,
     request_id: u32,
-    tenant: TenantId,
     response: Response,
     fault: Option<FaultDirective>,
     /// The payload's CRC32, for stored bytes sent as they are; see
@@ -337,7 +326,6 @@ struct Reply {
 /// frame per entry, so queued memory stays O(connections x sample), not
 /// O(in-flight x sample), and the encode-buffer pool covers every write.
 struct OutFrame {
-    tenant: TenantId,
     request_id: u32,
     response: Response,
     /// Wire-level chaos mutation to apply at encode.
@@ -357,12 +345,11 @@ struct OutFrame {
 /// [`wire::encode_response_parts`]. Every other response, and a frame a
 /// chaos fault mutates, is all head.
 struct WireFrame {
-    tenant: TenantId,
     len: [u8; 4],
     head: Vec<u8>,
     body: Option<(Bytes, [u8; 4])>,
     written: usize,
-    /// Release time from the shared token bucket and the tenant's quota.
+    /// Release time from the token bucket.
     not_before: Instant,
 }
 
@@ -393,7 +380,6 @@ impl WireFrame {
         };
         let len = head.len() + body.as_ref().map_or(0, |(body, crc)| body.len() + crc.len());
         WireFrame {
-            tenant: out.tenant,
             len: (len as u32).to_le_bytes(),
             head,
             body,
@@ -402,8 +388,8 @@ impl WireFrame {
         }
     }
 
-    /// The frame's length after its prefix: what the bandwidth model, the
-    /// tenant's quota and the meter are charged.
+    /// The frame's length after its prefix: what the bandwidth model and
+    /// the meter are charged.
     fn payload_len(&self) -> usize {
         u32::from_le_bytes(self.len) as usize
     }
@@ -473,88 +459,17 @@ const EVENT_BATCH: usize = 256;
 /// Upper bound on pooled response-encode buffers the event loop retains.
 const SPARE_BUFFER_POOL: usize = 64;
 
-/// Admission rejects a quota-metered tenant whose byte debt projects past
-/// this horizon. Debts inside the horizon still queue (the quota bucket
-/// paces their frames at encode), so short bursts ride out at the wire;
-/// past it the tenant gets an immediate retryable throttle error instead
-/// of holding a queue slot for a frame that cannot send for a while.
-const QUOTA_REJECT_HORIZON_SECS: f64 = 0.1;
-
-/// Per-tenant admission state: the policy, live in-flight counts, and
-/// quota buckets. Grouped in one struct so admission can run while the
-/// event loop holds a connection borrow (field-disjoint from `conns`).
-struct Admission {
-    policy: TenantPolicy,
-    /// Live per-tenant request counts, across every connection.
-    in_flight: BTreeMap<u16, usize>,
-    /// Quota buckets, created lazily for metered tenants.
-    quotas: BTreeMap<u16, ByteBudget>,
-    /// Epoch converting wall clock to the buckets' `f64` seconds.
-    started: Instant,
-}
-
-impl Admission {
-    fn new(policy: TenantPolicy) -> Admission {
-        Admission {
-            policy,
-            in_flight: BTreeMap::new(),
-            quotas: BTreeMap::new(),
-            started: Instant::now(),
-        }
-    }
-
-    fn now_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Admission check for one decoded request: `None` admits,
-    /// `Some(message)` rejects with a marker-prefixed reason the client
-    /// surfaces as [`ClientError::TenantThrottled`].
-    fn check(&mut self, tenant: TenantId) -> Option<String> {
-        let spec = *self.policy.spec(tenant);
-        let live = self.in_flight.get(&tenant.0).copied().unwrap_or(0);
-        if live >= spec.max_in_flight {
-            return Some(format!(
-                "{TENANT_THROTTLED_PREFIX}{tenant} at its in-flight bound ({})",
-                spec.max_in_flight
-            ));
-        }
-        if let Some(rate) = spec.quota_bytes_per_sec {
-            let now = self.now_secs();
-            let budget = self
-                .quotas
-                .entry(tenant.0)
-                .or_insert_with(|| ByteBudget::new(rate, spec.burst_bytes.max(1)));
-            let debt = budget.debt(now);
-            if debt > QUOTA_REJECT_HORIZON_SECS {
-                return Some(format!(
-                    "{TENANT_THROTTLED_PREFIX}{tenant} over its byte quota; clears in {:.0} ms",
-                    debt * 1e3
-                ));
-            }
-        }
-        None
-    }
-
-    fn admitted(&mut self, tenant: TenantId) {
-        *self.in_flight.entry(tenant.0).or_insert(0) += 1;
-    }
-
-    fn completed(&mut self, tenant: TenantId) {
-        if let Some(n) = self.in_flight.get_mut(&tenant.0) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
-    /// Charges a response's bytes to the tenant's quota bucket, returning
-    /// the pacing delay (zero for unmetered tenants).
-    fn charge(&mut self, tenant: TenantId, bytes: u64) -> Duration {
-        let now = self.now_secs();
-        match self.quotas.get_mut(&tenant.0) {
-            Some(b) => Duration::from_secs_f64(b.charge(bytes, now)),
-            None => Duration::ZERO,
-        }
-    }
+/// Counts of what the event loop has done, kept in test builds only, so
+/// that a production loop updates no counter that nothing reads.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct LoopCounters {
+    /// Wakes from the readiness wait (`loop_turns`).
+    turns: AtomicU64,
+    /// Jobs pushed onto the worker pool's queue (`pool_jobs`).
+    pool_jobs: AtomicU64,
+    /// Request frames decoded and queued (`requests`).
+    requests: AtomicU64,
 }
 
 /// A storage server listening on a real TCP socket.
@@ -564,13 +479,8 @@ pub struct TcpStorageServer {
     stop: Arc<AtomicBool>,
     waker: Waker,
     #[cfg(test)]
-    turns: Arc<AtomicU64>,
-    #[cfg(test)]
-    pool_jobs: Arc<AtomicU64>,
+    counters: Arc<LoopCounters>,
     meter: TrafficMeter,
-    /// The event loop's counters; see `EventLoop::stats`.
-    #[cfg(test)]
-    stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
     event_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -584,19 +494,11 @@ impl TcpStorageServer {
     /// Propagates bind failures; a zero-core config surfaces as
     /// `InvalidInput`.
     pub fn bind(store: ObjectStore, config: ServerConfig, addr: &str) -> io::Result<Self> {
-        Self::bind_with_policy(store, config, TenantPolicy::default(), addr, None)
+        Self::bind_with_chaos(store, config, addr, None)
     }
 
-    /// Like [`TcpStorageServer::bind`], but serving under a
-    /// [`TenantPolicy`] and, when `injector` is set, with server-side
-    /// chaos.
-    ///
-    /// Requests are attributed to the tenant id in their frame,
-    /// dispatched in deficit-weighted round-robin order across tenants,
-    /// paced against per-tenant byte quotas, and rejected with a retryable
-    /// throttle error past a tenant's in-flight bound or quota debt. The
-    /// default policy reproduces the pre-tenancy behaviour exactly (one
-    /// implicit tenant, unmetered, weight 1).
+    /// Like [`TcpStorageServer::bind`], but, when `injector` is set, with
+    /// server-side chaos.
     ///
     /// Every fetch response first consults `injector` — the server-side
     /// half of the chaos layer — on whichever thread answers it, the event
@@ -611,15 +513,13 @@ impl TcpStorageServer {
     /// Propagates bind failures and the operating system's refusal to
     /// create the readiness set or its waker; a zero-core or
     /// zero-in-flight config surfaces as `InvalidInput`.
-    pub(crate) fn bind_with_policy(
+    pub(crate) fn bind_with_chaos(
         store: ObjectStore,
         config: ServerConfig,
-        policy: TenantPolicy,
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<Self> {
-        let (mut server, jobs, reply_tx) =
-            Self::start_loop(config, policy, addr, injector.clone())?;
+        let (mut server, jobs, reply_tx) = Self::start_loop(config, addr, injector.clone())?;
         server.workers = (0..config.cores)
             .map(|_| {
                 let jobs = Arc::clone(&jobs);
@@ -640,7 +540,6 @@ impl TcpStorageServer {
     /// channel must be followed by a wake of the server's waker.
     fn start_loop(
         config: ServerConfig,
-        policy: TenantPolicy,
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<(Self, Arc<JobQueue<Job>>, Sender<Reply>)> {
@@ -656,18 +555,14 @@ impl TcpStorageServer {
                 "server needs max_in_flight >= 1",
             ));
         }
-        let (mut el, jobs, reply_tx) = EventLoop::bind(config, policy, addr, injector)?;
+        let (mut el, jobs, reply_tx) = EventLoop::bind(config, addr, injector)?;
         let mut server = TcpStorageServer {
             addr: el.listener.local_addr()?,
             stop: Arc::clone(&el.stop),
             waker: el.waker.clone(),
             #[cfg(test)]
-            turns: Arc::clone(&el.turns),
-            #[cfg(test)]
-            pool_jobs: Arc::clone(&el.pool_jobs),
+            counters: Arc::clone(&el.counters),
             meter: el.meter.clone(),
-            #[cfg(test)]
-            stats: Arc::clone(&el.stats),
             event_thread: None,
             workers: Vec::new(),
         };
@@ -698,7 +593,7 @@ impl TcpStorageServer {
     /// turn's cost does not grow with the number of open connections.
     #[cfg(test)]
     fn loop_turns(&self) -> u64 {
-        self.turns.load(Ordering::Relaxed)
+        self.counters.turns.load(Ordering::Relaxed)
     }
 
     /// How many jobs the event loop has handed to the worker pool: one per
@@ -706,17 +601,13 @@ impl TcpStorageServer {
     /// loop and never counts; tests pin that.
     #[cfg(test)]
     fn pool_jobs(&self) -> u64 {
-        self.pool_jobs.load(Ordering::Relaxed)
+        self.counters.pool_jobs.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of per-tenant serving counters, keyed by tenant id.
-    /// Tenants appear once their first request is decoded; `completed`
-    /// counts answered requests (including per-sample errors), `bytes_sent`
-    /// counts frame payloads that reached the wire. Tests observe
-    /// admission and throttling through it.
+    /// How many request frames the event loop has decoded and queued.
     #[cfg(test)]
-    fn tenant_stats(&self) -> BTreeMap<u16, TenantStats> {
-        self.stats.read().unwrap_or_else(PoisonError::into_inner).clone()
+    fn requests(&self) -> u64 {
+        self.counters.requests.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, drains workers, and joins all threads.
@@ -763,38 +654,26 @@ struct EventLoop {
     next_conn: u64,
     /// Closed when the loop is dropped, which ends the worker pool.
     jobs: Arc<JobQueue<Job>>,
-    /// Jobs pushed onto `jobs` so far (`pool_jobs`).
-    pool_jobs: Arc<AtomicU64>,
     reply_rx: Receiver<Reply>,
     /// Server-side chaos, consulted for every fetch the loop answers itself.
     injector: Option<Arc<ServerFaultInjector>>,
     bucket: TokenBucket,
     meter: TrafficMeter,
     stop: Arc<AtomicBool>,
-    /// Wakes from the readiness wait so far (`loop_turns`).
-    turns: Arc<AtomicU64>,
+    #[cfg(test)]
+    counters: Arc<LoopCounters>,
     max_in_flight: usize,
     /// Recycled response-encode buffers (capped at [`SPARE_BUFFER_POOL`]).
     spare: Vec<Vec<u8>>,
-    /// Tenant policy plus live admission state (in-flight, quotas).
-    admission: Admission,
-    /// Admitted-but-undispatched jobs, drained in DWRR order.
-    sched: DwrrScheduler<Job>,
+    /// Decoded jobs not yet answered or handed to the pool, in the order
+    /// they were read.
+    queue: VecDeque<Job>,
     /// Jobs currently inside the worker pool (sent, reply not drained).
     dispatched: usize,
-    /// Cap on `dispatched`: excess jobs wait in the scheduler, where
-    /// inter-tenant order is still decided by weights. A raw serve, which
-    /// the loop answers itself, takes no slot.
+    /// Cap on `dispatched`: a pool job that finds it reached stays at the
+    /// front of `queue`, and the raw serves behind it wait with it. A raw
+    /// serve, which the loop answers itself, takes no slot.
     dispatch_cap: usize,
-    /// A pool job the scheduler handed over while the pool was full. It
-    /// goes into the pool before anything else leaves the scheduler (which
-    /// cannot take it back), so only a job waiting for a slot holds up the
-    /// raw serves behind it.
-    parked: Option<Job>,
-    /// Per-tenant counters shared with the server handle. Each write is
-    /// one [`count`], a single counter update, so a panicked holder leaves
-    /// every count valid, and a poisoned lock is used as is.
-    stats: Arc<RwLock<BTreeMap<u16, TenantStats>>>,
 }
 
 impl EventLoop {
@@ -802,7 +681,6 @@ impl EventLoop {
     /// pool's job queue and reply channel.
     fn bind(
         config: ServerConfig,
-        policy: TenantPolicy,
         addr: &str,
         injector: Option<Arc<ServerFaultInjector>>,
     ) -> io::Result<(EventLoop, Arc<JobQueue<Job>>, Sender<Reply>)> {
@@ -822,7 +700,6 @@ impl EventLoop {
             pending_out: BTreeSet::new(),
             next_conn: 0,
             jobs: Arc::clone(&jobs),
-            pool_jobs: Arc::new(AtomicU64::new(0)),
             reply_rx,
             injector,
             bucket: TokenBucket::new(
@@ -831,21 +708,15 @@ impl EventLoop {
             ),
             meter: TrafficMeter::new(),
             stop: Arc::new(AtomicBool::new(false)),
-            turns: Arc::new(AtomicU64::new(0)),
+            #[cfg(test)]
+            counters: Arc::default(),
             max_in_flight: config.max_in_flight,
             spare: Vec::new(),
-            admission: Admission::new(policy),
-            // Count-fair DWRR: requests cost 1 unit each (responses
-            // are roughly sample-sized; byte fairness is enforced by
-            // the per-tenant quota buckets at encode).
-            sched: DwrrScheduler::new(1),
+            queue: VecDeque::new(),
             dispatched: 0,
-            // Small enough that the scheduler — not the workers' FIFO
-            // job queue — decides inter-tenant order under backlog,
-            // large enough to keep every core fed.
+            // Two jobs per core keep every core fed; past that, jobs wait in
+            // `queue`, in the order they were read.
             dispatch_cap: config.cores.saturating_mul(2).max(2),
-            parked: None,
-            stats: Arc::new(RwLock::new(BTreeMap::new())),
         };
         Ok((el, jobs, reply_tx))
     }
@@ -869,7 +740,8 @@ impl EventLoop {
             self.stop.store(true, Ordering::SeqCst);
             return None;
         }
-        self.turns.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        self.counters.turns.fetch_add(1, Ordering::Relaxed);
         for event in events.iter() {
             match event.token {
                 LISTENER => self.accept_new(),
@@ -964,7 +836,7 @@ impl EventLoop {
     }
 
     /// Drops connection `id`. Replies for its in-flight jobs still release
-    /// their worker slot and tenant credit in `drain_replies`.
+    /// their worker slot in `drain_replies`.
     fn close(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.poller.delete(&conn.stream);
@@ -984,14 +856,9 @@ impl EventLoop {
     }
 
     /// Settles one answered request, from a worker or from the loop
-    /// itself: releases its tenant credit and in-flight slot, and queues
-    /// the response on its connection, applying the wire-level part of its
-    /// chaos fault.
+    /// itself: releases its in-flight slot, and queues the response on its
+    /// connection, applying the wire-level part of its chaos fault.
     fn complete(&mut self, reply: Reply) {
-        // Tenant accounting happens whether or not the connection is
-        // still alive.
-        self.admission.completed(reply.tenant);
-        count(&self.stats, reply.tenant, |s| s.completed += 1);
         let Some(conn) = self.conns.get_mut(&reply.conn) else {
             return; // connection died while the request was in flight
         };
@@ -1005,7 +872,6 @@ impl EventLoop {
         };
         if let Some(delay) = delay {
             conn.outq.push_back(OutFrame {
-                tenant: reply.tenant,
                 request_id: reply.request_id,
                 response: reply.response,
                 fault: reply.fault,
@@ -1017,12 +883,11 @@ impl EventLoop {
         self.settle(reply.conn);
     }
 
-    /// Takes admitted jobs from the scheduler in DWRR order, answering a
+    /// Takes jobs from the queue in the order they were read, answering a
     /// raw serve in place and moving every other job into the worker pool,
-    /// with at most `dispatch_cap` jobs inside the pool's FIFO job queue at
-    /// once — so under backlog it is the weighted scheduler, not arrival
-    /// order, that decides which tenant runs next. A pool job that finds
-    /// the pool full is parked, and ends the pass.
+    /// with at most `dispatch_cap` jobs inside the pool at once. A pool job
+    /// that finds the pool full stays at the queue's front, and ends the
+    /// pass.
     fn dispatch_jobs(&mut self) {
         loop {
             if Arc::strong_count(&self.jobs) == 1 {
@@ -1031,10 +896,7 @@ impl EventLoop {
                 self.stop.store(true, Ordering::SeqCst);
                 break;
             }
-            let Some(job) = self.parked.take().or_else(|| self.sched.pop().map(|(_, job)| job))
-            else {
-                break;
-            };
+            let Some(job) = self.queue.pop_front() else { break };
             match job.request {
                 Request::Fetch(req) if is_raw_serve(&req) => {
                     let (response, fault, payload_crc) =
@@ -1042,7 +904,6 @@ impl EventLoop {
                     self.complete(Reply {
                         conn: job.conn,
                         request_id: job.request_id,
-                        tenant: job.tenant,
                         response,
                         fault,
                         payload_crc,
@@ -1050,11 +911,12 @@ impl EventLoop {
                 }
                 _ if self.dispatched < self.dispatch_cap => {
                     self.dispatched += 1;
-                    self.pool_jobs.fetch_add(1, Ordering::Relaxed);
+                    #[cfg(test)]
+                    self.counters.pool_jobs.fetch_add(1, Ordering::Relaxed);
                     self.jobs.push(job);
                 }
                 _ => {
-                    self.parked = Some(job);
+                    self.queue.push_front(job);
                     break;
                 }
             }
@@ -1107,15 +969,9 @@ impl EventLoop {
                         return Flush::Until(at);
                     }
                     let mut wire = WireFrame::encode(&next, self.spare.pop().unwrap_or_default());
-                    // The shared-bandwidth and per-tenant quota charges land
-                    // when bytes reach the wire, not when the worker finished
-                    // computing; the frame is held to the later release time.
-                    let len = wire.payload_len();
-                    let delay = self
-                        .bucket
-                        .delay_for(len)
-                        .max(self.admission.charge(next.tenant, len as u64));
-                    wire.not_before = now + delay;
+                    // The bandwidth charge lands when bytes reach the wire,
+                    // not when the worker finished computing.
+                    wire.not_before = now + self.bucket.delay_for(wire.payload_len());
                     wire
                 }
             };
@@ -1142,7 +998,6 @@ impl EventLoop {
                     return Flush::Dead;
                 }
             }
-            count(&self.stats, wire.tenant, |s| s.bytes_sent += sent);
             if self.spare.len() < SPARE_BUFFER_POOL {
                 wire.head.clear();
                 self.spare.push(wire.head);
@@ -1164,9 +1019,8 @@ impl EventLoop {
                 ReadStatus::Frame => {
                     let frame = conn.reader.take_frame();
                     // A reply the loop writes itself, without a worker.
-                    let mut reply_now = |tenant, request_id, message| {
+                    let mut reply_now = |request_id, message| {
                         conn.outq.push_back(OutFrame {
-                            tenant,
                             request_id,
                             response: Response::Error { sample_id: None, message },
                             fault: None,
@@ -1176,36 +1030,22 @@ impl EventLoop {
                         self.pending_out.insert(id);
                     };
                     match wire::decode_request_framed(&frame) {
-                        Ok((request_id, tenant, request)) => {
-                            let tenant = TenantId(tenant);
-                            if let Some(message) = self.admission.check(tenant) {
-                                // Over quota or in-flight bound: reject
-                                // instead of queueing. The reply carries
-                                // the throttle marker so the client sees
-                                // a typed, retryable error.
-                                count(&self.stats, tenant, |s| s.throttled += 1);
-                                reply_now(tenant, request_id, message);
-                            } else {
-                                conn.in_flight += 1;
-                                self.admission.admitted(tenant);
-                                count(&self.stats, tenant, |s| s.admitted += 1);
-                                let weight = self.admission.policy.spec(tenant).weight;
-                                self.sched.set_weight(tenant, weight);
-                                let job = Job {
-                                    conn: id,
-                                    request_id,
-                                    tenant,
-                                    request,
-                                    session: Arc::clone(&conn.session),
-                                };
-                                self.sched.push(tenant, 1, job);
-                            }
+                        Ok((request_id, request)) => {
+                            conn.in_flight += 1;
+                            #[cfg(test)]
+                            self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                            self.queue.push_back(Job {
+                                conn: id,
+                                request_id,
+                                request,
+                                session: Arc::clone(&conn.session),
+                            });
                         }
                         Err(e) => {
                             // Echo the id best-effort so the error routes
                             // back to the caller that sent the bad frame.
                             let request_id = wire::peek_request_id(&frame).unwrap_or(0);
-                            reply_now(TenantId::DEFAULT, request_id, format!("bad request: {e}"));
+                            reply_now(request_id, format!("bad request: {e}"));
                         }
                     }
                 }
@@ -1227,15 +1067,6 @@ impl Drop for EventLoop {
     fn drop(&mut self) {
         self.jobs.close();
     }
-}
-
-/// Adds to `tenant`'s counters in `stats`.
-fn count(
-    stats: &RwLock<BTreeMap<u16, TenantStats>>,
-    tenant: TenantId,
-    add: impl FnOnce(&mut TenantStats),
-) {
-    add(stats.write().unwrap_or_else(PoisonError::into_inner).entry(tenant.0).or_default());
 }
 
 /// The worker pool's FIFO job queue, shared by every worker.
@@ -1292,8 +1123,8 @@ impl<T> JobQueue<T> {
     }
 }
 
-/// Whether the loop answers `req` itself: the stored object, or its tier
-/// prefix, sliced as it is, with no pipeline op and no re-encode.
+/// Whether the loop answers `req` itself: the stored object as it is, with
+/// no pipeline op and no re-encode.
 fn is_raw_serve(req: &FetchRequest) -> bool {
     req.split == SplitPoint::NONE && req.reencode_quality.is_none()
 }
@@ -1359,14 +1190,7 @@ fn run_job(job: Job, store: &ObjectStore, injector: Option<&ServerFaultInjector>
         }
         Request::Fetch(req) => answer_fetch(req, &job.session, injector),
     };
-    Reply {
-        conn: job.conn,
-        request_id: job.request_id,
-        tenant: job.tenant,
-        response,
-        fault,
-        payload_crc,
-    }
+    Reply { conn: job.conn, request_id: job.request_id, response, fault, payload_crc }
 }
 
 // ---------------------------------------------------------------------------
@@ -1389,10 +1213,6 @@ fn run_job(job: Job, store: &ObjectStore, injector: Option<&ServerFaultInjector>
 pub struct TcpStorageClient {
     stream: TcpStream,
     deadline: Deadline,
-    /// Tenant identity stamped on every request frame; 0, the server's
-    /// [`TenantId::DEFAULT`], unless [`TcpStorageClient::with_tenant`] set
-    /// another.
-    tenant: u16,
     /// Monotonic multiplexing id; 0 is reserved for server-side replies to
     /// frames whose id could not be recovered.
     next_id: u32,
@@ -1431,7 +1251,6 @@ impl TcpStorageClient {
         Ok(TcpStorageClient {
             stream,
             deadline: Deadline::NONE,
-            tenant: 0,
             next_id: 1,
             frame: FrameReader::default(),
             send_buf: Vec::new(),
@@ -1451,22 +1270,13 @@ impl TcpStorageClient {
         self
     }
 
-    /// Stamps every request frame with `tenant` instead of 0. Tests tag
-    /// clients to observe admission and throttling per tenant.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_tenant(mut self, tenant: u16) -> TcpStorageClient {
-        self.tenant = tenant;
-        self
-    }
-
     /// Encodes `req` into `send_buf` under a fresh request id, and returns
     /// the id.
     fn encode(&mut self, req: &Request) -> u32 {
         let id = self.next_id;
         // Skip the reserved id 0 on wrap.
         self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        wire::encode_request_tenant_into(id, self.tenant, req, &mut self.send_buf);
+        wire::encode_request_into(id, req, &mut self.send_buf);
         id
     }
 
@@ -1562,7 +1372,9 @@ impl TcpStorageClient {
     pub fn await_response(&mut self, id: u32) -> Result<FetchResponse, ClientError> {
         match self.await_any(id)? {
             Response::Data(d) => Ok(d),
-            Response::Error { sample_id, message } => Err(server_error(sample_id, message)),
+            Response::Error { sample_id, message } => {
+                Err(ClientError::Server { sample_id, message })
+            }
             Response::Configured => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -1619,7 +1431,9 @@ impl TcpStorageClient {
             self.send_framed(&Request::Configure(crate::SessionConfig { dataset_seed, pipeline }))?;
         match self.await_any(id)? {
             Response::Configured => Ok(()),
-            Response::Error { sample_id, message } => Err(server_error(sample_id, message)),
+            Response::Error { sample_id, message } => {
+                Err(ClientError::Server { sample_id, message })
+            }
             Response::Data(_) => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -1722,7 +1536,6 @@ impl Read for BudgetedRead<'_> {
 mod tests {
     use super::*;
     use netsim::Bandwidth;
-    use tenant::TenantSpec;
 
     fn spawn_server(n: u64, cores: usize) -> (TcpStorageServer, datasets::DatasetSpec) {
         let ds = datasets::DatasetSpec::mini(n, 61);
@@ -1841,20 +1654,27 @@ mod tests {
     #[test]
     fn unparsable_fidelity_request_is_answered_under_its_own_id() {
         let (server, ds) = spawn_server(1, 1);
-        // The deadline only bounds the failure: an error reply sent under
-        // another id is a stray to this client, which would wait it out.
-        let mut client = TcpStorageClient::connect(server.local_addr())
-            .unwrap()
-            .with_deadline(Deadline::after(Duration::from_secs(5)));
+        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        let tier = codec::MAX_TIERS as u8; // one past the last valid tier
-        let err = client
-            .fetch_request(FetchRequest::new(0, 0, SplitPoint::NONE).with_max_tier(tier))
-            .unwrap_err();
+        // A fetch whose `max_tier` byte is 0, not `0xFF`, sealed again under
+        // a valid CRC: only the structural parser rejects it.
+        let mut frame = Vec::new();
+        wire::encode_request_into(
+            77,
+            &Request::Fetch(FetchRequest::new(0, 0, SplitPoint::NONE)),
+            &mut frame,
+        );
+        let body = frame.len() - 4;
+        frame[body - 1] = 0;
+        let crc = wire::crc32(&frame[..body]);
+        frame[body..].copy_from_slice(&crc.to_le_bytes());
+        write_frame_vectored(&mut client.stream, &frame).unwrap();
+        let (id, response) = decode_received(client.read_frame_within(None).unwrap()).unwrap();
+        assert_eq!(id, 77);
         assert!(
-            matches!(&err, ClientError::Server { message, .. }
+            matches!(&response, Response::Error { sample_id: None, message }
                 if message.contains("fidelity tier out of range")),
-            "{err:?}"
+            "{response:?}"
         );
         assert!(client.fetch(0, 0, SplitPoint::NONE).is_ok());
         server.shutdown();
@@ -1916,7 +1736,7 @@ mod tests {
             max_in_flight,
             ..ServerConfig::default()
         };
-        TcpStorageServer::start_loop(config, TenantPolicy::default(), "127.0.0.1:0", None).unwrap()
+        TcpStorageServer::start_loop(config, "127.0.0.1:0", None).unwrap()
     }
 
     const ANSWER_BYTES: usize = 64;
@@ -1927,12 +1747,10 @@ mod tests {
             sample_id: req.sample_id,
             ops_applied: 0,
             data: StageData::Encoded(vec![7u8; ANSWER_BYTES].into()),
-            tier: None,
         });
         let reply = Reply {
             conn: job.conn,
             request_id: job.request_id,
-            tenant: job.tenant,
             response,
             fault: None,
             payload_crc: None,
@@ -2024,14 +1842,13 @@ mod tests {
         let store = ObjectStore::materialize_dataset(&ds, 0..1);
         let plan = FaultPlan::quiet(1).script(0, 0, 0, FaultKind::Delay(Duration::from_millis(30)));
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_policy(
+        let server = TcpStorageServer::bind_with_chaos(
             store,
             ServerConfig {
                 cores: 1,
                 bandwidth: Bandwidth::from_gbps(10.0),
                 ..ServerConfig::default()
             },
-            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(Arc::clone(&injector)),
         )
@@ -2073,7 +1890,7 @@ mod tests {
     fn raw_fetches_never_cross_the_worker_pool() {
         const N: u64 = 6;
         let ds = datasets::DatasetSpec::mini(2, 61);
-        let store = ObjectStore::materialize_dataset_tiered(&ds, 0..2, &codec::TierSpec::default());
+        let store = ObjectStore::materialize_dataset(&ds, 0..2);
         let server = TcpStorageServer::bind(
             store.clone(),
             ServerConfig { cores: 1, bandwidth: Bandwidth::from_gbps(10.0), ..Default::default() },
@@ -2085,10 +1902,6 @@ mod tests {
         for i in 0..N {
             let whole = client.fetch(i % 2, i, SplitPoint::NONE).unwrap();
             assert_eq!(whole.as_encoded().unwrap(), &store.get(i % 2).unwrap()[..]);
-            let req = FetchRequest::new(i % 2, i, SplitPoint::NONE).with_max_tier(0);
-            let capped = client.fetch_request(req).unwrap();
-            assert_eq!(capped.tier, Some(0));
-            assert!(capped.data.byte_len() < whole.byte_len());
         }
         assert_eq!(server.pool_jobs(), 1, "a raw fetch crossed the pool");
         for i in 0..N {
@@ -2169,7 +1982,7 @@ mod tests {
         // Both read (the configure, two offloaded fetches and a raw one
         // before them) before a slot frees, so the third one parks.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.tenant_stats()[&0].admitted < 6 {
+        while server.requests() < 6 {
             assert!(Instant::now() < deadline, "the loop never read the last two requests");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -2238,11 +2051,12 @@ mod tests {
             frame.len() as u64
         };
         let configured = frame_len(&Response::Configured);
-        let frame = frame_len(&data_response(
-            StageData::Image(imagery::RasterImage::filled(224, 224, imagery::Rgb::gray(0))),
-            None,
-        ));
-        let admitted = || server.tenant_stats()[&0].admitted;
+        let frame = frame_len(&data_response(StageData::Image(imagery::RasterImage::filled(
+            224,
+            224,
+            imagery::Rgb::gray(0),
+        ))));
+        let admitted = || server.requests();
         let admitted_before = admitted();
         let reqs: Vec<_> =
             (0..SUBMITTED).map(|i| FetchRequest::new(i % 2, i, SplitPoint::new(2))).collect();
@@ -2312,14 +2126,13 @@ mod tests {
             // Sample 0's first response is served raw, sample 1's offloaded.
             let plan = FaultPlan::quiet(3).script(0, 0, 0, kind).script(1, 0, 0, kind);
             let injector = Arc::new(ServerFaultInjector::new(0, plan));
-            let server = TcpStorageServer::bind_with_policy(
+            let server = TcpStorageServer::bind_with_chaos(
                 store.clone(),
                 ServerConfig {
                     cores: 1,
                     bandwidth: Bandwidth::from_gbps(10.0),
                     ..ServerConfig::default()
                 },
-                TenantPolicy::default(),
                 "127.0.0.1:0",
                 Some(Arc::clone(&injector)),
             )
@@ -2575,8 +2388,8 @@ mod tests {
         frame
     }
 
-    fn data_response(data: StageData, tier: Option<u8>) -> Response {
-        Response::Data(FetchResponse { sample_id: 41, ops_applied: 2, data, tier })
+    fn data_response(data: StageData) -> Response {
+        Response::Data(FetchResponse { sample_id: 41, ops_applied: 2, data })
     }
 
     /// Deterministic bytes with no short period.
@@ -2593,10 +2406,9 @@ mod tests {
             imagery::Rgb::gray(200),
         ));
         let responses = [
-            ("raw", data_response(StageData::Encoded(blob(700).into()), None)),
-            ("tiered prefix", data_response(StageData::Encoded(blob(300).into()), Some(1))),
-            ("image", data_response(StageData::Image(img), None)),
-            ("tensor", data_response(StageData::Tensor(tensor), None)),
+            ("raw", data_response(StageData::Encoded(blob(700).into()))),
+            ("image", data_response(StageData::Image(img))),
+            ("tensor", data_response(StageData::Tensor(tensor))),
             ("error", Response::Error { sample_id: Some(3), message: "unknown sample 3".into() }),
         ];
         for (kind, response) in &responses {
@@ -2608,11 +2420,11 @@ mod tests {
                 assert_eq!(got, want, "{kind}, chunks of {chunk}");
             }
         }
-        let request = Request::Fetch(FetchRequest::new(5, 2, SplitPoint::new(2)).with_max_tier(1));
+        let request = Request::Fetch(FetchRequest::new(5, 2, SplitPoint::new(2)).with_reencode(70));
         let mut frame = Vec::new();
-        wire::encode_request_tenant_into(9, 3, &request, &mut frame);
+        wire::encode_request_into(9, &request, &mut frame);
         let want = wire::decode_request_framed(&read_in_chunks(&frame, frame.len() + 4)).unwrap();
-        assert_eq!(want, (9, 3, request));
+        assert_eq!(want, (9, request));
         for chunk in 1..=frame.len() + 4 {
             let got = wire::decode_request_framed(&read_in_chunks(&frame, chunk)).unwrap();
             assert_eq!(got, want, "request, chunks of {chunk}");
@@ -2621,7 +2433,7 @@ mod tests {
 
     #[test]
     fn a_frame_longer_than_a_step_grows_its_allocation_with_the_bytes() {
-        let response = data_response(StageData::Encoded(blob(3 * READ_STEP + 17).into()), None);
+        let response = data_response(StageData::Encoded(blob(3 * READ_STEP + 17).into()));
         let frame = response_frame(5, &response);
         for chunk in [4093, 65_536, READ_STEP + 1, frame.len() + 4] {
             let (id, got) = decode_received(read_in_chunks(&frame, chunk)).unwrap();
@@ -2650,7 +2462,7 @@ mod tests {
     #[test]
     fn client_raw_payload_lies_inside_the_one_allocation_it_received() {
         let stored = Bytes::from(blob(150_000));
-        let frame = response_frame(8, &data_response(StageData::Encoded(stored.clone()), None));
+        let frame = response_frame(8, &data_response(StageData::Encoded(stored.clone())));
         let mut reader = FrameReader::default();
         let wire_bytes = framed(&frame);
         assert_eq!(reader.poll(&mut &wire_bytes[..]), ReadStatus::Frame);
@@ -2697,7 +2509,6 @@ mod tests {
             Response::Data(executor.execute(FetchRequest::new(0, 0, SplitPoint::NONE)).unwrap());
         // As the loop queues a raw serve: with the stored object's CRC.
         let out = OutFrame {
-            tenant: TenantId::DEFAULT,
             request_id: 3,
             response,
             fault: None,
@@ -2754,14 +2565,9 @@ mod tests {
 
     #[test]
     fn a_frame_in_parts_resumes_across_would_block_at_every_write_size() {
-        let responses = [
-            data_response(StageData::Encoded(blob(300).into()), Some(2)),
-            data_response(StageData::Encoded(blob(300).into()), None),
-            Response::Configured,
-        ];
+        let responses = [data_response(StageData::Encoded(blob(300).into())), Response::Configured];
         for response in responses {
             let out = OutFrame {
-                tenant: TenantId::DEFAULT,
                 request_id: 12,
                 response,
                 fault: None,
@@ -2784,8 +2590,7 @@ mod tests {
     #[test]
     fn bare_max_length_headers_pin_no_payload_memory_at_the_server() {
         let config = ServerConfig { cores: 1, ..ServerConfig::default() };
-        let (mut el, _jobs, _replies) =
-            EventLoop::bind(config, TenantPolicy::default(), "127.0.0.1:0", None).unwrap();
+        let (mut el, _jobs, _replies) = EventLoop::bind(config, "127.0.0.1:0", None).unwrap();
         let addr = el.listener.local_addr().unwrap();
         let mut peers: Vec<TcpStream> = (0..64)
             .map(|_| {
@@ -2846,14 +2651,13 @@ mod tests {
             let mut reader = FrameReader::default();
             let mut answer_next = |stream: &mut TcpStream| {
                 assert_eq!(reader.poll(stream), ReadStatus::Frame);
-                let (id, _, request) = wire::decode_request_framed(&reader.take_frame()).unwrap();
+                let (id, request) = wire::decode_request_framed(&reader.take_frame()).unwrap();
                 let Request::Fetch(req) = request else { panic!("only fetches here") };
                 let data = StageData::Encoded(vec![req.sample_id as u8; LEN].into());
                 let response = Response::Data(FetchResponse {
                     sample_id: req.sample_id,
                     ops_applied: 0,
                     data,
-                    tier: None,
                 });
                 let mut payload = Vec::new();
                 wire::encode_response_into(id, &response, &mut payload);
@@ -2932,14 +2736,13 @@ mod tests {
         // Drop sample 0's first response; everything else is clean.
         let plan = FaultPlan::quiet(1).script(0, 0, 0, FaultKind::Drop);
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_policy(
+        let server = TcpStorageServer::bind_with_chaos(
             store,
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
                 ..ServerConfig::default()
             },
-            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(Arc::clone(&injector)),
         )
@@ -2966,14 +2769,13 @@ mod tests {
         let store = ObjectStore::materialize_dataset(&ds, 0..1);
         let plan = FaultPlan::quiet(2).script(0, 0, 0, FaultKind::BitFlip);
         let injector = Arc::new(ServerFaultInjector::new(0, plan));
-        let server = TcpStorageServer::bind_with_policy(
+        let server = TcpStorageServer::bind_with_chaos(
             store,
             ServerConfig {
                 cores: 1,
                 bandwidth: Bandwidth::from_gbps(10.0),
                 ..ServerConfig::default()
             },
-            TenantPolicy::default(),
             "127.0.0.1:0",
             Some(injector),
         )
@@ -2987,142 +2789,6 @@ mod tests {
         let err = client.fetch_many_requests(&reqs).unwrap_err();
         assert!(matches!(err, ClientError::Corrupted), "{err:?}");
         assert_eq!(client.fetch_many_requests(&reqs).unwrap().len(), 1);
-        server.shutdown();
-    }
-
-    fn policy_server(
-        n: u64,
-        cores: usize,
-        policy: TenantPolicy,
-    ) -> (TcpStorageServer, datasets::DatasetSpec) {
-        let ds = datasets::DatasetSpec::mini(n, 61);
-        let store = ObjectStore::materialize_dataset(&ds, 0..n);
-        let server = TcpStorageServer::bind_with_policy(
-            store,
-            ServerConfig {
-                cores,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                ..ServerConfig::default()
-            },
-            policy,
-            "127.0.0.1:0",
-            None,
-        )
-        .unwrap();
-        (server, ds)
-    }
-
-    #[test]
-    fn tenant_fetches_are_served_and_attributed() {
-        let policy =
-            TenantPolicy::default().with_tenant(TenantId(7), TenantSpec::default().with_weight(2));
-        let (server, ds) = policy_server(3, 2, policy);
-        let mut tagged = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(7);
-        let mut untagged = TcpStorageClient::connect(server.local_addr()).unwrap();
-        tagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        untagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        for s in 0..3u64 {
-            assert_eq!(tagged.fetch(s, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
-        }
-        untagged.fetch(0, 0, SplitPoint::new(2)).unwrap();
-        let stats = server.tenant_stats();
-        // Configure + 3 fetches under tenant 7; the client that names no
-        // tenant lands on the default tenant 0.
-        let t7 = stats[&7];
-        assert_eq!(t7.admitted, 4);
-        assert_eq!(t7.completed, 4);
-        assert_eq!(t7.throttled, 0);
-        assert!(t7.bytes_sent > 3 * 150_528, "{t7:?}");
-        assert_eq!(stats[&0].admitted, 2);
-        server.shutdown();
-    }
-
-    #[test]
-    fn per_tenant_in_flight_bound_rejects_and_retry_succeeds() {
-        // Tenant 5 may hold one request in flight. A pipelined batch of 8
-        // reaches the event loop in one kernel buffer, so the loop decodes
-        // all of them while the single worker is still on the first — the
-        // excess must come back as typed, retryable throttle errors, not
-        // queue (the old FIFO behaviour) and not generic failures.
-        let policy = TenantPolicy::default()
-            .with_tenant(TenantId(5), TenantSpec::default().with_max_in_flight(1));
-        let (server, ds) = policy_server(2, 1, policy);
-        let mut client = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(5);
-        client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        let reqs: Vec<_> =
-            (0..8u64).map(|i| FetchRequest::new(i % 2, i / 2, SplitPoint::new(2))).collect();
-        let ids = client.submit_all(&reqs).unwrap();
-        let mut ok = 0usize;
-        let mut throttled = Vec::new();
-        for (id, req) in ids.into_iter().zip(&reqs) {
-            match client.await_response(id) {
-                Ok(_) => ok += 1,
-                Err(ClientError::TenantThrottled { message }) => {
-                    assert!(message.contains("in-flight bound"), "{message}");
-                    throttled.push(*req);
-                }
-                Err(e) => panic!("unexpected error: {e:?}"),
-            }
-        }
-        assert!(ok >= 1, "at least the first request is admitted");
-        assert!(!throttled.is_empty(), "excess past the bound is rejected");
-        // Rejected requests were never queued; sequential retries all win.
-        for req in throttled {
-            client.fetch_request(req).unwrap();
-        }
-        let stats = server.tenant_stats();
-        assert!(stats[&5].throttled >= 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn quota_throttles_the_hog_but_not_the_victim() {
-        // Tenant 1 is metered at 128 KB/s with a 32 KB burst, so each
-        // ~150 KB tensor response puts its bucket ~0.9 s into debt when
-        // the charge lands at encode. Pacing drains that debt exactly as
-        // the frame releases — so a request arriving *while* the paced
-        // queue is draining sees the outstanding debt and is rejected at
-        // admission, while the pipelined pair itself still completes.
-        // Tenant 2 is unmetered and fetches at full speed throughout.
-        let policy = TenantPolicy::default()
-            .with_tenant(TenantId(1), TenantSpec::default().with_quota(128_000.0, 32_000));
-        let (server, ds) = policy_server(2, 2, policy);
-        let addr = server.local_addr();
-        let mut hog = TcpStorageClient::connect(addr).unwrap().with_tenant(1);
-        let mut victim = TcpStorageClient::connect(addr).unwrap().with_tenant(2);
-        hog.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        victim.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-
-        let burst: Vec<_> =
-            (0..2u64).map(|i| FetchRequest::new(i, 0, SplitPoint::new(2))).collect();
-        let ids = hog.submit_all(&burst).unwrap();
-        // Wait (by polling server stats) until the first paced response
-        // has fully hit the wire: in that same event-loop pass the second
-        // frame's charge lands, so the bucket sits ~1.2 s in debt for the
-        // whole time frame two paces out — the probe below lands squarely
-        // mid-drain however slow the workers are.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while server.tenant_stats().get(&1).map_or(0, |s| s.bytes_sent) < 150_528 {
-            assert!(Instant::now() < deadline, "first hog response never drained");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let err = hog.fetch(1, 1, SplitPoint::new(2)).unwrap_err();
-        assert!(
-            matches!(err, ClientError::TenantThrottled { ref message } if message.contains("byte quota")),
-            "{err:?}"
-        );
-
-        let reqs: Vec<_> =
-            (0..6u64).map(|i| FetchRequest::new(i % 2, i / 2, SplitPoint::new(2))).collect();
-        assert_eq!(victim.fetch_many_requests(&reqs).unwrap().len(), 6);
-        // The hog's admitted pair still arrives — paced, never dropped.
-        for id in ids {
-            hog.await_response(id).unwrap();
-        }
-
-        let stats = server.tenant_stats();
-        assert!(stats[&1].throttled >= 1, "{stats:?}");
-        assert_eq!(stats[&2].throttled, 0, "{stats:?}");
         server.shutdown();
     }
 }

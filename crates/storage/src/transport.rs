@@ -33,29 +33,6 @@ pub enum ClientError {
     /// The per-request [`Deadline`](crate::Deadline) expired before the
     /// response arrived. Retryable with a fresh budget.
     DeadlineExceeded,
-    /// The server's admission control rejected the request because this
-    /// tenant is over its byte quota or in-flight bound. Retryable: the
-    /// request was never queued, so backing off and resubmitting is safe
-    /// and cheap.
-    TenantThrottled {
-        /// Server-provided detail (which limit tripped).
-        message: String,
-    },
-}
-
-/// Message prefix a tenant-aware server puts on error replies produced by
-/// admission control. Clients recognise it and surface the typed,
-/// retryable [`ClientError::TenantThrottled`] instead of a generic server
-/// error.
-pub(crate) const TENANT_THROTTLED_PREFIX: &str = "tenant-throttled: ";
-
-/// Maps a server error reply to the client-side error type, recognising
-/// the admission-control marker.
-pub(crate) fn server_error(sample_id: Option<u64>, message: String) -> ClientError {
-    match message.strip_prefix(TENANT_THROTTLED_PREFIX) {
-        Some(detail) => ClientError::TenantThrottled { message: detail.to_string() },
-        None => ClientError::Server { sample_id, message },
-    }
 }
 
 impl std::fmt::Display for ClientError {
@@ -70,9 +47,6 @@ impl std::fmt::Display for ClientError {
             ClientError::UnexpectedResponse => write!(f, "unexpected response kind"),
             ClientError::Corrupted => write!(f, "frame corrupted in transit (checksum mismatch)"),
             ClientError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            ClientError::TenantThrottled { message } => {
-                write!(f, "tenant throttled by admission control (retryable): {message}")
-            }
         }
     }
 }

@@ -9,20 +9,21 @@
 //! There is one frame format, version `0xA5`, and every field it defines
 //! is always present. Every message opens with the version byte and a
 //! `request_id: u32`, the multiplexing key that lets one connection carry
-//! many pipelined in-flight exchanges. A request then names its tenant, the
-//! `tenant_id: u16` a multi-tenant server attributes, schedules and meters
-//! it by (0 is the default tenant). A fetch ends with the fidelity cap the
-//! client accepts, `max_tier: u8`, and a data response carries the tier it
-//! was served at; `0xFF` means uncapped, or full fidelity.
+//! many pipelined in-flight exchanges. Three fields the frame defines carry
+//! one value each, until a frame without them replaces this one: a
+//! request's `tenant_id: u16` is written as 0 and read and discarded, and a
+//! fetch's `max_tier: u8` and a data response's `tier: u8` are `0xFF`
+//! (uncapped, full fidelity); any other tier byte is
+//! [`WireError::Invalid`].
 //!
 //! Every message ends with a CRC32 trailer (IEEE polynomial, little-endian)
 //! over all the bytes before it. Decoding verifies the checksum before
-//! parsing, so bit corruption anywhere in a frame — including in the id, the
-//! tenant, the tier, or a sample id the structural parser would happily
-//! accept — surfaces as [`WireError::ChecksumMismatch`]: a response is never
-//! re-routed to the wrong caller, a request never billed to the wrong
-//! tenant, and training data is never silently poisoned. CRC32 detects every
-//! burst error up to 32 bits, so any single flipped byte is always caught.
+//! parsing, so bit corruption anywhere in a frame — including in the id or
+//! a sample id the structural parser would happily accept — surfaces as
+//! [`WireError::ChecksumMismatch`]: a response is never re-routed to the
+//! wrong caller, and training data is never silently poisoned. CRC32
+//! detects every burst error up to 32 bits, so any single flipped byte is
+//! always caught.
 //! A frame that opens with any other version byte, including the retired
 //! `0xA2`–`0xA4`, decodes to [`WireError::Version`].
 //!
@@ -45,12 +46,10 @@
 //! A fetch request is 31 bytes, and a raw data response is its payload plus
 //! 25.
 //!
-//! [`encode_request_tenant_into`] is the request encoder and
-//! [`encode_request_into`] its front for tenant 0; [`decode_request_framed`]
-//! reads what they write. [`encode_response_into`] pairs with
-//! [`decode_response_framed`]. The encoders write into a caller-provided
-//! reusable buffer (clearing it first), so a steady-state connection
-//! re-encodes frames with **zero allocations**. [`peek_request_id`] reads
+//! [`encode_request_into`] pairs with [`decode_request_framed`], and
+//! [`encode_response_into`] with [`decode_response_framed`]. The encoders
+//! write into a caller-provided reusable buffer (clearing it first), so a
+//! steady-state connection re-encodes frames with **zero allocations**. [`peek_request_id`] reads
 //! the id of a frame that failed to decode, and [`crc32`] is the checksum.
 //!
 //! Responses have a second, copy-free front on each side for the TCP
@@ -125,15 +124,14 @@ const _: () = {
 /// instead of parsing as a header.
 pub(crate) const WIRE_VERSION: u8 = 0xA5;
 
-/// The wire sentinel for "no fidelity cap / full fidelity".
+/// The one value of a fetch's and a data response's tier byte: uncapped,
+/// full fidelity.
 const TIER_UNCAPPED: u8 = u8::MAX;
 
-/// Parses a wire tier byte: the sentinel means `None`, in-range tiers map
-/// to `Some`, anything else is a typed rejection.
-fn decode_tier_byte(b: u8) -> Result<Option<u8>, WireError> {
-    match b {
-        TIER_UNCAPPED => Ok(None),
-        t if (t as usize) < codec::MAX_TIERS => Ok(Some(t)),
+/// Reads a tier byte, which must be [`TIER_UNCAPPED`].
+fn expect_uncapped(r: &mut Reader<'_>) -> Result<(), WireError> {
+    match r.u8()? {
+        TIER_UNCAPPED => Ok(()),
         _ => Err(WireError::Invalid("fidelity tier out of range")),
     }
 }
@@ -381,19 +379,14 @@ fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// Serializes a [`Request`] from `tenant_id` under `request_id` into a
-/// caller-provided buffer (cleared first); a reused buffer makes
-/// steady-state encoding allocation-free.
-pub fn encode_request_tenant_into(
-    request_id: u32,
-    tenant_id: u16,
-    req: &Request,
-    out: &mut Vec<u8>,
-) {
+/// Serializes a [`Request`] under `request_id` into a caller-provided
+/// buffer (cleared first); a reused buffer makes steady-state encoding
+/// allocation-free.
+pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
     out.clear();
     out.push(WIRE_VERSION);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&tenant_id.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // tenant_id
     match req {
         Request::Configure(cfg) => {
             out.push(0x01);
@@ -409,28 +402,23 @@ pub fn encode_request_tenant_into(
             out.extend_from_slice(&f.epoch.to_le_bytes());
             out.push(f.split.offloaded_ops() as u8);
             out.push(f.reencode_quality.unwrap_or(0));
-            out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
+            out.push(TIER_UNCAPPED);
         }
     }
     seal_in_place(out);
 }
 
-/// [`encode_request_tenant_into`] for the default tenant, 0.
-pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
-    encode_request_tenant_into(request_id, 0, req, out);
-}
-
-/// Deserializes a [`Request`] together with its multiplexing id and the
-/// tenant id its header carries.
+/// Deserializes a [`Request`] together with its multiplexing id. The
+/// tenant id its header carries is read and discarded.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for any malformed input, including trailing
 /// bytes, checksum mismatches, and foreign wire versions.
-pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireError> {
+pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Request), WireError> {
     let mut r = Reader::new(verify_checksum(data)?);
     let request_id = r.header()?;
-    let tenant_id = r.u16()?;
+    r.u16()?; // tenant_id
     let req = match r.u8()? {
         0x01 => {
             let dataset_seed = r.u64()?;
@@ -452,13 +440,13 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireErr
                 q if (1..=100).contains(&q) => Some(q),
                 _ => return Err(WireError::Invalid("reencode quality")),
             };
-            let max_tier = decode_tier_byte(r.u8()?)?;
-            Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality, max_tier })
+            expect_uncapped(&mut r)?;
+            Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality })
         }
         t => return Err(WireError::BadTag(t)),
     };
     r.finish()?;
-    Ok((request_id, tenant_id, req))
+    Ok((request_id, req))
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +489,7 @@ pub(crate) fn encode_response_parts(
             // The server applies at most the split its request carried,
             // which is one byte wide on the wire.
             head.push(d.ops_applied as u8);
-            head.push(d.tier.unwrap_or(TIER_UNCAPPED));
+            head.push(TIER_UNCAPPED);
             body = encode_stage_data(&d.data, head);
         }
         Response::Error { sample_id, message } => {
@@ -558,9 +546,9 @@ fn decode_response(mut r: Reader<'_>) -> Result<(u32, Response), WireError> {
         0x12 => {
             let sample_id = r.u64()?;
             let ops_applied = u32::from(r.u8()?);
-            let tier = decode_tier_byte(r.u8()?)?;
+            expect_uncapped(&mut r)?;
             let data = decode_stage_data(&mut r)?;
-            Response::Data(FetchResponse { sample_id, ops_applied, data, tier })
+            Response::Data(FetchResponse { sample_id, ops_applied, data })
         }
         0x13 => {
             let sample_id = match r.u8()? {
@@ -584,10 +572,19 @@ mod tests {
     use imagery::Rgb;
 
     // The encoders write into a caller's buffer; the tests want the frame.
-    fn request_frame(id: u32, tenant: u16, req: &Request) -> Vec<u8> {
+    fn request_frame(id: u32, req: &Request) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_request_tenant_into(id, tenant, req, &mut out);
+        encode_request_into(id, req, &mut out);
         out
+    }
+
+    /// `frame` with byte `at` set to `value` and the CRC sealed again, so
+    /// only the structural parser sees the change.
+    fn resealed(mut frame: Vec<u8>, at: usize, value: u8) -> Vec<u8> {
+        frame[at] = value;
+        frame.truncate(frame.len() - 4);
+        seal_in_place(&mut frame);
+        frame
     }
 
     fn response_frame(id: u32, resp: &Response) -> Vec<u8> {
@@ -597,19 +594,18 @@ mod tests {
     }
 
     fn decode_request(data: &[u8]) -> Result<Request, WireError> {
-        decode_request_framed(data).map(|(_, _, req)| req)
+        decode_request_framed(data).map(|(_, req)| req)
     }
 
     fn decode_response(data: &[u8]) -> Result<Response, WireError> {
         decode_response_framed(data).map(|(_, resp)| resp)
     }
 
-    fn raw_response(payload: &'static [u8], tier: Option<u8>) -> Response {
+    fn raw_response(payload: &'static [u8]) -> Response {
         Response::Data(FetchResponse {
             sample_id: 9,
             ops_applied: 0,
             data: StageData::Encoded(Bytes::from_static(payload)),
-            tier,
         })
     }
 
@@ -627,16 +623,15 @@ mod tests {
             Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))),
             Request::Fetch(FetchRequest::new(u64::MAX, 0, SplitPoint::NONE)),
             Request::Fetch(FetchRequest::new(9, 1, SplitPoint::new(2)).with_reencode(70)),
-            Request::Fetch(FetchRequest::new(4, 2, SplitPoint::NONE).with_max_tier(1)),
         ];
         for req in &reqs {
-            let bytes = request_frame(0, 0, req);
+            let bytes = request_frame(0, req);
             assert_eq!(&decode_request(&bytes).unwrap(), req, "roundtrip {req:?}");
         }
     }
 
-    /// A hand-crafted body behind a version-5 header (a request's names
-    /// tenant 0), sealed under a valid CRC, so a test exercises the
+    /// A hand-crafted body behind a version-5 header (a request's with a
+    /// zero tenant id), sealed under a valid CRC, so a test exercises the
     /// structural parser rather than the version or checksum gates.
     fn sealed(request: bool, body: &[u8]) -> Vec<u8> {
         let mut out = vec![WIRE_VERSION];
@@ -686,13 +681,13 @@ mod tests {
     fn frame_sizes_are_pinned() {
         // ver id tenant | tag sample epoch split quality max_tier | crc
         let fetch = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2)));
-        assert_eq!(request_frame(0, 0, &fetch).len(), 31);
-        let capped = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::NONE).with_max_tier(1));
-        assert_eq!(request_frame(0, 7, &capped).len(), 31);
+        assert_eq!(request_frame(0, &fetch).len(), 31);
+        let raw = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::NONE));
+        assert_eq!(request_frame(7, &raw).len(), 31);
         // ver id | tag sample ops tier | tag len payload | crc
-        for (payload, tier) in [(&b""[..], None), (b"raw", None), (b"prefix", Some(1))] {
-            let bytes = response_frame(3, &raw_response(payload, tier));
-            assert_eq!(bytes.len(), payload.len() + 25, "{payload:?} at tier {tier:?}");
+        for payload in [&b""[..], b"raw", b"prefix"] {
+            let bytes = response_frame(3, &raw_response(payload));
+            assert_eq!(bytes.len(), payload.len() + 25, "{payload:?}");
         }
     }
 
@@ -700,8 +695,8 @@ mod tests {
     fn request_ids_roundtrip_on_both_message_kinds() {
         for id in [0u32, 1, 0xdead_beef, u32::MAX] {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = request_frame(id, 0, &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, 0, req));
+            let bytes = request_frame(id, &req);
+            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, req));
             assert_eq!(peek_request_id(&bytes), Some(id));
 
             let resp = Response::Configured;
@@ -712,17 +707,15 @@ mod tests {
     }
 
     #[test]
-    fn tenant_frames_roundtrip_with_id_and_tenant() {
-        for (id, t) in [(0u32, 0u16), (7, 1), (0xdead_beef, 41), (u32::MAX, u16::MAX)] {
-            let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = request_frame(id, t, &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, t, req));
-            assert_eq!(peek_request_id(&bytes), Some(id));
+    fn any_tenant_id_decodes_to_the_same_request() {
+        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
+        let bytes = request_frame(0xdead_beef, &req);
+        assert_eq!(bytes[5..7], [0, 0], "the encoder writes tenant 0");
+        for tenant in [1u16, 41, 0x100, u16::MAX] {
+            let [lo, hi] = tenant.to_le_bytes();
+            let tagged = resealed(resealed(bytes.clone(), 5, lo), 6, hi);
+            assert_eq!(decode_request_framed(&tagged).unwrap(), (0xdead_beef, req.clone()));
         }
-        let mut front = Vec::new();
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
-        encode_request_into(5, &req, &mut front);
-        assert_eq!(front, request_frame(5, 0, &req), "the front names tenant 0");
     }
 
     #[test]
@@ -780,7 +773,7 @@ mod tests {
         // Any opening byte but the one version is foreign, under a valid CRC.
         let fetch = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
         for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
-            let mut bytes = request_frame(9, 0, &fetch);
+            let mut bytes = request_frame(9, &fetch);
             bytes.truncate(bytes.len() - 4);
             bytes[0] = version;
             seal_in_place(&mut bytes);
@@ -791,68 +784,38 @@ mod tests {
     #[test]
     fn tenant_id_is_protected_by_the_checksum() {
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let mut bytes = request_frame(11, 6, &req);
+        let mut bytes = request_frame(11, &req);
         bytes[5] ^= 0x01; // inside the little-endian tenant id
         assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
-    fn tenant_encode_into_reuses_the_buffer_without_reallocating() {
-        let req = Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)));
-        let mut buf = Vec::new();
-        encode_request_tenant_into(5, 1, &req, &mut buf);
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        for id in 0..1000u32 {
-            encode_request_tenant_into(id, (id % 7) as u16, &req, &mut buf);
-            let (got_id, got_tenant, _) = decode_request_framed(&buf).unwrap();
-            assert_eq!((got_id, got_tenant), (id, (id % 7) as u16));
-        }
-        assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
-        assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn fidelity_requests_roundtrip_with_their_tenant() {
-        for tier in 0..codec::MAX_TIERS as u8 {
-            let fetch = FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(tier);
-            for tenant in [0, 41] {
-                let bytes = request_frame(5, tenant, &Request::Fetch(fetch));
-                assert_eq!(
-                    decode_request_framed(&bytes).unwrap(),
-                    (5, tenant, Request::Fetch(fetch))
-                );
-            }
+    fn out_of_range_wire_tiers_are_rejected() {
+        // ver id tenant tag sample epoch split quality | max_tier, and
+        // ver id tag sample ops | tier: 0xFF is the one value either takes.
+        let req = request_frame(0, &Request::Fetch(FetchRequest::new(1, 0, SplitPoint::NONE)));
+        let resp = response_frame(0, &raw_response(b"x"));
+        assert_eq!((req[26], resp[15]), (TIER_UNCAPPED, TIER_UNCAPPED));
+        let want = WireError::Invalid("fidelity tier out of range");
+        for tier in 0..TIER_UNCAPPED {
+            assert_eq!(decode_request_framed(&resealed(req.clone(), 26, tier)), Err(want.clone()));
+            assert_eq!(
+                decode_response_framed(&resealed(resp.clone(), 15, tier)),
+                Err(want.clone())
+            );
         }
     }
 
     #[test]
     fn served_tier_roundtrips_under_the_crc() {
-        let resp = raw_response(b"tiered prefix", Some(1));
+        let resp = raw_response(b"raw payload");
         let bytes = response_frame(4, &resp);
         assert_eq!(decode_response_framed(&bytes).unwrap(), (4, resp));
         // ver id tag sample ops | tier: flipping it must fail the
-        // checksum, never downgrade silently.
-        let mut corrupt = bytes.clone();
+        // checksum, never decode as another fidelity.
+        let mut corrupt = bytes;
         corrupt[15] ^= 0x01;
         assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn out_of_range_wire_tiers_are_rejected() {
-        // Re-seal frames whose tier byte is 8 (valid tiers are 0..8, 0xFF
-        // is the sentinel).
-        let out_of_range = |mut bytes: Vec<u8>, at: usize| {
-            bytes[at] = codec::MAX_TIERS as u8;
-            bytes.truncate(bytes.len() - 4);
-            seal_in_place(&mut bytes);
-            bytes
-        };
-        let resp = out_of_range(response_frame(0, &raw_response(b"x", Some(0))), 15);
-        let req = Request::Fetch(FetchRequest::new(1, 0, SplitPoint::NONE).with_max_tier(0));
-        let req = out_of_range(request_frame(0, 0, &req), 26);
-        let want = WireError::Invalid("fidelity tier out of range");
-        assert_eq!(decode_response_framed(&resp), Err(want.clone()));
-        assert_eq!(decode_request_framed(&req), Err(want));
     }
 
     #[test]
@@ -863,7 +826,6 @@ mod tests {
             sample_id: 9,
             ops_applied: 2,
             data: StageData::Encoded(Bytes::from_static(b"payload")),
-            tier: None,
         });
         let mut bytes = response_frame(41, &resp);
         bytes[3] ^= 0x04; // inside the little-endian request id
@@ -907,7 +869,7 @@ mod tests {
         // Flip a bit inside the request id: structurally still a perfectly
         // valid fetch request, but the checksum catches it.
         let mut bytes =
-            request_frame(0, 0, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
+            request_frame(0, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
         bytes[1] ^= 0x01;
         assert_eq!(decode_request(&bytes), Err(WireError::ChecksumMismatch));
     }
@@ -930,12 +892,8 @@ mod tests {
             StageData::Tensor(tensor),
         ];
         for p in payloads {
-            let resp = Response::Data(FetchResponse {
-                sample_id: 9,
-                ops_applied: 2,
-                data: p.clone(),
-                tier: None,
-            });
+            let resp =
+                Response::Data(FetchResponse { sample_id: 9, ops_applied: 2, data: p.clone() });
             let bytes = response_frame(0, &resp);
             // Responses are `PartialEq`, so the roundtrip asserts every
             // field (payload bytes included) in one exhaustive comparison.
@@ -953,7 +911,6 @@ mod tests {
                     sample_id: 9,
                     ops_applied: 0,
                     data: StageData::Encoded(stored.clone()),
-                    tier: None,
                 }),
                 true,
             ),
@@ -962,7 +919,6 @@ mod tests {
                     sample_id: 9,
                     ops_applied: 0,
                     data: StageData::Encoded(stored.slice(..1000)),
-                    tier: Some(0),
                 }),
                 true,
             ),
@@ -971,7 +927,6 @@ mod tests {
                     sample_id: 9,
                     ops_applied: 2,
                     data: StageData::Image(img),
-                    tier: None,
                 }),
                 false,
             ),
@@ -1006,19 +961,16 @@ mod tests {
                 sample_id: 9,
                 ops_applied: 0,
                 data: StageData::Encoded(Bytes::from(vec![0x7e; 3000])),
-                tier: Some(1),
             }),
             Response::Data(FetchResponse {
                 sample_id: 9,
                 ops_applied: 2,
                 data: StageData::Image(img),
-                tier: None,
             }),
             Response::Data(FetchResponse {
                 sample_id: 9,
                 ops_applied: 4,
                 data: StageData::Tensor(tensor),
-                tier: None,
             }),
             Response::Error { sample_id: Some(2), message: "gone".into() },
             Response::Configured,
@@ -1055,7 +1007,6 @@ mod tests {
             sample_id: 1,
             ops_applied: 1,
             data: StageData::Image(RasterImage::filled(8, 8, Rgb::gray(7))),
-            tier: None,
         });
         let bytes = response_frame(0, &resp);
         for len in 0..bytes.len() {

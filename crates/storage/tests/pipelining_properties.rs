@@ -9,7 +9,7 @@ use bytes::Bytes;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use proptest::prelude::*;
 use storage::wire::{
-    decode_request_framed, decode_response_framed, encode_request_into, encode_request_tenant_into,
+    crc32, decode_request_framed, decode_response_framed, encode_request_into,
     encode_response_into, peek_request_id, WireError,
 };
 use storage::{
@@ -35,9 +35,15 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
+/// `req`'s frame under `request_id`, with `tenant` in its tenant id (bytes
+/// 5 and 6, which the encoder writes as 0) and its CRC sealed again.
 fn request_frame(request_id: u32, tenant: u16, req: &Request) -> Vec<u8> {
     let mut frame = Vec::new();
-    encode_request_tenant_into(request_id, tenant, req, &mut frame);
+    encode_request_into(request_id, req, &mut frame);
+    frame[5..7].copy_from_slice(&tenant.to_le_bytes());
+    let body = frame.len() - 4;
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -46,7 +52,6 @@ fn data_response(request_id: u32, sample_id: u64) -> (u32, Vec<u8>) {
         sample_id,
         ops_applied: 0,
         data: StageData::Encoded(Bytes::from(sample_id.to_le_bytes().to_vec())),
-        tier: None,
     });
     let mut frame = Vec::new();
     encode_response_into(request_id, &resp, &mut frame);
@@ -108,39 +113,37 @@ proptest! {
         );
     }
 
-    /// A pipelined burst of request frames from many tenants, decoded
-    /// in an arbitrary order, hands back exactly the (request id, tenant
-    /// id) pair each frame was sealed with — tenant attribution survives
-    /// any interleaving on the shared stream.
+    /// A pipelined burst of request frames, each carrying its own tenant
+    /// id, decoded in an arbitrary order, hands back exactly the request id
+    /// and request each frame was sealed with, whatever tenant id it
+    /// carries.
     #[test]
     fn shuffled_tenant_frames_keep_their_attribution(
         n in 2usize..24,
         shuffle_seed in any::<u64>(),
         tenant_base in any::<u16>(),
     ) {
-        let mut frames: Vec<(u32, u16, u64, Vec<u8>)> = (0..n)
+        let mut frames: Vec<(u32, u64, Vec<u8>)> = (0..n)
             .map(|i| {
                 let id = (i as u32).wrapping_mul(2_654_435_761).max(1);
                 let tenant = tenant_base.wrapping_add(i as u16);
                 let sample = i as u64;
                 let req = Request::Fetch(FetchRequest::new(sample, 0, SplitPoint::NONE));
-                (id, tenant, sample, request_frame(id, tenant, &req))
+                (id, sample, request_frame(id, tenant, &req))
             })
             .collect();
         shuffle(&mut frames, shuffle_seed);
-        for (id, tenant, sample, frame) in &frames {
+        for (id, sample, frame) in &frames {
             prop_assert_eq!(peek_request_id(frame), Some(*id));
-            let (decoded_id, decoded_tenant, req) = decode_request_framed(frame).unwrap();
+            let (decoded_id, req) = decode_request_framed(frame).unwrap();
             prop_assert_eq!(decoded_id, *id);
-            prop_assert_eq!(decoded_tenant, *tenant);
             let Request::Fetch(f) = req else { panic!("fetch frame") };
             prop_assert_eq!(f.sample_id, *sample);
         }
     }
 
-    /// A frame from the tenant-less front, `encode_request_into`, names
-    /// the default tenant 0 — never a garbled tenant id — and is
-    /// byte-identical to the same request sealed for tenant 0.
+    /// A frame from `encode_request_into` names tenant 0 — never a garbled
+    /// tenant id — and decodes to its id and request.
     #[test]
     fn encode_request_into_frames_decode_as_tenant_0(
         request_id in any::<u32>(),
@@ -149,16 +152,14 @@ proptest! {
         let req = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::NONE));
         let mut frame = Vec::new();
         encode_request_into(request_id, &req, &mut frame);
-        let (id, tenant, decoded) = decode_request_framed(&frame).unwrap();
+        prop_assert_eq!(&frame[5..7], &[0, 0]);
+        let (id, decoded) = decode_request_framed(&frame).unwrap();
         prop_assert_eq!(id, request_id);
-        prop_assert_eq!(tenant, 0);
         prop_assert_eq!(decoded, req);
-        prop_assert_eq!(frame, request_frame(request_id, 0, &req));
     }
 
     /// Flipping any single byte of a request frame — version, request
-    /// id, tenant id, body, or the CRC itself — fails the checksum, so a
-    /// corrupted tenant id can never bill or throttle the wrong tenant.
+    /// id, tenant id, body, or the CRC itself — fails the checksum.
     #[test]
     fn single_byte_flips_on_tenant_frames_fail_the_checksum(
         request_id in any::<u32>(),

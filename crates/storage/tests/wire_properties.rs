@@ -5,8 +5,8 @@ use imagery::{RasterImage, Rgb, Tensor};
 use pipeline::{OpKind, PipelineSpec, SplitPoint, StageData};
 use proptest::prelude::*;
 use storage::wire::{
-    decode_request_framed, decode_response_framed, encode_request_into, encode_response_into,
-    WireError,
+    crc32, decode_request_framed, decode_response_framed, encode_request_into,
+    encode_response_into, WireError,
 };
 use storage::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
 
@@ -25,11 +25,21 @@ fn encode_response(resp: &Response) -> Vec<u8> {
 }
 
 fn decode_request(data: &[u8]) -> Result<Request, WireError> {
-    decode_request_framed(data).map(|(_, _, req)| req)
+    decode_request_framed(data).map(|(_, req)| req)
 }
 
 fn decode_response(data: &[u8]) -> Result<Response, WireError> {
     decode_response_framed(data).map(|(_, resp)| resp)
+}
+
+/// `frame` with `bytes` written at `at` and its CRC32 trailer sealed again,
+/// so only the structural parser sees the change.
+fn resealed(mut frame: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
+    frame[at..at + bytes.len()].copy_from_slice(bytes);
+    let body = frame.len() - 4;
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 fn arb_pipeline() -> impl Strategy<Value = PipelineSpec> {
@@ -65,7 +75,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Configured),
         (any::<u64>(), 0u32..8, arb_stage_data()).prop_map(|(sample_id, ops_applied, data)| {
-            Response::Data(FetchResponse { sample_id, ops_applied, data, tier: None })
+            Response::Data(FetchResponse { sample_id, ops_applied, data })
         }),
         (proptest::option::of(any::<u64>()), ".{0,200}")
             .prop_map(|(sample_id, message)| Response::Error { sample_id, message }),
@@ -86,11 +96,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 Request::Fetch(req)
             }
         ),
-        (any::<u64>(), any::<u64>(), 0u8..8).prop_map(|(sample_id, epoch, tier)| {
-            Request::Fetch(
-                FetchRequest::new(sample_id, epoch, SplitPoint::NONE).with_max_tier(tier),
-            )
-        }),
     ]
 }
 
@@ -102,6 +107,41 @@ proptest! {
     fn requests_roundtrip(req in arb_request()) {
         let bytes = encode_request(&req);
         prop_assert_eq!(decode_request(&bytes).unwrap(), req);
+    }
+
+    /// The tenant id a request frame carries (bytes 5 and 6, after the
+    /// version and the request id) is read and discarded: whatever its
+    /// value, the frame decodes to the same request.
+    #[test]
+    fn any_tenant_id_decodes_to_the_same_request(req in arb_request(), tenant in any::<u16>()) {
+        let bytes = resealed(encode_request(&req), 5, &tenant.to_le_bytes());
+        prop_assert_eq!(decode_request(&bytes).unwrap(), req);
+    }
+
+    /// A fetch's `max_tier` byte and a data response's `tier` byte take
+    /// one value, `0xFF`; any other decodes to `WireError::Invalid`, under
+    /// a valid CRC.
+    #[test]
+    fn a_tier_byte_other_than_uncapped_is_invalid(
+        sample_id in any::<u64>(),
+        split in 0usize..=6,
+        tier in 0u8..0xFF,
+        data in arb_stage_data(),
+    ) {
+        let want = Err(WireError::Invalid("fidelity tier out of range"));
+        // ver id tenant | tag sample epoch split quality | max_tier
+        let fetch = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::new(split)));
+        let request = encode_request(&fetch);
+        prop_assert_eq!(request[26], 0xFF);
+        prop_assert_eq!(decode_request(&resealed(request, 26, &[tier])), want.clone());
+        // ver id | tag sample ops | tier
+        let resp = Response::Data(FetchResponse { sample_id, ops_applied: 0, data });
+        let response = encode_response(&resp);
+        prop_assert_eq!(response[15], 0xFF);
+        prop_assert_eq!(
+            decode_response(&resealed(response, 15, &[tier])).map(|_| ()),
+            want.map(|_: Request| ())
+        );
     }
 
     /// Decoders are total over arbitrary bytes.
@@ -181,7 +221,6 @@ proptest! {
             sample_id,
             ops_applied: ops,
             data: pipeline::StageData::Encoded(payload.into()),
-            tier: None,
         });
         let bytes = encode_response(&resp);
         prop_assert_eq!(decode_response(&bytes).unwrap(), resp);
@@ -197,7 +236,6 @@ fn every_byte_of_a_data_frame_is_flip_protected() {
         sample_id: 7,
         ops_applied: 3,
         data: StageData::Encoded((0u8..=255).collect::<Vec<u8>>().into()),
-        tier: None,
     });
     let bytes = encode_response(&resp);
     for idx in 0..bytes.len() {

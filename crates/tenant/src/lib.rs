@@ -1,17 +1,13 @@
-//! Multi-tenant serving primitives.
+//! Multi-tenant serving primitives, for the simulated extension.
 //!
-//! The paper offloads preprocessing for *one* training job; production
-//! fleets serve many concurrent jobs against shared storage CPU, links,
-//! and caches. This crate holds the tenancy vocabulary the rest of the
-//! workspace threads through the serving stack:
+//! The paper offloads preprocessing for *one* training job, and the live
+//! storage server serves one. Sharing a storage node among concurrent
+//! jobs, with weights and byte quotas, is simulated
+//! (`cluster::simulate_multi_tenant`) over this vocabulary:
 //!
-//! * [`TenantId`] — the wire-level identity a request frame carries;
-//! * [`TenantSpec`] / [`TenantPolicy`] — per-tenant weight, byte quota,
-//!   and in-flight bound, with a permissive single-tenant default so
-//!   existing single-job deployments are unaffected;
-//! * [`ByteBudget`] — a token bucket over virtual `f64` seconds, usable
-//!   unchanged by the real TCP server (wall-clock offsets) and the
-//!   cluster simulator (virtual time);
+//! * [`TenantId`] — a tenant's identity;
+//! * [`TenantSpec`] — per-tenant weight, byte quota and in-flight bound;
+//! * [`ByteBudget`] — a token bucket over virtual `f64` seconds;
 //! * [`DwrrScheduler`] — deficit-weighted round robin over per-tenant
 //!   FIFO queues, the dispatch order for shared storage resources.
 //!
@@ -28,18 +24,4 @@ mod spec;
 
 pub use budget::ByteBudget;
 pub use dwrr::DwrrScheduler;
-pub use spec::{TenantId, TenantPolicy, TenantSpec};
-
-/// Per-tenant serving counters, maintained by whoever dispatches work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Requests admitted into the scheduler.
-    pub admitted: u64,
-    /// Requests rejected by admission control (over quota or over the
-    /// in-flight bound).
-    pub throttled: u64,
-    /// Responses completed.
-    pub completed: u64,
-    /// Payload bytes sent to this tenant.
-    pub bytes_sent: u64,
-}
+pub use spec::{TenantId, TenantSpec};

@@ -7,11 +7,11 @@
 //! here were recorded at `50fc8f1` (dense IDCT, per-pixel colour
 //! conversion, unfused `Decode` → `RandomResizedCrop`) and the file calls
 //! only functions whose signatures predate the crop-aware decoder. The
-//! synthesis, store and tiered stored-byte constants were recorded at
-//! `f0adaa2` (per-pixel value noise, plane-by-plane encoder, one thread). A
-//! digest that moves means a pixel or a tensor value changed.
+//! synthesis and store constants were recorded at `f0adaa2` (per-pixel
+//! value noise, plane-by-plane encoder, one thread). A digest that moves
+//! means a pixel or a tensor value changed.
 
-use codec::{Quality, TierSpec};
+use codec::Quality;
 use datasets::DatasetSpec;
 use imagery::synth::{Pattern, SynthSpec};
 use pipeline::{PipelineSpec, SampleKey, StageData};
@@ -96,13 +96,8 @@ fn store_digest(
 fn materialized_stores_are_pinned() {
     let ds = mini();
     let classic = ObjectStore::materialize_dataset(&ds, 0..24);
-    let tiers = TierSpec::default();
-    let tiered = ObjectStore::materialize_dataset_tiered(&ds, 4..12, &tiers);
-    let got = [
-        store_digest(&classic, 0..24, |id| ds.materialize(id)),
-        store_digest(&tiered, 4..12, |id| ds.materialize_tiered(id, &tiers)),
-    ];
-    assert_digests("materialised stores", &got, &[0xf00d_d206_e066_8b2f, 0x88a0_1463_63ac_f817]);
+    let got = store_digest(&classic, 0..24, |id| ds.materialize(id));
+    assert_digests("materialised stores", &[got], &[0xf00d_d206_e066_8b2f]);
 }
 
 #[test]
@@ -156,38 +151,52 @@ fn classic_decode_pixels_are_pinned() {
     assert_digests("classic decode", &got, &[0x16cc_c385_9d7f_e270, 0xd1dc_dbb8_f04d_a24f]);
 }
 
-#[test]
-fn tiered_decode_pixels_are_pinned() {
-    let img = SynthSpec::new(75, 53).complexity(0.7).render(5);
-    let bytes = codec::encode_tiered(&img, Quality::default(), &TierSpec::default());
-    let mut stored = Fnv::new();
-    stored.fold_bytes(&bytes);
-    let got: Vec<u64> = (0..3)
-        .map(|tier| {
-            let out = codec::decode_tiered(codec::truncate_to_tier(&bytes, tier).unwrap()).unwrap();
-            assert_eq!(out.tier, tier);
-            let mut d = Fnv::new();
-            d.fold_image(&out.image);
-            d.0
-        })
-        .collect();
-    assert_digests(
-        "tiered decode",
-        &got,
-        &[0x2282_26f6_1e87_7a14, 0xc821_941e_67a3_169b, 0x8ded_2472_e87e_2ebe],
-    );
-    assert_digests("tiered stored bytes", &[stored.0], &[0x3507_e2dd_a6a7_9d83]);
+/// `stream` with every AC coefficient at zigzag index `band_end` or past
+/// it dropped, read straight off the entropy code (a DC varint, then
+/// `(run, value varint)` pairs up to the `0xFF` end-of-block byte, block
+/// after block). Its pixels are those of a progressive stream of the same
+/// image cut after the band that ends at `band_end`: the browned-out input
+/// these digests were recorded with, a tier-1 prefix that kept
+/// coefficients `0..20`.
+fn low_pass(stream: &[u8], band_end: usize) -> Vec<u8> {
+    const HEADER_LEN: usize = 15;
+    const EOB: u8 = 0xFF;
+    let varint_end = |mut pos: usize| {
+        while stream[pos] & 0x80 != 0 {
+            pos += 1;
+        }
+        pos + 1
+    };
+    let mut out = stream[..HEADER_LEN].to_vec();
+    let mut pos = HEADER_LEN;
+    while pos < stream.len() {
+        let dc_end = varint_end(pos);
+        out.extend_from_slice(&stream[pos..dc_end]);
+        pos = dc_end;
+        let mut idx = 1;
+        while stream[pos] != EOB {
+            idx += usize::from(stream[pos]);
+            let pair_end = varint_end(pos + 1);
+            if idx < band_end {
+                out.extend_from_slice(&stream[pos..pair_end]);
+            }
+            pos = pair_end;
+            idx += 1;
+        }
+        out.push(EOB);
+        pos += 1;
+    }
+    out
 }
 
-/// Two stored samples and a browned-out tiered prefix of the first, each
-/// with the epochs it is run at.
+/// Two stored samples and a low-pass copy of the first, each with the
+/// epochs it is run at.
 fn tensor_inputs() -> Vec<(u64, Vec<u8>, &'static [u64])> {
     let ds = mini();
-    let tiered = ds.materialize_tiered(MINI_IDS[0], &TierSpec::default());
     vec![
         (MINI_IDS[0], ds.materialize(MINI_IDS[0]), &[0, 3]),
         (MINI_IDS[1], ds.materialize(MINI_IDS[1]), &[0, 3]),
-        (100, codec::truncate_to_tier(&tiered, 1).unwrap().to_vec(), &[1]),
+        (100, low_pass(&ds.materialize(MINI_IDS[0]), 20), &[1]),
     ]
 }
 
