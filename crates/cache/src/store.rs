@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use pipeline::StageData;
+use storage::ServeForm;
 
 use crate::key::CacheKey;
 use crate::policy::{CachePolicy, EfficiencyAwarePolicy, EntryMeta, LruPolicy};
@@ -72,7 +73,7 @@ impl AdmissionHint {
 
 #[derive(Debug)]
 struct Entry {
-    ops_applied: u32,
+    form: ServeForm,
     data: StageData,
     meta: EntryMeta,
 }
@@ -133,15 +134,15 @@ impl SampleCache {
     }
 
     /// Looks up `key`, counting a hit or miss and refreshing recency.
-    /// Returns the ops-applied count and a clone of the payload.
-    pub fn get(&mut self, key: &CacheKey) -> Option<(u32, StageData)> {
+    /// Returns the form the payload was served as and a clone of it.
+    pub fn get(&mut self, key: &CacheKey) -> Option<(ServeForm, StageData)> {
         self.clock += 1;
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.meta.last_touch = self.clock;
                 self.stats.hits += 1;
                 self.stats.bytes_served += entry.meta.bytes;
-                Some((entry.ops_applied, entry.data.clone()))
+                Some((entry.form, entry.data.clone()))
             }
             None => {
                 self.stats.misses += 1;
@@ -150,7 +151,8 @@ impl SampleCache {
         }
     }
 
-    /// Offers a payload for admission. Returns whether it was admitted.
+    /// Offers a payload, served as `form` (a `ServeForm`, or a bare split
+    /// count: `0` is raw), for admission. Returns whether it was admitted.
     ///
     /// Re-inserting a resident key refreshes its payload and metadata in
     /// place. Otherwise the policy arbitrates: the cache collects
@@ -160,10 +162,11 @@ impl SampleCache {
     pub fn insert(
         &mut self,
         key: CacheKey,
-        ops_applied: u32,
+        form: impl Into<ServeForm>,
         data: StageData,
         hint: AdmissionHint,
     ) -> bool {
+        let form = form.into();
         let bytes = data.byte_len();
         if bytes > self.budget_bytes {
             self.stats.rejections += 1;
@@ -183,7 +186,7 @@ impl SampleCache {
             // A refresh never grows past the budget check below because the
             // old entry already fit; still, shrink-then-grow is possible, so
             // fall through to the eviction loop for the delta.
-            existing.ops_applied = ops_applied;
+            existing.form = form;
             existing.data = data;
             existing.meta = EntryMeta { inserted_at: existing.meta.inserted_at, ..meta };
             self.stats.insertions += 1;
@@ -210,7 +213,7 @@ impl SampleCache {
             self.evict(&victim);
         }
         self.used_bytes += bytes;
-        self.entries.insert(key, Entry { ops_applied, data, meta });
+        self.entries.insert(key, Entry { form, data, meta });
         self.stats.insertions += 1;
         self.stats.bytes_inserted += bytes;
         true
@@ -333,8 +336,8 @@ mod tests {
         cache.insert(key(0), 1, payload(60), AdmissionHint::default());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 60);
-        let (ops, data) = cache.get(&key(0)).unwrap();
-        assert_eq!(ops, 1);
+        let (form, data) = cache.get(&key(0)).unwrap();
+        assert_eq!(form, ServeForm::from(1));
         assert_eq!(data.byte_len(), 60);
     }
 

@@ -67,7 +67,8 @@ impl<T: FetchTransport> CachingTransport<T> {
     /// and the request's split is epoch-stable.
     fn key_for(&self, req: &FetchRequest) -> Option<CacheKey> {
         let (seed, pipeline) = self.session.as_ref()?;
-        CacheKey::try_new(*seed, req.sample_id, req.split, req.reencode_quality, pipeline).ok()
+        let (split, reencode) = (req.form.split(), req.form.reencode());
+        CacheKey::try_new(*seed, req.sample_id, split, reencode, pipeline).ok()
     }
 }
 
@@ -88,8 +89,8 @@ impl<T: FetchTransport> FetchTransport for CachingTransport<T> {
         for req in requests {
             match self.key_for(req) {
                 Some(key) => match self.cache.get(&key) {
-                    Some((ops_applied, data)) => {
-                        served.push(FetchResponse { sample_id: req.sample_id, ops_applied, data })
+                    Some((form, data)) => {
+                        served.push(FetchResponse { sample_id: req.sample_id, form, data })
                     }
                     None => {
                         forward_keys.insert(req.sample_id, key);
@@ -110,7 +111,7 @@ impl<T: FetchTransport> FetchTransport for CachingTransport<T> {
                         self.hints.get(&resp.sample_id).copied().unwrap_or_else(|| {
                             AdmissionHint::from_payload_bytes(resp.data.byte_len())
                         });
-                    self.cache.insert(key, resp.ops_applied, resp.data.clone(), hint);
+                    self.cache.insert(key, resp.form, resp.data.clone(), hint);
                 }
                 served.push(resp);
             }
@@ -123,6 +124,7 @@ impl<T: FetchTransport> FetchTransport for CachingTransport<T> {
 mod tests {
     use super::*;
     use pipeline::{SplitPoint, StageData};
+    use storage::ServeForm;
 
     /// Counts wire activity and serves a deterministic payload per sample.
     struct CountingTransport {
@@ -154,12 +156,12 @@ mod tests {
                 .map(|r| {
                     // Payload varies by sample so hits can be checked for
                     // identity, and by split so aliasing would be caught.
-                    let fill = (r.sample_id as u8) ^ (r.split.offloaded_ops() as u8);
+                    let fill = (r.sample_id as u8) ^ (r.form.split().offloaded_ops() as u8);
                     let bytes = vec![fill; self.payload_len];
                     self.bytes_shipped += bytes.len() as u64;
                     FetchResponse {
                         sample_id: r.sample_id,
-                        ops_applied: r.split.offloaded_ops() as u32,
+                        form: r.form,
                         data: StageData::Encoded(bytes.into()),
                     }
                 })
@@ -217,7 +219,8 @@ mod tests {
     fn quality_mismatch_is_a_miss() {
         let mut t = cached(1 << 20, 64);
         let plain = vec![FetchRequest::new(0, 0, SplitPoint::new(1))];
-        let reenc = vec![FetchRequest::new(0, 1, SplitPoint::new(1)).with_reencode(85)];
+        let form = ServeForm::Prefix { split: SplitPoint::new(1), reencode: Some(85) };
+        let reenc = vec![FetchRequest { sample_id: 0, epoch: 1, form }];
         t.fetch_many_requests(&plain).unwrap();
         t.fetch_many_requests(&reenc).unwrap();
         assert_eq!(

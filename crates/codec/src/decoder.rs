@@ -90,7 +90,7 @@ fn read_classic(data: &[u8], rect: Option<Rect>) -> Result<RegionBlocks, CodecEr
     let mut pos = HEADER_LEN;
     // A block is at least a DC varint and an end-of-block byte.
     let mut blocks = region.block_storage(header.quality, (data.len() - pos) / 2, data.len())?;
-    blocks.read_scan(data, &mut pos, (0, BLOCK_AREA))?;
+    blocks.read_scan(data, &mut pos)?;
     if pos != data.len() {
         return Err(CodecError::TrailingData { remaining: data.len() - pos });
     }
@@ -205,24 +205,19 @@ pub(crate) struct RegionBlocks {
 }
 
 impl RegionBlocks {
-    /// Reads one scan, the coefficients `[lo, hi)` of every block of the
-    /// three planes in turn, from `data` at `*pos`: the window's blocks
-    /// are decoded into the planes, the others stepped over.
+    /// Reads the scan, every block of the three planes in turn, from `data`
+    /// at `*pos`: the window's blocks are decoded into the planes, the
+    /// others stepped over.
     ///
     /// # Errors
     ///
     /// The first entropy defect, as [`entropy::decode_band`] reports it.
-    pub(crate) fn read_scan(
-        &mut self,
-        data: &[u8],
-        pos: &mut usize,
-        band: (usize, usize),
-    ) -> Result<(), CodecError> {
+    pub(crate) fn read_scan(&mut self, data: &[u8], pos: &mut usize) -> Result<(), CodecError> {
         for plane in &mut self.planes {
             let mut dc_pred = 0i16;
             self.region.window.for_each_block(|slot| match slot {
-                Some(slot) => entropy::decode_band(data, pos, band, &mut dc_pred, &mut plane[slot]),
-                None => entropy::skip_band(data, pos, band, &mut dc_pred),
+                Some(slot) => entropy::decode_band(data, pos, &mut dc_pred, &mut plane[slot]),
+                None => entropy::skip_band(data, pos, &mut dc_pred),
             })?;
         }
         Ok(())

@@ -118,26 +118,22 @@ pub(crate) fn encode_block(zz: &[i16; BLOCK_AREA], dc_pred: &mut i16, out: &mut 
     out.push(EOB);
 }
 
-/// Reads one block's coefficients in `[lo, hi)` (the whole spectrum, as
-/// every caller passes it) from `data` at `*pos` into
-/// `zz`, advancing `*pos` and, when `lo == 0`, the DC predictor.
+/// Reads one block's coefficients from `data` at `*pos` into `zz`,
+/// advancing `*pos` and the DC predictor.
 ///
 /// # Errors
 ///
 /// Propagates varint errors, and returns [`CodecError::RunOverflow`] when a
-/// run would pass the end of the band.
+/// run would pass the end of the block.
 #[inline]
 pub(crate) fn decode_band(
     data: &[u8],
     pos: &mut usize,
-    (lo, hi): (usize, usize),
     dc_pred: &mut i16,
     zz: &mut [i16; BLOCK_AREA],
 ) -> Result<(), CodecError> {
-    walk_band(data, pos, (lo, hi), dc_pred, |i, value| zz[i] = value as i16)?;
-    if lo == 0 {
-        zz[0] = *dc_pred;
-    }
+    walk_band(data, pos, dc_pred, |i, value| zz[i] = value as i16)?;
+    zz[0] = *dc_pred;
     Ok(())
 }
 
@@ -145,38 +141,26 @@ pub(crate) fn decode_band(
 /// not stored, so `*pos`, the DC predictor and every error, offset
 /// included, are those [`decode_band`] produces.
 #[inline]
-pub(crate) fn skip_band(
-    data: &[u8],
-    pos: &mut usize,
-    band: (usize, usize),
-    dc_pred: &mut i16,
-) -> Result<(), CodecError> {
-    walk_band(data, pos, band, dc_pred, |_, _| {})
+pub(crate) fn skip_band(data: &[u8], pos: &mut usize, dc_pred: &mut i16) -> Result<(), CodecError> {
+    walk_band(data, pos, dc_pred, |_, _| {})
 }
 
-/// The one entropy walker: the DC (predicted) when `lo == 0`, then each
-/// `(run, value)` pair up to the end-of-block byte, handing `set` each
-/// value with its index. Every value is read by [`read_varint`], whether
-/// `set` stores it or drops it, so a skipped block's position and errors
-/// are a decoded block's.
+/// The one entropy walker: the DC (predicted), then each `(run, value)`
+/// pair up to the end-of-block byte, handing `set` each value with its
+/// index. Every value is read by [`read_varint`], whether `set` stores it
+/// or drops it, so a skipped block's position and errors are a decoded
+/// block's.
 #[inline(always)]
 fn walk_band(
     data: &[u8],
     pos: &mut usize,
-    (lo, hi): (usize, usize),
     dc_pred: &mut i16,
     mut set: impl FnMut(usize, i64),
 ) -> Result<(), CodecError> {
-    // Bands end inside the block; saying so here drops the bounds checks
-    // on the indices `set` stores at.
-    let hi = hi.min(BLOCK_AREA);
-    let mut idx = lo;
-    if lo == 0 {
-        // Wrapping: a hostile varint near i64::MAX must produce garbage
-        // coefficients, not a debug-build overflow panic.
-        *dc_pred = i64::from(*dc_pred).wrapping_add(read_varint(data, pos)?) as i16;
-        idx = 1;
-    }
+    // Wrapping: a hostile varint near i64::MAX must produce garbage
+    // coefficients, not a debug-build overflow panic.
+    *dc_pred = i64::from(*dc_pred).wrapping_add(read_varint(data, pos)?) as i16;
+    let mut idx = 1;
     loop {
         let marker_off = *pos;
         let byte = *data.get(*pos).ok_or(CodecError::Truncated { offset: *pos })?;
@@ -185,7 +169,7 @@ fn walk_band(
             return Ok(());
         }
         idx += usize::from(byte);
-        if idx >= hi {
+        if idx >= BLOCK_AREA {
             return Err(CodecError::RunOverflow { offset: marker_off });
         }
         set(idx, read_varint(data, pos)?);
@@ -328,8 +312,7 @@ mod tests {
         assert_eq!(out.len(), 2);
     }
 
-    /// `decode_band` and `skip_band` over the whole spectrum against the
-    /// storing walker: the same `Result` (coefficients aside), the same
+    /// `decode_band` and `skip_band` against the storing walker: the same `Result` (coefficients aside), the same
     /// position and the same DC predictor, on streams built to end inside
     /// varints, run past ten varint bytes and overflow a run, and on
     /// byte soup.
@@ -393,9 +376,9 @@ mod tests {
             let (mut pos, mut dc) = (0, 7i16);
             let oracle = decode_block(data, &mut pos, &mut dc);
             let (mut skip_pos, mut skip_dc) = (0, 7i16);
-            let skipped = skip_band(data, &mut skip_pos, (0, BLOCK_AREA), &mut skip_dc);
+            let skipped = skip_band(data, &mut skip_pos, &mut skip_dc);
             let (mut band_pos, mut band_dc, mut zz) = (0, 7i16, [0i16; BLOCK_AREA]);
-            let decoded = decode_band(data, &mut band_pos, (0, BLOCK_AREA), &mut band_dc, &mut zz);
+            let decoded = decode_band(data, &mut band_pos, &mut band_dc, &mut zz);
             assert_eq!(skipped, oracle.clone().map(drop), "{data:?}");
             assert_eq!(decoded.map(|()| zz), oracle.clone(), "{data:?}");
             if oracle.is_ok() {

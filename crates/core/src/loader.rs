@@ -25,8 +25,8 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use imagery::rng::Rng;
-use pipeline::{BatchAssembly, PipelineSpec, SampleKey, SplitPoint, StageData, TensorBatch};
-use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport};
+use pipeline::{BatchAssembly, PipelineSpec, SampleKey, StageData, TensorBatch};
+use storage::{ClientError, FetchRequest, FetchResponse, FetchTransport, ServeForm};
 
 use crate::OffloadPlan;
 
@@ -224,8 +224,8 @@ impl<T: FetchTransport> OffloadingLoader<T> {
     }
 }
 
-/// The requests for one batch: each sample's split from `plan`, with the
-/// re-compression directive `config` asks for.
+/// The requests for one batch: each sample's form is its split from `plan`,
+/// re-encoded as `config` asks where the split's output is a raster image.
 fn batch_requests(
     config: &LoaderConfig,
     pipeline: &PipelineSpec,
@@ -237,17 +237,19 @@ fn batch_requests(
         .iter()
         .map(|&id| {
             let split = plan.split(id as usize);
-            let mut req = FetchRequest::new(id, epoch, split);
-            // Re-compression only applies to stages the modality's codec can
-            // shrink (raster-image transfers).
-            if let Some(q) = config.reencode_quality {
-                if split.is_offloaded()
-                    && pipeline::Modality::stage_supports_reencode(pipeline, split.offloaded_ops())
+            let form = match config.reencode_quality {
+                Some(q)
+                    if split.is_offloaded()
+                        && pipeline::Modality::stage_supports_reencode(
+                            pipeline,
+                            split.offloaded_ops(),
+                        ) =>
                 {
-                    req = req.with_reencode(q);
+                    ServeForm::Prefix { split, reencode: Some(q) }
                 }
-            }
-            req
+                _ => split.into(),
+            };
+            FetchRequest { sample_id: id, epoch, form }
         })
         .collect()
 }
@@ -323,8 +325,9 @@ impl InFlight {
 }
 
 /// A suffix worker: finishes queued samples until the queue closes. Each
-/// sample unpacks a re-compressed payload and runs its suffix up to what
-/// the batch assembly takes (suffix execution is pure, so which worker
+/// sample is finished from the form its response names, which may differ
+/// from the one requested: it unpacks a re-compressed payload and runs the
+/// suffix after that form's split up to what the batch assembly takes (suffix execution is pure, so which worker
 /// finishes a sample never affects the result).
 fn finish_jobs(
     queue: &Mutex<Receiver<Job>>,
@@ -339,7 +342,7 @@ fn finish_jobs(
         let Ok(Job { slot, response, done }) = next else {
             return;
         };
-        let split = SplitPoint::new(response.ops_applied as usize);
+        let split = response.form.split();
         let key = SampleKey::new(dataset_seed, response.sample_id, epoch);
         let result = response.unpack().map_err(LoaderError::Codec).and_then(|data| {
             pipeline.run_suffix_for_batch(data, split, key).map_err(LoaderError::Pipeline)
@@ -353,6 +356,7 @@ fn finish_jobs(
 mod tests {
     use super::*;
     use netsim::Bandwidth;
+    use pipeline::SplitPoint;
     use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
     const N: u64 = 10;
@@ -387,19 +391,28 @@ mod tests {
 
     /// An in-process transport over a [`storage::NearStorageExecutor`]: it
     /// answers each batch in reverse order, fails batch `fail_at` (counting
-    /// from its first fetch), and serves `corrupt` as a re-compressed
-    /// payload that does not decode.
+    /// from its first fetch), serves `corrupt` as a re-compressed payload
+    /// that does not decode, and serves the samples in `serve_raw` raw
+    /// whatever form their requests ask for.
     struct LocalTransport {
         store: ObjectStore,
         executor: Option<storage::NearStorageExecutor>,
         fetches: usize,
         fail_at: Option<usize>,
         corrupt: Option<u64>,
+        serve_raw: Vec<u64>,
     }
 
     impl LocalTransport {
         fn new(store: ObjectStore) -> LocalTransport {
-            LocalTransport { store, executor: None, fetches: 0, fail_at: None, corrupt: None }
+            LocalTransport {
+                store,
+                executor: None,
+                fetches: 0,
+                fail_at: None,
+                corrupt: None,
+                serve_raw: Vec::new(),
+            }
         }
     }
 
@@ -425,12 +438,18 @@ mod tests {
             let executor = self.executor.as_ref().ok_or(ClientError::UnexpectedResponse)?;
             let mut out = Vec::with_capacity(requests.len());
             for &req in requests.iter().rev() {
+                let req = if self.serve_raw.contains(&req.sample_id) {
+                    FetchRequest { form: ServeForm::Raw, ..req }
+                } else {
+                    req
+                };
                 let mut resp = executor.execute(req).map_err(|e| ClientError::Server {
                     sample_id: Some(req.sample_id),
                     message: e.to_string(),
                 })?;
                 if self.corrupt == Some(req.sample_id) {
-                    resp.ops_applied = resp.ops_applied.max(1);
+                    let split = resp.form.split().max(SplitPoint::new(1));
+                    resp.form = ServeForm::Prefix { split, reencode: Some(85) };
                     resp.data = StageData::Encoded(b"not an image".to_vec().into());
                 }
                 out.push(resp);
@@ -587,6 +606,23 @@ mod tests {
                 assert_eq!(result.unwrap(), reference.len());
                 assert!(batches == reference, "the epoch after a failure diverged");
             }
+        }
+    }
+
+    #[test]
+    fn each_sample_finishes_from_the_form_its_response_names() {
+        // The transport answers every third sample raw although the plan
+        // offloads it: the loader must run that sample's whole pipeline,
+        // not the suffix after the split it asked for.
+        let (ds, store) = local_parts();
+        let uniform = OffloadPlan::uniform(LOCAL_N as usize, SplitPoint::new(2));
+        for plan in [uniform, make_plan(&ds)] {
+            let mut loader = local_loader(&ds, &store, plan.clone(), 2);
+            let reference = local_reference(&loader, &ds, &store, 2);
+            loader.transport_mut().serve_raw = (0..LOCAL_N).step_by(3).collect();
+            let (batches, result) = collect_epoch(&mut loader, 2);
+            assert_eq!(result.unwrap(), reference.len());
+            assert!(batches == reference, "plan {plan:?} diverged");
         }
     }
 

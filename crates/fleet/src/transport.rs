@@ -493,15 +493,22 @@ mod tests {
             }
             Ok(requests
                 .iter()
-                .map(|r| FetchResponse {
-                    sample_id: r.sample_id,
-                    ops_applied: self.node as u32,
-                    data: StageData::Encoded(bytes::Bytes::from(
-                        format!("sample-{}", r.sample_id).into_bytes(),
-                    )),
+                .map(|r| {
+                    let mut payload = vec![self.node as u8];
+                    payload.extend_from_slice(format!("sample-{}", r.sample_id).as_bytes());
+                    FetchResponse {
+                        sample_id: r.sample_id,
+                        form: r.form,
+                        data: StageData::Encoded(payload.into()),
+                    }
                 })
                 .collect())
         }
+    }
+
+    /// The node a stub's response came from: its payload's first byte.
+    fn served_by(resp: &FetchResponse) -> usize {
+        usize::from(resp.data.as_encoded().expect("stubs answer encoded bytes")[0])
     }
 
     fn reqs(ids: &[u64]) -> Vec<FetchRequest> {
@@ -520,7 +527,7 @@ mod tests {
         for (req, resp) in ids.iter().zip(&out) {
             assert_eq!(*req, resp.sample_id);
             // Served by the sample's primary owner.
-            assert_eq!(resp.ops_applied as usize, map.primary(resp.sample_id));
+            assert_eq!(served_by(resp), map.primary(resp.sample_id));
         }
         let routed: u64 = fleet.stats().requests_per_node.iter().sum();
         assert_eq!(routed, 64);
@@ -538,7 +545,7 @@ mod tests {
         for dup in [&out[2], &out[3]] {
             assert_eq!(dup, &out[0], "every duplicate gets an equal response");
         }
-        assert_eq!(out[0].data.as_encoded(), Some(&b"sample-5"[..]));
+        assert_eq!(out[0].data.as_encoded().map(|b| &b[1..]), Some(&b"sample-5"[..]));
         assert_eq!(fleet.stats().requests_per_node.iter().sum::<u64>(), 2);
     }
 
@@ -564,8 +571,8 @@ mod tests {
         let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
         assert_eq!(out.len(), 32);
         for resp in &out {
-            assert_ne!(resp.ops_applied as usize, victim, "dead node served a sample");
-            assert!(map.owners(resp.sample_id).contains(&(resp.ops_applied as usize)));
+            assert_ne!(served_by(resp), victim, "dead node served a sample");
+            assert!(map.owners(resp.sample_id).contains(&served_by(resp)));
         }
         // Later batches never route to the dead node again.
         let before = calls[victim].load(Ordering::SeqCst);
@@ -586,7 +593,7 @@ mod tests {
         let ids: Vec<u64> = (0..16).collect();
         let out = fleet.fetch_many_requests(&reqs(&ids)).unwrap();
         assert_eq!(out.len(), 16);
-        assert!(out.iter().all(|r| r.ops_applied == 1), "survivor must serve everything");
+        assert!(out.iter().all(|r| served_by(r) == 1), "survivor must serve everything");
         assert!(fleet.dead[0]);
         assert_eq!(fleet.stats().failovers, 1);
     }
@@ -697,7 +704,7 @@ mod tests {
             done.recv_timeout(Duration::from_secs(10)).expect("the fetch never returned");
         let out = out.unwrap();
         assert_eq!(out.iter().map(|r| r.sample_id).collect::<Vec<_>>(), ids);
-        assert!(out.iter().all(|r| r.ops_applied == 1), "the replica serves every sample");
+        assert!(out.iter().all(|r| served_by(r) == 1), "the replica serves every sample");
         assert_eq!(failovers, 1);
     }
 

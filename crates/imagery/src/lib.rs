@@ -34,8 +34,6 @@ mod color;
 mod error;
 mod geometry;
 mod image;
-pub mod metrics;
-pub mod ppm;
 mod resize;
 pub mod rng;
 mod round;

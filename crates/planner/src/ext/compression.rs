@@ -20,8 +20,9 @@ use crate::{CostVector, OffloadPlan, SophonError};
 ///
 /// Size estimates come from the calibrated quality-85 codec model
 /// (`datasets::model`); a live run re-encodes at quality 85 to match the
-/// plan's predictions. The live path itself (`FetchRequest::with_reencode`
-/// + the loader's `reencode_quality`) honors whatever quality is sent.
+/// plan's predictions. The live path itself (the re-encode quality of a
+/// fetch's `ServeForm::Prefix`, set from the loader's `reencode_quality`)
+/// honors whatever quality is sent.
 #[derive(Debug, Clone)]
 pub struct CompressionExt {
     /// CPU cost model for the extra encode/decode work.

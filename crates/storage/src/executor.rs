@@ -1,6 +1,6 @@
 use pipeline::{PipelineError, SampleKey, StageData};
 
-use crate::protocol::{FetchRequest, FetchResponse, SessionConfig};
+use crate::protocol::{FetchRequest, FetchResponse, ServeForm, SessionConfig};
 use crate::ObjectStore;
 
 /// Errors from near-storage execution.
@@ -84,31 +84,26 @@ impl NearStorageExecutor {
     ) -> Result<(FetchResponse, Option<u32>), ExecError> {
         let object =
             self.store.object(req.sample_id).ok_or(ExecError::UnknownSample(req.sample_id))?;
-        if req.split == pipeline::SplitPoint::NONE && req.reencode_quality.is_none() {
+        let ServeForm::Prefix { split, reencode } = req.form else {
             let data = StageData::Encoded(object.bytes.clone());
-            let resp = FetchResponse { sample_id: req.sample_id, ops_applied: 0, data };
+            let resp = FetchResponse { sample_id: req.sample_id, form: req.form, data };
             return Ok((resp, Some(object.crc)));
-        }
+        };
 
         let key = SampleKey::new(self.config.dataset_seed, req.sample_id, req.epoch);
         let mut data = self.config.pipeline.run_prefix(
             StageData::Encoded(object.bytes.clone()),
-            req.split,
+            split,
             key,
         )?;
-        if let Some(q) = req.reencode_quality {
+        if let Some(q) = reencode {
             let quality = codec::Quality::new(q).ok_or(ExecError::InvalidQuality(q))?;
             let StageData::Image(img) = &data else {
                 return Err(ExecError::ReencodeNotImage);
             };
             data = StageData::Encoded(codec::encode(img, quality).into());
         }
-        let resp = FetchResponse {
-            sample_id: req.sample_id,
-            ops_applied: req.split.offloaded_ops() as u32,
-            data,
-        };
-        Ok((resp, None))
+        Ok((FetchResponse { sample_id: req.sample_id, form: req.form, data }, None))
     }
 }
 
@@ -130,7 +125,7 @@ mod tests {
     fn split_zero_returns_raw_bytes() {
         let ex = executor();
         let resp = ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE)).unwrap();
-        assert_eq!(resp.ops_applied, 0);
+        assert_eq!(resp.form, ServeForm::Raw);
         assert!(resp.data.as_encoded().is_some());
     }
 
@@ -138,7 +133,7 @@ mod tests {
     fn split_two_returns_cropped_image() {
         let ex = executor();
         let resp = ex.execute(FetchRequest::new(1, 0, SplitPoint::new(2))).unwrap();
-        assert_eq!(resp.ops_applied, 2);
+        assert_eq!(resp.form, ServeForm::from(SplitPoint::new(2)));
         assert_eq!(resp.data.byte_len(), 150_528);
     }
 
@@ -196,7 +191,8 @@ mod tests {
         assert_eq!(crc, Some(checksum::crc32(&served)));
         let offloaded = FetchRequest::new(0, 0, SplitPoint::new(2));
         assert_eq!(ex.execute_checksummed(offloaded).unwrap().1, None);
-        let reencoded = FetchRequest::new(0, 0, SplitPoint::new(2)).with_reencode(70);
+        let form = ServeForm::Prefix { split: SplitPoint::new(2), reencode: Some(70) };
+        let reencoded = FetchRequest { form, ..offloaded };
         assert_eq!(ex.execute_checksummed(reencoded).unwrap().1, None);
     }
 }

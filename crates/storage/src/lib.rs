@@ -77,7 +77,7 @@ pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
 pub use multi::{HarnessError, MultiServerHarness};
 pub use object_store::ObjectStore;
-pub use protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
+pub use protocol::{FetchRequest, FetchResponse, Request, Response, ServeForm, SessionConfig};
 pub use retry::RetryingTransport;
 pub use tcp::{ServerConfig, TcpStorageClient, TcpStorageServer};
 pub use transport::{ClientError, FetchTransport};

@@ -1,9 +1,11 @@
 //! Typed protocol messages between the compute node and the storage server.
 //!
 //! The key novelty relative to a plain object-fetch protocol is that a
-//! [`FetchRequest`] carries an **offload directive** — the [`SplitPoint`]
-//! naming how many pipeline operations the storage node should apply before
-//! responding (paper Figure 2, step d).
+//! [`FetchRequest`] carries an **offload directive**, a [`ServeForm`]: the
+//! stored object as it is, or the output of its first pipeline operations
+//! run near storage, optionally re-encoded (paper Figure 2, step d). The
+//! [`FetchResponse`] names the form it was served as, and the compute node
+//! finishes the sample from that form, not from the one it asked for.
 
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 
@@ -20,32 +22,76 @@ pub struct SessionConfig {
     pub pipeline: PipelineSpec,
 }
 
+/// What a sample is served as: the offload directive a fetch carries and
+/// the form its response echoes (paper Figure 2, step d).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ServeForm {
+    /// The stored object as it is: no pipeline op runs near storage.
+    Raw,
+    /// The first `split` pipeline ops run near storage. With `reencode`
+    /// set, their raster output is re-encoded at that quality before
+    /// transfer (the selective compression extension), and the client
+    /// decodes it back.
+    Prefix {
+        /// How many leading pipeline ops run near storage (at least one).
+        split: SplitPoint,
+        /// The re-encode quality (1–100), if any.
+        reencode: Option<u8>,
+    },
+}
+
+impl ServeForm {
+    /// How many leading pipeline ops the form runs near storage.
+    pub fn split(self) -> SplitPoint {
+        match self {
+            ServeForm::Raw => SplitPoint::NONE,
+            ServeForm::Prefix { split, .. } => split,
+        }
+    }
+
+    /// The re-encode quality, if the form re-encodes.
+    pub fn reencode(self) -> Option<u8> {
+        match self {
+            ServeForm::Raw => None,
+            ServeForm::Prefix { reencode, .. } => reencode,
+        }
+    }
+}
+
+/// The form of `split` without re-encode: a split of 0 is
+/// [`ServeForm::Raw`].
+impl From<SplitPoint> for ServeForm {
+    fn from(split: SplitPoint) -> ServeForm {
+        if split.is_offloaded() {
+            ServeForm::Prefix { split, reencode: None }
+        } else {
+            ServeForm::Raw
+        }
+    }
+}
+
+/// The form of a split of `ops` leading ops without re-encode.
+impl From<u8> for ServeForm {
+    fn from(ops: u8) -> ServeForm {
+        ServeForm::from(SplitPoint::new(ops.into()))
+    }
+}
+
 /// A request for one sample, with its offload directive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchRequest {
     /// Sample to fetch.
     pub sample_id: u64,
     /// Current training epoch (augmentations vary per epoch).
-    pub(crate) epoch: u64,
-    /// How many leading pipeline operations to execute near storage.
-    pub split: SplitPoint,
-    /// When set and the offloaded prefix produces a raster image, the
-    /// server re-encodes it at this quality before transfer (the selective
-    /// compression extension); the client transparently decodes.
-    pub reencode_quality: Option<u8>,
+    pub epoch: u64,
+    /// What the sample is to be served as.
+    pub form: ServeForm,
 }
 
 impl FetchRequest {
-    /// A plain fetch with an offload directive and no re-compression.
+    /// A fetch with an offload split and no re-encode.
     pub fn new(sample_id: u64, epoch: u64, split: SplitPoint) -> FetchRequest {
-        FetchRequest { sample_id, epoch, split, reencode_quality: None }
-    }
-
-    /// Adds transfer-time re-compression at `quality`.
-    #[must_use]
-    pub fn with_reencode(mut self, quality: u8) -> FetchRequest {
-        self.reencode_quality = Some(quality);
-        self
+        FetchRequest { sample_id, epoch, form: split.into() }
     }
 }
 
@@ -65,26 +111,24 @@ pub enum Request {
 pub struct FetchResponse {
     /// The sample this data belongs to.
     pub sample_id: u64,
-    /// Number of pipeline operations the server applied.
-    pub ops_applied: u32,
+    /// What the sample was served as, which the client finishes it from.
+    pub form: ServeForm,
     /// The (possibly partially preprocessed) payload.
     pub data: StageData,
 }
 
 impl FetchResponse {
     /// Recovers the stage value the compute node should continue from,
-    /// transparently decoding a re-compressed payload: a response whose
-    /// `ops_applied > 0` but whose payload is encoded bytes was
-    /// re-compressed by the server (selective compression) and must be
-    /// decoded back to a raster before the pipeline suffix runs.
+    /// decoding a re-encoded payload back to a raster before the pipeline
+    /// suffix runs.
     ///
     /// # Errors
     ///
-    /// Propagates codec failures for corrupt re-compressed payloads.
+    /// Propagates codec failures for corrupt re-encoded payloads.
     pub fn unpack(self) -> Result<StageData, codec::CodecError> {
-        match (&self.data, self.ops_applied) {
-            (StageData::Encoded(bytes), n) if n > 0 => Ok(StageData::Image(codec::decode(bytes)?)),
-            _ => Ok(self.data),
+        match (self.form.reencode(), self.data) {
+            (Some(_), StageData::Encoded(bytes)) => Ok(StageData::Image(codec::decode(&bytes)?)),
+            (_, data) => Ok(data),
         }
     }
 }
@@ -115,7 +159,7 @@ mod tests {
         let r2 = r; // Copy
         assert_eq!(r, r2);
         assert!(std::mem::size_of::<FetchRequest>() <= 32);
-        assert_eq!(r.with_reencode(70).reencode_quality, Some(70));
+        assert_eq!(FetchRequest::new(1, 2, SplitPoint::NONE).form, ServeForm::Raw);
     }
 
     #[test]

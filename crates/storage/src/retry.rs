@@ -81,7 +81,7 @@ mod tests {
                     .iter()
                     .map(|r| FetchResponse {
                         sample_id: r.sample_id,
-                        ops_applied: 0,
+                        form: r.form,
                         data: StageData::Encoded(bytes::Bytes::from_static(b"payload")),
                     })
                     .collect()),

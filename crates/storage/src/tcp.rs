@@ -57,8 +57,7 @@
 //! Frame format: `u32` little-endian payload length (capped at
 //! [`wire::MAX_PAYLOAD`]) followed by the payload (a [`wire`]-encoded
 //! request or response, which itself opens with the `ver request_id`
-//! multiplexing header, a request's then with a `tenant_id` the server
-//! reads and discards, and ends with the CRC32 trailer).
+//! multiplexing header and ends with the CRC32 trailer).
 //!
 //! The server serves one training job and answers requests in the order
 //! it reads them. Sharing a node among tenants, with weights and byte
@@ -66,10 +65,10 @@
 //!
 //! # The worker pool
 //!
-//! A raw serve (split [`SplitPoint::NONE`], no re-encode) only slices the
-//! stored `Bytes`, so the loop answers it where it takes it from its queue:
-//! no job, no channel, no waker write, no thread switch. Offloaded prefixes
-//! and `Configure` requests go to the pool.
+//! A raw serve ([`ServeForm::Raw`]) only slices the stored `Bytes`, so the
+//! loop answers it where it takes it from its queue: no job, no channel, no
+//! waker write, no thread switch. Offloaded prefixes and `Configure`
+//! requests go to the pool.
 //!
 //! [`ServerConfig::cores`] workers share one FIFO job queue, a `VecDeque`
 //! behind a mutex with a condition variable that idle workers wait on, so
@@ -96,7 +95,7 @@ use pipeline::{PipelineSpec, SplitPoint, StageData};
 use poller::{Events, Interest, Poller, Waker};
 
 use crate::chaos::{FaultDirective, FaultKind, ServerFaultInjector};
-use crate::protocol::{FetchRequest, FetchResponse, Request, Response};
+use crate::protocol::{FetchRequest, FetchResponse, Request, Response, ServeForm};
 use crate::wire::{self, WireError};
 use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore};
 
@@ -898,7 +897,7 @@ impl EventLoop {
             }
             let Some(job) = self.queue.pop_front() else { break };
             match job.request {
-                Request::Fetch(req) if is_raw_serve(&req) => {
+                Request::Fetch(req @ FetchRequest { form: ServeForm::Raw, .. }) => {
                     let (response, fault, payload_crc) =
                         answer_fetch(req, &job.session, self.injector.as_deref());
                     self.complete(Reply {
@@ -1121,12 +1120,6 @@ impl<T> JobQueue<T> {
             state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
-}
-
-/// Whether the loop answers `req` itself: the stored object as it is, with
-/// no pipeline op and no re-encode.
-fn is_raw_serve(req: &FetchRequest) -> bool {
-    req.split == SplitPoint::NONE && req.reencode_quality.is_none()
 }
 
 /// Answers one fetch from its connection's session, after asking
@@ -1652,12 +1645,12 @@ mod tests {
     }
 
     #[test]
-    fn unparsable_fidelity_request_is_answered_under_its_own_id() {
+    fn unparsable_form_request_is_answered_under_its_own_id() {
         let (server, ds) = spawn_server(1, 1);
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        // A fetch whose `max_tier` byte is 0, not `0xFF`, sealed again under
-        // a valid CRC: only the structural parser rejects it.
+        // A raw fetch whose quality byte asks for a re-encode, sealed again
+        // under a valid CRC: only the structural parser rejects it.
         let mut frame = Vec::new();
         wire::encode_request_into(
             77,
@@ -1665,7 +1658,7 @@ mod tests {
             &mut frame,
         );
         let body = frame.len() - 4;
-        frame[body - 1] = 0;
+        frame[body - 1] = 85;
         let crc = wire::crc32(&frame[..body]);
         frame[body..].copy_from_slice(&crc.to_le_bytes());
         write_frame_vectored(&mut client.stream, &frame).unwrap();
@@ -1673,7 +1666,7 @@ mod tests {
         assert_eq!(id, 77);
         assert!(
             matches!(&response, Response::Error { sample_id: None, message }
-                if message.contains("fidelity tier out of range")),
+                if message.contains("reencode of a raw serve")),
             "{response:?}"
         );
         assert!(client.fetch(0, 0, SplitPoint::NONE).is_ok());
@@ -1745,7 +1738,7 @@ mod tests {
         let Request::Fetch(req) = &job.request else { panic!("these tests only fetch") };
         let response = Response::Data(FetchResponse {
             sample_id: req.sample_id,
-            ops_applied: 0,
+            form: req.form,
             data: StageData::Encoded(vec![7u8; ANSWER_BYTES].into()),
         });
         let reply = Reply {
@@ -2094,11 +2087,10 @@ mod tests {
         let (server, ds) = spawn_server(1, 1);
         let mut other = configured_clients(&server, &ds, 1).remove(0);
         let mut sender = TcpStorageClient::connect(server.local_addr()).unwrap();
-        // The retired `0x03` body, sealed like any request: request id 9,
-        // tenant 0.
+        // The retired `0x03` body, sealed like any request under request
+        // id 9.
         let mut body = vec![wire::WIRE_VERSION];
         body.extend_from_slice(&9u32.to_le_bytes());
-        body.extend_from_slice(&0u16.to_le_bytes());
         body.push(0x03);
         let crc = wire::crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
@@ -2389,7 +2381,7 @@ mod tests {
     }
 
     fn data_response(data: StageData) -> Response {
-        Response::Data(FetchResponse { sample_id: 41, ops_applied: 2, data })
+        Response::Data(FetchResponse { sample_id: 41, form: SplitPoint::new(2).into(), data })
     }
 
     /// Deterministic bytes with no short period.
@@ -2420,7 +2412,8 @@ mod tests {
                 assert_eq!(got, want, "{kind}, chunks of {chunk}");
             }
         }
-        let request = Request::Fetch(FetchRequest::new(5, 2, SplitPoint::new(2)).with_reencode(70));
+        let form = ServeForm::Prefix { split: SplitPoint::new(2), reencode: Some(70) };
+        let request = Request::Fetch(FetchRequest { sample_id: 5, epoch: 2, form });
         let mut frame = Vec::new();
         wire::encode_request_into(9, &request, &mut frame);
         let want = wire::decode_request_framed(&read_in_chunks(&frame, frame.len() + 4)).unwrap();
@@ -2656,7 +2649,7 @@ mod tests {
                 let data = StageData::Encoded(vec![req.sample_id as u8; LEN].into());
                 let response = Response::Data(FetchResponse {
                     sample_id: req.sample_id,
-                    ops_applied: 0,
+                    form: req.form,
                     data,
                 });
                 let mut payload = Vec::new();

@@ -6,14 +6,14 @@
 //! crate, so this module plays the role gRPC plays in the paper's
 //! prototype.)
 //!
-//! There is one frame format, version `0xA5`, and every field it defines
+//! There is one frame format, version `0xA6`, and every field it defines
 //! is always present. Every message opens with the version byte and a
 //! `request_id: u32`, the multiplexing key that lets one connection carry
-//! many pipelined in-flight exchanges. Three fields the frame defines carry
-//! one value each, until a frame without them replaces this one: a
-//! request's `tenant_id: u16` is written as 0 and read and discarded, and a
-//! fetch's `max_tier: u8` and a data response's `tier: u8` are `0xFF`
-//! (uncapped, full fidelity); any other tier byte is
+//! many pipelined in-flight exchanges. A fetch names the [`ServeForm`] it
+//! asks for and a data response the form it was served as, in the same two
+//! bytes: the split and the re-encode quality, 0 for none. Split 0 with a
+//! quality, a quality above 100, and a data response whose form is raw or
+//! re-encoded but whose payload is not encoded bytes decode to
 //! [`WireError::Invalid`].
 //!
 //! Every message ends with a CRC32 trailer (IEEE polynomial, little-endian)
@@ -25,25 +25,26 @@
 //! detects every burst error up to 32 bits, so any single flipped byte is
 //! always caught.
 //! A frame that opens with any other version byte, including the retired
-//! `0xA2`–`0xA4`, decodes to [`WireError::Version`].
+//! `0xA2`–`0xA5`, decodes to [`WireError::Version`].
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! Request   := ver:u8 request_id:u32 tenant_id:u16 ReqBody crc32:u32
+//! Request   := ver:u8 request_id:u32 ReqBody crc32:u32
 //! Response  := ver:u8 request_id:u32 RespBody crc32:u32
-//! ReqBody   := 0x01 dataset_seed:u64 n:u8 OpKind*n                  (configure)
-//!            | 0x02 sample_id:u64 epoch:u64 split:u8 quality:u8 max_tier:u8  (fetch)
-//! RespBody  := 0x11                                                  (configured)
-//!            | 0x12 sample_id:u64 ops_applied:u8 tier:u8 StageData   (data)
-//!            | 0x13 has_id:u8 [sample_id:u64] len:u16 utf8           (error)
-//! OpKind    := tag:u8 [size:u32]           (sized ops carry their parameter)
+//! ReqBody   := 0x01 dataset_seed:u64 n:u8 OpKind*n             (configure)
+//!            | 0x02 sample_id:u64 epoch:u64 Form               (fetch)
+//! RespBody  := 0x11                                             (configured)
+//!            | 0x12 sample_id:u64 Form StageData                (data)
+//!            | 0x13 has_id:u8 [sample_id:u64] len:u16 utf8      (error)
+//! Form      := split:u8 quality:u8     (0 0 is raw; quality 0 is none)
+//! OpKind    := tag:u8 [size:u32]       (sized ops carry their parameter)
 //! StageData := 0x00 len:u32 bytes          (encoded)
 //!            | 0x01 w:u32 h:u32 bytes      (image, len = w*h*3)
 //!            | 0x02 w:u32 h:u32 bytes      (tensor, len = w*h*12)
 //! ```
 //!
-//! A fetch request is 31 bytes, and a raw data response is its payload plus
+//! A fetch request is 28 bytes, and a raw data response is its payload plus
 //! 25.
 //!
 //! [`encode_request_into`] pairs with [`decode_request_framed`], and
@@ -67,7 +68,7 @@ use bytes::Bytes;
 use imagery::{RasterImage, Tensor};
 use pipeline::{OpKind, PipelineSpec, SplitPoint, StageData};
 
-use crate::protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
+use crate::protocol::{FetchRequest, FetchResponse, Request, Response, ServeForm, SessionConfig};
 
 /// Decoding errors. Every malformed input maps to one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,19 +123,7 @@ const _: () = {
 /// byte never collides with a version-1 tag (`0x01..=0x03`,
 /// `0x11..=0x13`), so a stray v1 frame fails the version gate as foreign
 /// instead of parsing as a header.
-pub(crate) const WIRE_VERSION: u8 = 0xA5;
-
-/// The one value of a fetch's and a data response's tier byte: uncapped,
-/// full fidelity.
-const TIER_UNCAPPED: u8 = u8::MAX;
-
-/// Reads a tier byte, which must be [`TIER_UNCAPPED`].
-fn expect_uncapped(r: &mut Reader<'_>) -> Result<(), WireError> {
-    match r.u8()? {
-        TIER_UNCAPPED => Ok(()),
-        _ => Err(WireError::Invalid("fidelity tier out of range")),
-    }
-}
+pub(crate) const WIRE_VERSION: u8 = 0xA6;
 
 /// CRC32 (IEEE 802.3) of `data`: the checksum appended to every encoded
 /// message. It folds with carry-less multiplies where the CPU has them and
@@ -376,6 +365,33 @@ fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
 }
 
 // ---------------------------------------------------------------------------
+// ServeForm
+// ---------------------------------------------------------------------------
+
+/// Writes `form` as its split and re-encode quality, 0 for none.
+fn encode_form(form: ServeForm, out: &mut Vec<u8>) {
+    // A split is one byte wide on the wire.
+    out.push(form.split().offloaded_ops() as u8);
+    out.push(form.reencode().unwrap_or(0));
+}
+
+fn decode_form(r: &mut Reader<'_>) -> Result<ServeForm, WireError> {
+    let (split, quality) = (r.u8()?, r.u8()?);
+    let reencode = match quality {
+        0 => None,
+        1..=100 => Some(quality),
+        _ => return Err(WireError::Invalid("reencode quality")),
+    };
+    match (split, reencode) {
+        (0, None) => Ok(ServeForm::Raw),
+        (0, Some(_)) => Err(WireError::Invalid("reencode of a raw serve")),
+        (split, reencode) => {
+            Ok(ServeForm::Prefix { split: SplitPoint::new(split.into()), reencode })
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
@@ -386,7 +402,6 @@ pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
     out.clear();
     out.push(WIRE_VERSION);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // tenant_id
     match req {
         Request::Configure(cfg) => {
             out.push(0x01);
@@ -400,16 +415,13 @@ pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
             out.push(0x02);
             out.extend_from_slice(&f.sample_id.to_le_bytes());
             out.extend_from_slice(&f.epoch.to_le_bytes());
-            out.push(f.split.offloaded_ops() as u8);
-            out.push(f.reencode_quality.unwrap_or(0));
-            out.push(TIER_UNCAPPED);
+            encode_form(f.form, out);
         }
     }
     seal_in_place(out);
 }
 
-/// Deserializes a [`Request`] together with its multiplexing id. The
-/// tenant id its header carries is read and discarded.
+/// Deserializes a [`Request`] together with its multiplexing id.
 ///
 /// # Errors
 ///
@@ -418,7 +430,6 @@ pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
 pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Request), WireError> {
     let mut r = Reader::new(verify_checksum(data)?);
     let request_id = r.header()?;
-    r.u16()?; // tenant_id
     let req = match r.u8()? {
         0x01 => {
             let dataset_seed = r.u64()?;
@@ -434,14 +445,8 @@ pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Request), WireError> {
         0x02 => {
             let sample_id = r.u64()?;
             let epoch = r.u64()?;
-            let split = SplitPoint::new(r.u8()? as usize);
-            let reencode_quality = match r.u8()? {
-                0 => None,
-                q if (1..=100).contains(&q) => Some(q),
-                _ => return Err(WireError::Invalid("reencode quality")),
-            };
-            expect_uncapped(&mut r)?;
-            Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality })
+            let form = decode_form(&mut r)?;
+            Request::Fetch(FetchRequest { sample_id, epoch, form })
         }
         t => return Err(WireError::BadTag(t)),
     };
@@ -486,10 +491,7 @@ pub(crate) fn encode_response_parts(
         Response::Data(d) => {
             head.push(0x12);
             head.extend_from_slice(&d.sample_id.to_le_bytes());
-            // The server applies at most the split its request carried,
-            // which is one byte wide on the wire.
-            head.push(d.ops_applied as u8);
-            head.push(TIER_UNCAPPED);
+            encode_form(d.form, head);
             body = encode_stage_data(&d.data, head);
         }
         Response::Error { sample_id, message } => {
@@ -545,10 +547,15 @@ fn decode_response(mut r: Reader<'_>) -> Result<(u32, Response), WireError> {
         0x11 => Response::Configured,
         0x12 => {
             let sample_id = r.u64()?;
-            let ops_applied = u32::from(r.u8()?);
-            expect_uncapped(&mut r)?;
+            let form = decode_form(&mut r)?;
             let data = decode_stage_data(&mut r)?;
-            Response::Data(FetchResponse { sample_id, ops_applied, data })
+            // A raw or re-encoded serve is encoded bytes.
+            if (form == ServeForm::Raw || form.reencode().is_some())
+                && !matches!(data, StageData::Encoded(_))
+            {
+                return Err(WireError::Invalid("payload does not match its form"));
+            }
+            Response::Data(FetchResponse { sample_id, form, data })
         }
         0x13 => {
             let sample_id = match r.u8()? {
@@ -602,12 +609,19 @@ mod tests {
     }
 
     fn raw_response(payload: &'static [u8]) -> Response {
-        Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 0,
-            data: StageData::Encoded(Bytes::from_static(payload)),
-        })
+        data_response(ServeForm::Raw, StageData::Encoded(Bytes::from_static(payload)))
     }
+
+    fn data_response(form: ServeForm, data: StageData) -> Response {
+        Response::Data(FetchResponse { sample_id: 9, form, data })
+    }
+
+    fn prefix(split: usize) -> ServeForm {
+        ServeForm::from(SplitPoint::new(split))
+    }
+
+    const REENCODED: ServeForm =
+        ServeForm::Prefix { split: SplitPoint::new(2), reencode: Some(70) };
 
     #[test]
     fn request_roundtrips() {
@@ -622,7 +636,7 @@ mod tests {
             }),
             Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))),
             Request::Fetch(FetchRequest::new(u64::MAX, 0, SplitPoint::NONE)),
-            Request::Fetch(FetchRequest::new(9, 1, SplitPoint::new(2)).with_reencode(70)),
+            Request::Fetch(FetchRequest { sample_id: 9, epoch: 1, form: REENCODED }),
         ];
         for req in &reqs {
             let bytes = request_frame(0, req);
@@ -630,15 +644,12 @@ mod tests {
         }
     }
 
-    /// A hand-crafted body behind a version-5 header (a request's with a
-    /// zero tenant id), sealed under a valid CRC, so a test exercises the
-    /// structural parser rather than the version or checksum gates.
-    fn sealed(request: bool, body: &[u8]) -> Vec<u8> {
+    /// A hand-crafted body behind a current header, sealed under a valid
+    /// CRC, so a test exercises the structural parser rather than the
+    /// version or checksum gates.
+    fn sealed(body: &[u8]) -> Vec<u8> {
         let mut out = vec![WIRE_VERSION];
         out.extend_from_slice(&7u32.to_le_bytes());
-        if request {
-            out.extend_from_slice(&0u16.to_le_bytes());
-        }
         out.extend_from_slice(body);
         seal_in_place(&mut out);
         out
@@ -661,7 +672,7 @@ mod tests {
             // Decode is one byte; the crop's size follows its tag.
             ops[2..6].copy_from_slice(&size.to_le_bytes());
             body.extend_from_slice(&ops);
-            sealed(true, &body)
+            sealed(&body)
         };
         assert_eq!(
             decode_request(&configure(224)).unwrap(),
@@ -679,12 +690,12 @@ mod tests {
 
     #[test]
     fn frame_sizes_are_pinned() {
-        // ver id tenant | tag sample epoch split quality max_tier | crc
+        // ver id | tag sample epoch split quality | crc
         let fetch = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2)));
-        assert_eq!(request_frame(0, &fetch).len(), 31);
+        assert_eq!(request_frame(0, &fetch).len(), 28);
         let raw = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::NONE));
-        assert_eq!(request_frame(7, &raw).len(), 31);
-        // ver id | tag sample ops tier | tag len payload | crc
+        assert_eq!(request_frame(7, &raw).len(), 28);
+        // ver id | tag sample split quality | tag len payload | crc
         for payload in [&b""[..], b"raw", b"prefix"] {
             let bytes = response_frame(3, &raw_response(payload));
             assert_eq!(bytes.len(), payload.len() + 25, "{payload:?}");
@@ -707,42 +718,29 @@ mod tests {
     }
 
     #[test]
-    fn any_tenant_id_decodes_to_the_same_request() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let bytes = request_frame(0xdead_beef, &req);
-        assert_eq!(bytes[5..7], [0, 0], "the encoder writes tenant 0");
-        for tenant in [1u16, 41, 0x100, u16::MAX] {
-            let [lo, hi] = tenant.to_le_bytes();
-            let tagged = resealed(resealed(bytes.clone(), 5, lo), 6, hi);
-            assert_eq!(decode_request_framed(&tagged).unwrap(), (0xdead_beef, req.clone()));
-        }
-    }
-
-    #[test]
     fn retired_versions_decode_as_foreign() {
         // Each retired frame as its version laid it out, sealed under a
         // valid CRC: 0xA2 had no tenant, 0xA3 added one, 0xA4 added the
-        // tier after the fetch body and after a data response's payload.
-        let fetch_body = |tier: bool| {
+        // tier after the fetch body and after a data response's payload,
+        // and 0xA5 moved the response's tier and a one-byte op count ahead
+        // of the payload.
+        let fetch_body = |tail: &[u8]| {
             let mut body = vec![0x02];
             body.extend_from_slice(&3u64.to_le_bytes());
             body.extend_from_slice(&1u64.to_le_bytes());
             body.extend_from_slice(&[2, 0]);
-            if tier {
-                body.push(TIER_UNCAPPED);
-            }
+            body.extend_from_slice(tail);
             body
         };
-        let data_body = |tier: bool| {
+        // The fields before the payload, and after it.
+        let data_body = |head: &[u8], tail: &[u8]| {
             let mut body = vec![0x12];
             body.extend_from_slice(&3u64.to_le_bytes());
-            body.extend_from_slice(&0u32.to_le_bytes());
+            body.extend_from_slice(head);
             body.push(0x00);
             body.extend_from_slice(&2u32.to_le_bytes());
             body.extend_from_slice(b"ok");
-            if tier {
-                body.push(1);
-            }
+            body.extend_from_slice(tail);
             body
         };
         let frame = |version: u8, tenant: bool, body: Vec<u8>| {
@@ -756,17 +754,19 @@ mod tests {
             out
         };
         let requests = [
-            (0xA2, frame(0xA2, false, fetch_body(false))),
-            (0xA3, frame(0xA3, true, fetch_body(false))),
-            (0xA4, frame(0xA4, true, fetch_body(true))),
+            (0xA2, frame(0xA2, false, fetch_body(&[]))),
+            (0xA3, frame(0xA3, true, fetch_body(&[]))),
+            (0xA4, frame(0xA4, true, fetch_body(&[0xFF]))),
+            (0xA5, frame(0xA5, true, fetch_body(&[0xFF]))),
         ];
         for (version, bytes) in requests {
             assert_eq!(decode_request_framed(&bytes), Err(WireError::Version(version)));
             assert_eq!(peek_request_id(&bytes), None, "{version:#04x}");
         }
         for (version, bytes) in [
-            (0xA2, frame(0xA2, false, data_body(false))),
-            (0xA4, frame(0xA4, false, data_body(true))),
+            (0xA2, frame(0xA2, false, data_body(&[0; 4], &[]))),
+            (0xA4, frame(0xA4, false, data_body(&[0; 4], &[1]))),
+            (0xA5, frame(0xA5, false, data_body(&[0, 0xFF], &[]))),
         ] {
             assert_eq!(decode_response_framed(&bytes), Err(WireError::Version(version)));
         }
@@ -782,51 +782,56 @@ mod tests {
     }
 
     #[test]
-    fn tenant_id_is_protected_by_the_checksum() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let mut bytes = request_frame(11, &req);
-        bytes[5] ^= 0x01; // inside the little-endian tenant id
-        assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn out_of_range_wire_tiers_are_rejected() {
-        // ver id tenant tag sample epoch split quality | max_tier, and
-        // ver id tag sample ops | tier: 0xFF is the one value either takes.
-        let req = request_frame(0, &Request::Fetch(FetchRequest::new(1, 0, SplitPoint::NONE)));
+    fn out_of_range_wire_forms_are_rejected() {
+        // ver id tag sample epoch | split quality, and
+        // ver id tag sample | split quality | StageData.
+        let req = request_frame(0, &Request::Fetch(FetchRequest::new(1, 0, SplitPoint::new(2))));
         let resp = response_frame(0, &raw_response(b"x"));
-        assert_eq!((req[26], resp[15]), (TIER_UNCAPPED, TIER_UNCAPPED));
-        let want = WireError::Invalid("fidelity tier out of range");
-        for tier in 0..TIER_UNCAPPED {
-            assert_eq!(decode_request_framed(&resealed(req.clone(), 26, tier)), Err(want.clone()));
-            assert_eq!(
-                decode_response_framed(&resealed(resp.clone(), 15, tier)),
-                Err(want.clone())
-            );
+        assert_eq!((&req[22..24], &resp[14..16]), (&[2, 0][..], &[0, 0][..]));
+        let raw_reencode = WireError::Invalid("reencode of a raw serve");
+        let bad_quality = WireError::Invalid("reencode quality");
+        for (split, quality, want) in [
+            (0, 1, raw_reencode.clone()),
+            (0, 100, raw_reencode.clone()),
+            (0, 101, bad_quality.clone()),
+            (2, 101, bad_quality.clone()),
+            (2, u8::MAX, bad_quality.clone()),
+        ] {
+            let req = resealed(resealed(req.clone(), 22, split), 23, quality);
+            assert_eq!(decode_request_framed(&req), Err(want.clone()), "{split} {quality}");
+            let resp = resealed(resealed(resp.clone(), 14, split), 15, quality);
+            assert_eq!(decode_response_framed(&resp), Err(want), "{split} {quality}");
         }
+        // A raw or re-encoded serve whose payload is not encoded bytes.
+        let mismatch = Err(WireError::Invalid("payload does not match its form"));
+        let img = StageData::Image(RasterImage::filled(2, 2, Rgb::gray(1)));
+        for form in [ServeForm::Raw, REENCODED] {
+            let frame = response_frame(0, &data_response(form, img.clone()));
+            assert_eq!(decode_response_framed(&frame), mismatch, "{form:?}");
+        }
+        let frame = response_frame(0, &data_response(prefix(2), img));
+        assert!(decode_response_framed(&frame).is_ok());
     }
 
     #[test]
-    fn served_tier_roundtrips_under_the_crc() {
-        let resp = raw_response(b"raw payload");
+    fn served_form_roundtrips_under_the_crc() {
+        let resp = data_response(prefix(1), StageData::Encoded(Bytes::from_static(b"payload")));
         let bytes = response_frame(4, &resp);
         assert_eq!(decode_response_framed(&bytes).unwrap(), (4, resp));
-        // ver id tag sample ops | tier: flipping it must fail the
-        // checksum, never decode as another fidelity.
-        let mut corrupt = bytes;
-        corrupt[15] ^= 0x01;
-        assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
+        // ver id tag sample | split quality: flipping either must fail the
+        // checksum, never decode as another form.
+        for at in [14, 15] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 0x01;
+            assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
+        }
     }
 
     #[test]
     fn request_id_is_protected_by_the_checksum() {
         // A flipped bit inside the multiplexing id must never re-route a
         // response to the wrong caller: it fails the CRC instead.
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 2,
-            data: StageData::Encoded(Bytes::from_static(b"payload")),
-        });
+        let resp = data_response(prefix(2), StageData::Encoded(Bytes::from_static(b"payload")));
         let mut bytes = response_frame(41, &resp);
         bytes[3] ^= 0x04; // inside the little-endian request id
         assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
@@ -892,8 +897,7 @@ mod tests {
             StageData::Tensor(tensor),
         ];
         for p in payloads {
-            let resp =
-                Response::Data(FetchResponse { sample_id: 9, ops_applied: 2, data: p.clone() });
+            let resp = data_response(prefix(2), p.clone());
             let bytes = response_frame(0, &resp);
             // Responses are `PartialEq`, so the roundtrip asserts every
             // field (payload bytes included) in one exhaustive comparison.
@@ -906,30 +910,9 @@ mod tests {
         let stored = Bytes::from(vec![0xc3; 4000]);
         let img = RasterImage::filled(5, 4, Rgb::new(1, 2, 3));
         let responses = [
-            (
-                Response::Data(FetchResponse {
-                    sample_id: 9,
-                    ops_applied: 0,
-                    data: StageData::Encoded(stored.clone()),
-                }),
-                true,
-            ),
-            (
-                Response::Data(FetchResponse {
-                    sample_id: 9,
-                    ops_applied: 0,
-                    data: StageData::Encoded(stored.slice(..1000)),
-                }),
-                true,
-            ),
-            (
-                Response::Data(FetchResponse {
-                    sample_id: 9,
-                    ops_applied: 2,
-                    data: StageData::Image(img),
-                }),
-                false,
-            ),
+            (data_response(ServeForm::Raw, StageData::Encoded(stored.clone())), true),
+            (data_response(ServeForm::Raw, StageData::Encoded(stored.slice(..1000))), true),
+            (data_response(prefix(2), StageData::Image(img)), false),
             (Response::Error { sample_id: None, message: "no".into() }, false),
             (Response::Configured, false),
         ];
@@ -957,21 +940,9 @@ mod tests {
         let img = RasterImage::filled(5, 4, Rgb::new(1, 2, 3));
         let tensor = imagery::Tensor::from_image(&img);
         let responses = [
-            Response::Data(FetchResponse {
-                sample_id: 9,
-                ops_applied: 0,
-                data: StageData::Encoded(Bytes::from(vec![0x7e; 3000])),
-            }),
-            Response::Data(FetchResponse {
-                sample_id: 9,
-                ops_applied: 2,
-                data: StageData::Image(img),
-            }),
-            Response::Data(FetchResponse {
-                sample_id: 9,
-                ops_applied: 4,
-                data: StageData::Tensor(tensor),
-            }),
+            data_response(ServeForm::Raw, StageData::Encoded(Bytes::from(vec![0x7e; 3000]))),
+            data_response(prefix(2), StageData::Image(img)),
+            data_response(prefix(4), StageData::Tensor(tensor)),
             Response::Error { sample_id: Some(2), message: "gone".into() },
             Response::Configured,
         ];
@@ -1003,11 +974,8 @@ mod tests {
 
     #[test]
     fn truncation_detected_at_every_length() {
-        let resp = Response::Data(FetchResponse {
-            sample_id: 1,
-            ops_applied: 1,
-            data: StageData::Image(RasterImage::filled(8, 8, Rgb::gray(7))),
-        });
+        let resp =
+            data_response(prefix(1), StageData::Image(RasterImage::filled(8, 8, Rgb::gray(7))));
         let bytes = response_frame(0, &resp);
         for len in 0..bytes.len() {
             assert!(
@@ -1020,7 +988,7 @@ mod tests {
     #[test]
     fn retired_shutdown_tag_is_a_bad_tag() {
         // 0x03 once asked the server to stop; no request kind has it now.
-        assert_eq!(decode_request(&sealed(true, &[0x03])), Err(WireError::BadTag(0x03)));
+        assert_eq!(decode_request(&sealed(&[0x03])), Err(WireError::BadTag(0x03)));
     }
 
     #[test]
@@ -1030,8 +998,8 @@ mod tests {
         let mut body = vec![0x02]; // a whole fetch, then junk
         body.extend_from_slice(&3u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&[2, 0, TIER_UNCAPPED, 0]);
-        assert_eq!(decode_request(&sealed(true, &body)), Err(WireError::TrailingBytes(1)));
+        body.extend_from_slice(&[2, 0, 0]);
+        assert_eq!(decode_request(&sealed(&body)), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
@@ -1039,10 +1007,10 @@ mod tests {
         // Encoded payload claiming 4 GiB.
         let mut body = vec![0x12];
         body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&[0, TIER_UNCAPPED, 0x00]);
+        body.extend_from_slice(&[0, 0, 0x00]);
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_response(&sealed(false, &body)),
+            decode_response(&sealed(&body)),
             Err(WireError::Invalid("payload length over cap"))
         ));
     }
@@ -1054,10 +1022,7 @@ mod tests {
         body.extend_from_slice(&0u64.to_le_bytes());
         body.push(1); // one op
         body.push(3); // ToTensor
-        assert_eq!(
-            decode_request(&sealed(true, &body)),
-            Err(WireError::Invalid("ill-typed pipeline"))
-        );
+        assert_eq!(decode_request(&sealed(&body)), Err(WireError::Invalid("ill-typed pipeline")));
     }
 
     #[test]

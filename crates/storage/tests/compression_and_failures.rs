@@ -6,9 +6,15 @@ use datasets::DatasetSpec;
 use netsim::Bandwidth;
 use pipeline::{PipelineSpec, SampleKey, SplitPoint, StageData};
 use storage::{
-    FetchRequest, NearStorageExecutor, ObjectStore, ServerConfig, SessionConfig, TcpStorageClient,
-    TcpStorageServer,
+    FetchRequest, NearStorageExecutor, ObjectStore, ServeForm, ServerConfig, SessionConfig,
+    TcpStorageClient, TcpStorageServer,
 };
+
+/// A fetch of `split` ops re-encoded at `quality`.
+fn reencoded(sample_id: u64, epoch: u64, split: usize, quality: u8) -> FetchRequest {
+    let form = ServeForm::Prefix { split: SplitPoint::new(split), reencode: Some(quality) };
+    FetchRequest { sample_id, epoch, form }
+}
 
 fn setup(n: u64) -> (DatasetSpec, ObjectStore) {
     let ds = DatasetSpec::mini(n, 71);
@@ -24,8 +30,7 @@ fn reencoded_transfer_shrinks_and_reconstructs() {
         SessionConfig { dataset_seed: ds.seed, pipeline: PipelineSpec::standard_train() },
     );
     let plain = ex.execute(FetchRequest::new(0, 1, SplitPoint::new(2))).unwrap();
-    let compressed =
-        ex.execute(FetchRequest::new(0, 1, SplitPoint::new(2)).with_reencode(85)).unwrap();
+    let compressed = ex.execute(reencoded(0, 1, 2, 85)).unwrap();
     assert_eq!(plain.data.byte_len(), 150_528);
     assert!(
         compressed.data.byte_len() < plain.data.byte_len() / 2,
@@ -53,8 +58,8 @@ fn reencoded_suffix_still_produces_training_tensor() {
         store,
         SessionConfig { dataset_seed: ds.seed, pipeline: pipeline.clone() },
     );
-    let resp = ex.execute(FetchRequest::new(1, 0, SplitPoint::new(2)).with_reencode(90)).unwrap();
-    let split = SplitPoint::new(resp.ops_applied as usize);
+    let resp = ex.execute(reencoded(1, 0, 2, 90)).unwrap();
+    let split = resp.form.split();
     let data = resp.unpack().unwrap();
     let key = SampleKey::new(ds.seed, 1, 0);
     let tensor = pipeline.run_suffix(data, split, key).unwrap();
@@ -62,18 +67,16 @@ fn reencoded_suffix_still_produces_training_tensor() {
 }
 
 #[test]
-fn reencode_on_raw_split_is_rejected() {
+fn reencode_on_a_tensor_split_is_rejected() {
     let (ds, store) = setup(1);
     let ex = NearStorageExecutor::new(
         store,
         SessionConfig { dataset_seed: ds.seed, pipeline: PipelineSpec::standard_train() },
     );
-    // Split 0 ships encoded bytes already; re-encoding is nonsensical.
-    let err = ex.execute(FetchRequest::new(0, 0, SplitPoint::NONE).with_reencode(85)).unwrap_err();
+    // Splits past ToTensor are not an image; a raw serve has no quality to
+    // ask for (the wire rejects one, `wire_properties`).
+    let err = ex.execute(reencoded(0, 0, 4, 85)).unwrap_err();
     assert_eq!(err.to_string(), "re-encode requested but offloaded output is not an image");
-    // Splits past ToTensor: also not an image.
-    let err =
-        ex.execute(FetchRequest::new(0, 0, SplitPoint::new(4)).with_reencode(85)).unwrap_err();
     assert!(matches!(err, storage::ExecError::ReencodeNotImage));
 }
 
@@ -154,10 +157,11 @@ fn reencode_over_live_server_reduces_wire_bytes() {
         let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
         client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
         for id in 0..4u64 {
-            let mut req = FetchRequest::new(id, 0, SplitPoint::new(2));
-            if reencode {
-                req = req.with_reencode(85);
-            }
+            let req = if reencode {
+                reencoded(id, 0, 2, 85)
+            } else {
+                FetchRequest::new(id, 0, SplitPoint::new(2))
+            };
             let resp = client.fetch_request(req).unwrap();
             let unpacked = resp.unpack().unwrap();
             assert_eq!(unpacked.byte_len(), 150_528, "reconstructed crop size");

@@ -12,14 +12,14 @@ use std::collections::HashMap;
 use netsim::Bandwidth;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use storage::wire::crc32;
-use storage::{FetchRequest, MultiServerHarness, ObjectStore, ServerConfig};
+use storage::{FetchRequest, MultiServerHarness, ObjectStore, ServeForm, ServerConfig};
 
 const NODES: usize = 3;
 const CLIENTS: usize = 129;
 const SAMPLES: u64 = 12;
 
-/// `(sample, ops_applied)` — what a response's bytes must be keyed by.
-type ResponseKey = (u64, u64);
+/// `(sample, form)` — what a response's bytes must be keyed by.
+type ResponseKey = (u64, ServeForm);
 /// `(crc32, len)` — canonical digest of a response payload.
 type Digest = (u32, u64);
 
@@ -72,7 +72,7 @@ fn concurrent_pipelined_clients_get_bit_identical_batches() {
                         .zip(&responses)
                         .map(|(req, resp)| {
                             assert_eq!(req.sample_id, resp.sample_id);
-                            ((req.sample_id, u64::from(resp.ops_applied)), digest(&resp.data))
+                            ((req.sample_id, resp.form), digest(&resp.data))
                         })
                         .collect()
                 })
@@ -81,7 +81,7 @@ fn concurrent_pipelined_clients_get_bit_identical_batches() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Group by (sample, ops_applied): one digest per key, fleet-wide.
+    // Group by (sample, form): one digest per key, fleet-wide.
     let mut canonical: HashMap<ResponseKey, Digest> = HashMap::new();
     let mut observations = 0usize;
     for per_client in &results {
@@ -97,7 +97,7 @@ fn concurrent_pipelined_clients_get_bit_identical_batches() {
     // 129 clients x (8 raw + 1 offloaded) responses, all accounted for.
     assert_eq!(observations, CLIENTS * 9);
     // Both shapes showed up: raw passthrough and the 2-op offloaded crop.
-    assert!(canonical.keys().any(|&(_, ops)| ops == 0));
-    assert!(canonical.keys().any(|&(_, ops)| ops == 2));
+    assert!(canonical.keys().any(|&(_, form)| form == ServeForm::Raw));
+    assert!(canonical.keys().any(|&(_, form)| form == SplitPoint::new(2).into()));
     harness.shutdown();
 }

@@ -9,12 +9,12 @@ use bytes::Bytes;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use proptest::prelude::*;
 use storage::wire::{
-    crc32, decode_request_framed, decode_response_framed, encode_request_into,
-    encode_response_into, peek_request_id, WireError,
+    decode_request_framed, decode_response_framed, encode_request_into, encode_response_into,
+    peek_request_id, WireError,
 };
 use storage::{
-    FetchRequest, FetchResponse, ObjectStore, Request, Response, ServerConfig, TcpStorageClient,
-    TcpStorageServer,
+    FetchRequest, FetchResponse, ObjectStore, Request, Response, ServeForm, ServerConfig,
+    TcpStorageClient, TcpStorageServer,
 };
 
 /// Stateless SplitMix64 step (the repo's standard seeded scramble).
@@ -35,22 +35,16 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
-/// `req`'s frame under `request_id`, with `tenant` in its tenant id (bytes
-/// 5 and 6, which the encoder writes as 0) and its CRC sealed again.
-fn request_frame(request_id: u32, tenant: u16, req: &Request) -> Vec<u8> {
+fn request_frame(request_id: u32, req: &Request) -> Vec<u8> {
     let mut frame = Vec::new();
     encode_request_into(request_id, req, &mut frame);
-    frame[5..7].copy_from_slice(&tenant.to_le_bytes());
-    let body = frame.len() - 4;
-    let crc = crc32(&frame[..body]);
-    frame[body..].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
 fn data_response(request_id: u32, sample_id: u64) -> (u32, Vec<u8>) {
     let resp = Response::Data(FetchResponse {
         sample_id,
-        ops_applied: 0,
+        form: ServeForm::Raw,
         data: StageData::Encoded(Bytes::from(sample_id.to_le_bytes().to_vec())),
     });
     let mut frame = Vec::new();
@@ -113,23 +107,20 @@ proptest! {
         );
     }
 
-    /// A pipelined burst of request frames, each carrying its own tenant
-    /// id, decoded in an arbitrary order, hands back exactly the request id
-    /// and request each frame was sealed with, whatever tenant id it
-    /// carries.
+    /// A pipelined burst of request frames, decoded in an arbitrary order,
+    /// hands back exactly the request id and request each frame was sealed
+    /// with.
     #[test]
-    fn shuffled_tenant_frames_keep_their_attribution(
+    fn shuffled_request_frames_keep_their_attribution(
         n in 2usize..24,
         shuffle_seed in any::<u64>(),
-        tenant_base in any::<u16>(),
     ) {
         let mut frames: Vec<(u32, u64, Vec<u8>)> = (0..n)
             .map(|i| {
                 let id = (i as u32).wrapping_mul(2_654_435_761).max(1);
-                let tenant = tenant_base.wrapping_add(i as u16);
                 let sample = i as u64;
                 let req = Request::Fetch(FetchRequest::new(sample, 0, SplitPoint::NONE));
-                (id, sample, request_frame(id, tenant, &req))
+                (id, sample, request_frame(id, &req))
             })
             .collect();
         shuffle(&mut frames, shuffle_seed);
@@ -142,34 +133,17 @@ proptest! {
         }
     }
 
-    /// A frame from `encode_request_into` names tenant 0 — never a garbled
-    /// tenant id — and decodes to its id and request.
-    #[test]
-    fn encode_request_into_frames_decode_as_tenant_0(
-        request_id in any::<u32>(),
-        sample_id in any::<u64>(),
-    ) {
-        let req = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::NONE));
-        let mut frame = Vec::new();
-        encode_request_into(request_id, &req, &mut frame);
-        prop_assert_eq!(&frame[5..7], &[0, 0]);
-        let (id, decoded) = decode_request_framed(&frame).unwrap();
-        prop_assert_eq!(id, request_id);
-        prop_assert_eq!(decoded, req);
-    }
-
     /// Flipping any single byte of a request frame — version, request
-    /// id, tenant id, body, or the CRC itself — fails the checksum.
+    /// id, body, or the CRC itself — fails the checksum.
     #[test]
-    fn single_byte_flips_on_tenant_frames_fail_the_checksum(
+    fn single_byte_flips_on_request_frames_fail_the_checksum(
         request_id in any::<u32>(),
-        tenant_id in any::<u16>(),
         sample_id in any::<u64>(),
         flip_at in any::<usize>(),
         flip_mask in any::<u8>(),
     ) {
         let req = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::NONE));
-        let mut bytes = request_frame(request_id, tenant_id, &req);
+        let mut bytes = request_frame(request_id, &req);
         let idx = flip_at % bytes.len();
         let mask = if flip_mask == 0 { 1 } else { flip_mask };
         bytes[idx] ^= mask;

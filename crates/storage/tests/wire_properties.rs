@@ -8,7 +8,7 @@ use storage::wire::{
     crc32, decode_request_framed, decode_response_framed, encode_request_into,
     encode_response_into, WireError,
 };
-use storage::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
+use storage::{FetchRequest, FetchResponse, Request, Response, ServeForm, SessionConfig};
 
 // The module encodes into a caller's buffer and decodes to (id, .., message);
 // these properties are about the message alone.
@@ -71,11 +71,35 @@ fn arb_stage_data() -> impl Strategy<Value = StageData> {
     ]
 }
 
+fn arb_form() -> impl Strategy<Value = ServeForm> {
+    prop_oneof![
+        Just(ServeForm::Raw),
+        (1usize..=6, proptest::option::of(1u8..=100)).prop_map(|(split, reencode)| {
+            ServeForm::Prefix { split: SplitPoint::new(split), reencode }
+        }),
+    ]
+}
+
+/// Whether a response of `form` must carry encoded bytes: a raw serve is
+/// the stored object, and a re-encoded one is the codec's output.
+fn is_encoded_form(form: ServeForm) -> bool {
+    form == ServeForm::Raw || form.reencode().is_some()
+}
+
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Configured),
-        (any::<u64>(), 0u32..8, arb_stage_data()).prop_map(|(sample_id, ops_applied, data)| {
-            Response::Data(FetchResponse { sample_id, ops_applied, data })
+        (any::<u64>(), arb_form(), arb_stage_data()).prop_map(|(sample_id, form, data)| {
+            let data = match data {
+                StageData::Image(img) if is_encoded_form(form) => {
+                    StageData::Encoded(img.as_raw().to_vec().into())
+                }
+                StageData::Tensor(t) if is_encoded_form(form) => {
+                    StageData::Encoded(t.to_le_bytes().into())
+                }
+                data => data,
+            };
+            Response::Data(FetchResponse { sample_id, form, data })
         }),
         (proptest::option::of(any::<u64>()), ".{0,200}")
             .prop_map(|(sample_id, message)| Response::Error { sample_id, message }),
@@ -87,15 +111,9 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), arb_pipeline()).prop_map(|(dataset_seed, pipeline)| {
             Request::Configure(SessionConfig { dataset_seed, pipeline })
         }),
-        (any::<u64>(), any::<u64>(), 0usize..=6, proptest::option::of(1u8..=100)).prop_map(
-            |(sample_id, epoch, split, reencode)| {
-                let mut req = FetchRequest::new(sample_id, epoch, SplitPoint::new(split));
-                if let Some(q) = reencode {
-                    req = req.with_reencode(q);
-                }
-                Request::Fetch(req)
-            }
-        ),
+        (any::<u64>(), any::<u64>(), arb_form()).prop_map(|(sample_id, epoch, form)| {
+            Request::Fetch(FetchRequest { sample_id, epoch, form })
+        }),
     ]
 }
 
@@ -109,39 +127,41 @@ proptest! {
         prop_assert_eq!(decode_request(&bytes).unwrap(), req);
     }
 
-    /// The tenant id a request frame carries (bytes 5 and 6, after the
-    /// version and the request id) is read and discarded: whatever its
-    /// value, the frame decodes to the same request.
+    /// A form byte pair no `ServeForm` writes decodes to
+    /// `WireError::Invalid` under a valid CRC: a quality above 100, or a
+    /// quality on split 0 (a raw serve has none to re-encode at). So does
+    /// a data response whose form is raw or re-encoded but whose payload is
+    /// not encoded bytes.
     #[test]
-    fn any_tenant_id_decodes_to_the_same_request(req in arb_request(), tenant in any::<u16>()) {
-        let bytes = resealed(encode_request(&req), 5, &tenant.to_le_bytes());
-        prop_assert_eq!(decode_request(&bytes).unwrap(), req);
-    }
-
-    /// A fetch's `max_tier` byte and a data response's `tier` byte take
-    /// one value, `0xFF`; any other decodes to `WireError::Invalid`, under
-    /// a valid CRC.
-    #[test]
-    fn a_tier_byte_other_than_uncapped_is_invalid(
+    fn a_form_outside_the_serve_forms_is_invalid(
         sample_id in any::<u64>(),
-        split in 0usize..=6,
-        tier in 0u8..0xFF,
+        split in 0u8..=6,
+        quality in 1u8..=u8::MAX,
+        form in arb_form(),
         data in arb_stage_data(),
     ) {
-        let want = Err(WireError::Invalid("fidelity tier out of range"));
-        // ver id tenant | tag sample epoch split quality | max_tier
-        let fetch = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::new(split)));
-        let request = encode_request(&fetch);
-        prop_assert_eq!(request[26], 0xFF);
-        prop_assert_eq!(decode_request(&resealed(request, 26, &[tier])), want.clone());
-        // ver id | tag sample ops | tier
-        let resp = Response::Data(FetchResponse { sample_id, ops_applied: 0, data });
-        let response = encode_response(&resp);
-        prop_assert_eq!(response[15], 0xFF);
-        prop_assert_eq!(
-            decode_response(&resealed(response, 15, &[tier])).map(|_| ()),
-            want.map(|_: Request| ())
-        );
+        let want = if quality > 100 {
+            WireError::Invalid("reencode quality")
+        } else {
+            WireError::Invalid("reencode of a raw serve")
+        };
+        if split == 0 || quality > 100 {
+            // ver id | tag sample epoch | split quality
+            let fetch = Request::Fetch(FetchRequest::new(sample_id, 0, SplitPoint::new(1)));
+            let request = resealed(encode_request(&fetch), 22, &[split, quality]);
+            prop_assert_eq!(decode_request(&request), Err(want.clone()));
+            // ver id | tag sample | split quality
+            let resp = Response::Data(FetchResponse { sample_id, form, data: data.clone() });
+            let response = resealed(encode_response(&resp), 14, &[split, quality]);
+            prop_assert_eq!(decode_response(&response), Err(want));
+        }
+        let resp = Response::Data(FetchResponse { sample_id, form, data: data.clone() });
+        let decoded = decode_response(&encode_response(&resp));
+        if is_encoded_form(form) && !matches!(data, StageData::Encoded(_)) {
+            prop_assert_eq!(decoded, Err(WireError::Invalid("payload does not match its form")));
+        } else {
+            prop_assert_eq!(decoded, Ok(resp));
+        }
     }
 
     /// Decoders are total over arbitrary bytes.
@@ -214,12 +234,12 @@ proptest! {
     #[test]
     fn data_responses_preserve_payloads(
         sample_id in any::<u64>(),
-        ops in 0u32..6,
+        form in arb_form(),
         payload in proptest::collection::vec(any::<u8>(), 0..2000),
     ) {
         let resp = Response::Data(FetchResponse {
             sample_id,
-            ops_applied: ops,
+            form,
             data: pipeline::StageData::Encoded(payload.into()),
         });
         let bytes = encode_response(&resp);
@@ -234,7 +254,7 @@ proptest! {
 fn every_byte_of_a_data_frame_is_flip_protected() {
     let resp = Response::Data(FetchResponse {
         sample_id: 7,
-        ops_applied: 3,
+        form: ServeForm::Prefix { split: SplitPoint::new(2), reencode: Some(85) },
         data: StageData::Encoded((0u8..=255).collect::<Vec<u8>>().into()),
     });
     let bytes = encode_response(&resp);

@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let encoded = codec::encode(pcm.as_pcm().expect("split 2 is PCM"));
         cache.insert(
             key,
-            stable.offloaded_ops() as u32,
+            stable,
             StageData::Encoded(encoded.into()),
             AdmissionHint::from_payload_bytes(pcm.byte_len()),
         );
